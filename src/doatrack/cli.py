@@ -17,22 +17,23 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .corpus_io import (CorpusFormatError, bundle_from_scene, read_recording,
                         read_submission, write_recording, write_submission)
 from .evaluate import (OspaParams, Submission, evaluate_submission)
-from .geometry import Doa, get_array_preset, wrap_angle
-from .localize import (DoaEstimate, NoSignalError, UnsupportedGeometryError,
-                       azimuth_grid, gcc_phat, music_spectrum, pseudo_intensity,
+from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, wrap_angle
+from .localize import (PEAK_TIE_REL, DoaEstimate, IllConditionedError,
+                       NoSignalError, UnsupportedGeometryError, azimuth_grid,
+                       gcc_phat, music_spectrum, peak_index, pseudo_intensity,
                        srp_argmax, srp_phat, tdoa_to_azimuth)
-from .sigproc import cross_power_spectrum, frame_signal
+from .sigproc import CrossSpectrum, block_cross_spectra, frame_signal
 from .simulate import synthesize, task_preset
 from .track import (ParticleSet, PfParams, TrackerConfig, TrackState,
                     WrappedMixture, pf_step, track_lifecycle,
                     wrapped_kf_predict, wrapped_kf_update)
 
-EVAL_RATE_HZ = 120.0
 LOCALIZERS = ("srp-phat", "music", "gcc-phat", "pseudo-intensity")
 TRACKERS = ("kalman", "wrapped-kalman", "particle", "none")
 
@@ -49,11 +50,12 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
                     n_sources: int = 1, block_frames: int = 8,
                     block_stride: int = 4, window_length: int = 2048,
                     hop: int = 1024, band_hz=(300.0, 4000.0),
-                    c: float = 343.0, grid_resolution_deg: float = 1.0):
+                    c: float = SPEED_OF_SOUND, grid_resolution_deg: float = 1.0):
     """Frame the audio and emit time-ordered azimuth estimates.
 
     Blocks whose broadband power sits at the noise floor are skipped so
-    pauses between utterances do not feed garbage to the tracker.
+    pauses between utterances do not feed garbage to the tracker, and so are
+    blocks a localizer finds silent or, for MUSIC, ill-conditioned.
     """
     if localizer not in LOCALIZERS:
         raise UsageError(f"unknown localizer {localizer!r}")
@@ -65,21 +67,24 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     if localizer == "music":
         # the correlation estimate needs at least one frame per channel
         block_frames = max(block_frames, geometry.mic_count)
-    blocks = []
-    for start in range(0, len(frames) - block_frames + 1, block_stride):
-        blocks.append(frames[start:start + block_frames])
-    if not blocks:
+    starts = range(0, len(frames) - block_frames + 1, block_stride)
+    if not starts:
         return []
-    energies = np.array([
-        np.mean([np.mean(np.abs(f.bins) ** 2) for f in b]) for b in blocks
-    ])
+    frame_energy = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
+    energies = sliding_window_view(frame_energy, block_frames)[::block_stride].mean(axis=1)
     threshold = 0.05 * np.percentile(energies, 90)
     grid = azimuth_grid(grid_resolution_deg)
+    if localizer == "gcc-phat":
+        pairs = geometry.pairs()
+        mics = geometry.mic_positions
+        max_lags = [f_s / c * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
+                    for m, l in pairs]
     estimates = []
-    for block, energy in zip(blocks, energies):
+    for start, energy in zip(starts, energies):
         if energy < threshold:
             continue
-        t = 0.5 * (block[0].frame_center_time + block[-1].frame_center_time)
+        block = frames[start:start + block_frames]
+        t = float(0.5 * (block.times[0] + block.times[-1]))
         try:
             if localizer == "srp-phat":
                 doa = srp_argmax(srp_phat(block, geometry, grid, f_s, c, band_hz))
@@ -89,12 +94,10 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
                 for az in _circular_peaks(grid.azimuths, spec.values, n_sources):
                     estimates.append(DoaEstimate(t, Doa(az)))
             elif localizer == "gcc-phat":
-                tdoas = []
-                mics = geometry.mic_positions
-                for m, l in geometry.pairs():
-                    cs = cross_power_spectrum(block, (m, l))
-                    max_lag = f_s / c * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
-                    tdoas.append(gcc_phat(cs, max_lag))
+                g = block_cross_spectra(block)
+                spectra = [CrossSpectrum(g[:, m, l], (m, l), window_length)
+                           for m, l in pairs]
+                tdoas = gcc_phat(spectra, max_lags)
                 doa = tdoa_to_azimuth(tdoas, geometry, f_s, c, grid_resolution_deg)
                 estimates.append(DoaEstimate(t, doa))
             else:  # pseudo-intensity
@@ -102,27 +105,29 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
                 az = [e.doa.azimuth for e in per_frame]
                 mean_az = math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))
                 estimates.append(DoaEstimate(t, Doa(wrap_angle(mean_az))))
-        except NoSignalError:
+        except (NoSignalError, IllConditionedError):
             continue
     return estimates
 
 
 def _circular_peaks(azimuths, values, k: int, min_sep_deg: float = 10.0):
-    """Top-k local maxima of a spectrum on a circular azimuth grid."""
-    n = len(values)
+    """Top-k local maxima of a spectrum on a circular azimuth grid.
+
+    Peaks are taken greedily, highest first, each at least `min_sep_deg` from
+    those already taken; ties follow `srp_argmax`'s rule.
+    """
+    tolerance = PEAK_TIE_REL * np.abs(values).max()
     is_peak = (values >= np.roll(values, 1)) & (values > np.roll(values, -1))
-    order = np.argsort(values[is_peak])[::-1]
-    candidates = np.flatnonzero(is_peak)[order]
+    candidates = np.flatnonzero(is_peak)
     picked = []
     min_sep = math.radians(min_sep_deg)
-    for idx in candidates:
-        az = azimuths[idx]
-        if all(abs(wrap_angle(az - p)) >= min_sep for p in picked):
-            picked.append(az)
-        if len(picked) == k:
-            break
-    if not picked and n:
-        picked.append(azimuths[int(np.argmax(values))])
+    while candidates.size and len(picked) < k:
+        best = candidates[peak_index(values[candidates], azimuths[candidates], tolerance)]
+        picked.append(azimuths[best])
+        candidates = candidates[np.abs(wrap_angle(azimuths[candidates] - azimuths[best]))
+                                >= min_sep]
+    if not picked and len(values):
+        picked.append(azimuths[peak_index(values, azimuths, tolerance)])
     return picked
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import gated_assignment, min_cost_assignment
-from .geometry import Doa, Trajectory, global_to_local, interpolate_pose, wrap_angle
+from .geometry import (SPEED_OF_SOUND, Doa, Trajectory, global_to_local, interpolate_pose,
+                       wrap_angle)
 
 DEFAULT_GATE_DEG = 30.0
 EVALUATION_RATE_HZ = 120.0
@@ -73,7 +74,7 @@ class VapTable:
 
 
 def align_vaps(vaps: VapTable, source_trajectories: dict, array_trajectory: Trajectory,
-               c: float = 343.0) -> VapTable:
+               c: float = SPEED_OF_SOUND) -> VapTable:
     """Shift emission-side VAP boundaries by the source-to-array propagation delay."""
     shifted = {}
     for n, spans in vaps.intervals.items():
@@ -418,7 +419,7 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
                         recording_duration: float,
                         gate_deg: float = DEFAULT_GATE_DEG,
                         ospa_params=(OspaParams(1.0, 30.0), OspaParams(5.0, 30.0)),
-                        c: float = 343.0,
+                        c: float = SPEED_OF_SOUND,
                         align: bool = True) -> MetricsReport:
     """Run the complete evaluation pipeline for one recording."""
     clock = np.asarray(clock, dtype=float)

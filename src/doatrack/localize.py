@@ -16,10 +16,12 @@ centroid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .geometry import (
+    SPEED_OF_SOUND,
     ArrayGeometry,
     DegenerateGeometryError,
     Doa,
@@ -27,10 +29,16 @@ from .geometry import (
     unit_vector_to_doa,
     wrap_angle,
 )
-from .sigproc import CrossSpectrum, cross_power_spectrum
+from .sigproc import CHUNK_ELEMENTS, CrossSpectrum, Stft, block_cross_spectra
 
 DEFAULT_BAND_HZ = (300.0, 4000.0)
 PHAT_FLOOR_REL = 1e-12  # bins below this fraction of max |G| get zero weight
+# spectrum values within this fraction of the peak tie with it; on a linear
+# array a direction and its mirror image differ only by rounding
+PEAK_TIE_REL = 1e-9
+# one steering bin in this many is an exact exponential, the rest are
+# recurrence products (see _steering); it bounds their drift to ~16 roundings
+EXACT_STEERING_EVERY = 16
 
 
 class NoSignalError(ValueError):
@@ -72,15 +80,23 @@ class DoaGrid:
     def __len__(self):
         return len(self.directions)
 
-    @property
+    # computed once per grid and read-only, since cached grids are shared
+    @cached_property
     def azimuths(self) -> np.ndarray:
-        return np.array([d.azimuth for d in self.directions])
+        return _read_only(np.array([d.azimuth for d in self.directions]))
 
-    @property
+    @cached_property
     def unit_vectors(self) -> np.ndarray:
-        return np.array([doa_to_unit_vector(d) for d in self.directions])
+        return _read_only(np.array([doa_to_unit_vector(d) for d in self.directions]))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# tdoa_to_azimuth asks for the same grid once per block
+@lru_cache(maxsize=16)
 def azimuth_grid(resolution_deg: float = 1.0, elevation: float = np.pi / 2) -> DoaGrid:
     """Azimuth-only grid covering [-180, 180) degrees at fixed elevation."""
     n = int(round(360.0 / resolution_deg))
@@ -133,7 +149,7 @@ class DoaEstimate:
 # TDoA / GCC-PHAT
 # ---------------------------------------------------------------------------
 
-def expected_tdoa(source_pos, mic_m, mic_l, f_s: float, c: float = 343.0) -> float:
+def expected_tdoa(source_pos, mic_m, mic_l, f_s: float, c: float = SPEED_OF_SOUND) -> float:
     """TDoA in samples: (f_s/c) * (||s - x_m|| - ||s - x_l||)."""
     source_pos = np.asarray(source_pos, dtype=float)
     mic_m = np.asarray(mic_m, dtype=float)
@@ -145,51 +161,71 @@ def expected_tdoa(source_pos, mic_m, mic_l, f_s: float, c: float = 343.0) -> flo
     return float(f_s / c * (d_m - d_l))
 
 
-def farfield_pair_tdoa(unit_dirs, mic_m, mic_l, f_s: float, c: float = 343.0):
+def farfield_pair_tdoa(unit_dirs, mic_m, mic_l, f_s: float, c: float = SPEED_OF_SOUND):
     """Far-field TDoA (samples) of pair (m, l) for plane waves from given directions."""
     unit_dirs = np.atleast_2d(np.asarray(unit_dirs, dtype=float))
     baseline = np.asarray(mic_l, dtype=float) - np.asarray(mic_m, dtype=float)
     return f_s / c * unit_dirs @ baseline
 
 
-def gcc_phat(cs: CrossSpectrum, max_lag: float, interpolation: int = 4) -> TdoaEstimate:
+def gcc_phat(cs, max_lag, interpolation: int = 4):
     """Estimate the dominant delay from a phase-transformed cross spectrum.
 
     The GCC is evaluated on an `interpolation`-times oversampled lag axis and
-    the peak refined by parabolic interpolation.
+    the peak refined by parabolic interpolation. `cs` is one CrossSpectrum,
+    or a sequence of them sharing one window length, with `max_lag` a float
+    or one per spectrum; a sequence gives a list of estimates, computed in
+    batches of pairs.
     """
     if interpolation < 1:
         raise ValueError("interpolation factor must be >= 1")
-    g = np.asarray(cs.values, dtype=complex)
+    if isinstance(cs, CrossSpectrum):
+        return _gcc_phat_batch([cs], np.array([max_lag], dtype=float), interpolation)[0]
+    spectra = list(cs)
+    max_lags = np.broadcast_to(np.asarray(max_lag, dtype=float), (len(spectra),))
+    nfft = spectra[0].window_length * interpolation
+    step = max(1, CHUNK_ELEMENTS // nfft)
+    estimates = []
+    for start in range(0, len(spectra), step):
+        estimates += _gcc_phat_batch(spectra[start:start + step],
+                                     max_lags[start:start + step], interpolation)
+    return estimates
+
+
+def _gcc_phat_batch(spectra, max_lags, interpolation):
+    g = np.array([s.values for s in spectra], dtype=complex)  # (pairs, bins)
     mag = np.abs(g)
-    peak_mag = mag.max() if mag.size else 0.0
-    if peak_mag <= 0.0:
+    peak_mag = mag.max(axis=1, keepdims=True)
+    if np.any(peak_mag <= 0.0):
         raise NoSignalError("all-zero cross spectrum")
     weights = np.where(mag > PHAT_FLOOR_REL * peak_mag, 1.0 / np.maximum(mag, 1e-300), 0.0)
-    phat = g * weights
-    nfft = cs.window_length * interpolation
-    cc = np.fft.irfft(phat, n=nfft)
-    max_shift = int(np.floor(max_lag * interpolation))
-    max_shift = min(max_shift, nfft // 2 - 1)
-    if max_shift < 1:
+    nfft = spectra[0].window_length * interpolation
+    cc = np.fft.irfft(g * weights, n=nfft)
+    max_shift = np.minimum(np.floor(max_lags * interpolation).astype(int), nfft // 2 - 1)
+    if max_shift.min() < 1:
         raise ValueError("max_lag too small for the lag axis")
-    cc = np.concatenate((cc[-max_shift:], cc[:max_shift + 1]))
-    lags = (np.arange(-max_shift, max_shift + 1)) / interpolation
-    idx = int(np.argmax(cc))
-    peak = cc[idx]
-    delay = lags[idx]
-    if 0 < idx < len(cc) - 1:
-        y0, y1, y2 = cc[idx - 1], cc[idx], cc[idx + 1]
-        denom = y0 - 2 * y1 + y2
-        if abs(denom) > 1e-30:
-            offset = 0.5 * (y0 - y2) / denom
-            offset = float(np.clip(offset, -0.5, 0.5))
-            delay += offset / interpolation
-    return TdoaEstimate(cs.pair, float(delay), float(peak))
+    # lags -shift..shift of every pair; lags beyond a pair's own max_shift are masked
+    shift = int(max_shift.max())
+    cc = np.concatenate((cc[:, -shift:], cc[:, :shift + 1]), axis=1)
+    offset_idx = np.arange(-shift, shift + 1)
+    inside = np.abs(offset_idx) <= max_shift[:, None]
+    idx = np.argmax(np.where(inside, cc, -np.inf), axis=1)
+    rows = np.arange(len(cc))
+    peak = cc[rows, idx]
+    delay = offset_idx[idx] / interpolation
+    # parabolic refinement unless the peak sits on an edge of the pair's window
+    y0 = cc[rows, np.maximum(idx - 1, 0)]
+    y2 = cc[rows, np.minimum(idx + 1, 2 * shift)]
+    denom = y0 - 2 * peak + y2
+    refine = (np.abs(offset_idx[idx]) < max_shift) & (np.abs(denom) > 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
+    delay = np.where(refine, delay + offset / interpolation, delay)
+    return [TdoaEstimate(s.pair, float(d), float(p)) for s, d, p in zip(spectra, delay, peak)]
 
 
 def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float,
-                    c: float = 343.0, resolution_deg: float = 1.0) -> Doa:
+                    c: float = SPEED_OF_SOUND, resolution_deg: float = 1.0) -> Doa:
     """Least-squares triangulation of pair delays on a far-field azimuth grid.
 
     Ties are broken towards the smallest azimuth wrapped into [0, 2*pi).
@@ -198,18 +234,22 @@ def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float,
     if not estimates:
         raise UnderdeterminedError("no TDoA estimates to triangulate")
     grid = azimuth_grid(resolution_deg)
-    dirs = grid.unit_vectors
-    cost = np.zeros(len(grid))
-    for est in estimates:
-        m, l = est.pair
-        expected = farfield_pair_tdoa(dirs, geometry.mic_positions[m],
-                                      geometry.mic_positions[l], f_s, c)
-        cost += (est.delay - expected) ** 2
-    best = cost.min()
-    tied = np.flatnonzero(cost <= best + 1e-9)
-    azimuths = grid.azimuths[tied]
-    order = np.argsort(np.mod(azimuths, 2.0 * np.pi))
-    return grid.directions[tied[order[0]]]
+    pairs = np.array([est.pair for est in estimates])
+    delays = np.array([est.delay for est in estimates])
+    mics = geometry.mic_positions
+    baselines = mics[pairs[:, 1]] - mics[pairs[:, 0]]
+    # expected far-field delay of every pair (rows) from every grid direction
+    expected = baselines @ (f_s / c * grid.unit_vectors).T
+    cost = np.sum((delays[:, None] - expected) ** 2, axis=0)
+    return grid.directions[peak_index(-cost, grid.azimuths, 1e-9)]
+
+
+def peak_index(values, azimuths, tolerance: float) -> int:
+    """Index of the largest value; values within `tolerance` of it tie, and a
+    tie goes to the smallest azimuth wrapped into [0, 2*pi)."""
+    values = np.asarray(values)
+    tied = np.flatnonzero(values >= values.max() - tolerance)
+    return int(tied[np.argmin(np.mod(np.asarray(azimuths)[tied], 2.0 * np.pi))])
 
 
 # ---------------------------------------------------------------------------
@@ -229,52 +269,83 @@ def _band_bins(window_length: int, f_s: float, band_hz):
     return bins
 
 
-def srp_phat(frames, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
-             c: float = 343.0, band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
+def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int,
+              f_s: float, c: float):
+    """Per-mic far-field steering phases A[k, x, m] = exp(i w_k t_m(x)), in chunks of bins.
+
+    t_m(x) = (f_s / c) x . (r_m - centroid) is how many samples earlier mic m
+    hears a plane wave from direction x than the array centroid does. `bins`
+    is one contiguous band (see `_band_bins`), so a bin's phases are the
+    previous bin's times exp(i 2 pi t_m(x) / window_length). Every
+    EXACT_STEERING_EVERY-th bin is an exact exponential and the bins between
+    are such products, which drift by about one rounding error per product.
+    Yields (bin slice, array of shape (chunk bins, directions, mics)).
+    """
+    mics = geometry.mic_positions - geometry.centroid
+    lead = (f_s / c) * grid.unit_vectors @ mics.T  # (directions, mics)
+    omega = 2.0 * np.pi * bins / window_length
+    next_bin = np.exp(1j * (2.0 * np.pi / window_length) * lead)
+    step = max(1, CHUNK_ELEMENTS // lead.size)
+    for start in range(0, len(bins), step):
+        chunk = slice(start, start + step)
+        steer = np.empty((len(omega[chunk]),) + lead.shape, dtype=complex)
+        for j in range(len(steer)):
+            if j % EXACT_STEERING_EVERY:
+                np.multiply(steer[j - 1], next_bin, out=steer[j])
+            else:
+                steer[j] = np.exp(1j * omega[start + j] * lead)
+        yield chunk, steer
+
+
+def srp_phat(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
+             c: float = SPEED_OF_SOUND, band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
     """Steered response power with PHAT pre-whitening over a direction grid.
 
     P(x) = sum over all microphone pairs (self pairs included) of the GCC
-    evaluated at the pair's far-field delay for direction x.
+    evaluated at the pair's far-field delay for direction x. The pair (m, l)
+    term at bin k is conj(A_m) PHAT(G_ml) A_l with per-mic steering A, so
+    P(x) = M K + 2 Re sum_k conj(A_k) . (triu(PHAT(G_k), 1) A_k).
     """
     if len(grid) == 0:
         raise ValueError("empty grid")
     if not frames:
         raise ValueError("empty frame block")
-    channels = frames[0].channel_count
+    channels = frames.channel_count
     if channels < 2:
         raise ValueError("need at least 2 channels")
-    window_length = frames[0].window_length
+    window_length = frames.window_length
     bins = _band_bins(window_length, f_s, band_hz)
-    omega = 2.0 * np.pi * bins / window_length
-    dirs = grid.unit_vectors
-    mics = geometry.mic_positions - geometry.centroid
+    g = block_cross_spectra(frames, bins)  # (bins, mics, mics)
+    mag = np.abs(g)
+    peak = mag.max(axis=0)  # per pair, over the band
+    phat = np.where(mag > PHAT_FLOOR_REL * peak, g / np.maximum(mag, 1e-300), 0.0)
+    upper = np.triu(phat, 1).transpose(0, 2, 1)  # [k, l, m] = PHAT(G_k)[m, l] for m < l
     # self terms contribute a direction-independent offset of channels * len(bins)
     values = np.full(len(grid), float(channels * len(bins)))
-    for m in range(channels):
-        for l in range(m + 1, channels):
-            g = cross_power_spectrum(frames, (m, l)).values[bins]
-            mag = np.abs(g)
-            peak = mag.max()
-            if peak <= 0.0:
-                continue
-            phat = np.where(mag > PHAT_FLOOR_REL * peak, g / np.maximum(mag, 1e-300), 0.0)
-            tau = farfield_pair_tdoa(dirs, mics[m], mics[l], f_s, c)
-            steer = np.exp(1j * np.outer(tau, omega))
-            values += 2.0 * np.real(steer @ phat)
+    for chunk, steer in _steering(geometry, grid, bins, window_length, f_s, c):
+        weighted = steer @ upper[chunk]  # [k, x, m] = sum_l PHAT(G_k)[m, l] A[k, x, l]
+        # Re(conj(a) w) = a.real w.real + a.imag w.imag, summed over bins and mics
+        values += 2.0 * np.einsum("kxj,kxj->x", steer.view(float), weighted.view(float))
     return SpatialSpectrum(grid, values, "SRP")
 
 
 def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
-    """Direction of the spectrum maximum; ties resolve to the lowest grid index."""
-    return spectrum.grid.directions[int(np.argmax(spectrum.values))]
+    """Direction of the spectrum maximum.
+
+    Values within PEAK_TIE_REL of the maximum tie; a tie goes to the
+    smallest azimuth wrapped into [0, 2*pi).
+    """
+    values = spectrum.values
+    tolerance = PEAK_TIE_REL * np.abs(values).max()
+    return spectrum.grid.directions[peak_index(values, spectrum.grid.azimuths, tolerance)]
 
 
 # ---------------------------------------------------------------------------
 # MUSIC
 # ---------------------------------------------------------------------------
 
-def music_spectrum(frames, geometry: ArrayGeometry, grid: DoaGrid, n_sources: int,
-                   f_s: float, c: float = 343.0, band_hz=DEFAULT_BAND_HZ,
+def music_spectrum(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, n_sources: int,
+                   f_s: float, c: float = SPEED_OF_SOUND, band_hz=DEFAULT_BAND_HZ,
                    diagonal_loading: float = 1e-6) -> SpatialSpectrum:
     """Broadband MUSIC pseudo-spectrum.
 
@@ -285,38 +356,36 @@ def music_spectrum(frames, geometry: ArrayGeometry, grid: DoaGrid, n_sources: in
     """
     if not frames:
         raise ValueError("empty frame block")
-    channels = frames[0].channel_count
+    channels = frames.channel_count
     if not (1 <= n_sources < channels):
         raise ValueError("need 1 <= n_sources < channel count")
     if len(frames) < channels:
         raise ValueError(
             f"correlation estimate needs >= {channels} frames, got {len(frames)}"
         )
-    window_length = frames[0].window_length
+    window_length = frames.window_length
     bins = _band_bins(window_length, f_s, band_hz)
-    mics = geometry.mic_positions - geometry.centroid
-    dirs = grid.unit_vectors
-    # steering delays in samples, one per (direction, mic)
-    tau = -(f_s / c) * dirs @ mics.T
-    stack = np.array([f.bins for f in frames])  # (frames, channels, bins)
+    r = block_cross_spectra(frames, bins)  # E[x x^H] per bin, x the channel vector
+    load = diagonal_loading * np.real(np.trace(r, axis1=1, axis2=2)) / channels
+    r = r + load[:, None, None] * np.eye(channels)
+    eigvals, eigvecs = np.linalg.eigh(r)
+    # 2-norm condition number of a Hermitian matrix; an all-zero bin gives nan
+    magnitude = np.abs(eigvals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = magnitude.max(axis=1) / magnitude.min(axis=1)
+    bad = np.flatnonzero(~(cond <= 1e12))
+    if bad.size:
+        raise IllConditionedError(f"correlation matrix ill-conditioned at bin {bins[bad[0]]}")
+    u_s = eigvecs[:, :, channels - n_sources:]  # signal subspace per bin
     broadband = np.zeros(len(grid))
-    for k_idx, k in enumerate(bins):
-        snap = stack[:, :, k]  # (frames, channels)
-        r = snap.conj().T @ snap / snap.shape[0]
-        r = r.T  # E[x x^H] with x the channel vector
-        load = diagonal_loading * np.real(np.trace(r)) / channels
-        r = r + load * np.eye(channels)
-        if np.linalg.cond(r) > 1e12:
-            raise IllConditionedError(f"correlation matrix ill-conditioned at bin {k}")
-        eigvals, eigvecs = np.linalg.eigh(r)
-        u_s = eigvecs[:, channels - n_sources:]
-        omega = 2.0 * np.pi * k / window_length
-        v = np.exp(-1j * omega * tau)  # (dirs, channels)
+    for chunk, v in _steering(geometry, grid, bins, window_length, f_s, c):
+        u = u_s[chunk]
         # rows of v are steering vectors; remove their signal-subspace part
-        proj = v - (v @ u_s.conj()) @ u_s.T
-        denom = np.real(np.einsum("ij,ij->i", proj.conj(), proj))
+        proj = v - (v @ u.conj()) @ u.transpose(0, 2, 1)
+        flat = proj.view(float)  # squared norm of each row: sum of real^2 + imag^2
+        denom = np.einsum("kij,kij->ki", flat, flat)
         narrow = 1.0 / np.maximum(denom, 1e-30)
-        broadband += narrow / narrow.max()
+        broadband += (narrow / narrow.max(axis=1, keepdims=True)).sum(axis=0)
     broadband /= len(bins)
     return SpatialSpectrum(grid, broadband, "MUSIC")
 
@@ -339,7 +408,7 @@ def _spherical_mic_directions(geometry: ArrayGeometry) -> np.ndarray:
     return mics / radii[:, None]
 
 
-def pseudo_intensity(frames, geometry: ArrayGeometry, f_s: float,
+def pseudo_intensity(frames: Stft, geometry: ArrayGeometry, f_s: float,
                      band_hz=DEFAULT_BAND_HZ):
     """Per-frame DoA from the first-order intensity vector of a spherical array.
 
@@ -351,19 +420,15 @@ def pseudo_intensity(frames, geometry: ArrayGeometry, f_s: float,
     u = _spherical_mic_directions(geometry)
     if not frames:
         raise ValueError("empty frame block")
-    window_length = frames[0].window_length
-    bins = _band_bins(window_length, f_s, band_hz)
-    estimates = []
-    for frame in frames:
-        s = frame.bins[:, bins]  # (channels, bins)
-        p0 = s.mean(axis=0)
-        dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (3, bins)
-        arrival = np.imag(np.conj(p0)[None, :] * dipole).sum(axis=1)
-        norm = np.linalg.norm(arrival)
-        if norm < 1e-12 * max(np.abs(p0).max(), 1e-300) or np.abs(p0).max() == 0.0:
-            raise NoSignalError(
-                f"no usable signal in frame at t={frame.frame_center_time:.3f}"
-            )
-        estimates.append(DoaEstimate(frame.frame_center_time,
-                                     unit_vector_to_doa(arrival), 1, float(norm)))
-    return estimates
+    bins = _band_bins(frames.window_length, f_s, band_hz)
+    s = frames.bins[:, :, bins]  # (frames, channels, bins)
+    p0 = s.mean(axis=1)  # (frames, bins)
+    dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (frames, 3, bins)
+    arrival = np.imag(np.conj(p0)[:, None, :] * dipole).sum(axis=2)  # (frames, 3)
+    norm = np.linalg.norm(arrival, axis=1)
+    p0_peak = np.abs(p0).max(axis=1)
+    silent = np.flatnonzero((norm < 1e-12 * np.maximum(p0_peak, 1e-300)) | (p0_peak == 0.0))
+    if silent.size:
+        raise NoSignalError(f"no usable signal in frame at t={frames.times[silent[0]]:.3f}")
+    return [DoaEstimate(float(t), unit_vector_to_doa(a), 1, float(n))
+            for t, a, n in zip(frames.times, arrival, norm)]

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.signal import butter, lfilter
 
 from .geometry import (
+    SPEED_OF_SOUND,
     ArrayGeometry,
     Pose,
     Trajectory,
@@ -59,7 +60,7 @@ class SceneConfig:
     noise_rms: float = 0.01
     seed: int = 0
     sample_rate_hz: float = 48000.0
-    speed_of_sound: float = 343.0
+    speed_of_sound: float = SPEED_OF_SOUND
     task: int = 0
 
     def __post_init__(self):

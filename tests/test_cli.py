@@ -136,3 +136,28 @@ def test_music_two_source_ids(tmp_path):
     sub = read_submission(sub_path)
     ids = {k for t in sub.timestamps for k, _ in sub.at(t)}
     assert len(ids) >= 2
+
+
+def test_music_skips_ill_conditioned_blocks():
+    # Digital silence between two short bursts. Most blocks are silent, so the
+    # relative energy gate (5 % of the 90th percentile) passes them, and their
+    # all-zero correlation matrices are ill-conditioned.
+    from doatrack.cli import localize_stream
+    from doatrack.geometry import get_array_preset
+    from doatrack.localize import IllConditionedError, azimuth_grid, music_spectrum
+    from doatrack.sigproc import MultichannelAudio, frame_signal
+    from synthutil import plane_wave_audio
+
+    fs = 48000.0
+    geom = get_array_preset("robot_head")
+    samples = plane_wave_audio(geom, math.radians(40.0), n=4 * 48000, snr_db=20).samples
+    samples[:, 4096:-8192] = 0.0
+    audio = MultichannelAudio(samples, fs)
+    silent = frame_signal(audio, 2048, 1024)[40:52]
+    with pytest.raises(IllConditionedError):
+        music_spectrum(silent, geom, azimuth_grid(1.0), 1, fs)
+    estimates = localize_stream(audio, geom, "music", fs)
+    times = [e.timestamp for e in estimates]
+    assert min(times) < 0.3 and max(times) > 3.6
+    for est in estimates:
+        assert abs(math.degrees(est.doa.azimuth) - 40.0) <= 5.0

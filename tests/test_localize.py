@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from doatrack.geometry import Doa, doa_to_unit_vector, get_array_preset
-from doatrack.localize import (IllConditionedError, NoSignalError, TdoaEstimate,
-                               UnderdeterminedError, UnsupportedGeometryError,
-                               azimuth_grid, expected_tdoa, farfield_pair_tdoa,
-                               gcc_phat, music_spectrum, pseudo_intensity,
-                               sphere_grid, srp_argmax, srp_phat, tdoa_to_azimuth)
+from doatrack.cli import _circular_peaks
+from doatrack.localize import (IllConditionedError, NoSignalError, SpatialSpectrum,
+                               TdoaEstimate, UnderdeterminedError,
+                               UnsupportedGeometryError, azimuth_grid, expected_tdoa,
+                               farfield_pair_tdoa, gcc_phat, music_spectrum,
+                               pseudo_intensity, sphere_grid, srp_argmax, srp_phat,
+                               tdoa_to_azimuth)
 from doatrack.sigproc import MultichannelAudio, cross_power_spectrum, frame_signal
 
 from synthutil import plane_wave_audio
@@ -111,6 +113,14 @@ def test_azimuth_grid_resolution():
     assert np.all(np.diff(grid.azimuths) > 0)
 
 
+def test_grid_arrays_are_computed_once_and_read_only():
+    grid = sphere_grid(10.0)
+    assert grid.unit_vectors is grid.unit_vectors
+    assert grid.azimuths is grid.azimuths
+    assert not grid.unit_vectors.flags.writeable
+    assert not grid.azimuths.flags.writeable
+
+
 def test_sphere_grid_covers_sphere():
     grid = sphere_grid(10.0)
     v = grid.unit_vectors
@@ -135,6 +145,26 @@ def test_srp_phat_noisy_plane_wave():
     frames = frame_signal(audio, 2048, 1024)[:8]
     doa = srp_argmax(srp_phat(frames, geom, azimuth_grid(1.0), FS, C))
     assert abs(math.degrees(doa.azimuth) - 72.0) <= 2.0
+
+
+def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
+    # dicit_32cm lies along y, so azimuths a and 180 - a steer identically and
+    # their SRP values differ only by rounding
+    geom = get_array_preset("dicit_32cm")
+    audio = plane_wave_audio(geom, math.radians(49.0), n=16384)
+    frames = frame_signal(audio, 2048, 1024)[:8]
+    grid = azimuth_grid(1.0)
+    spec = srp_phat(frames, geom, grid, FS, C)
+    deg = np.degrees(grid.azimuths)
+    front, back = int(np.argmin(np.abs(deg - 49.0))), int(np.argmin(np.abs(deg - 131.0)))
+    assert spec.values[back] == pytest.approx(spec.values[front], rel=1e-12)
+    for favoured in (front, back):
+        values = spec.values.copy()
+        values[favoured] *= 1.0 + 1e-13
+        doa = srp_argmax(SpatialSpectrum(grid, values, "SRP"))
+        assert math.degrees(doa.azimuth) == pytest.approx(49.0)
+        peaks = _circular_peaks(grid.azimuths, values, 2, min_sep_deg=10.0)
+        assert np.degrees(peaks) == pytest.approx([49.0, 131.0])
 
 
 @pytest.mark.parametrize("az_deg", [-120.0, 0.0, 40.0])

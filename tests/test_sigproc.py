@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from doatrack.sigproc import (MultichannelAudio, cross_power_spectrum,
-                              frame_block_matrix, frame_signal)
+from doatrack.sigproc import MultichannelAudio, cross_power_spectrum, frame_signal
 
 
 def _tone(freq, fs, n, phase=0.0):
@@ -13,21 +12,21 @@ def test_frame_count_and_coverage():
     audio = MultichannelAudio(np.zeros((2, 48000)), 48000)
     frames = frame_signal(audio, window_length=2048, hop=1024)
     assert len(frames) == (48000 - 2048) // 1024 + 1
-    assert frames[0].channel_count == 2
-    assert frames[0].bin_count == 1025
+    assert frames.channel_count == 2
+    assert frames.bin_count == 1025
 
 
 def test_frame_center_times():
     fs = 48000
     audio = MultichannelAudio(np.zeros((1, 8192)), fs)
     frames = frame_signal(audio, 2048, 1024)
-    for k, f in enumerate(frames):
-        assert f.frame_center_time == pytest.approx((k * 1024 + 1024) / fs)
+    for k, t in enumerate(frames.times):
+        assert t == pytest.approx((k * 1024 + 1024) / fs)
 
 
 def test_short_signal_yields_no_frames():
     audio = MultichannelAudio(np.zeros((1, 100)), 48000)
-    assert frame_signal(audio, 2048, 1024) == []
+    assert len(frame_signal(audio, 2048, 1024)) == 0
 
 
 def test_invalid_hop():
@@ -42,7 +41,7 @@ def test_rect_window_tone_lands_on_its_bin():
     k = 100
     audio = MultichannelAudio(_tone(k * fs / n, fs, n)[None, :], fs)
     frames = frame_signal(audio, n, n, window="rect")
-    mags = np.abs(frames[0].bins[0])
+    mags = np.abs(frames.bins[0, 0])
     assert np.argmax(mags) == k
     others = np.delete(mags, k)
     assert others.max() < 1e-6 * mags[k]
@@ -67,7 +66,7 @@ def test_cross_spectrum_block_average():
     audio = MultichannelAudio(rng.standard_normal((2, 8192)), 48000)
     frames = frame_signal(audio, 2048, 2048)
     cs_all = cross_power_spectrum(frames, (0, 1))
-    manual = np.mean([f.bins[0] * np.conj(f.bins[1]) for f in frames], axis=0)
+    manual = np.mean([f[0] * np.conj(f[1]) for f in frames.bins], axis=0)
     assert np.allclose(cs_all.values, manual)
 
 
@@ -87,11 +86,11 @@ def test_cross_spectrum_pair_out_of_range():
         cross_power_spectrum(frames, (0, 5))
 
 
-def test_frame_block_matrix_shape():
+def test_frame_block_slice_shape():
     audio = MultichannelAudio(np.zeros((3, 8192)), 48000)
     frames = frame_signal(audio, 2048, 1024)
-    block = frame_block_matrix(frames[:4])
-    assert block.shape == (4, 3, 1025)
+    block = frames[:4]
+    assert block.bins.shape == (4, 3, 1025)
 
 
 def test_multichannel_audio_single_channel_promotion():
