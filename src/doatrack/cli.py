@@ -216,10 +216,25 @@ def resample_tracks(tracks: dict, clock) -> Submission:
 
 def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
                  seed: int = 0, clock=None, **localizer_kwargs) -> Submission:
-    """Recording bundle in, submission out: frontend, localizer, tracker, resample."""
+    """Recording bundle in, submission out: frontend, localizer, tracker, resample.
+
+    Raises CorpusFormatError when the audio's channel count differs from the
+    array preset's microphone count or any sample is not finite.
+    """
     geometry = get_array_preset(bundle.metadata["array"])
-    f_s = bundle.audio.sample_rate_hz
-    estimates = localize_stream(bundle.audio, geometry, localizer, f_s,
+    audio = bundle.audio
+    if audio.channel_count != geometry.mic_count:
+        raise CorpusFormatError(
+            f"recording has {audio.channel_count} audio channels but array "
+            f"{geometry.name!r} has {geometry.mic_count} microphones")
+    finite = np.isfinite(audio.samples)
+    if not finite.all():
+        channel, index = np.argwhere(~finite)[0]
+        raise CorpusFormatError(
+            f"recording has a non-finite sample ({audio.samples[channel, index]}) "
+            f"in channel {channel} at sample {index}")
+    f_s = audio.sample_rate_hz
+    estimates = localize_stream(audio, geometry, localizer, f_s,
                                 n_sources=n_sources, **localizer_kwargs)
     tracks = track_stream(estimates, tracker, seed=seed)
     if clock is None:

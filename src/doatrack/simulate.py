@@ -5,6 +5,20 @@ interpolation) plus 1/r spreading, with a 0.1 m guard radius. Sources are
 silent outside their voice-activity periods, with raised-cosine ramps at the
 period boundaries. Everything is a pure function of the configuration,
 including its seed.
+
+The fractional delay is the 32-tap (W = 16) Hann-windowed sinc
+``sinc(x) * 0.5 * (1 + cos(pi x / W))`` at ``x = o - f``, with tap offset
+``o`` in [-15, 16] and fractional read position ``f`` in [0, 1). Two exact
+identities leave one sine per output sample for the sinc and two trig calls
+for the window:
+
+    sin(pi (o - f)) = -(-1)^o sin(pi f)
+    cos(pi (o - f) / W) = cos(pi o / W) cos(pi f / W) + sin(pi o / W) sin(pi f / W)
+
+so the o-dependent factors form one fixed (32, 3) table built at import. The
+result equals the direct ``np.sinc`` form up to round-off: within
+1e-11 * max|signal| (measured below 5e-16 * max|signal| on white noise, tones
+and reads within 1e-17 of an integer, tests/test_simulate_oracle.py).
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter
 
 from .geometry import (
@@ -24,12 +39,21 @@ from .geometry import (
     interpolate_pose,
     static_trajectory,
 )
-from .sigproc import MultichannelAudio
+from .sigproc import CHUNK_ELEMENTS, MultichannelAudio
 
 GROUND_TRUTH_RATE = 120.0
 GUARD_RADIUS = 0.1  # m
 SINC_HALF_WIDTH = 16  # 32-tap windowed-sinc interpolation
 VAP_RAMP = 0.010  # s
+
+# tap offsets o relative to floor(read position), and the fixed per-tap factors
+# 0.5 (-1)^(o+1) [1, cos(pi o / W), sin(pi o / W)] of the kernel identities
+_TAP_OFFSETS = np.arange(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1)
+_KERNEL_BASIS = (0.5 * np.where(_TAP_OFFSETS % 2 == 1, 1.0, -1.0)[:, None]
+                 * np.stack([np.ones(2 * SINC_HALF_WIDTH),
+                             np.cos(np.pi * _TAP_OFFSETS / SINC_HALF_WIDTH),
+                             np.sin(np.pi * _TAP_OFFSETS / SINC_HALF_WIDTH)], axis=1))
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -132,21 +156,41 @@ def _pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.ndarray:
-    """Windowed-sinc interpolation of `signal` at fractional sample positions."""
+    """Windowed-sinc interpolation of `signal` at fractional sample positions.
+
+    Samples outside the signal read as zero. Tap ``o`` of the read at
+    ``floor(idx) + f`` sits at ``x = o - f``; the kernel is evaluated through
+    the identities in the module docstring as ``sin(pi f) / pi`` times
+    ``(samples / (o - f)) @ _KERNEL_BASIS`` applied to
+    ``[1, cos(pi f / W), sin(pi f / W)]``. Positions within machine epsilon of an
+    integer, where ``o - f`` is 0 or nearly so, read that sample itself.
+    """
     n = len(signal)
-    out = np.zeros(len(read_index))
-    offsets = np.arange(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1)
-    chunk = 131072
+    pad = np.zeros(2 * SINC_HALF_WIDTH)
+    # windows[b + SINC_HALF_WIDTH + 1] holds the taps b + _TAP_OFFSETS; floor(idx)
+    # clipped to [-17, n + 15] keeps every tap inside the zero padding
+    windows = sliding_window_view(np.concatenate([pad, signal, pad]), 2 * SINC_HALF_WIDTH)
+    out = np.empty(len(read_index))
+    chunk = CHUNK_ELEMENTS // (2 * SINC_HALF_WIDTH)
     for start in range(0, len(read_index), chunk):
         idx = read_index[start:start + chunk]
-        base = np.floor(idx).astype(np.int64)
-        taps = base[:, None] + offsets[None, :]
-        x = taps - idx[:, None]
-        window = 0.5 * (1.0 + np.cos(np.pi * x / SINC_HALF_WIDTH))
-        kernel = np.sinc(x) * np.where(np.abs(x) <= SINC_HALF_WIDTH, window, 0.0)
-        valid = (taps >= 0) & (taps < n)
-        samples = np.where(valid, signal[np.clip(taps, 0, n - 1)], 0.0)
-        out[start:start + chunk] = np.sum(samples * kernel, axis=1)
+        floor = np.floor(idx)
+        f = idx - floor
+        base = np.clip(floor, -SINC_HALF_WIDTH - 1, n + SINC_HALF_WIDTH - 1).astype(np.int64)
+        samples = windows[base + SINC_HALF_WIDTH + 1]
+        # sin(pi f) = sin(pi (1 - f)); the smaller argument keeps it accurate as f -> 1
+        sin_pi_f = np.sin(np.pi * np.minimum(f, 1.0 - f))
+        phase = np.pi * f / SINC_HALF_WIDTH
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms = (samples / (_TAP_OFFSETS - f[:, None])) @ _KERNEL_BASIS
+            value = sin_pi_f / np.pi * (
+                terms[:, 0] + terms[:, 1] * np.cos(phase) + terms[:, 2] * np.sin(phase))
+        # within eps of an integer the kernel is that sample to round-off, which
+        # also covers f == 0 (o - f == 0) and f rounding up to 1 for idx just below 0;
+        # the division above is not finite only on those rows
+        out[start:start + chunk] = np.select(
+            [f < _EPS, f > 1.0 - _EPS],
+            [samples[:, SINC_HALF_WIDTH - 1], samples[:, SINC_HALF_WIDTH]], value)
     return out
 
 

@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doatrack.cli import main
-from doatrack.corpus_io import read_submission
+from doatrack.corpus_io import read_recording, read_submission, write_recording
+from doatrack.sigproc import MultichannelAudio
 
 
 def _run(*argv):
@@ -161,3 +163,37 @@ def test_music_skips_ill_conditioned_blocks():
     assert min(times) < 0.3 and max(times) > 3.6
     for est in estimates:
         assert abs(math.degrees(est.doa.azimuth) - 40.0) <= 5.0
+
+
+def _write_altered(scene_dir, out, samples):
+    bundle = read_recording(scene_dir)
+    audio = MultichannelAudio(samples(bundle.audio.samples), bundle.audio.sample_rate_hz)
+    write_recording(replace(bundle, audio=audio), out)
+    return out
+
+
+@pytest.mark.parametrize("localizer", ["srp-phat", "music", "gcc-phat", "pseudo-intensity"])
+def test_run_rejects_channel_count_mismatch(scene_dir, tmp_path, capsys, localizer):
+    # 4 channels against the 12-mic robot_head preset
+    rec = _write_altered(scene_dir, tmp_path / "four", lambda x: x[:4])
+    code = _run("run", "--input", str(rec), "--localizer", localizer,
+                "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "4 audio channels" in err and "12 microphones" in err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_run_rejects_non_finite_audio(scene_dir, tmp_path, capsys):
+    def one_nan(x):
+        x = x.copy()
+        x[3, 60000] = np.nan
+        return x
+
+    rec = _write_altered(scene_dir, tmp_path / "nan", one_nan)
+    code = _run("run", "--input", str(rec), "--localizer", "srp-phat",
+                "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "channel 3" in err and "sample 60000" in err
+    assert not (tmp_path / "s.txt").exists()
