@@ -30,12 +30,10 @@ from .localize import (PEAK_TIE_REL, DoaEstimate, IllConditionedError,
                        srp_argmax, srp_phat, tdoa_to_azimuth)
 from .sigproc import CrossSpectrum, block_cross_spectra, frame_signal
 from .simulate import synthesize, task_preset
-from .track import (ParticleSet, PfParams, TrackerConfig, TrackState,
-                    WrappedMixture, pf_step, track_lifecycle,
-                    wrapped_kf_predict, wrapped_kf_update)
+from .track import FILTERS, TrackerConfig, track_lifecycle
 
 LOCALIZERS = ("srp-phat", "music", "gcc-phat", "pseudo-intensity")
-TRACKERS = ("kalman", "wrapped-kalman", "particle", "none")
+TRACKERS = FILTERS + ("none",)
 
 
 class UsageError(Exception):
@@ -131,54 +129,6 @@ def _circular_peaks(azimuths, values, k: int, min_sep_deg: float = 10.0):
     return picked
 
 
-def _single_track_filter(estimates, tracker: str, seed: int,
-                         config: TrackerConfig = TrackerConfig()):
-    """Run one wrapped-Kalman or particle filter over the estimate stream.
-
-    Multi-estimate timestamps keep only the estimate nearest the current
-    state. Returns [(t, azimuth), ...] under one track id.
-    """
-    by_time: dict = {}
-    for est in estimates:
-        by_time.setdefault(est.timestamp, []).append(est.doa.azimuth)
-    timestamps = sorted(by_time)
-    if not timestamps:
-        return []
-    obs_var = config.obs_noise_std ** 2
-    rng = np.random.default_rng(seed)
-    out = []
-    first_obs = by_time[timestamps[0]][0]
-    if tracker == "wrapped-kalman":
-        state = TrackState(mean=np.array([first_obs, 0.0]),
-                           covariance=np.diag([obs_var, config.initial_rate_var]))
-        mix = WrappedMixture.from_state(state)
-        out.append((timestamps[0], mix.circular_mean()))
-        prev_t = timestamps[0]
-        for t in timestamps[1:]:
-            mix = wrapped_kf_predict(mix, t - prev_t, config.process_intensity)
-            obs = min(by_time[t], key=lambda a: abs(wrap_angle(a - mix.circular_mean())))
-            mix = wrapped_kf_update(mix, obs, obs_var)
-            out.append((t, mix.circular_mean()))
-            prev_t = t
-    else:  # particle
-        n_particles = 500
-        params = PfParams(process_intensity=config.process_intensity,
-                          obs_noise_var=obs_var)
-        particles = np.column_stack([
-            wrap_angle(first_obs + math.sqrt(obs_var) * rng.standard_normal(n_particles)),
-            rng.normal(0.0, math.sqrt(config.initial_rate_var), n_particles),
-        ])
-        ps = ParticleSet(particles, np.full(n_particles, 1.0 / n_particles))
-        out.append((timestamps[0], ps.circular_mean()))
-        prev_t = timestamps[0]
-        for t in timestamps[1:]:
-            obs = min(by_time[t], key=lambda a: abs(wrap_angle(a - ps.circular_mean())))
-            ps = pf_step(ps, obs, t - prev_t, params, rng)
-            out.append((t, ps.circular_mean()))
-            prev_t = t
-    return out
-
-
 def track_stream(estimates, tracker: str, seed: int = 0,
                  config: TrackerConfig = TrackerConfig()):
     """Turn raw estimates into labelled track series {id: [(t, azimuth), ...]}."""
@@ -190,12 +140,7 @@ def track_stream(estimates, tracker: str, seed: int = 0,
             tracks.setdefault(est.source_id, []).append((est.timestamp,
                                                          est.doa.azimuth))
         return tracks
-    if tracker == "kalman":
-        results = track_lifecycle(estimates, config)
-        return {tid: [(s.last_update, s.azimuth) for s in states]
-                for tid, states in results.items()}
-    series = _single_track_filter(estimates, tracker, seed, config)
-    return {1: series} if series else {}
+    return track_lifecycle(estimates, config, tracker, seed)
 
 
 def resample_tracks(tracks: dict, clock) -> Submission:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .evaluate import Submission, VapTable
-from .geometry import Pose, Trajectory, wrap_angle
+from .geometry import GROUND_TRUTH_RATE_HZ, Pose, Trajectory, wrap_angle
 from .sigproc import MultichannelAudio
 
 import logging
@@ -74,7 +74,7 @@ def _trajectory_from_table(table: np.ndarray, path: Path) -> Trajectory:
     if len(poses) > 1:
         rate = 1.0 / float(np.median(np.diff(table[:, 0])))
     else:
-        rate = 120.0
+        rate = GROUND_TRUTH_RATE_HZ
     return Trajectory(poses, rate)
 
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import gated_assignment, min_cost_assignment
-from .geometry import (SPEED_OF_SOUND, Doa, Trajectory, global_to_local, interpolate_pose,
-                       wrap_angle)
+from .geometry import (GROUND_TRUTH_RATE_HZ, SPEED_OF_SOUND, Doa, Trajectory,
+                       global_to_local, interpolate_pose, wrap_angle)
 
 DEFAULT_GATE_DEG = 30.0
-EVALUATION_RATE_HZ = 120.0
 
 
 def angular_errors(truth: Doa, est: Doa):
@@ -331,7 +330,7 @@ def compute_metrics(assoc_sequence, vaps: VapTable, clock, recording_duration: f
     std_el = float(abs_el.std()) if abs_el.size else 0.0
 
     # per-(source, VAP) completeness and latency
-    dt = float(np.median(np.diff(clock))) if len(clock) > 1 else 1.0 / EVALUATION_RATE_HZ
+    dt = float(np.median(np.diff(clock))) if len(clock) > 1 else 1.0 / GROUND_TRUTH_RATE_HZ
     per_vap_count: dict = {}
     per_vap_valid: dict = {}
     first_valid: dict = {}

@@ -11,11 +11,13 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 SPEED_OF_SOUND = 343.0  # m/s, configurable per call where relevant
+GROUND_TRUTH_RATE_HZ = 120.0  # pose samples and evaluation clock
 
 
 class DegenerateGeometryError(ValueError):
@@ -134,7 +136,7 @@ class Trajectory:
     """Time-ordered pose samples, nominally at the ground-truth rate of 120 Hz."""
 
     samples: tuple
-    rate_hz: float = 120.0
+    rate_hz: float = GROUND_TRUTH_RATE_HZ
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -147,9 +149,12 @@ class Trajectory:
             raise ValueError("rate_hz must be positive")
         object.__setattr__(self, "samples", samples)
 
-    @property
+    # built once and read-only, since every interpolate_pose call reads it
+    @cached_property
     def timestamps(self) -> np.ndarray:
-        return np.array([p.timestamp for p in self.samples])
+        times = np.array([p.timestamp for p in self.samples])
+        times.flags.writeable = False
+        return times
 
     @property
     def start_time(self) -> float:
@@ -160,7 +165,8 @@ class Trajectory:
         return self.samples[-1].timestamp
 
 
-def static_trajectory(pose: Pose, duration: float, rate_hz: float = 120.0) -> Trajectory:
+def static_trajectory(pose: Pose, duration: float,
+                      rate_hz: float = GROUND_TRUTH_RATE_HZ) -> Trajectory:
     """Constant-pose trajectory covering [pose.timestamp, pose.timestamp + duration]."""
     n = int(round(duration * rate_hz)) + 1
     samples = [

@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter
 
 from .geometry import (
+    GROUND_TRUTH_RATE_HZ,
     SPEED_OF_SOUND,
     ArrayGeometry,
     Pose,
@@ -41,7 +42,6 @@ from .geometry import (
 )
 from .sigproc import CHUNK_ELEMENTS, MultichannelAudio
 
-GROUND_TRUTH_RATE = 120.0
 GUARD_RADIUS = 0.1  # m
 SINC_HALF_WIDTH = 16  # 32-tap windowed-sinc interpolation
 VAP_RAMP = 0.010  # s
@@ -213,8 +213,8 @@ def synthesize(config: SceneConfig) -> Scene:
     c = config.speed_of_sound
     n_samples = int(round(config.duration * fs))
     n_mics = config.array.mic_count
-    gt_times = np.arange(0.0, config.duration + 0.5 / GROUND_TRUTH_RATE,
-                         1.0 / GROUND_TRUTH_RATE)
+    gt_times = np.arange(0.0, config.duration + 0.5 / GROUND_TRUTH_RATE_HZ,
+                         1.0 / GROUND_TRUTH_RATE_HZ)
     gt_times = np.clip(gt_times, 0.0, config.duration)
     sample_times = np.arange(n_samples) / fs
 
@@ -311,8 +311,8 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
                             start: np.ndarray, max_speed: float = 1.2,
                             bounds: float = 3.0) -> Trajectory:
     """Piecewise-smooth random walk at the ground-truth rate."""
-    n = int(round(duration * GROUND_TRUTH_RATE)) + 1
-    dt = 1.0 / GROUND_TRUTH_RATE
+    n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
+    dt = 1.0 / GROUND_TRUTH_RATE_HZ
     # Ornstein-Uhlenbeck velocity, then clip speed
     vel = np.zeros((n, 3))
     v = rng.normal(0, 0.6, size=3) * np.array([1, 1, 0.1])
@@ -326,14 +326,14 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
     # reflect at a soft boundary box around the origin
     pos[:, :2] = np.clip(pos[:, :2], -bounds, bounds)
     samples = [Pose(pos[i], np.eye(3), i * dt) for i in range(n)]
-    return Trajectory(tuple(samples), GROUND_TRUTH_RATE)
+    return Trajectory(tuple(samples), GROUND_TRUTH_RATE_HZ)
 
 
 def _rotating_array_trajectory(duration: float, rng: np.random.Generator,
                                radius: float = 0.4) -> Trajectory:
     """Array drifting on a small circle while rotating about +z."""
-    n = int(round(duration * GROUND_TRUTH_RATE)) + 1
-    dt = 1.0 / GROUND_TRUTH_RATE
+    n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
+    dt = 1.0 / GROUND_TRUTH_RATE_HZ
     rate = float(rng.uniform(0.2, 0.5)) * (1 if rng.random() < 0.5 else -1)  # rad/s
     phase0 = float(rng.uniform(0, 2 * np.pi))
     samples = []
@@ -344,14 +344,14 @@ def _rotating_array_trajectory(duration: float, rng: np.random.Generator,
         ca, sa = np.cos(angle), np.sin(angle)
         rot = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
         samples.append(Pose(trans, rot, t))
-    return Trajectory(tuple(samples), GROUND_TRUTH_RATE)
+    return Trajectory(tuple(samples), GROUND_TRUTH_RATE_HZ)
 
 
 def _static_source(duration: float, rng: np.random.Generator) -> Trajectory:
     radius = float(rng.uniform(1.5, 2.5))
     azimuth = float(rng.uniform(-np.pi, np.pi))
     pos = np.array([radius * np.cos(azimuth), radius * np.sin(azimuth), 0.0])
-    return static_trajectory(Pose(pos, np.eye(3)), duration, GROUND_TRUTH_RATE)
+    return static_trajectory(Pose(pos, np.eye(3)), duration, GROUND_TRUTH_RATE_HZ)
 
 
 def task_preset(task: int, seed: int, duration: float = 10.0,
@@ -375,7 +375,7 @@ def task_preset(task: int, seed: int, duration: float = 10.0,
     if moving_array:
         array_traj = _rotating_array_trajectory(duration, rng)
     else:
-        array_traj = static_trajectory(identity_pose(), duration, GROUND_TRUTH_RATE)
+        array_traj = static_trajectory(identity_pose(), duration, GROUND_TRUTH_RATE_HZ)
 
     sources = []
     for _ in range(n_sources):

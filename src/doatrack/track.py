@@ -4,7 +4,7 @@ State is azimuth plus azimuth rate under a constant-velocity model with
 white-acceleration process noise. Three filters are provided: a linear
 Kalman filter with wrapped innovations, a wrapped Kalman filter that keeps a
 Gaussian mixture over wrapping hypotheses, and a bootstrap particle filter.
-`track_lifecycle` adds initiation, gating, and termination on top.
+`track_lifecycle` runs any of them under one multi-target M-of-N lifecycle.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .geometry import wrap_angle
 
 logger = logging.getLogger(__name__)
 
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
-TERMINATED = "terminated"
+FILTERS = ("kalman", "wrapped-kalman", "particle")
+PF_PARTICLES = 500  # particles per track of the `particle` filter
 
 
 class FilterDivergenceError(ArithmeticError):
@@ -32,9 +31,6 @@ class FilterDivergenceError(ArithmeticError):
 class TrackState:
     mean: np.ndarray  # [azimuth (rad), azimuth rate (rad/s)]
     covariance: np.ndarray
-    track_id: int = 0
-    last_update: float = 0.0
-    status: str = TENTATIVE
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1).copy()
@@ -73,8 +69,7 @@ def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState
     f = _transition(dt)
     mean = f @ state.mean
     cov = f @ state.covariance @ f.T + process_noise_cov(dt, process_noise)
-    return replace(state, mean=mean, covariance=cov,
-                   last_update=state.last_update + dt)
+    return replace(state, mean=mean, covariance=cov)
 
 
 _H = np.array([[1.0, 0.0]])
@@ -134,11 +129,11 @@ class WrappedMixture:
         z = sum(w * np.exp(1j * mean[0]) for w, mean, _ in self.components)
         return float(np.angle(z))
 
-    def mean_state(self) -> np.ndarray:
-        """Moment-matched state mean with the azimuth taken circularly."""
-        az = self.circular_mean()
-        rate = sum(w * mean[1] for w, mean, _ in self.components)
-        return np.array([az, rate])
+    def azimuth_variance(self) -> float:
+        """Azimuth variance about the circular mean, component spread included."""
+        mu = self.circular_mean()
+        return float(sum(w * (cov[0, 0] + wrap_angle(mean[0] - mu) ** 2)
+                         for w, mean, cov in self.components))
 
 
 def wrapped_kf_predict(mix: WrappedMixture, dt: float, process_noise: float) -> WrappedMixture:
@@ -226,7 +221,6 @@ def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
 class ParticleSet:
     particles: np.ndarray  # (I, 2)
     weights: np.ndarray  # (I,)
-    track_id: int = 0
 
     def __post_init__(self):
         particles = np.atleast_2d(np.asarray(self.particles, dtype=float)).copy()
@@ -250,6 +244,11 @@ class ParticleSet:
         z = np.sum(self.weights * np.exp(1j * self.particles[:, 0]))
         return float(np.angle(z))
 
+    def azimuth_variance(self) -> float:
+        """Weighted azimuth variance about the circular mean."""
+        deviation = wrap_angle(self.particles[:, 0] - self.circular_mean())
+        return float(np.sum(self.weights * deviation**2))
+
 
 @dataclass(frozen=True)
 class PfParams:
@@ -272,21 +271,28 @@ def systematic_resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSe
     positions = (rng.random() + np.arange(n)) / n
     indices = np.searchsorted(np.cumsum(ps.weights), positions)
     indices = np.clip(indices, 0, n - 1)
-    return ParticleSet(ps.particles[indices], np.full(n, 1.0 / n), ps.track_id)
+    return ParticleSet(ps.particles[indices], np.full(n, 1.0 / n))
+
+
+def pf_predict(ps: ParticleSet, dt: float, params: PfParams,
+               rng: np.random.Generator) -> ParticleSet:
+    """Propagate every particle through the motion model; weights are kept."""
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    if dt == 0:
+        return ps
+    particles = ps.particles @ _transition(dt).T
+    if params.process_intensity > 0:
+        q = process_noise_cov(dt, params.process_intensity)
+        particles += rng.multivariate_normal(np.zeros(2), q, size=ps.size)
+    return ParticleSet(particles, ps.weights)
 
 
 def pf_step(ps: ParticleSet, obs: float, dt: float, params: PfParams,
             rng: np.random.Generator) -> ParticleSet:
-    """One predict/weight/resample cycle with the prior as proposal."""
-    particles = ps.particles.copy()
-    if dt > 0:
-        q = process_noise_cov(dt, params.process_intensity)
-        particles = particles @ _transition(dt).T
-        if params.process_intensity > 0:
-            particles += rng.multivariate_normal(np.zeros(2), q, size=ps.size)
-    elif dt < 0:
-        raise ValueError("dt must be non-negative")
-    particles[:, 0] = wrap_angle(particles[:, 0])
+    """One predict/weight/resample cycle, prior as proposal; dt = 0 skips the predict."""
+    ps = pf_predict(ps, dt, params, rng)
+    particles = ps.particles
     innovation = wrap_angle(obs - particles[:, 0])
     weights = ps.weights * wrapped_gaussian_likelihood(innovation, params.obs_noise_var)
     total = weights.sum()
@@ -295,7 +301,7 @@ def pf_step(ps: ParticleSet, obs: float, dt: float, params: PfParams,
         weights = np.full(ps.size, 1.0 / ps.size)
     else:
         weights = weights / total
-    out = ParticleSet(particles, weights, ps.track_id)
+    out = ParticleSet(particles, weights)
     if out.effective_sample_size() < params.resample_threshold * out.size:
         out = systematic_resample(out, rng)
     return out
@@ -317,42 +323,87 @@ class TrackerConfig:
     initial_rate_var: float = 1.0  # (rad/s)^2 prior on the azimuth rate
 
 
+def _make_filter(name: str, config: TrackerConfig, seed: int):
+    """start(obs), predict(state, dt), update(state, obs), azimuth(state) and
+    variance(state), the azimuth variance for the gate, of one of `FILTERS`.
+
+    Filter functions are looked up at call time, not bound here.
+    """
+    obs_var = config.obs_noise_std**2
+    q = config.process_intensity
+
+    def kf_start(obs):
+        return TrackState(mean=np.array([obs, 0.0]),
+                          covariance=np.diag([obs_var, config.initial_rate_var]))
+
+    if name == "kalman":
+        return (kf_start,
+                lambda state, dt: kf_predict(state, dt, q),
+                lambda state, obs: kf_update(state, obs, obs_var),
+                lambda state: state.azimuth,
+                lambda state: state.covariance[0, 0])
+    if name == "wrapped-kalman":
+        return (lambda obs: WrappedMixture.from_state(kf_start(obs)),
+                lambda mix, dt: wrapped_kf_predict(mix, dt, q),
+                lambda mix, obs: wrapped_kf_update(mix, obs, obs_var),
+                WrappedMixture.circular_mean,
+                WrappedMixture.azimuth_variance)
+    if name == "particle":
+        rng = np.random.default_rng(seed)  # shared by every track of the call
+        params = PfParams(process_intensity=q, obs_noise_var=obs_var)
+
+        def pf_start(obs):
+            particles = np.column_stack([
+                obs + np.sqrt(obs_var) * rng.standard_normal(PF_PARTICLES),
+                rng.normal(0.0, np.sqrt(config.initial_rate_var), PF_PARTICLES),
+            ])
+            return ParticleSet(particles, np.full(PF_PARTICLES, 1.0 / PF_PARTICLES))
+
+        return (pf_start,
+                lambda ps, dt: pf_predict(ps, dt, params, rng),
+                lambda ps, obs: pf_step(ps, obs, 0.0, params, rng),
+                ParticleSet.circular_mean,
+                ParticleSet.azimuth_variance)
+    raise ValueError(f"unknown filter {name!r}; available: {FILTERS}")
+
+
 @dataclass
 class _Candidate:
-    state: TrackState
+    state: object  # the filter's state
     history: list = field(default_factory=list)  # recent hit/miss booleans
     last_hit_time: float = 0.0
     confirmed_id: int = 0
     emitted: list = field(default_factory=list)
 
 
-def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig()):
+def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
+                    tracker: str = "kalman", seed: int = 0):
     """Initiate, gate, update, and terminate azimuth tracks over an estimate stream.
 
-    Estimates must be time-ordered. Returns {track_id: [TrackState, ...]}
-    with one state per processed timestamp from confirmation to termination;
-    ids are assigned in confirmation order and never reused.
+    Estimates are grouped by timestamp and taken in time order; each track
+    runs its own copy of the filter named `tracker`, and all particle filter
+    tracks draw from one generator seeded with `seed`. Returns {track_id:
+    [(t, azimuth), ...]}, one azimuth in [-pi, pi) per timestamp from
+    confirmation to termination; ids follow confirmation order, never reused.
     """
+    start, predict, update, azimuth, variance = _make_filter(tracker, config, seed)
     by_time: dict = {}
     for est in estimates:
         by_time.setdefault(round(est.timestamp, 9), []).append(est)
-    timestamps = sorted(by_time)
-    if timestamps and np.any(np.diff(timestamps) < 0):
-        raise ValueError("estimates must be time-ordered")
 
     obs_var = config.obs_noise_std**2
     candidates: list[_Candidate] = []
-    results: dict[int, list[TrackState]] = {}
+    results: dict[int, list] = {}
     next_id = 1
     prev_t = None
 
-    for t in timestamps:
+    for t in sorted(by_time):
         observations = [e.doa.azimuth for e in by_time[t]]
         dt = 0.0 if prev_t is None else t - prev_t
         prev_t = t
 
         for cand in candidates:
-            cand.state = kf_predict(cand.state, dt, config.process_intensity)
+            cand.state = predict(cand.state, dt)
 
         # gated assignment on wrapped innovation cost
         if candidates and observations:
@@ -360,11 +411,12 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig()):
             admissible = np.zeros_like(cost, dtype=bool)
             for i, cand in enumerate(candidates):
                 gate = min(
-                    config.gate_sigma * np.sqrt(innovation_variance(cand.state, obs_var)),
+                    config.gate_sigma * np.sqrt(variance(cand.state) + obs_var),
                     config.gate_max,
                 )
+                predicted = azimuth(cand.state)
                 for j, obs in enumerate(observations):
-                    err = abs(wrap_angle(obs - cand.state.azimuth))
+                    err = abs(wrap_angle(obs - predicted))
                     cost[i, j] = err
                     admissible[i, j] = err <= gate
             blocked = np.where(admissible, cost, np.pi + 1.0)
@@ -377,7 +429,7 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig()):
         for i, j in pairs:
             cand = candidates[i]
             try:
-                cand.state = kf_update(cand.state, observations[j], obs_var)
+                cand.state = update(cand.state, observations[j])
             except FilterDivergenceError:
                 logger.warning("track %d flagged: non-PD covariance", cand.confirmed_id)
                 continue
@@ -405,21 +457,13 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig()):
             if cand.confirmed_id and t - cand.last_hit_time > config.t_miss:
                 continue  # terminated
             if cand.confirmed_id:
-                cand.emitted.append(
-                    replace(cand.state, track_id=cand.confirmed_id, last_update=t,
-                            status=CONFIRMED)
-                )
+                cand.emitted.append((t, wrap_angle(azimuth(cand.state))))
             survivors.append(cand)
         candidates = survivors
 
         for j, obs in enumerate(observations):
-            if j in matched_obs:
-                continue
-            state = TrackState(
-                mean=np.array([obs, 0.0]),
-                covariance=np.diag([obs_var, config.initial_rate_var]),
-                last_update=t,
-            )
-            candidates.append(_Candidate(state=state, history=[True], last_hit_time=t))
+            if j not in matched_obs:
+                candidates.append(_Candidate(state=start(obs), history=[True],
+                                             last_hit_time=t))
 
-    return {tid: states for tid, states in results.items() if states}
+    return {tid: series for tid, series in results.items() if series}

@@ -130,6 +130,16 @@ def test_trajectory_rejects_unordered():
         Trajectory((identity_pose(1.0), identity_pose(0.5)), 120.0)
 
 
+def test_trajectory_timestamps_built_once_and_read_only():
+    traj = static_trajectory(identity_pose(0.25), 1.0)
+    times = traj.timestamps
+    assert traj.timestamps is times
+    assert not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[0] = 0.0
+    assert np.array_equal(times, [p.timestamp for p in traj.samples])
+
+
 @pytest.mark.parametrize("name,count,radius", [
     ("robot_head", 12, 0.05),
     ("eigenmike", 32, 0.042),

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from doatrack.cli import resample_tracks, track_stream
+from doatrack.evaluate import VapTable, evaluate_submission, ground_truth_doas
 from doatrack.geometry import Doa, wrap_angle
 from doatrack.localize import DoaEstimate
-from doatrack.track import (ParticleSet, PfParams, TrackerConfig, TrackState,
+from doatrack.simulate import task_preset
+from doatrack.track import (FILTERS, ParticleSet, PfParams, TrackerConfig, TrackState,
                             WrappedMixture, innovation_variance, kf_predict,
                             kf_update, pf_step, process_noise_cov,
                             systematic_resample, track_lifecycle,
@@ -124,6 +127,18 @@ def test_wrapped_mixture_component_cap():
     assert sum(w for w, _, _ in mix.components) == pytest.approx(1.0)
 
 
+def test_azimuth_variance_is_taken_across_the_wrap():
+    # two equal hypotheses 0.1 rad either side of +-pi: the spread is 0.1 rad,
+    # not the 2 pi - 0.2 rad a linear variance would see
+    cov = np.diag([0.02, 0.1])
+    mix = WrappedMixture(((0.5, np.array([math.pi - 0.1, 0.0]), cov),
+                          (0.5, np.array([-math.pi + 0.1, 0.0]), cov)))
+    assert mix.azimuth_variance() == pytest.approx(0.02 + 0.1**2)
+    ps = ParticleSet(np.array([[math.pi - 0.1, 0.0], [-math.pi + 0.1, 0.0]]),
+                     np.array([0.5, 0.5]))
+    assert ps.azimuth_variance() == pytest.approx(0.1**2)
+
+
 def test_wrapped_gaussian_likelihood_sums_images():
     innov, var = 0.4, 0.09
     ref = sum(
@@ -173,18 +188,20 @@ def _stream(azimuths_by_time):
     return out
 
 
-def test_lifecycle_confirms_after_m_of_n():
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_lifecycle_confirms_after_m_of_n(tracker):
     config = TrackerConfig(init_hits=3, init_window=5)
     times = [(0.1 * k, [0.5]) for k in range(10)]
-    tracks = track_lifecycle(_stream(times), config)
+    tracks = track_lifecycle(_stream(times), config, tracker)
     assert list(tracks) == [1]
-    states = tracks[1]
-    assert len(states) == 8  # confirmed at the third hit
-    for s in states:
-        assert abs(s.azimuth - 0.5) < 0.05
+    series = tracks[1]
+    assert len(series) == 8  # confirmed at the third hit
+    for _, az in series:
+        assert abs(az - 0.5) < 0.05
 
 
-def test_lifecycle_ignores_sporadic_clutter():
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_lifecycle_ignores_sporadic_clutter(tracker):
     rng = np.random.default_rng(8)
     times = []
     for k in range(30):
@@ -192,37 +209,79 @@ def test_lifecycle_ignores_sporadic_clutter():
         if k in (4, 13, 22):  # isolated clutter, never twice in a window
             obs.append(float(rng.uniform(-3, -2)))
         times.append((0.1 * k, obs))
-    tracks = track_lifecycle(_stream(times), TrackerConfig())
+    tracks = track_lifecycle(_stream(times), TrackerConfig(), tracker)
     assert len(tracks) == 1
 
 
-def test_lifecycle_terminates_after_gap_and_new_id():
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_lifecycle_terminates_after_gap_and_new_id(tracker):
     times = [(0.1 * k, [0.5]) for k in range(8)]
     times += [(0.1 * k, []) for k in range(8, 16)]  # 0.8 s silence
     times += [(0.1 * k, [-2.0]) for k in range(16, 24)]
     # keep the clock alive during the gap with a distant steady source
-    tracks = track_lifecycle(_stream(times), TrackerConfig())
+    tracks = track_lifecycle(_stream(times), TrackerConfig(), tracker)
     assert sorted(tracks) == [1, 2]
-    end_of_first = max(s.last_update for s in tracks[1])
+    end_of_first = max(t for t, _ in tracks[1])
     assert end_of_first < 1.3
-    for s in tracks[2]:
-        assert abs(s.azimuth + 2.0) < 0.05
+    for _, az in tracks[2]:
+        assert abs(az + 2.0) < 0.05
 
 
-def test_lifecycle_two_simultaneous_sources():
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_lifecycle_two_simultaneous_sources(tracker):
     times = [(0.1 * k, [0.8, -1.5]) for k in range(20)]
-    tracks = track_lifecycle(_stream(times), TrackerConfig())
+    tracks = track_lifecycle(_stream(times), TrackerConfig(), tracker)
     assert sorted(tracks) == [1, 2]
-    finals = sorted(tracks[i][-1].azimuth for i in (1, 2))
+    finals = sorted(tracks[i][-1][1] for i in (1, 2))
     assert finals[0] == pytest.approx(-1.5, abs=0.05)
     assert finals[1] == pytest.approx(0.8, abs=0.05)
 
 
-def test_lifecycle_gate_blocks_far_observation():
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_lifecycle_gate_blocks_far_observation(tracker):
     # an observation 90 deg away must not drag the track
     times = [(0.1 * k, [0.0]) for k in range(10)]
     times.append((1.0, [math.pi / 2]))
     times += [(0.1 * k, [0.0]) for k in range(11, 16)]
-    tracks = track_lifecycle(_stream(times), TrackerConfig())
-    for s in tracks[1]:
-        assert abs(s.azimuth) < 0.1
+    tracks = track_lifecycle(_stream(times), TrackerConfig(), tracker)
+    for _, az in tracks[1]:
+        assert abs(az) < 0.1
+
+
+def _two_source_stream(seed, duration):
+    """Task-4 ground truth (two moving sources) as a noisy, gappy, cluttered
+    estimate stream at the localizer's block rate; no audio is rendered."""
+    config = task_preset(4, seed, duration=duration)
+    names = [f"src{i + 1}" for i in range(len(config.sources))]
+    sources = dict(zip(names, (s.trajectory for s in config.sources)))
+    vaps = VapTable(dict(zip(names, (s.vaps for s in config.sources))))
+    doas_at = ground_truth_doas(sources, config.array_trajectory)
+    rng = np.random.default_rng(seed)
+    noise, block_rate = math.radians(3.0), 48000.0 / 4096
+    stream = []
+    for t in np.arange(0.5 / block_rate, duration, 1.0 / block_rate):
+        t = float(t)
+        doas = doas_at(t)
+        for name in vaps.active_sources(t):
+            if rng.random() >= 0.1:  # 10 % missed detections
+                az = doas[name].azimuth + noise * rng.standard_normal()
+                stream.append(DoaEstimate(t, Doa(wrap_angle(az))))
+        for _ in range(rng.poisson(0.2)):  # clutter
+            stream.append(DoaEstimate(t, Doa(float(rng.uniform(-math.pi, math.pi)))))
+    truth = (sources, config.array_trajectory, vaps, config.array_trajectory.timestamps)
+    return stream, truth
+
+
+def test_every_filter_tracks_two_moving_sources():
+    duration = 6.0
+    stream, (sources, array_traj, vaps, clock) = _two_source_stream(1, duration)
+    p_d, ids = {}, {}
+    for tracker in FILTERS:
+        tracks = track_stream(stream, tracker, seed=0)
+        report = evaluate_submission(sources, array_traj, vaps,
+                                     resample_tracks(tracks, clock), clock, duration)
+        p_d[tracker], ids[tracker] = report.p_d, len(tracks)
+    assert p_d["kalman"] > 0.5
+    for tracker in ("wrapped-kalman", "particle"):
+        assert p_d[tracker] >= 0.9 * p_d["kalman"], (tracker, p_d)
+        assert ids[tracker] >= 2, (tracker, ids)
