@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 from .geometry import (ArrayGeometry, DegenerateGeometryError, Doa, Pose,
                        Trajectory, doa_to_unit_vector, get_array_preset,
                        global_to_local, identity_pose, interpolate_pose,
-                       static_trajectory, unit_vector_to_doa, wrap_angle)
+                       sample_trajectory, static_trajectory, unit_vector_to_doa,
+                       wrap_angle)
 from .sigproc import (CrossSpectrum, MultichannelAudio, Stft, block_cross_spectra,
                       cross_power_spectrum, frame_signal)
 from .localize import (DoaEstimate, DoaGrid, IllConditionedError, NoSignalError,

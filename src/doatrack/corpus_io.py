@@ -79,10 +79,7 @@ def _trajectory_from_table(table: np.ndarray, path: Path) -> Trajectory:
 
 
 def _trajectory_to_table(traj: Trajectory) -> np.ndarray:
-    return np.array([
-        np.concatenate(([p.timestamp], p.translation, p.rotation.ravel()))
-        for p in traj.samples
-    ])
+    return np.column_stack([traj.timestamps, traj.translations, traj.rotations.reshape(-1, 9)])
 
 
 @dataclass(frozen=True)

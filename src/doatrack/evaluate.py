@@ -15,7 +15,7 @@ import numpy as np
 
 from .assignment import gated_assignment, min_cost_assignment
 from .geometry import (GROUND_TRUTH_RATE_HZ, SPEED_OF_SOUND, Doa, Trajectory,
-                       global_to_local, interpolate_pose, wrap_angle)
+                       global_to_local_doas, row_norms, sample_trajectory, wrap_angle)
 
 DEFAULT_GATE_DEG = 30.0
 
@@ -77,20 +77,11 @@ def align_vaps(vaps: VapTable, source_trajectories: dict, array_trajectory: Traj
     """Shift emission-side VAP boundaries by the source-to-array propagation delay."""
     shifted = {}
     for n, spans in vaps.intervals.items():
-        traj = source_trajectories[n]
-        out = []
-        for a, b in spans:
-            out.append((a + _propagation_delay(traj, array_trajectory, a, c),
-                        b + _propagation_delay(traj, array_trajectory, b, c)))
-        shifted[n] = tuple(out)
+        bounds = np.reshape(spans, -1)  # start, end, start, end, ...
+        src, _ = sample_trajectory(source_trajectories[n], bounds)
+        arr, _ = sample_trajectory(array_trajectory, bounds)
+        shifted[n] = (bounds + row_norms(src - arr) / c).reshape(-1, 2).tolist()
     return VapTable(shifted)
-
-
-def _propagation_delay(source_traj: Trajectory, array_traj: Trajectory,
-                       t: float, c: float) -> float:
-    src = interpolate_pose(source_traj, t).translation
-    arr = interpolate_pose(array_traj, t).translation
-    return float(np.linalg.norm(src - arr)) / c
 
 
 @dataclass(frozen=True)
@@ -235,7 +226,8 @@ def ospa(truth_azimuths, est_azimuths, params: OspaParams = OspaParams()) -> flo
             cost[i, j] = min(c, err) ** p
     _, best = min_cost_assignment(cost)
     total = best + (len(b) - len(a)) * c**p
-    return float((total / len(b)) ** (1.0 / p))
+    # the p-th root of c**p can round above c
+    return float(min(c, (total / len(b)) ** (1.0 / p)))
 
 
 @dataclass(frozen=True)
@@ -246,20 +238,16 @@ class OspaSeries:
     std: float
 
 
-def ospa_series(truth_doas_at, submission: Submission, vaps: VapTable, clock,
+def ospa_series(truths, submission: Submission, clock,
                 params: OspaParams = OspaParams()) -> OspaSeries:
     """OSPA at each evaluation timestamp plus its mean and standard deviation.
 
-    `truth_doas_at(t)` must return {source: Doa} for the sources active at t
-    per the (aligned) VAP table.
+    `truths[i]` maps the sources active at `clock[i]` per the (aligned) VAP
+    table to their ground-truth Doa.
     """
-    values = np.zeros(len(clock))
-    for i, t in enumerate(clock):
-        truths = truth_doas_at(t)
-        active = {n: d for n, d in truths.items() if n in vaps.active_sources(t)}
-        truth_az = [d.azimuth for d in active.values()]
-        est_az = [d.azimuth for _, d in submission.at(t)]
-        values[i] = ospa(truth_az, est_az, params)
+    values = np.array([ospa([d.azimuth for d in truth.values()],
+                            [d.azimuth for _, d in submission.at(t)], params)
+                       for truth, t in zip(truths, clock, strict=True)], dtype=float)
     mean = float(values.mean()) if len(values) else 0.0
     std = float(values.std()) if len(values) else 0.0
     return OspaSeries(params, values, mean, std)
@@ -399,18 +387,18 @@ def compute_metrics(assoc_sequence, vaps: VapTable, clock, recording_duration: f
     )
 
 
+def _truth_doas(source_trajectories: dict, array_trajectory: Trajectory, times) -> list:
+    """{source: Doa} in the array's local frame at each of `times`."""
+    translations, rotations = sample_trajectory(array_trajectory, times)
+    columns = {n: global_to_local_doas(sample_trajectory(traj, times)[0], translations, rotations)
+               for n, traj in source_trajectories.items()}
+    return [{n: column[i] for n, column in columns.items()} for i in range(len(translations))]
+
+
 def ground_truth_doas(source_trajectories: dict, array_trajectory: Trajectory):
-    """Callable t -> {source: Doa} in the array's local frame at time t."""
-
-    def lookup(t: float):
-        pose = interpolate_pose(array_trajectory, t)
-        out = {}
-        for n, traj in source_trajectories.items():
-            pos = interpolate_pose(traj, t).translation
-            out[n] = global_to_local(pos, pose)
-        return out
-
-    return lookup
+    """Callable t -> {source: Doa} in the array's local frame at time t: the
+    one-time case of the table `evaluate_submission` builds, bit for bit."""
+    return lambda t: _truth_doas(source_trajectories, array_trajectory, [t])[0]
 
 
 def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
@@ -420,17 +408,17 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
                         ospa_params=(OspaParams(1.0, 30.0), OspaParams(5.0, 30.0)),
                         c: float = SPEED_OF_SOUND,
                         align: bool = True) -> MetricsReport:
-    """Run the complete evaluation pipeline for one recording."""
+    """Run the complete evaluation pipeline for one recording. The truth is sampled
+    once on the clock; association and OSPA read its {active source: Doa} per tick."""
     clock = np.asarray(clock, dtype=float)
     aligned = align_vaps(vaps, source_trajectories, array_trajectory, c) if align else vaps
-    truth_at = ground_truth_doas(source_trajectories, array_trajectory)
-    slices = []
-    for t in clock:
-        active = aligned.active_sources(t)
-        truths = {n: d for n, d in truth_at(t).items() if n in active}
-        slices.append(gate_and_associate(truths, submission.at(t), gate_deg, t))
+    truths = [{n: d for n, d in row.items() if n in active}
+              for row, active in zip(_truth_doas(source_trajectories, array_trajectory, clock),
+                                     map(aligned.active_sources, clock))]
+    slices = [gate_and_associate(truth, submission.at(t), gate_deg, t)
+              for truth, t in zip(truths, clock)]
     report = compute_metrics(slices, aligned, clock, recording_duration)
     for params in ospa_params:
-        series = ospa_series(truth_at, submission, aligned, clock, params)
+        series = ospa_series(truths, submission, clock, params)
         report.ospa[(params.p, params.cutoff_deg)] = series
     return report

@@ -12,7 +12,6 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,14 +89,26 @@ def identity_pose(timestamp: float = 0.0) -> Pose:
     return Pose(np.zeros(3), np.eye(3), timestamp)
 
 
+def row_norms(v) -> np.ndarray:
+    """Row norms of an (N, 3) array, each by np.linalg.norm's one-vector dot product."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def global_to_local_doas(points, translations, rotations) -> list:
+    """Doa of each global-frame point (N, 3) seen from the array pose of its row."""
+    local = (np.swapaxes(rotations, 1, 2) @ (points - translations)[:, :, None])[:, :, 0]
+    norms = row_norms(local)
+    if np.any(norms < 1e-6):
+        raise DegenerateGeometryError("source coincides with the array origin")
+    x, y, z = (local / norms[:, None]).T
+    return [Doa(float(a), float(e))
+            for a, e in zip(np.arctan2(y, x), np.arccos(np.clip(z, -1.0, 1.0)))]
+
+
 def global_to_local(source_pos, array_pose: Pose) -> Doa:
     """DoA of a global-frame point seen from an array with the given pose."""
-    source_pos = np.asarray(source_pos, dtype=float)
-    rel = source_pos - array_pose.translation
-    if np.linalg.norm(rel) < 1e-6:
-        raise DegenerateGeometryError("source coincides with the array origin")
-    local = array_pose.rotation.T @ rel
-    return unit_vector_to_doa(local)
+    return global_to_local_doas(np.reshape(source_pos, (1, 3)), array_pose.translation[None],
+                                array_pose.rotation[None])[0]
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered pose samples, nominally at the ground-truth rate of 120 Hz."""
+    """Time-ordered pose samples, nominally at the ground-truth rate of 120 Hz,
+    also held as read-only arrays `timestamps`, `translations` and `rotations`."""
 
     samples: tuple
     rate_hz: float = GROUND_TRUTH_RATE_HZ
@@ -148,13 +160,11 @@ class Trajectory:
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
         object.__setattr__(self, "samples", samples)
-
-    # built once and read-only, since every interpolate_pose call reads it
-    @cached_property
-    def timestamps(self) -> np.ndarray:
-        times = np.array([p.timestamp for p in self.samples])
-        times.flags.writeable = False
-        return times
+        for name, values in (("timestamps", times),
+                             ("translations", np.array([p.translation for p in samples])),
+                             ("rotations", np.array([p.rotation for p in samples]))):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def start_time(self) -> float:
@@ -175,61 +185,67 @@ def static_trajectory(pose: Pose, duration: float,
     return Trajectory(tuple(samples), rate_hz)
 
 
-def _axis_angle_to_matrix(axis, angle):
-    if angle < 1e-15:
-        return np.eye(3)
-    axis = axis / np.linalg.norm(axis)
-    kx, ky, kz = axis
-    k_cross = np.array([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
-    return np.eye(3) + np.sin(angle) * k_cross + (1 - np.cos(angle)) * (k_cross @ k_cross)
+def sample_trajectory(traj: Trajectory, times):
+    """Poses at many times: (translations (T, 3), rotations (T, 3, 3)).
+
+    Translation is linear between the two neighbouring samples, rotation
+    follows their geodesic (axis-angle). A time within 1e-12 of a sample
+    gets that sample's pose exactly. No extrapolation: every time must lie
+    within the trajectory's time span.
+    """
+    stamps = traj.timestamps
+    t = np.asarray(times, dtype=float).reshape(-1)
+    outside = (t < stamps[0] - 1e-12) | (t > stamps[-1] + 1e-12)
+    if outside.any():
+        raise ValueError(f"time {t[outside][0]} outside trajectory range "
+                         f"[{stamps[0]}, {stamps[-1]}]")
+    if len(stamps) == 1:
+        return np.repeat(traj.translations, len(t), 0), np.repeat(traj.rotations, len(t), 0)
+    t = np.minimum(np.maximum(t, stamps[0]), stamps[-1])
+    idx = np.minimum(np.searchsorted(stamps, t, side="right") - 1, len(stamps) - 2)
+    alpha = ((t - stamps[idx]) / (stamps[idx + 1] - stamps[idx]))[:, None]
+    translations = (1 - alpha) * traj.translations[idx] + alpha * traj.translations[idx + 1]
+    rotations = traj.rotations[idx]
+    nearest = np.where(alpha[:, 0] <= 0.5, idx, idx + 1)
+    on_sample = np.abs(t - stamps[nearest]) < 1e-12
+    translations[on_sample] = traj.translations[nearest[on_sample]]
+    rotations[on_sample] = traj.rotations[nearest[on_sample]]
+    # only a step between two different orientations turns
+    turn = ~on_sample & (rotations != traj.rotations[idx + 1]).reshape(-1, 9).any(axis=1)
+    if turn.any():
+        rotations[turn] = _geodesic(rotations[turn], traj.rotations[idx[turn] + 1], alpha[turn])
+    return translations, rotations
 
 
-def _matrix_to_axis_angle(r):
-    cos_a = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    angle = np.arccos(cos_a)
-    if angle < 1e-12:
-        return np.array([1.0, 0.0, 0.0]), 0.0
-    if np.pi - angle < 1e-6:
-        # near 180 deg: extract axis from R + I
-        m = (r + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(m), 0.0))
-        # fix signs using off-diagonals
-        i = int(np.argmax(axis))
-        if axis[i] > 0:
-            for j in range(3):
-                if j != i:
-                    axis[j] = m[i, j] / axis[i] if axis[i] > 1e-12 else axis[j]
-        return axis / np.linalg.norm(axis), angle
-    axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return axis / (2.0 * np.sin(angle)), angle
+def _geodesic(r0, r1, alpha):
+    """Row by row, r0 turned by the fraction alpha (N, 1) of its rotation to r1."""
+    rel = np.swapaxes(r0, 1, 2) @ r1
+    cos_angle = (rel.trace(axis1=1, axis2=2) - 1.0) / 2.0
+    angle = np.arccos(np.minimum(np.maximum(cos_angle, -1.0), 1.0))
+    # the axis is the vector of rel's antisymmetric part, (r21 - r12, r02 - r20, r10 - r01)
+    axis = (rel - np.swapaxes(rel, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
+    # near 180 deg that part vanishes; rel + I = 2 a a^T there, so its row with
+    # the largest diagonal entry is the axis a, signs and all
+    near_pi = np.pi - angle < 1e-6
+    if near_pi.any():
+        m = rel[near_pi] + np.eye(3)
+        axis[near_pi] = m[np.arange(len(m)), np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)]
+    # no turn below 1e-12 rad, nor where rel is exactly symmetric (arccos of
+    # its rounded trace can still read 1e-8): k = 0 leaves r0 as it is
+    norms = row_norms(axis)[:, None]
+    turn = (angle >= 1e-12) & (norms[:, 0] > 0.0)
+    k = np.zeros((len(rel), 3, 3))  # the cross-product matrix [a]_x of the unit axis
+    k[:, [2, 0, 1], [1, 2, 0]] = np.divide(axis, norms, out=np.zeros_like(axis),
+                                           where=turn[:, None])
+    k -= np.swapaxes(k, 1, 2)
+    theta = (alpha[:, 0] * angle)[:, None, None]
+    return r0 @ (np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k))
 
 
 def interpolate_pose(traj: Trajectory, t: float) -> Pose:
-    """Pose at time t: linear translation, geodesic (axis-angle) rotation.
-
-    No extrapolation: t must lie within the trajectory's time span.
-    """
-    times = traj.timestamps
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-        raise ValueError(
-            f"time {t} outside trajectory range [{times[0]}, {times[-1]}]"
-        )
-    t = float(np.clip(t, times[0], times[-1]))
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    idx = min(max(idx, 0), len(times) - 2) if len(times) > 1 else 0
-    p0 = traj.samples[idx]
-    if len(times) == 1 or abs(t - p0.timestamp) < 1e-12:
-        return Pose(p0.translation, p0.rotation, t)
-    p1 = traj.samples[idx + 1]
-    alpha = (t - p0.timestamp) / (p1.timestamp - p0.timestamp)
-    translation = (1 - alpha) * p0.translation + alpha * p1.translation
-    rel = p0.rotation.T @ p1.rotation
-    axis, angle = _matrix_to_axis_angle(rel)
-    rotation = p0.rotation @ _axis_angle_to_matrix(axis, alpha * angle)
-    # re-orthonormalize against accumulated round-off
-    u, _, vt = np.linalg.svd(rotation)
-    rotation = u @ vt
-    return Pose(translation, rotation, t)
+    """Pose at one time t; see `sample_trajectory`."""
+    translations, rotations = sample_trajectory(traj, t)
+    return Pose(translations[0], rotations[0], float(np.clip(t, traj.start_time, traj.end_time)))
 
 
 # ---------------------------------------------------------------------------

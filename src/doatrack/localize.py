@@ -305,6 +305,9 @@ def srp_phat(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
     evaluated at the pair's far-field delay for direction x. The pair (m, l)
     term at bin k is conj(A_m) PHAT(G_ml) A_l with per-mic steering A, so
     P(x) = M K + 2 Re sum_k conj(A_k) . (triu(PHAT(G_k), 1) A_k).
+
+    Raises NoSignalError when all in-band cross-spectra between microphones
+    are zero, which would leave a flat spectrum.
     """
     if len(grid) == 0:
         raise ValueError("empty grid")
@@ -318,6 +321,8 @@ def srp_phat(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
     g = block_cross_spectra(frames, bins)  # (bins, mics, mics)
     mag = np.abs(g)
     peak = mag.max(axis=0)  # per pair, over the band
+    if not np.any(np.triu(peak, 1) > 0.0):
+        raise NoSignalError("all in-band cross spectra are zero")
     phat = np.where(mag > PHAT_FLOOR_REL * peak, g / np.maximum(mag, 1e-300), 0.0)
     upper = np.triu(phat, 1).transpose(0, 2, 1)  # [k, l, m] = PHAT(G_k)[m, l] for m < l
     # self terms contribute a direction-independent offset of channels * len(bins)

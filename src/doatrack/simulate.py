@@ -37,7 +37,7 @@ from .geometry import (
     Trajectory,
     get_array_preset,
     identity_pose,
-    interpolate_pose,
+    sample_trajectory,
     static_trajectory,
 )
 from .sigproc import CHUNK_ELEMENTS, MultichannelAudio
@@ -196,15 +196,8 @@ def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.nda
 
 def _mic_global_positions(config: SceneConfig, gt_times: np.ndarray) -> np.ndarray:
     """Per-mic global positions sampled on the ground-truth clock: (mics, T, 3)."""
-    poses = [interpolate_pose(config.array_trajectory, t) for t in gt_times]
-    rotations = np.array([p.rotation for p in poses])
-    translations = np.array([p.translation for p in poses])
-    local = config.array.mic_positions
-    return np.einsum("tij,mj->mti", rotations, local) + translations[None, :, :]
-
-
-def _source_positions(traj: Trajectory, gt_times: np.ndarray) -> np.ndarray:
-    return np.array([interpolate_pose(traj, t).translation for t in gt_times])
+    translations, rotations = sample_trajectory(config.array_trajectory, gt_times)
+    return np.einsum("tij,mj->mti", rotations, config.array.mic_positions) + translations[None]
 
 
 def synthesize(config: SceneConfig) -> Scene:
@@ -219,7 +212,6 @@ def synthesize(config: SceneConfig) -> Scene:
     sample_times = np.arange(n_samples) / fs
 
     mic_pos = _mic_global_positions(config, gt_times)
-    centroid_track = mic_pos.mean(axis=0)
 
     root = np.random.SeedSequence(config.seed)
     source_seeds = root.spawn(len(config.sources) + 1)
@@ -236,7 +228,7 @@ def synthesize(config: SceneConfig) -> Scene:
         raw = _source_signal(source.signal, n_samples, fs, rng)
         envelope = _vap_envelope(n_samples, fs, source.vaps)
         emitted = raw * envelope
-        src_pos = _source_positions(source.trajectory, gt_times)
+        src_pos, _ = sample_trajectory(source.trajectory, gt_times)
 
         # scale the source so its in-VAP power at the reference mic hits snr_db
         ref_dist_gt = np.linalg.norm(src_pos - mic_pos[reference_mic], axis=1)

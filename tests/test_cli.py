@@ -165,6 +165,15 @@ def test_music_skips_ill_conditioned_blocks():
         assert abs(math.degrees(est.doa.azimuth) - 40.0) <= 5.0
 
 
+@pytest.mark.parametrize("localizer", ["srp-phat", "music", "gcc-phat", "pseudo-intensity"])
+def test_digital_silence_gives_empty_submission(scene_dir, localizer):
+    from doatrack.cli import run_pipeline
+    bundle = read_recording(scene_dir)
+    silent = MultichannelAudio(np.zeros((12, 2 * 48000)), bundle.audio.sample_rate_hz)
+    submission = run_pipeline(replace(bundle, audio=silent), localizer, "kalman")
+    assert sum(len(submission.at(t)) for t in submission.timestamps) == 0
+
+
 def _write_altered(scene_dir, out, samples):
     bundle = read_recording(scene_dir)
     audio = MultichannelAudio(samples(bundle.audio.samples), bundle.audio.sample_rate_hz)

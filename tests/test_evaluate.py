@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doatrack.evaluate import (AssociationSlice, OspaParams, Submission, ValidPair,
                                VapTable, align_vaps, angular_errors, compute_metrics,
@@ -67,13 +69,21 @@ def test_ospa_edge_cases():
     assert ospa([0.0], [0.0, D(170)], params) == pytest.approx(15.0)
 
 
-def test_ospa_symmetry():
-    rng = np.random.default_rng(1)
-    params = OspaParams(2.0, 30.0)
-    for _ in range(50):
-        a = rng.uniform(-math.pi, math.pi, rng.integers(0, 4))
-        b = rng.uniform(-math.pi, math.pi, rng.integers(0, 4))
-        assert ospa(a, b, params) == pytest.approx(ospa(b, a, params), abs=1e-12)
+AZIMUTH_SETS = st.lists(st.floats(-math.pi, math.pi), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0, 5.0]), x=AZIMUTH_SETS, y=AZIMUTH_SETS, z=AZIMUTH_SETS)
+def test_ospa_metric_axioms(p, x, y, z):
+    # Schuhmacher, Vo & Vo (IEEE TSP 2008): OSPA is a metric bounded by its cutoff
+    params = OspaParams(p, 30.0)
+    d_xy = ospa(x, y, params)
+    assert ospa(x, x, params) == 0.0
+    if len(x) != len(y):
+        assert d_xy > 0.0
+    assert 0.0 <= d_xy <= 30.0
+    assert d_xy == pytest.approx(ospa(y, x, params), abs=1e-9)
+    assert ospa(x, z, params) <= d_xy + ospa(y, z, params) + 1e-9
 
 
 def test_gate_and_associate_inside_gate():
@@ -271,12 +281,36 @@ def test_evaluate_submission_self_evaluation_exact():
         assert np.all(series.values == 0.0)
 
 
+def test_evaluate_submission_samples_each_trajectory_once_per_call(monkeypatch):
+    from doatrack import evaluate
+    original = evaluate.sample_trajectory
+    calls = []
+
+    def counting(traj, times):
+        calls.append(traj)
+        return original(traj, times)
+
+    monkeypatch.setattr(evaluate, "sample_trajectory", counting)
+    counts = []
+    for duration in (1.0, 4.0):
+        arr = static_trajectory(identity_pose(), duration)
+        src = static_trajectory(Pose(np.array([2.0, 1.0, 0.0]), np.eye(3)), duration)
+        vaps = VapTable({"s1": ((0.2, 0.5), (0.6, duration - 0.2))})
+        calls.clear()
+        evaluate_submission({"s1": src}, arr, vaps, Submission({}), arr.timestamps, duration)
+        counts.append(len(calls))
+    # the VAP boundaries of source and array, then source and array on the clock
+    assert counts == [4, 4]
+
+
 def test_ospa_series_cardinality_gap():
     arr = static_trajectory(identity_pose(), 1.0)
     src = static_trajectory(Pose(np.array([2.0, 0.0, 0.0]), np.eye(3)), 1.0)
     clock = arr.timestamps
     vaps = VapTable({"s1": ((0.0, 1.0),)})
     truth_at = ground_truth_doas({"s1": src}, arr)
-    series = ospa_series(truth_at, Submission({}), vaps, clock, OspaParams(1.0, 30.0))
+    truths = [{n: d for n, d in truth_at(t).items() if n in vaps.active_sources(t)}
+              for t in clock]
+    series = ospa_series(truths, Submission({}), clock, OspaParams(1.0, 30.0))
     assert np.all(series.values == 30.0)
     assert series.mean == pytest.approx(30.0)

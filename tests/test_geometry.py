@@ -6,7 +6,8 @@ import pytest
 from doatrack.geometry import (ARRAY_PRESETS, Doa, DegenerateGeometryError, Pose,
                                Trajectory, doa_to_unit_vector, get_array_preset,
                                global_to_local, identity_pose, interpolate_pose,
-                               static_trajectory, unit_vector_to_doa, wrap_angle)
+                               sample_trajectory, static_trajectory, unit_vector_to_doa,
+                               wrap_angle)
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -123,6 +124,15 @@ def test_interpolate_pose_hits_samples_exactly():
         q = interpolate_pose(traj, p.timestamp)
         assert np.allclose(q.translation, p.translation)
         assert np.allclose(q.rotation, p.rotation, atol=1e-9)
+
+
+def test_sample_trajectory_keeps_a_constant_rotation_exactly():
+    yaw = math.radians(30.0)
+    rot = np.array([[math.cos(yaw), -math.sin(yaw), 0], [math.sin(yaw), math.cos(yaw), 0],
+                    [0, 0, 1]])
+    traj = static_trajectory(Pose(np.array([1.0, 2.0, 0.0]), rot), 1.0)
+    _, rotations = sample_trajectory(traj, np.linspace(0.0, 1.0, 97))
+    assert np.array_equal(rotations, np.broadcast_to(rot, rotations.shape))
 
 
 def test_trajectory_rejects_unordered():

@@ -147,6 +147,22 @@ def test_srp_phat_noisy_plane_wave():
     assert abs(math.degrees(doa.azimuth) - 72.0) <= 2.0
 
 
+def test_srp_phat_rejects_silence():
+    geom = get_array_preset("robot_head")
+    frames = frame_signal(MultichannelAudio(np.zeros((12, 16384)), FS), 2048, 1024)[:8]
+    with pytest.raises(NoSignalError):
+        srp_phat(frames, geom, azimuth_grid(1.0), FS, C)
+
+
+def test_srp_phat_localizes_with_one_dead_channel():
+    geom = get_array_preset("robot_head")
+    samples = plane_wave_audio(geom, math.radians(40.0), n=16384).samples.copy()
+    samples[3] = 0.0
+    frames = frame_signal(MultichannelAudio(samples, FS), 2048, 1024)[:8]
+    doa = srp_argmax(srp_phat(frames, geom, azimuth_grid(1.0), FS, C))
+    assert abs(math.degrees(doa.azimuth) - 40.0) <= 1.0
+
+
 def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
     # dicit_32cm lies along y, so azimuths a and 180 - a steer identically and
     # their SRP values differ only by rounding
