@@ -27,11 +27,10 @@ from .track import (FilterDivergenceError, ParticleSet, PfParams, TrackerConfig,
                     systematic_resample, track_lifecycle, wrapped_kf_predict,
                     wrapped_kf_update)
 from .simulate import Scene, SceneConfig, SourceConfig, synthesize, task_preset
-from .evaluate import (AssociationSlice, MetricsReport, OspaParams, Submission,
-                       ValidPair, VapTable, align_vaps, angular_errors,
-                       compute_metrics, detect_fragmentation,
-                       evaluate_submission, gate_and_associate, ospa,
-                       ospa_series)
+from .evaluate import (MetricsReport, OspaParams, Submission, VapTable,
+                       align_vaps, angular_errors, compute_metrics,
+                       detect_fragmentation, evaluate_submission,
+                       gate_and_associate, ospa, ospa_series)
 from .corpus_io import (CorpusFormatError, RecordingBundle, bundle_from_scene,
                         read_recording, read_submission, write_recording,
                         write_submission)

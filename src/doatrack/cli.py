@@ -27,7 +27,7 @@ from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, wrap_angle
 from .localize import (PEAK_TIE_REL, DoaEstimate, IllConditionedError,
                        NoSignalError, UnsupportedGeometryError, azimuth_grid,
                        gcc_phat, music_spectrum, peak_index, pseudo_intensity,
-                       srp_argmax, srp_phat, tdoa_to_azimuth)
+                       srp_phat, tdoa_to_azimuth)
 from .sigproc import CrossSpectrum, block_cross_spectra, frame_signal
 from .simulate import synthesize, task_preset
 from .track import FILTERS, TrackerConfig, track_lifecycle
@@ -53,7 +53,8 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
 
     Blocks whose broadband power sits at the noise floor are skipped so
     pauses between utterances do not feed garbage to the tracker, and so are
-    blocks a localizer finds silent or, for MUSIC, ill-conditioned.
+    blocks a localizer finds silent or, for MUSIC, ill-conditioned. Audio
+    shorter than one block raises CorpusFormatError.
     """
     if localizer not in LOCALIZERS:
         raise UsageError(f"unknown localizer {localizer!r}")
@@ -65,9 +66,11 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     if localizer == "music":
         # the correlation estimate needs at least one frame per channel
         block_frames = max(block_frames, geometry.mic_count)
+    if len(frames) < block_frames:
+        raise CorpusFormatError(
+            f"recording has {audio.samples.shape[1]} samples per channel, fewer than "
+            f"one {localizer} block of {window_length + (block_frames - 1) * hop}")
     starts = range(0, len(frames) - block_frames + 1, block_stride)
-    if not starts:
-        return []
     frame_energy = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
     energies = sliding_window_view(frame_energy, block_frames)[::block_stride].mean(axis=1)
     threshold = 0.05 * np.percentile(energies, 90)
@@ -84,11 +87,10 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
         block = frames[start:start + block_frames]
         t = float(0.5 * (block.times[0] + block.times[-1]))
         try:
-            if localizer == "srp-phat":
-                doa = srp_argmax(srp_phat(block, geometry, grid, f_s, c, band_hz))
-                estimates.append(DoaEstimate(t, doa))
-            elif localizer == "music":
-                spec = music_spectrum(block, geometry, grid, n_sources, f_s, c, band_hz)
+            if localizer in ("srp-phat", "music"):
+                spec = (srp_phat(block, geometry, grid, f_s, c, band_hz)
+                        if localizer == "srp-phat" else
+                        music_spectrum(block, geometry, grid, n_sources, f_s, c, band_hz))
                 for az in _circular_peaks(grid.azimuths, spec.values, n_sources):
                     estimates.append(DoaEstimate(t, Doa(az)))
             elif localizer == "gcc-phat":
@@ -146,17 +148,16 @@ def track_stream(estimates, tracker: str, seed: int = 0,
 def resample_tracks(tracks: dict, clock) -> Submission:
     """Interpolate each track's azimuth onto the evaluation clock."""
     clock = np.asarray(clock, dtype=float)
-    frames: dict = {}
+    rows = []
     for tid, series in tracks.items():
         if not series:
             continue
-        times = np.array([t for t, _ in series])
-        unwrapped = np.unwrap(np.array([a for _, a in series]))
+        times, azimuths = np.array(series, dtype=float).T
         inside = (clock >= times[0]) & (clock <= times[-1])
-        az = np.interp(clock[inside], times, unwrapped)
-        for t, a in zip(clock[inside], az):
-            frames.setdefault(float(t), []).append((tid, Doa(wrap_angle(a))))
-    return Submission({t: tuple(v) for t, v in frames.items()})
+        rows.append((clock[inside], np.full(inside.sum(), tid),
+                     np.interp(clock[inside], times, np.unwrap(azimuths))))
+    columns = [np.concatenate(column) for column in zip(*rows)] if rows else [[], [], []]
+    return Submission.from_rows(*columns)
 
 
 def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
@@ -164,7 +165,8 @@ def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
     """Recording bundle in, submission out: frontend, localizer, tracker, resample.
 
     Raises CorpusFormatError when the audio's channel count differs from the
-    array preset's microphone count or any sample is not finite.
+    array preset's microphone count, any sample is not finite, or the audio
+    is shorter than one analysis block of the localizer.
     """
     geometry = get_array_preset(bundle.metadata["array"])
     audio = bundle.audio
@@ -280,8 +282,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     write_submission(submission, out)
     _write_manifest(out.parent, "run", opts)
-    n_rows = sum(len(submission.at(t)) for t in submission.timestamps)
-    print(f"wrote submission: {out} ({n_rows} rows, "
+    print(f"wrote submission: {out} ({len(submission.times)} rows, "
           f"{submission.max_id} track id(s))")
     return 0
 
@@ -299,11 +300,6 @@ def cmd_evaluate(args) -> int:
             f"{args.input}: recording has no ground truth (evaluation split?)")
     submission = read_submission(args.submission)
     clock = bundle.array_trajectory.timestamps
-    clock_set = {round(float(t), 6) for t in clock}
-    for t in submission.timestamps:
-        if round(float(t), 6) not in clock_set:
-            raise CorpusFormatError(
-                f"{args.submission}: timestamp {t} is not on the evaluation clock")
     p_values = [float(p) for p in str(opts["ospa_p"]).split(",") if p]
     ospa_params = tuple(OspaParams(p, float(opts["ospa_c"])) for p in p_values)
     report = evaluate_submission(

@@ -215,15 +215,12 @@ def write_submission(estimates, path) -> None:
     disk in degrees at 6-decimal precision.
     """
     fmt = _formats()
-    rows = []
     if isinstance(estimates, Submission):
-        for t in estimates.timestamps:
-            for k, d in estimates.at(t):
-                rows.append((t, k, d.azimuth, d.elevation))
+        rows = zip(estimates.times.tolist(), estimates.ids.tolist(),
+                   estimates.azimuths.tolist(), estimates.elevations.tolist())
     else:
-        for est in estimates:
-            rows.append((est.timestamp, est.source_id, est.doa.azimuth,
-                         est.doa.elevation))
+        rows = [(est.timestamp, est.source_id, est.doa.azimuth, est.doa.elevation)
+                for est in estimates]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -243,12 +240,10 @@ def write_submission(estimates, path) -> None:
 
 def read_submission(path) -> Submission:
     """Parse a submission table back into radians-in-memory estimates."""
-    from .geometry import Doa
-
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing submission file: {path}")
-    frames: dict = {}
+    rows = []
     seen = set()
     last_t = -math.inf
     with open(path) as fh:
@@ -277,10 +272,9 @@ def read_submission(path) -> Submission:
             if (t, k) in seen:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate (timestamp, id)")
             seen.add((t, k))
-            doa = Doa(azimuth=wrap_angle(math.radians(az_deg)),
-                      elevation=math.radians(el_deg))
-            frames.setdefault(t, []).append((k, doa))
-    return Submission({t: tuple(v) for t, v in frames.items()})
+            rows.append((t, k, az_deg, el_deg))
+    times, ids, az_deg, el_deg = zip(*rows) if rows else ([], [], [], [])
+    return Submission.from_rows(times, ids, np.radians(az_deg), np.radians(el_deg))
 
 
 def _is_number(token: str) -> bool:

@@ -1,5 +1,11 @@
 """Evaluation harness: VAP alignment, gating, association, measures, OSPA.
 
+A recording is scored from arrays: the truth as (S, T) azimuths and
+elevations of its sources (sorted) at the T clock ticks, with an (S, T) VAP
+index; each of the R submission rows mapped once to its clock tick; and one
+(S, R) array of angular errors between every source and every row, which
+association and the error measures read. OSPA wraps the same differences.
+
 Association uses azimuth error only (in degrees) against a 30 degree gate;
 elevation errors are reported for valid pairs but never drive assignment.
 All azimuth/elevation values are radians in memory; reported errors and the
@@ -18,20 +24,17 @@ from .geometry import (GROUND_TRUTH_RATE_HZ, SPEED_OF_SOUND, Doa, Trajectory,
                        global_to_local_doas, row_norms, sample_trajectory, wrap_angle)
 
 DEFAULT_GATE_DEG = 30.0
+TICK_TOLERANCE_S = 1e-6  # farthest a submission row may lie from its clock tick
 
 
-def angular_errors(truth: Doa, est: Doa):
-    """(azimuth error, elevation error) in radians.
+def angular_errors(truth_azimuths, truth_elevations, azimuths, elevations):
+    """Signed (azimuth, elevation) errors, truth minus estimate, in radians.
 
-    Azimuth is the shortest signed difference across the wrap; elevation is
-    a plain difference (inclination never wraps).
+    Arrays broadcast. Azimuth is the shortest signed difference across the
+    wrap; elevation is a plain difference (inclination never wraps).
     """
-    d_az = math.fmod(truth.azimuth - est.azimuth + math.pi, 2 * math.pi)
-    if d_az < 0:
-        d_az += 2 * math.pi
-    d_az -= math.pi
-    d_el = truth.elevation - est.elevation
-    return d_az, d_el
+    return (wrap_angle(np.subtract(truth_azimuths, azimuths)),
+            np.subtract(truth_elevations, elevations))
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,16 @@ class VapTable:
         return [n for n, spans in self.intervals.items()
                 if any(a <= t <= b for a, b in spans)]
 
-    def vap_at(self, n, t: float):
-        """Index of the VAP of source n containing t, or None."""
-        for i, (a, b) in enumerate(self.intervals[n]):
-            if a <= t <= b:
-                return i
-        return None
+    def vap_index(self, clock) -> np.ndarray:
+        """(S, T) index of the VAP of each source (in `sources` order) that
+        contains each tick, -1 where none; bounds are inclusive, and where two
+        VAPs touch the first one wins."""
+        clock = np.asarray(clock, dtype=float)
+        index = np.full((len(self.intervals), len(clock)), -1)
+        for row, n in zip(index, self.sources):
+            for i, (a, b) in reversed(list(enumerate(self.intervals[n]))):
+                row[(clock >= a) & (clock <= b)] = i
+        return index
 
     def total_duration(self) -> float:
         return sum(b - a for spans in self.intervals.values() for a, b in spans)
@@ -84,110 +91,129 @@ def align_vaps(vaps: VapTable, source_trajectories: dict, array_trajectory: Traj
     return VapTable(shifted)
 
 
-@dataclass(frozen=True)
 class Submission:
-    """Estimates keyed by evaluation timestamp: {t: ((source_id, Doa), ...)}."""
+    """Direction estimates on the evaluation clock, one row per (time, id).
 
-    frames: dict
+    The rows are four read-only arrays: `times` (s), `ids` (>= 1),
+    `azimuths` (rad, wrapped into [-pi, pi)) and `elevations` (rad, clipped
+    to [0, pi]), sorted by time and in their given order within a time.
+    `Submission({t: ((id, Doa), ...)})` builds one from the per-time form and
+    `Submission.from_rows` from arrays; `frames`, `timestamps`, `at(t)` and
+    `max_id` are views built on demand.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for t, entries in self.frames.items():
-            clean[float(t)] = tuple((int(k), d) for k, d in entries)
-        object.__setattr__(self, "frames", clean)
+    def __init__(self, frames: dict | None = None):
+        rows = [(t, k, d.azimuth, d.elevation)
+                for t, entries in (frames or {}).items() for k, d in entries]
+        self._store(*(zip(*rows) if rows else ((), (), (), ())))
+
+    @classmethod
+    def from_rows(cls, times, ids, azimuths, elevations=np.pi / 2) -> "Submission":
+        """Rows from arrays; elevations default to pi/2, the horizontal plane."""
+        sub = cls.__new__(cls)
+        sub._store(times, ids, azimuths, elevations)
+        return sub
+
+    def _store(self, times, ids, azimuths, elevations):
+        times = np.asarray(times, dtype=float)
+        columns = (np.asarray(ids, dtype=np.int64),
+                   wrap_angle(np.asarray(azimuths, dtype=float)),
+                   np.clip(np.broadcast_to(np.asarray(elevations, dtype=float), times.shape),
+                           0.0, np.pi))
+        if any(column.shape != times.shape for column in columns) or times.ndim != 1:
+            raise ValueError("times, ids, azimuths and elevations must be 1-D of one length")
+        if np.any(columns[0] < 1):
+            raise ValueError("source ids must be >= 1")
+        order = np.argsort(times, kind="stable")
+        for name, column in zip(("times", "ids", "azimuths", "elevations"), (times,) + columns):
+            column = column[order]
+            column.flags.writeable = False
+            setattr(self, name, column)
 
     @property
     def timestamps(self):
-        return sorted(self.frames)
+        return np.unique(self.times).tolist()
 
     def at(self, t: float):
-        return self.frames.get(float(t), ())
+        lo = np.searchsorted(self.times, float(t), "left")
+        hi = np.searchsorted(self.times, float(t), "right")
+        return tuple((int(k), Doa(a, e)) for k, a, e in
+                     zip(self.ids[lo:hi], self.azimuths[lo:hi], self.elevations[lo:hi]))
+
+    @property
+    def frames(self) -> dict:
+        return {t: self.at(t) for t in self.timestamps}
 
     @property
     def max_id(self) -> int:
-        ids = [k for entries in self.frames.values() for k, _ in entries]
-        return max(ids) if ids else 0
+        return int(self.ids.max()) if len(self.ids) else 0
+
+    def ticks(self, clock) -> np.ndarray:
+        """Index of the tick of `clock` (increasing) nearest each row.
+
+        Raises ValueError naming the first row farther than TICK_TOLERANCE_S
+        from every tick.
+        """
+        clock = np.asarray(clock, dtype=float)
+        nearest = np.searchsorted((clock[:-1] + clock[1:]) / 2, self.times)
+        off = ~(np.abs(self.times - clock[nearest]) <= TICK_TOLERANCE_S)
+        if off.any():
+            raise ValueError(f"timestamp {self.times[off][0]} is not on the evaluation "
+                             f"clock (no tick within {TICK_TOLERANCE_S:g} s)")
+        return nearest
 
 
-@dataclass(frozen=True)
-class ValidPair:
-    source: int
-    estimate_id: int
-    d_azimuth: float  # rad
-    d_elevation: float  # rad
+def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) -> np.ndarray:
+    """Associate sources with submission rows at every tick of a recording.
 
-
-@dataclass(frozen=True)
-class AssociationSlice:
-    timestamp: float
-    pairs: tuple  # of ValidPair
-    false_ids: tuple
-    missed_sources: tuple
-
-
-def gate_and_associate(truth_doas: dict, estimates, gate_deg: float = DEFAULT_GATE_DEG,
-                       timestamp: float = 0.0) -> AssociationSlice:
-    """Gate on azimuth error and assign sources to estimates at minimum total cost.
-
-    `truth_doas` maps active source labels to their ground-truth Doa;
-    `estimates` is a sequence of (estimate_id, Doa). Unpaired estimates are
-    false; unpaired sources are missed.
+    `cost` (S, R) holds the absolute azimuth error in degrees between every
+    source and every row, `active` (S, T) the sources active at each tick,
+    and `ticks` (R,) each row's tick, non-decreasing. At each tick the active
+    sources and the tick's rows are paired at minimum total cost, and pairs
+    costing more than `gate_deg` are inadmissible. Where a tick has one
+    active source or one row, that is its nearest admissible partner; only
+    the other ticks, and ties for the nearest, run the assignment solver.
+    Returns the (S, T) assigned row, -1 where a source has none.
     """
-    sources = sorted(truth_doas)
-    estimates = list(estimates)
-    if not sources or not estimates:
-        return AssociationSlice(
-            timestamp, (),
-            tuple(k for k, _ in estimates),
-            tuple(sources),
-        )
-    cost = np.zeros((len(sources), len(estimates)))
-    errors = {}
-    for i, n in enumerate(sources):
-        for j, (k, d) in enumerate(estimates):
-            d_az, d_el = angular_errors(truth_doas[n], d)
-            errors[i, j] = (d_az, d_el)
-            cost[i, j] = abs(math.degrees(d_az))
-    pairs = gated_assignment(cost, gate_deg)
-    valid = tuple(
-        ValidPair(sources[i], estimates[j][0], errors[i, j][0], errors[i, j][1])
-        for i, j in pairs
-    )
-    paired_sources = {p.source for p in valid}
-    paired_est = {j for _, j in pairs}
-    false_ids = tuple(estimates[j][0] for j in range(len(estimates)) if j not in paired_est)
-    missed = tuple(n for n in sources if n not in paired_sources)
-    return AssociationSlice(timestamp, valid, false_ids, missed)
+    assigned = np.full(active.shape, -1)
+    n_rows = np.bincount(ticks, minlength=active.shape[1])
+    n_active = active.sum(axis=0)
+    solve = (n_active >= 2) & (n_rows >= 2)
+    # one source or one row: the cheapest admissible pair of the tick, unless
+    # two tie for it, which the solver settles as it always has
+    lone = (np.minimum(n_active, n_rows) == 1)[ticks]
+    sources, rows = np.nonzero(active[:, ticks] & (cost <= gate_deg) & lone)
+    order = np.lexsort((cost[sources, rows], ticks[rows]))
+    sources, rows = sources[order], rows[order]
+    tick, pair_cost = ticks[rows], cost[sources, rows]
+    solve[tick[1:][(tick[1:] == tick[:-1]) & (pair_cost[1:] == pair_cost[:-1])]] = True
+    _, first = np.unique(tick, return_index=True)
+    first = first[~solve[tick[first]]]
+    assigned[sources[first], tick[first]] = rows[first]
+
+    first_row = np.cumsum(n_rows) - n_rows
+    for t in np.flatnonzero(solve):
+        sources = np.flatnonzero(active[:, t])
+        rows = np.arange(first_row[t], first_row[t] + n_rows[t])
+        for i, j in gated_assignment(cost[np.ix_(sources, rows)], gate_deg):
+            assigned[sources[i], t] = rows[j]
+    return assigned
 
 
-def detect_fragmentation(assoc_sequence, vaps: VapTable):
-    """Per-timestamp broken-track and swap counts.
+def detect_fragmentation(ids, vap_index):
+    """Per-tick broken-track and swap counts.
 
-    A break at t: the source was associated at t-1 but not at t, with both
-    timestamps inside one VAP. A swap at t: associated at both t-1 and t
-    but with different estimate IDs.
+    `ids` (S, T) holds the estimate id associated with each source at each
+    tick, 0 where none, and `vap_index` (S, T) the VAP containing each tick,
+    -1 where none. A break at tick i: the source was associated at i-1 but
+    not at i, with both ticks inside one VAP. A swap at i: associated at both
+    i-1 and i but with different estimate IDs.
     """
-    breaks = np.zeros(len(assoc_sequence), dtype=int)
-    swaps = np.zeros(len(assoc_sequence), dtype=int)
-    prev_assoc: dict = {}
-    prev_t = None
-    for i, sl in enumerate(assoc_sequence):
-        current = {p.source: p.estimate_id for p in sl.pairs}
-        if prev_t is not None:
-            for n, prev_id in prev_assoc.items():
-                if n not in vaps.intervals:
-                    continue
-                vap_now = vaps.vap_at(n, sl.timestamp)
-                vap_prev = vaps.vap_at(n, prev_t)
-                same_vap = vap_now is not None and vap_now == vap_prev
-                if not same_vap:
-                    continue
-                if n not in current:
-                    breaks[i] += 1
-                elif current[n] != prev_id:
-                    swaps[i] += 1
-        prev_assoc = current
-        prev_t = sl.timestamp
+    held = (ids[:, :-1] > 0) & (vap_index[:, 1:] == vap_index[:, :-1]) & (vap_index[:, 1:] >= 0)
+    breaks = np.zeros(ids.shape[1], dtype=int)
+    swaps = np.zeros(ids.shape[1], dtype=int)
+    breaks[1:] = (held & (ids[:, 1:] == 0)).sum(axis=0)
+    swaps[1:] = (held & (ids[:, 1:] > 0) & (ids[:, 1:] != ids[:, :-1])).sum(axis=0)
     return breaks, swaps
 
 
@@ -209,25 +235,21 @@ def ospa(truth_azimuths, est_azimuths, params: OspaParams = OspaParams()) -> flo
     Symmetric by construction: the roles are ordered so the smaller set is
     assigned into the larger, with the cardinality gap charged at cutoff.
     """
-    a = [float(x) for x in truth_azimuths]
-    b = [float(x) for x in est_azimuths]
-    if len(a) > len(b):
-        a, b = b, a
-    if not b:
+    errors = np.abs(np.degrees(wrap_angle(np.subtract.outer(
+        np.asarray(truth_azimuths, dtype=float), np.asarray(est_azimuths, dtype=float)))))
+    if errors.shape[0] > errors.shape[1]:
+        errors = errors.T
+    n, m = errors.shape
+    if not m:
         return 0.0
     c = params.cutoff_deg
     p = params.p
-    if not a:
+    if not n:
         return c
-    cost = np.empty((len(a), len(b)))
-    for i, az_a in enumerate(a):
-        for j, az_b in enumerate(b):
-            err = abs(math.degrees(wrap_angle(az_a - az_b)))
-            cost[i, j] = min(c, err) ** p
-    _, best = min_cost_assignment(cost)
-    total = best + (len(b) - len(a)) * c**p
+    _, best = min_cost_assignment(np.minimum(c, errors) ** p)
+    total = best + (m - n) * c**p
     # the p-th root of c**p can round above c
-    return float(min(c, (total / len(b)) ** (1.0 / p)))
+    return float(min(c, (total / m) ** (1.0 / p)))
 
 
 @dataclass(frozen=True)
@@ -238,16 +260,28 @@ class OspaSeries:
     std: float
 
 
-def ospa_series(truths, submission: Submission, clock,
+def ospa_series(truth_azimuths, active, azimuths, ticks,
                 params: OspaParams = OspaParams()) -> OspaSeries:
-    """OSPA at each evaluation timestamp plus its mean and standard deviation.
+    """OSPA at each evaluation tick plus its mean and standard deviation.
 
-    `truths[i]` maps the sources active at `clock[i]` per the (aligned) VAP
-    table to their ground-truth Doa.
+    `truth_azimuths` (S, T) and `active` (S, T) hold the sources' azimuths and
+    activity at each tick, `azimuths` (R,) and `ticks` (R,) the submission
+    rows' azimuths and ticks (non-decreasing). A tick with at most one truth
+    or one row takes the closed form; `ospa` solves the others.
     """
-    values = np.array([ospa([d.azimuth for d in truth.values()],
-                            [d.azimuth for _, d in submission.at(t)], params)
-                       for truth, t in zip(truths, clock, strict=True)], dtype=float)
+    c, p = params.cutoff_deg, params.p
+    n_rows = np.bincount(ticks, minlength=active.shape[1])
+    n_truths = active.sum(axis=0)
+    small, large = np.minimum(n_truths, n_rows), np.maximum(n_truths, n_rows)
+    # where the smaller set has one element, its cheapest pair is the assignment
+    errors = np.abs(np.degrees(wrap_angle(truth_azimuths[:, ticks] - azimuths)))
+    pair_cost = np.minimum(c, np.where(active[:, ticks], errors, c)) ** p
+    best = np.full(len(n_rows), c**p)
+    np.minimum.at(best, ticks, np.min(pair_cost, axis=0, initial=c**p))
+    values = np.minimum(c, ((best + (large - 1) * c**p) / np.maximum(large, 1)) ** (1.0 / p))
+    values[small == 0] = np.where(large[small == 0] > 0, c, 0.0)
+    for t in np.flatnonzero(small >= 2):
+        values[t] = ospa(truth_azimuths[active[:, t], t], azimuths[ticks == t], params)
     mean = float(values.mean()) if len(values) else 0.0
     std = float(values.std()) if len(values) else 0.0
     return OspaSeries(params, values, mean, std)
@@ -296,78 +330,62 @@ class MetricsReport:
         return out
 
 
-def compute_metrics(assoc_sequence, vaps: VapTable, clock, recording_duration: float,
-                    p_d_per_source: bool = False) -> MetricsReport:
-    """Aggregate one recording's association slices into the individual measures."""
+def compute_metrics(ids, vap_index, false_counts, errors_deg, vaps: VapTable, clock,
+                    recording_duration: float) -> MetricsReport:
+    """Aggregate one recording's associations into the individual measures.
+
+    `ids` (S, T) holds the estimate id associated with each source (in
+    `vaps.sources` order) at each tick, 0 where none; `vap_index` (S, T) is
+    `vaps.vap_index(clock)`; `false_counts` (T,) counts the rows left
+    unassociated at each tick; `errors_deg` (2, V) holds the absolute azimuth
+    and elevation errors of the V associations, tick by tick and in source
+    order within a tick.
+    """
     clock = np.asarray(clock, dtype=float)
+    active = vap_index >= 0
+    valid = ids > 0
+    valid_count = int(valid.sum())
+    false_count = int(false_counts.sum())
+    missed_count = int((active & ~valid).sum())
     total_vap = vaps.total_duration()
-    valid_pairs = [p for sl in assoc_sequence for p in sl.pairs]
-    false_count = sum(len(sl.false_ids) for sl in assoc_sequence)
-    missed_count = sum(len(sl.missed_sources) for sl in assoc_sequence)
 
     if total_vap <= 0:
         return MetricsReport(*([math.nan] * 4), math.nan, math.nan, math.nan,
-                             math.nan, 0, math.nan, len(valid_pairs), false_count,
+                             math.nan, 0, math.nan, valid_count, false_count,
                              missed_count, undefined=True)
 
-    abs_az = np.array([abs(math.degrees(p.d_azimuth)) for p in valid_pairs])
-    abs_el = np.array([abs(math.degrees(p.d_elevation)) for p in valid_pairs])
+    abs_az, abs_el = errors_deg
     mean_az = float(abs_az.mean()) if abs_az.size else 0.0
     std_az = float(abs_az.std()) if abs_az.size else 0.0
     mean_el = float(abs_el.mean()) if abs_el.size else 0.0
     std_el = float(abs_el.std()) if abs_el.size else 0.0
 
-    # per-(source, VAP) completeness and latency
+    # per-(source, VAP) completeness and latency, keyed source by source
     dt = float(np.median(np.diff(clock))) if len(clock) > 1 else 1.0 / GROUND_TRUTH_RATE_HZ
-    per_vap_count: dict = {}
-    per_vap_valid: dict = {}
-    first_valid: dict = {}
-    for sl, t in zip(assoc_sequence, clock):
-        assoc_sources = {p.source for p in sl.pairs}
-        for n in vaps.intervals:
-            vap_idx = vaps.vap_at(n, t)
-            if vap_idx is None:
-                continue
-            key = (n, vap_idx)
-            per_vap_count[key] = per_vap_count.get(key, 0) + 1
-            if n in assoc_sources:
-                per_vap_valid[key] = per_vap_valid.get(key, 0) + 1
-                if key not in first_valid:
-                    first_valid[key] = t
-
-    vap_keys = [(n, i) for n in vaps.intervals for i in range(len(vaps.intervals[n]))
-                if (n, i) in per_vap_count]
-    if p_d_per_source:
-        ratios = [per_vap_valid.get(k, 0) / per_vap_count[k] for k in vap_keys]
-        p_d = float(np.mean(ratios)) if ratios else math.nan
-    else:
-        total_stamps = sum(per_vap_count.values())
-        p_d = (sum(per_vap_valid.values()) / total_stamps) if total_stamps else math.nan
-
-    latencies = []
-    undetected = 0
-    for key in vap_keys:
-        n, i = key
-        start = vaps.intervals[n][i][0]
-        if key in first_valid:
-            latencies.append(max(0.0, first_valid[key] - start))
-        else:
-            undetected += 1
-    track_latency = float(np.mean(latencies)) if latencies else math.nan
+    vap_keys = [(n, i) for n in vaps.sources for i in range(len(vaps.intervals[n]))]
+    key = np.cumsum([0] + [len(vaps.intervals[n]) for n in vaps.sources])[:-1, None] + vap_index
+    hit = active & valid
+    per_vap_count = np.bincount(key[active], minlength=len(vap_keys))
+    per_vap_valid = np.bincount(key[hit], minlength=len(vap_keys))
+    first_valid = np.full(len(vap_keys), np.inf)
+    np.minimum.at(first_valid, key[hit], np.broadcast_to(clock, key.shape)[hit])
+    starts = np.array([vaps.intervals[n][i][0] for n, i in vap_keys])
+    seen = per_vap_count > 0
+    detected = seen & (per_vap_valid > 0)
+    total_stamps = int(per_vap_count.sum())
+    p_d = int(per_vap_valid.sum()) / total_stamps if total_stamps else math.nan
+    latencies = np.maximum(0.0, first_valid[detected] - starts[detected])
+    track_latency = float(latencies.mean()) if latencies.size else math.nan
 
     far_recording = false_count / recording_duration if recording_duration > 0 else math.nan
-    false_in_vap = sum(
-        len(sl.false_ids) for sl, t in zip(assoc_sequence, clock)
-        if vaps.active_sources(t)
-    )
-    far_vap = false_in_vap / total_vap
+    far_vap = int(false_counts[active.any(axis=0)].sum()) / total_vap
 
-    breaks, swaps = detect_fragmentation(assoc_sequence, vaps)
+    breaks, swaps = detect_fragmentation(ids, vap_index)
     tfr = float(breaks.sum() + swaps.sum()) / total_vap
 
     per_vap_stats = {
-        key: (per_vap_valid.get(key, 0), per_vap_valid.get(key, 0) * dt)
-        for key in vap_keys
+        vap_keys[k]: (int(per_vap_valid[k]), int(per_vap_valid[k]) * dt)
+        for k in np.flatnonzero(seen)
     }
     return MetricsReport(
         mean_azimuth_error_deg=mean_az,
@@ -378,27 +396,35 @@ def compute_metrics(assoc_sequence, vaps: VapTable, clock, recording_duration: f
         far_recording=far_recording,
         far_vap=far_vap,
         track_latency_s=track_latency,
-        undetected_vaps=undetected,
+        undetected_vaps=int((seen & ~detected).sum()),
         tfr=tfr,
-        valid_count=len(valid_pairs),
+        valid_count=valid_count,
         false_count=false_count,
         missed_count=missed_count,
         per_vap_valid=per_vap_stats,
     )
 
 
-def _truth_doas(source_trajectories: dict, array_trajectory: Trajectory, times) -> list:
-    """{source: Doa} in the array's local frame at each of `times`."""
+def ground_truth_arrays(source_trajectories: dict, array_trajectory: Trajectory,
+                        sources, times):
+    """(S, T) azimuths and (S, T) elevations of `sources` in the array's
+    local frame at each of `times`, as one (2, S, T) array."""
     translations, rotations = sample_trajectory(array_trajectory, times)
-    columns = {n: global_to_local_doas(sample_trajectory(traj, times)[0], translations, rotations)
-               for n, traj in source_trajectories.items()}
-    return [{n: column[i] for n, column in columns.items()} for i in range(len(translations))]
+    doas = [global_to_local_doas(sample_trajectory(source_trajectories[n], times)[0],
+                                 translations, rotations) for n in sources]
+    return np.reshape(doas, (len(doas), 2, len(translations))).swapaxes(0, 1)
 
 
 def ground_truth_doas(source_trajectories: dict, array_trajectory: Trajectory):
     """Callable t -> {source: Doa} in the array's local frame at time t: the
-    one-time case of the table `evaluate_submission` builds, bit for bit."""
-    return lambda t: _truth_doas(source_trajectories, array_trajectory, [t])[0]
+    one-time case of the arrays `evaluate_submission` builds, bit for bit."""
+    sources = list(source_trajectories)
+
+    def doas_at(t):
+        azimuths, elevations = ground_truth_arrays(source_trajectories, array_trajectory,
+                                                   sources, [t])
+        return {n: Doa(az, el) for n, az, el in zip(sources, azimuths[:, 0], elevations[:, 0])}
+    return doas_at
 
 
 def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
@@ -408,17 +434,33 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
                         ospa_params=(OspaParams(1.0, 30.0), OspaParams(5.0, 30.0)),
                         c: float = SPEED_OF_SOUND,
                         align: bool = True) -> MetricsReport:
-    """Run the complete evaluation pipeline for one recording. The truth is sampled
-    once on the clock; association and OSPA read its {active source: Doa} per tick."""
+    """Run the complete evaluation pipeline for one recording.
+
+    The truth is sampled once on the clock and every submission row is
+    mapped once to its clock tick (`Submission.ticks`, a ValueError for a row
+    off the clock); association and the error measures read one (S, R)
+    array of angular errors between every source and every row.
+    """
     clock = np.asarray(clock, dtype=float)
     aligned = align_vaps(vaps, source_trajectories, array_trajectory, c) if align else vaps
-    truths = [{n: d for n, d in row.items() if n in active}
-              for row, active in zip(_truth_doas(source_trajectories, array_trajectory, clock),
-                                     map(aligned.active_sources, clock))]
-    slices = [gate_and_associate(truth, submission.at(t), gate_deg, t)
-              for truth, t in zip(truths, clock)]
-    report = compute_metrics(slices, aligned, clock, recording_duration)
+    vap_index = aligned.vap_index(clock)
+    active = vap_index >= 0
+    truth_az, truth_el = ground_truth_arrays(source_trajectories, array_trajectory,
+                                             aligned.sources, clock)
+    ticks = submission.ticks(clock)
+    d_az, d_el = angular_errors(truth_az[:, ticks], truth_el[:, ticks],
+                                submission.azimuths, submission.elevations)
+    cost = np.abs(np.degrees(d_az))
+    assigned = gate_and_associate(cost, active, ticks, gate_deg)
+    paired = assigned >= 0
+    ids = np.append(submission.ids, 0)[assigned]  # 0 where unassigned
+    tick_of, source_of = np.nonzero(paired.T)  # tick by tick, sources in order
+    rows = assigned[source_of, tick_of]
+    errors = np.abs(np.degrees(np.array([d_az[source_of, rows], d_el[source_of, rows]])))
+    false_counts = np.bincount(ticks, minlength=len(clock)) - paired.sum(axis=0)
+    report = compute_metrics(ids, vap_index, false_counts, errors, aligned, clock,
+                             recording_duration)
     for params in ospa_params:
-        series = ospa_series(truths, submission, clock, params)
-        report.ospa[(params.p, params.cutoff_deg)] = series
+        report.ospa[(params.p, params.cutoff_deg)] = ospa_series(
+            truth_az, active, submission.azimuths, ticks, params)
     return report

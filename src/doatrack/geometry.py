@@ -94,21 +94,23 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def global_to_local_doas(points, translations, rotations) -> list:
-    """Doa of each global-frame point (N, 3) seen from the array pose of its row."""
+def global_to_local_doas(points, translations, rotations):
+    """(azimuths, elevations) of each global-frame point (N, 3) seen from the
+    array pose of its row, as `Doa` holds them."""
     local = (np.swapaxes(rotations, 1, 2) @ (points - translations)[:, :, None])[:, :, 0]
     norms = row_norms(local)
     if np.any(norms < 1e-6):
         raise DegenerateGeometryError("source coincides with the array origin")
     x, y, z = (local / norms[:, None]).T
-    return [Doa(float(a), float(e))
-            for a, e in zip(np.arctan2(y, x), np.arccos(np.clip(z, -1.0, 1.0)))]
+    return wrap_angle(np.arctan2(y, x)), np.arccos(np.clip(z, -1.0, 1.0))
 
 
 def global_to_local(source_pos, array_pose: Pose) -> Doa:
     """DoA of a global-frame point seen from an array with the given pose."""
-    return global_to_local_doas(np.reshape(source_pos, (1, 3)), array_pose.translation[None],
-                                array_pose.rotation[None])[0]
+    azimuths, elevations = global_to_local_doas(np.reshape(source_pos, (1, 3)),
+                                                array_pose.translation[None],
+                                                array_pose.rotation[None])
+    return Doa(azimuths[0], elevations[0])
 
 
 @dataclass(frozen=True)

@@ -407,19 +407,11 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
 
         # gated assignment on wrapped innovation cost
         if candidates and observations:
-            cost = np.zeros((len(candidates), len(observations)))
-            admissible = np.zeros_like(cost, dtype=bool)
-            for i, cand in enumerate(candidates):
-                gate = min(
-                    config.gate_sigma * np.sqrt(variance(cand.state) + obs_var),
-                    config.gate_max,
-                )
-                predicted = azimuth(cand.state)
-                for j, obs in enumerate(observations):
-                    err = abs(wrap_angle(obs - predicted))
-                    cost[i, j] = err
-                    admissible[i, j] = err <= gate
-            blocked = np.where(admissible, cost, np.pi + 1.0)
+            predicted = np.array([azimuth(cand.state) for cand in candidates])
+            gates = np.array([min(config.gate_sigma * np.sqrt(variance(cand.state) + obs_var),
+                                  config.gate_max) for cand in candidates])
+            cost = np.abs(wrap_angle(np.array(observations)[None, :] - predicted[:, None]))
+            blocked = np.where(cost <= gates[:, None], cost, np.pi + 1.0)
             pairs = gated_assignment(blocked, np.pi)
         else:
             pairs = []

@@ -97,6 +97,30 @@ def test_evaluate_self_and_reports(scene_dir, tmp_path):
     assert _run("report", str(out_dir / "metrics.json")) == 0
 
 
+def test_evaluate_of_a_written_submission_matches_the_in_memory_one(scene_dir, tmp_path):
+    # the file carries 6-decimal times; each row still scores at its clock tick
+    from doatrack.cli import run_pipeline
+    from doatrack.evaluate import evaluate_submission
+    sub_path, out_dir = tmp_path / "sub.txt", tmp_path / "report"
+    assert _run("run", "--input", str(scene_dir), "--localizer", "srp-phat",
+                "--tracker", "kalman", "--out", str(sub_path)) == 0
+    assert _run("evaluate", "--input", str(scene_dir), "--submission", str(sub_path),
+                "--out", str(out_dir)) == 0
+    from_disk = json.loads((out_dir / "metrics.json").read_text())
+    bundle = read_recording(scene_dir)
+    in_memory = evaluate_submission(
+        bundle.source_trajectories, bundle.array_trajectory, bundle.vaps,
+        run_pipeline(bundle, "srp-phat", "kalman"), bundle.array_trajectory.timestamps,
+        bundle.audio.duration).to_dict()
+    assert from_disk.keys() == in_memory.keys()
+    assert in_memory["valid_count"] > 0
+    for key, value in in_memory.items():
+        if isinstance(value, float):  # angles are on disk at 6 decimals
+            assert from_disk[key] == pytest.approx(value, abs=1e-5), key
+        else:
+            assert from_disk[key] == value, key
+
+
 def test_evaluate_clock_mismatch(scene_dir, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("timestamp source_id azimuth_deg\n0.123456 1 10.0\n")
@@ -138,6 +162,25 @@ def test_music_two_source_ids(tmp_path):
     sub = read_submission(sub_path)
     ids = {k for t in sub.timestamps for k, _ in sub.at(t)}
     assert len(ids) >= 2
+
+
+def test_srp_phat_gives_one_estimate_per_source():
+    from doatrack.cli import localize_stream
+    from doatrack.geometry import get_array_preset
+    from synthutil import plane_wave_audio
+
+    fs = 48000.0
+    geom = get_array_preset("robot_head")
+    a = plane_wave_audio(geom, math.radians(49.0), n=48000, seed=0, snr_db=15)
+    b = plane_wave_audio(geom, math.radians(-100.0), n=48000, seed=1)
+    audio = MultichannelAudio(a.samples + b.samples, fs)
+    estimates = localize_stream(audio, geom, "srp-phat", fs, n_sources=2)
+    by_block = {}
+    for est in estimates:
+        by_block.setdefault(est.timestamp, []).append(math.degrees(est.doa.azimuth))
+    assert len(by_block) >= 5
+    for azimuths in by_block.values():
+        assert sorted(azimuths) == [pytest.approx(-100.0, abs=5.0), pytest.approx(49.0, abs=5.0)]
 
 
 def test_music_skips_ill_conditioned_blocks():
@@ -206,3 +249,26 @@ def test_run_rejects_non_finite_audio(scene_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "non-finite" in err and "channel 3" in err and "sample 60000" in err
     assert not (tmp_path / "s.txt").exists()
+
+
+# samples in one analysis block at the defaults (2048-sample window, hop
+# 1024, 8 frames); MUSIC takes at least one frame per microphone (12)
+BLOCK_SAMPLES = {"srp-phat": 9216, "music": 13312, "gcc-phat": 9216,
+                 "pseudo-intensity": 9216}
+
+
+@pytest.mark.parametrize("localizer", ["srp-phat", "music", "gcc-phat", "pseudo-intensity"])
+def test_run_rejects_audio_shorter_than_one_block(scene_dir, localizer):
+    from doatrack.cli import run_pipeline
+    from doatrack.corpus_io import CorpusFormatError
+    bundle = read_recording(scene_dir)
+    need = BLOCK_SAMPLES[localizer]
+
+    def clipped(n):
+        return replace(bundle, audio=MultichannelAudio(bundle.audio.samples[:, 48000:48000 + n],
+                                                       bundle.audio.sample_rate_hz))
+
+    with pytest.raises(CorpusFormatError) as err:
+        run_pipeline(clipped(need - 1), localizer, "kalman")
+    assert f"{need - 1} samples" in str(err.value) and f"block of {need}" in str(err.value)
+    run_pipeline(clipped(need), localizer, "kalman")

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doatrack.evaluate import (AssociationSlice, OspaParams, Submission, ValidPair,
-                               VapTable, align_vaps, angular_errors, compute_metrics,
-                               detect_fragmentation, evaluate_submission,
-                               gate_and_associate, ground_truth_doas, ospa,
-                               ospa_series)
+from doatrack.evaluate import (OspaParams, Submission, VapTable, align_vaps,
+                               angular_errors, compute_metrics, detect_fragmentation,
+                               evaluate_submission, gate_and_associate,
+                               ground_truth_doas, ospa, ospa_series)
 from doatrack.geometry import (Doa, Pose, identity_pose, static_trajectory,
                                wrap_angle)
 
@@ -37,11 +36,11 @@ def brute_force_ospa(truth, est, p, c):
 
 
 def test_angular_errors_wrap_and_sign():
-    d_az, d_el = angular_errors(Doa(D(170)), Doa(D(-170)))
+    d_az, d_el = angular_errors(D(170), D(90), D(-170), D(90))
     assert math.degrees(d_az) == pytest.approx(-20.0)
-    d_az, _ = angular_errors(Doa(D(-170)), Doa(D(170)))
+    d_az, _ = angular_errors(D(-170), D(90), D(170), D(90))
     assert math.degrees(d_az) == pytest.approx(20.0)
-    _, d_el = angular_errors(Doa(0, D(80)), Doa(0, D(100)))
+    _, d_el = angular_errors(0.0, D(80), 0.0, D(100))
     assert math.degrees(d_el) == pytest.approx(-20.0)
 
 
@@ -86,39 +85,54 @@ def test_ospa_metric_axioms(p, x, y, z):
     assert ospa(x, z, params) <= d_xy + ospa(y, z, params) + 1e-9
 
 
+def _associate(truths_deg, rows_deg, gate_deg=30.0):
+    """One tick: ({source: row}, unpaired rows, unpaired sources), all as indices."""
+    d_az, _ = angular_errors(np.radians(truths_deg)[:, None], 0.0, np.radians(rows_deg), 0.0)
+    assigned = gate_and_associate(np.abs(np.degrees(d_az)), np.ones((len(truths_deg), 1), bool),
+                                  np.zeros(len(rows_deg), int), gate_deg)[:, 0]
+    pairs = {s: int(r) for s, r in enumerate(assigned) if r >= 0}
+    false = tuple(r for r in range(len(rows_deg)) if r not in pairs.values())
+    missed = tuple(s for s in range(len(truths_deg)) if s not in pairs)
+    return pairs, false, missed
+
+
 def test_gate_and_associate_inside_gate():
-    sl = gate_and_associate({1: Doa(0.0)}, [(7, Doa(D(10)))], gate_deg=30.0)
-    assert len(sl.pairs) == 1
-    assert sl.pairs[0].source == 1 and sl.pairs[0].estimate_id == 7
-    assert sl.false_ids == () and sl.missed_sources == ()
+    pairs, false, missed = _associate([0.0], [10.0])
+    assert pairs == {0: 0}
+    assert false == () and missed == ()
 
 
 def test_gate_and_associate_rejects_over_gate():
-    sl = gate_and_associate({1: Doa(0.0)}, [(7, Doa(D(35)))], gate_deg=30.0)
-    assert sl.pairs == ()
-    assert sl.false_ids == (7,)
-    assert sl.missed_sources == (1,)
+    pairs, false, missed = _associate([0.0], [35.0])
+    assert pairs == {}
+    assert false == (0,)
+    assert missed == (0,)
 
 
 def test_gate_boundary_inclusive():
-    sl = gate_and_associate({1: Doa(0.0)}, [(1, Doa(D(30)))], gate_deg=30.0)
-    assert len(sl.pairs) == 1
+    pairs, _, _ = _associate([0.0], [30.0])
+    assert len(pairs) == 1
 
 
 def test_association_is_globally_optimal():
-    # estimate 1 is closest to source A, but total cost favours the cross pairing
-    truths = {1: Doa(D(0)), 2: Doa(D(8))}
-    sl = gate_and_associate(truths, [(1, Doa(D(4))), (2, Doa(D(-3)))], gate_deg=30.0)
-    got = {p.source: p.estimate_id for p in sl.pairs}
-    assert got == {1: 2, 2: 1}
+    # row 0 is closest to source 0, but total cost favours the cross pairing
+    pairs, _, _ = _associate([0.0, 8.0], [4.0, -3.0])
+    assert pairs == {0: 1, 1: 0}
 
 
 def test_extra_estimates_are_false_alarms():
-    sl = gate_and_associate({1: Doa(0.0)},
-                            [(1, Doa(D(2))), (2, Doa(D(5))), (3, Doa(D(170)))],
-                            gate_deg=30.0)
-    assert len(sl.pairs) == 1
-    assert set(sl.false_ids) == {2, 3}
+    pairs, false, _ = _associate([0.0], [2.0, 5.0, 170.0])
+    assert len(pairs) == 1
+    assert set(false) == {1, 2}
+
+
+def test_gate_and_associate_pairs_every_tick_of_a_recording():
+    # tick 0: two sources, one row; tick 1: none active; tick 2: one source, two rows
+    active = np.array([[True, False, True], [True, False, False]])
+    ticks = np.array([0, 1, 2, 2])
+    cost = np.array([[20.0, 1.0, 12.0, 3.0], [5.0, 1.0, 1.0, 1.0]])
+    assigned = gate_and_associate(cost, active, ticks, 30.0)
+    assert assigned.tolist() == [[-1, -1, 3], [0, -1, -1]]
 
 
 def test_vap_table_validation():
@@ -129,7 +143,7 @@ def test_vap_table_validation():
     table = VapTable({1: ((0.0, 1.0), (2.0, 3.0))})
     assert table.active_sources(0.5) == [1]
     assert table.active_sources(1.5) == []
-    assert table.vap_at(1, 2.5) == 1
+    assert table.vap_index([2.5]).tolist() == [[1]]
     assert table.total_duration() == pytest.approx(2.0)
 
 
@@ -142,24 +156,30 @@ def test_align_vaps_shifts_by_propagation():
     assert shifted.intervals[1][0][1] == pytest.approx(2.01)
 
 
-def _slice(t, pairs=(), false=(), missed=()):
-    return AssociationSlice(t, tuple(pairs), tuple(false), tuple(missed))
+def test_vap_index_is_inclusive_and_first_vap_wins_where_two_touch():
+    table = VapTable({"b": ((0.0, 0.1), (0.2, 0.3)), "a": ((0.1, 0.2), (0.2, 0.4))})
+    clock = np.array([0.0, 0.1, 0.15, 0.2, 0.3, 0.35, 0.5])
+    assert table.vap_index(clock).tolist() == [[-1, 0, 0, 0, 1, 1, -1],
+                                               [0, 0, -1, 1, 1, -1, -1]]
 
 
-def _pair(source, est_id, d_az=0.0):
-    return ValidPair(source, est_id, d_az, 0.0)
+def _metrics(vaps, clock, ids, recording_duration, false=None, d_az_deg=0.0):
+    """compute_metrics of a hand-made association: `ids` holds one estimate id
+    per source (in `vaps.sources` order) and tick, 0 where none; `false` the
+    unpaired rows per tick; every association is off by `d_az_deg`."""
+    ids = np.reshape(ids, (len(vaps.intervals), len(clock)))
+    n_valid = int((ids > 0).sum())
+    errors = np.array([np.full(n_valid, d_az_deg), np.zeros(n_valid)])
+    false = np.zeros(len(clock), int) if false is None else np.array(false)
+    return compute_metrics(ids, vaps.vap_index(clock), false, errors, vaps, clock,
+                           recording_duration)
 
 
 def test_detect_fragmentation_break_and_swap():
     vaps = VapTable({1: ((0.0, 1.0),)})
-    slices = [
-        _slice(0.0, [_pair(1, 1)]),
-        _slice(0.1, [_pair(1, 1)]),
-        _slice(0.2, []),               # break
-        _slice(0.3, [_pair(1, 2)]),
-        _slice(0.4, [_pair(1, 3)]),    # swap
-    ]
-    breaks, swaps = detect_fragmentation(slices, vaps)
+    clock = [0.0, 0.1, 0.2, 0.3, 0.4]
+    ids = [[1, 1, 0, 2, 3]]  # a break at 0.2, a swap at 0.4
+    breaks, swaps = detect_fragmentation(np.array(ids), vaps.vap_index(clock))
     assert breaks.sum() == 1 and breaks[2] == 1
     assert swaps.sum() == 1 and swaps[4] == 1
 
@@ -167,22 +187,16 @@ def test_detect_fragmentation_break_and_swap():
 def test_detect_fragmentation_ignores_vap_boundaries():
     # losing the track between two distinct VAPs is not a break
     vaps = VapTable({1: ((0.0, 0.15), (0.35, 0.5))})
-    slices = [
-        _slice(0.0, [_pair(1, 1)]),
-        _slice(0.1, [_pair(1, 1)]),
-        _slice(0.2, []),
-        _slice(0.4, [_pair(1, 2)]),
-    ]
-    breaks, swaps = detect_fragmentation(slices, vaps)
+    clock = [0.0, 0.1, 0.2, 0.4]
+    breaks, swaps = detect_fragmentation(np.array([[1, 1, 0, 2]]), vaps.vap_index(clock))
     assert breaks.sum() == 0 and swaps.sum() == 0
 
 
 def test_compute_metrics_perfect_run():
     vaps = VapTable({1: ((0.0, 0.4),)})
     clock = np.arange(0.0, 0.5, 0.1)
-    slices = [_slice(t, [_pair(1, 1)]) if t <= 0.4 else _slice(t)
-              for t in clock]
-    rep = compute_metrics(slices, vaps, clock, recording_duration=0.5)
+    rep = _metrics(vaps, clock, [[1 if t <= 0.4 else 0 for t in clock]],
+                   recording_duration=0.5)
     assert rep.p_d == 1.0
     assert rep.far_recording == 0.0 and rep.far_vap == 0.0
     assert rep.track_latency_s == 0.0
@@ -194,8 +208,8 @@ def test_compute_metrics_perfect_run():
 def test_compute_metrics_bias_fixture():
     vaps = VapTable({1: ((0.0, 0.4),)})
     clock = np.arange(0.0, 0.5, 0.1)
-    slices = [_slice(t, [_pair(1, 1, D(5.0))]) for t in clock]
-    rep = compute_metrics(slices, vaps, clock, recording_duration=0.5)
+    rep = _metrics(vaps, clock, [[1] * len(clock)], recording_duration=0.5,
+                   d_az_deg=abs(math.degrees(D(5.0))))
     assert rep.mean_azimuth_error_deg == pytest.approx(5.0, abs=1e-9)
     assert rep.std_azimuth_error_deg == pytest.approx(0.0, abs=1e-9)
 
@@ -203,9 +217,8 @@ def test_compute_metrics_bias_fixture():
 def test_compute_metrics_latency_and_misses():
     vaps = VapTable({1: ((0.0, 1.0),)})
     clock = np.arange(0.0, 1.05, 0.1)
-    slices = [_slice(t, [] if t < 0.45 else [_pair(1, 1)],
-                     missed=[1] if t < 0.45 else []) for t in clock]
-    rep = compute_metrics(slices, vaps, clock, recording_duration=1.1)
+    rep = _metrics(vaps, clock, [[0 if t < 0.45 else 1 for t in clock]],
+                   recording_duration=1.1)
     assert rep.track_latency_s == pytest.approx(0.5)
     assert rep.p_d == pytest.approx(6 / 11)
     assert rep.missed_count == 5
@@ -215,16 +228,12 @@ def test_compute_metrics_false_alarm_rates():
     vaps = VapTable({1: ((0.0, 0.5),)})
     clock = np.arange(0.0, 1.05, 0.1)
     # 3 false alarms inside the VAP, 2 outside
-    slices = []
+    ids, false = [], []
     for i, t in enumerate(clock):
         in_vap = t <= 0.5
-        if i in (0, 2, 4):
-            slices.append(_slice(t, [_pair(1, 1)], false=[9]))
-        elif i in (7, 9):
-            slices.append(_slice(t, [], false=[9]))
-        else:
-            slices.append(_slice(t, [_pair(1, 1)] if in_vap else []))
-    rep = compute_metrics(slices, vaps, clock, recording_duration=2.0)
+        false.append(1 if i in (0, 2, 4, 7, 9) else 0)
+        ids.append(1 if i in (0, 2, 4) or (i not in (7, 9) and in_vap) else 0)
+    rep = _metrics(vaps, clock, [ids], recording_duration=2.0, false=false)
     assert rep.far_recording == pytest.approx(5 / 2.0)
     assert rep.far_vap == pytest.approx(3 / 0.5)
 
@@ -232,14 +241,14 @@ def test_compute_metrics_false_alarm_rates():
 def test_compute_metrics_undetected_vap():
     vaps = VapTable({1: ((0.0, 0.3),), 2: ((0.0, 0.3),)})
     clock = np.arange(0.0, 0.35, 0.1)
-    slices = [_slice(t, [_pair(1, 1)], missed=[2]) for t in clock]
-    rep = compute_metrics(slices, vaps, clock, recording_duration=0.4)
+    rep = _metrics(vaps, clock, [[1] * len(clock), [0] * len(clock)],
+                   recording_duration=0.4)
     assert rep.undetected_vaps == 1
     assert rep.track_latency_s == 0.0  # never-detected VAPs excluded
 
 
 def test_compute_metrics_undefined_without_vaps():
-    rep = compute_metrics([], VapTable({}), np.array([]), recording_duration=1.0)
+    rep = _metrics(VapTable({}), np.array([]), [], recording_duration=1.0)
     assert rep.undefined
     assert math.isnan(rep.p_d)
 
@@ -247,13 +256,9 @@ def test_compute_metrics_undefined_without_vaps():
 def test_tfr_counts_per_vap_second():
     vaps = VapTable({1: ((0.0, 2.0),)})
     clock = np.arange(0.0, 2.05, 0.1)
-    slices = []
-    for i, t in enumerate(clock):
-        if i == 10:
-            slices.append(_slice(t, []))  # one break
-        else:
-            slices.append(_slice(t, [_pair(1, 1 if i < 15 else 2)]))
-    rep = compute_metrics(slices, vaps, clock, recording_duration=2.1)
+    # one break at tick 10, one id swap at tick 15
+    ids = [0 if i == 10 else (1 if i < 15 else 2) for i in range(len(clock))]
+    rep = _metrics(vaps, clock, [ids], recording_duration=2.1)
     # one break plus one id swap over 2 s of activity
     assert rep.tfr == pytest.approx(2 / 2.0)
 
@@ -304,13 +309,35 @@ def test_evaluate_submission_samples_each_trajectory_once_per_call(monkeypatch):
 
 
 def test_ospa_series_cardinality_gap():
-    arr = static_trajectory(identity_pose(), 1.0)
-    src = static_trajectory(Pose(np.array([2.0, 0.0, 0.0]), np.eye(3)), 1.0)
-    clock = arr.timestamps
+    clock = static_trajectory(identity_pose(), 1.0).timestamps
     vaps = VapTable({"s1": ((0.0, 1.0),)})
-    truth_at = ground_truth_doas({"s1": src}, arr)
-    truths = [{n: d for n, d in truth_at(t).items() if n in vaps.active_sources(t)}
-              for t in clock]
-    series = ospa_series(truths, Submission({}), clock, OspaParams(1.0, 30.0))
+    series = ospa_series(np.zeros((1, len(clock))), vaps.vap_index(clock) >= 0, np.zeros(0),
+                         np.zeros(0, int), OspaParams(1.0, 30.0))
     assert np.all(series.values == 30.0)
     assert series.mean == pytest.approx(30.0)
+
+
+def test_submission_rows_sorted_by_time_and_stable_within_a_tick():
+    sub = Submission({0.5: ((3, Doa(D(10))), (1, Doa(D(-10)))), 0.25: ((2, Doa(D(190))),)})
+    assert sub.times.tolist() == [0.25, 0.5, 0.5]
+    assert sub.ids.tolist() == [2, 3, 1]
+    assert sub.azimuths[0] == Doa(D(190)).azimuth  # wrapped as Doa wraps it
+    assert not sub.times.flags.writeable
+    assert sub.timestamps == [0.25, 0.5] and sub.max_id == 3
+    assert sub.at(0.5) == ((3, Doa(D(10))), (1, Doa(D(-10))))
+    assert sub.at(0.75) == ()
+    assert sub.frames == {0.25: ((2, Doa(D(190))),), 0.5: sub.at(0.5)}
+    rows = Submission.from_rows([0.5, 0.25, 0.5], [3, 2, 1], [D(10), D(190), D(-10)])
+    assert rows.frames == sub.frames
+    with pytest.raises(ValueError):
+        Submission.from_rows([0.0], [0], [0.0])
+
+
+def test_submission_rows_map_to_the_nearest_clock_tick():
+    clock = np.arange(5) / 120.0
+    sub = Submission.from_rows([0.008333, 2 / 120 + 9e-7, 0.033334], [1, 1, 2], [0.0] * 3)
+    assert sub.ticks(clock).tolist() == [1, 2, 4]
+    for t in (0.0125, 0.008333 - 1.1e-6, 0.04, -0.001, float("nan")):
+        with pytest.raises(ValueError, match="not on the evaluation clock"):
+            Submission.from_rows([t], [1], [0.0]).ticks(clock)
+    assert Submission().ticks(clock).tolist() == []
