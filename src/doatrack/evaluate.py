@@ -1,10 +1,8 @@
 """Evaluation harness: VAP alignment, gating, association, measures, OSPA.
 
-A recording is scored from arrays: the truth as (S, T) azimuths and
-elevations of its sources (sorted) at the T clock ticks, with an (S, T) VAP
-index; each of the R submission rows mapped once to its clock tick; and one
-(S, R) array of angular errors between every source and every row, which
-association and the error measures read. OSPA wraps the same differences.
+A recording is scored from arrays: the truth at every clock tick, each
+submission row mapped once to its tick, and one (S, R) array of angular
+errors between every source and every row.
 
 Association uses azimuth error only (in degrees) against a 30 degree gate;
 elevation errors are reported for valid pairs but never drive assignment.
@@ -152,7 +150,7 @@ class Submission:
         """Index of the tick of `clock` (increasing) nearest each row.
 
         Raises ValueError naming the first row farther than TICK_TOLERANCE_S
-        from every tick.
+        from every tick, or a row whose id already has a row at its tick.
         """
         clock = np.asarray(clock, dtype=float)
         nearest = np.searchsorted((clock[:-1] + clock[1:]) / 2, self.times)
@@ -160,6 +158,11 @@ class Submission:
         if off.any():
             raise ValueError(f"timestamp {self.times[off][0]} is not on the evaluation "
                              f"clock (no tick within {TICK_TOLERANCE_S:g} s)")
+        order = np.lexsort((self.ids, nearest))
+        repeat = order[1:][(np.diff(nearest[order]) == 0) & (np.diff(self.ids[order]) == 0)]
+        if len(repeat):
+            raise ValueError(f"id {self.ids[repeat[0]]} has two rows at the clock tick of "
+                             f"timestamp {self.times[repeat[0]]}")
         return nearest
 
 
@@ -170,29 +173,13 @@ def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) 
     source and every row, `active` (S, T) the sources active at each tick,
     and `ticks` (R,) each row's tick, non-decreasing. At each tick the active
     sources and the tick's rows are paired at minimum total cost, and pairs
-    costing more than `gate_deg` are inadmissible. Where a tick has one
-    active source or one row, that is its nearest admissible partner; only
-    the other ticks, and ties for the nearest, run the assignment solver.
-    Returns the (S, T) assigned row, -1 where a source has none.
+    costing more than `gate_deg` are inadmissible. Returns the (S, T)
+    assigned row, -1 where a source has none.
     """
     assigned = np.full(active.shape, -1)
     n_rows = np.bincount(ticks, minlength=active.shape[1])
-    n_active = active.sum(axis=0)
-    solve = (n_active >= 2) & (n_rows >= 2)
-    # one source or one row: the cheapest admissible pair of the tick, unless
-    # two tie for it, which the solver settles as it always has
-    lone = (np.minimum(n_active, n_rows) == 1)[ticks]
-    sources, rows = np.nonzero(active[:, ticks] & (cost <= gate_deg) & lone)
-    order = np.lexsort((cost[sources, rows], ticks[rows]))
-    sources, rows = sources[order], rows[order]
-    tick, pair_cost = ticks[rows], cost[sources, rows]
-    solve[tick[1:][(tick[1:] == tick[:-1]) & (pair_cost[1:] == pair_cost[:-1])]] = True
-    _, first = np.unique(tick, return_index=True)
-    first = first[~solve[tick[first]]]
-    assigned[sources[first], tick[first]] = rows[first]
-
     first_row = np.cumsum(n_rows) - n_rows
-    for t in np.flatnonzero(solve):
+    for t in np.flatnonzero(active.any(axis=0) & (n_rows > 0)):
         sources = np.flatnonzero(active[:, t])
         rows = np.arange(first_row[t], first_row[t] + n_rows[t])
         for i, j in gated_assignment(cost[np.ix_(sources, rows)], gate_deg):
@@ -419,12 +406,8 @@ def ground_truth_doas(source_trajectories: dict, array_trajectory: Trajectory):
     """Callable t -> {source: Doa} in the array's local frame at time t: the
     one-time case of the arrays `evaluate_submission` builds, bit for bit."""
     sources = list(source_trajectories)
-
-    def doas_at(t):
-        azimuths, elevations = ground_truth_arrays(source_trajectories, array_trajectory,
-                                                   sources, [t])
-        return {n: Doa(az, el) for n, az, el in zip(sources, azimuths[:, 0], elevations[:, 0])}
-    return doas_at
+    return lambda t: dict(zip(sources, map(Doa, *ground_truth_arrays(
+        source_trajectories, array_trajectory, sources, [t])[:, :, 0])))
 
 
 def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,

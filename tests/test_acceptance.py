@@ -19,9 +19,8 @@ from doatrack.cli import run_pipeline
 from doatrack.corpus_io import (bundle_from_scene, read_recording,
                                 read_submission, write_recording,
                                 write_submission)
-from doatrack.evaluate import (OspaParams, Submission, VapTable, angular_errors,
-                               compute_metrics, evaluate_submission,
-                               gate_and_associate, ground_truth_doas, ospa)
+from doatrack.evaluate import (OspaParams, Submission, VapTable, compute_metrics,
+                               evaluate_submission, ground_truth_doas, ospa)
 from doatrack.geometry import (Doa, Pose, identity_pose, static_trajectory,
                                wrap_angle)
 from doatrack.localize import DoaEstimate, gcc_phat
@@ -109,14 +108,13 @@ def test_criterion_03_self_evaluation():
 # -- 4: 30-degree gate semantics ---------------------------------------------
 
 def test_criterion_04_gating_semantics():
-    truth, estimate = Doa(0.0), Doa(D(35.0))
-    d_az, _ = angular_errors(truth.azimuth, truth.elevation, estimate.azimuth,
-                             estimate.elevation)
-    # one tick, one active source, one row
-    assigned = gate_and_associate(np.array([[abs(math.degrees(d_az))]]), np.array([[True]]),
-                                  np.array([0]), gate_deg=30.0)
-    valid = int((assigned >= 0).sum())
-    ok = (valid, 1 - valid, 1 - valid) == (0, 1, 1)
+    # a one-tick recording: one active source at azimuth 0, one row at 35 deg
+    arr = static_trajectory(identity_pose(), 0.5)
+    src = static_trajectory(Pose(np.array([1.0, 0.0, 0.0]), np.eye(3)), 0.5)
+    rep = evaluate_submission({"s1": src}, arr, VapTable({"s1": ((0.0, 0.5),)}),
+                              Submission({0.0: ((1, Doa(D(35.0))),)}), np.array([0.0]),
+                              0.5, gate_deg=30.0, align=False)
+    ok = (rep.valid_count, rep.false_count, rep.missed_count) == (0, 1, 1)
     _report(4, "35-degree error with 30-degree gate: 0 valid, 1 false, 1 missed", ok)
 
 

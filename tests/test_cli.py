@@ -129,6 +129,15 @@ def test_evaluate_clock_mismatch(scene_dir, tmp_path):
     assert code == 2
 
 
+def test_evaluate_two_rows_of_one_id_at_one_tick(scene_dir, tmp_path):
+    # both times lie within 1e-6 s of tick 1, so id 1 would be scored twice there
+    bad = tmp_path / "bad.txt"
+    bad.write_text("timestamp source_id azimuth_deg\n0.008333 1 10.0\n0.008334 1 12.0\n")
+    code = _run("evaluate", "--input", str(scene_dir), "--submission", str(bad),
+                "--out", str(tmp_path / "rep"))
+    assert code == 2
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"task": 2, "duration": 1.0}))

@@ -341,3 +341,12 @@ def test_submission_rows_map_to_the_nearest_clock_tick():
         with pytest.raises(ValueError, match="not on the evaluation clock"):
             Submission.from_rows([t], [1], [0.0]).ticks(clock)
     assert Submission().ticks(clock).tolist() == []
+
+
+def test_two_rows_of_one_id_at_one_clock_tick_are_rejected():
+    clock = np.arange(5) / 120.0
+    assert Submission.from_rows([0.008333, 0.008334], [1, 2], [0.0] * 2).ticks(clock).tolist() \
+        == [1, 1]
+    for times in ([0.008333, 0.008334], [0.008333, 0.008333]):
+        with pytest.raises(ValueError, match="id 1 has two rows at the clock tick"):
+            Submission.from_rows(times + [0.025], [1, 1, 1], [0.0] * 3).ticks(clock)

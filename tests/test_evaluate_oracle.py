@@ -297,19 +297,3 @@ def recordings(draw):
 def test_evaluate_submission_matches_per_tick_reference(recording):
     _assert_same_report(evaluate_submission(**recording), ref_evaluate(**recording))
 
-
-def test_a_tie_between_sources_for_one_row_is_settled_as_the_solver_settles_it():
-    # two sources at one position, one row 10 deg away: the solver gives the
-    # row to the second source, not the first
-    clock = np.arange(9) / GROUND_TRUTH_RATE_HZ
-    src = static_trajectory(Pose(np.array([1.0, 0.0, 0.0]), np.eye(3)), float(clock[-1]))
-    recording = dict(
-        source_trajectories={"s1": src, "s2": src},
-        array_trajectory=static_trajectory(identity_pose(), float(clock[-1])),
-        vaps=VapTable({"s1": ((0.0, clock[8]),), "s2": ((clock[1], clock[8]),)}),
-        submission=Submission({float(clock[8]): ((1, Doa(math.radians(10.0))),)}),
-        clock=clock, recording_duration=float(clock[-1]), gate_deg=30.0,
-        ospa_params=(OspaParams(1.0, 30.0),), align=False)
-    report = evaluate_submission(**recording)
-    assert report.per_vap_valid[("s2", 0)][0] == 1
-    _assert_same_report(report, ref_evaluate(**recording))
