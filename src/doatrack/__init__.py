@@ -19,8 +19,7 @@ from .localize import (DoaEstimate, DoaGrid, IllConditionedError, NoSignalError,
                        SpatialSpectrum, TdoaEstimate, UnderdeterminedError,
                        UnsupportedGeometryError, azimuth_grid, expected_tdoa,
                        farfield_pair_tdoa, gcc_phat, music_spectrum,
-                       pseudo_intensity, sphere_grid, srp_argmax, srp_phat,
-                       tdoa_to_azimuth)
+                       pseudo_intensity, srp_argmax, srp_phat, tdoa_to_azimuth)
 from .assignment import gated_assignment, min_cost_assignment
 from .track import (FilterDivergenceError, ParticleSet, PfParams, TrackerConfig,
                     TrackState, WrappedMixture, kf_predict, kf_update, pf_step,

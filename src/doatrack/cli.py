@@ -22,13 +22,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .corpus_io import (CorpusFormatError, bundle_from_scene, read_recording,
                         read_submission, write_recording, write_submission)
-from .evaluate import (OspaParams, Submission, evaluate_submission)
+from .evaluate import DEFAULT_GATE_DEG, OspaParams, Submission, evaluate_submission
 from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, wrap_angle
-from .localize import (PEAK_TIE_REL, DoaEstimate, IllConditionedError,
+from .localize import (DEFAULT_BAND_HZ, PEAK_TIE_REL, DoaEstimate, IllConditionedError,
                        NoSignalError, UnsupportedGeometryError, azimuth_grid,
                        gcc_phat, music_spectrum, peak_index, pseudo_intensity,
                        srp_phat, tdoa_to_azimuth)
-from .sigproc import CrossSpectrum, block_cross_spectra, frame_signal
+from .sigproc import (DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, CrossSpectrum,
+                      block_cross_spectra, frame_signal)
 from .simulate import synthesize, task_preset
 from .track import FILTERS, TrackerConfig, track_lifecycle
 
@@ -46,9 +47,8 @@ class UsageError(Exception):
 
 def localize_stream(audio, geometry, localizer: str, f_s: float,
                     n_sources: int = 1, block_frames: int = 8,
-                    block_stride: int = 4, window_length: int = 2048,
-                    hop: int = 1024, band_hz=(300.0, 4000.0),
-                    c: float = SPEED_OF_SOUND, grid_resolution_deg: float = 1.0):
+                    block_stride: int = 4, window_length: int = DEFAULT_WINDOW_LENGTH,
+                    hop: int = DEFAULT_HOP, band_hz=DEFAULT_BAND_HZ):
     """Frame the audio and emit time-ordered azimuth estimates.
 
     Blocks whose broadband power sits at the noise floor are skipped so
@@ -74,11 +74,11 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     frame_energy = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
     energies = sliding_window_view(frame_energy, block_frames)[::block_stride].mean(axis=1)
     threshold = 0.05 * np.percentile(energies, 90)
-    grid = azimuth_grid(grid_resolution_deg)
+    grid = azimuth_grid()
     if localizer == "gcc-phat":
         pairs = geometry.pairs()
         mics = geometry.mic_positions
-        max_lags = [f_s / c * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
+        max_lags = [f_s / SPEED_OF_SOUND * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
                     for m, l in pairs]
     estimates = []
     for start, energy in zip(starts, energies):
@@ -88,9 +88,9 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
         t = float(0.5 * (block.times[0] + block.times[-1]))
         try:
             if localizer in ("srp-phat", "music"):
-                spec = (srp_phat(block, geometry, grid, f_s, c, band_hz)
+                spec = (srp_phat(block, geometry, grid, f_s, band_hz)
                         if localizer == "srp-phat" else
-                        music_spectrum(block, geometry, grid, n_sources, f_s, c, band_hz))
+                        music_spectrum(block, geometry, grid, n_sources, f_s, band_hz))
                 for az in _circular_peaks(grid.azimuths, spec.values, n_sources):
                     estimates.append(DoaEstimate(t, Doa(az)))
             elif localizer == "gcc-phat":
@@ -98,7 +98,7 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
                 spectra = [CrossSpectrum(g[:, m, l], (m, l), window_length)
                            for m, l in pairs]
                 tdoas = gcc_phat(spectra, max_lags)
-                doa = tdoa_to_azimuth(tdoas, geometry, f_s, c, grid_resolution_deg)
+                doa = tdoa_to_azimuth(tdoas, geometry, f_s)
                 estimates.append(DoaEstimate(t, doa))
             else:  # pseudo-intensity
                 per_frame = pseudo_intensity(block, geometry, f_s, band_hz)
@@ -110,17 +110,17 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     return estimates
 
 
-def _circular_peaks(azimuths, values, k: int, min_sep_deg: float = 10.0):
+def _circular_peaks(azimuths, values, k: int):
     """Top-k local maxima of a spectrum on a circular azimuth grid.
 
-    Peaks are taken greedily, highest first, each at least `min_sep_deg` from
+    Peaks are taken greedily, highest first, each at least 10 degrees from
     those already taken; ties follow `srp_argmax`'s rule.
     """
     tolerance = PEAK_TIE_REL * np.abs(values).max()
     is_peak = (values >= np.roll(values, 1)) & (values > np.roll(values, -1))
     candidates = np.flatnonzero(is_peak)
     picked = []
-    min_sep = math.radians(min_sep_deg)
+    min_sep = math.radians(10.0)
     while candidates.size and len(picked) < k:
         best = candidates[peak_index(values[candidates], azimuths[candidates], tolerance)]
         picked.append(azimuths[best])
@@ -259,8 +259,8 @@ def cmd_simulate(args) -> int:
 
 RUN_DEFAULTS = {
     "localizer": "srp-phat", "tracker": "kalman", "n_sources": 1, "seed": 0,
-    "block_frames": 8, "block_stride": 4, "window": 2048, "hop": 1024,
-    "band_low": 300.0, "band_high": 4000.0,
+    "block_frames": 8, "block_stride": 4, "window": DEFAULT_WINDOW_LENGTH,
+    "hop": DEFAULT_HOP, "band_low": DEFAULT_BAND_HZ[0], "band_high": DEFAULT_BAND_HZ[1],
 }
 
 
@@ -288,7 +288,7 @@ def cmd_run(args) -> int:
 
 
 EVALUATE_DEFAULTS = {
-    "gate": 30.0, "ospa_p": "1,5", "ospa_c": 30.0, "ospa_series": False,
+    "gate": DEFAULT_GATE_DEG, "ospa_p": "1,5", "ospa_c": 30.0, "ospa_series": False,
 }
 
 

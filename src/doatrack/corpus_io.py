@@ -20,8 +20,8 @@ import numpy as np
 from scipy.io import wavfile
 
 from .evaluate import Submission, VapTable
-from .geometry import GROUND_TRUTH_RATE_HZ, Pose, Trajectory, wrap_angle
-from .sigproc import MultichannelAudio
+from .geometry import Pose, Trajectory, wrap_angle
+from .sigproc import DEFAULT_SAMPLE_RATE, MultichannelAudio
 
 import logging
 
@@ -71,11 +71,7 @@ def _trajectory_from_table(table: np.ndarray, path: Path) -> Trajectory:
         )
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from None
-    if len(poses) > 1:
-        rate = 1.0 / float(np.median(np.diff(table[:, 0])))
-    else:
-        rate = GROUND_TRUTH_RATE_HZ
-    return Trajectory(poses, rate)
+    return Trajectory(poses)
 
 
 def _trajectory_to_table(traj: Trajectory) -> np.ndarray:
@@ -122,8 +118,9 @@ def read_recording(path) -> RecordingBundle:
     if not audio_path.is_file():
         raise FileNotFoundError(f"missing required file: {audio_path}")
     rate, samples = wavfile.read(audio_path)
-    if rate != 48000:
-        log.warning("%s: sample rate %d Hz, expected 48000", audio_path, rate)
+    if rate != DEFAULT_SAMPLE_RATE:
+        log.warning("%s: sample rate %d Hz, expected %d", audio_path, rate,
+                    DEFAULT_SAMPLE_RATE)
     if samples.ndim == 1:
         samples = samples[:, None]
     if np.issubdtype(samples.dtype, np.integer):

@@ -77,15 +77,15 @@ class VapTable:
         return sum(b - a for spans in self.intervals.values() for a, b in spans)
 
 
-def align_vaps(vaps: VapTable, source_trajectories: dict, array_trajectory: Trajectory,
-               c: float = SPEED_OF_SOUND) -> VapTable:
+def align_vaps(vaps: VapTable, source_trajectories: dict,
+               array_trajectory: Trajectory) -> VapTable:
     """Shift emission-side VAP boundaries by the source-to-array propagation delay."""
     shifted = {}
     for n, spans in vaps.intervals.items():
         bounds = np.reshape(spans, -1)  # start, end, start, end, ...
         src, _ = sample_trajectory(source_trajectories[n], bounds)
         arr, _ = sample_trajectory(array_trajectory, bounds)
-        shifted[n] = (bounds + row_norms(src - arr) / c).reshape(-1, 2).tolist()
+        shifted[n] = (bounds + row_norms(src - arr) / SPEED_OF_SOUND).reshape(-1, 2).tolist()
     return VapTable(shifted)
 
 
@@ -415,7 +415,6 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
                         recording_duration: float,
                         gate_deg: float = DEFAULT_GATE_DEG,
                         ospa_params=(OspaParams(1.0, 30.0), OspaParams(5.0, 30.0)),
-                        c: float = SPEED_OF_SOUND,
                         align: bool = True) -> MetricsReport:
     """Run the complete evaluation pipeline for one recording.
 
@@ -425,7 +424,7 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
     array of angular errors between every source and every row.
     """
     clock = np.asarray(clock, dtype=float)
-    aligned = align_vaps(vaps, source_trajectories, array_trajectory, c) if align else vaps
+    aligned = align_vaps(vaps, source_trajectories, array_trajectory) if align else vaps
     vap_index = aligned.vap_index(clock)
     active = vap_index >= 0
     truth_az, truth_el = ground_truth_arrays(source_trajectories, array_trajectory,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_SOUND = 343.0  # m/s, configurable per call where relevant
+SPEED_OF_SOUND = 343.0  # m/s, in simulation, steering and VAP alignment alike
 GROUND_TRUTH_RATE_HZ = 120.0  # pose samples and evaluation clock
 
 
@@ -150,7 +150,6 @@ class Trajectory:
     also held as read-only arrays `timestamps`, `translations` and `rotations`."""
 
     samples: tuple
-    rate_hz: float = GROUND_TRUTH_RATE_HZ
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -159,8 +158,6 @@ class Trajectory:
         times = np.array([p.timestamp for p in samples])
         if np.any(np.diff(times) <= 0):
             raise ValueError("pose timestamps must be strictly increasing")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
         object.__setattr__(self, "samples", samples)
         for name, values in (("timestamps", times),
                              ("translations", np.array([p.translation for p in samples])),
@@ -177,14 +174,13 @@ class Trajectory:
         return self.samples[-1].timestamp
 
 
-def static_trajectory(pose: Pose, duration: float,
-                      rate_hz: float = GROUND_TRUTH_RATE_HZ) -> Trajectory:
-    """Constant-pose trajectory covering [pose.timestamp, pose.timestamp + duration]."""
-    n = int(round(duration * rate_hz)) + 1
-    samples = [
-        Pose(pose.translation, pose.rotation, pose.timestamp + i / rate_hz) for i in range(n)
-    ]
-    return Trajectory(tuple(samples), rate_hz)
+def static_trajectory(pose: Pose, duration: float) -> Trajectory:
+    """Constant-pose trajectory covering [pose.timestamp, pose.timestamp + duration]
+    at the ground-truth rate."""
+    n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
+    samples = [Pose(pose.translation, pose.rotation, pose.timestamp + i / GROUND_TRUTH_RATE_HZ)
+               for i in range(n)]
+    return Trajectory(tuple(samples))
 
 
 def sample_trajectory(traj: Trajectory, times):
@@ -340,8 +336,6 @@ ARRAY_PRESETS = {
     "dicit_32cm": dicit_subarray_32cm,
     "hearing_aids": hearing_aids_geometry,
 }
-
-SPHERICAL_PRESETS = ("robot_head", "eigenmike")
 
 
 def get_array_preset(name: str) -> ArrayGeometry:

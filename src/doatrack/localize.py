@@ -27,11 +27,13 @@ from .geometry import (
     Doa,
     doa_to_unit_vector,
     unit_vector_to_doa,
-    wrap_angle,
 )
 from .sigproc import CHUNK_ELEMENTS, CrossSpectrum, Stft, block_cross_spectra
 
 DEFAULT_BAND_HZ = (300.0, 4000.0)
+GRID_RESOLUTION_DEG = 1.0  # azimuth step of the grid searches
+GCC_INTERPOLATION = 4  # GCC lag axis oversampling
+MUSIC_DIAGONAL_LOADING = 1e-6  # of the mean eigenvalue, added to every bin's correlation
 PHAT_FLOOR_REL = 1e-12  # bins below this fraction of max |G| get zero weight
 # spectrum values within this fraction of the peak tie with it; on a linear
 # array a direction and its mirror image differ only by rounding
@@ -69,7 +71,6 @@ class DoaGrid:
     """Candidate directions for grid-search localizers."""
 
     directions: tuple
-    resolution_deg: float
 
     def __post_init__(self):
         directions = tuple(self.directions)
@@ -97,30 +98,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 # tdoa_to_azimuth asks for the same grid once per block
 @lru_cache(maxsize=16)
-def azimuth_grid(resolution_deg: float = 1.0, elevation: float = np.pi / 2) -> DoaGrid:
-    """Azimuth-only grid covering [-180, 180) degrees at fixed elevation."""
+def azimuth_grid(resolution_deg: float = GRID_RESOLUTION_DEG) -> DoaGrid:
+    """Azimuth-only grid covering [-180, 180) degrees in the horizontal plane."""
     n = int(round(360.0 / resolution_deg))
     azimuths = np.radians(-180.0 + resolution_deg * np.arange(n))
-    return DoaGrid(tuple(Doa(a, elevation) for a in azimuths), resolution_deg)
-
-
-def sphere_grid(resolution_deg: float = 2.0) -> DoaGrid:
-    """Near-uniform full-sphere grid (Fibonacci lattice) at the given spacing."""
-    spacing = np.radians(resolution_deg)
-    count = max(int(np.ceil(4.0 * np.pi / spacing**2)), 16)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    elevation = np.arccos(np.clip(z, -1.0, 1.0))
-    azimuth = wrap_angle(golden * i)
-    return DoaGrid(tuple(Doa(a, e) for a, e in zip(azimuth, elevation)), resolution_deg)
+    return DoaGrid(tuple(Doa(a) for a in azimuths))
 
 
 @dataclass(frozen=True)
 class SpatialSpectrum:
     grid: DoaGrid
     values: np.ndarray
-    kind: str  # "SRP" | "MUSIC" | "PIV-histogram"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -149,8 +137,8 @@ class DoaEstimate:
 # TDoA / GCC-PHAT
 # ---------------------------------------------------------------------------
 
-def expected_tdoa(source_pos, mic_m, mic_l, f_s: float, c: float = SPEED_OF_SOUND) -> float:
-    """TDoA in samples: (f_s/c) * (||s - x_m|| - ||s - x_l||)."""
+def expected_tdoa(source_pos, mic_m, mic_l, f_s: float) -> float:
+    """TDoA in samples: (f_s/c) * (||s - x_m|| - ||s - x_l||), c = SPEED_OF_SOUND."""
     source_pos = np.asarray(source_pos, dtype=float)
     mic_m = np.asarray(mic_m, dtype=float)
     mic_l = np.asarray(mic_l, dtype=float)
@@ -158,50 +146,47 @@ def expected_tdoa(source_pos, mic_m, mic_l, f_s: float, c: float = SPEED_OF_SOUN
     d_l = np.linalg.norm(source_pos - mic_l)
     if d_m < 1e-9 or d_l < 1e-9:
         raise DegenerateGeometryError("source coincides with a microphone")
-    return float(f_s / c * (d_m - d_l))
+    return float(f_s / SPEED_OF_SOUND * (d_m - d_l))
 
 
-def farfield_pair_tdoa(unit_dirs, mic_m, mic_l, f_s: float, c: float = SPEED_OF_SOUND):
+def farfield_pair_tdoa(unit_dirs, mic_m, mic_l, f_s: float):
     """Far-field TDoA (samples) of pair (m, l) for plane waves from given directions."""
     unit_dirs = np.atleast_2d(np.asarray(unit_dirs, dtype=float))
     baseline = np.asarray(mic_l, dtype=float) - np.asarray(mic_m, dtype=float)
-    return f_s / c * unit_dirs @ baseline
+    return f_s / SPEED_OF_SOUND * unit_dirs @ baseline
 
 
-def gcc_phat(cs, max_lag, interpolation: int = 4):
+def gcc_phat(cs, max_lag):
     """Estimate the dominant delay from a phase-transformed cross spectrum.
 
-    The GCC is evaluated on an `interpolation`-times oversampled lag axis and
+    The GCC is evaluated on a GCC_INTERPOLATION-times oversampled lag axis and
     the peak refined by parabolic interpolation. `cs` is one CrossSpectrum,
     or a sequence of them sharing one window length, with `max_lag` a float
     or one per spectrum; a sequence gives a list of estimates, computed in
     batches of pairs.
     """
-    if interpolation < 1:
-        raise ValueError("interpolation factor must be >= 1")
     if isinstance(cs, CrossSpectrum):
-        return _gcc_phat_batch([cs], np.array([max_lag], dtype=float), interpolation)[0]
+        return _gcc_phat_batch([cs], np.array([max_lag], dtype=float))[0]
     spectra = list(cs)
     max_lags = np.broadcast_to(np.asarray(max_lag, dtype=float), (len(spectra),))
-    nfft = spectra[0].window_length * interpolation
+    nfft = spectra[0].window_length * GCC_INTERPOLATION
     step = max(1, CHUNK_ELEMENTS // nfft)
     estimates = []
     for start in range(0, len(spectra), step):
-        estimates += _gcc_phat_batch(spectra[start:start + step],
-                                     max_lags[start:start + step], interpolation)
+        estimates += _gcc_phat_batch(spectra[start:start + step], max_lags[start:start + step])
     return estimates
 
 
-def _gcc_phat_batch(spectra, max_lags, interpolation):
+def _gcc_phat_batch(spectra, max_lags):
     g = np.array([s.values for s in spectra], dtype=complex)  # (pairs, bins)
     mag = np.abs(g)
     peak_mag = mag.max(axis=1, keepdims=True)
     if np.any(peak_mag <= 0.0):
         raise NoSignalError("all-zero cross spectrum")
     weights = np.where(mag > PHAT_FLOOR_REL * peak_mag, 1.0 / np.maximum(mag, 1e-300), 0.0)
-    nfft = spectra[0].window_length * interpolation
+    nfft = spectra[0].window_length * GCC_INTERPOLATION
     cc = np.fft.irfft(g * weights, n=nfft)
-    max_shift = np.minimum(np.floor(max_lags * interpolation).astype(int), nfft // 2 - 1)
+    max_shift = np.minimum(np.floor(max_lags * GCC_INTERPOLATION).astype(int), nfft // 2 - 1)
     if max_shift.min() < 1:
         raise ValueError("max_lag too small for the lag axis")
     # lags -shift..shift of every pair; lags beyond a pair's own max_shift are masked
@@ -212,7 +197,7 @@ def _gcc_phat_batch(spectra, max_lags, interpolation):
     idx = np.argmax(np.where(inside, cc, -np.inf), axis=1)
     rows = np.arange(len(cc))
     peak = cc[rows, idx]
-    delay = offset_idx[idx] / interpolation
+    delay = offset_idx[idx] / GCC_INTERPOLATION
     # parabolic refinement unless the peak sits on an edge of the pair's window
     y0 = cc[rows, np.maximum(idx - 1, 0)]
     y2 = cc[rows, np.minimum(idx + 1, 2 * shift)]
@@ -220,12 +205,11 @@ def _gcc_phat_batch(spectra, max_lags, interpolation):
     refine = (np.abs(offset_idx[idx]) < max_shift) & (np.abs(denom) > 1e-30)
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
-    delay = np.where(refine, delay + offset / interpolation, delay)
+    delay = np.where(refine, delay + offset / GCC_INTERPOLATION, delay)
     return [TdoaEstimate(s.pair, float(d), float(p)) for s, d, p in zip(spectra, delay, peak)]
 
 
-def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float,
-                    c: float = SPEED_OF_SOUND, resolution_deg: float = 1.0) -> Doa:
+def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float) -> Doa:
     """Least-squares triangulation of pair delays on a far-field azimuth grid.
 
     Ties are broken towards the smallest azimuth wrapped into [0, 2*pi).
@@ -233,13 +217,13 @@ def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float,
     estimates = list(estimates)
     if not estimates:
         raise UnderdeterminedError("no TDoA estimates to triangulate")
-    grid = azimuth_grid(resolution_deg)
+    grid = azimuth_grid()
     pairs = np.array([est.pair for est in estimates])
     delays = np.array([est.delay for est in estimates])
     mics = geometry.mic_positions
     baselines = mics[pairs[:, 1]] - mics[pairs[:, 0]]
     # expected far-field delay of every pair (rows) from every grid direction
-    expected = baselines @ (f_s / c * grid.unit_vectors).T
+    expected = baselines @ (f_s / SPEED_OF_SOUND * grid.unit_vectors).T
     cost = np.sum((delays[:, None] - expected) ** 2, axis=0)
     return grid.directions[peak_index(-cost, grid.azimuths, 1e-9)]
 
@@ -269,8 +253,7 @@ def _band_bins(window_length: int, f_s: float, band_hz):
     return bins
 
 
-def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int,
-              f_s: float, c: float):
+def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int, f_s: float):
     """Per-mic far-field steering phases A[k, x, m] = exp(i w_k t_m(x)), in chunks of bins.
 
     t_m(x) = (f_s / c) x . (r_m - centroid) is how many samples earlier mic m
@@ -282,7 +265,7 @@ def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int,
     Yields (bin slice, array of shape (chunk bins, directions, mics)).
     """
     mics = geometry.mic_positions - geometry.centroid
-    lead = (f_s / c) * grid.unit_vectors @ mics.T  # (directions, mics)
+    lead = (f_s / SPEED_OF_SOUND) * grid.unit_vectors @ mics.T  # (directions, mics)
     omega = 2.0 * np.pi * bins / window_length
     next_bin = np.exp(1j * (2.0 * np.pi / window_length) * lead)
     step = max(1, CHUNK_ELEMENTS // lead.size)
@@ -298,7 +281,7 @@ def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int,
 
 
 def srp_phat(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
-             c: float = SPEED_OF_SOUND, band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
+             band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
     """Steered response power with PHAT pre-whitening over a direction grid.
 
     P(x) = sum over all microphone pairs (self pairs included) of the GCC
@@ -327,11 +310,11 @@ def srp_phat(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
     upper = np.triu(phat, 1).transpose(0, 2, 1)  # [k, l, m] = PHAT(G_k)[m, l] for m < l
     # self terms contribute a direction-independent offset of channels * len(bins)
     values = np.full(len(grid), float(channels * len(bins)))
-    for chunk, steer in _steering(geometry, grid, bins, window_length, f_s, c):
+    for chunk, steer in _steering(geometry, grid, bins, window_length, f_s):
         weighted = steer @ upper[chunk]  # [k, x, m] = sum_l PHAT(G_k)[m, l] A[k, x, l]
         # Re(conj(a) w) = a.real w.real + a.imag w.imag, summed over bins and mics
         values += 2.0 * np.einsum("kxj,kxj->x", steer.view(float), weighted.view(float))
-    return SpatialSpectrum(grid, values, "SRP")
+    return SpatialSpectrum(grid, values)
 
 
 def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
@@ -350,8 +333,7 @@ def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
 # ---------------------------------------------------------------------------
 
 def music_spectrum(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, n_sources: int,
-                   f_s: float, c: float = SPEED_OF_SOUND, band_hz=DEFAULT_BAND_HZ,
-                   diagonal_loading: float = 1e-6) -> SpatialSpectrum:
+                   f_s: float, band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
     """Broadband MUSIC pseudo-spectrum.
 
     Each narrowband spatial correlation matrix is eigendecomposed; the
@@ -371,7 +353,7 @@ def music_spectrum(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, n_sourc
     window_length = frames.window_length
     bins = _band_bins(window_length, f_s, band_hz)
     r = block_cross_spectra(frames, bins)  # E[x x^H] per bin, x the channel vector
-    load = diagonal_loading * np.real(np.trace(r, axis1=1, axis2=2)) / channels
+    load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=1, axis2=2)) / channels
     r = r + load[:, None, None] * np.eye(channels)
     eigvals, eigvecs = np.linalg.eigh(r)
     # 2-norm condition number of a Hermitian matrix; an all-zero bin gives nan
@@ -383,16 +365,16 @@ def music_spectrum(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, n_sourc
         raise IllConditionedError(f"correlation matrix ill-conditioned at bin {bins[bad[0]]}")
     u_s = eigvecs[:, :, channels - n_sources:]  # signal subspace per bin
     broadband = np.zeros(len(grid))
-    for chunk, v in _steering(geometry, grid, bins, window_length, f_s, c):
-        u = u_s[chunk]
-        # rows of v are steering vectors; remove their signal-subspace part
-        proj = v - (v @ u.conj()) @ u.transpose(0, 2, 1)
-        flat = proj.view(float)  # squared norm of each row: sum of real^2 + imag^2
-        denom = np.einsum("kij,kij->ki", flat, flat)
+    for chunk, v in _steering(geometry, grid, bins, window_length, f_s):
+        # rows of v are unit-modulus steering vectors, so the squared norm of
+        # their noise-subspace part is channels minus that of their
+        # signal-subspace coordinates w (sum of real^2 + imag^2)
+        w = (v @ u_s[chunk].conj()).view(float)
+        denom = channels - np.einsum("kij,kij->ki", w, w)
         narrow = 1.0 / np.maximum(denom, 1e-30)
         broadband += (narrow / narrow.max(axis=1, keepdims=True)).sum(axis=0)
     broadband /= len(bins)
-    return SpatialSpectrum(grid, broadband, "MUSIC")
+    return SpatialSpectrum(grid, broadband)
 
 
 # ---------------------------------------------------------------------------

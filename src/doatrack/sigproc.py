@@ -128,21 +128,12 @@ def block_cross_spectra(frames: Stft, bins=None) -> np.ndarray:
     return x @ np.conj(x.transpose(0, 2, 1)) / len(frames)
 
 
-def cross_power_spectrum(frames: Stft, pair, averaging_frames: int | None = None) -> CrossSpectrum:
-    """Block-mean cross-power spectrum G_{m,l} = mean_k S_m(k) conj(S_l(k)).
-
-    The pair (m, l) of `block_cross_spectra` over the first
-    `averaging_frames` frames.
-    """
-    if not frames:
-        raise ValueError("empty frame block")
-    if averaging_frames is None:
-        averaging_frames = len(frames)
-    if averaging_frames < 1:
-        raise ValueError("averaging_frames must be >= 1")
+def cross_power_spectrum(frames: Stft, pair) -> CrossSpectrum:
+    """Block-mean cross-power spectrum G_{m,l} = mean_k S_m(k) conj(S_l(k)),
+    the pair (m, l) of `block_cross_spectra`."""
     m, l = pair
     channels = frames.channel_count
     if not (0 <= m < channels and 0 <= l < channels):
         raise ValueError(f"channel pair {pair} out of range for {channels} channels")
-    g = block_cross_spectra(frames[:averaging_frames])
+    g = block_cross_spectra(frames)
     return CrossSpectrum(g[:, m, l], (m, l), frames.window_length)

@@ -80,11 +80,9 @@ class SceneConfig:
     array_trajectory: Trajectory
     sources: tuple  # of SourceConfig
     snr_db: float = 20.0
-    noise: str = "white"  # "white" | "pink"
     noise_rms: float = 0.01
     seed: int = 0
     sample_rate_hz: float = 48000.0
-    speed_of_sound: float = SPEED_OF_SOUND
     task: int = 0
 
     def __post_init__(self):
@@ -112,13 +110,13 @@ class Scene:
     config: SceneConfig
 
 
-def _vap_envelope(n_samples: int, fs: float, vaps, ramp: float = VAP_RAMP) -> np.ndarray:
-    """Soft activity gate: 1 inside VAPs, 0 outside, raised-cosine edges."""
+def _vap_envelope(n_samples: int, fs: float, vaps) -> np.ndarray:
+    """Soft activity gate: 1 inside VAPs, 0 outside, raised-cosine edges of VAP_RAMP."""
     t = np.arange(n_samples) / fs
     env = np.zeros(n_samples)
     for a, b in vaps:
-        rise = np.clip((t - a) / ramp, 0.0, 1.0)
-        fall = np.clip((b - t) / ramp, 0.0, 1.0)
+        rise = np.clip((t - a) / VAP_RAMP, 0.0, 1.0)
+        fall = np.clip((b - t) / VAP_RAMP, 0.0, 1.0)
         seg = 0.5 * (1 - np.cos(np.pi * rise)) * 0.5 * (1 - np.cos(np.pi * fall))
         env = np.maximum(env, np.where((t >= a) & (t <= b), seg, 0.0))
     return env
@@ -143,16 +141,6 @@ def _source_signal(kind: str, n_samples: int, fs: float, rng: np.random.Generato
     if kind == "speech":
         return _speech_like(n_samples, fs, rng)
     raise ValueError(f"unknown signal kind {kind!r}")
-
-
-def _pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """1/f noise via spectral shaping, unit RMS."""
-    white = rng.standard_normal(n_samples)
-    spectrum = np.fft.rfft(white)
-    freqs = np.arange(len(spectrum), dtype=float)
-    freqs[0] = 1.0
-    pink = np.fft.irfft(spectrum / np.sqrt(freqs), n=n_samples)
-    return pink / np.sqrt(np.mean(pink**2))
 
 
 def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.ndarray:
@@ -203,7 +191,6 @@ def _mic_global_positions(config: SceneConfig, gt_times: np.ndarray) -> np.ndarr
 def synthesize(config: SceneConfig) -> Scene:
     """Render a scene to multichannel audio; deterministic for a given config."""
     fs = config.sample_rate_hz
-    c = config.speed_of_sound
     n_samples = int(round(config.duration * fs))
     n_mics = config.array.mic_count
     gt_times = np.arange(0.0, config.duration + 0.5 / GROUND_TRUTH_RATE_HZ,
@@ -249,15 +236,10 @@ def synthesize(config: SceneConfig) -> Scene:
                 )
             dist = np.interp(sample_times, gt_times, dist_gt)
             gain = 1.0 / np.maximum(dist, GUARD_RADIUS)
-            read_index = np.arange(n_samples) - fs * dist / c
+            read_index = np.arange(n_samples) - fs * dist / SPEED_OF_SOUND
             audio[m] += gain * _fractional_delay_read(emitted, read_index)
 
-    if config.noise == "white":
-        noise = noise_rng.standard_normal((n_mics, n_samples))
-    elif config.noise == "pink":
-        noise = np.array([_pink_noise(n_samples, noise_rng) for _ in range(n_mics)])
-    else:
-        raise ValueError(f"unknown noise kind {config.noise!r}")
+    noise = noise_rng.standard_normal((n_mics, n_samples))
     noise /= np.sqrt(np.mean(noise**2))
 
     if config.sources and vap_mask_any.any():
@@ -283,8 +265,9 @@ def synthesize(config: SceneConfig) -> Scene:
 # Task presets
 # ---------------------------------------------------------------------------
 
-def _random_vaps(duration: float, rng: np.random.Generator, duty: float = 0.7):
-    """Alternating speech/pause intervals with roughly the requested duty cycle."""
+def _random_vaps(duration: float, rng: np.random.Generator):
+    """Alternating speech/pause intervals, speech roughly 70 % of the time."""
+    duty = 0.7
     vaps = []
     t = float(rng.uniform(0.05, 0.3))
     while t < duration - 0.5:
@@ -300,9 +283,10 @@ def _random_vaps(duration: float, rng: np.random.Generator, duty: float = 0.7):
 
 
 def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
-                            start: np.ndarray, max_speed: float = 1.2,
-                            bounds: float = 3.0) -> Trajectory:
-    """Piecewise-smooth random walk at the ground-truth rate."""
+                            start: np.ndarray) -> Trajectory:
+    """Piecewise-smooth random walk at the ground-truth rate, at most 1.2 m/s,
+    held within 3 m of the origin along x and y."""
+    max_speed, bounds = 1.2, 3.0
     n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
     dt = 1.0 / GROUND_TRUTH_RATE_HZ
     # Ornstein-Uhlenbeck velocity, then clip speed
@@ -318,12 +302,12 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
     # reflect at a soft boundary box around the origin
     pos[:, :2] = np.clip(pos[:, :2], -bounds, bounds)
     samples = [Pose(pos[i], np.eye(3), i * dt) for i in range(n)]
-    return Trajectory(tuple(samples), GROUND_TRUTH_RATE_HZ)
+    return Trajectory(tuple(samples))
 
 
-def _rotating_array_trajectory(duration: float, rng: np.random.Generator,
-                               radius: float = 0.4) -> Trajectory:
-    """Array drifting on a small circle while rotating about +z."""
+def _rotating_array_trajectory(duration: float, rng: np.random.Generator) -> Trajectory:
+    """Array drifting on a circle of 0.4 m radius while rotating about +z."""
+    radius = 0.4
     n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
     dt = 1.0 / GROUND_TRUTH_RATE_HZ
     rate = float(rng.uniform(0.2, 0.5)) * (1 if rng.random() < 0.5 else -1)  # rad/s
@@ -336,14 +320,14 @@ def _rotating_array_trajectory(duration: float, rng: np.random.Generator,
         ca, sa = np.cos(angle), np.sin(angle)
         rot = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
         samples.append(Pose(trans, rot, t))
-    return Trajectory(tuple(samples), GROUND_TRUTH_RATE_HZ)
+    return Trajectory(tuple(samples))
 
 
 def _static_source(duration: float, rng: np.random.Generator) -> Trajectory:
     radius = float(rng.uniform(1.5, 2.5))
     azimuth = float(rng.uniform(-np.pi, np.pi))
     pos = np.array([radius * np.cos(azimuth), radius * np.sin(azimuth), 0.0])
-    return static_trajectory(Pose(pos, np.eye(3)), duration, GROUND_TRUTH_RATE_HZ)
+    return static_trajectory(Pose(pos, np.eye(3)), duration)
 
 
 def task_preset(task: int, seed: int, duration: float = 10.0,
@@ -367,7 +351,7 @@ def task_preset(task: int, seed: int, duration: float = 10.0,
     if moving_array:
         array_traj = _rotating_array_trajectory(duration, rng)
     else:
-        array_traj = static_trajectory(identity_pose(), duration, GROUND_TRUTH_RATE_HZ)
+        array_traj = static_trajectory(identity_pose(), duration)
 
     sources = []
     for _ in range(n_sources):
@@ -386,7 +370,6 @@ def task_preset(task: int, seed: int, duration: float = 10.0,
         array_trajectory=array_traj,
         sources=tuple(sources),
         snr_db=snr_db,
-        noise="white",
         seed=seed,
         task=task,
     )

@@ -15,12 +15,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assignment import gated_assignment
+from .evaluate import DEFAULT_GATE_DEG
 from .geometry import wrap_angle
 
 logger = logging.getLogger(__name__)
 
 FILTERS = ("kalman", "wrapped-kalman", "particle")
 PF_PARTICLES = 500  # particles per track of the `particle` filter
+PF_RESAMPLE_THRESHOLD = 0.5  # resample when the effective sample size drops below this share
+WKF_COMPONENTS = 8  # most mixture components a wrapped-KF track keeps
+WKF_PRUNE_WEIGHT = 1e-4  # posterior components lighter than this are dropped
 
 
 class FilterDivergenceError(ArithmeticError):
@@ -91,10 +95,6 @@ def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState
     return replace(state, mean=mean, covariance=cov)
 
 
-def innovation_variance(state: TrackState, obs_noise_var: float) -> float:
-    return float(state.covariance[0, 0] + obs_noise_var)
-
-
 # ---------------------------------------------------------------------------
 # Wrapped Kalman filter
 # ---------------------------------------------------------------------------
@@ -104,7 +104,6 @@ class WrappedMixture:
     """Gaussian mixture over the azimuth state, one component per wrap hypothesis."""
 
     components: tuple  # of (weight, mean, covariance)
-    cap: int = 8
 
     def __post_init__(self):
         comps = []
@@ -122,8 +121,8 @@ class WrappedMixture:
         object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
-    def from_state(cls, state: TrackState, cap: int = 8) -> "WrappedMixture":
-        return cls(((1.0, state.mean, state.covariance),), cap)
+    def from_state(cls, state: TrackState) -> "WrappedMixture":
+        return cls(((1.0, state.mean, state.covariance),))
 
     def circular_mean(self) -> float:
         z = sum(w * np.exp(1j * mean[0]) for w, mean, _ in self.components)
@@ -146,11 +145,12 @@ def wrapped_kf_predict(mix: WrappedMixture, dt: float, process_noise: float) -> 
     comps = tuple(
         (w, f @ mean, f @ cov @ f.T + q) for w, mean, cov in mix.components
     )
-    return WrappedMixture(comps, mix.cap)
+    return WrappedMixture(comps)
 
 
-def _merge_components(comps, cap, merge_dist=0.5):
-    """Greedy weight-ordered merge of nearby components, then hard cap."""
+def _merge_components(comps):
+    """Greedy weight-ordered merge of components within Mahalanobis distance
+    0.5 of each other, then the WKF_COMPONENTS heaviest kept."""
     comps = sorted(comps, key=lambda c: -c[0])
     merged = []
     for w, mean, cov in comps:
@@ -159,7 +159,7 @@ def _merge_components(comps, cap, merge_dist=0.5):
             diff = mean - mi
             diff[0] = wrap_angle(diff[0])
             maha = float(diff @ np.linalg.solve(ci, diff))
-            if maha < merge_dist:
+            if maha < 0.5:
                 wt = wi + w
                 new_mean = mi + (w / wt) * diff
                 new_mean[0] = wrap_angle(new_mean[0])
@@ -170,13 +170,12 @@ def _merge_components(comps, cap, merge_dist=0.5):
                 break
         if not absorbed:
             merged.append((w, mean.copy(), cov.copy()))
-    merged = sorted(merged, key=lambda c: -c[0])[:cap]
+    merged = sorted(merged, key=lambda c: -c[0])[:WKF_COMPONENTS]
     total = sum(w for w, _, _ in merged)
     return tuple((w / total, m, c) for w, m, c in merged)
 
 
-def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
-                      prune_weight: float = 1e-4) -> WrappedMixture:
+def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float) -> WrappedMixture:
     """Update each component against the wrapping hypotheses obs + {-2pi, 0, 2pi}.
 
     Hypothesis weights are the prior weights times the innovation likelihood;
@@ -206,11 +205,10 @@ def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
         # observation is incompatible with every hypothesis: keep the prior
         logger.warning("wrapped KF update rejected observation %.3f (zero likelihood)", obs)
         return mix
-    candidates = [(w / total, m, c) for w, m, c in candidates if w / total >= prune_weight]
+    candidates = [(w / total, m, c) for w, m, c in candidates if w / total >= WKF_PRUNE_WEIGHT]
     if not candidates:
         return mix
-    comps = _merge_components(candidates, mix.cap)
-    return WrappedMixture(comps, mix.cap)
+    return WrappedMixture(_merge_components(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +250,8 @@ class ParticleSet:
 
 @dataclass(frozen=True)
 class PfParams:
-    process_intensity: float = 0.5
-    obs_noise_var: float = np.radians(3.0) ** 2
-    resample_threshold: float = 0.5  # fraction of I
+    process_intensity: float
+    obs_noise_var: float
 
 
 def wrapped_gaussian_likelihood(innovation, variance):
@@ -302,7 +299,7 @@ def pf_step(ps: ParticleSet, obs: float, dt: float, params: PfParams,
     else:
         weights = weights / total
     out = ParticleSet(particles, weights)
-    if out.effective_sample_size() < params.resample_threshold * out.size:
+    if out.effective_sample_size() < PF_RESAMPLE_THRESHOLD * out.size:
         out = systematic_resample(out, rng)
     return out
 
@@ -316,7 +313,7 @@ class TrackerConfig:
     init_hits: int = 3          # M of the M-of-N initiation rule
     init_window: int = 5        # N of the M-of-N initiation rule
     gate_sigma: float = 3.0
-    gate_max: float = np.radians(30.0)  # never gate wider than the evaluation gate
+    gate_max: float = np.radians(DEFAULT_GATE_DEG)  # never gate wider than the evaluation gate
     t_miss: float = 0.5         # seconds without an update before termination
     obs_noise_std: float = np.radians(3.0)
     process_intensity: float = 0.5
@@ -423,7 +420,9 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
             try:
                 cand.state = update(cand.state, observations[j])
             except FilterDivergenceError:
-                logger.warning("track %d flagged: non-PD covariance", cand.confirmed_id)
+                logger.warning("%s flagged at t=%.3f s: non-PD covariance",
+                               f"track {cand.confirmed_id}" if cand.confirmed_id
+                               else "tentative track", t)
                 continue
             cand.last_hit_time = t
             cand.history.append(True)

@@ -97,6 +97,21 @@ def test_evaluate_self_and_reports(scene_dir, tmp_path):
     assert _run("report", str(out_dir / "metrics.json")) == 0
 
 
+def test_default_manifests_keep_their_config_hash(scene_dir, tmp_path):
+    # the hash covers each option's JSON form: window 2048 stays an int, band_low
+    # 300.0 and gate 30.0 stay floats
+    sub_path = tmp_path / "run" / "sub.txt"
+    assert _run("run", "--input", str(scene_dir), "--out", str(sub_path)) == 0
+    assert _run("evaluate", "--input", str(scene_dir), "--submission", str(sub_path),
+                "--out", str(tmp_path / "evaluate")) == 0
+    for command, sha in (
+            ("run", "0549114b056155f50c85dffb67351f3ba7fe8f1428d4d8c699c5b805a5eedd55"),
+            ("evaluate", "006d5467b9377759767d2457ce151f48497c70403c3a55181631240b06d123a9")):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["config_sha256"] == sha
+
+
 def test_evaluate_of_a_written_submission_matches_the_in_memory_one(scene_dir, tmp_path):
     # the file carries 6-decimal times; each row still scores at its clock tick
     from doatrack.cli import run_pipeline

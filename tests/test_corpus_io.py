@@ -34,7 +34,7 @@ def _random_bundle(rng, n_sources=1, split="dev"):
         poses = tuple(
             Pose(rng.uniform(-3, 3, 3), _random_rotation(rng), t) for t in times
         )
-        return Trajectory(poses, 120.0)
+        return Trajectory(poses)
 
     if split == "dev":
         names = [f"src{i+1}" for i in range(n_sources)]

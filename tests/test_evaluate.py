@@ -151,7 +151,7 @@ def test_align_vaps_shifts_by_propagation():
     src = static_trajectory(Pose(np.array([3.43, 0, 0]), np.eye(3)), 5.0)
     arr = static_trajectory(identity_pose(), 5.0)
     vaps = VapTable({1: ((1.0, 2.0),)})
-    shifted = align_vaps(vaps, {1: src}, arr, c=343.0)
+    shifted = align_vaps(vaps, {1: src}, arr)
     assert shifted.intervals[1][0][0] == pytest.approx(1.01)
     assert shifted.intervals[1][0][1] == pytest.approx(2.01)
 

@@ -82,7 +82,7 @@ def test_pose_rejects_non_rotation():
 
 def test_interpolate_pose_linear_translation():
     poses = (Pose(np.zeros(3), np.eye(3), 0.0), Pose(np.array([2.0, 0, 0]), np.eye(3), 1.0))
-    traj = Trajectory(poses, 1.0)
+    traj = Trajectory(poses)
     p = interpolate_pose(traj, 0.25)
     assert np.allclose(p.translation, [0.5, 0, 0])
 
@@ -92,7 +92,7 @@ def test_interpolate_pose_geodesic_rotation():
     a = math.pi / 2
     rot1 = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0],
                      [0, 0, 1]])
-    traj = Trajectory((Pose(np.zeros(3), np.eye(3), 0.0), Pose(np.zeros(3), rot1, 1.0)), 1.0)
+    traj = Trajectory((Pose(np.zeros(3), np.eye(3), 0.0), Pose(np.zeros(3), rot1, 1.0)))
     p = interpolate_pose(traj, 0.5)
     half = math.pi / 4
     expected = np.array([[math.cos(half), -math.sin(half), 0],
@@ -119,7 +119,7 @@ def test_interpolate_pose_hits_samples_exactly():
         if np.linalg.det(rot) < 0:
             rot[:, 0] *= -1
         poses.append(Pose(rng.standard_normal(3), rot, float(i)))
-    traj = Trajectory(tuple(poses), 1.0)
+    traj = Trajectory(tuple(poses))
     for p in poses:
         q = interpolate_pose(traj, p.timestamp)
         assert np.allclose(q.translation, p.translation)
@@ -137,7 +137,7 @@ def test_sample_trajectory_keeps_a_constant_rotation_exactly():
 
 def test_trajectory_rejects_unordered():
     with pytest.raises(ValueError):
-        Trajectory((identity_pose(1.0), identity_pose(0.5)), 120.0)
+        Trajectory((identity_pose(1.0), identity_pose(0.5)))
 
 
 def test_trajectory_timestamps_built_once_and_read_only():

@@ -65,7 +65,7 @@ def ref_srp_phat(stack, geometry, grid, window_length=2048):
             if peak <= 0.0:
                 continue
             phat = np.where(mag > PHAT_FLOOR_REL * peak, g / np.maximum(mag, 1e-300), 0.0)
-            tau = farfield_pair_tdoa(dirs, mics[m], mics[l], FS, C)
+            tau = farfield_pair_tdoa(dirs, mics[m], mics[l], FS)
             steer = np.exp(1j * np.outer(tau, omega))
             values += 2.0 * np.real(steer @ phat)
     return values
@@ -120,7 +120,7 @@ def ref_tdoa_to_azimuth(estimates, geometry, resolution_deg=1.0):
     for est in estimates:
         m, l = est.pair
         expected = farfield_pair_tdoa(grid.unit_vectors, geometry.mic_positions[m],
-                                      geometry.mic_positions[l], FS, C)
+                                      geometry.mic_positions[l], FS)
         cost += (est.delay - expected) ** 2
     tied = np.flatnonzero(cost <= cost.min() + 1e-9)
     order = np.argsort(np.mod(grid.azimuths[tied], 2.0 * np.pi))
@@ -170,7 +170,7 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
         t = 0.5 * (times[0] + times[-1])
         if localizer == "srp-phat":
             values = ref_srp_phat(block, geometry, grid)
-            estimates.append((t, srp_argmax(SpatialSpectrum(grid, values, "SRP")).azimuth))
+            estimates.append((t, srp_argmax(SpatialSpectrum(grid, values)).azimuth))
         elif localizer == "music":
             values = ref_music_spectrum(block, geometry, grid, n_sources)
             estimates += [(t, Doa(az).azimuth)
@@ -228,7 +228,7 @@ def test_srp_phat_matches_per_pair_reference(array):
     geom, audio = SCENES[array]
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    spec = srp_phat(frames, geom, grid, FS, C, BAND)
+    spec = srp_phat(frames, geom, grid, FS, BAND)
     _assert_close(spec.values, ref_srp_phat(frames.bins, geom, grid))
 
 
@@ -239,7 +239,7 @@ def test_music_matches_per_bin_reference(array, n_sources):
     frames = frame_signal(audio, 2048, 1024)
     frames = frames[:max(8, geom.mic_count)]
     grid = azimuth_grid(1.0)
-    spec = music_spectrum(frames, geom, grid, n_sources, FS, C, BAND)
+    spec = music_spectrum(frames, geom, grid, n_sources, FS, BAND)
     _assert_close(spec.values, ref_music_spectrum(frames.bins, geom, grid, n_sources))
 
 
@@ -257,7 +257,7 @@ def test_gcc_phat_batch_matches_per_pair_reference(array):
     assert [e.pair for e in batch] == pairs
     _assert_close([e.delay for e in batch], [e.delay for e in ref])
     _assert_close([e.confidence for e in batch], [e.confidence for e in ref])
-    assert tdoa_to_azimuth(batch, geom, FS, C) == ref_tdoa_to_azimuth(ref, geom)
+    assert tdoa_to_azimuth(batch, geom, FS) == ref_tdoa_to_azimuth(ref, geom)
 
 
 def test_pseudo_intensity_matches_per_frame_reference():
@@ -286,7 +286,7 @@ def test_localize_stream_estimates_match_reference(array, localizer, n_sources):
     geom, audio = SCENES[array]
     if array == "eigenmike":  # two blocks: the reference SRP costs ~1 s per block here
         audio = MultichannelAudio(audio.samples[:, :2048 + 1024 * 11], FS)
-    new = localize_stream(audio, geom, localizer, FS, n_sources=n_sources, c=C)
+    new = localize_stream(audio, geom, localizer, FS, n_sources=n_sources)
     ref = ref_localize_stream(audio, geom, localizer, n_sources)
     assert new
     assert [(e.timestamp, e.doa.azimuth) for e in new] == ref
@@ -311,7 +311,7 @@ def test_spectra_invariant_to_channel_permutation(array, azimuth_deg, seed, data
     frames = frame_signal(audio, 2048, 1024)
     permuted_frames = frame_signal(permuted, 2048, 1024)
     grid = azimuth_grid(2.0)
-    _assert_close(srp_phat(permuted_frames, permuted_geom, grid, FS, C).values,
-                  srp_phat(frames, geom, grid, FS, C).values)
-    _assert_close(music_spectrum(permuted_frames, permuted_geom, grid, 1, FS, C).values,
-                  music_spectrum(frames, geom, grid, 1, FS, C).values)
+    _assert_close(srp_phat(permuted_frames, permuted_geom, grid, FS).values,
+                  srp_phat(frames, geom, grid, FS).values)
+    _assert_close(music_spectrum(permuted_frames, permuted_geom, grid, 1, FS).values,
+                  music_spectrum(frames, geom, grid, 1, FS).values)

@@ -1,15 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import doatrack.track
 from doatrack.cli import resample_tracks, track_stream
 from doatrack.evaluate import VapTable, evaluate_submission, ground_truth_doas
 from doatrack.geometry import Doa, wrap_angle
 from doatrack.localize import DoaEstimate
 from doatrack.simulate import task_preset
-from doatrack.track import (FILTERS, ParticleSet, PfParams, TrackerConfig, TrackState,
-                            WrappedMixture, innovation_variance, kf_predict,
+from doatrack.track import (FILTERS, FilterDivergenceError, ParticleSet, PfParams,
+                            TrackerConfig, TrackState, WrappedMixture, kf_predict,
                             kf_update, pf_step, process_noise_cov,
                             systematic_resample, track_lifecycle,
                             wrapped_gaussian_likelihood, wrapped_kf_predict,
@@ -68,11 +70,6 @@ def test_kf_update_wrapped_innovation():
     s = _state(az=math.pi - 0.05)
     out = kf_update(s, -math.pi + 0.05, 0.01)
     assert abs(wrap_angle(out.azimuth - math.pi)) < 0.2
-
-
-def test_innovation_variance():
-    s = _state(var_az=0.02)
-    assert innovation_variance(s, 0.005) == pytest.approx(0.025)
 
 
 def test_kf_converges_on_static_target():
@@ -246,6 +243,32 @@ def test_lifecycle_gate_blocks_far_observation(tracker):
     tracks = track_lifecycle(_stream(times), TrackerConfig(), tracker)
     for _, az in tracks[1]:
         assert abs(az) < 0.1
+
+
+@pytest.mark.parametrize("good_updates, first_warning", [
+    (0, "tentative track flagged at t=0.100 s: non-PD covariance"),
+    (2, "track 1 flagged at t=0.300 s: non-PD covariance"),
+])
+def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
+                                                        good_updates, first_warning):
+    # the Kalman update diverges after `good_updates` successful calls; the
+    # track confirms at its third hit, the second update
+    calls = []
+
+    def diverging_update(state, obs, obs_noise_var):
+        calls.append(obs)
+        if len(calls) > good_updates:
+            raise FilterDivergenceError("covariance is not positive-definite")
+        return kf_update(state, obs, obs_noise_var)
+
+    monkeypatch.setattr(doatrack.track, "kf_update", diverging_update)
+    times = [(0.1 * k, [0.5]) for k in range(6)]
+    with caplog.at_level(logging.WARNING, logger="doatrack.track"):
+        track_lifecycle(_stream(times), TrackerConfig(), "kalman")
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages and messages[0] == first_warning
+    assert all("non-PD covariance" in m and " at t=" in m and "track 0" not in m
+               for m in messages)
 
 
 def _two_source_stream(seed, duration):
