@@ -13,9 +13,9 @@ from .geometry import (ArrayGeometry, DegenerateGeometryError, Doa, Pose,
                        global_to_local, identity_pose, interpolate_pose,
                        sample_trajectory, static_trajectory, unit_vector_to_doa,
                        wrap_angle)
-from .sigproc import (CrossSpectrum, MultichannelAudio, Stft, block_cross_spectra,
-                      cross_power_spectrum, frame_signal)
-from .localize import (DoaEstimate, DoaGrid, IllConditionedError, NoSignalError,
+from .sigproc import (Blocks, CrossSpectrum, MultichannelAudio, Stft, block_cross_spectra,
+                      cross_power_spectrum, frame_energies, frame_signal)
+from .localize import (BlockTdoas, DoaEstimate, DoaGrid, IllConditionedError, NoSignalError,
                        SpatialSpectrum, TdoaEstimate, UnderdeterminedError,
                        UnsupportedGeometryError, azimuth_grid, expected_tdoa,
                        farfield_pair_tdoa, gcc_phat, music_spectrum,

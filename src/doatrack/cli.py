@@ -22,14 +22,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .corpus_io import (CorpusFormatError, bundle_from_scene, read_recording,
                         read_submission, write_recording, write_submission)
-from .evaluate import DEFAULT_GATE_DEG, OspaParams, Submission, evaluate_submission
+from .evaluate import (DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, Submission,
+                       evaluate_submission)
 from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, wrap_angle
-from .localize import (DEFAULT_BAND_HZ, PEAK_TIE_REL, DoaEstimate, IllConditionedError,
-                       NoSignalError, UnsupportedGeometryError, azimuth_grid,
-                       gcc_phat, music_spectrum, peak_index, pseudo_intensity,
-                       srp_phat, tdoa_to_azimuth)
-from .sigproc import (DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, CrossSpectrum,
-                      block_cross_spectra, frame_signal)
+from .localize import (DEFAULT_BAND_HZ, PEAK_TIE_REL, DoaEstimate,
+                       UnsupportedGeometryError, azimuth_grid, gcc_phat,
+                       music_spectrum, peak_index, pseudo_intensity, srp_phat,
+                       tdoa_to_azimuth)
+from .sigproc import (BLOCK_FRAMES, BLOCK_STRIDE, DEFAULT_HOP, DEFAULT_WINDOW_LENGTH,
+                      Blocks, frame_energies)
 from .simulate import synthesize, task_preset
 from .track import FILTERS, TrackerConfig, track_lifecycle
 
@@ -46,10 +47,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def localize_stream(audio, geometry, localizer: str, f_s: float,
-                    n_sources: int = 1, block_frames: int = 8,
-                    block_stride: int = 4, window_length: int = DEFAULT_WINDOW_LENGTH,
-                    hop: int = DEFAULT_HOP, band_hz=DEFAULT_BAND_HZ):
-    """Frame the audio and emit time-ordered azimuth estimates.
+                    n_sources: int = 1, block_frames: int = BLOCK_FRAMES,
+                    block_stride: int = BLOCK_STRIDE,
+                    window_length: int = DEFAULT_WINDOW_LENGTH, hop: int = DEFAULT_HOP,
+                    band_hz=DEFAULT_BAND_HZ):
+    """Localize every analysis block of a recording with one localizer call
+    and emit time-ordered azimuth estimates.
 
     Blocks whose broadband power sits at the noise floor are skipped so
     pauses between utterances do not feed garbage to the tracker, and so are
@@ -62,52 +65,43 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
         # fail before touching audio when the geometry cannot support it
         from .localize import _spherical_mic_directions
         _spherical_mic_directions(geometry)
-    frames = frame_signal(audio, window_length, hop)
     if localizer == "music":
         # the correlation estimate needs at least one frame per channel
         block_frames = max(block_frames, geometry.mic_count)
-    if len(frames) < block_frames:
+    frame_energy = frame_energies(audio, window_length, hop)
+    if len(frame_energy) < block_frames:
         raise CorpusFormatError(
             f"recording has {audio.samples.shape[1]} samples per channel, fewer than "
             f"one {localizer} block of {window_length + (block_frames - 1) * hop}")
-    starts = range(0, len(frames) - block_frames + 1, block_stride)
-    frame_energy = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
     energies = sliding_window_view(frame_energy, block_frames)[::block_stride].mean(axis=1)
-    threshold = 0.05 * np.percentile(energies, 90)
-    grid = azimuth_grid()
+    active = ~(energies < 0.05 * np.percentile(energies, 90))
+    blocks = Blocks(audio, np.flatnonzero(active) * block_stride, block_frames,
+                    window_length, hop)
+    # the directions of each block; none for a block the localizer skipped
     if localizer == "gcc-phat":
-        pairs = geometry.pairs()
         mics = geometry.mic_positions
         max_lags = [f_s / SPEED_OF_SOUND * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
-                    for m, l in pairs]
-    estimates = []
-    for start, energy in zip(starts, energies):
-        if energy < threshold:
-            continue
-        block = frames[start:start + block_frames]
-        t = float(0.5 * (block.times[0] + block.times[-1]))
-        try:
-            if localizer in ("srp-phat", "music"):
-                spec = (srp_phat(block, geometry, grid, f_s, band_hz)
-                        if localizer == "srp-phat" else
-                        music_spectrum(block, geometry, grid, n_sources, f_s, band_hz))
-                for az in _circular_peaks(grid.azimuths, spec.values, n_sources):
-                    estimates.append(DoaEstimate(t, Doa(az)))
-            elif localizer == "gcc-phat":
-                g = block_cross_spectra(block)
-                spectra = [CrossSpectrum(g[:, m, l], (m, l), window_length)
-                           for m, l in pairs]
-                tdoas = gcc_phat(spectra, max_lags)
-                doa = tdoa_to_azimuth(tdoas, geometry, f_s)
-                estimates.append(DoaEstimate(t, doa))
-            else:  # pseudo-intensity
-                per_frame = pseudo_intensity(block, geometry, f_s, band_hz)
-                az = [e.doa.azimuth for e in per_frame]
-                mean_az = math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))
-                estimates.append(DoaEstimate(t, Doa(wrap_angle(mean_az))))
-        except (NoSignalError, IllConditionedError):
-            continue
-    return estimates
+                    for m, l in geometry.pairs()]
+        doas = [[doa] if doa is not None else []
+                for doa in tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry, f_s)]
+    elif localizer == "pseudo-intensity":
+        doas = [[_mean_direction(per_frame)] if per_frame is not None else []
+                for per_frame in pseudo_intensity(blocks, geometry, f_s, band_hz)]
+    else:
+        grid = azimuth_grid()
+        spectra = (srp_phat(blocks, geometry, grid, f_s, band_hz)
+                   if localizer == "srp-phat" else
+                   music_spectrum(blocks, geometry, grid, n_sources, f_s, band_hz))
+        doas = [[Doa(az) for az in _circular_peaks(grid.azimuths, spec.values, n_sources)]
+                if spec is not None else [] for spec in spectra]
+    return [DoaEstimate(float(t), doa)
+            for t, block_doas in zip(blocks.times, doas) for doa in block_doas]
+
+
+def _mean_direction(estimates) -> Doa:
+    """Circular mean of the azimuths of per-frame estimates."""
+    az = [e.doa.azimuth for e in estimates]
+    return Doa(wrap_angle(math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))))
 
 
 def _circular_peaks(azimuths, values, k: int):
@@ -259,8 +253,8 @@ def cmd_simulate(args) -> int:
 
 RUN_DEFAULTS = {
     "localizer": "srp-phat", "tracker": "kalman", "n_sources": 1, "seed": 0,
-    "block_frames": 8, "block_stride": 4, "window": DEFAULT_WINDOW_LENGTH,
-    "hop": DEFAULT_HOP, "band_low": DEFAULT_BAND_HZ[0], "band_high": DEFAULT_BAND_HZ[1],
+    "block_frames": BLOCK_FRAMES, "block_stride": BLOCK_STRIDE,
+    "window": DEFAULT_WINDOW_LENGTH, "hop": DEFAULT_HOP, "band_low": DEFAULT_BAND_HZ[0], "band_high": DEFAULT_BAND_HZ[1],
 }
 
 
@@ -288,7 +282,8 @@ def cmd_run(args) -> int:
 
 
 EVALUATE_DEFAULTS = {
-    "gate": DEFAULT_GATE_DEG, "ospa_p": "1,5", "ospa_c": 30.0, "ospa_series": False,
+    "gate": DEFAULT_GATE_DEG, "ospa_p": "1,5", "ospa_c": DEFAULT_OSPA_CUTOFF_DEG,
+    "ospa_series": False,
 }
 
 

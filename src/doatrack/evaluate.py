@@ -22,6 +22,7 @@ from .geometry import (GROUND_TRUTH_RATE_HZ, SPEED_OF_SOUND, Doa, Trajectory,
                        global_to_local_doas, row_norms, sample_trajectory, wrap_angle)
 
 DEFAULT_GATE_DEG = 30.0
+DEFAULT_OSPA_CUTOFF_DEG = 30.0
 TICK_TOLERANCE_S = 1e-6  # farthest a submission row may lie from its clock tick
 
 
@@ -207,7 +208,7 @@ def detect_fragmentation(ids, vap_index):
 @dataclass(frozen=True)
 class OspaParams:
     p: float = 1.0
-    cutoff_deg: float = 30.0
+    cutoff_deg: float = DEFAULT_OSPA_CUTOFF_DEG
 
     def __post_init__(self):
         if self.p < 1:
@@ -414,7 +415,7 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
                         vaps: VapTable, submission: Submission, clock,
                         recording_duration: float,
                         gate_deg: float = DEFAULT_GATE_DEG,
-                        ospa_params=(OspaParams(1.0, 30.0), OspaParams(5.0, 30.0)),
+                        ospa_params=(OspaParams(1.0), OspaParams(5.0)),
                         align: bool = True) -> MetricsReport:
     """Run the complete evaluation pipeline for one recording.
 

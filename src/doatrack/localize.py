@@ -1,4 +1,4 @@
-"""Frame-level DoA estimation.
+"""Block-level DoA estimation over whole recordings.
 
 Four estimators share one STFT front end:
 
@@ -6,6 +6,14 @@ Four estimators share one STFT front end:
 * SRP-PHAT steered-response-power grid search,
 * broadband MUSIC,
 * first-order pseudo-intensity for spherical layouts.
+
+Each takes one analysis block (an `Stft`) or all analysis blocks of a
+recording (`Blocks`). The blocks are processed in groups (`Blocks.groups`)
+of bounded memory, and work shared by blocks, such as the steering
+vectors, the GCC lag basis and the per-frame intensities, is done once per
+group, not once per block. A one-block call returns its result or raises
+NoSignalError or IllConditionedError; a `Blocks` call returns a list with
+one entry per block, None where the one-block call would raise.
 
 Delay convention: ``expected_tdoa(s, m, l)`` and ``gcc_phat`` both measure
 the delay of channel m relative to channel l in samples (positive when m
@@ -28,7 +36,7 @@ from .geometry import (
     doa_to_unit_vector,
     unit_vector_to_doa,
 )
-from .sigproc import CHUNK_ELEMENTS, CrossSpectrum, Stft, block_cross_spectra
+from .sigproc import CHUNK_ELEMENTS, Blocks, CrossSpectrum, Stft, block_cross_spectra
 
 DEFAULT_BAND_HZ = (300.0, 4000.0)
 GRID_RESOLUTION_DEG = 1.0  # azimuth step of the grid searches
@@ -67,6 +75,16 @@ class TdoaEstimate:
 
 
 @dataclass(frozen=True)
+class BlockTdoas:
+    """GCC-PHAT pair delays of a recording's blocks, one row per block."""
+
+    pairs: tuple  # (m, l) of each column
+    delays: np.ndarray  # (blocks, pairs), samples, fractional
+    confidence: np.ndarray  # (blocks, pairs)
+    usable: np.ndarray  # (blocks,) False where a pair's cross spectrum is all zero
+
+
+@dataclass(frozen=True)
 class DoaGrid:
     """Candidate directions for grid-search localizers."""
 
@@ -96,7 +114,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# tdoa_to_azimuth asks for the same grid once per block
+# every grid search asks for the same grid
 @lru_cache(maxsize=16)
 def azimuth_grid(resolution_deg: float = GRID_RESOLUTION_DEG) -> DoaGrid:
     """Azimuth-only grid covering [-180, 180) degrees in the horizontal plane."""
@@ -134,6 +152,37 @@ class DoaEstimate:
 
 
 # ---------------------------------------------------------------------------
+# One block or a recording's blocks
+# ---------------------------------------------------------------------------
+
+def _as_blocks(frames: Stft | Blocks) -> Blocks:
+    if isinstance(frames, Blocks):
+        return frames
+    if not frames:
+        raise ValueError("empty frame block")
+    return Blocks.whole(frames)
+
+
+def _one_or_each(frames, results):
+    """A one-block call (an Stft) returns its result or raises its error; a
+    Blocks call gets the list, with None for every block that failed."""
+    if isinstance(frames, Blocks):
+        return [None if isinstance(r, Exception) else r for r in results]
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _frame_elements(blocks: Blocks, used_bins: int) -> int:
+    """Complex elements a group of blocks holds per frame: the frame's STFT
+    and its share of the sub-block cross-spectra over `used_bins` bins."""
+    channels = blocks.channel_count
+    return (channels * (blocks.window_length // 2 + 1)
+            + -(-used_bins * channels * channels // blocks.sub_block))
+
+
+# ---------------------------------------------------------------------------
 # TDoA / GCC-PHAT
 # ---------------------------------------------------------------------------
 
@@ -159,73 +208,145 @@ def farfield_pair_tdoa(unit_dirs, mic_m, mic_l, f_s: float):
 def gcc_phat(cs, max_lag):
     """Estimate the dominant delay from a phase-transformed cross spectrum.
 
-    The GCC is evaluated on a GCC_INTERPOLATION-times oversampled lag axis and
-    the peak refined by parabolic interpolation. `cs` is one CrossSpectrum,
-    or a sequence of them sharing one window length, with `max_lag` a float
-    or one per spectrum; a sequence gives a list of estimates, computed in
-    batches of pairs.
+    The GCC is evaluated on a GCC_INTERPOLATION-times oversampled lag axis
+    within +-max_lag and the peak refined by parabolic interpolation. `cs` is
+    one CrossSpectrum (gives a TdoaEstimate), a sequence of them sharing one
+    window length (gives a list), with `max_lag` a float or one per spectrum,
+    or a recording's Blocks with `max_lag` one per microphone pair (m < l,
+    in row-major order), which gives a BlockTdoas.
     """
-    if isinstance(cs, CrossSpectrum):
-        return _gcc_phat_batch([cs], np.array([max_lag], dtype=float))[0]
-    spectra = list(cs)
+    if isinstance(cs, Blocks):
+        max_lags = np.asarray(max_lag, dtype=float)
+        n_pairs = cs.channel_count * (cs.channel_count - 1) // 2
+        if max_lags.shape != (n_pairs,):
+            raise ValueError(f"need one max_lag per microphone pair, {n_pairs} in all")
+        return _gcc_phat_blocks(cs, max_lags)
+    spectra = [cs] if isinstance(cs, CrossSpectrum) else list(cs)
     max_lags = np.broadcast_to(np.asarray(max_lag, dtype=float), (len(spectra),))
-    nfft = spectra[0].window_length * GCC_INTERPOLATION
-    step = max(1, CHUNK_ELEMENTS // nfft)
-    estimates = []
-    for start in range(0, len(spectra), step):
-        estimates += _gcc_phat_batch(spectra[start:start + step], max_lags[start:start + step])
-    return estimates
-
-
-def _gcc_phat_batch(spectra, max_lags):
-    g = np.array([s.values for s in spectra], dtype=complex)  # (pairs, bins)
-    mag = np.abs(g)
-    peak_mag = mag.max(axis=1, keepdims=True)
-    if np.any(peak_mag <= 0.0):
+    order = np.argsort(-max_lags, kind="stable")
+    g = np.array([spectra[i].values for i in order], dtype=complex).T[None]
+    delays, peaks, usable = _lag_window_peaks(g, max_lags[order], spectra[0].window_length)
+    if not usable[0]:
         raise NoSignalError("all-zero cross spectrum")
-    weights = np.where(mag > PHAT_FLOOR_REL * peak_mag, 1.0 / np.maximum(mag, 1e-300), 0.0)
-    nfft = spectra[0].window_length * GCC_INTERPOLATION
-    cc = np.fft.irfft(g * weights, n=nfft)
+    estimates = [None] * len(spectra)
+    for i, d, p in zip(order, delays[0], peaks[0]):
+        estimates[i] = TdoaEstimate(spectra[i].pair, float(d), float(p))
+    return estimates[0] if isinstance(cs, CrossSpectrum) else estimates
+
+
+def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:
+    channels = blocks.channel_count
+    m, l = np.triu_indices(channels, 1)
+    order = np.argsort(-max_lags, kind="stable")
+    bin_count = blocks.window_length // 2 + 1
+    delays = np.zeros((len(blocks), len(m)))
+    peaks = np.zeros((len(blocks), len(m)))
+    usable = np.zeros(len(blocks), dtype=bool)
+    for group_slice, group in blocks.groups(_frame_elements(blocks, bin_count)):
+        g = block_cross_spectra(group)[:, :, m[order], l[order]]  # (blocks, bins, pairs)
+        delays[group_slice, order], peaks[group_slice, order], usable[group_slice] = (
+            _lag_window_peaks(g, max_lags[order], blocks.window_length))
+    return BlockTdoas(tuple(zip(m.tolist(), l.tolist())), delays, peaks, usable)
+
+
+def _lag_window_peaks(g, max_lags, window_length: int):
+    """Peak lag of the PHAT-weighted GCC of every block and pair.
+
+    `g` holds cross spectra of shape (blocks, bins, pairs), pairs ordered by
+    `max_lags` descending. With W = PHAT(G) and nfft = GCC_INTERPOLATION *
+    window_length, the GCC at oversampled lag tau is
+    cc[tau] = sum_k c_k Re(W_k exp(i 2 pi k tau / nfft)) / nfft, c_0 = 1 and
+    c_k = 2 otherwise (the irfft of W zero-padded to nfft), evaluated only
+    within each pair's window: cos is even and sin is odd, so lags +-tau come
+    from one matmul against a (lags, bins) half-basis, in chunks of lags that
+    only the pairs whose window reaches them take part in.
+    Returns delays and peak values, both (blocks, pairs), and a (blocks,)
+    mask, False where a pair's cross spectrum is all zero.
+    """
+    nfft = window_length * GCC_INTERPOLATION
     max_shift = np.minimum(np.floor(max_lags * GCC_INTERPOLATION).astype(int), nfft // 2 - 1)
     if max_shift.min() < 1:
         raise ValueError("max_lag too small for the lag axis")
-    # lags -shift..shift of every pair; lags beyond a pair's own max_shift are masked
-    shift = int(max_shift.max())
-    cc = np.concatenate((cc[:, -shift:], cc[:, :shift + 1]), axis=1)
+    n_blocks, bin_count, n_pairs = g.shape
+    mag = np.abs(g)
+    peak_mag = mag.max(axis=1, keepdims=True)
+    usable = np.all(peak_mag[:, 0] > 0.0, axis=1)
+    # c_k PHAT weights: c_k / |G| above the floor, 0 below it
+    keep = mag > PHAT_FLOOR_REL * peak_mag
+    weights = np.divide(2.0, np.maximum(mag, 1e-300, out=mag), out=mag)
+    weights[:, 0] *= 0.5
+    weights[~keep] = 0.0
+    del keep
+    # (bins, blocks, pairs) so that a chunk of pairs of all blocks is one matmul
+    w_re = np.empty((bin_count, n_blocks, n_pairs))
+    w_im = np.empty((bin_count, n_blocks, n_pairs))
+    np.multiply(g.real.transpose(1, 0, 2), weights.transpose(1, 0, 2), out=w_re)
+    np.multiply(g.imag.transpose(1, 0, 2), weights.transpose(1, 0, 2), out=w_im)
+    del weights
+    shift = int(max_shift[0])
+    cc = np.full((2 * shift + 1, n_blocks, n_pairs), -np.inf)
+    angle = (2.0 * np.pi / nfft) * np.arange(nfft)
+    cos_table, sin_table = np.cos(angle) / nfft, np.sin(angle) / nfft
+    step = max(1, CHUNK_ELEMENTS // bin_count)
+    for first in range(0, shift + 1, step):
+        stop = min(first + step, shift + 1)
+        n = int(np.count_nonzero(max_shift >= first))  # pairs whose window reaches `first`
+        # (k tau) mod nfft indexes the tables exactly
+        phase = np.multiply.outer(np.arange(first, stop), np.arange(bin_count))
+        phase %= nfft
+        even = cos_table[phase] @ w_re[:, :, :n].reshape(bin_count, -1)
+        odd = sin_table[phase] @ w_im[:, :, :n].reshape(bin_count, -1)
+        cc[shift + first:shift + stop, :, :n] = (even - odd).reshape(stop - first, n_blocks, n)
+        cc[shift - stop + 1:shift - first + 1, :, :n] = (
+            (even + odd).reshape(stop - first, n_blocks, n)[::-1])
     offset_idx = np.arange(-shift, shift + 1)
-    inside = np.abs(offset_idx) <= max_shift[:, None]
-    idx = np.argmax(np.where(inside, cc, -np.inf), axis=1)
-    rows = np.arange(len(cc))
-    peak = cc[rows, idx]
+    # lags beyond a pair's own window take no part
+    cc.transpose(0, 2, 1)[np.abs(offset_idx)[:, None] > max_shift] = -np.inf
+    idx = np.argmax(cc, axis=0)  # (blocks, pairs)
+
+    def at(lag_index):
+        return np.take_along_axis(cc, lag_index[None], axis=0)[0]
+
+    peak = at(idx)
     delay = offset_idx[idx] / GCC_INTERPOLATION
     # parabolic refinement unless the peak sits on an edge of the pair's window
-    y0 = cc[rows, np.maximum(idx - 1, 0)]
-    y2 = cc[rows, np.minimum(idx + 1, 2 * shift)]
+    y0 = at(np.maximum(idx - 1, 0))
+    y2 = at(np.minimum(idx + 1, 2 * shift))
     denom = y0 - 2 * peak + y2
     refine = (np.abs(offset_idx[idx]) < max_shift) & (np.abs(denom) > 1e-30)
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
     delay = np.where(refine, delay + offset / GCC_INTERPOLATION, delay)
-    return [TdoaEstimate(s.pair, float(d), float(p)) for s, d, p in zip(spectra, delay, peak)]
+    return delay, peak, usable
 
 
-def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float) -> Doa:
+def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float):
     """Least-squares triangulation of pair delays on a far-field azimuth grid.
 
-    Ties are broken towards the smallest azimuth wrapped into [0, 2*pi).
+    `estimates` is one block's TdoaEstimates, which gives a Doa, or a
+    BlockTdoas, which gives a list with one Doa per block (None for a block
+    that is not usable). Ties are broken towards the smallest azimuth
+    wrapped into [0, 2*pi).
     """
-    estimates = list(estimates)
-    if not estimates:
-        raise UnderdeterminedError("no TDoA estimates to triangulate")
+    if isinstance(estimates, BlockTdoas):
+        pairs, delays, usable = estimates.pairs, estimates.delays, estimates.usable
+    else:
+        estimates = list(estimates)
+        if not estimates:
+            raise UnderdeterminedError("no TDoA estimates to triangulate")
+        pairs = [est.pair for est in estimates]
+        delays, usable = np.array([[est.delay for est in estimates]]), [True]
     grid = azimuth_grid()
-    pairs = np.array([est.pair for est in estimates])
-    delays = np.array([est.delay for est in estimates])
+    pairs = np.array(pairs).reshape(-1, 2)
     mics = geometry.mic_positions
     baselines = mics[pairs[:, 1]] - mics[pairs[:, 0]]
     # expected far-field delay of every pair (rows) from every grid direction
     expected = baselines @ (f_s / SPEED_OF_SOUND * grid.unit_vectors).T
-    cost = np.sum((delays[:, None] - expected) ** 2, axis=0)
-    return grid.directions[peak_index(-cost, grid.azimuths, 1e-9)]
+    doas = []
+    for block_delays, ok in zip(delays, usable):
+        cost = np.sum((block_delays[:, None] - expected) ** 2, axis=0)
+        doas.append(grid.directions[peak_index(-cost, grid.azimuths, 1e-9)] if ok else None)
+    return doas if isinstance(estimates, BlockTdoas) else doas[0]
 
 
 def peak_index(values, azimuths, tolerance: float) -> int:
@@ -280,41 +401,58 @@ def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int, 
         yield chunk, steer
 
 
-def srp_phat(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
-             band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
+def srp_phat(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
+             band_hz=DEFAULT_BAND_HZ):
     """Steered response power with PHAT pre-whitening over a direction grid.
 
     P(x) = sum over all microphone pairs (self pairs included) of the GCC
     evaluated at the pair's far-field delay for direction x. The pair (m, l)
     term at bin k is conj(A_m) PHAT(G_ml) A_l with per-mic steering A, so
     P(x) = M K + 2 Re sum_k conj(A_k) . (triu(PHAT(G_k), 1) A_k).
+    `frames` is one block (an Stft), giving a SpatialSpectrum, or a
+    recording's Blocks, giving one per block; each steering chunk is built
+    once per group of blocks.
 
-    Raises NoSignalError when all in-band cross-spectra between microphones
-    are zero, which would leave a flat spectrum.
+    A block whose in-band cross-spectra between microphones are all zero,
+    which would leave a flat spectrum, raises NoSignalError.
     """
     if len(grid) == 0:
         raise ValueError("empty grid")
-    if not frames:
-        raise ValueError("empty frame block")
-    channels = frames.channel_count
+    blocks = _as_blocks(frames)
+    channels = blocks.channel_count
     if channels < 2:
         raise ValueError("need at least 2 channels")
-    window_length = frames.window_length
+    window_length = blocks.window_length
     bins = _band_bins(window_length, f_s, band_hz)
-    g = block_cross_spectra(frames, bins)  # (bins, mics, mics)
-    mag = np.abs(g)
-    peak = mag.max(axis=0)  # per pair, over the band
-    if not np.any(np.triu(peak, 1) > 0.0):
-        raise NoSignalError("all in-band cross spectra are zero")
-    phat = np.where(mag > PHAT_FLOOR_REL * peak, g / np.maximum(mag, 1e-300), 0.0)
-    upper = np.triu(phat, 1).transpose(0, 2, 1)  # [k, l, m] = PHAT(G_k)[m, l] for m < l
     # self terms contribute a direction-independent offset of channels * len(bins)
-    values = np.full(len(grid), float(channels * len(bins)))
-    for chunk, steer in _steering(geometry, grid, bins, window_length, f_s):
-        weighted = steer @ upper[chunk]  # [k, x, m] = sum_l PHAT(G_k)[m, l] A[k, x, l]
-        # Re(conj(a) w) = a.real w.real + a.imag w.imag, summed over bins and mics
-        values += 2.0 * np.einsum("kxj,kxj->x", steer.view(float), weighted.view(float))
-    return SpatialSpectrum(grid, values)
+    values = np.full((len(blocks), len(grid)), float(channels * len(bins)))
+    usable = np.zeros(len(blocks), dtype=bool)
+    lower = np.tril_indices(channels)
+    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins))):
+        g = block_cross_spectra(group, bins)  # (blocks, bins, mics, mics)
+        mag = np.abs(g)
+        peak = mag.max(axis=1, keepdims=True)  # per block and pair, over the band
+        ok = np.any(np.triu(peak[:, 0], 1) > 0.0, axis=(1, 2))
+        usable[group_slice] = ok
+        # g becomes triu(PHAT(G), 1)
+        floor = mag <= PHAT_FLOOR_REL * peak
+        np.divide(g, np.maximum(mag, 1e-300, out=mag), out=g)
+        g[floor] = 0.0
+        g[:, :, lower[0], lower[1]] = 0.0
+        del mag, floor
+        upper = g.transpose(0, 1, 3, 2)  # [b, k, l, m] = PHAT(G_bk)[m, l] for m < l
+        group_values = values[group_slice]
+        if not ok.any():
+            continue
+        for chunk, steer in _steering(geometry, grid, bins, window_length, f_s):
+            for b in np.flatnonzero(ok):
+                weighted = steer @ upper[b, chunk]  # [k, x, m] = sum_l PHAT(G_k)[m, l] A[k, x, l]
+                # Re(conj(a) w) = a.real w.real + a.imag w.imag, summed over bins and mics
+                group_values[b] += 2.0 * np.einsum("kxj,kxj->x", steer.view(float),
+                                                   weighted.view(float))
+    return _one_or_each(frames, [
+        SpatialSpectrum(grid, v) if ok else NoSignalError("all in-band cross spectra are zero")
+        for v, ok in zip(values, usable)])
 
 
 def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
@@ -332,49 +470,61 @@ def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
 # MUSIC
 # ---------------------------------------------------------------------------
 
-def music_spectrum(frames: Stft, geometry: ArrayGeometry, grid: DoaGrid, n_sources: int,
-                   f_s: float, band_hz=DEFAULT_BAND_HZ) -> SpatialSpectrum:
+def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid,
+                   n_sources: int, f_s: float, band_hz=DEFAULT_BAND_HZ):
     """Broadband MUSIC pseudo-spectrum.
 
     Each narrowband spatial correlation matrix is eigendecomposed; the
     pseudo-spectrum scores steering-vector orthogonality to the noise
     subspace. Narrowband spectra are max-normalized and averaged over the
-    analysis band.
+    analysis band. `frames` is one block (an Stft), giving a
+    SpatialSpectrum, or a recording's Blocks, giving one per block; each
+    steering chunk is built once per group of blocks. A block with an
+    ill-conditioned correlation matrix raises IllConditionedError.
     """
-    if not frames:
-        raise ValueError("empty frame block")
-    channels = frames.channel_count
+    blocks = _as_blocks(frames)
+    channels = blocks.channel_count
     if not (1 <= n_sources < channels):
         raise ValueError("need 1 <= n_sources < channel count")
-    if len(frames) < channels:
+    if blocks.length < channels:
         raise ValueError(
-            f"correlation estimate needs >= {channels} frames, got {len(frames)}"
+            f"correlation estimate needs >= {channels} frames, got {blocks.length}"
         )
-    window_length = frames.window_length
+    window_length = blocks.window_length
     bins = _band_bins(window_length, f_s, band_hz)
-    r = block_cross_spectra(frames, bins)  # E[x x^H] per bin, x the channel vector
-    load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=1, axis2=2)) / channels
-    r = r + load[:, None, None] * np.eye(channels)
-    eigvals, eigvecs = np.linalg.eigh(r)
-    # 2-norm condition number of a Hermitian matrix; an all-zero bin gives nan
-    magnitude = np.abs(eigvals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = magnitude.max(axis=1) / magnitude.min(axis=1)
-    bad = np.flatnonzero(~(cond <= 1e12))
-    if bad.size:
-        raise IllConditionedError(f"correlation matrix ill-conditioned at bin {bins[bad[0]]}")
-    u_s = eigvecs[:, :, channels - n_sources:]  # signal subspace per bin
-    broadband = np.zeros(len(grid))
-    for chunk, v in _steering(geometry, grid, bins, window_length, f_s):
-        # rows of v are unit-modulus steering vectors, so the squared norm of
-        # their noise-subspace part is channels minus that of their
-        # signal-subspace coordinates w (sum of real^2 + imag^2)
-        w = (v @ u_s[chunk].conj()).view(float)
-        denom = channels - np.einsum("kij,kij->ki", w, w)
-        narrow = 1.0 / np.maximum(denom, 1e-30)
-        broadband += (narrow / narrow.max(axis=1, keepdims=True)).sum(axis=0)
+    broadband = np.zeros((len(blocks), len(grid)))
+    results = [None] * len(blocks)
+    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins))):
+        r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
+        load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=2, axis2=3)) / channels
+        r += load[..., None, None] * np.eye(channels)
+        eigvals, eigvecs = np.linalg.eigh(r)
+        del r
+        # 2-norm condition number of a Hermitian matrix; an all-zero bin gives nan
+        magnitude = np.abs(eigvals)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = magnitude.max(axis=2) / magnitude.min(axis=2)
+        bad = ~(cond <= 1e12)  # (blocks, bins)
+        ok = ~bad.any(axis=1)
+        for b in np.flatnonzero(~ok):
+            results[group_slice.start + b] = IllConditionedError(
+                f"correlation matrix ill-conditioned at bin {bins[np.argmax(bad[b])]}")
+        if not ok.any():
+            continue
+        u_s = eigvecs[..., channels - n_sources:]  # signal subspace per block and bin
+        group_broadband = broadband[group_slice]
+        for chunk, v in _steering(geometry, grid, bins, window_length, f_s):
+            for b in np.flatnonzero(ok):
+                # rows of v are unit-modulus steering vectors, so the squared norm of
+                # their noise-subspace part is channels minus that of their
+                # signal-subspace coordinates w (sum of real^2 + imag^2)
+                w = (v @ u_s[b, chunk].conj()).view(float)
+                denom = channels - np.einsum("kij,kij->ki", w, w)
+                narrow = 1.0 / np.maximum(denom, 1e-30)
+                group_broadband[b] += (narrow / narrow.max(axis=1, keepdims=True)).sum(axis=0)
     broadband /= len(bins)
-    return SpatialSpectrum(grid, broadband)
+    return _one_or_each(frames, [SpatialSpectrum(grid, v) if r is None else r
+                                 for v, r in zip(broadband, results)])
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +545,36 @@ def _spherical_mic_directions(geometry: ArrayGeometry) -> np.ndarray:
     return mics / radii[:, None]
 
 
-def pseudo_intensity(frames: Stft, geometry: ArrayGeometry, f_s: float,
+def pseudo_intensity(frames: Stft | Blocks, geometry: ArrayGeometry, f_s: float,
                      band_hz=DEFAULT_BAND_HZ):
     """Per-frame DoA from the first-order intensity vector of a spherical array.
 
     An omni eigenbeam and three dipole eigenbeams (free-field spherical
     harmonic projection, no rigid-baffle compensation) approximate the
     acoustic intensity; its direction, in quadrature with the omni beam,
-    points towards the arrival direction.
+    points towards the arrival direction. `frames` is one block (an Stft),
+    giving its per-frame estimates, or a recording's Blocks, giving each
+    block's; a frame shared by blocks is computed once. A block with a
+    silent frame raises NoSignalError.
     """
     u = _spherical_mic_directions(geometry)
-    if not frames:
-        raise ValueError("empty frame block")
-    bins = _band_bins(frames.window_length, f_s, band_hz)
-    s = frames.bins[:, :, bins]  # (frames, channels, bins)
-    p0 = s.mean(axis=1)  # (frames, bins)
-    dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (frames, 3, bins)
-    arrival = np.imag(np.conj(p0)[:, None, :] * dipole).sum(axis=2)  # (frames, 3)
-    norm = np.linalg.norm(arrival, axis=1)
-    p0_peak = np.abs(p0).max(axis=1)
-    silent = np.flatnonzero((norm < 1e-12 * np.maximum(p0_peak, 1e-300)) | (p0_peak == 0.0))
-    if silent.size:
-        raise NoSignalError(f"no usable signal in frame at t={frames.times[silent[0]]:.3f}")
-    return [DoaEstimate(float(t), unit_vector_to_doa(a), 1, float(n))
-            for t, a, n in zip(frames.times, arrival, norm)]
+    blocks = _as_blocks(frames)
+    bins = _band_bins(blocks.window_length, f_s, band_hz)
+    results = []
+    for _, group in blocks.groups(_frame_elements(blocks, 0)):
+        stft = group.source
+        s = stft.bins[:, :, bins]  # (frames, channels, bins)
+        p0 = s.mean(axis=1)  # (frames, bins)
+        dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (frames, 3, bins)
+        arrival = np.imag(np.conj(p0)[:, None, :] * dipole).sum(axis=2)  # (frames, 3)
+        norm = np.linalg.norm(arrival, axis=1)
+        p0_peak = np.abs(p0).max(axis=1)
+        silent = (norm < 1e-12 * np.maximum(p0_peak, 1e-300)) | (p0_peak == 0.0)
+        estimates = [None if quiet else DoaEstimate(float(t), unit_vector_to_doa(a), 1, float(n))
+                     for t, a, n, quiet in zip(stft.times, arrival, norm, silent)]
+        for start in group.starts:
+            quiet = np.flatnonzero(silent[start:start + group.length])
+            results.append(NoSignalError(
+                f"no usable signal in frame at t={stft.times[start + quiet[0]]:.3f}")
+                if quiet.size else estimates[start:start + group.length])
+    return _one_or_each(frames, results)

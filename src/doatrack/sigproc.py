@@ -1,12 +1,15 @@
-"""Multichannel buffers, framing, and cross-power spectra.
+"""Multichannel buffers, framing, analysis blocks and cross-power spectra.
 
 Shared STFT front end for all localizers. Spectra are one-sided (real
 input); bin k corresponds to normalized frequency ``2*pi*k/window_length``.
+A recording's analysis blocks (`Blocks`) are transformed group by group, so
+no localizer holds the STFT of a whole recording.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,8 +18,13 @@ from scipy.signal import get_window
 DEFAULT_SAMPLE_RATE = 48000
 DEFAULT_WINDOW_LENGTH = 2048
 DEFAULT_HOP = 1024
+BLOCK_FRAMES = 8  # STFT frames per localizer block
+BLOCK_STRIDE = 4  # frames from one block start to the next
 # array elements per temporary when work is split into chunks (4 MB at complex128)
 CHUNK_ELEMENTS = 1 << 18
+# complex elements of STFT frames and sub-block cross-spectra that one group
+# of blocks may hold (16 MB); a group holds one block at least
+BLOCK_GROUP_ELEMENTS = 4 * CHUNK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -102,10 +110,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
              + (np.arange(n_frames) * hop + window_length / 2) / audio.sample_rate_hz)
     if n_frames == 0:
         return Stft(bins, times, window_length, hop)
-    if window in ("rect", "rectangular", "boxcar"):
-        taper = np.ones(window_length)
-    else:
-        taper = get_window(window, window_length, fftbins=True)
+    taper = _taper(window, window_length)
     # (frames, channels, window_length) view of the samples, no copy
     segments = sliding_window_view(audio.samples, window_length, axis=1)[:, ::hop]
     segments = segments.transpose(1, 0, 2)
@@ -115,25 +120,157 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     return Stft(bins, times, window_length, hop)
 
 
-def block_cross_spectra(frames: Stft, bins=None) -> np.ndarray:
-    """Block-mean cross-power spectra G[k, m, l] = mean_f S_m(f, k) conj(S_l(f, k)).
+def _taper(window: str, window_length: int) -> np.ndarray:
+    if window in ("rect", "rectangular", "boxcar"):
+        return np.ones(window_length)
+    return get_window(window, window_length, fftbins=True)
 
-    Returns an array of shape (bin_count, channels, channels), over every bin
-    or over the bin indices given.
+
+def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_LENGTH,
+                   hop: int = DEFAULT_HOP, window: str = "hann") -> np.ndarray:
+    """Mean of |X|^2 over the channels and one-sided bins of every `frame_signal`
+    frame, without the transform.
+
+    By Parseval's theorem a real frame s of length N has
+    sum_k |X_k|^2 = (N sum_n s_n^2 + X_0^2 + X_{N/2}^2) / 2 over the one-sided
+    bins, with X_0 = sum_n s_n and X_{N/2} = sum_n (-1)^n s_n (N even only).
+    Agrees with the transform's energies to rounding.
     """
-    if not frames:
+    n = audio.length
+    n_frames = (n - window_length) // hop + 1 if window_length <= n else 0
+    energies = np.empty(n_frames)
+    taper = _taper(window, window_length)
+    # columns: sum of s, and sum of (-1)^n s for an even length
+    edges = np.ones((window_length, 1 + (window_length % 2 == 0)))
+    edges[1::2, 1:] = -1.0
+    segments = sliding_window_view(audio.samples, window_length, axis=1)[:, ::hop]
+    step = max(1, CHUNK_ELEMENTS // (audio.channel_count * window_length))
+    for start in range(0, n_frames, step):
+        s = segments[:, start:start + step] * taper  # (channels, frames, window_length)
+        power = (window_length * np.einsum("mfn,mfn->f", s, s)
+                 + np.sum((s @ edges) ** 2, axis=(0, 2)))
+        energies[start:start + step] = power / (2 * audio.channel_count * (window_length // 2 + 1))
+    return energies
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """Analysis blocks of one recording: block i is the `length` consecutive
+    STFT frames from frame ``starts[i]`` on, with ``starts`` ascending.
+
+    `source` is the recording (frames are transformed group by group, see
+    `groups`) or an `Stft` that holds the frames already.
+    """
+
+    source: MultichannelAudio | Stft
+    starts: np.ndarray
+    length: int
+    window_length: int = DEFAULT_WINDOW_LENGTH
+    hop: int = DEFAULT_HOP
+
+    @classmethod
+    def whole(cls, frames: Stft) -> "Blocks":
+        """All frames of `frames` as one block."""
+        return cls(frames, np.zeros(1, dtype=int), len(frames), frames.window_length,
+                   frames.hop)
+
+    def __len__(self):
+        return len(self.starts)
+
+    @property
+    def channel_count(self) -> int:
+        return self.source.channel_count
+
+    @property
+    def sub_block(self) -> int:
+        """Frames per sub-block: every block is a whole number of sub-blocks
+        and every block start a sub-block boundary."""
+        return math.gcd(self.length, *(int(d) for d in np.diff(self.starts)))
+
+    def frame_times(self, index) -> np.ndarray:
+        """Centre times of frames `index`, s."""
+        if isinstance(self.source, Stft):
+            return self.source.times[index]
+        audio = self.source
+        return (audio.start_time
+                + (np.asarray(index) * self.hop + self.window_length / 2) / audio.sample_rate_hz)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Block centre times: the mean of a block's first and last frame times."""
+        return 0.5 * (self.frame_times(self.starts)
+                      + self.frame_times(self.starts + self.length - 1))
+
+    def frames(self, first: int, stop: int) -> Stft:
+        """The STFT frames first..stop-1."""
+        if isinstance(self.source, Stft):
+            return self.source[first:stop]
+        audio = self.source
+        span = audio.samples[:, first * self.hop:(stop - 1) * self.hop + self.window_length]
+        frames = frame_signal(MultichannelAudio(span, audio.sample_rate_hz),
+                              self.window_length, self.hop)
+        return replace(frames, times=self.frame_times(np.arange(first, stop)))
+
+    def groups(self, frame_elements: int):
+        """Split the blocks into groups of consecutive blocks whose frames
+        overlap or touch, each spanning at most BLOCK_GROUP_ELEMENTS //
+        `frame_elements` frames (one block at least).
+
+        Yields (slice of these blocks, the group as Blocks over an Stft of
+        just the frames it spans).
+        """
+        max_frames = max(self.length, BLOCK_GROUP_ELEMENTS // max(1, frame_elements))
+        starts = self.starts
+        first = 0
+        for i in range(1, len(starts) + 1):
+            if (i == len(starts) or starts[i] > starts[i - 1] + self.length
+                    or starts[i] + self.length - starts[first] > max_frames):
+                frames = self.frames(starts[first], starts[i - 1] + self.length)
+                yield slice(first, i), Blocks(frames, starts[first:i] - starts[first],
+                                              self.length, self.window_length, self.hop)
+                first = i
+
+
+def block_cross_spectra(blocks: Blocks, bins=None) -> np.ndarray:
+    """Block-mean cross-power spectra G[b, k, m, l] = mean over the frames f of
+    block b of S_m(f, k) conj(S_l(f, k)).
+
+    Returns an array of shape (blocks, bin_count, channels, channels), over
+    every bin or over the bin indices given. Each frame's outer products are
+    formed once: blocks are sums of sub-blocks (see `Blocks.sub_block`), so
+    overlapping blocks share the sub-blocks they have in common. Meant for the
+    blocks of one `Blocks.groups` group, whose frames are all in use.
+    """
+    if not blocks.length:
         raise ValueError("empty frame block")
+    starts = blocks.starts
+    sub = blocks.sub_block
+    frames = blocks.frames(starts[0], starts[-1] + blocks.length)
     spectra = frames.bins if bins is None else frames.bins[:, :, bins]
-    x = np.ascontiguousarray(spectra.transpose(2, 1, 0))  # (bins, channels, frames)
-    return x @ np.conj(x.transpose(0, 2, 1)) / len(frames)
+    n_sub = len(frames) // sub
+    # (sub-blocks, bins, channels, frames of the sub-block)
+    x = spectra[:n_sub * sub].reshape((n_sub, sub) + spectra.shape[1:]).transpose(0, 3, 2, 1)
+    x = np.ascontiguousarray(x)
+    sums = x @ np.conj(x.transpose(0, 1, 3, 2))
+    del x
+    # block b is sub-blocks pos[b]..pos[b] + per_block - 1; in ascending order
+    # each sum lands on the block's first sub-block, which no later block reads
+    pos = (starts - starts[0]) // sub
+    per_block = blocks.length // sub
+    for p in pos:
+        for j in range(1, per_block):
+            sums[p] += sums[p + j]
+    g = sums[:len(pos)] if pos[-1] == len(pos) - 1 else sums[pos]
+    g /= blocks.length
+    return g
 
 
 def cross_power_spectrum(frames: Stft, pair) -> CrossSpectrum:
     """Block-mean cross-power spectrum G_{m,l} = mean_k S_m(k) conj(S_l(k)),
-    the pair (m, l) of `block_cross_spectra`."""
+    the pair (m, l) of `block_cross_spectra` over all of `frames`."""
     m, l = pair
     channels = frames.channel_count
     if not (0 <= m < channels and 0 <= l < channels):
         raise ValueError(f"channel pair {pair} out of range for {channels} channels")
-    g = block_cross_spectra(frames)
+    g = block_cross_spectra(Blocks.whole(frames))[0]
     return CrossSpectrum(g[:, m, l], (m, l), frames.window_length)

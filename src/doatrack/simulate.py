@@ -40,7 +40,7 @@ from .geometry import (
     sample_trajectory,
     static_trajectory,
 )
-from .sigproc import CHUNK_ELEMENTS, MultichannelAudio
+from .sigproc import CHUNK_ELEMENTS, DEFAULT_SAMPLE_RATE, MultichannelAudio
 
 GUARD_RADIUS = 0.1  # m
 SINC_HALF_WIDTH = 16  # 32-tap windowed-sinc interpolation
@@ -82,7 +82,7 @@ class SceneConfig:
     snr_db: float = 20.0
     noise_rms: float = 0.01
     seed: int = 0
-    sample_rate_hz: float = 48000.0
+    sample_rate_hz: float = float(DEFAULT_SAMPLE_RATE)
     task: int = 0
 
     def __post_init__(self):

@@ -175,7 +175,8 @@ def _merge_components(comps):
     return tuple((w / total, m, c) for w, m, c in merged)
 
 
-def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float) -> WrappedMixture:
+def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
+                      where: str = "") -> WrappedMixture:
     """Update each component against the wrapping hypotheses obs + {-2pi, 0, 2pi}.
 
     Hypothesis weights are the prior weights times the innovation likelihood;
@@ -203,7 +204,8 @@ def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float) -> 
     total = sum(c[0] for c in candidates)
     if total <= 0.0:
         # observation is incompatible with every hypothesis: keep the prior
-        logger.warning("wrapped KF update rejected observation %.3f (zero likelihood)", obs)
+        logger.warning("%swrapped KF update rejected observation %.3f (zero likelihood)",
+                       f"{where}: " if where else "", obs)
         return mix
     candidates = [(w / total, m, c) for w, m, c in candidates if w / total >= WKF_PRUNE_WEIGHT]
     if not candidates:
@@ -286,15 +288,19 @@ def pf_predict(ps: ParticleSet, dt: float, params: PfParams,
 
 
 def pf_step(ps: ParticleSet, obs: float, dt: float, params: PfParams,
-            rng: np.random.Generator) -> ParticleSet:
-    """One predict/weight/resample cycle, prior as proposal; dt = 0 skips the predict."""
+            rng: np.random.Generator, where: str = "") -> ParticleSet:
+    """One predict/weight/resample cycle, prior as proposal; dt = 0 skips the predict.
+
+    `where` names the track and time in the warning of a weight collapse.
+    """
     ps = pf_predict(ps, dt, params, rng)
     particles = ps.particles
     innovation = wrap_angle(obs - particles[:, 0])
     weights = ps.weights * wrapped_gaussian_likelihood(innovation, params.obs_noise_var)
     total = weights.sum()
     if total <= 0.0 or not np.isfinite(total):
-        logger.warning("particle filter divergence: observation %.3f killed all weights", obs)
+        logger.warning("%sparticle filter divergence: observation %.3f killed all weights",
+                       f"{where}: " if where else "", obs)
         weights = np.full(ps.size, 1.0 / ps.size)
     else:
         weights = weights / total
@@ -321,8 +327,9 @@ class TrackerConfig:
 
 
 def _make_filter(name: str, config: TrackerConfig, seed: int):
-    """start(obs), predict(state, dt), update(state, obs), azimuth(state) and
-    variance(state), the azimuth variance for the gate, of one of `FILTERS`.
+    """start(obs), predict(state, dt), update(state, obs, where), azimuth(state)
+    and variance(state), the azimuth variance for the gate, of one of
+    `FILTERS`; `where` names the track and time in the filter's warnings.
 
     Filter functions are looked up at call time, not bound here.
     """
@@ -336,13 +343,13 @@ def _make_filter(name: str, config: TrackerConfig, seed: int):
     if name == "kalman":
         return (kf_start,
                 lambda state, dt: kf_predict(state, dt, q),
-                lambda state, obs: kf_update(state, obs, obs_var),
+                lambda state, obs, where: kf_update(state, obs, obs_var),
                 lambda state: state.azimuth,
                 lambda state: state.covariance[0, 0])
     if name == "wrapped-kalman":
         return (lambda obs: WrappedMixture.from_state(kf_start(obs)),
                 lambda mix, dt: wrapped_kf_predict(mix, dt, q),
-                lambda mix, obs: wrapped_kf_update(mix, obs, obs_var),
+                lambda mix, obs, where: wrapped_kf_update(mix, obs, obs_var, where),
                 WrappedMixture.circular_mean,
                 WrappedMixture.azimuth_variance)
     if name == "particle":
@@ -358,7 +365,7 @@ def _make_filter(name: str, config: TrackerConfig, seed: int):
 
         return (pf_start,
                 lambda ps, dt: pf_predict(ps, dt, params, rng),
-                lambda ps, obs: pf_step(ps, obs, 0.0, params, rng),
+                lambda ps, obs, where: pf_step(ps, obs, 0.0, params, rng, where),
                 ParticleSet.circular_mean,
                 ParticleSet.azimuth_variance)
     raise ValueError(f"unknown filter {name!r}; available: {FILTERS}")
@@ -417,12 +424,11 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
         matched_obs = set()
         for i, j in pairs:
             cand = candidates[i]
+            label = f"track {cand.confirmed_id}" if cand.confirmed_id else "tentative track"
             try:
-                cand.state = update(cand.state, observations[j])
+                cand.state = update(cand.state, observations[j], f"{label} at t={t:.3f} s")
             except FilterDivergenceError:
-                logger.warning("%s flagged at t=%.3f s: non-PD covariance",
-                               f"track {cand.confirmed_id}" if cand.confirmed_id
-                               else "tentative track", t)
+                logger.warning("%s flagged at t=%.3f s: non-PD covariance", label, t)
                 continue
             cand.last_hit_time = t
             cand.history.append(True)

@@ -267,3 +267,77 @@ def test_pseudo_intensity_rejects_silence():
     frames = frame_signal(audio, 2048, 1024)
     with pytest.raises(NoSignalError):
         pseudo_intensity(frames, geom, FS)
+
+
+# ---------------------------------------------------------------------------
+# Stream structure and memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seconds", [2.0, 6.0])
+def test_steering_is_built_once_per_block_group(monkeypatch, seconds):
+    import doatrack.localize
+    from doatrack.cli import localize_stream
+    from doatrack.sigproc import BLOCK_GROUP_ELEMENTS, CHUNK_ELEMENTS
+
+    geom = get_array_preset("robot_head")
+    audio = plane_wave_audio(geom, math.radians(30.0), n=int(FS * seconds), snr_db=20)
+    starts, chunks = [], []
+    steering = doatrack.localize._steering
+
+    def counting(*args):
+        starts.append(1)
+        for chunk in steering(*args):
+            chunks.append(1)
+            yield chunk
+
+    monkeypatch.setattr(doatrack.localize, "_steering", counting)
+    estimates = localize_stream(audio, geom, "srp-phat", FS)
+    # noise-free of pauses, so every block passes the energy gate
+    n_frames = (audio.length - 2048) // 1024 + 1
+    n_blocks = (n_frames - 8) // 4 + 1
+    assert len(estimates) == n_blocks
+    # a group spans as many frames as its STFT and 4-frame sub-block
+    # cross-spectra over the band's bins fit in the budget
+    channels, n_bins = geom.mic_count, 158
+    frame_elements = channels * 1025 + -(-n_bins * channels**2 // 4)
+    group_blocks = (BLOCK_GROUP_ELEMENTS // frame_elements - 8) // 4 + 1
+    n_groups = -(-n_blocks // group_blocks)
+    bin_chunks = -(-n_bins // (CHUNK_ELEMENTS // (360 * channels)))
+    assert len(starts) == n_groups < n_blocks
+    assert len(chunks) == n_groups * bin_chunks
+
+
+def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):
+    from doatrack.cli import localize_stream
+
+    def no_irfft(*args, **kwargs):
+        raise AssertionError("irfft called")
+
+    geom = get_array_preset("robot_head")
+    audio = plane_wave_audio(geom, math.radians(-60.0), n=int(FS), snr_db=20)
+    monkeypatch.setattr(np.fft, "irfft", no_irfft)
+    estimates = localize_stream(audio, geom, "gcc-phat", FS)
+    assert estimates
+    for est in estimates:
+        assert abs(math.degrees(wrap_angle(est.doa.azimuth - math.radians(-60.0)))) <= 2.0
+
+
+@pytest.mark.parametrize("array,localizer", [("eigenmike", "srp-phat"),
+                                             ("eigenmike", "gcc-phat"),
+                                             ("dicit", "gcc-phat")])
+def test_stream_memory_does_not_grow_with_recording_length(array, localizer):
+    import tracemalloc
+
+    from doatrack.cli import localize_stream
+
+    geom = get_array_preset(array)
+    peaks = []
+    for seconds in (2.0, 8.0):
+        audio = plane_wave_audio(geom, math.radians(40.0), n=int(FS * seconds), snr_db=20)
+        tracemalloc.start()
+        try:
+            assert localize_stream(audio, geom, localizer, FS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

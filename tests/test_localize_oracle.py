@@ -2,8 +2,11 @@
 
 The reference functions below are the per-frame STFT, per-pair SRP-PHAT and
 GCC-PHAT, per-bin MUSIC and per-frame pseudo-intensity implementations, run
-on the same frames. The batched code sums in a different order, so spectra
-and delays are compared within RTOL of their largest magnitude.
+block by block on the same frames. The batched code sums in a different
+order, so spectra and delays are compared within RTOL of their largest
+magnitude. The stream path (one localizer call for all blocks of a
+recording) is compared with them on recordings whose blocks are gated,
+skipped as silent or ill-conditioned, and split over several groups.
 """
 
 import math
@@ -17,11 +20,10 @@ from scipy.signal import get_window
 from doatrack.cli import _circular_peaks, localize_stream
 from doatrack.geometry import ArrayGeometry, Doa, get_array_preset, unit_vector_to_doa, wrap_angle
 from doatrack.localize import (PHAT_FLOOR_REL, DoaEstimate, IllConditionedError,
-                               NoSignalError, SpatialSpectrum, TdoaEstimate,
-                               _band_bins, azimuth_grid, farfield_pair_tdoa,
-                               gcc_phat, music_spectrum, pseudo_intensity,
-                               srp_argmax, srp_phat, tdoa_to_azimuth)
-from doatrack.sigproc import CrossSpectrum, MultichannelAudio, frame_signal
+                               NoSignalError, TdoaEstimate, _band_bins, azimuth_grid,
+                               farfield_pair_tdoa, gcc_phat, music_spectrum,
+                               pseudo_intensity, srp_phat, tdoa_to_azimuth)
+from doatrack.sigproc import Blocks, CrossSpectrum, MultichannelAudio, frame_signal
 
 from synthutil import plane_wave_audio
 
@@ -57,6 +59,7 @@ def ref_srp_phat(stack, geometry, grid, window_length=2048):
     dirs = grid.unit_vectors
     mics = geometry.mic_positions - geometry.centroid
     values = np.full(len(grid), float(channels * len(bins)))
+    silent = True
     for m in range(channels):
         for l in range(m + 1, channels):
             g = ref_cross_spectrum(stack, m, l)[bins]
@@ -64,10 +67,13 @@ def ref_srp_phat(stack, geometry, grid, window_length=2048):
             peak = mag.max()
             if peak <= 0.0:
                 continue
+            silent = False
             phat = np.where(mag > PHAT_FLOOR_REL * peak, g / np.maximum(mag, 1e-300), 0.0)
             tau = farfield_pair_tdoa(dirs, mics[m], mics[l], FS)
             steer = np.exp(1j * np.outer(tau, omega))
             values += 2.0 * np.real(steer @ phat)
+    if silent:
+        raise NoSignalError("all in-band cross spectra are zero")
     return values
 
 
@@ -160,7 +166,6 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
                          for s in starts])
     threshold = 0.05 * np.percentile(energies, 90)
     grid = azimuth_grid(1.0)
-    mics = geometry.mic_positions
     estimates = []
     for start, energy in zip(starts, energies):
         if energy < threshold:
@@ -168,23 +173,32 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
         block = stack[start:start + block_frames]
         times = frames.times[start:start + block_frames]
         t = 0.5 * (times[0] + times[-1])
-        if localizer == "srp-phat":
-            values = ref_srp_phat(block, geometry, grid)
-            estimates.append((t, srp_argmax(SpatialSpectrum(grid, values)).azimuth))
-        elif localizer == "music":
-            values = ref_music_spectrum(block, geometry, grid, n_sources)
-            estimates += [(t, Doa(az).azimuth)
-                          for az in _circular_peaks(grid.azimuths, values, n_sources)]
-        elif localizer == "gcc-phat":
-            tdoas = [ref_gcc_phat(ref_cross_spectrum(block, m, l), (m, l),
-                                  FS / C * float(np.linalg.norm(mics[l] - mics[m])) + 1.0)
-                     for m, l in geometry.pairs()]
-            estimates.append((t, ref_tdoa_to_azimuth(tdoas, geometry).azimuth))
-        else:
-            az = [e.doa.azimuth for e in ref_pseudo_intensity(block, times, geometry)]
-            mean_az = math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))
-            estimates.append((t, Doa(wrap_angle(mean_az)).azimuth))
+        try:
+            if localizer == "srp-phat":
+                values = ref_srp_phat(block, geometry, grid)
+                estimates += [(t, Doa(az).azimuth)
+                              for az in _circular_peaks(grid.azimuths, values, n_sources)]
+            elif localizer == "music":
+                values = ref_music_spectrum(block, geometry, grid, n_sources)
+                estimates += [(t, Doa(az).azimuth)
+                              for az in _circular_peaks(grid.azimuths, values, n_sources)]
+            elif localizer == "gcc-phat":
+                tdoas = [ref_gcc_phat(ref_cross_spectrum(block, m, l), (m, l), lag)
+                         for (m, l), lag in zip(geometry.pairs(), max_lags(geometry))]
+                estimates.append((t, ref_tdoa_to_azimuth(tdoas, geometry).azimuth))
+            else:
+                az = [e.doa.azimuth for e in ref_pseudo_intensity(block, times, geometry)]
+                mean_az = math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))
+                estimates.append((t, Doa(wrap_angle(mean_az)).azimuth))
+        except (NoSignalError, IllConditionedError):
+            continue
     return estimates
+
+
+def max_lags(geometry):
+    """localize_stream's GCC lag window of every pair, samples."""
+    mics = geometry.mic_positions
+    return [FS / C * float(np.linalg.norm(mics[l] - mics[m])) + 1.0 for m, l in geometry.pairs()]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +302,121 @@ def test_localize_stream_estimates_match_reference(array, localizer, n_sources):
         audio = MultichannelAudio(audio.samples[:, :2048 + 1024 * 11], FS)
     new = localize_stream(audio, geom, localizer, FS, n_sources=n_sources)
     ref = ref_localize_stream(audio, geom, localizer, n_sources)
+    assert new
+    assert [(e.timestamp, e.doa.azimuth) for e in new] == ref
+
+
+# ---------------------------------------------------------------------------
+# Stream path on multi-block recordings
+# ---------------------------------------------------------------------------
+
+def _gapped_scene(array, frames=64):
+    """Two plane waves in noise with, in frames: 8..15 and 24..35 digitally
+    silent (one gated block, then a gated run that splits the groups), and
+    40..47 heard by microphone 0 alone (a loud block without inter-mic
+    cross-spectra)."""
+    geom, audio = _scene(array, frames)
+    samples = audio.samples.copy()
+    for first, last in ((8, 15), (24, 35)):
+        samples[:, first * 1024:last * 1024 + 2048] = 0.0
+    samples[1:, 40 * 1024:47 * 1024 + 2048] = 0.0
+    samples[0, 40 * 1024:47 * 1024 + 2048] *= 3.0
+    return geom, MultichannelAudio(samples, FS)
+
+
+def _bursts_scene(array="robot_head", frames=92):
+    """Digital silence but for the first two and the last two frames: most
+    blocks are silent, the energy gate passes them (its threshold is 0) and
+    their MUSIC correlation matrices are ill-conditioned."""
+    geom, audio = _scene(array, frames)
+    samples = audio.samples.copy()
+    samples[:, 2 * 1024 + 2048:(frames - 3) * 1024] = 0.0
+    return geom, MultichannelAudio(samples, FS)
+
+
+STREAM_SCENES = {
+    "gapped_robot_head": _gapped_scene("robot_head"),
+    "gapped_eigenmike": _gapped_scene("eigenmike", 48),
+    "bursts_robot_head": _bursts_scene(),
+    "dicit": SCENES["dicit"],
+}
+
+
+def _all_blocks(audio, block_frames=8, block_stride=4):
+    n_frames = (audio.length - 2048) // 1024 + 1
+    return Blocks(audio, np.arange(0, n_frames - block_frames + 1, block_stride), block_frames)
+
+
+def _per_block(reference, blocks, stack):
+    """reference(block stack) of every block, None where it raises."""
+    out = []
+    for start in blocks.starts:
+        try:
+            out.append(reference(stack[start:start + blocks.length]))
+        except (NoSignalError, IllConditionedError):
+            out.append(None)
+    return out
+
+
+def _assert_blocks_close(new, ref, rtol=RTOL):
+    assert [n is None for n in new] == [r is None for r in ref]
+    for n, r in zip(new, ref):
+        if r is not None:
+            _assert_close(n, r, rtol)
+
+
+@pytest.mark.parametrize("scene", ["gapped_robot_head", "bursts_robot_head"])
+def test_stream_srp_and_music_match_per_block_reference(scene):
+    geom, audio = STREAM_SCENES[scene]
+    stack = ref_frame_bins(audio)
+    grid = azimuth_grid(1.0)
+    blocks = _all_blocks(audio)
+    new = [None if s is None else s.values for s in srp_phat(blocks, geom, grid, FS, BAND)]
+    _assert_blocks_close(new, _per_block(lambda b: ref_srp_phat(b, geom, grid), blocks, stack),
+                         1e-12)
+    blocks = _all_blocks(audio, geom.mic_count)
+    new = [None if s is None else s.values
+           for s in music_spectrum(blocks, geom, grid, 1, FS, BAND)]
+    ref = _per_block(lambda b: ref_music_spectrum(b, geom, grid, 1), blocks, stack)
+    _assert_blocks_close(new, ref)
+    if scene == "bursts_robot_head":  # ill-conditioned blocks between usable ones
+        assert ref[0] is not None and ref[-1] is not None and ref[1] is None
+
+
+@pytest.mark.parametrize("scene", ["gapped_robot_head", "dicit"])
+def test_stream_gcc_phat_matches_per_block_reference(scene):
+    geom, audio = STREAM_SCENES[scene]
+    stack = ref_frame_bins(audio)
+    blocks = _all_blocks(audio)
+    lags = max_lags(geom)
+    tdoas = gcc_phat(blocks, lags)
+    assert tdoas.pairs == tuple(geom.pairs())
+
+    def reference(block):
+        return [ref_gcc_phat(ref_cross_spectrum(block, m, l), (m, l), lag)
+                for (m, l), lag in zip(geom.pairs(), lags)]
+
+    ref = _per_block(reference, blocks, stack)
+    new = [d if ok else None for d, ok in zip(tdoas.delays, tdoas.usable)]
+    _assert_blocks_close(new, [None if r is None else [e.delay for e in r] for r in ref], 1e-12)
+    assert tdoa_to_azimuth(tdoas, geom, FS) == [
+        None if r is None else ref_tdoa_to_azimuth(r, geom) for r in ref]
+    if scene == "gapped_robot_head":
+        assert ref[10] is None  # heard by one microphone only
+
+
+STREAM_CASES = [
+    ("gapped_robot_head", "srp-phat"), ("gapped_robot_head", "music"),
+    ("gapped_robot_head", "gcc-phat"), ("gapped_eigenmike", "pseudo-intensity"),
+    ("bursts_robot_head", "music"), ("dicit", "gcc-phat"),
+]
+
+
+@pytest.mark.parametrize("scene,localizer", STREAM_CASES)
+def test_localize_stream_matches_reference_on_gated_and_skipped_blocks(scene, localizer):
+    geom, audio = STREAM_SCENES[scene]
+    new = localize_stream(audio, geom, localizer, FS)
+    ref = ref_localize_stream(audio, geom, localizer)
     assert new
     assert [(e.timestamp, e.doa.azimuth) for e in new] == ref
 

@@ -271,6 +271,34 @@ def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
                for m in messages)
 
 
+def test_wrapped_kf_rejection_warning_names_the_track_and_the_time(caplog):
+    # a tight observation noise and an open gate let an observation 2 rad off
+    # the confirmed track reach the update, where every hypothesis has zero
+    # likelihood
+    config = TrackerConfig(obs_noise_std=1e-3, gate_sigma=1e9, gate_max=math.pi)
+    times = [(0.1 * k, [0.5]) for k in range(4)] + [(0.4, [2.5])]
+    with caplog.at_level(logging.WARNING, logger="doatrack.track"):
+        track_lifecycle(_stream(times), config, "wrapped-kalman")
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == ["track 1 at t=0.400 s: wrapped KF update rejected observation "
+                        "2.500 (zero likelihood)"]
+
+
+def test_particle_filter_collapse_warning_names_the_track_and_the_time(monkeypatch, caplog):
+    # every observation kills every weight; the track confirms after its
+    # second update, at its third hit
+    monkeypatch.setattr(doatrack.track, "wrapped_gaussian_likelihood",
+                        lambda innovation, variance: np.zeros_like(innovation))
+    times = [(0.1 * k, [0.5]) for k in range(4)]
+    with caplog.at_level(logging.WARNING, logger="doatrack.track"):
+        track_lifecycle(_stream(times), TrackerConfig(), "particle")
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == [
+        f"{who} at t={t} s: particle filter divergence: observation 0.500 killed all weights"
+        for who, t in (("tentative track", "0.100"), ("tentative track", "0.200"),
+                       ("track 1", "0.300"))]
+
+
 def _two_source_stream(seed, duration):
     """Task-4 ground truth (two moving sources) as a noisy, gappy, cluttered
     estimate stream at the localizer's block rate; no audio is rendered."""
