@@ -205,13 +205,12 @@ def farfield_pair_tdoa(unit_dirs, mic_m, mic_l, f_s: float):
     return f_s / SPEED_OF_SOUND * unit_dirs @ baseline
 
 
-def gcc_phat(cs, max_lag):
+def gcc_phat(cs: CrossSpectrum | Blocks, max_lag):
     """Estimate the dominant delay from a phase-transformed cross spectrum.
 
     The GCC is evaluated on a GCC_INTERPOLATION-times oversampled lag axis
     within +-max_lag and the peak refined by parabolic interpolation. `cs` is
-    one CrossSpectrum (gives a TdoaEstimate), a sequence of them sharing one
-    window length (gives a list), with `max_lag` a float or one per spectrum,
+    one CrossSpectrum, with `max_lag` a float, which gives a TdoaEstimate,
     or a recording's Blocks with `max_lag` one per microphone pair (m < l,
     in row-major order), which gives a BlockTdoas.
     """
@@ -221,17 +220,11 @@ def gcc_phat(cs, max_lag):
         if max_lags.shape != (n_pairs,):
             raise ValueError(f"need one max_lag per microphone pair, {n_pairs} in all")
         return _gcc_phat_blocks(cs, max_lags)
-    spectra = [cs] if isinstance(cs, CrossSpectrum) else list(cs)
-    max_lags = np.broadcast_to(np.asarray(max_lag, dtype=float), (len(spectra),))
-    order = np.argsort(-max_lags, kind="stable")
-    g = np.array([spectra[i].values for i in order], dtype=complex).T[None]
-    delays, peaks, usable = _lag_window_peaks(g, max_lags[order], spectra[0].window_length)
+    g = np.asarray(cs.values, dtype=complex)[None, :, None]
+    delays, peaks, usable = _lag_window_peaks(g, np.array([float(max_lag)]), cs.window_length)
     if not usable[0]:
         raise NoSignalError("all-zero cross spectrum")
-    estimates = [None] * len(spectra)
-    for i, d, p in zip(order, delays[0], peaks[0]):
-        estimates[i] = TdoaEstimate(spectra[i].pair, float(d), float(p))
-    return estimates[0] if isinstance(cs, CrossSpectrum) else estimates
+    return TdoaEstimate(cs.pair, float(delays[0, 0]), float(peaks[0, 0]))
 
 
 def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:

@@ -99,12 +99,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     Frame k covers samples [k*hop, k*hop + window_length). A signal shorter
     than one window yields an Stft with no frames.
     """
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
-    if window_length < 1:
-        raise ValueError("window_length must be >= 1")
-    n = audio.length
-    n_frames = (n - window_length) // hop + 1 if window_length <= n else 0
+    n_frames = _frame_count(audio, window_length, hop)
     bins = np.empty((n_frames, audio.channel_count, window_length // 2 + 1), dtype=complex)
     times = (audio.start_time
              + (np.arange(n_frames) * hop + window_length / 2) / audio.sample_rate_hz)
@@ -118,6 +113,16 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     for start in range(0, n_frames, step):
         bins[start:start + step] = np.fft.rfft(segments[start:start + step] * taper, axis=-1)
     return Stft(bins, times, window_length, hop)
+
+
+def _frame_count(audio: MultichannelAudio, window_length: int, hop: int) -> int:
+    """Number of whole frames of `window_length` samples, `hop` apart."""
+    if hop < 1:
+        raise ValueError("hop must be >= 1")
+    if window_length < 1:
+        raise ValueError("window_length must be >= 1")
+    n = audio.length
+    return (n - window_length) // hop + 1 if window_length <= n else 0
 
 
 def _taper(window: str, window_length: int) -> np.ndarray:
@@ -136,8 +141,7 @@ def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW
     bins, with X_0 = sum_n s_n and X_{N/2} = sum_n (-1)^n s_n (N even only).
     Agrees with the transform's energies to rounding.
     """
-    n = audio.length
-    n_frames = (n - window_length) // hop + 1 if window_length <= n else 0
+    n_frames = _frame_count(audio, window_length, hop)
     energies = np.empty(n_frames)
     taper = _taper(window, window_length)
     # columns: sum of s, and sum of (-1)^n s for an even length
@@ -156,7 +160,8 @@ def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW
 @dataclass(frozen=True, eq=False)
 class Blocks:
     """Analysis blocks of one recording: block i is the `length` consecutive
-    STFT frames from frame ``starts[i]`` on, with ``starts`` ascending.
+    STFT frames from frame ``starts[i]`` on, with ``starts`` non-negative and
+    strictly increasing.
 
     `source` is the recording (frames are transformed group by group, see
     `groups`) or an `Stft` that holds the frames already.
@@ -167,6 +172,13 @@ class Blocks:
     length: int
     window_length: int = DEFAULT_WINDOW_LENGTH
     hop: int = DEFAULT_HOP
+
+    def __post_init__(self):
+        starts = np.asarray(self.starts, dtype=int)
+        # block_cross_spectra accumulates sub-block sums in start order
+        if starts.ndim != 1 or np.any(starts < 0) or np.any(np.diff(starts) <= 0):
+            raise ValueError("block starts must be non-negative and strictly increasing")
+        object.__setattr__(self, "starts", starts)
 
     @classmethod
     def whole(cls, frames: Stft) -> "Blocks":

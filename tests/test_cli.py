@@ -56,6 +56,19 @@ def test_run_missing_input(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--hop", "0", "hop must be >= 1"), ("--hop", "-1", "hop must be >= 1"),
+    ("--window", "0", "window_length must be >= 1")])
+@pytest.mark.parametrize("localizer", ["srp-phat", "gcc-phat"])
+def test_run_rejects_bad_window_or_hop(scene_dir, tmp_path, capsys, localizer, flag, value,
+                                       message):
+    code = _run("run", "--input", str(scene_dir), "--localizer", localizer, flag, value,
+                "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_run_unsupported_localizer_geometry(tmp_path):
     out = tmp_path / "dicit"
     assert _run("simulate", "--task", "1", "--seed", "0", "--duration", "1",

@@ -20,10 +20,10 @@ from scipy.signal import get_window
 from doatrack.cli import _circular_peaks, localize_stream
 from doatrack.geometry import ArrayGeometry, Doa, get_array_preset, unit_vector_to_doa, wrap_angle
 from doatrack.localize import (PHAT_FLOOR_REL, DoaEstimate, IllConditionedError,
-                               NoSignalError, TdoaEstimate, _band_bins, azimuth_grid,
-                               farfield_pair_tdoa, gcc_phat, music_spectrum,
-                               pseudo_intensity, srp_phat, tdoa_to_azimuth)
-from doatrack.sigproc import Blocks, CrossSpectrum, MultichannelAudio, frame_signal
+                               NoSignalError, SpatialSpectrum, TdoaEstimate, _band_bins,
+                               azimuth_grid, farfield_pair_tdoa, gcc_phat, music_spectrum,
+                               pseudo_intensity, srp_argmax, srp_phat, tdoa_to_azimuth)
+from doatrack.sigproc import Blocks, MultichannelAudio, frame_signal
 
 from synthutil import plane_wave_audio
 
@@ -154,8 +154,9 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
                         block_stride=4):
     """localize_stream's gating and blocking around the reference localizers.
 
-    Peaks are picked with the batched code's tie rule, so only the spectra
-    and delays come from the reference code.
+    A one-source SRP or MUSIC spectrum is read with `srp_argmax`; several
+    sources are picked with the batched code's `_circular_peaks`, so for them
+    only the spectra come from the reference code.
     """
     frames = frame_signal(audio, 2048, 1024)
     stack = ref_frame_bins(audio)
@@ -174,14 +175,14 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
         times = frames.times[start:start + block_frames]
         t = 0.5 * (times[0] + times[-1])
         try:
-            if localizer == "srp-phat":
-                values = ref_srp_phat(block, geometry, grid)
-                estimates += [(t, Doa(az).azimuth)
-                              for az in _circular_peaks(grid.azimuths, values, n_sources)]
-            elif localizer == "music":
-                values = ref_music_spectrum(block, geometry, grid, n_sources)
-                estimates += [(t, Doa(az).azimuth)
-                              for az in _circular_peaks(grid.azimuths, values, n_sources)]
+            if localizer in ("srp-phat", "music"):
+                values = (ref_srp_phat(block, geometry, grid) if localizer == "srp-phat" else
+                          ref_music_spectrum(block, geometry, grid, n_sources))
+                if n_sources == 1:
+                    estimates.append((t, srp_argmax(SpatialSpectrum(grid, values)).azimuth))
+                else:
+                    estimates += [(t, Doa(az).azimuth)
+                                  for az in _circular_peaks(grid.azimuths, values, n_sources)]
             elif localizer == "gcc-phat":
                 tdoas = [ref_gcc_phat(ref_cross_spectrum(block, m, l), (m, l), lag)
                          for (m, l), lag in zip(geometry.pairs(), max_lags(geometry))]
@@ -261,17 +262,15 @@ def test_music_matches_per_bin_reference(array, n_sources):
 def test_gcc_phat_batch_matches_per_pair_reference(array):
     geom, audio = SCENES[array]
     frames = frame_signal(audio, 2048, 1024)[:8]
-    mics = geom.mic_positions
     pairs = geom.pairs()
-    max_lags = [FS / C * float(np.linalg.norm(mics[l] - mics[m])) + 1.0 for m, l in pairs]
-    spectra = [CrossSpectrum(ref_cross_spectrum(frames.bins, m, l), (m, l), 2048)
-               for m, l in pairs]
-    batch = gcc_phat(spectra, max_lags)
-    ref = [ref_gcc_phat(cs.values, cs.pair, lag) for cs, lag in zip(spectra, max_lags)]
-    assert [e.pair for e in batch] == pairs
-    _assert_close([e.delay for e in batch], [e.delay for e in ref])
-    _assert_close([e.confidence for e in batch], [e.confidence for e in ref])
-    assert tdoa_to_azimuth(batch, geom, FS) == ref_tdoa_to_azimuth(ref, geom)
+    lags = max_lags(geom)
+    batch = gcc_phat(Blocks.whole(frames), lags)
+    ref = [ref_gcc_phat(ref_cross_spectrum(frames.bins, m, l), (m, l), lag)
+           for (m, l), lag in zip(pairs, lags)]
+    assert list(batch.pairs) == pairs and batch.usable.tolist() == [True]
+    _assert_close(batch.delays[0], [e.delay for e in ref])
+    _assert_close(batch.confidence[0], [e.confidence for e in ref])
+    assert tdoa_to_azimuth(batch, geom, FS) == [ref_tdoa_to_azimuth(ref, geom)]
 
 
 def test_pseudo_intensity_matches_per_frame_reference():

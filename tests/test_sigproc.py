@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from doatrack.sigproc import MultichannelAudio, cross_power_spectrum, frame_signal
+from doatrack.sigproc import (Blocks, MultichannelAudio, cross_power_spectrum, frame_energies,
+                              frame_signal)
 
 
 def _tone(freq, fs, n, phase=0.0):
@@ -33,6 +34,33 @@ def test_invalid_hop():
     audio = MultichannelAudio(np.zeros((1, 4096)), 48000)
     with pytest.raises(ValueError):
         frame_signal(audio, 2048, 0)
+
+
+@pytest.mark.parametrize("window_length,hop,message", [
+    (2048, 0, "hop must be >= 1"), (2048, -3, "hop must be >= 1"),
+    (0, 1024, "window_length must be >= 1"), (-2, 1024, "window_length must be >= 1")])
+def test_frame_energies_checks_window_and_hop_like_frame_signal(window_length, hop, message):
+    audio = MultichannelAudio(np.zeros((1, 4096)), 48000)
+    for frame in (frame_signal, frame_energies):
+        with pytest.raises(ValueError, match=message):
+            frame(audio, window_length, hop)
+
+
+def test_frame_energies_match_the_transform():
+    rng = np.random.default_rng(3)
+    audio = MultichannelAudio(rng.standard_normal((3, 20000)), 48000)
+    for window_length in (2048, 1001):
+        frames = frame_signal(audio, window_length, 700)
+        expected = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
+        assert np.allclose(frame_energies(audio, window_length, 700), expected,
+                           rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("starts", [[0, 4, 4, 8], [8, 4, 0], [-4, 0], [[0, 4]]])
+def test_blocks_reject_starts_not_strictly_increasing(starts):
+    audio = MultichannelAudio(np.zeros((2, 48000)), 48000)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Blocks(audio, np.array(starts), 8)
 
 
 def test_rect_window_tone_lands_on_its_bin():
