@@ -4,6 +4,14 @@ A recording is scored from arrays: the truth at every clock tick, each
 submission row mapped once to its tick, and one (S, R) array of angular
 errors between every source and every row.
 
+Association and OSPA are exact minimum-cost assignments at every tick. The
+ticks are grouped by their number of active sources and of rows, and each
+group is solved at once by `assignment.batched_assignment`. An association
+whose optimum is not unique by a safe margin (a near tie), or whose shape
+has more than `assignment.MAX_MAPS` maps, is solved tick by tick with
+`gated_assignment` instead, so that scipy's tie-break decides as it always
+has; OSPA needs only the least total, which a tie does not change.
+
 Association uses azimuth error only (in degrees) against a 30 degree gate;
 elevation errors are reported for valid pairs but never drive assignment.
 All azimuth/elevation values are radians in memory; reported errors and the
@@ -17,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import gated_assignment, min_cost_assignment
+from .assignment import (MAX_MAPS, batched_assignment, gated_assignment, map_count,
+                         min_cost_assignment)
 from .geometry import (GROUND_TRUTH_RATE_HZ, SPEED_OF_SOUND, Doa, Trajectory,
                        global_to_local_doas, row_norms, sample_trajectory, wrap_angle)
 
@@ -167,6 +176,22 @@ class Submission:
         return nearest
 
 
+def _shape_groups(active, ticks):
+    """The ticks of a recording grouped by their number of active sources and
+    of rows. Yields (tick indices (T,), each tick's active sources in order
+    (T, S), each tick's rows (T, R)) per (S, R) shape, `ticks` (R,) being
+    non-decreasing."""
+    n_sources = active.sum(axis=0)
+    n_rows = np.bincount(ticks, minlength=active.shape[1])
+    first_row = np.cumsum(n_rows) - n_rows
+    shape = n_sources * (n_rows.max(initial=0) + 1) + n_rows
+    for key in np.unique(shape):
+        at = np.flatnonzero(shape == key)
+        s, r = n_sources[at[0]], n_rows[at[0]]
+        yield (at, np.nonzero(active[:, at].T)[1].reshape(len(at), s),
+               first_row[at, None] + np.arange(r))
+
+
 def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) -> np.ndarray:
     """Associate sources with submission rows at every tick of a recording.
 
@@ -178,13 +203,23 @@ def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) 
     assigned row, -1 where a source has none.
     """
     assigned = np.full(active.shape, -1)
-    n_rows = np.bincount(ticks, minlength=active.shape[1])
-    first_row = np.cumsum(n_rows) - n_rows
-    for t in np.flatnonzero(active.any(axis=0) & (n_rows > 0)):
-        sources = np.flatnonzero(active[:, t])
-        rows = np.arange(first_row[t], first_row[t] + n_rows[t])
-        for i, j in gated_assignment(cost[np.ix_(sources, rows)], gate_deg):
-            assigned[sources[i], t] = rows[j]
+    for at, sources, rows in _shape_groups(active, ticks):
+        s, r = sources.shape[1], rows.shape[1]
+        if not (s and r):
+            continue
+        per_tick = np.ones(len(at), dtype=bool)
+        if map_count(s, r) <= MAX_MAPS:
+            # `gated_assignment` pads to a square of sentinel costs gate + 1, so
+            # a pair costing more is no better than leaving both sides unpaired
+            stack = np.minimum(cost[sources[:, :, None], rows[:, None, :]], gate_deg + 1.0)
+            _, image, per_tick = batched_assignment(stack)
+            src, row = ((sources, np.take_along_axis(rows, image, axis=1)) if s <= r else
+                        (np.take_along_axis(sources, image, axis=1), rows))
+            keep = ~per_tick[:, None] & (cost[src, row] <= gate_deg)
+            assigned[src[keep], np.broadcast_to(at[:, None], keep.shape)[keep]] = row[keep]
+        for k in np.flatnonzero(per_tick):
+            for i, j in gated_assignment(cost[np.ix_(sources[k], rows[k])], gate_deg):
+                assigned[sources[k, i], at[k]] = rows[k, j]
     return assigned
 
 
@@ -217,6 +252,25 @@ class OspaParams:
             raise ValueError("cutoff must be positive")
 
 
+def _ospa(pair_cost, params: OspaParams) -> np.ndarray:
+    """OSPA of each (S, R) matrix of a (T, S, R) stack of costs min(c, error)**p.
+
+    The smaller set is assigned into the larger, and the cardinality gap is
+    charged at the cutoff c.
+    """
+    n, s, r = pair_cost.shape
+    small, large = min(s, r), max(s, r)
+    c, p = params.cutoff_deg, params.p
+    if not small:
+        return np.full(n, c if large else 0.0)
+    if map_count(s, r) <= MAX_MAPS:
+        best = batched_assignment(pair_cost)[0]
+    else:
+        best = np.array([min_cost_assignment(m if s <= r else m.T)[1] for m in pair_cost])
+    # the p-th root of c**p can round above c
+    return np.minimum(c, ((best + (large - small) * c**p) / large) ** (1.0 / p))
+
+
 def ospa(truth_azimuths, est_azimuths, params: OspaParams = OspaParams()) -> float:
     """Optimal subpattern assignment distance between two azimuth sets, degrees.
 
@@ -225,19 +279,7 @@ def ospa(truth_azimuths, est_azimuths, params: OspaParams = OspaParams()) -> flo
     """
     errors = np.abs(np.degrees(wrap_angle(np.subtract.outer(
         np.asarray(truth_azimuths, dtype=float), np.asarray(est_azimuths, dtype=float)))))
-    if errors.shape[0] > errors.shape[1]:
-        errors = errors.T
-    n, m = errors.shape
-    if not m:
-        return 0.0
-    c = params.cutoff_deg
-    p = params.p
-    if not n:
-        return c
-    _, best = min_cost_assignment(np.minimum(c, errors) ** p)
-    total = best + (m - n) * c**p
-    # the p-th root of c**p can round above c
-    return float(min(c, (total / m) ** (1.0 / p)))
+    return float(_ospa(np.minimum(params.cutoff_deg, errors)[None] ** params.p, params)[0])
 
 
 @dataclass(frozen=True)
@@ -254,22 +296,14 @@ def ospa_series(truth_azimuths, active, azimuths, ticks,
 
     `truth_azimuths` (S, T) and `active` (S, T) hold the sources' azimuths and
     activity at each tick, `azimuths` (R,) and `ticks` (R,) the submission
-    rows' azimuths and ticks (non-decreasing). A tick with at most one truth
-    or one row takes the closed form; `ospa` solves the others.
+    rows' azimuths and ticks (non-decreasing). The ticks of one shape are
+    solved together.
     """
-    c, p = params.cutoff_deg, params.p
-    n_rows = np.bincount(ticks, minlength=active.shape[1])
-    n_truths = active.sum(axis=0)
-    small, large = np.minimum(n_truths, n_rows), np.maximum(n_truths, n_rows)
-    # where the smaller set has one element, its cheapest pair is the assignment
     errors = np.abs(np.degrees(wrap_angle(truth_azimuths[:, ticks] - azimuths)))
-    pair_cost = np.minimum(c, np.where(active[:, ticks], errors, c)) ** p
-    best = np.full(len(n_rows), c**p)
-    np.minimum.at(best, ticks, np.min(pair_cost, axis=0, initial=c**p))
-    values = np.minimum(c, ((best + (large - 1) * c**p) / np.maximum(large, 1)) ** (1.0 / p))
-    values[small == 0] = np.where(large[small == 0] > 0, c, 0.0)
-    for t in np.flatnonzero(small >= 2):
-        values[t] = ospa(truth_azimuths[active[:, t], t], azimuths[ticks == t], params)
+    pair_cost = np.minimum(params.cutoff_deg, errors) ** params.p
+    values = np.empty(active.shape[1])
+    for at, sources, rows in _shape_groups(active, ticks):
+        values[at] = _ospa(pair_cost[sources[:, :, None], rows[:, None, :]], params)
     mean = float(values.mean()) if len(values) else 0.0
     std = float(values.std()) if len(values) else 0.0
     return OspaSeries(params, values, mean, std)

@@ -218,20 +218,26 @@ def sample_trajectory(traj: Trajectory, times):
 def _geodesic(r0, r1, alpha):
     """Row by row, r0 turned by the fraction alpha (N, 1) of its rotation to r1."""
     rel = np.swapaxes(r0, 1, 2) @ r1
+    # the vector of rel's antisymmetric part, (r21 - r12, r02 - r20, r10 - r01),
+    # is 2 sin(angle) a for the unit axis a; atan2 keeps the angle well
+    # conditioned at 0 and at 180 deg, where arccos of the trace is not
+    spin = (rel - np.swapaxes(rel, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
     cos_angle = (rel.trace(axis1=1, axis2=2) - 1.0) / 2.0
-    angle = np.arccos(np.minimum(np.maximum(cos_angle, -1.0), 1.0))
-    # the axis is the vector of rel's antisymmetric part, (r21 - r12, r02 - r20, r10 - r01)
-    axis = (rel - np.swapaxes(rel, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
-    # near 180 deg that part vanishes; rel + I = 2 a a^T there, so its row with
-    # the largest diagonal entry is the axis a, signs and all
-    near_pi = np.pi - angle < 1e-6
-    if near_pi.any():
-        m = rel[near_pi] + np.eye(3)
-        axis[near_pi] = m[np.arange(len(m)), np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)]
-    # no turn below 1e-12 rad, nor where rel is exactly symmetric (arccos of
-    # its rounded trace can still read 1e-8): k = 0 leaves r0 as it is
+    angle = np.arctan2(row_norms(spin) / 2.0, cos_angle)
+    # past 90 deg sin(angle) shrinks, and (rel + rel^T) / 2 - cos(angle) I is
+    # (1 - cos(angle)) a a^T: its row with the largest diagonal entry is a times
+    # a nonzero factor, whose sign the spin gives
+    axis = spin
+    wide = cos_angle < 0.0
+    if wide.any():
+        m = (rel[wide] + np.swapaxes(rel[wide], 1, 2)) / 2.0
+        m -= cos_angle[wide, None, None] * np.eye(3)
+        row = m[np.arange(len(m)), np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)]
+        axis[wide] = np.where((np.sum(row * spin[wide], axis=1) < 0.0)[:, None], -row, row)
+    # no turn below 1e-12 rad (a zero spin below 90 deg reads exactly 0):
+    # k = 0 leaves r0 as it is
     norms = row_norms(axis)[:, None]
-    turn = (angle >= 1e-12) & (norms[:, 0] > 0.0)
+    turn = angle >= 1e-12
     k = np.zeros((len(rel), 3, 3))  # the cross-product matrix [a]_x of the unit axis
     k[:, [2, 0, 1], [1, 2, 0]] = np.divide(axis, norms, out=np.zeros_like(axis),
                                            where=turn[:, None])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doatrack.assignment import gated_assignment
 from doatrack.evaluate import (OspaParams, Submission, VapTable, align_vaps,
                                angular_errors, compute_metrics, detect_fragmentation,
                                evaluate_submission, gate_and_associate,
@@ -306,6 +307,87 @@ def test_evaluate_submission_samples_each_trajectory_once_per_call(monkeypatch):
         counts.append(len(calls))
     # the VAP boundaries of source and array, then source and array on the clock
     assert counts == [4, 4]
+
+
+def test_evaluate_submission_calls_no_scipy_solver_without_near_ties(monkeypatch):
+    from doatrack import assignment
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return original(cost)
+
+    original = assignment.linear_sum_assignment
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+    duration = 1.0
+    arr = static_trajectory(identity_pose(), duration)
+    sources = {n: static_trajectory(Pose(np.array([2 * math.cos(D(az)), 2 * math.sin(D(az)),
+                                                   0.0]), np.eye(3)), duration)
+               for n, az in (("s1", 10.0), ("s2", -50.0))}
+    clock = arr.timestamps
+    vaps = VapTable({"s1": ((0.0, duration),), "s2": ((0.25, 0.75),)})
+    # rows 2 and 3 deg off the sources and one clutter row at 150 deg: every
+    # tick has one best pairing, clear of the others by at least a degree
+    frames = {float(t): ((1, Doa(D(12.0))), (2, Doa(D(-47.0))), (3, Doa(D(150.0))))
+              for t in clock[::2]}
+    report = evaluate_submission(sources, arr, vaps, Submission(frames), clock, duration,
+                                 ospa_params=(OspaParams(1.0), OspaParams(5.0)))
+    assert calls == []
+    assert report.valid_count > 0 and report.false_count > 0
+
+
+def _per_tick(truth_az, active, azimuths, ticks, gate_deg, params):
+    """Association by `gated_assignment` and OSPA by enumeration, tick by tick."""
+    cost = np.abs(np.degrees(wrap_angle(truth_az[:, ticks] - azimuths)))
+    assigned = np.full(active.shape, -1)
+    values = np.zeros(active.shape[1])
+    for t in range(active.shape[1]):
+        sources, rows = np.flatnonzero(active[:, t]), np.flatnonzero(ticks == t)
+        for i, j in gated_assignment(cost[np.ix_(sources, rows)], gate_deg):
+            assigned[sources[i], t] = rows[j]
+        values[t] = brute_force_ospa(truth_az[sources, t], azimuths[rows], params.p,
+                                     params.cutoff_deg)
+    return cost, assigned, values
+
+
+def _recording(case, rng):
+    """(truth azimuths (S, T), active (S, T), row azimuths, row ticks) in radians."""
+    n_ticks = 12
+    if case == "more maps than the batched cap":  # 4 sources, 7 rows: 840 maps
+        truth = rng.uniform(-np.pi, np.pi, (4, n_ticks))
+        active = np.ones(truth.shape, dtype=bool)
+        ticks = np.repeat(np.arange(n_ticks), 7)
+        near = truth[rng.integers(0, 4, len(ticks)), ticks]
+        return truth, active, near + np.radians(rng.uniform(-40.0, 40.0, len(ticks))), ticks
+    if case == "exact ties":  # two sources at one azimuth, two rows at one azimuth
+        truth = np.repeat(rng.uniform(-np.pi, np.pi, (1, n_ticks)), 3, axis=0)
+        truth[2] += np.radians(20.0)
+        active = rng.random(truth.shape) < 0.8
+        ticks = np.repeat(np.arange(n_ticks), 3)
+        offsets = np.repeat(np.radians(rng.uniform(-10.0, 10.0, n_ticks)), 3)
+        offsets[2::3] = np.radians(25.0)
+        return truth, active, truth[0, ticks] + offsets, ticks
+    # more sources than rows: 5 sources, 0 to 3 rows a tick
+    truth = rng.uniform(-np.pi, np.pi, (5, n_ticks))
+    active = rng.random(truth.shape) < 0.9
+    ticks = np.repeat(np.arange(n_ticks), rng.integers(0, 4, n_ticks))
+    near = truth[rng.integers(0, 5, len(ticks)), ticks]
+    return truth, active, near + np.radians(rng.uniform(-35.0, 35.0, len(ticks))), ticks
+
+
+@pytest.mark.parametrize("case", ["more maps than the batched cap", "exact ties",
+                                  "more sources than rows"])
+@pytest.mark.parametrize("p", [1.0, 5.0])
+def test_batched_ticks_match_per_tick_solvers(case, p):
+    rng = np.random.default_rng(11)
+    params = OspaParams(p, 30.0)
+    for _ in range(5):
+        truth, active, azimuths, ticks = _recording(case, rng)
+        azimuths = wrap_angle(azimuths)
+        cost, assigned, values = _per_tick(truth, active, azimuths, ticks, 30.0, params)
+        assert np.array_equal(gate_and_associate(cost, active, ticks, 30.0), assigned)
+        series = ospa_series(truth, active, azimuths, ticks, params)
+        np.testing.assert_allclose(series.values, values, rtol=0, atol=1e-12)
 
 
 def test_ospa_series_cardinality_gap():

@@ -4,7 +4,11 @@
 its axis-angle helpers and the SVD re-orthonormalisation. `sample_trajectory`
 evaluates the same linear translation and geodesic rotation for all times
 at once: a sample time gets the sample's pose bit for bit, and a time
-between samples agrees with the reference within ATOL.
+between samples agrees with the reference within ATOL. The reference takes
+a step's angle from arccos of the trace, which loses digits near 0 and 180
+degrees (1.7e-10 at 2e-6 rad short of a half turn) and near a half turn
+also takes its axis' sign from the axis itself; a step turning within
+SLERP_BAND of either end is checked against scipy's `Slerp` instead.
 """
 
 import re
@@ -13,11 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.transform import Rotation
+from scipy.spatial.transform import Rotation, Slerp
 
 from doatrack.geometry import Pose, Trajectory, interpolate_pose, sample_trajectory
 
 ATOL = 1e-12
+SLERP_BAND = 1e-3  # rad; past it the reference's arccos errs below 4e-13
 
 
 def _axis_angle_to_matrix(axis, angle):
@@ -114,27 +119,35 @@ def test_sampler_matches_scalar_interpolation(seed, n):
     positions = Trajectory(tuple(Pose(p.translation, np.eye(3), p.timestamp)
                                  for p in traj.samples))
     step = np.minimum(np.searchsorted(stamps, between, side="right") - 1, n - 2)
-    for t, k, translation, rotation in zip(between, step, translations[n + 10:],
-                                           rotations[n + 10:]):
+    turns = Rotation.from_matrix(np.swapaxes(traj.rotations[:-1], 1, 2)
+                                 @ traj.rotations[1:]).magnitude()
+    slerp = Slerp(stamps, Rotation.from_matrix(traj.rotations))(between).as_matrix()
+    for t, k, translation, rotation, geodesic in zip(between, step, translations[n + 10:],
+                                                     rotations[n + 10:], slerp):
         assert np.array_equal(translation, ref_interpolate_pose(positions, t).translation)
         if np.array_equal(traj.rotations[k], traj.rotations[k + 1]):
             assert np.array_equal(rotation, traj.rotations[k])
         else:
-            np.testing.assert_allclose(rotation, ref_interpolate_pose(traj, t).rotation,
-                                       rtol=0, atol=ATOL)
+            if min(turns[k], np.pi - turns[k]) >= SLERP_BAND:
+                geodesic = ref_interpolate_pose(traj, t).rotation
+            np.testing.assert_allclose(rotation, geodesic, rtol=0, atol=ATOL)
         np.testing.assert_allclose(rotation.T @ rotation, np.eye(3), rtol=0, atol=ATOL)
 
 
 def test_sampler_near_half_turn_step():
+    # the sampler turned the long way round when the axis' largest component
+    # was negative, and missed by 3.7e-8 rad with a positive one
     rng = np.random.default_rng(3)
-    start = Rotation.random(random_state=rng).as_matrix()
-    turn = Rotation.from_rotvec((np.pi - 5e-8) * np.array([0.0, 0.6, 0.8])).as_matrix()
-    traj = Trajectory((Pose(np.zeros(3), start, 0.0), Pose(np.ones(3), start @ turn, 1.0)))
-    times = np.linspace(0.0, 1.0, 41)[:-1]  # the last sample is its own case above
-    _, rotations = sample_trajectory(traj, times)
-    for t, rotation in zip(times, rotations):
-        np.testing.assert_allclose(rotation, ref_interpolate_pose(traj, t).rotation,
-                                   rtol=0, atol=ATOL)
+    start = Rotation.random(random_state=rng)
+    times = np.linspace(0.0, 1.0, 41)
+    for shortfall in (1.5, 1e-2, 1e-6, 5e-8, 1e-12):
+        for axis in ([0.0, 0.6, 0.8], [0.0, -0.6, -0.8]):
+            end = start * Rotation.from_rotvec((np.pi - shortfall) * np.array(axis))
+            traj = Trajectory((Pose(np.zeros(3), start.as_matrix(), 0.0),
+                               Pose(np.ones(3), end.as_matrix(), 1.0)))
+            _, rotations = sample_trajectory(traj, times)
+            geodesic = Slerp([0.0, 1.0], Rotation.from_matrix(traj.rotations))(times)
+            np.testing.assert_allclose(rotations, geodesic.as_matrix(), rtol=0, atol=ATOL)
 
 
 def test_sampler_one_pose_trajectory():
