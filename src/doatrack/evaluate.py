@@ -218,7 +218,10 @@ def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) 
             keep = ~per_tick[:, None] & (cost[src, row] <= gate_deg)
             assigned[src[keep], np.broadcast_to(at[:, None], keep.shape)[keep]] = row[keep]
         for k in np.flatnonzero(per_tick):
-            for i, j in gated_assignment(cost[np.ix_(sources[k], rows[k])], gate_deg):
+            sub = cost[np.ix_(sources[k], rows[k])]
+            if not (sub <= gate_deg).any():
+                continue  # no admissible pair, whichever map wins a tie
+            for i, j in gated_assignment(sub, gate_deg):
                 assigned[sources[k, i], at[k]] = rows[k, j]
     return assigned
 

@@ -19,6 +19,12 @@ so the o-dependent factors form one fixed (32, 3) table built at import. The
 result equals the direct ``np.sinc`` form up to round-off: within
 1e-11 * max|signal| (measured below 5e-16 * max|signal| on white noise, tones
 and reads within 1e-17 of an integer, tests/test_simulate_oracle.py).
+
+Silent reads are skipped. Outside its VAPs a source's emitted signal is
+exactly zero, so a read whose 32 taps all land there gives +-0 and adding it
+changes nothing. Each source is read only on the output spans whose taps can
+reach one of its VAPs, and the audio is bit-identical to reading every sample
+(tests/test_simulate.py).
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ _KERNEL_BASIS = (0.5 * np.where(_TAP_OFFSETS % 2 == 1, 1.0, -1.0)[:, None]
                              np.cos(np.pi * _TAP_OFFSETS / SINC_HALF_WIDTH),
                              np.sin(np.pi * _TAP_OFFSETS / SINC_HALF_WIDTH)], axis=1))
 _EPS = np.finfo(float).eps
+# BLAS matmul kernels take rows in fixed groups (4 to 16 in OpenBLAS) and round
+# a trailing partial group differently, so a row's bits depend on its place in
+# the read. Reads of part of a recording start and end on multiples of this
+# many output samples, as the whole-recording read's chunks of
+# CHUNK_ELEMENTS // (2 W) rows do, so every row falls where it would there.
+_READ_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -182,6 +194,33 @@ def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.nda
     return out
 
 
+def _audible_spans(vaps, fs: float, lag_min: float, lag_max: float, n_samples: int):
+    """Sorted, disjoint output spans [lo, hi) whose reads can reach a VAP.
+
+    Output sample n reads the emitted signal at n - lag, with the lag in
+    [lag_min, lag_max] samples, through taps floor(n - lag) + [-W + 1, W].
+    The emitted signal is exactly zero outside its VAPs, so a read outside
+    every span sums zeros and adds nothing. Each VAP [a, b] keeps
+    [floor(a fs + lag_min) - W - 1, ceil(b fs + lag_max) + W + 2), one sample
+    beyond the last reachable tap on each side, widened to multiples of
+    _READ_ALIGN and clipped to the recording; spans that overlap or touch
+    are merged, so no output sample is read twice.
+    """
+    spans = []
+    for a, b in vaps:
+        lo = int(np.floor(a * fs + lag_min)) - SINC_HALF_WIDTH - 1
+        hi = int(np.ceil(b * fs + lag_max)) + SINC_HALF_WIDTH + 2
+        lo = max(lo // _READ_ALIGN * _READ_ALIGN, 0)
+        hi = min(-(-hi // _READ_ALIGN) * _READ_ALIGN, n_samples)
+        if lo >= hi:
+            continue
+        if spans and lo <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((lo, hi))
+    return spans
+
+
 def _mic_global_positions(config: SceneConfig, gt_times: np.ndarray) -> np.ndarray:
     """Per-mic global positions sampled on the ground-truth clock: (mics, T, 3)."""
     translations, rotations = sample_trajectory(config.array_trajectory, gt_times)
@@ -189,7 +228,12 @@ def _mic_global_positions(config: SceneConfig, gt_times: np.ndarray) -> np.ndarr
 
 
 def synthesize(config: SceneConfig) -> Scene:
-    """Render a scene to multichannel audio; deterministic for a given config."""
+    """Render a scene to multichannel audio; deterministic for a given config.
+
+    Each (source, mic) pair runs the fractional-delay read only on the output
+    spans of `_audible_spans`; every read skipped outside them would add an
+    exact zero, so the result is the same to the bit as reading every sample.
+    """
     fs = config.sample_rate_hz
     n_samples = int(round(config.duration * fs))
     n_mics = config.array.mic_count
@@ -212,32 +256,36 @@ def synthesize(config: SceneConfig) -> Scene:
 
     for s_idx, source in enumerate(config.sources):
         rng = np.random.default_rng(source_seeds[s_idx])
-        raw = _source_signal(source.signal, n_samples, fs, rng)
-        envelope = _vap_envelope(n_samples, fs, source.vaps)
-        emitted = raw * envelope
+        emitted = _source_signal(source.signal, n_samples, fs, rng)
+        emitted *= _vap_envelope(n_samples, fs, source.vaps)
         src_pos, _ = sample_trajectory(source.trajectory, gt_times)
 
-        # scale the source so its in-VAP power at the reference mic hits snr_db
-        ref_dist_gt = np.linalg.norm(src_pos - mic_pos[reference_mic], axis=1)
-        if ref_dist_gt.min() < GUARD_RADIUS:
+        dist_gt = np.linalg.norm(src_pos[None] - mic_pos, axis=2)  # (mics, T)
+        closest = dist_gt.min(axis=1)
+        if closest[reference_mic] < GUARD_RADIUS:
             raise ValueError(
                 f"source {s_idx} passes within {GUARD_RADIUS} m of a microphone"
             )
+        too_close = np.flatnonzero(closest < GUARD_RADIUS)
+        if len(too_close):
+            raise ValueError(f"source {s_idx} passes within {GUARD_RADIUS} m of "
+                             f"microphone {too_close[0]}")
+
+        # scale the source so its in-VAP power at the reference mic hits snr_db
         in_vap = np.zeros(n_samples, dtype=bool)
         for a, b in source.vaps:
             in_vap |= (sample_times >= a) & (sample_times < b)
         vap_mask_any |= in_vap
 
+        # np.interp keeps every per-sample delay within the ground-truth range
+        spans = _audible_spans(source.vaps, fs, fs * closest.min() / SPEED_OF_SOUND,
+                               fs * dist_gt.max() / SPEED_OF_SOUND, n_samples)
         for m in range(n_mics):
-            dist_gt = np.linalg.norm(src_pos - mic_pos[m], axis=1)
-            if dist_gt.min() < GUARD_RADIUS:
-                raise ValueError(
-                    f"source {s_idx} passes within {GUARD_RADIUS} m of microphone {m}"
-                )
-            dist = np.interp(sample_times, gt_times, dist_gt)
-            gain = 1.0 / np.maximum(dist, GUARD_RADIUS)
-            read_index = np.arange(n_samples) - fs * dist / SPEED_OF_SOUND
-            audio[m] += gain * _fractional_delay_read(emitted, read_index)
+            for lo, hi in spans:
+                dist = np.interp(sample_times[lo:hi], gt_times, dist_gt[m])
+                gain = 1.0 / np.maximum(dist, GUARD_RADIUS)
+                read_index = np.arange(lo, hi) - fs * dist / SPEED_OF_SOUND
+                audio[m, lo:hi] += gain * _fractional_delay_read(emitted, read_index)
 
     noise = noise_rng.standard_normal((n_mics, n_samples))
     noise /= np.sqrt(np.mean(noise**2))
@@ -248,7 +296,8 @@ def synthesize(config: SceneConfig) -> Scene:
         noise_rms = np.sqrt(sig_power * 10.0 ** (-config.snr_db / 10.0))
     else:
         noise_rms = config.noise_rms
-    audio = audio + noise_rms * noise
+    noise *= noise_rms
+    audio += noise
 
     source_trajectories = tuple(s.trajectory for s in config.sources)
     source_vaps = tuple(s.vaps for s in config.sources)

@@ -336,6 +336,31 @@ def test_evaluate_submission_calls_no_scipy_solver_without_near_ties(monkeypatch
     assert report.valid_count > 0 and report.false_count > 0
 
 
+def test_tie_with_no_admissible_pair_calls_no_scipy_solver(monkeypatch):
+    from doatrack import assignment
+    # tick 0: one row beyond the gate of both sources, so both clipped costs are
+    # gate + 1 and tie; tick 1: the row tied 5 deg from both sources
+    cost = np.array([[50.0, 5.0], [60.0, 5.0]])
+    active = np.ones((2, 2), dtype=bool)
+    ticks = np.array([0, 1])
+    expected = np.full(active.shape, -1)
+    for t in range(2):
+        for i, j in gated_assignment(cost[:, ticks == t], 30.0):
+            expected[i, t] = np.flatnonzero(ticks == t)[j]
+    calls = []
+
+    def counting(c):
+        calls.append(c.copy())
+        return original(c)
+
+    original = assignment.linear_sum_assignment
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+    assert np.array_equal(gate_and_associate(cost, active, ticks, 30.0), expected)
+    assert expected[:, 0].tolist() == [-1, -1] and sorted(expected[:, 1]) == [-1, 1]
+    # only the tie inside the gate reaches scipy
+    assert len(calls) == 1 and np.all(calls[0][:, 0] == 5.0)
+
+
 def _per_tick(truth_az, active, azimuths, ticks, gate_deg, params):
     """Association by `gated_assignment` and OSPA by enumeration, tick by tick."""
     cost = np.abs(np.degrees(wrap_angle(truth_az[:, ticks] - azimuths)))

@@ -6,7 +6,9 @@ import pytest
 from doatrack.geometry import Pose, get_array_preset, identity_pose, static_trajectory
 from doatrack.localize import expected_tdoa, gcc_phat
 from doatrack.sigproc import cross_power_spectrum, frame_signal
-from doatrack.simulate import SceneConfig, SourceConfig, synthesize, task_preset
+from doatrack import simulate
+from doatrack.simulate import (GUARD_RADIUS, SceneConfig, SourceConfig, _audible_spans,
+                               synthesize, task_preset)
 
 FS = 48000.0
 
@@ -89,6 +91,69 @@ def test_snr_calibration():
 def test_guard_radius():
     with pytest.raises(ValueError):
         synthesize(_static_scene([0.05, 0.0, 0.0]))
+
+
+def test_guard_radius_holds_for_a_silent_source():
+    # the check runs for every microphone even where nothing is rendered
+    geom = get_array_preset("dicit_32cm")
+    pos = geom.mic_positions[4] + np.array([0.0, 0.05, 0.0])
+    cfg = SceneConfig(
+        duration=0.5, array=geom,
+        array_trajectory=static_trajectory(identity_pose(), 0.5),
+        sources=(SourceConfig(static_trajectory(Pose(pos, np.eye(3)), 0.5), ()),),
+        seed=2,
+    )
+    with pytest.raises(ValueError, match=f"within {GUARD_RADIUS} m of microphone 4"):
+        synthesize(cfg)
+
+
+def _two_source_scene(vaps, silent_vaps=(), duration=1.0):
+    """dicit_32cm scene with a white source speaking in `vaps` and a speech
+    source speaking in `silent_vaps`."""
+    geom = get_array_preset("dicit_32cm")
+    sources = tuple(
+        SourceConfig(static_trajectory(Pose(np.asarray(pos, float), np.eye(3)), duration),
+                     v, kind)
+        for pos, v, kind in (([2.0, 1.0, 0.0], vaps, "white"),
+                             ([-1.0, 1.5, 0.3], silent_vaps, "speech")))
+    return SceneConfig(duration=duration, array=geom,
+                       array_trajectory=static_trajectory(identity_pose(), duration),
+                       sources=sources, snr_db=30.0, seed=4)
+
+
+EXACTNESS_CASES = {
+    # 0.2 ms apart: the two spans overlap and merge
+    "merged spans": _two_source_scene(((0.1, 0.4), (0.4002, 0.7))),
+    "VAPs at both ends": _two_source_scene(((0.0, 0.3), (0.7, 1.0)), ((0.2, 0.5),)),
+    "moving, rotating array": task_preset(5, seed=3, duration=1.0),
+    "eigenmike fallback VAP": task_preset(4, seed=1, duration=0.25, array="eigenmike"),
+    "silent source": _two_source_scene(((0.2, 0.6),), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACTNESS_CASES))
+def test_skipping_silent_reads_is_exact(case, monkeypatch):
+    config = EXACTNESS_CASES[case]
+    got = synthesize(config).audio.samples
+    monkeypatch.setattr(simulate, "_audible_spans",
+                        lambda vaps, fs, lag_min, lag_max, n_samples: [(0, n_samples)])
+    assert np.array_equal(got, synthesize(config).audio.samples)
+
+
+def test_audible_spans_pad_align_merge_and_clip():
+    assert simulate._READ_ALIGN == 64 and simulate.SINC_HALF_WIDTH == 16
+    # [floor(a fs + lag_min) - 17, ceil(b fs + lag_max) + 18) = [85, 226),
+    # widened to multiples of 64
+    assert _audible_spans(((0.1, 0.2),), 1000.0, 2.5, 7.5, 1000) == [(64, 256)]
+    # [-17, 498) and [943, 2418): clipped at 0, apart after widening
+    assert _audible_spans(((0.0, 0.01), (0.02, 0.05)), FS, 0.0, 0.0, 48000) == [
+        (0, 512), (896, 2432)]
+    # [511, 2418) widens to [448, 2432), which overlaps [0, 512): one span
+    assert _audible_spans(((0.0, 0.01), (0.011, 0.05)), FS, 0.0, 0.0, 48000) == [
+        (0, 2432)]
+    # a VAP ending at the last sample is clipped to the recording
+    assert _audible_spans(((0.5, 1.0),), FS, 100.0, 200.0, 48000) == [(24064, 48000)]
+    assert _audible_spans((), FS, 0.0, 0.0, 48000) == []
 
 
 def test_pure_noise_scene_uses_configured_rms():
