@@ -11,6 +11,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,16 @@ class DegenerateGeometryError(ValueError):
 
 
 def wrap_angle(angle):
-    """Wrap an angle (radians) into [-pi, pi). Accepts scalars or arrays."""
+    """Wrap an angle (radians) into [-pi, pi). Accepts scalars or arrays.
+
+    A float (np.float64 included) is wrapped in Python float arithmetic,
+    whose % is fmod with the same sign fix as np.mod, so both paths give
+    the same bits.
+    """
+    if isinstance(angle, float):
+        if not math.isfinite(angle):
+            raise ValueError("angle must be finite")
+        return (float(angle) + math.pi) % (2.0 * math.pi) - math.pi
     angle = np.asarray(angle, dtype=float)
     if not np.all(np.isfinite(angle)):
         raise ValueError("angle must be finite")
@@ -174,10 +184,23 @@ class Trajectory:
         return self.samples[-1].timestamp
 
 
+def ground_truth_sample_count(duration: float) -> int:
+    """Samples at the ground-truth rate, from 0, that reach `duration`.
+
+    A duration within 1e-9 s of the 120 Hz grid ends on its grid point;
+    any other ends on the first grid point past it.
+    """
+    ticks = duration * GROUND_TRUTH_RATE_HZ
+    on_grid = round(ticks)
+    if abs(duration - on_grid / GROUND_TRUTH_RATE_HZ) <= 1e-9:
+        return int(on_grid) + 1
+    return math.ceil(ticks) + 1
+
+
 def static_trajectory(pose: Pose, duration: float) -> Trajectory:
     """Constant-pose trajectory covering [pose.timestamp, pose.timestamp + duration]
     at the ground-truth rate."""
-    n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
+    n = ground_truth_sample_count(duration)
     samples = [Pose(pose.translation, pose.rotation, pose.timestamp + i / GROUND_TRUTH_RATE_HZ)
                for i in range(n)]
     return Trajectory(tuple(samples))

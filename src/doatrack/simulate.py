@@ -42,6 +42,7 @@ from .geometry import (
     Pose,
     Trajectory,
     get_array_preset,
+    ground_truth_sample_count,
     identity_pose,
     sample_trajectory,
     static_trajectory,
@@ -336,7 +337,7 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
     """Piecewise-smooth random walk at the ground-truth rate, at most 1.2 m/s,
     held within 3 m of the origin along x and y."""
     max_speed, bounds = 1.2, 3.0
-    n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
+    n = ground_truth_sample_count(duration)
     dt = 1.0 / GROUND_TRUTH_RATE_HZ
     # Ornstein-Uhlenbeck velocity, then clip speed
     vel = np.zeros((n, 3))
@@ -357,7 +358,7 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
 def _rotating_array_trajectory(duration: float, rng: np.random.Generator) -> Trajectory:
     """Array drifting on a circle of 0.4 m radius while rotating about +z."""
     radius = 0.4
-    n = int(round(duration * GROUND_TRUTH_RATE_HZ)) + 1
+    n = ground_truth_sample_count(duration)
     dt = 1.0 / GROUND_TRUTH_RATE_HZ
     rate = float(rng.uniform(0.2, 0.5)) * (1 if rng.random() < 0.5 else -1)  # rad/s
     phase0 = float(rng.uniform(0, 2 * np.pi))

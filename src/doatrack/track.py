@@ -5,12 +5,21 @@ white-acceleration process noise. Three filters are provided: a linear
 Kalman filter with wrapped innovations, a wrapped Kalman filter that keeps a
 Gaussian mixture over wrapping hypotheses, and a bootstrap particle filter.
 `track_lifecycle` runs any of them under one multi-target M-of-N lifecycle.
+
+Work that depends only on the step length is done once per (dt, process
+noise intensity): the transition matrix and process-noise covariance
+(`_model`), and the particle filter's noise factor (`_noise_factor`). Both
+caches are bounded LRU caches of read-only arrays. The particle filter
+draws its process noise as a standard normal (n, 2) block times that
+factor, which is `Generator.multivariate_normal`'s SVD draw from the same
+stream, without the per-call factorisation and PSD check.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,6 +34,7 @@ PF_PARTICLES = 500  # particles per track of the `particle` filter
 PF_RESAMPLE_THRESHOLD = 0.5  # resample when the effective sample size drops below this share
 WKF_COMPONENTS = 8  # most mixture components a wrapped-KF track keeps
 WKF_PRUNE_WEIGHT = 1e-4  # posterior components lighter than this are dropped
+_MODEL_CACHE_SIZE = 256  # distinct (dt, intensity) pairs kept by `_model` and `_noise_factor`
 
 
 class FilterDivergenceError(ArithmeticError):
@@ -53,10 +63,6 @@ class TrackState:
         return float(self.mean[0])
 
 
-def _transition(dt: float):
-    return np.array([[1.0, dt], [0.0, 1.0]])
-
-
 def process_noise_cov(dt: float, intensity: float) -> np.ndarray:
     """White-acceleration process noise for a constant-velocity model."""
     return intensity * np.array([
@@ -65,14 +71,36 @@ def process_noise_cov(dt: float, intensity: float) -> np.ndarray:
     ])
 
 
+@lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _model(dt: float, intensity: float):
+    """Read-only (transition matrix, process-noise covariance) for one step."""
+    f, q = np.array([[1.0, dt], [0.0, 1.0]]), process_noise_cov(dt, intensity)
+    f.flags.writeable = q.flags.writeable = False
+    return f, q
+
+
+@lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _noise_factor(dt: float, intensity: float) -> np.ndarray:
+    """Read-only u * sqrt(s) of the SVD of the process-noise covariance:
+    `standard_normal((n, 2)) @ factor.T` is the draw
+    `multivariate_normal(zeros(2), q, size=n)` makes from the same stream."""
+    u, s, _ = np.linalg.svd(_model(dt, intensity)[1])
+    factor = u * np.sqrt(s)  # finite only if u and s are, and s >= 0
+    if not np.all(np.isfinite(factor)):
+        raise ValueError(f"process noise for dt={dt}, intensity={intensity} "
+                         "is not a finite PSD covariance")
+    factor.flags.writeable = False
+    return factor
+
+
 def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState:
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return state
-    f = _transition(dt)
+    f, q = _model(dt, process_noise)
     mean = f @ state.mean
-    cov = f @ state.covariance @ f.T + process_noise_cov(dt, process_noise)
+    cov = f @ state.covariance @ f.T + q
     return replace(state, mean=mean, covariance=cov)
 
 
@@ -111,7 +139,11 @@ class WrappedMixture:
         for w, mean, cov in self.components:
             mean = np.asarray(mean, dtype=float).reshape(-1).copy()
             cov = np.asarray(cov, dtype=float)
-            np.linalg.cholesky(cov)  # PD check
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise FilterDivergenceError("mixture component covariance is not "
+                                            "positive-definite") from None
             comps.append((float(w), mean, cov))
             total += w
         if not comps:
@@ -140,8 +172,7 @@ def wrapped_kf_predict(mix: WrappedMixture, dt: float, process_noise: float) -> 
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return mix
-    f = _transition(dt)
-    q = process_noise_cov(dt, process_noise)
+    f, q = _model(dt, process_noise)
     comps = tuple(
         (w, f @ mean, f @ cov @ f.T + q) for w, mean, cov in mix.components
     )
@@ -230,6 +261,8 @@ class ParticleSet:
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
         particles[:, 0] = wrap_angle(particles[:, 0])
+        # read-only, so the cached circular mean always matches the arrays
+        particles.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "weights", weights)
 
@@ -241,6 +274,11 @@ class ParticleSet:
         return float(1.0 / np.sum(self.weights**2))
 
     def circular_mean(self) -> float:
+        """Weighted circular mean of the azimuths, computed once per set."""
+        return self._circular_mean
+
+    @cached_property
+    def _circular_mean(self) -> float:
         z = np.sum(self.weights * np.exp(1j * self.particles[:, 0]))
         return float(np.angle(z))
 
@@ -275,15 +313,20 @@ def systematic_resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSe
 
 def pf_predict(ps: ParticleSet, dt: float, params: PfParams,
                rng: np.random.Generator) -> ParticleSet:
-    """Propagate every particle through the motion model; weights are kept."""
+    """Propagate every particle through the motion model; weights are kept.
+
+    The process noise is `rng.standard_normal((size, 2))` times the cached
+    read-only factor of `_noise_factor`, the same draw from the same stream
+    as `rng.multivariate_normal(zeros(2), process_noise_cov(dt, intensity))`.
+    """
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return ps
-    particles = ps.particles @ _transition(dt).T
+    particles = ps.particles @ _model(dt, params.process_intensity)[0].T
     if params.process_intensity > 0:
-        q = process_noise_cov(dt, params.process_intensity)
-        particles += rng.multivariate_normal(np.zeros(2), q, size=ps.size)
+        factor = _noise_factor(dt, params.process_intensity)
+        particles += rng.standard_normal((ps.size, 2)) @ factor.T
     return ParticleSet(particles, ps.weights)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doatrack.geometry import (ARRAY_PRESETS, Doa, DegenerateGeometryError, Pose,
                                Trajectory, doa_to_unit_vector, get_array_preset,
@@ -29,6 +31,31 @@ def test_wrap_angle_rejects_non_finite():
         wrap_angle(float("nan"))
     with pytest.raises(ValueError):
         wrap_angle(float("inf"))
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_wrap_angle_rejects_non_finite_on_every_path(angle):
+    for value in (angle, np.float64(angle), np.array(angle), np.array([0.0, angle])):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            wrap_angle(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False))
+@example(math.pi)
+@example(-math.pi)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(math.nextafter(math.pi, 0.0))
+@example(1e300)
+@example(-1e300)
+def test_scalar_wrap_angle_is_bitwise_the_array_path(angle):
+    reference = wrap_angle(np.array([angle]))[0]
+    for value in (angle, np.float64(angle)):
+        got = wrap_angle(value)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == reference.tobytes()
 
 
 def test_doa_unit_vector_round_trip():

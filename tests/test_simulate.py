@@ -198,3 +198,17 @@ def test_ground_truth_rate():
     ts = cfg.array_trajectory.timestamps
     assert np.allclose(np.diff(ts), 1.0 / 120.0)
     assert ts[-1] >= 2.0 - 1e-9
+
+
+@pytest.mark.parametrize("task", [1, 5])  # static trajectories; walk and rotating array
+def test_presets_reach_off_grid_durations(task):
+    for duration in (0.501, 1.004):
+        config = task_preset(task, 0, duration=duration)
+        for traj in (config.array_trajectory, *(s.trajectory for s in config.sources)):
+            assert duration <= traj.end_time < duration + 1.0 / 120.0
+    # within 1e-9 s of the 120 Hz grid the sample count, and so every draw
+    # the presets make, stays round(duration * 120) + 1
+    for duration in (0.5, 1.0 - 1e-10, 1.0 + 1e-10, 6.0):
+        config = task_preset(task, 0, duration=duration)
+        for traj in (config.array_trajectory, *(s.trajectory for s in config.sources)):
+            assert len(traj.samples) == round(duration * 120) + 1

@@ -10,9 +10,9 @@ from doatrack.evaluate import VapTable, evaluate_submission, ground_truth_doas
 from doatrack.geometry import Doa, wrap_angle
 from doatrack.localize import DoaEstimate
 from doatrack.simulate import task_preset
-from doatrack.track import (FILTERS, FilterDivergenceError, ParticleSet, PfParams,
-                            TrackerConfig, TrackState, WrappedMixture, kf_predict,
-                            kf_update, pf_step, process_noise_cov,
+from doatrack.track import (FILTERS, PF_PARTICLES, FilterDivergenceError, ParticleSet,
+                            PfParams, TrackerConfig, TrackState, WrappedMixture,
+                            kf_predict, kf_update, pf_step, process_noise_cov,
                             systematic_resample, track_lifecycle,
                             wrapped_gaussian_likelihood, wrapped_kf_predict,
                             wrapped_kf_update)
@@ -271,6 +271,32 @@ def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
                for m in messages)
 
 
+@pytest.mark.parametrize("good_updates, first_warning", [
+    (0, "tentative track flagged at t=0.100 s: non-PD covariance"),
+    (2, "track 1 flagged at t=0.300 s: non-PD covariance"),
+])
+def test_wrapped_kf_divergence_flags_the_track_and_the_run_goes_on(monkeypatch, caplog,
+                                                                 good_updates, first_warning):
+    # after `good_updates` successful calls the update builds a mixture with a
+    # non-PD component, which must flag the track rather than abort the run
+    calls = []
+
+    def diverging_update(mix, obs, obs_noise_var, where=""):
+        calls.append(obs)
+        if len(calls) > good_updates:
+            return WrappedMixture(((1.0, mix.components[0][1], -np.eye(2)),))
+        return wrapped_kf_update(mix, obs, obs_noise_var, where)
+
+    monkeypatch.setattr(doatrack.track, "wrapped_kf_update", diverging_update)
+    times = [(0.1 * k, [0.5]) for k in range(6)]
+    with caplog.at_level(logging.WARNING, logger="doatrack.track"):
+        track_lifecycle(_stream(times), TrackerConfig(), "wrapped-kalman")
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages and messages[0] == first_warning
+    assert all("non-PD covariance" in m and " at t=" in m and "track 0" not in m
+               for m in messages)
+
+
 def test_wrapped_kf_rejection_warning_names_the_track_and_the_time(caplog):
     # a tight observation noise and an open gate let an observation 2 rad off
     # the confirmed track reach the update, where every hypothesis has zero
@@ -336,3 +362,68 @@ def test_every_filter_tracks_two_moving_sources():
     for tracker in ("wrapped-kalman", "particle"):
         assert p_d[tracker] >= 0.9 * p_d["kalman"], (tracker, p_d)
         assert ids[tracker] >= 2, (tracker, ids)
+
+
+def _reference_pf_predict(ps, dt, params, rng):
+    """`pf_predict` as a direct `multivariate_normal` draw, nothing cached."""
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    if dt == 0:
+        return ps
+    particles = ps.particles @ np.array([[1.0, dt], [0.0, 1.0]]).T
+    if params.process_intensity > 0:
+        q = process_noise_cov(dt, params.process_intensity)
+        particles += rng.multivariate_normal(np.zeros(2), q, size=ps.size)
+    return ParticleSet(particles, ps.weights)
+
+
+def _numpy_wrap_angle(angle):
+    angle = np.asarray(angle, dtype=float)
+    if not np.all(np.isfinite(angle)):
+        raise ValueError("angle must be finite")
+    wrapped = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
+
+
+def _uncached_circular_mean(ps):
+    return float(np.angle(np.sum(ps.weights * np.exp(1j * ps.particles[:, 0]))))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cached_tracker_steps_are_exact(seed, monkeypatch):
+    stream, _ = _two_source_stream(seed, 6.0)
+    got = {tracker: track_lifecycle(stream, TrackerConfig(), tracker, seed=seed)
+           for tracker in FILTERS}
+    assert all(got.values())
+    monkeypatch.setattr(doatrack.track, "pf_predict", _reference_pf_predict)
+    monkeypatch.setattr(doatrack.track, "wrap_angle", _numpy_wrap_angle)
+    monkeypatch.setattr(ParticleSet, "circular_mean", _uncached_circular_mean)
+    monkeypatch.setattr(doatrack.track, "_model", lambda dt, intensity: (
+        np.array([[1.0, dt], [0.0, 1.0]]), process_noise_cov(dt, intensity)))
+    for tracker in FILTERS:
+        assert track_lifecycle(stream, TrackerConfig(), tracker, seed=seed) == got[tracker]
+
+
+@pytest.mark.parametrize("dt", [1e-3, 4096 / 48000, 0.5, 3.0])
+def test_noise_factor_gives_the_multivariate_normal_draw(dt):
+    intensity = TrackerConfig().process_intensity
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    factor = doatrack.track._noise_factor(dt, intensity)
+    draw = ours.standard_normal((PF_PARTICLES, 2)) @ factor.T
+    reference = theirs.multivariate_normal(np.zeros(2), process_noise_cov(dt, intensity),
+                                           size=PF_PARTICLES)
+    assert np.array_equal(draw, reference)
+    assert ours.random() == theirs.random()  # the streams stay in step
+
+
+def test_cached_arrays_reject_writes():
+    f, q = doatrack.track._model(0.1, 0.5)
+    factor = doatrack.track._noise_factor(0.1, 0.5)
+    ps = ParticleSet(np.zeros((3, 2)), np.full(3, 1 / 3))
+    for array in (f, f.T, q, factor, factor.T, ps.particles, ps.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert np.array_equal(q, process_noise_cov(0.1, 0.5))
+    # an overflowing covariance is caught when its factor is computed
+    with pytest.raises(ValueError, match="not a finite PSD covariance"):
+        doatrack.track._noise_factor(1.0, 1.7e308)
