@@ -7,32 +7,38 @@ period boundaries. Everything is a pure function of the configuration,
 including its seed.
 
 The fractional delay is the 32-tap (W = 16) Hann-windowed sinc
-``sinc(x) * 0.5 * (1 + cos(pi x / W))`` at ``x = o - f``, with tap offset
-``o`` in [-15, 16] and fractional read position ``f`` in [0, 1). Two exact
-identities leave one sine per output sample for the sinc and two trig calls
-for the window:
-
-    sin(pi (o - f)) = -(-1)^o sin(pi f)
-    cos(pi (o - f) / W) = cos(pi o / W) cos(pi f / W) + sin(pi o / W) sin(pi f / W)
-
-so the o-dependent factors form one fixed (32, 3) table built at import. The
-result equals the direct ``np.sinc`` form up to round-off: within
-1e-11 * max|signal| (measured below 5e-16 * max|signal| on white noise, tones
-and reads within 1e-17 of an integer, tests/test_simulate_oracle.py).
+``h(x) = sinc(x) * 0.5 * (1 + cos(pi x / W))`` at ``x = o - f``, with tap
+offset ``o`` in [-15, 16] and fractional read position ``f`` in [0, 1). It
+runs as a Farrow structure. At import each tap's kernel ``h(o - f)`` is
+interpolated at FARROW_DEGREE + 1 Chebyshev points as a degree-14
+polynomial in ``t = 2 f - 1`` and converted to monomials, giving a fixed
+(FARROW_DEGREE + 1, 32) table ``P``. Once per source, one chunked matmul over
+the whole zero-padded emitted signal gives the bank
+``bank[d, b] = sum_o P[d, o] s[b + o]``: 15 doubles per sample, with one
+source's bank alive at a time. A read at ``b + f`` is then
+``sum_d bank[d, b] t^d``: a gather of one bank column and a Horner pass in
+``t``, shared by every microphone. Reads within machine epsilon of an
+integer return that sample exactly, and reads whose taps all fall outside
+the signal or in silence sum exact zeros and return +-0. Against the direct
+``np.sinc`` form the error is within 1e-11 * max|signal| (measured
+7.5e-15 * max|signal|, tests/test_simulate_oracle.py).
 
 Silent reads are skipped. Outside its VAPs a source's emitted signal is
 exactly zero, so a read whose 32 taps all land there gives +-0 and adding it
 changes nothing. Each source is read only on the output spans whose taps can
-reach one of its VAPs, and the audio is bit-identical to reading every sample
-(tests/test_simulate.py).
+reach one of its VAPs. The bank always covers the whole signal and a read
+works element by element, so the audio is bit-identical to reading every
+sample (tests/test_simulate.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import chebyshev
 from scipy.signal import butter, lfilter
 
 from .geometry import (
@@ -53,20 +59,31 @@ GUARD_RADIUS = 0.1  # m
 SINC_HALF_WIDTH = 16  # 32-tap windowed-sinc interpolation
 VAP_RAMP = 0.010  # s
 
-# tap offsets o relative to floor(read position), and the fixed per-tap factors
-# 0.5 (-1)^(o+1) [1, cos(pi o / W), sin(pi o / W)] of the kernel identities
-_TAP_OFFSETS = np.arange(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1)
-_KERNEL_BASIS = (0.5 * np.where(_TAP_OFFSETS % 2 == 1, 1.0, -1.0)[:, None]
-                 * np.stack([np.ones(2 * SINC_HALF_WIDTH),
-                             np.cos(np.pi * _TAP_OFFSETS / SINC_HALF_WIDTH),
-                             np.sin(np.pi * _TAP_OFFSETS / SINC_HALF_WIDTH)], axis=1))
+FARROW_DEGREE = 14  # polynomial degree of each tap's kernel in the fractional delay
+
 _EPS = np.finfo(float).eps
-# BLAS matmul kernels take rows in fixed groups (4 to 16 in OpenBLAS) and round
-# a trailing partial group differently, so a row's bits depend on its place in
-# the read. Reads of part of a recording start and end on multiples of this
-# many output samples, as the whole-recording read's chunks of
-# CHUNK_ELEMENTS // (2 W) rows do, so every row falls where it would there.
+# bank rows per matmul and reads per Horner pass: the 2 MB of a bank chunk's
+# (rows, 2 W) windows
+_CHUNK = CHUNK_ELEMENTS // (2 * SINC_HALF_WIDTH)
+# Output spans start and end on multiples of this many samples; each read is
+# element by element, so the grid affects no bit of the audio.
 _READ_ALIGN = 64
+
+
+def _farrow_table() -> np.ndarray:
+    """(FARROW_DEGREE + 1, 2 W) monomial coefficients: entry [d, j] is the
+    coefficient of t^d in tap j's kernel h(o_j - f), t = 2 f - 1, with tap
+    offsets o_j = j - W + 1."""
+    table = np.empty((FARROW_DEGREE + 1, 2 * SINC_HALF_WIDTH))
+    for j, o in enumerate(range(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1)):
+        def kernel(t, o=o):
+            x = o - (t + 1.0) / 2.0
+            return np.sinc(x) * 0.5 * (1.0 + np.cos(np.pi * x / SINC_HALF_WIDTH))
+        table[:, j] = chebyshev.cheb2poly(chebyshev.chebinterpolate(kernel, FARROW_DEGREE))
+    return table
+
+
+_FARROW = _farrow_table()
 
 
 @dataclass(frozen=True)
@@ -135,10 +152,18 @@ def _vap_envelope(n_samples: int, fs: float, vaps) -> np.ndarray:
     return env
 
 
+@lru_cache(maxsize=8)
+def _speech_band(fs: float):
+    """Read-only (b, a) of the 100-4000 Hz 4th-order Butterworth band-pass at `fs`."""
+    b, a = butter(4, [100.0 / (fs / 2), 4000.0 / (fs / 2)], btype="band")
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def _speech_like(n_samples: int, fs: float, rng: np.random.Generator) -> np.ndarray:
     """Speech surrogate: band-limited noise with slow amplitude modulation."""
     noise = rng.standard_normal(n_samples)
-    b, a = butter(4, [100.0 / (fs / 2), 4000.0 / (fs / 2)], btype="band")
+    b, a = _speech_band(fs)
     shaped = lfilter(b, a, noise)
     t = np.arange(n_samples) / fs
     lfo = 0.0
@@ -156,43 +181,61 @@ def _source_signal(kind: str, n_samples: int, fs: float, rng: np.random.Generato
     raise ValueError(f"unknown signal kind {kind!r}")
 
 
-def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.ndarray:
-    """Windowed-sinc interpolation of `signal` at fractional sample positions.
+def _farrow_bank(padded: np.ndarray) -> np.ndarray:
+    """(FARROW_DEGREE + 1, len(padded) - 2 W + 1) bank of the zero-padded
+    signal: bank[d, r] = sum_j _FARROW[d, j] padded[r + j]."""
+    windows = sliding_window_view(padded, 2 * SINC_HALF_WIDTH)
+    bank = np.empty((FARROW_DEGREE + 1, len(windows)))
+    for start in range(0, len(windows), _CHUNK):
+        np.matmul(_FARROW, windows[start:start + _CHUNK].T, out=bank[:, start:start + _CHUNK])
+    return bank
 
-    Samples outside the signal read as zero. Tap ``o`` of the read at
-    ``floor(idx) + f`` sits at ``x = o - f``; the kernel is evaluated through
-    the identities in the module docstring as ``sin(pi f) / pi`` times
-    ``(samples / (o - f)) @ _KERNEL_BASIS`` applied to
-    ``[1, cos(pi f / W), sin(pi f / W)]``. Positions within machine epsilon of an
-    integer, where ``o - f`` is 0 or nearly so, read that sample itself.
+
+def _delay_reader(signal: np.ndarray):
+    """Fractional-delay read function of `signal`, built on one Farrow bank.
+
+    ``read(read_index)`` interpolates `signal` at the fractional sample
+    positions `read_index`; samples outside the signal read as zero.
+    Positions within machine epsilon of an integer read that sample itself.
+    Every read is element by element, so its bits do not depend on the other
+    positions read with it.
     """
     n = len(signal)
     pad = np.zeros(2 * SINC_HALF_WIDTH)
-    # windows[b + SINC_HALF_WIDTH + 1] holds the taps b + _TAP_OFFSETS; floor(idx)
-    # clipped to [-17, n + 15] keeps every tap inside the zero padding
-    windows = sliding_window_view(np.concatenate([pad, signal, pad]), 2 * SINC_HALF_WIDTH)
-    out = np.empty(len(read_index))
-    chunk = CHUNK_ELEMENTS // (2 * SINC_HALF_WIDTH)
-    for start in range(0, len(read_index), chunk):
-        idx = read_index[start:start + chunk]
-        floor = np.floor(idx)
-        f = idx - floor
-        base = np.clip(floor, -SINC_HALF_WIDTH - 1, n + SINC_HALF_WIDTH - 1).astype(np.int64)
-        samples = windows[base + SINC_HALF_WIDTH + 1]
-        # sin(pi f) = sin(pi (1 - f)); the smaller argument keeps it accurate as f -> 1
-        sin_pi_f = np.sin(np.pi * np.minimum(f, 1.0 - f))
-        phase = np.pi * f / SINC_HALF_WIDTH
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            terms = (samples / (_TAP_OFFSETS - f[:, None])) @ _KERNEL_BASIS
-            value = sin_pi_f / np.pi * (
-                terms[:, 0] + terms[:, 1] * np.cos(phase) + terms[:, 2] * np.sin(phase))
-        # within eps of an integer the kernel is that sample to round-off, which
-        # also covers f == 0 (o - f == 0) and f rounding up to 1 for idx just below 0;
-        # the division above is not finite only on those rows
-        out[start:start + chunk] = np.select(
-            [f < _EPS, f > 1.0 - _EPS],
-            [samples[:, SINC_HALF_WIDTH - 1], samples[:, SINC_HALF_WIDTH]], value)
-    return out
+    padded = np.concatenate([pad, signal, pad])
+    # bank column b + W + 1 holds the taps floor(idx) = b; b clipped to
+    # [-W - 1, n + W - 1] keeps every tap inside the zero padding
+    bank = _farrow_bank(padded)
+
+    def read(read_index: np.ndarray) -> np.ndarray:
+        out = np.empty(len(read_index))
+        for start in range(0, len(read_index), _CHUNK):
+            idx = read_index[start:start + _CHUNK]
+            floor = np.floor(idx)
+            f = idx - floor
+            column = np.clip(floor, -SINC_HALF_WIDTH - 1, n + SINC_HALF_WIDTH - 1).astype(
+                np.int64) + (SINC_HALF_WIDTH + 1)
+            t = 2.0 * f - 1.0
+            value = bank[FARROW_DEGREE].take(column)
+            for d in range(FARROW_DEGREE - 1, -1, -1):
+                value *= t
+                value += bank[d].take(column)
+            # within eps of an integer the kernel is that sample to round-off,
+            # which also covers f rounding up to 1 for idx just below 0
+            near = np.flatnonzero((f < _EPS) | (f > 1.0 - _EPS))
+            if len(near):
+                value[near] = padded[column[near] + (SINC_HALF_WIDTH - 1)
+                                     + (f[near] > 0.5)]
+            out[start:start + _CHUNK] = value
+        return out
+
+    return read
+
+
+def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.ndarray:
+    """Windowed-sinc interpolation of `signal` at fractional sample positions:
+    one `_delay_reader` bank, then one read."""
+    return _delay_reader(signal)(read_index)
 
 
 def _audible_spans(vaps, fs: float, lag_min: float, lag_max: float, n_samples: int):
@@ -222,25 +265,42 @@ def _audible_spans(vaps, fs: float, lag_min: float, lag_max: float, n_samples: i
     return spans
 
 
+def _geometry_clock(duration: float) -> np.ndarray:
+    """Times at which `synthesize` samples the geometry: the 120 Hz grid
+    clipped to [0, duration]. Where the grid falls short of `duration` by more
+    than 1e-9 s (the tolerance of `ground_truth_sample_count`), the clock
+    also takes `duration` itself, so no distance is held constant at the end."""
+    clock = np.clip(np.arange(0.0, duration + 0.5 / GROUND_TRUTH_RATE_HZ,
+                              1.0 / GROUND_TRUTH_RATE_HZ), 0.0, duration)
+    if clock[-1] < duration - 1e-9:
+        clock = np.append(clock, duration)
+    return clock
+
+
+def _sample_until_end(trajectory: Trajectory, times: np.ndarray):
+    """`sample_trajectory` holding the last pose of a trajectory that ends
+    before `times` do, by up to the 1e-9 s SceneConfig allows."""
+    return sample_trajectory(trajectory, np.minimum(times, trajectory.end_time))
+
+
 def _mic_global_positions(config: SceneConfig, gt_times: np.ndarray) -> np.ndarray:
     """Per-mic global positions sampled on the ground-truth clock: (mics, T, 3)."""
-    translations, rotations = sample_trajectory(config.array_trajectory, gt_times)
+    translations, rotations = _sample_until_end(config.array_trajectory, gt_times)
     return np.einsum("tij,mj->mti", rotations, config.array.mic_positions) + translations[None]
 
 
 def synthesize(config: SceneConfig) -> Scene:
     """Render a scene to multichannel audio; deterministic for a given config.
 
-    Each (source, mic) pair runs the fractional-delay read only on the output
-    spans of `_audible_spans`; every read skipped outside them would add an
-    exact zero, so the result is the same to the bit as reading every sample.
+    Each source with audible spans builds one `_delay_reader` bank, and every
+    mic reads it only on the output spans of `_audible_spans`; every read
+    skipped outside them would add an exact zero, so the result is the same
+    to the bit as reading every sample.
     """
     fs = config.sample_rate_hz
     n_samples = int(round(config.duration * fs))
     n_mics = config.array.mic_count
-    gt_times = np.arange(0.0, config.duration + 0.5 / GROUND_TRUTH_RATE_HZ,
-                         1.0 / GROUND_TRUTH_RATE_HZ)
-    gt_times = np.clip(gt_times, 0.0, config.duration)
+    gt_times = _geometry_clock(config.duration)
     sample_times = np.arange(n_samples) / fs
 
     mic_pos = _mic_global_positions(config, gt_times)
@@ -259,7 +319,7 @@ def synthesize(config: SceneConfig) -> Scene:
         rng = np.random.default_rng(source_seeds[s_idx])
         emitted = _source_signal(source.signal, n_samples, fs, rng)
         emitted *= _vap_envelope(n_samples, fs, source.vaps)
-        src_pos, _ = sample_trajectory(source.trajectory, gt_times)
+        src_pos, _ = _sample_until_end(source.trajectory, gt_times)
 
         dist_gt = np.linalg.norm(src_pos[None] - mic_pos, axis=2)  # (mics, T)
         closest = dist_gt.min(axis=1)
@@ -281,12 +341,16 @@ def synthesize(config: SceneConfig) -> Scene:
         # np.interp keeps every per-sample delay within the ground-truth range
         spans = _audible_spans(source.vaps, fs, fs * closest.min() / SPEED_OF_SOUND,
                                fs * dist_gt.max() / SPEED_OF_SOUND, n_samples)
+        if not spans:
+            continue
+        read = _delay_reader(emitted)
         for m in range(n_mics):
             for lo, hi in spans:
                 dist = np.interp(sample_times[lo:hi], gt_times, dist_gt[m])
                 gain = 1.0 / np.maximum(dist, GUARD_RADIUS)
                 read_index = np.arange(lo, hi) - fs * dist / SPEED_OF_SOUND
-                audio[m, lo:hi] += gain * _fractional_delay_read(emitted, read_index)
+                audio[m, lo:hi] += gain * read(read_index)
+        del read  # one bank alive at a time: free it before the next source's
 
     noise = noise_rng.standard_normal((n_mics, n_samples))
     noise /= np.sqrt(np.mean(noise**2))

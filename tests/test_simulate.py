@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import butter
 
-from doatrack.geometry import Pose, get_array_preset, identity_pose, static_trajectory
+from doatrack.geometry import (Pose, Trajectory, get_array_preset, identity_pose,
+                               sample_trajectory, static_trajectory)
 from doatrack.localize import expected_tdoa, gcc_phat
 from doatrack.sigproc import cross_power_spectrum, frame_signal
 from doatrack import simulate
@@ -140,6 +143,27 @@ def test_skipping_silent_reads_is_exact(case, monkeypatch):
     assert np.array_equal(got, synthesize(config).audio.samples)
 
 
+@pytest.mark.parametrize("config,banks", [
+    (EXACTNESS_CASES["silent source"], 1),
+    (EXACTNESS_CASES["VAPs at both ends"], 2),
+    (task_preset(4, seed=1, duration=0.5, array="eigenmike"), 2),
+])
+def test_one_bank_per_audible_source(config, banks, monkeypatch):
+    built = []
+    farrow_bank = simulate._farrow_bank
+
+    def counting_bank(padded):
+        built.append(farrow_bank(padded))
+        return built[-1]
+
+    monkeypatch.setattr(simulate, "_farrow_bank", counting_bank)
+    synthesize(config)
+    n_samples = round(config.duration * config.sample_rate_hz)
+    # each bank covers the whole signal, from before its first sample to after its last
+    assert [bank.shape for bank in built] == [
+        (simulate.FARROW_DEGREE + 1, n_samples + 2 * simulate.SINC_HALF_WIDTH + 1)] * banks
+
+
 def test_audible_spans_pad_align_merge_and_clip():
     assert simulate._READ_ALIGN == 64 and simulate.SINC_HALF_WIDTH == 16
     # [floor(a fs + lag_min) - 17, ceil(b fs + lag_max) + 18) = [85, 226),
@@ -154,6 +178,65 @@ def test_audible_spans_pad_align_merge_and_clip():
     # a VAP ending at the last sample is clipped to the recording
     assert _audible_spans(((0.5, 1.0),), FS, 100.0, 200.0, 48000) == [(24064, 48000)]
     assert _audible_spans((), FS, 0.0, 0.0, 48000) == []
+
+
+def test_geometry_clock_ends_on_the_duration():
+    def grid(duration):
+        return np.clip(np.arange(0.0, duration + 0.5 / 120, 1.0 / 120), 0.0, duration)
+
+    # within 1e-9 s of the 120 Hz grid the clock is the clipped grid, bit for bit
+    for duration in (0.25, 0.4, 0.5, 0.75, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 6.0, 10.0):
+        assert np.array_equal(simulate._geometry_clock(duration), grid(duration))
+    # below that the grid falls short, and the clock appends the duration
+    for duration in (0.501, 1.004):
+        clock = simulate._geometry_clock(duration)
+        assert clock[-1] == duration
+        assert np.array_equal(clock[:-1], grid(duration)) and grid(duration)[-1] < duration
+
+
+def test_off_grid_duration_moves_the_source_to_the_end(monkeypatch):
+    duration = 0.501
+    config = task_preset(3, seed=0, duration=duration)
+    config = replace(config, sources=tuple(replace(s, vaps=((0.0, duration),))
+                                           for s in config.sources))
+    reads = []
+    delay_reader = simulate._delay_reader
+
+    def recording_reader(signal):
+        read = delay_reader(signal)
+
+        def record(read_index):
+            reads.append(read_index)
+            return read(read_index)
+        return record
+
+    monkeypatch.setattr(simulate, "_delay_reader", recording_reader)
+    synthesize(config)
+    n = round(duration * FS)
+    # one span per mic, each ending on the last sample; reads[0] is mic 0's
+    assert len(reads) == config.array.mic_count
+    dist = ((n - 1) - reads[0][-1]) * simulate.SPEED_OF_SOUND / FS
+    src, _ = sample_trajectory(config.sources[0].trajectory, np.array([(n - 1) / FS]))
+    expected = np.linalg.norm(src[0] - config.array.mic_positions[0])
+    # a clock that stops at 0.5 s holds the distance there, 0.33 mm off here
+    assert dist == pytest.approx(expected, abs=1e-6)
+
+
+def test_trajectory_may_end_just_before_an_off_grid_duration():
+    # SceneConfig accepts a trajectory that ends up to 1e-9 s before the duration
+    duration = 0.501
+    base = _static_scene([2.0, 1.0, 0.0], duration=duration)
+    end = duration - 5e-10
+    short = Trajectory((Pose(np.zeros(3), np.eye(3), 0.0), Pose(np.zeros(3), np.eye(3), end)))
+    config = replace(base, array_trajectory=short)
+    assert np.array_equal(synthesize(config).audio.samples, synthesize(base).audio.samples)
+
+
+def test_speech_band_is_designed_once_per_rate():
+    b, a = simulate._speech_band(FS)
+    ref_b, ref_a = butter(4, [100.0 / (FS / 2), 4000.0 / (FS / 2)], btype="band")
+    assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a)
+    assert simulate._speech_band(FS)[0] is b and not b.flags.writeable
 
 
 def test_pure_noise_scene_uses_configured_rms():

@@ -2,9 +2,10 @@
 
 `ref_fractional_delay_read` below is the windowed-sinc read evaluated tap by
 tap with ``np.sinc`` and ``np.cos``. The simulator evaluates the same kernel
-through exact trig identities, so outputs agree up to round-off: within
-KERNEL_ATOL_REL of the largest input magnitude for single reads, and within
-SCENE_ATOL_REL of the RMS for whole synthesized scenes.
+as a polynomial in the fractional delay (a Farrow bank), so outputs agree up
+to round-off: within KERNEL_ATOL_REL of the largest input magnitude for
+single reads, and within SCENE_ATOL_REL of the RMS for whole synthesized
+scenes.
 """
 
 import numpy as np
@@ -104,10 +105,50 @@ SCENES = [(1, "robot_head"), (4, "dicit_32cm"), (5, "eigenmike")]
 def test_synthesize_matches_sinc_reference(task, array, monkeypatch):
     config = task_preset(task, seed=2, duration=1.0, array=array)
     got = synthesize(config).audio.samples
-    monkeypatch.setattr(simulate, "_fractional_delay_read", ref_fractional_delay_read)
+    reference_reads = []
+
+    def ref_delay_reader(signal):
+        def read(read_index):
+            reference_reads.append(len(read_index))
+            return ref_fractional_delay_read(signal, read_index)
+        return read
+
+    monkeypatch.setattr(simulate, "_delay_reader", ref_delay_reader)
     ref = synthesize(config).audio.samples
+    # the reference kernel, not the bank, rendered every microphone
+    assert len(reference_reads) >= config.array.mic_count and sum(reference_reads) > 0
     rms = np.sqrt(np.mean(ref**2))
     assert np.max(np.abs(got - ref)) <= SCENE_ATOL_REL * rms
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_one_bank_serves_every_read():
+    rng = np.random.default_rng(11)
+    n = 3000
+    signal = rng.standard_normal(n)
+    signal[1000:2000] = 0.0
+    reads = [
+        # more reads than one chunk, inside and outside the signal
+        rng.uniform(-2 * SINC_HALF_WIDTH, n + 2 * SINC_HALF_WIDTH, 3 * simulate._CHUNK),
+        # taps all in the silence
+        np.arange(1000 + SINC_HALF_WIDTH, 2000 - SINC_HALF_WIDTH) - 0.37,
+        # within machine epsilon of an integer, on both sides
+        rng.integers(0, n, 500) + rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-17, -15, 500),
+        np.arange(-40, n + 40).astype(float),
+        # every tap outside the signal
+        np.concatenate([-SINC_HALF_WIDTH - rng.uniform(0.0, 1e4, 200),
+                        n - 1 + SINC_HALF_WIDTH + rng.uniform(0.0, 1e4, 200)]),
+    ]
+    read = simulate._delay_reader(signal)
+    shared = [read(positions) for positions in reads]
+    for positions, got in zip(reads, shared):
+        assert np.array_equal(_bits(got), _bits(_fractional_delay_read(signal, positions)))
+    # a read's bits do not depend on the positions read with it
+    assert np.array_equal(_bits(read(np.concatenate(reads))), _bits(np.concatenate(shared)))
+    assert np.all(shared[1] == 0.0) and np.all(shared[4] == 0.0)
 
 
 def _signal(seed, n):
