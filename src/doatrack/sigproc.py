@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,10 +126,16 @@ def _frame_count(audio: MultichannelAudio, window_length: int, hop: int) -> int:
     return (n - window_length) // hop + 1 if window_length <= n else 0
 
 
+# every frame_signal and frame_energies call of a run asks for the same taper
+@lru_cache(maxsize=8)
 def _taper(window: str, window_length: int) -> np.ndarray:
+    """Read-only periodic `window` of `window_length` samples."""
     if window in ("rect", "rectangular", "boxcar"):
-        return np.ones(window_length)
-    return get_window(window, window_length, fftbins=True)
+        taper = np.ones(window_length)
+    else:
+        taper = get_window(window, window_length, fftbins=True)
+    taper.flags.writeable = False
+    return taper
 
 
 def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_LENGTH,

@@ -65,9 +65,6 @@ _EPS = np.finfo(float).eps
 # bank rows per matmul and reads per Horner pass: the 2 MB of a bank chunk's
 # (rows, 2 W) windows
 _CHUNK = CHUNK_ELEMENTS // (2 * SINC_HALF_WIDTH)
-# Output spans start and end on multiples of this many samples; each read is
-# element by element, so the grid affects no bit of the audio.
-_READ_ALIGN = 64
 
 
 def _farrow_table() -> np.ndarray:
@@ -246,16 +243,15 @@ def _audible_spans(vaps, fs: float, lag_min: float, lag_max: float, n_samples: i
     The emitted signal is exactly zero outside its VAPs, so a read outside
     every span sums zeros and adds nothing. Each VAP [a, b] keeps
     [floor(a fs + lag_min) - W - 1, ceil(b fs + lag_max) + W + 2), one sample
-    beyond the last reachable tap on each side, widened to multiples of
-    _READ_ALIGN and clipped to the recording; spans that overlap or touch
-    are merged, so no output sample is read twice.
+    beyond the last reachable tap on each side, clipped to the recording;
+    spans that overlap or touch are merged, so no output sample is read
+    twice.
     """
     spans = []
     for a, b in vaps:
         lo = int(np.floor(a * fs + lag_min)) - SINC_HALF_WIDTH - 1
         hi = int(np.ceil(b * fs + lag_max)) + SINC_HALF_WIDTH + 2
-        lo = max(lo // _READ_ALIGN * _READ_ALIGN, 0)
-        hi = min(-(-hi // _READ_ALIGN) * _READ_ALIGN, n_samples)
+        lo, hi = max(lo, 0), min(hi, n_samples)
         if lo >= hi:
             continue
         if spans and lo <= spans[-1][1]:

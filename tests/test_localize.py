@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from doatrack.geometry import (ArrayGeometry, Doa, doa_to_unit_vector, get_array_preset,
                                wrap_angle)
 from doatrack.cli import _circular_peaks
-from doatrack.localize import (IllConditionedError, NoSignalError, SpatialSpectrum,
+from doatrack.localize import (DoaGrid, IllConditionedError, NoSignalError, SpatialSpectrum,
                                TdoaEstimate, UnderdeterminedError,
                                UnsupportedGeometryError, azimuth_grid, expected_tdoa,
                                farfield_pair_tdoa, gcc_phat, music_spectrum,
                                pseudo_intensity, srp_argmax, srp_phat,
                                tdoa_to_azimuth)
-from doatrack.sigproc import MultichannelAudio, cross_power_spectrum, frame_signal
+from doatrack.sigproc import Blocks, MultichannelAudio, cross_power_spectrum, frame_signal
 
 from synthutil import plane_wave_audio
 
@@ -197,6 +197,76 @@ def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
         assert np.degrees(peaks) == pytest.approx([49.0, 131.0])
 
 
+# steered directions of a 360-direction grid under the default band: the
+# 2N + 1 of the band-limited path, or the grid's own
+BAND_LIMITED_SIZES = {"robot_head": 63, "eigenmike": 59, "hearing_aids": 79, "dicit_32cm": 319}
+
+
+def _steered_sizes(monkeypatch, geom, grid):
+    """Direction counts of the grids srp_phat steers over one 8-frame block."""
+    import doatrack.localize
+
+    sizes = []
+    steering = doatrack.localize._steering
+
+    def recording(geometry, steered, *args):
+        sizes.append(len(steered))
+        return steering(geometry, steered, *args)
+
+    monkeypatch.setattr(doatrack.localize, "_steering", recording)
+    frames = frame_signal(plane_wave_audio(geom, math.radians(40.0), n=9216), 2048, 1024)
+    spec = srp_phat(frames, geom, grid, FS)
+    assert len(spec.values) == len(grid)
+    return set(sizes)
+
+
+@pytest.mark.parametrize("array", sorted(BAND_LIMITED_SIZES))
+def test_band_limited_srp_steers_2n_plus_1_directions(monkeypatch, array):
+    geom = get_array_preset(array)
+    assert _steered_sizes(monkeypatch, geom, azimuth_grid(1.0)) == {BAND_LIMITED_SIZES[array]}
+    # decided from the directions, not from the grid object
+    copy = DoaGrid(azimuth_grid(1.0).directions)
+    assert _steered_sizes(monkeypatch, geom, copy) == {BAND_LIMITED_SIZES[array]}
+
+
+def _elevated_circle():
+    return DoaGrid(tuple(Doa(a, math.radians(60.0)) for a in azimuth_grid(1.0).azimuths))
+
+
+@pytest.mark.parametrize("array,grid", [
+    ("dicit", lambda: azimuth_grid(1.0)),  # 2.24 m aperture: 2N + 1 = 511 > 360
+    ("robot_head", lambda: azimuth_grid(6.0)),  # 60 directions, coarser than 2N + 1 = 63
+    ("robot_head", lambda: azimuth_grid(360.0 / 63)),  # exactly 2N + 1
+    ("robot_head", _elevated_circle),
+    ("robot_head", lambda: DoaGrid(azimuth_grid(1.0).directions[:180])),  # half circle
+    ("robot_head", lambda: azimuth_grid(7.0)),  # 51 steps of 7 degrees do not close the circle
+], ids=["dicit", "coarse", "2n+1", "elevated", "arc", "open"])
+def test_srp_steers_its_own_directions_off_the_band_limited_path(monkeypatch, array, grid):
+    grid = grid()
+    assert _steered_sizes(monkeypatch, get_array_preset(array), grid) == {len(grid)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(array=st.sampled_from(["robot_head", "eigenmike", "hearing_aids"]),
+       az_deg=st.floats(-180.0, 180.0), el_deg=st.floats(30.0, 150.0),
+       seed=st.integers(0, 2**16), snr_db=st.sampled_from([None, 0.0, 20.0]))
+def test_band_limited_srp_matches_direct_evaluation(array, az_deg, el_deg, seed, snr_db):
+    from doatrack import localize
+
+    geom = get_array_preset(array)
+    audio = plane_wave_audio(geom, math.radians(az_deg), elevation=math.radians(el_deg),
+                             n=9216, seed=seed, snr_db=snr_db)
+    frames = frame_signal(audio, 2048, 1024)
+    grid = azimuth_grid(1.0)
+    bins = localize._band_bins(2048, FS, localize.DEFAULT_BAND_HZ)
+    coarse = localize._band_limited_grid(geom, grid, bins[-1] * FS / 2048)
+    assert len(coarse) == BAND_LIMITED_SIZES[array]
+    spec = srp_phat(frames, geom, grid, FS)
+    direct = localize._steered_power(Blocks.whole(frames), geom, grid, bins, FS)[0][0]
+    assert np.max(np.abs(spec.values - direct)) <= 1e-13 * np.max(np.abs(direct))
+    assert srp_argmax(spec) == srp_argmax(SpatialSpectrum(grid, direct))
+
+
 @pytest.mark.parametrize("az_deg", [-120.0, 0.0, 40.0])
 def test_music_plane_wave(az_deg):
     geom = get_array_preset("robot_head")
@@ -302,7 +372,8 @@ def test_steering_is_built_once_per_block_group(monkeypatch, seconds):
     frame_elements = channels * 1025 + -(-n_bins * channels**2 // 4)
     group_blocks = (BLOCK_GROUP_ELEMENTS // frame_elements - 8) // 4 + 1
     n_groups = -(-n_blocks // group_blocks)
-    bin_chunks = -(-n_bins // (CHUNK_ELEMENTS // (360 * channels)))
+    # the band-limited path steers 63 of the grid's 360 directions
+    bin_chunks = -(-n_bins // (CHUNK_ELEMENTS // (63 * channels)))
     assert len(starts) == n_groups < n_blocks
     assert len(chunks) == n_groups * bin_chunks
 

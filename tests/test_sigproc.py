@@ -126,3 +126,14 @@ def test_multichannel_audio_single_channel_promotion():
     assert audio.channel_count == 1
     assert audio.length == 1000
     assert audio.duration == pytest.approx(1000 / 48000)
+
+
+def test_taper_is_built_once_per_window_and_length():
+    from scipy.signal import get_window
+
+    from doatrack import sigproc
+
+    taper = sigproc._taper("hann", 2048)
+    assert np.array_equal(taper, get_window("hann", 2048, fftbins=True))
+    assert sigproc._taper("hann", 2048) is taper and not taper.flags.writeable
+    assert np.array_equal(sigproc._taper("rect", 16), np.ones(16))

@@ -164,19 +164,22 @@ def test_one_bank_per_audible_source(config, banks, monkeypatch):
         (simulate.FARROW_DEGREE + 1, n_samples + 2 * simulate.SINC_HALF_WIDTH + 1)] * banks
 
 
-def test_audible_spans_pad_align_merge_and_clip():
-    assert simulate._READ_ALIGN == 64 and simulate.SINC_HALF_WIDTH == 16
-    # [floor(a fs + lag_min) - 17, ceil(b fs + lag_max) + 18) = [85, 226),
-    # widened to multiples of 64
-    assert _audible_spans(((0.1, 0.2),), 1000.0, 2.5, 7.5, 1000) == [(64, 256)]
-    # [-17, 498) and [943, 2418): clipped at 0, apart after widening
+def test_audible_spans_pad_merge_and_clip():
+    assert simulate.SINC_HALF_WIDTH == 16
+    # [floor(a fs + lag_min) - 17, ceil(b fs + lag_max) + 18)
+    assert _audible_spans(((0.1, 0.2),), 1000.0, 2.5, 7.5, 1000) == [(85, 226)]
+    # [-17, 498) and [943, 2418): clipped at 0, apart
     assert _audible_spans(((0.0, 0.01), (0.02, 0.05)), FS, 0.0, 0.0, 48000) == [
-        (0, 512), (896, 2432)]
-    # [511, 2418) widens to [448, 2432), which overlaps [0, 512): one span
-    assert _audible_spans(((0.0, 0.01), (0.011, 0.05)), FS, 0.0, 0.0, 48000) == [
-        (0, 2432)]
+        (0, 498), (943, 2418)]
+    # [491, 2418) overlaps [0, 498): one span
+    assert _audible_spans(((0.0, 0.01), (0.0106, 0.05)), FS, 0.0, 0.0, 48000) == [
+        (0, 2418)]
+    # [118, 218) touches [0, 118) and merges; [119, 218) stays apart
+    assert _audible_spans(((0.0, 0.1), (0.135, 0.2)), 1000.0, 0.0, 0.0, 1000) == [(0, 218)]
+    assert _audible_spans(((0.0, 0.1), (0.136, 0.2)), 1000.0, 0.0, 0.0, 1000) == [
+        (0, 118), (119, 218)]
     # a VAP ending at the last sample is clipped to the recording
-    assert _audible_spans(((0.5, 1.0),), FS, 100.0, 200.0, 48000) == [(24064, 48000)]
+    assert _audible_spans(((0.5, 1.0),), FS, 100.0, 200.0, 48000) == [(24083, 48000)]
     assert _audible_spans((), FS, 0.0, 0.0, 48000) == []
 
 
