@@ -14,7 +14,7 @@ from .geometry import (ArrayGeometry, DegenerateGeometryError, Doa, Pose,
                        sample_trajectory, static_trajectory, unit_vector_to_doa,
                        wrap_angle)
 from .sigproc import (Blocks, CrossSpectrum, MultichannelAudio, Stft, block_cross_spectra,
-                      cross_power_spectrum, frame_energies, frame_signal)
+                      cross_power_spectrum, frame_energies, frame_signal, pair_cross_spectra)
 from .localize import (BlockTdoas, DoaEstimate, DoaGrid, IllConditionedError, NoSignalError,
                        SpatialSpectrum, TdoaEstimate, UnderdeterminedError,
                        UnsupportedGeometryError, azimuth_grid, expected_tdoa,

@@ -10,8 +10,10 @@ Four estimators share one STFT front end:
 Each takes one analysis block (an `Stft`) or all analysis blocks of a
 recording (`Blocks`). The blocks are processed in groups (`Blocks.groups`)
 of bounded memory, and work shared by blocks, such as the steering
-vectors, the GCC lag basis and the per-frame intensities, is done once per
-group, not once per block. A one-block call returns its result or raises
+vectors and the per-frame intensities, is done once per group, not once per
+block; the GCC lag basis is built once per call. GCC-PHAT and SRP-PHAT read
+only the cross-spectra of the pairs m < l (`sigproc.pair_cross_spectra`).
+A one-block call returns its result or raises
 NoSignalError or IllConditionedError; a `Blocks` call returns a list with
 one entry per block, None where the one-block call would raise.
 
@@ -36,7 +38,8 @@ from .geometry import (
     doa_to_unit_vector,
     unit_vector_to_doa,
 )
-from .sigproc import CHUNK_ELEMENTS, Blocks, CrossSpectrum, Stft, block_cross_spectra
+from .sigproc import (CHUNK_ELEMENTS, Blocks, CrossSpectrum, Stft, block_cross_spectra,
+                      pair_cross_spectra)
 
 DEFAULT_BAND_HZ = (300.0, 4000.0)
 GRID_RESOLUTION_DEG = 1.0  # azimuth step of the grid searches
@@ -177,12 +180,17 @@ def _one_or_each(frames, results):
     return result
 
 
-def _frame_elements(blocks: Blocks, used_bins: int) -> int:
+def _frame_elements(blocks: Blocks, used_bins: int, pairs: int) -> int:
     """Complex elements a group of blocks holds per frame: the frame's STFT
-    and its share of the sub-block cross-spectra over `used_bins` bins."""
-    channels = blocks.channel_count
-    return (channels * (blocks.window_length // 2 + 1)
-            + -(-used_bins * channels * channels // blocks.sub_block))
+    and its share of the sub-block cross-spectra of `pairs` microphone pairs
+    over `used_bins` bins."""
+    return (blocks.channel_count * (blocks.window_length // 2 + 1)
+            + -(-used_bins * pairs // blocks.sub_block))
+
+
+def _upper_pairs(channels: int) -> np.ndarray:
+    """The (m, l) pairs m < l, in row-major order, as a (pairs, 2) array."""
+    return np.stack(np.triu_indices(channels, 1), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,78 +231,89 @@ def gcc_phat(cs: CrossSpectrum | Blocks, max_lag):
         if max_lags.shape != (n_pairs,):
             raise ValueError(f"need one max_lag per microphone pair, {n_pairs} in all")
         return _gcc_phat_blocks(cs, max_lags)
-    g = np.asarray(cs.values, dtype=complex)[None, :, None]
-    delays, peaks, usable = _lag_window_peaks(g, np.array([float(max_lag)]), cs.window_length)
+    g = np.asarray(cs.values, dtype=complex)[:, None, None]
+    basis = _lag_basis(np.array([float(max_lag)]), cs.window_length)
+    delays, peaks, usable = _lag_window_peaks(g, basis)
     if not usable[0]:
         raise NoSignalError("all-zero cross spectrum")
     return TdoaEstimate(cs.pair, float(delays[0, 0]), float(peaks[0, 0]))
 
 
 def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:
-    channels = blocks.channel_count
-    m, l = np.triu_indices(channels, 1)
+    pairs = _upper_pairs(blocks.channel_count)
     order = np.argsort(-max_lags, kind="stable")
-    flat = m[order] * channels + l[order]  # index of (m, l) in a flattened channel matrix
+    basis = _lag_basis(max_lags[order], blocks.window_length)
     bin_count = blocks.window_length // 2 + 1
-    delays = np.zeros((len(blocks), len(m)))
-    peaks = np.zeros((len(blocks), len(m)))
+    delays = np.zeros((len(blocks), len(pairs)))
+    peaks = np.zeros((len(blocks), len(pairs)))
     usable = np.zeros(len(blocks), dtype=bool)
-    for group_slice, group in blocks.groups(_frame_elements(blocks, bin_count)):
-        # (blocks, bins, pairs), contiguous: take, unlike fancy indexing, keeps
-        # the pairs innermost in memory
-        g = np.take(block_cross_spectra(group).reshape(len(group), bin_count, -1), flat, axis=2)
+    for group_slice, group in blocks.groups(_frame_elements(blocks, bin_count, len(pairs))):
         delays[group_slice, order], peaks[group_slice, order], usable[group_slice] = (
-            _lag_window_peaks(g, max_lags[order], blocks.window_length))
-    return BlockTdoas(tuple(zip(m.tolist(), l.tolist())), delays, peaks, usable)
+            _lag_window_peaks(pair_cross_spectra(group, pairs[order]), basis))
+    return BlockTdoas(tuple(map(tuple, pairs.tolist())), delays, peaks, usable)
 
 
-def _lag_window_peaks(g, max_lags, window_length: int):
-    """Peak lag of the PHAT-weighted GCC of every block and pair.
-
-    `g` holds cross spectra of shape (blocks, bins, pairs), pairs ordered by
-    `max_lags` descending. With W = PHAT(G) and nfft = GCC_INTERPOLATION *
-    window_length, the GCC at oversampled lag tau is
-    cc[tau] = sum_k c_k Re(W_k exp(i 2 pi k tau / nfft)) / nfft, c_0 = 1 and
-    c_k = 2 otherwise (the irfft of W zero-padded to nfft), evaluated only
-    within each pair's window: cos is even and sin is odd, so lags +-tau come
-    from one matmul against a (lags, bins) half-basis, in chunks of lags that
-    only the pairs whose window reaches them take part in.
-    Returns delays and peak values, both (blocks, pairs), and a (blocks,)
-    mask, False where a pair's cross spectrum is all zero.
+def _lag_basis(max_lags, window_length: int):
+    """The GCC half-basis of `_lag_window_peaks` for pairs with the given
+    `max_lags`, in descending order: each pair's window max_shift on the
+    GCC_INTERPOLATION-times oversampled lag axis, and the rows
+    cos, sin(2 pi k tau / nfft) / nfft over the window's bins k and the lags
+    tau = 0..max_shift[0], as a list of (first lag, stop lag, cos chunk, sin
+    chunk) with chunks of shape (lags, bins). Built once per `gcc_phat` call.
     """
     nfft = window_length * GCC_INTERPOLATION
     max_shift = np.minimum(np.floor(max_lags * GCC_INTERPOLATION).astype(int), nfft // 2 - 1)
     if max_shift.min() < 1:
         raise ValueError("max_lag too small for the lag axis")
-    n_blocks, bin_count, n_pairs = g.shape
-    mag = np.abs(g)
-    peak_mag = mag.max(axis=1, keepdims=True)
-    usable = np.all(peak_mag[:, 0] > 0.0, axis=1)
-    # c_k PHAT weights: c_k / |G| above the floor, 0 below it
-    keep = mag > PHAT_FLOOR_REL * peak_mag
-    weights = np.divide(2.0, np.maximum(mag, 1e-300, out=mag), out=mag)
-    weights[:, 0] *= 0.5
-    weights[~keep] = 0.0
-    del keep
-    # (bins, blocks, pairs) so that a chunk of pairs of all blocks is one matmul
-    w_re = np.empty((bin_count, n_blocks, n_pairs))
-    w_im = np.empty((bin_count, n_blocks, n_pairs))
-    np.multiply(g.real.transpose(1, 0, 2), weights.transpose(1, 0, 2), out=w_re)
-    np.multiply(g.imag.transpose(1, 0, 2), weights.transpose(1, 0, 2), out=w_im)
-    del weights
-    shift = int(max_shift[0])
-    cc = np.full((2 * shift + 1, n_blocks, n_pairs), -np.inf)
+    bin_count = window_length // 2 + 1
     angle = (2.0 * np.pi / nfft) * np.arange(nfft)
     cos_table, sin_table = np.cos(angle) / nfft, np.sin(angle) / nfft
     step = max(1, CHUNK_ELEMENTS // bin_count)
-    for first in range(0, shift + 1, step):
-        stop = min(first + step, shift + 1)
-        n = int(np.count_nonzero(max_shift >= first))  # pairs whose window reaches `first`
+    chunks = []
+    for first in range(0, int(max_shift[0]) + 1, step):
+        stop = min(first + step, int(max_shift[0]) + 1)
         # (k tau) mod nfft indexes the tables exactly
         phase = np.multiply.outer(np.arange(first, stop), np.arange(bin_count))
         phase %= nfft
-        even = cos_table[phase] @ w_re[:, :, :n].reshape(bin_count, -1)
-        odd = sin_table[phase] @ w_im[:, :, :n].reshape(bin_count, -1)
+        chunks.append((first, stop, cos_table[phase], sin_table[phase]))
+    return max_shift, chunks
+
+
+def _lag_window_peaks(g, basis):
+    """Peak lag of the PHAT-weighted GCC of every block and pair.
+
+    `g` holds cross spectra of shape (bins, blocks, pairs), pairs ordered by
+    max lag descending as in `basis` (see `_lag_basis`). With W = PHAT(G)
+    and nfft = GCC_INTERPOLATION * window_length, the GCC at lag tau is
+    cc[tau] = sum_k c_k Re(W_k exp(i 2 pi k tau / nfft)) / nfft, c_0 = 1 and
+    c_k = 2 otherwise (the irfft of W zero-padded to nfft), evaluated only
+    within each pair's window: cos is even and sin is odd, so lags +-tau come
+    from one matmul against a (lags, bins) chunk of the half-basis, in which
+    only the pairs whose window reaches the chunk take part.
+    Returns delays and peak values, both (blocks, pairs), and a (blocks,)
+    mask, False where a pair's cross spectrum is all zero.
+    """
+    max_shift, chunks = basis
+    bin_count, n_blocks, n_pairs = g.shape
+    mag = np.abs(g)
+    peak_mag = mag.max(axis=0)  # (blocks, pairs)
+    usable = np.all(peak_mag > 0.0, axis=1)
+    # c_k PHAT weights: c_k / |G| above the floor, 0 below it
+    keep = mag > PHAT_FLOOR_REL * peak_mag
+    weights = np.divide(2.0, np.maximum(mag, 1e-300, out=mag), out=mag)
+    weights[0] *= 0.5
+    weights[~keep] = 0.0
+    del keep
+    # (bins, blocks, pairs), so that a chunk of pairs of all blocks is one matmul
+    w_re = np.multiply(g.real, weights)
+    w_im = np.multiply(g.imag, weights, out=weights)
+    del g, weights
+    shift = int(max_shift[0])
+    cc = np.full((2 * shift + 1, n_blocks, n_pairs), -np.inf)
+    for first, stop, cos_basis, sin_basis in chunks:
+        n = int(np.count_nonzero(max_shift >= first))  # pairs whose window reaches `first`
+        even = cos_basis @ w_re[:, :, :n].reshape(bin_count, -1)
+        odd = sin_basis @ w_im[:, :, :n].reshape(bin_count, -1)
         cc[shift + first:shift + stop, :, :n] = (even - odd).reshape(stop - first, n_blocks, n)
         cc[shift - stop + 1:shift - first + 1, :, :n] = (
             (even + odd).reshape(stop - first, n_blocks, n)[::-1])
@@ -486,29 +505,33 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
     (blocks,) mask of blocks with an in-band cross spectrum that is not zero."""
     channels = blocks.channel_count
     window_length = blocks.window_length
+    pairs = _upper_pairs(channels)
+    flat = pairs[:, 0] * channels + pairs[:, 1]  # index of (m, l) in a flattened channel matrix
     # self terms contribute a direction-independent offset of channels * len(bins)
     values = np.full((len(blocks), len(grid)), float(channels * len(bins)))
     usable = np.zeros(len(blocks), dtype=bool)
-    lower = np.tril_indices(channels)
-    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins))):
-        g = block_cross_spectra(group, bins)  # (blocks, bins, mics, mics)
+    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins), len(pairs))):
+        g = pair_cross_spectra(group, pairs, bins)  # (bins, blocks, pairs)
         mag = np.abs(g)
-        peak = mag.max(axis=1, keepdims=True)  # per block and pair, over the band
-        ok = np.any(np.triu(peak[:, 0], 1) > 0.0, axis=(1, 2))
+        peak = mag.max(axis=0)  # per block and pair, over the band
+        ok = np.any(peak > 0.0, axis=1)
         usable[group_slice] = ok
-        # g becomes triu(PHAT(G), 1)
+        if not ok.any():
+            continue
+        # g becomes PHAT(G) of the pairs
         floor = mag <= PHAT_FLOOR_REL * peak
         np.divide(g, np.maximum(mag, 1e-300, out=mag), out=g)
         g[floor] = 0.0
-        g[:, :, lower[0], lower[1]] = 0.0
         del mag, floor
-        upper = g.transpose(0, 1, 3, 2)  # [b, k, l, m] = PHAT(G_bk)[m, l] for m < l
         group_values = values[group_slice]
-        if not ok.any():
-            continue
         for chunk, steer in _steering(geometry, grid, bins, window_length, f_s):
+            # a block's triu(PHAT(G_k), 1) over the chunk's bins, zero on and
+            # below the diagonal
+            triu = np.zeros((len(steer), channels * channels), dtype=complex)
+            upper = triu.reshape(-1, channels, channels).transpose(0, 2, 1)
             for b in np.flatnonzero(ok):
-                weighted = steer @ upper[b, chunk]  # [k, x, m] = sum_l PHAT(G_k)[m, l] A[k, x, l]
+                triu[:, flat] = g[chunk, b]
+                weighted = steer @ upper  # [k, x, m] = sum_l PHAT(G_k)[m, l] A[k, x, l]
                 # Re(conj(a) w) = a.real w.real + a.imag w.imag, summed over bins and mics
                 group_values[b] += 2.0 * np.einsum("kxj,kxj->x", steer.view(float),
                                                    weighted.view(float))
@@ -554,7 +577,7 @@ def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid
     bins = _band_bins(window_length, f_s, band_hz)
     broadband = np.zeros((len(blocks), len(grid)))
     results = [None] * len(blocks)
-    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins))):
+    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins), channels**2)):
         r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
         load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=2, axis2=3)) / channels
         r += load[..., None, None] * np.eye(channels)
@@ -621,7 +644,7 @@ def pseudo_intensity(frames: Stft | Blocks, geometry: ArrayGeometry, f_s: float,
     blocks = _as_blocks(frames)
     bins = _band_bins(blocks.window_length, f_s, band_hz)
     results = []
-    for _, group in blocks.groups(_frame_elements(blocks, 0)):
+    for _, group in blocks.groups(_frame_elements(blocks, 0, 0)):
         stft = group.source
         s = stft.bins[:, :, bins]  # (frames, channels, bins)
         p0 = s.mean(axis=1)  # (frames, bins)

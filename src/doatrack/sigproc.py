@@ -26,6 +26,9 @@ CHUNK_ELEMENTS = 1 << 18
 # complex elements of STFT frames and sub-block cross-spectra that one group
 # of blocks may hold (16 MB); a group holds one block at least
 BLOCK_GROUP_ELEMENTS = 4 * CHUNK_ELEMENTS
+# complex elements of the sub-block channel x channel products of one chunk
+# of bins (512 kB, so that a chunk stays in a core's L2 cache)
+PAIR_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -250,46 +253,73 @@ class Blocks:
                 first = i
 
 
-def block_cross_spectra(blocks: Blocks, bins=None) -> np.ndarray:
-    """Block-mean cross-power spectra G[b, k, m, l] = mean over the frames f of
-    block b of S_m(f, k) conj(S_l(f, k)).
+def pair_cross_spectra(blocks: Blocks, pairs, bins=None) -> np.ndarray:
+    """Block-mean cross-power spectra of the microphone pairs `pairs`:
+    G[k, b, p] = mean over the frames f of block b of S_m(f, k) conj(S_l(f, k)),
+    with (m, l) = pairs[p].
 
-    Returns an array of shape (blocks, bin_count, channels, channels), over
-    every bin or over the bin indices given. Each frame's outer products are
-    formed once: blocks are sums of sub-blocks (see `Blocks.sub_block`), so
-    overlapping blocks share the sub-blocks they have in common. Meant for the
-    blocks of one `Blocks.groups` group, whose frames are all in use.
+    Returns an array of shape (bin_count, blocks, pairs), over every bin or
+    over the bin indices given, so that the pairs of one bin and block lie
+    side by side in memory. Each frame's outer products are formed once:
+    blocks are sums of sub-blocks (see `Blocks.sub_block`), so overlapping
+    blocks share the sub-blocks they have in common. The sub-block products
+    are full channel x channel matrices, formed PAIR_CHUNK_ELEMENTS at a
+    time over a chunk of bins; the requested pairs are gathered, summed into
+    blocks and scaled by 1 / length while the chunk is still in cache. Meant
+    for the blocks of one `Blocks.groups` group, whose frames are all in use.
     """
     if not blocks.length:
         raise ValueError("empty frame block")
+    channels = blocks.channel_count
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    if np.any((pairs < 0) | (pairs >= channels)):
+        raise ValueError(f"channel pair out of range for {channels} channels in {pairs.tolist()}")
+    flat = pairs[:, 0] * channels + pairs[:, 1]  # index of (m, l) in a flattened channel matrix
     starts = blocks.starts
     sub = blocks.sub_block
     frames = blocks.frames(starts[0], starts[-1] + blocks.length)
-    spectra = frames.bins if bins is None else frames.bins[:, :, bins]
     n_sub = len(frames) // sub
-    # (sub-blocks, bins, channels, frames of the sub-block)
-    x = spectra[:n_sub * sub].reshape((n_sub, sub) + spectra.shape[1:]).transpose(0, 3, 2, 1)
-    x = np.ascontiguousarray(x)
-    sums = x @ np.conj(x.transpose(0, 1, 3, 2))
-    del x
+    # (sub-blocks, frames of the sub-block, channels, bins)
+    spectra = frames.bins[:n_sub * sub].reshape((n_sub, sub) + frames.bins.shape[1:])
+    bins = np.arange(frames.bin_count) if bins is None else np.asarray(bins)
     # block b is sub-blocks pos[b]..pos[b] + per_block - 1; in ascending order
     # each sum lands on the block's first sub-block, which no later block reads
     pos = (starts - starts[0]) // sub
     per_block = blocks.length // sub
-    for p in pos:
-        for j in range(1, per_block):
-            sums[p] += sums[p + j]
-    g = sums[:len(pos)] if pos[-1] == len(pos) - 1 else sums[pos]
-    g /= blocks.length
-    return g
+    # numpy's complex g /= n multiplies both parts by 1.0 / n (its one other
+    # bit: a -0.0 real part with a non-negative imaginary part becomes +0.0)
+    scale = 1.0 / blocks.length
+    out = np.empty((len(bins), len(starts), len(flat)), dtype=complex)
+    step = max(1, PAIR_CHUNK_ELEMENTS // (n_sub * channels * channels))
+    for first in range(0, len(bins), step):
+        chunk = bins[first:first + step]
+        # (sub-blocks, chunk bins, channels, frames of the sub-block)
+        x = np.ascontiguousarray(spectra[..., chunk].transpose(0, 3, 2, 1))
+        sums = x @ np.conj(x.transpose(0, 1, 3, 2))
+        sums = np.take(sums.reshape(n_sub, len(chunk), -1), flat, axis=2)
+        for b, p in enumerate(pos):
+            for j in range(1, per_block):
+                sums[p] += sums[p + j]
+            np.multiply(sums[p].view(float), scale, out=out[first:first + step, b].view(float))
+    return out
+
+
+def block_cross_spectra(blocks: Blocks, bins=None) -> np.ndarray:
+    """Block-mean cross-power spectra G[b, k, m, l] = mean over the frames f of
+    block b of S_m(f, k) conj(S_l(f, k)), every pair of `pair_cross_spectra`.
+
+    Returns a view of shape (blocks, bin_count, channels, channels), over
+    every bin or over the bin indices given.
+    """
+    channels = blocks.channel_count
+    pairs = np.stack(np.divmod(np.arange(channels * channels), channels), axis=1)
+    g = pair_cross_spectra(blocks, pairs, bins)
+    return g.reshape(g.shape[:2] + (channels, channels)).transpose(1, 0, 2, 3)
 
 
 def cross_power_spectrum(frames: Stft, pair) -> CrossSpectrum:
     """Block-mean cross-power spectrum G_{m,l} = mean_k S_m(k) conj(S_l(k)),
-    the pair (m, l) of `block_cross_spectra` over all of `frames`."""
+    the pair (m, l) of `pair_cross_spectra` over all of `frames`."""
     m, l = pair
-    channels = frames.channel_count
-    if not (0 <= m < channels and 0 <= l < channels):
-        raise ValueError(f"channel pair {pair} out of range for {channels} channels")
-    g = block_cross_spectra(Blocks.whole(frames))[0]
-    return CrossSpectrum(g[:, m, l], (m, l), frames.window_length)
+    g = pair_cross_spectra(Blocks.whole(frames), [(m, l)])
+    return CrossSpectrum(g[:, 0, 0], (m, l), frames.window_length)

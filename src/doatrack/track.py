@@ -138,6 +138,8 @@ class WrappedMixture:
         total = 0.0
         for w, mean, cov in self.components:
             mean = np.asarray(mean, dtype=float).reshape(-1).copy()
+            # read-only, so the cached circular mean always matches the means
+            mean.flags.writeable = False
             cov = np.asarray(cov, dtype=float)
             try:
                 np.linalg.cholesky(cov)
@@ -157,6 +159,11 @@ class WrappedMixture:
         return cls(((1.0, state.mean, state.covariance),))
 
     def circular_mean(self) -> float:
+        """Weighted circular mean of the component azimuths, computed once per mixture."""
+        return self._circular_mean
+
+    @cached_property
+    def _circular_mean(self) -> float:
         z = sum(w * np.exp(1j * mean[0]) for w, mean, _ in self.components)
         return float(np.angle(z))
 

@@ -366,16 +366,48 @@ def test_steering_is_built_once_per_block_group(monkeypatch, seconds):
     n_frames = (audio.length - 2048) // 1024 + 1
     n_blocks = (n_frames - 8) // 4 + 1
     assert len(estimates) == n_blocks
-    # a group spans as many frames as its STFT and 4-frame sub-block
-    # cross-spectra over the band's bins fit in the budget
+    # a group spans as many frames as its STFT and the 4-frame sub-block
+    # cross-spectra of the m < l pairs over the band's bins fit in the budget
     channels, n_bins = geom.mic_count, 158
-    frame_elements = channels * 1025 + -(-n_bins * channels**2 // 4)
+    frame_elements = channels * 1025 + -(-n_bins * (channels * (channels - 1) // 2) // 4)
     group_blocks = (BLOCK_GROUP_ELEMENTS // frame_elements - 8) // 4 + 1
     n_groups = -(-n_blocks // group_blocks)
     # the band-limited path steers 63 of the grid's 360 directions
     bin_chunks = -(-n_bins // (CHUNK_ELEMENTS // (63 * channels)))
     assert len(starts) == n_groups < n_blocks
     assert len(chunks) == n_groups * bin_chunks
+
+
+@pytest.mark.parametrize("array,localizer,seconds", [("robot_head", "gcc-phat", 0.75),
+                                                     ("eigenmike", "srp-phat", 0.4)])
+def test_short_clip_is_one_block_group(monkeypatch, array, localizer, seconds):
+    # the m < l pair spectra of all blocks of these clips fit in one group,
+    # so their frames are transformed once and the steering is built once
+    import doatrack.localize
+    import doatrack.sigproc
+    from doatrack.cli import localize_stream
+
+    geom = get_array_preset(array)
+    audio = plane_wave_audio(geom, math.radians(30.0), n=int(FS * seconds), snr_db=20)
+    transforms, steerings = [], []
+    frame_signal = doatrack.sigproc.frame_signal
+    steering = doatrack.localize._steering
+
+    def counting_frames(*args):
+        transforms.append(1)
+        return frame_signal(*args)
+
+    def counting_steering(*args):
+        steerings.append(1)
+        return steering(*args)
+
+    monkeypatch.setattr(doatrack.sigproc, "frame_signal", counting_frames)
+    monkeypatch.setattr(doatrack.localize, "_steering", counting_steering)
+    estimates = localize_stream(audio, geom, localizer, FS)
+    n_frames = (audio.length - 2048) // 1024 + 1
+    assert len(estimates) == (n_frames - 8) // 4 + 1 > 1
+    assert len(transforms) == 1
+    assert len(steerings) == (localizer == "srp-phat")
 
 
 def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doatrack.sigproc import (Blocks, MultichannelAudio, cross_power_spectrum, frame_energies,
-                              frame_signal)
+from doatrack import sigproc
+from doatrack.sigproc import (Blocks, MultichannelAudio, Stft, block_cross_spectra,
+                              cross_power_spectrum, frame_energies, frame_signal,
+                              pair_cross_spectra)
 
 
 def _tone(freq, fs, n, phase=0.0):
@@ -137,3 +143,80 @@ def test_taper_is_built_once_per_window_and_length():
     assert np.array_equal(taper, get_window("hann", 2048, fftbins=True))
     assert sigproc._taper("hann", 2048) is taper and not taper.flags.writeable
     assert np.array_equal(sigproc._taper("rect", 16), np.ones(16))
+
+
+def _whole_band_cross_spectra(blocks, bins=None):
+    """Block-mean cross-spectra (blocks, bins, channels, channels) as one
+    sub-block matmul over every bin at once, summed into blocks and divided
+    by the block length: the computation the pair routine splits into chunks."""
+    starts, sub = blocks.starts, blocks.sub_block
+    frames = blocks.frames(starts[0], starts[-1] + blocks.length)
+    spectra = frames.bins if bins is None else frames.bins[:, :, bins]
+    n_sub = len(frames) // sub
+    x = spectra[:n_sub * sub].reshape((n_sub, sub) + spectra.shape[1:]).transpose(0, 3, 2, 1)
+    x = np.ascontiguousarray(x)
+    sums = x @ np.conj(x.transpose(0, 1, 3, 2))
+    pos = (starts - starts[0]) // sub
+    for p in pos:
+        for j in range(1, blocks.length // sub):
+            sums[p] += sums[p + j]
+    g = sums[pos]
+    g /= blocks.length
+    return g
+
+
+@st.composite
+def pair_cases(draw):
+    channels = draw(st.integers(2, 12))
+    sub = draw(st.integers(1, 4))
+    length = sub * draw(st.integers(1, 3))
+    # steps of whole sub-blocks; a step beyond `length` leaves a gap between
+    # blocks, which splits them into groups
+    steps = draw(st.lists(st.integers(1, 2 * length // sub + 2), max_size=6))
+    starts = sub * np.concatenate([[draw(st.integers(0, 2))], steps]).cumsum()
+    pairs = draw(st.lists(st.tuples(st.integers(0, channels - 1), st.integers(0, channels - 1)),
+                          min_size=1, max_size=30))
+    bin_count = draw(st.sampled_from([3, 17, 129]))
+    bins = draw(st.one_of(
+        st.none(),
+        st.integers(0, bin_count - 1).flatmap(
+            lambda lo: st.integers(lo + 1, bin_count).map(lambda hi: np.arange(lo, hi))),
+        st.sets(st.integers(0, bin_count - 1), min_size=1).map(lambda b: np.array(sorted(b)))))
+    chunk = draw(st.sampled_from([1, 300, 5000, sigproc.PAIR_CHUNK_ELEMENTS]))
+    # frame_elements for groups of at most 1 to 40 frames
+    budget = sigproc.BLOCK_GROUP_ELEMENTS // draw(st.integers(1, 40))
+    return channels, length, starts, pairs, bin_count, bins, chunk, budget, draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pair_cases())
+def test_pair_cross_spectra_are_the_cross_spectra_entries_bit_for_bit(case):
+    channels, length, starts, pairs, bin_count, bins, chunk, budget, seed = case
+    rng = np.random.default_rng(seed)
+    n_frames = int(starts[-1]) + length + int(rng.integers(0, 3))
+    spectra = rng.standard_normal((n_frames, channels, 2 * bin_count)).view(complex)
+    frames = Stft(spectra, np.arange(n_frames) / 10.0, 2 * (bin_count - 1), 1)
+    m, l = np.array(pairs).T
+    with mock.patch.object(sigproc, "PAIR_CHUNK_ELEMENTS", chunk):
+        for _, group in Blocks(frames, starts, length).groups(budget):
+            got = pair_cross_spectra(group, pairs, bins)
+            full = block_cross_spectra(group, bins)
+            reference = _whole_band_cross_spectra(group, bins)
+            assert got.shape == (reference.shape[1], len(group), len(pairs))
+            assert got.flags.c_contiguous
+            for other in (full, reference):
+                # no spectrum value is zero, so the bits of every entry are
+                # fixed: compare them, not just the values
+                expected = np.ascontiguousarray(other[:, :, m, l].transpose(1, 0, 2))
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("length", [8, 12])
+def test_reciprocal_scaling_is_complex_division(length):
+    rng = np.random.default_rng(length)
+    scale = 10.0 ** rng.integers(-300, 300, (2, 10000))
+    g = (rng.standard_normal((2, 10000)) * scale).T.copy().view(complex)[:, 0]
+    divided = g.copy()
+    divided /= length
+    g.view(float)[...] *= 1.0 / length
+    assert np.array_equal(g.view(np.uint64), divided.view(np.uint64))

@@ -1,5 +1,6 @@
 import logging
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -402,6 +403,29 @@ def test_cached_tracker_steps_are_exact(seed, monkeypatch):
         np.array([[1.0, dt], [0.0, 1.0]]), process_noise_cov(dt, intensity)))
     for tracker in FILTERS:
         assert track_lifecycle(stream, TrackerConfig(), tracker, seed=seed) == got[tracker]
+
+
+def test_wrapped_mixture_circular_mean_is_computed_once_per_mixture(monkeypatch):
+    stream, _ = _two_source_stream(1, 6.0)
+    uncached = WrappedMixture._circular_mean.func
+    reference = track_lifecycle(stream, TrackerConfig(), "wrapped-kalman")
+    mixtures = []
+
+    def counting(mix):
+        mixtures.append(mix)  # holding each mixture keeps its id unique
+        return uncached(mix)
+
+    counted = cached_property(counting)
+    counted.__set_name__(WrappedMixture, "_circular_mean")
+    monkeypatch.setattr(WrappedMixture, "_circular_mean", counted)
+    assert track_lifecycle(stream, TrackerConfig(), "wrapped-kalman") == reference
+    # computed once per mixture, however often the gate and the rows read it
+    assert mixtures and len({id(mix) for mix in mixtures}) == len(mixtures)
+    monkeypatch.setattr(WrappedMixture, "circular_mean", uncached)
+    assert track_lifecycle(stream, TrackerConfig(), "wrapped-kalman") == reference
+    for _, mean, _ in mixtures[0].components:
+        with pytest.raises(ValueError, match="read-only"):
+            mean[0] = 1.0
 
 
 @pytest.mark.parametrize("dt", [1e-3, 4096 / 48000, 0.5, 3.0])
