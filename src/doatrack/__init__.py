@@ -9,7 +9,7 @@ gated association, detection/latency/fragmentation measures, and OSPA.
 __version__ = "0.1.0"
 
 from .geometry import (ArrayGeometry, DegenerateGeometryError, Doa, Pose,
-                       Trajectory, doa_to_unit_vector, get_array_preset,
+                       Trajectory, TrajectoryError, doa_to_unit_vector, get_array_preset,
                        global_to_local, identity_pose, interpolate_pose,
                        sample_trajectory, static_trajectory, unit_vector_to_doa,
                        wrap_angle)

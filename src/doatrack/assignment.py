@@ -40,14 +40,23 @@ def gated_assignment(cost: np.ndarray, gate: float):
     """Assignment where pairs costing more than `gate` are inadmissible.
 
     Rectangular matrices are padded with sentinel costs just above the gate;
-    pairs landing on a sentinel or above the gate are dropped.
+    pairs landing on a sentinel or above the gate are dropped. When each row
+    and each column holds at most one cost in [-gate, gate] and every other
+    cost is at least the (finite) sentinel, the solver's optimum pairs
+    exactly those entries, so they are returned, sorted by row, without it.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     n_rows, n_cols = cost.shape
     if n_rows == 0 or n_cols == 0:
         return []
-    size = max(n_rows, n_cols)
     sentinel = gate + 1.0
+    # entries in [-gate, gate]: within the gate, and never -inf, which the solver rejects
+    rows, cols = np.nonzero(np.abs(cost) <= gate)
+    if math.isfinite(sentinel) and len(rows) + np.count_nonzero(cost >= sentinel) == cost.size:
+        rows, cols = rows.tolist(), cols.tolist()
+        if len(set(rows)) == len(rows) == len(set(cols)):
+            return list(zip(rows, cols))
+    size = max(n_rows, n_cols)
     padded = np.full((size, size), sentinel)
     padded[:n_rows, :n_cols] = np.minimum(cost, sentinel)
     pairs, _ = min_cost_assignment(padded)

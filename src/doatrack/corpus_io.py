@@ -20,7 +20,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .evaluate import Submission, VapTable
-from .geometry import Pose, Trajectory, wrap_angle
+from .geometry import Trajectory, TrajectoryError, wrap_angle
 from .sigproc import DEFAULT_SAMPLE_RATE, MultichannelAudio
 
 import logging
@@ -41,11 +41,14 @@ def _split_row(line: str):
     return [tok for tok in re.split(r"[,\s]+", line.strip()) if tok]
 
 
-def _read_table(path: Path, n_columns: int) -> np.ndarray:
-    """Parse a delimited numeric table, reporting the first bad line."""
+def _read_table(path: Path, n_columns: int):
+    """Parse a delimited numeric table, reporting the first bad line.
+
+    Returns the (rows, n_columns) table and each row's line number."""
     if not path.is_file():
         raise FileNotFoundError(f"missing required file: {path}")
     rows = []
+    linenos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -59,19 +62,18 @@ def _read_table(path: Path, n_columns: int) -> np.ndarray:
                 rows.append([float(tok) for tok in tokens])
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
-    return np.array(rows, dtype=float).reshape(len(rows), n_columns)
+            linenos.append(lineno)
+    return np.array(rows, dtype=float).reshape(len(rows), n_columns), linenos
 
 
-def _trajectory_from_table(table: np.ndarray, path: Path) -> Trajectory:
+def _read_trajectory(path: Path, n_columns: int) -> Trajectory:
+    table, linenos = _read_table(path, n_columns)
     if len(table) == 0:
         raise CorpusFormatError(f"{path}: empty position table")
     try:
-        poses = tuple(
-            Pose(row[1:4], row[4:13].reshape(3, 3), row[0]) for row in table
-        )
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
-    return Trajectory(poses)
+        return Trajectory.from_arrays(table[:, 0], table[:, 1:4], table[:, 4:13])
+    except TrajectoryError as exc:
+        raise CorpusFormatError(f"{path}:{linenos[exc.index]}: {exc.reason}") from None
 
 
 def _trajectory_to_table(traj: Trajectory) -> np.ndarray:
@@ -132,7 +134,7 @@ def read_recording(path) -> RecordingBundle:
 
     n_pos_cols = len(fmt["position_columns"])
     array_path = path / fmt["array_position_file"]
-    array_traj = _trajectory_from_table(_read_table(array_path, n_pos_cols), array_path)
+    array_traj = _read_trajectory(array_path, n_pos_cols)
 
     source_names = metadata.get("sources", [])
     source_trajs = None
@@ -142,10 +144,9 @@ def read_recording(path) -> RecordingBundle:
         intervals = {}
         for name in source_names:
             pos_path = path / fmt["source_position_pattern"].format(name=name)
-            source_trajs[name] = _trajectory_from_table(
-                _read_table(pos_path, n_pos_cols), pos_path)
+            source_trajs[name] = _read_trajectory(pos_path, n_pos_cols)
             vap_path = path / fmt["vap_pattern"].format(name=name)
-            table = _read_table(vap_path, len(fmt["vap_columns"]))
+            table, _ = _read_table(vap_path, len(fmt["vap_columns"]))
             intervals[name] = tuple((row[0], row[1]) for row in table)
         vaps = VapTable(intervals)
     return RecordingBundle(audio=audio, array_trajectory=array_traj,

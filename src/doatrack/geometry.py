@@ -1,5 +1,10 @@
 """Coordinate frames, array geometry presets, pose trajectories and angular arithmetic.
 
+A `Trajectory` is columnar: three read-only arrays, `timestamps` (T,),
+`translations` (T, 3) and `rotations` (T, 3, 3), checked in one batched pass
+by `Trajectory.from_arrays`. Its `Pose` objects are built only when
+`samples` is first read.
+
 Conventions used throughout the toolkit:
 
 * Azimuth is measured counter-clockwise from the +x axis and stored wrapped
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,18 +35,24 @@ def wrap_angle(angle):
 
     A float (np.float64 included) is wrapped in Python float arithmetic,
     whose % is fmod with the same sign fix as np.mod, so both paths give
-    the same bits.
+    the same bits. When angle + pi is a tiny negative number, that sign fix
+    adds 2 pi and rounds to 2 pi, which would wrap to +pi; both paths return
+    -pi there, as wrapping +pi does.
     """
     if isinstance(angle, float):
         if not math.isfinite(angle):
             raise ValueError("angle must be finite")
-        return (float(angle) + math.pi) % (2.0 * math.pi) - math.pi
+        wrapped = (float(angle) + math.pi) % (2.0 * math.pi) - math.pi
+        return -math.pi if wrapped == math.pi else wrapped
     angle = np.asarray(angle, dtype=float)
-    if not np.all(np.isfinite(angle)):
+    if angle.ndim == 0:
+        return wrap_angle(float(angle))
+    if not np.isfinite(angle).all():
         raise ValueError("angle must be finite")
-    wrapped = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
-    if wrapped.ndim == 0:
-        return float(wrapped)
+    wrapped = angle + np.pi
+    np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+    wrapped -= np.pi
+    np.copyto(wrapped, -np.pi, where=wrapped == np.pi)
     return wrapped
 
 
@@ -87,12 +99,30 @@ class Pose:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float).reshape(3)
         r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation matrix determinant is not +1")
+        fault = _first_bad_pose(np.array([self.timestamp], dtype=float), t[None], r[None])
+        if fault is not None:
+            raise ValueError(fault[1])
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", r)
+
+
+def _first_bad_pose(timestamps, translations, rotations):
+    """(row, reason) of the first of T poses that is not finite or whose
+    rotation is not orthonormal with determinant +1, each within 1e-9; None
+    if every row passes. A row's reasons are tried in that order."""
+    finite = (np.isfinite(timestamps) & np.isfinite(translations).all(axis=1)
+              & np.isfinite(rotations).all(axis=(1, 2)))
+    if not finite.all():
+        return int(np.argmin(finite)), "pose is not finite"
+    orthonormal = (np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3))
+                   .max(axis=(1, 2)) <= 1e-9)
+    proper = np.abs(np.linalg.det(rotations) - 1.0) <= 1e-9
+    if (orthonormal & proper).all():
+        return None
+    row = int(np.argmin(orthonormal & proper))
+    if not orthonormal[row]:
+        return row, "rotation matrix is not orthonormal"
+    return row, "rotation matrix determinant is not +1"
 
 
 def identity_pose(timestamp: float = 0.0) -> Pose:
@@ -154,34 +184,80 @@ class ArrayGeometry:
         return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
-@dataclass(frozen=True)
+class TrajectoryError(ValueError):
+    """A pose sample that cannot be part of a trajectory; `index` is its row."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"pose {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """Time-ordered pose samples, nominally at the ground-truth rate of 120 Hz,
-    also held as read-only arrays `timestamps`, `translations` and `rotations`."""
+    """Time-ordered poses, nominally at the ground-truth rate of 120 Hz, held
+    as three read-only arrays: `timestamps` (T,), `translations` (T, 3) and
+    `rotations` (T, 3, 3), row i mapping array-local vectors into the global
+    frame at `timestamps[i]`.
 
-    samples: tuple
+    `Trajectory(poses)` stacks a sequence of `Pose`s; `Trajectory.from_arrays`
+    takes the arrays themselves. Both check every row in one batched pass.
+    """
 
-    def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
+    timestamps: np.ndarray
+    translations: np.ndarray
+    rotations: np.ndarray
+
+    def __init__(self, samples):
+        samples = tuple(samples)
+        self._set_columns([p.timestamp for p in samples], [p.translation for p in samples],
+                          [p.rotation for p in samples])
+
+    @classmethod
+    def from_arrays(cls, timestamps, translations, rotations) -> "Trajectory":
+        """Trajectory of T poses from (T,) times, (T, 3) translations and
+        (T, 3, 3) rotations, copied. Raises `TrajectoryError` naming the first
+        row that `Pose` would reject, or whose time does not exceed the one
+        before it, and ValueError on other shapes."""
+        traj = cls.__new__(cls)
+        traj._set_columns(timestamps, translations, rotations)
+        return traj
+
+    def _set_columns(self, timestamps, translations, rotations):
+        times = np.array(timestamps, dtype=float)
+        if times.ndim != 1:
+            raise ValueError("timestamps must be one-dimensional")
+        if len(times) == 0:
             raise ValueError("trajectory needs at least one pose")
-        times = np.array([p.timestamp for p in samples])
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("pose timestamps must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
-        for name, values in (("timestamps", times),
-                             ("translations", np.array([p.translation for p in samples])),
-                             ("rotations", np.array([p.rotation for p in samples]))):
+        columns = (times, np.array(translations, dtype=float).reshape(len(times), 3),
+                   np.array(rotations, dtype=float).reshape(len(times), 3, 3))
+        fault = _first_bad_pose(*columns)
+        if fault is not None:
+            raise TrajectoryError(*fault)
+        increasing = np.diff(times) > 0
+        if not increasing.all():
+            raise TrajectoryError(int(np.argmin(increasing)) + 1,
+                                  "pose timestamps must be strictly increasing")
+        # step i -> i + 1 turns unless its two rotations are equal entry by entry
+        turns = (columns[2][1:] != columns[2][:-1]).reshape(-1, 9).any(axis=1)
+        for name, values in zip(("timestamps", "translations", "rotations", "_turns"),
+                                (*columns, turns)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
+    @cached_property
+    def samples(self) -> tuple:
+        """The rows as `Pose`s, built on first read."""
+        return tuple(Pose(t, r, float(s)) for s, t, r in
+                     zip(self.timestamps, self.translations, self.rotations))
+
     @property
     def start_time(self) -> float:
-        return self.samples[0].timestamp
+        return float(self.timestamps[0])
 
     @property
     def end_time(self) -> float:
-        return self.samples[-1].timestamp
+        return float(self.timestamps[-1])
 
 
 def ground_truth_sample_count(duration: float) -> int:
@@ -201,9 +277,9 @@ def static_trajectory(pose: Pose, duration: float) -> Trajectory:
     """Constant-pose trajectory covering [pose.timestamp, pose.timestamp + duration]
     at the ground-truth rate."""
     n = ground_truth_sample_count(duration)
-    samples = [Pose(pose.translation, pose.rotation, pose.timestamp + i / GROUND_TRUTH_RATE_HZ)
-               for i in range(n)]
-    return Trajectory(tuple(samples))
+    return Trajectory.from_arrays(pose.timestamp + np.arange(n) / GROUND_TRUTH_RATE_HZ,
+                                  np.broadcast_to(pose.translation, (n, 3)),
+                                  np.broadcast_to(pose.rotation, (n, 3, 3)))
 
 
 def sample_trajectory(traj: Trajectory, times):
@@ -231,8 +307,7 @@ def sample_trajectory(traj: Trajectory, times):
     on_sample = np.abs(t - stamps[nearest]) < 1e-12
     translations[on_sample] = traj.translations[nearest[on_sample]]
     rotations[on_sample] = traj.rotations[nearest[on_sample]]
-    # only a step between two different orientations turns
-    turn = ~on_sample & (rotations != traj.rotations[idx + 1]).reshape(-1, 9).any(axis=1)
+    turn = ~on_sample & traj._turns[idx]
     if turn.any():
         rotations[turn] = _geodesic(rotations[turn], traj.rotations[idx[turn] + 1], alpha[turn])
     return translations, rotations

@@ -402,8 +402,10 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
     # Ornstein-Uhlenbeck velocity, then clip speed
     vel = np.zeros((n, 3))
     v = rng.normal(0, 0.6, size=3) * np.array([1, 1, 0.1])
+    # one (n, 3) draw is the n draws of 3 in a row, and leaves rng where they do
+    kicks = rng.normal(0, 0.08, size=(n, 3)) * np.array([1, 1, 0.1])
     for i in range(n):
-        v = 0.995 * v + rng.normal(0, 0.08, size=3) * np.array([1, 1, 0.1])
+        v = 0.995 * v + kicks[i]
         speed = np.linalg.norm(v)
         if speed > max_speed:
             v = v * (max_speed / speed)
@@ -411,8 +413,7 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
     pos = start + np.cumsum(vel * dt, axis=0)
     # reflect at a soft boundary box around the origin
     pos[:, :2] = np.clip(pos[:, :2], -bounds, bounds)
-    samples = [Pose(pos[i], np.eye(3), i * dt) for i in range(n)]
-    return Trajectory(tuple(samples))
+    return Trajectory.from_arrays(np.arange(n) * dt, pos, np.broadcast_to(np.eye(3), (n, 3, 3)))
 
 
 def _rotating_array_trajectory(duration: float, rng: np.random.Generator) -> Trajectory:
@@ -422,15 +423,15 @@ def _rotating_array_trajectory(duration: float, rng: np.random.Generator) -> Tra
     dt = 1.0 / GROUND_TRUTH_RATE_HZ
     rate = float(rng.uniform(0.2, 0.5)) * (1 if rng.random() < 0.5 else -1)  # rad/s
     phase0 = float(rng.uniform(0, 2 * np.pi))
-    samples = []
-    for i in range(n):
-        t = i * dt
-        angle = rate * t + phase0
-        trans = np.array([radius * np.cos(0.3 * t), radius * np.sin(0.3 * t), 0.0])
-        ca, sa = np.cos(angle), np.sin(angle)
-        rot = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-        samples.append(Pose(trans, rot, t))
-    return Trajectory(tuple(samples))
+    t = np.arange(n) * dt
+    angle = rate * t + phase0
+    trans = np.zeros((n, 3))
+    trans[:, 0] = radius * np.cos(0.3 * t)
+    trans[:, 1] = radius * np.sin(0.3 * t)
+    ca, sa = np.cos(angle), np.sin(angle)
+    rot = np.zeros((n, 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1], rot[:, 2, 2] = ca, -sa, sa, ca, 1.0
+    return Trajectory.from_arrays(t, trans, rot)
 
 
 def _static_source(duration: float, rng: np.random.Generator) -> Trajectory:

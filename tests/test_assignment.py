@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doatrack.assignment import batched_assignment, gated_assignment, min_cost_assignment
 
@@ -53,6 +55,58 @@ def test_gated_assignment_rectangular_leaves_extras():
     cost = np.array([[0.1, 0.2, 30.0]])
     pairs = gated_assignment(cost, gate=1.0)
     assert pairs == [(0, 0)]
+
+
+def padded_gated_assignment(cost, gate):
+    """Reference: every matrix padded to a square of sentinels and solved."""
+    n_rows, n_cols = cost.shape
+    size = max(n_rows, n_cols)
+    sentinel = gate + 1.0
+    padded = np.full((size, size), sentinel)
+    padded[:n_rows, :n_cols] = np.minimum(cost, sentinel)
+    pairs, _ = min_cost_assignment(padded)
+    return [(r, c) for r, c in pairs if r < n_rows and c < n_cols and cost[r, c] <= gate]
+
+
+# entries within the gate of 1, just above it, at the sentinel 2 and beyond,
+# below -1, and -inf, which the solver rejects
+GATED_COSTS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 2.0, exclude_min=True),
+                        st.sampled_from([1.0, 2.0, np.pi + 1.0, np.inf, -1.0, -np.inf]),
+                        st.floats(2.0, 50.0), st.floats(-3.0, 0.0))
+
+
+def _outcome(solve, cost, gate):
+    try:
+        return solve(cost, gate)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_gated_assignment_equals_the_padded_solve(n_rows, n_cols, data):
+    sparse = data.draw(st.booleans())  # mostly sentinels: at most one admissible per line
+    values = st.one_of(st.just(2.0), st.floats(0.0, 1.0)) if sparse else GATED_COSTS
+    cost = np.array(data.draw(st.lists(values, min_size=n_rows * n_cols,
+                                       max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+    got = _outcome(gated_assignment, cost, 1.0)
+    assert got == _outcome(padded_gated_assignment, cost, 1.0)
+    assert isinstance(got, str) or all(type(i) is int and type(j) is int for i, j in got)
+
+
+def test_gated_assignment_skips_the_solver_only_when_the_gate_decides(monkeypatch):
+    from doatrack import assignment
+    calls = []
+    monkeypatch.setattr(assignment, "min_cost_assignment",
+                        lambda c: calls.append(c) or min_cost_assignment(c))
+    blocked = np.array([[0.3, 2.0, 2.0], [2.0, 2.0, 0.9]])
+    assert gated_assignment(blocked, 1.0) == [(0, 0), (1, 2)]
+    assert not calls
+    # two entries just over the gate beat one within it plus a sentinel:
+    # 1.25 + 1.25 < 0.75 + 2, so the solver pairs across and the gate drops both
+    near = np.array([[0.75, 1.25], [1.25, 2.0]])
+    assert gated_assignment(near, 1.0) == []
+    assert len(calls) == 1
 
 
 def test_empty_inputs():

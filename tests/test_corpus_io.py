@@ -108,6 +108,47 @@ def test_malformed_row_reports_line(tmp_path):
         read_recording(tmp_path / "rec")
 
 
+@pytest.mark.parametrize("fault,reason", [
+    ("scale", "not orthonormal"),
+    ("reflect", "determinant is not \\+1"),
+    ("repeat_time", "strictly increasing"),
+    ("nan", "not finite"),
+])
+def test_bad_pose_reports_line(tmp_path, fault, reason):
+    rng = np.random.default_rng(4)
+    write_recording(_random_bundle(rng), tmp_path / "rec")
+    path = tmp_path / "rec" / "position_source_src1.txt"
+    lines = path.read_text().splitlines()
+    lines.insert(2, "# a comment line and a blank one shift the line numbers")
+    lines.insert(3, "")
+    row = [float(tok) for tok in lines[5].split()]  # line 6: the fourth pose
+    if fault == "scale":
+        row[4:13] = (2.0 * np.eye(3)).ravel()
+    elif fault == "reflect":
+        row[4:13] = np.diag([1.0, -1.0, 1.0]).ravel()
+    elif fault == "repeat_time":
+        row[0] = float(lines[4].split()[0])
+    else:
+        row[2] = math.nan
+    lines[5] = " ".join(f"{v:.17g}" for v in row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=rf"position_source_src1.txt:6: .*{reason}"):
+        read_recording(tmp_path / "rec")
+
+
+def test_read_trajectories_are_the_per_pose_build(tmp_path):
+    rng = np.random.default_rng(9)
+    write_recording(_random_bundle(rng, n_sources=2), tmp_path / "rec")
+    back = read_recording(tmp_path / "rec")
+    for name, traj in [("array", back.array_trajectory), *back.source_trajectories.items()]:
+        file = "position_array.txt" if name == "array" else f"position_source_{name}.txt"
+        table = np.loadtxt(tmp_path / "rec" / file, ndmin=2)
+        by_pose = Trajectory(tuple(Pose(row[1:4], row[4:13].reshape(3, 3), row[0])
+                                   for row in table))
+        for column in ("timestamps", "translations", "rotations"):
+            assert getattr(traj, column).tobytes() == getattr(by_pose, column).tobytes()
+
+
 def test_integer_pcm_normalized(tmp_path):
     from scipy.io import wavfile
     rng = np.random.default_rng(4)

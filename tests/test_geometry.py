@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doatrack.geometry import (ARRAY_PRESETS, Doa, DegenerateGeometryError, Pose,
-                               Trajectory, doa_to_unit_vector, get_array_preset,
+                               Trajectory, TrajectoryError, doa_to_unit_vector, get_array_preset,
                                global_to_local, identity_pose, interpolate_pose,
                                sample_trajectory, static_trajectory, unit_vector_to_doa,
                                wrap_angle)
@@ -40,8 +40,44 @@ def test_wrap_angle_rejects_non_finite_on_every_path(angle):
             wrap_angle(value)
 
 
+def _nudged(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# finite floats, and floats within two ulps of a multiple k pi, where the
+# remainder of x + pi by 2 pi can round up to 2 pi
+FINITE_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, steps: _nudged(k * math.pi, steps),
+              st.integers(-10**6, 10**6), st.integers(-2, 2)))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False))
+@given(FINITE_ANGLES)
+@example(math.nextafter(-math.pi, -math.inf))
+@example(math.nextafter(math.pi, -math.inf))
+@example(math.nextafter(-3 * math.pi, -math.inf))
+def test_wrap_angle_lands_in_range_and_is_idempotent(angle):
+    for wrapped in (wrap_angle(angle), wrap_angle(np.array([angle]))[0]):
+        assert -math.pi <= wrapped < math.pi
+        assert wrap_angle(float(wrapped)) == wrapped
+        assert wrap_angle(np.array([wrapped]))[0] == wrapped
+
+
+def test_wrap_angle_maps_the_float_below_minus_pi_to_minus_pi():
+    below = math.nextafter(-math.pi, -math.inf)
+    assert wrap_angle(below) == -math.pi
+    assert wrap_angle(np.array(below)) == -math.pi
+    assert wrap_angle(7) == wrap_angle(7.0)
+    assert wrap_angle(np.array([below, math.pi])).tolist() == [-math.pi, -math.pi]
+    assert Doa(below).azimuth == -math.pi
+
+
+@settings(max_examples=400, deadline=None)
+@given(FINITE_ANGLES)
+@example(math.nextafter(-math.pi, -math.inf))
 @example(math.pi)
 @example(-math.pi)
 @example(-0.0)
@@ -52,7 +88,7 @@ def test_wrap_angle_rejects_non_finite_on_every_path(angle):
 @example(-1e300)
 def test_scalar_wrap_angle_is_bitwise_the_array_path(angle):
     reference = wrap_angle(np.array([angle]))[0]
-    for value in (angle, np.float64(angle)):
+    for value in (angle, np.float64(angle), np.array(angle)):
         got = wrap_angle(value)
         assert type(got) is float
         assert np.float64(got).tobytes() == reference.tobytes()
@@ -171,10 +207,89 @@ def test_trajectory_timestamps_built_once_and_read_only():
     traj = static_trajectory(identity_pose(0.25), 1.0)
     times = traj.timestamps
     assert traj.timestamps is times
-    assert not times.flags.writeable
-    with pytest.raises(ValueError):
-        times[0] = 0.0
+    for values in (times, traj.translations, traj.rotations):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
     assert np.array_equal(times, [p.timestamp for p in traj.samples])
+
+
+def _rotation(rng):
+    u, _, vt = np.linalg.svd(rng.standard_normal((3, 3)))
+    return u @ vt * np.linalg.det(u @ vt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-12, 3e-10, 1e-9, 3e-9, 1e-6]),
+       st.sampled_from(["none", "reflect", "nan", "repeat_time", "swap_times", "inf_shift"]))
+def test_from_arrays_accepts_and_rejects_what_poses_do(n, seed, jitter, fault):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.001, 1.0, n)) - 0.5
+    translations = rng.uniform(-3, 3, (n, 3))
+    rotations = np.array([_rotation(rng) for _ in range(n)])
+    rotations += jitter * rng.standard_normal(rotations.shape)
+    row = int(rng.integers(n))
+    if fault == "reflect":
+        rotations[row, :, 0] *= -1.0
+    elif fault == "nan":
+        translations[row, 1] = np.nan
+    elif fault == "inf_shift":
+        times[row] = np.inf
+    elif fault == "repeat_time" and n > 1:
+        times[row] = times[row - 1]
+    elif fault == "swap_times" and n > 1:
+        times[[row - 1, row]] = times[[row, row - 1]]
+    try:
+        by_pose = Trajectory(tuple(Pose(translations[i], rotations[i], times[i])
+                                   for i in range(n)))
+    except ValueError:
+        by_pose = None
+    try:
+        columnar = Trajectory.from_arrays(times, translations, rotations)
+    except TrajectoryError as exc:
+        assert 0 <= exc.index < n
+        columnar = None
+    assert (by_pose is None) == (columnar is None)
+    if columnar is not None:
+        for name in ("timestamps", "translations", "rotations"):
+            assert getattr(columnar, name).tobytes() == getattr(by_pose, name).tobytes()
+
+
+def test_from_arrays_names_the_first_bad_row():
+    times = np.arange(6) / 120.0
+    rotations = np.broadcast_to(np.eye(3), (6, 3, 3)).copy()
+    rotations[4] *= 2.0
+    rotations[2] = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(TrajectoryError, match="pose 2: rotation matrix determinant") as info:
+        Trajectory.from_arrays(times, np.zeros((6, 3)), rotations)
+    assert info.value.index == 2
+    times[3] = times[2]
+    with pytest.raises(TrajectoryError, match="pose 3: pose timestamps must be strictly") as info:
+        Trajectory.from_arrays(times, np.zeros((6, 3)), np.eye(3)[None].repeat(6, 0))
+    with pytest.raises(ValueError, match="at least one pose"):
+        Trajectory.from_arrays([], np.zeros((0, 3)), np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError):
+        Trajectory.from_arrays([0.0, 1.0], np.zeros((3, 3)), np.eye(3)[None].repeat(2, 0))
+
+
+def test_samples_round_trip_the_arrays():
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.001, 0.1, 40))
+    translations = rng.uniform(-3, 3, (40, 3))
+    rotations = np.array([_rotation(rng) for _ in range(40)])
+    traj = Trajectory.from_arrays(times, translations, rotations)
+    # the arrays are copies: the caller's stay writeable and unshared
+    assert translations.flags.writeable and not np.shares_memory(traj.translations, translations)
+    samples = traj.samples
+    assert traj.samples is samples
+    assert [p.timestamp for p in samples] == times.tolist()
+    assert all(type(p.timestamp) is float for p in samples)
+    rebuilt = Trajectory(samples)
+    for name, values in (("timestamps", times), ("translations", translations),
+                         ("rotations", rotations)):
+        assert getattr(rebuilt, name).tobytes() == values.tobytes()
+        assert getattr(traj, name).tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("name,count,radius", [

@@ -298,3 +298,64 @@ def test_presets_reach_off_grid_durations(task):
         config = task_preset(task, 0, duration=duration)
         for traj in (config.array_trajectory, *(s.trajectory for s in config.sources)):
             assert len(traj.samples) == round(duration * 120) + 1
+
+
+def _walk_by_pose(duration, rng, start):
+    """Per-sample reference for `_smooth_walk_trajectory`: one draw and one
+    `Pose` per sample."""
+    n = simulate.ground_truth_sample_count(duration)
+    dt = 1.0 / 120.0
+    vel = np.zeros((n, 3))
+    v = rng.normal(0, 0.6, size=3) * np.array([1, 1, 0.1])
+    for i in range(n):
+        v = 0.995 * v + rng.normal(0, 0.08, size=3) * np.array([1, 1, 0.1])
+        speed = np.linalg.norm(v)
+        if speed > 1.2:
+            v = v * (1.2 / speed)
+        vel[i] = v
+    pos = start + np.cumsum(vel * dt, axis=0)
+    pos[:, :2] = np.clip(pos[:, :2], -3.0, 3.0)
+    return Trajectory(tuple(Pose(pos[i], np.eye(3), i * dt) for i in range(n)))
+
+
+def _rotating_array_by_pose(duration, rng):
+    """Per-sample reference for `_rotating_array_trajectory`."""
+    n = simulate.ground_truth_sample_count(duration)
+    dt = 1.0 / 120.0
+    rate = float(rng.uniform(0.2, 0.5)) * (1 if rng.random() < 0.5 else -1)
+    phase0 = float(rng.uniform(0, 2 * np.pi))
+    samples = []
+    for i in range(n):
+        t = i * dt
+        angle = rate * t + phase0
+        trans = np.array([0.4 * np.cos(0.3 * t), 0.4 * np.sin(0.3 * t), 0.0])
+        ca, sa = np.cos(angle), np.sin(angle)
+        rot = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+        samples.append(Pose(trans, rot, t))
+    return Trajectory(tuple(samples))
+
+
+def _static_by_pose(pose, duration):
+    """Per-sample reference for `static_trajectory`."""
+    n = simulate.ground_truth_sample_count(duration)
+    return Trajectory(tuple(Pose(pose.translation, pose.rotation, pose.timestamp + i / 120.0)
+                            for i in range(n)))
+
+
+def _preset_arrays(task, seed, array, duration):
+    config = task_preset(task, seed, duration=duration, array=array)
+    return [(traj.timestamps.tobytes(), traj.translations.tobytes(), traj.rotations.tobytes())
+            for traj in (config.array_trajectory, *(s.trajectory for s in config.sources))
+            ] + [s.vaps for s in config.sources]
+
+
+@pytest.mark.parametrize("task", range(1, 7))
+def test_preset_arrays_are_the_per_pose_build(task, monkeypatch):
+    cases = [(seed, array, duration) for seed in (1, 2, 20261017)
+             for array in ("robot_head", "eigenmike", "dicit_32cm", "hearing_aids")
+             for duration in ((1.0, 0.504) if array == "robot_head" else (1.0,))]
+    columnar = [_preset_arrays(task, *case) for case in cases]
+    monkeypatch.setattr(simulate, "_smooth_walk_trajectory", _walk_by_pose)
+    monkeypatch.setattr(simulate, "_rotating_array_trajectory", _rotating_array_by_pose)
+    monkeypatch.setattr(simulate, "static_trajectory", _static_by_pose)
+    assert [_preset_arrays(task, *case) for case in cases] == columnar
