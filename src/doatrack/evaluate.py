@@ -21,7 +21,7 @@ OSPA cutoff are degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -332,22 +332,9 @@ class MetricsReport:
     undefined: bool = False
 
     def to_dict(self):
-        out = {
-            "mean_azimuth_error_deg": self.mean_azimuth_error_deg,
-            "std_azimuth_error_deg": self.std_azimuth_error_deg,
-            "mean_elevation_error_deg": self.mean_elevation_error_deg,
-            "std_elevation_error_deg": self.std_elevation_error_deg,
-            "p_d": self.p_d,
-            "far_recording": self.far_recording,
-            "far_vap": self.far_vap,
-            "track_latency_s": self.track_latency_s,
-            "undetected_vaps": self.undetected_vaps,
-            "tfr": self.tfr,
-            "valid_count": self.valid_count,
-            "false_count": self.false_count,
-            "missed_count": self.missed_count,
-            "undefined": self.undefined,
-        }
+        # every field but the two dicts; the OSPA series are flattened below
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("per_vap_valid", "ospa")}
         for (p, c), series in self.ospa.items():
             key = f"ospa_p{p:g}_c{c:g}"
             out[f"{key}_mean"] = series.mean

@@ -25,6 +25,7 @@ centroid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,6 +38,7 @@ from .geometry import (
     Doa,
     doa_to_unit_vector,
     unit_vector_to_doa,
+    wrap_angle,
 )
 from .sigproc import (CHUNK_ELEMENTS, Blocks, CrossSpectrum, Stft, block_cross_spectra,
                       pair_cross_spectra)
@@ -380,13 +382,8 @@ def peak_index(values, azimuths, tolerance: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _band_bins(window_length: int, f_s: float, band_hz):
-    bin_count = window_length // 2 + 1
-    freqs = np.arange(bin_count) * f_s / window_length
-    if band_hz is None:
-        mask = (np.arange(bin_count) > 0) & (np.arange(bin_count) < bin_count - 1)
-    else:
-        mask = (freqs >= band_hz[0]) & (freqs <= band_hz[1])
-    bins = np.flatnonzero(mask)
+    freqs = np.arange(window_length // 2 + 1) * f_s / window_length
+    bins = np.flatnonzero((freqs >= band_hz[0]) & (freqs <= band_hz[1]))
     if bins.size == 0:
         raise ValueError("analysis band holds no frequency bins")
     return bins
@@ -547,6 +544,27 @@ def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
     values = spectrum.values
     tolerance = PEAK_TIE_REL * np.abs(values).max()
     return spectrum.grid.directions[peak_index(values, spectrum.grid.azimuths, tolerance)]
+
+
+def circular_peaks(azimuths, values, k: int):
+    """Top-k local maxima of a spectrum on a circular azimuth grid.
+
+    Peaks are taken greedily, highest first, each at least 10 degrees from
+    those already taken; ties follow `srp_argmax`'s rule.
+    """
+    tolerance = PEAK_TIE_REL * np.abs(values).max()
+    is_peak = (values >= np.roll(values, 1)) & (values > np.roll(values, -1))
+    candidates = np.flatnonzero(is_peak)
+    picked = []
+    min_sep = math.radians(10.0)
+    while candidates.size and len(picked) < k:
+        best = candidates[peak_index(values[candidates], azimuths[candidates], tolerance)]
+        picked.append(azimuths[best])
+        candidates = candidates[np.abs(wrap_angle(azimuths[candidates] - azimuths[best]))
+                                >= min_sep]
+    if not picked and len(values):
+        picked.append(azimuths[peak_index(values, azimuths, tolerance)])
+    return picked
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,151 @@
+"""Pipeline stages: localize a recording's blocks, track the estimates, and
+resample the tracks onto the evaluation clock.
+
+`run_pipeline` chains the stages from a recording bundle to a submission.
+An unknown localizer or tracker name, or a source count that the localizer
+or tracker cannot deliver, raises UsageError before any localization work.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .corpus_io import CorpusFormatError
+from .evaluate import Submission
+from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, wrap_angle
+from .localize import (DEFAULT_BAND_HZ, DoaEstimate, azimuth_grid, circular_peaks, gcc_phat,
+                       music_spectrum, pseudo_intensity, srp_phat, tdoa_to_azimuth)
+from .sigproc import (BLOCK_FRAMES, BLOCK_STRIDE, DEFAULT_HOP, DEFAULT_WINDOW_LENGTH,
+                      Blocks, frame_energies)
+from .track import FILTERS, track_lifecycle
+
+LOCALIZERS = ("srp-phat", "music", "gcc-phat", "pseudo-intensity")
+TRACKERS = FILTERS + ("none",)
+
+
+class UsageError(Exception):
+    pass
+
+
+def localize_stream(audio, geometry, localizer: str, f_s: float,
+                    n_sources: int = 1, block_frames: int = BLOCK_FRAMES,
+                    block_stride: int = BLOCK_STRIDE,
+                    window_length: int = DEFAULT_WINDOW_LENGTH, hop: int = DEFAULT_HOP,
+                    band_hz=DEFAULT_BAND_HZ):
+    """Localize every analysis block of a recording with one localizer call
+    and emit time-ordered azimuth estimates.
+
+    Blocks whose broadband power sits at the noise floor are skipped so
+    pauses between utterances do not feed garbage to the tracker, and so are
+    blocks a localizer finds silent or, for MUSIC, ill-conditioned. Audio
+    shorter than one block raises CorpusFormatError. `n_sources` must be at
+    least 1; MUSIC finds at most one fewer than the microphone count, and
+    GCC-PHAT and pseudo-intensity find one.
+    """
+    if localizer not in LOCALIZERS:
+        raise UsageError(f"unknown localizer {localizer!r}")
+    most = {"music": geometry.mic_count - 1, "gcc-phat": 1, "pseudo-intensity": 1}
+    if n_sources < 1 or n_sources > most.get(localizer, n_sources):
+        limit = f"1..{most[localizer]}" if localizer in most else ">= 1"
+        raise UsageError(f"n_sources {n_sources} is out of range for {localizer} on array "
+                         f"{geometry.name!r} ({limit})")
+    if localizer == "music":
+        # the correlation estimate needs at least one frame per channel
+        block_frames = max(block_frames, geometry.mic_count)
+    frame_energy = frame_energies(audio, window_length, hop)
+    if len(frame_energy) < block_frames:
+        raise CorpusFormatError(
+            f"recording has {audio.samples.shape[1]} samples per channel, fewer than "
+            f"one {localizer} block of {window_length + (block_frames - 1) * hop}")
+    energies = sliding_window_view(frame_energy, block_frames)[::block_stride].mean(axis=1)
+    active = ~(energies < 0.05 * np.percentile(energies, 90))
+    blocks = Blocks(audio, np.flatnonzero(active) * block_stride, block_frames,
+                    window_length, hop)
+    # the directions of each block; none for a block the localizer skipped
+    if localizer == "gcc-phat":
+        mics = geometry.mic_positions
+        max_lags = [f_s / SPEED_OF_SOUND * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
+                    for m, l in geometry.pairs()]
+        doas = [[doa] if doa is not None else []
+                for doa in tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry, f_s)]
+    elif localizer == "pseudo-intensity":
+        doas = [[_mean_direction(per_frame)] if per_frame is not None else []
+                for per_frame in pseudo_intensity(blocks, geometry, f_s, band_hz)]
+    else:
+        grid = azimuth_grid()
+        spectra = (srp_phat(blocks, geometry, grid, f_s, band_hz)
+                   if localizer == "srp-phat" else
+                   music_spectrum(blocks, geometry, grid, n_sources, f_s, band_hz))
+        doas = [[Doa(az) for az in circular_peaks(grid.azimuths, spec.values, n_sources)]
+                if spec is not None else [] for spec in spectra]
+    return [DoaEstimate(float(t), doa)
+            for t, block_doas in zip(blocks.times, doas) for doa in block_doas]
+
+
+def _mean_direction(estimates) -> Doa:
+    """Circular mean of the azimuths of per-frame estimates."""
+    az = [e.doa.azimuth for e in estimates]
+    return Doa(wrap_angle(math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))))
+
+
+def track_stream(estimates, tracker: str, seed: int = 0):
+    """Turn raw estimates into labelled track series {id: [(t, azimuth), ...]}."""
+    if tracker not in TRACKERS:
+        raise UsageError(f"unknown tracker {tracker!r}")
+    if tracker == "none":
+        tracks: dict = {}
+        for est in estimates:
+            tracks.setdefault(est.source_id, []).append((est.timestamp,
+                                                         est.doa.azimuth))
+        return tracks
+    return track_lifecycle(estimates, tracker=tracker, seed=seed)
+
+
+def resample_tracks(tracks: dict, clock) -> Submission:
+    """Interpolate each track's azimuth onto the evaluation clock."""
+    clock = np.asarray(clock, dtype=float)
+    rows = []
+    for tid, series in tracks.items():
+        if not series:
+            continue
+        times, azimuths = np.array(series, dtype=float).T
+        inside = (clock >= times[0]) & (clock <= times[-1])
+        rows.append((clock[inside], np.full(inside.sum(), tid),
+                     np.interp(clock[inside], times, np.unwrap(azimuths))))
+    columns = [np.concatenate(column) for column in zip(*rows)] if rows else [[], [], []]
+    return Submission.from_rows(*columns)
+
+
+def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
+                 seed: int = 0, **localizer_kwargs) -> Submission:
+    """Recording bundle in, submission on the array clock out: frontend,
+    localizer, tracker, resample.
+
+    The `none` tracker keeps one series per source id, and every localizer
+    estimate carries id 1, so it takes one source. Raises CorpusFormatError
+    when the audio's channel count differs from the array preset's
+    microphone count, any sample is not finite, or the audio is shorter
+    than one analysis block of the localizer.
+    """
+    if tracker == "none" and n_sources > 1:
+        raise UsageError(f"tracker 'none' takes one source, got n_sources {n_sources}")
+    geometry = get_array_preset(bundle.metadata["array"])
+    audio = bundle.audio
+    if audio.channel_count != geometry.mic_count:
+        raise CorpusFormatError(
+            f"recording has {audio.channel_count} audio channels but array "
+            f"{geometry.name!r} has {geometry.mic_count} microphones")
+    finite = np.isfinite(audio.samples)
+    if not finite.all():
+        channel, index = np.argwhere(~finite)[0]
+        raise CorpusFormatError(
+            f"recording has a non-finite sample ({audio.samples[channel, index]}) "
+            f"in channel {channel} at sample {index}")
+    f_s = audio.sample_rate_hz
+    estimates = localize_stream(audio, geometry, localizer, f_s,
+                                n_sources=n_sources, **localizer_kwargs)
+    tracks = track_stream(estimates, tracker, seed=seed)
+    return resample_tracks(tracks, bundle.array_trajectory.timestamps)

@@ -37,7 +37,6 @@ class MultichannelAudio:
 
     samples: np.ndarray
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE
-    start_time: float = 0.0
 
     def __post_init__(self):
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -105,8 +104,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     """
     n_frames = _frame_count(audio, window_length, hop)
     bins = np.empty((n_frames, audio.channel_count, window_length // 2 + 1), dtype=complex)
-    times = (audio.start_time
-             + (np.arange(n_frames) * hop + window_length / 2) / audio.sample_rate_hz)
+    times = (np.arange(n_frames) * hop + window_length / 2) / audio.sample_rate_hz
     if n_frames == 0:
         return Stft(bins, times, window_length, hop)
     taper = _taper(window, window_length)
@@ -213,9 +211,7 @@ class Blocks:
         """Centre times of frames `index`, s."""
         if isinstance(self.source, Stft):
             return self.source.times[index]
-        audio = self.source
-        return (audio.start_time
-                + (np.asarray(index) * self.hop + self.window_length / 2) / audio.sample_rate_hz)
+        return (np.asarray(index) * self.hop + self.window_length / 2) / self.source.sample_rate_hz
 
     @property
     def times(self) -> np.ndarray:

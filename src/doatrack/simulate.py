@@ -306,9 +306,6 @@ def synthesize(config: SceneConfig) -> Scene:
     noise_rng = np.random.default_rng(source_seeds[-1])
 
     audio = np.zeros((n_mics, n_samples))
-    reference_mic = int(np.argmin(
-        np.linalg.norm(config.array.mic_positions - config.array.centroid, axis=1)
-    ))
     vap_mask_any = np.zeros(n_samples, dtype=bool)
 
     for s_idx, source in enumerate(config.sources):
@@ -319,10 +316,6 @@ def synthesize(config: SceneConfig) -> Scene:
 
         dist_gt = np.linalg.norm(src_pos[None] - mic_pos, axis=2)  # (mics, T)
         closest = dist_gt.min(axis=1)
-        if closest[reference_mic] < GUARD_RADIUS:
-            raise ValueError(
-                f"source {s_idx} passes within {GUARD_RADIUS} m of a microphone"
-            )
         too_close = np.flatnonzero(closest < GUARD_RADIUS)
         if len(too_close):
             raise ValueError(f"source {s_idx} passes within {GUARD_RADIUS} m of "
@@ -353,6 +346,8 @@ def synthesize(config: SceneConfig) -> Scene:
 
     if config.sources and vap_mask_any.any():
         # noise floor set from the in-VAP signal power at the centroid-nearest mic
+        reference_mic = int(np.argmin(
+            np.linalg.norm(config.array.mic_positions - config.array.centroid, axis=1)))
         sig_power = np.mean(audio[reference_mic][vap_mask_any] ** 2)
         noise_rms = np.sqrt(sig_power * 10.0 ** (-config.snr_db / 10.0))
     else:
@@ -363,7 +358,7 @@ def synthesize(config: SceneConfig) -> Scene:
     source_trajectories = tuple(s.trajectory for s in config.sources)
     source_vaps = tuple(s.vaps for s in config.sources)
     return Scene(
-        audio=MultichannelAudio(audio, fs, 0.0),
+        audio=MultichannelAudio(audio, fs),
         source_trajectories=source_trajectories,
         source_vaps=source_vaps,
         array_trajectory=config.array_trajectory,

@@ -127,7 +127,7 @@ def test_default_manifests_keep_their_config_hash(scene_dir, tmp_path):
 
 def test_evaluate_of_a_written_submission_matches_the_in_memory_one(scene_dir, tmp_path):
     # the file carries 6-decimal times; each row still scores at its clock tick
-    from doatrack.cli import run_pipeline
+    from doatrack.pipeline import run_pipeline
     from doatrack.evaluate import evaluate_submission
     sub_path, out_dir = tmp_path / "sub.txt", tmp_path / "report"
     assert _run("run", "--input", str(scene_dir), "--localizer", "srp-phat",
@@ -186,6 +186,72 @@ def test_config_file_unknown_key(tmp_path):
     assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("content", ["5", "[1]", '"task"'])
+def test_config_file_that_is_not_an_object(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"n_sources": "two"}, "'n_sources' must be int"),
+    ({"n_sources": 2.0}, "'n_sources' must be int"),
+    ({"seed": True}, "'seed' must be int"),
+    ({"band_low": "300"}, "'band_low' must be float"),
+    ({"localizer": "beamformer"}, "'localizer' must be one of"),
+    ({"tracker": 1}, "'tracker' must be str")])
+def test_config_file_value_of_wrong_type(scene_dir, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = _run("run", "--input", str(scene_dir), "--config", str(cfg),
+                "--out", str(tmp_path / "s.txt"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and message in err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_config_file_switch_takes_only_a_bool(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ospa_series": 1}))
+    assert _run("evaluate", "--input", str(tmp_path), "--submission", str(tmp_path / "s.txt"),
+                "--config", str(cfg), "--out", str(tmp_path / "rep")) == 1
+
+
+def test_config_file_int_duration_is_kept_as_loaded(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"duration": 1}))
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["duration"] == 1
+    assert isinstance(manifest["config"]["duration"], int)
+    assert read_recording(out).audio.length == 48000
+
+
+@pytest.mark.parametrize("localizer,tracker,n_sources", [
+    ("srp-phat", "kalman", 0), ("gcc-phat", "kalman", 2), ("pseudo-intensity", "kalman", 2),
+    ("music", "kalman", 0), ("music", "kalman", 12), ("srp-phat", "none", 2)])
+def test_run_rejects_a_source_count_the_stages_cannot_give(scene_dir, tmp_path, capsys,
+                                                           localizer, tracker, n_sources):
+    # robot_head has 12 microphones, so MUSIC finds at most 11 sources
+    code = _run("run", "--input", str(scene_dir), "--localizer", localizer,
+                "--tracker", tracker, "--n-sources", str(n_sources),
+                "--out", str(tmp_path / "s.txt"))
+    assert code == 1
+    assert f"n_sources {n_sources}" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_cli_binds_the_pipeline_stages():
+    # perfbench calls and traces the stages through these names on the CLI module
+    from doatrack import cli, pipeline
+    for name in ("run_pipeline", "localize_stream", "track_stream", "resample_tracks",
+                 "TRACKERS"):
+        assert getattr(cli, name) is getattr(pipeline, name), name
+
+
 def test_music_two_source_ids(tmp_path):
     out = tmp_path / "task2"
     assert _run("simulate", "--task", "2", "--seed", "12", "--duration", "4",
@@ -202,7 +268,7 @@ def test_music_two_source_ids(tmp_path):
 
 
 def test_srp_phat_gives_one_estimate_per_source():
-    from doatrack.cli import localize_stream
+    from doatrack.pipeline import localize_stream
     from doatrack.geometry import get_array_preset
     from synthutil import plane_wave_audio
 
@@ -224,7 +290,7 @@ def test_music_skips_ill_conditioned_blocks():
     # Digital silence between two short bursts. Most blocks are silent, so the
     # relative energy gate (5 % of the 90th percentile) passes them, and their
     # all-zero correlation matrices are ill-conditioned.
-    from doatrack.cli import localize_stream
+    from doatrack.pipeline import localize_stream
     from doatrack.geometry import get_array_preset
     from doatrack.localize import IllConditionedError, azimuth_grid, music_spectrum
     from doatrack.sigproc import MultichannelAudio, frame_signal
@@ -247,7 +313,7 @@ def test_music_skips_ill_conditioned_blocks():
 
 @pytest.mark.parametrize("localizer", ["srp-phat", "music", "gcc-phat", "pseudo-intensity"])
 def test_digital_silence_gives_empty_submission(scene_dir, localizer):
-    from doatrack.cli import run_pipeline
+    from doatrack.pipeline import run_pipeline
     bundle = read_recording(scene_dir)
     silent = MultichannelAudio(np.zeros((12, 2 * 48000)), bundle.audio.sample_rate_hz)
     submission = run_pipeline(replace(bundle, audio=silent), localizer, "kalman")
@@ -296,7 +362,7 @@ BLOCK_SAMPLES = {"srp-phat": 9216, "music": 13312, "gcc-phat": 9216,
 
 @pytest.mark.parametrize("localizer", ["srp-phat", "music", "gcc-phat", "pseudo-intensity"])
 def test_run_rejects_audio_shorter_than_one_block(scene_dir, localizer):
-    from doatrack.cli import run_pipeline
+    from doatrack.pipeline import run_pipeline
     from doatrack.corpus_io import CorpusFormatError
     bundle = read_recording(scene_dir)
     need = BLOCK_SAMPLES[localizer]

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from doatrack.geometry import (ArrayGeometry, Doa, doa_to_unit_vector, get_array_preset,
                                wrap_angle)
-from doatrack.cli import _circular_peaks
 from doatrack.localize import (DoaGrid, IllConditionedError, NoSignalError, SpatialSpectrum,
                                TdoaEstimate, UnderdeterminedError,
-                               UnsupportedGeometryError, azimuth_grid, expected_tdoa,
+                               UnsupportedGeometryError, azimuth_grid, circular_peaks,
+                               expected_tdoa,
                                farfield_pair_tdoa, gcc_phat, music_spectrum,
                                pseudo_intensity, srp_argmax, srp_phat,
                                tdoa_to_azimuth)
@@ -193,7 +193,7 @@ def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
         values[favoured] *= 1.0 + 1e-13
         doa = srp_argmax(SpatialSpectrum(grid, values))
         assert math.degrees(doa.azimuth) == pytest.approx(49.0)
-        peaks = _circular_peaks(grid.azimuths, values, 2)
+        peaks = circular_peaks(grid.azimuths, values, 2)
         assert np.degrees(peaks) == pytest.approx([49.0, 131.0])
 
 
@@ -346,7 +346,7 @@ def test_pseudo_intensity_rejects_silence():
 @pytest.mark.parametrize("seconds", [2.0, 6.0])
 def test_steering_is_built_once_per_block_group(monkeypatch, seconds):
     import doatrack.localize
-    from doatrack.cli import localize_stream
+    from doatrack.pipeline import localize_stream
     from doatrack.sigproc import BLOCK_GROUP_ELEMENTS, CHUNK_ELEMENTS
 
     geom = get_array_preset("robot_head")
@@ -385,7 +385,7 @@ def test_short_clip_is_one_block_group(monkeypatch, array, localizer, seconds):
     # so their frames are transformed once and the steering is built once
     import doatrack.localize
     import doatrack.sigproc
-    from doatrack.cli import localize_stream
+    from doatrack.pipeline import localize_stream
 
     geom = get_array_preset(array)
     audio = plane_wave_audio(geom, math.radians(30.0), n=int(FS * seconds), snr_db=20)
@@ -411,7 +411,7 @@ def test_short_clip_is_one_block_group(monkeypatch, array, localizer, seconds):
 
 
 def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):
-    from doatrack.cli import localize_stream
+    from doatrack.pipeline import localize_stream
 
     def no_irfft(*args, **kwargs):
         raise AssertionError("irfft called")
@@ -431,7 +431,7 @@ def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):
 def test_stream_memory_does_not_grow_with_recording_length(array, localizer):
     import tracemalloc
 
-    from doatrack.cli import localize_stream
+    from doatrack.pipeline import localize_stream
 
     geom = get_array_preset(array)
     peaks = []

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import get_window
 
-from doatrack.cli import _circular_peaks, localize_stream
 from doatrack.geometry import ArrayGeometry, Doa, get_array_preset, unit_vector_to_doa, wrap_angle
 from doatrack.localize import (PHAT_FLOOR_REL, DoaEstimate, IllConditionedError,
                                NoSignalError, SpatialSpectrum, TdoaEstimate, _band_bins,
-                               azimuth_grid, farfield_pair_tdoa, gcc_phat, music_spectrum,
-                               pseudo_intensity, srp_argmax, srp_phat, tdoa_to_azimuth)
+                               azimuth_grid, circular_peaks, farfield_pair_tdoa, gcc_phat,
+                               music_spectrum, pseudo_intensity, srp_argmax, srp_phat,
+                               tdoa_to_azimuth)
+from doatrack.pipeline import localize_stream
 from doatrack.sigproc import Blocks, MultichannelAudio, frame_signal
 
 from synthutil import plane_wave_audio
@@ -155,7 +156,7 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
     """localize_stream's gating and blocking around the reference localizers.
 
     A one-source SRP or MUSIC spectrum is read with `srp_argmax`; several
-    sources are picked with the batched code's `_circular_peaks`, so for them
+    sources are picked with the batched code's `circular_peaks`, so for them
     only the spectra come from the reference code.
     """
     frames = frame_signal(audio, 2048, 1024)
@@ -182,7 +183,7 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
                     estimates.append((t, srp_argmax(SpatialSpectrum(grid, values)).azimuth))
                 else:
                     estimates += [(t, Doa(az).azimuth)
-                                  for az in _circular_peaks(grid.azimuths, values, n_sources)]
+                                  for az in circular_peaks(grid.azimuths, values, n_sources)]
             elif localizer == "gcc-phat":
                 tdoas = [ref_gcc_phat(ref_cross_spectrum(block, m, l), (m, l), lag)
                          for (m, l), lag in zip(geometry.pairs(), max_lags(geometry))]

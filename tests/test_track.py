@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import doatrack.track
-from doatrack.cli import resample_tracks, track_stream
 from doatrack.evaluate import VapTable, evaluate_submission, ground_truth_doas
 from doatrack.geometry import Doa, wrap_angle
 from doatrack.localize import DoaEstimate
+from doatrack.pipeline import resample_tracks, track_stream
 from doatrack.simulate import task_preset
 from doatrack.track import (FILTERS, PF_PARTICLES, FilterDivergenceError, ParticleSet,
                             PfParams, TrackerConfig, TrackState, WrappedMixture,
