@@ -43,10 +43,18 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     blocks a localizer finds silent or, for MUSIC, ill-conditioned. Audio
     shorter than one block raises CorpusFormatError. `n_sources` must be at
     least 1; MUSIC finds at most one fewer than the microphone count, and
-    GCC-PHAT and pseudo-intensity find one.
+    GCC-PHAT and pseudo-intensity find one. A block size or stride below 1,
+    or a band whose low edge is not below its high edge, raises ValueError
+    before any audio work.
     """
     if localizer not in LOCALIZERS:
         raise UsageError(f"unknown localizer {localizer!r}")
+    if block_frames < 1:
+        raise ValueError("block_frames must be >= 1")
+    if block_stride < 1:
+        raise ValueError("block_stride must be >= 1")
+    if not band_hz[0] < band_hz[1]:
+        raise ValueError(f"band_hz must run from low to high, got {band_hz}")
     most = {"music": geometry.mic_count - 1, "gcc-phat": 1, "pseudo-intensity": 1}
     if n_sources < 1 or n_sources > most.get(localizer, n_sources):
         limit = f"1..{most[localizer]}" if localizer in most else ">= 1"

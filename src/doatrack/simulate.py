@@ -33,6 +33,7 @@ sample (tests/test_simulate.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,6 +101,15 @@ class SourceConfig:
         object.__setattr__(self, "vaps", vaps)
 
 
+def _check_duration_and_snr(duration: float, snr_db: float) -> None:
+    """Reject a duration that is not finite and positive, and an SNR that is
+    NaN or -inf; an SNR of +inf means a noiseless scene."""
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     duration: float
@@ -113,8 +123,7 @@ class SceneConfig:
     task: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        _check_duration_and_snr(self.duration, self.snr_db)
         sources = tuple(self.sources)
         for src in sources:
             if src.trajectory.start_time > 0 or src.trajectory.end_time < self.duration - 1e-9:
@@ -447,6 +456,7 @@ def task_preset(task: int, seed: int, duration: float = 10.0,
     """
     if task not in range(1, 7):
         raise ValueError(f"task must be 1..6, got {task}")
+    _check_duration_and_snr(duration, snr_db)
     geometry = get_array_preset(array)
     rng = np.random.default_rng(np.random.SeedSequence((seed, task)))
 

@@ -3,14 +3,42 @@
 State is azimuth plus azimuth rate under a constant-velocity model with
 white-acceleration process noise. Three filters are provided: a linear
 Kalman filter with wrapped innovations, a wrapped Kalman filter that keeps a
-Gaussian mixture over wrapping hypotheses, and a bootstrap particle filter.
-`track_lifecycle` runs any of them under one multi-target M-of-N lifecycle.
+Gaussian mixture over wrapping hypotheses, and a bootstrap particle filter
+with systematic resampling. `track_lifecycle` runs any of them under one
+multi-target M-of-N lifecycle.
+
+The lifecycle keeps the state of every live track in one filter bank and
+steps the bank once per timestamp: one predict for all tracks, one read of
+their azimuths and gate variances, one update of the matched tracks, one
+start for the unmatched observations and one compaction when tracks end.
+The Kalman bank stacks means (n, 2) and covariances (n, 2, 2), the particle
+bank particles (n, I, 2) and weights (n, I); the wrapped-Kalman bank keeps
+one `WrappedMixture` per track and steps them in turn, since its greedy
+component merge is sequential. The per-track functions (`kf_predict`,
+`kf_update`, `wrapped_kf_predict`, `wrapped_kf_update`, `pf_predict`,
+`pf_step`) run the same kernels on one state, so each filter equation is
+written once and a bank row holds the bits the per-track function gives.
+
+The particle bank draws from one generator in the order that stepping the
+tracks one by one would: the predict noise of every track in track order,
+then one resampling offset per resampled track in assignment-row order, then
+the start particles of each new track in observation order. It wraps the
+azimuths that a per-track `ParticleSet` wraps after the predict and at the
+start. It does not wrap them again after an update or a resample, as a new
+`ParticleSet` does, since those azimuths are `wrap_angle` output, which
+`wrap_angle` returns unchanged bit for bit.
+
+A covariance is accepted when it is positive-definite, checked in closed
+form with the arithmetic of the 2 x 2 Cholesky factorisation: a > 0 and
+d - (b / sqrt(a))**2 > 0 for the lower triangle [[a, .], [b, d]]. A NaN
+fails either test. The check is vectorized over the rows of a bank and
+scalar in `TrackState` and `WrappedMixture`; no LAPACK call is made.
 
 Work that depends only on the step length is done once per (dt, process
 noise intensity): the transition matrix and process-noise covariance
 (`_model`), and the particle filter's noise factor (`_noise_factor`). Both
 caches are bounded LRU caches of read-only arrays. The particle filter
-draws its process noise as a standard normal (n, 2) block times that
+draws its process noise as a standard normal (..., 2) block times that
 factor, which is `Generator.multivariate_normal`'s SVD draw from the same
 stream, without the per-call factorisation and PSD check.
 """
@@ -18,6 +46,7 @@ stream, without the per-call factorisation and PSD check.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -41,6 +70,24 @@ class FilterDivergenceError(ArithmeticError):
     """Covariance lost positive definiteness; the track should be flagged."""
 
 
+def _is_positive_definite(cov) -> bool:
+    """Whether the 2 x 2 matrix `cov`, read from its lower triangle as
+    Cholesky reads it, is positive-definite: a > 0 and d - (b / sqrt(a))**2 > 0."""
+    (a, _), (b, d) = cov.tolist()
+    if not a > 0:
+        return False
+    low = b / math.sqrt(a)
+    return d - low * low > 0
+
+
+def _positive_definite_rows(covs: np.ndarray) -> np.ndarray:
+    """`_is_positive_definite` of each (2, 2) matrix of a stack."""
+    a, b, d = covs[:, 0, 0], covs[:, 1, 0], covs[:, 1, 1]
+    with np.errstate(all="ignore"):
+        low = b / np.sqrt(a)
+        return (a > 0) & (d - low * low > 0)
+
+
 @dataclass(frozen=True)
 class TrackState:
     mean: np.ndarray  # [azimuth (rad), azimuth rate (rad/s)]
@@ -48,13 +95,11 @@ class TrackState:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1).copy()
-        cov = np.asarray(self.covariance, dtype=float).copy()
+        cov = np.asarray(self.covariance, dtype=float)
         mean[0] = wrap_angle(mean[0])
         cov = 0.5 * (cov + cov.T)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise FilterDivergenceError("covariance is not positive-definite") from None
+        if not _is_positive_definite(cov):
+            raise FilterDivergenceError("covariance is not positive-definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -93,18 +138,43 @@ def _noise_factor(dt: float, intensity: float) -> np.ndarray:
     return factor
 
 
+# ---------------------------------------------------------------------------
+# Kalman kernels: means (..., 2), covariances (..., 2, 2)
+# ---------------------------------------------------------------------------
+
+_H = np.array([[1.0, 0.0]])
+_EYE = np.eye(2)
+
+
+def _kf_propagate(means, covs, dt: float, intensity: float):
+    """x <- F x and P <- F P F' + Q."""
+    f, q = _model(dt, intensity)
+    return (f @ means[..., None])[..., 0], f @ covs @ f.T + q
+
+
+def _kf_gain(covs, obs_noise_var: float):
+    """Gain P H' / (H P H' + r) and the Joseph-form posterior covariance
+    (I - K H) P (I - K H)' + K r K', which stays symmetric positive-definite."""
+    gain = covs[..., :, 0] / (covs[..., :1, 0] + obs_noise_var)
+    column = gain[..., :, None]
+    ikh = _EYE - column * _H
+    return gain, ikh @ covs @ ikh.swapaxes(-1, -2) + column * gain[..., None, :] * obs_noise_var
+
+
+def _kf_correct(means, covs, obs, obs_noise_var: float):
+    """Measurement update with the innovation wrapped into [-pi, pi)."""
+    innovation = wrap_angle(obs - means[..., 0])
+    gain, covs = _kf_gain(covs, obs_noise_var)
+    return means + gain * np.asarray(innovation)[..., None], covs
+
+
 def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState:
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return state
-    f, q = _model(dt, process_noise)
-    mean = f @ state.mean
-    cov = f @ state.covariance @ f.T + q
+    mean, cov = _kf_propagate(state.mean, state.covariance, dt, process_noise)
     return replace(state, mean=mean, covariance=cov)
-
-
-_H = np.array([[1.0, 0.0]])
 
 
 def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState:
@@ -113,13 +183,7 @@ def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState
         raise ValueError("observation must be finite")
     if obs_noise_var <= 0:
         raise ValueError("obs_noise_var must be positive")
-    innovation = wrap_angle(obs - state.mean[0])
-    s = float(state.covariance[0, 0] + obs_noise_var)
-    gain = state.covariance @ _H.T / s
-    mean = state.mean + gain.flatten() * innovation
-    ikh = np.eye(2) - gain @ _H
-    # Joseph form keeps the covariance symmetric positive-definite
-    cov = ikh @ state.covariance @ ikh.T + gain @ gain.T * obs_noise_var
+    mean, cov = _kf_correct(state.mean, state.covariance, obs, obs_noise_var)
     return replace(state, mean=mean, covariance=cov)
 
 
@@ -141,11 +205,9 @@ class WrappedMixture:
             # read-only, so the cached circular mean always matches the means
             mean.flags.writeable = False
             cov = np.asarray(cov, dtype=float)
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
+            if not _is_positive_definite(cov):
                 raise FilterDivergenceError("mixture component covariance is not "
-                                            "positive-definite") from None
+                                            "positive-definite")
             comps.append((float(w), mean, cov))
             total += w
         if not comps:
@@ -165,7 +227,7 @@ class WrappedMixture:
     @cached_property
     def _circular_mean(self) -> float:
         z = sum(w * np.exp(1j * mean[0]) for w, mean, _ in self.components)
-        return float(np.angle(z))
+        return float(np.arctan2(z.imag, z.real))  # np.angle(z)
 
     def azimuth_variance(self) -> float:
         """Azimuth variance about the circular mean, component spread included."""
@@ -179,11 +241,9 @@ def wrapped_kf_predict(mix: WrappedMixture, dt: float, process_noise: float) -> 
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return mix
-    f, q = _model(dt, process_noise)
-    comps = tuple(
-        (w, f @ mean, f @ cov @ f.T + q) for w, mean, cov in mix.components
-    )
-    return WrappedMixture(comps)
+    return WrappedMixture(tuple(
+        (w, *_kf_propagate(mean, cov, dt, process_noise)) for w, mean, cov in mix.components
+    ))
 
 
 def _merge_components(comps):
@@ -225,18 +285,15 @@ def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
     candidates = []
     for w, mean, cov in mix.components:
         s = float(cov[0, 0] + obs_noise_var)
-        gain = (cov @ _H.T / s).flatten()
-        ikh = np.eye(2) - np.outer(gain, _H.flatten())
-        post_cov = ikh @ cov @ ikh.T + np.outer(gain, gain) * obs_noise_var
+        norm = np.sqrt(2 * np.pi * s)
+        gain, post_cov = _kf_gain(cov, obs_noise_var)
         post_cov = 0.5 * (post_cov + post_cov.T)
         for hyp in hypotheses:
             innovation = hyp - mean[0]
-            likelihood = np.exp(-0.5 * innovation**2 / s) / np.sqrt(2 * np.pi * s)
-            weight = w * likelihood
+            weight = w * (np.exp(-0.5 * innovation**2 / s) / norm)
             if weight <= 0.0:
                 continue
             post_mean = mean + gain * innovation
-            post_mean = post_mean.copy()
             post_mean[0] = wrap_angle(post_mean[0])
             candidates.append((weight, post_mean, post_cov))
     total = sum(c[0] for c in candidates)
@@ -252,7 +309,7 @@ def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
 
 
 # ---------------------------------------------------------------------------
-# Particle filter
+# Particle filter: particles (..., I, 2), weights (..., I)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -278,7 +335,7 @@ class ParticleSet:
         return self.particles.shape[0]
 
     def effective_sample_size(self) -> float:
-        return float(1.0 / np.sum(self.weights**2))
+        return float(_pf_effective_sample_size(self.weights))
 
     def circular_mean(self) -> float:
         """Weighted circular mean of the azimuths, computed once per set."""
@@ -286,13 +343,11 @@ class ParticleSet:
 
     @cached_property
     def _circular_mean(self) -> float:
-        z = np.sum(self.weights * np.exp(1j * self.particles[:, 0]))
-        return float(np.angle(z))
+        return float(_pf_circular_mean(_pf_phasors(self.particles[:, 0]), self.weights))
 
     def azimuth_variance(self) -> float:
         """Weighted azimuth variance about the circular mean."""
-        deviation = wrap_angle(self.particles[:, 0] - self.circular_mean())
-        return float(np.sum(self.weights * deviation**2))
+        return float(_pf_azimuth_variance(self.particles, self.weights, self.circular_mean()))
 
 
 @dataclass(frozen=True)
@@ -302,20 +357,77 @@ class PfParams:
 
 
 def wrapped_gaussian_likelihood(innovation, variance):
-    """Likelihood of a wrapped innovation, summed over +/- one revolution."""
+    """Likelihood of a wrapped innovation, summed over +/- one revolution.
+
+    An image one revolution away whose exponent lies below -746 for every
+    innovation adds exactly 0.0, since exp underflows there, so it is not
+    evaluated.
+    """
     innovation = np.asarray(innovation, dtype=float)
-    total = np.zeros_like(innovation)
+    total = 0.0
+    reach = 2 * np.pi - np.abs(innovation).max(initial=0.0)  # to the nearest image
     for k in (-1, 0, 1):
+        if k and reach > 0 and 0.5 * reach**2 / variance > 746.0:
+            continue
         total = total + np.exp(-0.5 * (innovation + 2 * np.pi * k) ** 2 / variance)
     return total / np.sqrt(2 * np.pi * variance)
 
 
+def _pf_phasors(azimuths):
+    """cos and sin of the azimuths along a new last axis: the real and
+    imaginary parts of exp(1j * azimuth), without a complex exponential."""
+    phasors = np.empty(azimuths.shape + (2,))
+    np.cos(azimuths, out=phasors[..., 0])
+    np.sin(azimuths, out=phasors[..., 1])
+    return phasors
+
+
+def _pf_circular_mean(phasors, weights):
+    """np.angle(sum(weights * exp(1j * azimuths))) along the last axis of the
+    weights, from the azimuths' `_pf_phasors`."""
+    total = np.add.reduce((phasors * weights[..., None]).view(complex)[..., 0], axis=-1)
+    return np.arctan2(total.imag, total.real)
+
+
+def _pf_azimuth_variance(particles, weights, mean):
+    deviation = wrap_angle(particles[..., 0] - np.asarray(mean)[..., None])
+    return np.add.reduce(weights * deviation**2, axis=-1)
+
+
+def _pf_effective_sample_size(weights):
+    return 1.0 / np.add.reduce(weights**2, axis=-1)
+
+
+def _pf_propagate(particles, dt: float, intensity: float, rng: np.random.Generator):
+    """Every particle through the motion model, azimuths not yet wrapped."""
+    particles = particles @ _model(dt, intensity)[0].T
+    if intensity > 0:
+        particles += rng.standard_normal(particles.shape) @ _noise_factor(dt, intensity).T
+    return particles
+
+
+def _pf_reweight(azimuths, weights, obs, obs_noise_var: float):
+    """Posterior weights, and whether the observation killed all of them; a
+    set whose weights all died gets uniform weights."""
+    innovation = wrap_angle(np.asarray(obs)[..., None] - azimuths)
+    weights = weights * wrapped_gaussian_likelihood(innovation, obs_noise_var)
+    total = np.add.reduce(weights, axis=-1)
+    dead = ~((total > 0.0) & (total < np.inf))  # NaN fails both
+    weights = weights / np.where(dead, 1.0, total)[..., None]
+    weights[dead] = 1.0 / weights.shape[-1]
+    return weights, dead
+
+
+def _systematic_indices(weights, offset: float):
+    """Indices of a systematic resample of 1-D `weights` at `offset` in [0, 1)."""
+    n = weights.shape[-1]
+    positions = (offset + np.arange(n)) / n
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
+
+
 def systematic_resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSet:
-    n = ps.size
-    positions = (rng.random() + np.arange(n)) / n
-    indices = np.searchsorted(np.cumsum(ps.weights), positions)
-    indices = np.clip(indices, 0, n - 1)
-    return ParticleSet(ps.particles[indices], np.full(n, 1.0 / n))
+    indices = _systematic_indices(ps.weights, rng.random())
+    return ParticleSet(ps.particles[indices], np.full(ps.size, 1.0 / ps.size))
 
 
 def pf_predict(ps: ParticleSet, dt: float, params: PfParams,
@@ -330,11 +442,13 @@ def pf_predict(ps: ParticleSet, dt: float, params: PfParams,
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return ps
-    particles = ps.particles @ _model(dt, params.process_intensity)[0].T
-    if params.process_intensity > 0:
-        factor = _noise_factor(dt, params.process_intensity)
-        particles += rng.standard_normal((ps.size, 2)) @ factor.T
-    return ParticleSet(particles, ps.weights)
+    return ParticleSet(_pf_propagate(ps.particles, dt, params.process_intensity, rng),
+                       ps.weights)
+
+
+def _log_weight_collapse(where: str, obs) -> None:
+    logger.warning("%sparticle filter divergence: observation %.3f killed all weights",
+                   f"{where}: " if where else "", obs)
 
 
 def pf_step(ps: ParticleSet, obs: float, dt: float, params: PfParams,
@@ -344,25 +458,14 @@ def pf_step(ps: ParticleSet, obs: float, dt: float, params: PfParams,
     `where` names the track and time in the warning of a weight collapse.
     """
     ps = pf_predict(ps, dt, params, rng)
-    particles = ps.particles
-    innovation = wrap_angle(obs - particles[:, 0])
-    weights = ps.weights * wrapped_gaussian_likelihood(innovation, params.obs_noise_var)
-    total = weights.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        logger.warning("%sparticle filter divergence: observation %.3f killed all weights",
-                       f"{where}: " if where else "", obs)
-        weights = np.full(ps.size, 1.0 / ps.size)
-    else:
-        weights = weights / total
-    out = ParticleSet(particles, weights)
+    weights, dead = _pf_reweight(ps.particles[:, 0], ps.weights, obs, params.obs_noise_var)
+    if dead:
+        _log_weight_collapse(where, obs)
+    out = ParticleSet(ps.particles, weights)
     if out.effective_sample_size() < PF_RESAMPLE_THRESHOLD * out.size:
         out = systematic_resample(out, rng)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Track lifecycle
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -376,74 +479,209 @@ class TrackerConfig:
     initial_rate_var: float = 1.0  # (rad/s)^2 prior on the azimuth rate
 
 
-def _make_filter(name: str, config: TrackerConfig, seed: int):
-    """start(obs), predict(state, dt), update(state, obs, where), azimuth(state)
-    and variance(state), the azimuth variance for the gate, of one of
-    `FILTERS`; `where` names the track and time in the filter's warnings.
+# ---------------------------------------------------------------------------
+# Filter banks: the states of every live track of one lifecycle, row i
+# holding track i. Each bank has the same methods:
+#   predict(dt)                 every row
+#   azimuths(), variances(az)   every row's azimuth and the gate's azimuth
+#                               variance; the arrays may change at the update
+#   update(rows, obs, wheres)   whether each row took its observation; a row
+#                               that did not keeps its predicted state.
+#                               `wheres` name the track and time in warnings
+#   start(obs)                  one new row per observation
+#   keep(rows)                  drop every other row
+# ---------------------------------------------------------------------------
 
-    Filter functions are looked up at call time, not bound here.
-    """
-    obs_var = config.obs_noise_std**2
-    q = config.process_intensity
+class _KalmanBank:
+    """Means (n, 2) and covariances (n, 2, 2), held as `TrackState` holds them."""
 
-    def kf_start(obs):
-        return TrackState(mean=np.array([obs, 0.0]),
-                          covariance=np.diag([obs_var, config.initial_rate_var]))
+    def __init__(self, config: TrackerConfig, seed: int):
+        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_std**2
+        prior = np.diag([self.obs_var, config.initial_rate_var])
+        self.prior = 0.5 * (prior + prior.T)  # every start covariance, as `TrackState` holds it
+        self.means, self.covs = np.empty((0, 2)), np.empty((0, 2, 2))
 
-    if name == "kalman":
-        return (kf_start,
-                lambda state, dt: kf_predict(state, dt, q),
-                lambda state, obs, where: kf_update(state, obs, obs_var),
-                lambda state: state.azimuth,
-                lambda state: state.covariance[0, 0])
-    if name == "wrapped-kalman":
-        return (lambda obs: WrappedMixture.from_state(kf_start(obs)),
-                lambda mix, dt: wrapped_kf_predict(mix, dt, q),
-                lambda mix, obs, where: wrapped_kf_update(mix, obs, obs_var, where),
-                WrappedMixture.circular_mean,
-                WrappedMixture.azimuth_variance)
-    if name == "particle":
-        rng = np.random.default_rng(seed)  # shared by every track of the call
-        params = PfParams(process_intensity=q, obs_noise_var=obs_var)
+    @staticmethod
+    def _normalized(means, covs):
+        """Azimuths wrapped, covariances symmetrized, and which rows are
+        positive-definite."""
+        means[:, 0] = wrap_angle(means[:, 0])
+        covs = 0.5 * (covs + covs.swapaxes(1, 2))
+        return means, covs, _positive_definite_rows(covs)
 
-        def pf_start(obs):
-            particles = np.column_stack([
-                obs + np.sqrt(obs_var) * rng.standard_normal(PF_PARTICLES),
-                rng.normal(0.0, np.sqrt(config.initial_rate_var), PF_PARTICLES),
-            ])
-            return ParticleSet(particles, np.full(PF_PARTICLES, 1.0 / PF_PARTICLES))
+    def predict(self, dt: float) -> None:
+        if dt > 0 and len(self.means):
+            means, covs, ok = self._normalized(
+                *_kf_propagate(self.means, self.covs, dt, self.intensity))
+            if not ok.all():
+                raise FilterDivergenceError("covariance is not positive-definite")
+            self.means, self.covs = means, covs
 
-        return (pf_start,
-                lambda ps, dt: pf_predict(ps, dt, params, rng),
-                lambda ps, obs, where: pf_step(ps, obs, 0.0, params, rng, where),
-                ParticleSet.circular_mean,
-                ParticleSet.azimuth_variance)
-    raise ValueError(f"unknown filter {name!r}; available: {FILTERS}")
+    def azimuths(self):
+        return self.means[:, 0]
 
+    def variances(self, azimuths):
+        return self.covs[:, 0, 0]
+
+    def update(self, rows, obs, wheres):
+        means, covs = _kf_correct(self.means[rows], self.covs[rows], obs, self.obs_var)
+        means, covs, ok = self._normalized(means, covs)
+        if not ok.all():
+            rows, means, covs = rows[ok], means[ok], covs[ok]
+        self.means[rows], self.covs[rows] = means, covs
+        return ok
+
+    def start(self, obs) -> None:
+        if not _is_positive_definite(self.prior):
+            raise FilterDivergenceError("covariance is not positive-definite")
+        self.means = np.concatenate([self.means, [[wrap_angle(z), 0.0] for z in obs]])
+        self.covs = np.concatenate([self.covs, np.broadcast_to(self.prior, (len(obs), 2, 2))])
+
+    def keep(self, rows) -> None:
+        self.means, self.covs = self.means[rows], self.covs[rows]
+
+
+class _WrappedBank:
+    """One `WrappedMixture` per track, stepped in turn."""
+
+    def __init__(self, config: TrackerConfig, seed: int):
+        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_std**2
+        self.prior = np.diag([self.obs_var, config.initial_rate_var])
+        self.mixtures: list[WrappedMixture] = []
+
+    def predict(self, dt: float) -> None:
+        self.mixtures = [wrapped_kf_predict(mix, dt, self.intensity) for mix in self.mixtures]
+
+    def azimuths(self):
+        return np.array([mix.circular_mean() for mix in self.mixtures])
+
+    def variances(self, azimuths):
+        return np.array([mix.azimuth_variance() for mix in self.mixtures])
+
+    def update(self, rows, obs, wheres):
+        ok = []
+        for i, z, where in zip(rows, obs, wheres):
+            try:
+                self.mixtures[i] = wrapped_kf_update(self.mixtures[i], z, self.obs_var, where)
+            except FilterDivergenceError:
+                ok.append(False)
+            else:
+                ok.append(True)
+        return ok
+
+    def start(self, obs) -> None:
+        self.mixtures += [
+            WrappedMixture.from_state(TrackState(mean=np.array([z, 0.0]), covariance=self.prior))
+            for z in obs]
+
+    def keep(self, rows) -> None:
+        self.mixtures = [self.mixtures[i] for i in rows]
+
+
+class _ParticleBank:
+    """Particles (n, I, 2) and weights (n, I) of every track, drawn from one
+    generator. The circular mean of a row is computed once per state, from
+    phasors of the azimuths kept until they move."""
+
+    def __init__(self, config: TrackerConfig, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_std**2
+        self.rate_std = np.sqrt(config.initial_rate_var)
+        self.particles = np.empty((0, PF_PARTICLES, 2))
+        self.weights = np.empty((0, PF_PARTICLES))
+        self.means = np.empty(0)  # circular mean of each row, NaN until computed
+        self.phasors = None  # `_pf_phasors` of every row's azimuths, or None until computed
+
+    def predict(self, dt: float) -> None:
+        if dt > 0 and len(self.particles):
+            self.particles = _pf_propagate(self.particles, dt, self.intensity, self.rng)
+            self.particles[..., 0] = wrap_angle(self.particles[..., 0])
+            self.means[:], self.phasors = np.nan, None
+
+    def azimuths(self):
+        stale = np.isnan(self.means)
+        if stale.any():
+            if self.phasors is None:
+                self.phasors = _pf_phasors(self.particles[..., 0])
+            if stale.all():
+                self.means = _pf_circular_mean(self.phasors, self.weights)
+            else:
+                self.means[stale] = _pf_circular_mean(self.phasors[stale], self.weights[stale])
+        return self.means
+
+    def variances(self, azimuths):
+        return _pf_azimuth_variance(self.particles, self.weights, azimuths)
+
+    def update(self, rows, obs, wheres):
+        weights, dead = _pf_reweight(self.particles[rows, :, 0], self.weights[rows], obs,
+                                     self.obs_var)
+        if dead.any():
+            for k in np.flatnonzero(dead):
+                _log_weight_collapse(wheres[k], obs[k])
+        resampled = np.flatnonzero(_pf_effective_sample_size(weights)
+                                   < PF_RESAMPLE_THRESHOLD * PF_PARTICLES)
+        for k, offset in zip(resampled, self.rng.random(len(resampled))):
+            row, indices = rows[k], _systematic_indices(weights[k], offset)
+            self.particles[row] = self.particles[row][indices]
+            if self.phasors is not None:
+                self.phasors[row] = self.phasors[row][indices]
+        weights[resampled] = 1.0 / PF_PARTICLES
+        self.weights[rows] = weights
+        self.means[rows] = np.nan
+        return np.ones(len(rows), dtype=bool)
+
+    def start(self, obs) -> None:
+        draws = self.rng.standard_normal((len(obs), 2, PF_PARTICLES))
+        particles = np.empty((len(obs), PF_PARTICLES, 2))
+        particles[..., 0] = wrap_angle(np.array(obs)[:, None] + np.sqrt(self.obs_var) * draws[:, 0])
+        particles[..., 1] = self.rate_std * draws[:, 1]
+        self.particles = np.concatenate([self.particles, particles])
+        self.weights = np.concatenate(
+            [self.weights, np.full((len(obs), PF_PARTICLES), 1.0 / PF_PARTICLES)])
+        self.means = np.concatenate([self.means, np.full(len(obs), np.nan)])
+        self.phasors = None
+
+    def keep(self, rows) -> None:
+        self.particles, self.weights = self.particles[rows], self.weights[rows]
+        self.means, self.phasors = self.means[rows], None
+
+
+_BANKS = {"kalman": _KalmanBank, "wrapped-kalman": _WrappedBank, "particle": _ParticleBank}
+
+
+# ---------------------------------------------------------------------------
+# Track lifecycle
+# ---------------------------------------------------------------------------
 
 @dataclass
 class _Candidate:
-    state: object  # the filter's state
     history: list = field(default_factory=list)  # recent hit/miss booleans
     last_hit_time: float = 0.0
     confirmed_id: int = 0
     emitted: list = field(default_factory=list)
+
+    @property
+    def label(self) -> str:
+        return f"track {self.confirmed_id}" if self.confirmed_id else "tentative track"
 
 
 def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
                     tracker: str = "kalman", seed: int = 0):
     """Initiate, gate, update, and terminate azimuth tracks over an estimate stream.
 
-    Estimates are grouped by timestamp and taken in time order; each track
-    runs its own copy of the filter named `tracker`, and all particle filter
-    tracks draw from one generator seeded with `seed`. Returns {track_id:
-    [(t, azimuth), ...]}, one azimuth in [-pi, pi) per timestamp from
-    confirmation to termination; ids follow confirmation order, never reused.
+    Estimates are grouped by timestamp and taken in time order; the tracks
+    run the filter named `tracker` in one filter bank, row i holding
+    candidate i, and all particle filter tracks draw from one generator
+    seeded with `seed`. Returns {track_id: [(t, azimuth), ...]}, one azimuth
+    in [-pi, pi) per timestamp from confirmation to termination; ids follow
+    confirmation order, never reused.
     """
-    start, predict, update, azimuth, variance = _make_filter(tracker, config, seed)
+    if tracker not in _BANKS:
+        raise ValueError(f"unknown filter {tracker!r}; available: {FILTERS}")
+    bank = _BANKS[tracker](config, seed)
     by_time: dict = {}
     for est in estimates:
-        by_time.setdefault(round(est.timestamp, 9), []).append(est)
+        by_time.setdefault(round(est.timestamp, 9), []).append(est.doa.azimuth)
 
     obs_var = config.obs_noise_std**2
     candidates: list[_Candidate] = []
@@ -452,42 +690,42 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
     prev_t = None
 
     for t in sorted(by_time):
-        observations = [e.doa.azimuth for e in by_time[t]]
+        observations = np.array(by_time[t])
         dt = 0.0 if prev_t is None else t - prev_t
         prev_t = t
-
-        for cand in candidates:
-            cand.state = predict(cand.state, dt)
+        bank.predict(dt)
 
         # gated assignment on wrapped innovation cost
-        if candidates and observations:
-            predicted = np.array([azimuth(cand.state) for cand in candidates])
-            gates = np.array([min(config.gate_sigma * np.sqrt(variance(cand.state) + obs_var),
-                                  config.gate_max) for cand in candidates])
-            cost = np.abs(wrap_angle(np.array(observations)[None, :] - predicted[:, None]))
+        if candidates:
+            predicted = bank.azimuths()
+            gates = np.minimum(config.gate_sigma * np.sqrt(bank.variances(predicted) + obs_var),
+                               config.gate_max)
+            cost = np.abs(wrap_angle(observations[None, :] - predicted[:, None]))
             blocked = np.where(cost <= gates[:, None], cost, np.pi + 1.0)
             pairs = gated_assignment(blocked, np.pi)
         else:
             pairs = []
 
-        matched_tracks = set()
+        hit = [False] * len(candidates)
         matched_obs = set()
-        for i, j in pairs:
-            cand = candidates[i]
-            label = f"track {cand.confirmed_id}" if cand.confirmed_id else "tentative track"
-            try:
-                cand.state = update(cand.state, observations[j], f"{label} at t={t:.3f} s")
-            except FilterDivergenceError:
-                logger.warning("%s flagged at t=%.3f s: non-PD covariance", label, t)
-                continue
-            cand.last_hit_time = t
-            cand.history.append(True)
-            matched_tracks.add(i)
-            matched_obs.add(j)
+        if pairs:
+            rows, cols = np.array(pairs).T
+            labels = [candidates[i].label for i in rows]
+            took = bank.update(rows, observations[cols],
+                               [f"{label} at t={t:.3f} s" for label in labels])
+            for (i, j), label, ok in zip(pairs, labels, took):
+                if not ok:
+                    logger.warning("%s flagged at t=%.3f s: non-PD covariance", label, t)
+                    continue
+                cand = candidates[i]
+                cand.last_hit_time = t
+                cand.history.append(True)
+                hit[i] = True
+                matched_obs.add(j)
 
-        survivors = []
+        kept, emitting = [], []
         for i, cand in enumerate(candidates):
-            if i not in matched_tracks:
+            if not hit[i]:
                 cand.history.append(False)
             cand.history = cand.history[-config.init_window:]
             if cand.confirmed_id == 0:
@@ -504,13 +742,18 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
             if cand.confirmed_id and t - cand.last_hit_time > config.t_miss:
                 continue  # terminated
             if cand.confirmed_id:
-                cand.emitted.append((t, wrap_angle(azimuth(cand.state))))
-            survivors.append(cand)
-        candidates = survivors
+                emitting.append(i)
+            kept.append(i)
+        if emitting:
+            for i, az in zip(emitting, bank.azimuths()[emitting].tolist()):
+                candidates[i].emitted.append((t, wrap_angle(az)))
+        if len(kept) < len(candidates):
+            bank.keep(kept)
+            candidates = [candidates[i] for i in kept]
 
-        for j, obs in enumerate(observations):
-            if j not in matched_obs:
-                candidates.append(_Candidate(state=start(obs), history=[True],
-                                             last_hit_time=t))
+        new = [obs for j, obs in enumerate(by_time[t]) if j not in matched_obs]
+        if new:
+            bank.start(new)
+            candidates += [_Candidate(history=[True], last_hit_time=t) for _ in new]
 
     return {tid: series for tid, series in results.items() if series}

@@ -46,6 +46,17 @@ def test_simulate_invalid_task(tmp_path):
     assert _run("simulate", "--task", "9", "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--snr", "nan", "snr_db"), ("--snr", "-inf", "snr_db"),
+    ("--duration", "nan", "duration"), ("--duration", "inf", "duration"),
+    ("--duration", "-1", "duration"), ("--duration", "0", "duration")])
+def test_simulate_rejects_a_nan_snr_or_a_bad_duration(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "scene"
+    assert _run("simulate", "--task", "4", f"{flag}={value}", "--out", str(out)) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert _run("run", "--input", "x") == 1  # missing --out
 
@@ -58,7 +69,13 @@ def test_run_missing_input(tmp_path):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--hop", "0", "hop must be >= 1"), ("--hop", "-1", "hop must be >= 1"),
-    ("--window", "0", "window_length must be >= 1")])
+    ("--window", "0", "window_length must be >= 1"),
+    ("--block-stride", "0", "block_stride must be >= 1"),
+    ("--block-stride", "-1", "block_stride must be >= 1"),
+    ("--block-frames", "0", "block_frames must be >= 1"),
+    # the default band runs 300..4000 Hz
+    ("--band-low", "5000", "band_hz must run from low to high"),
+    ("--band-high", "300", "band_hz must run from low to high")])
 @pytest.mark.parametrize("localizer", ["srp-phat", "gcc-phat"])
 def test_run_rejects_bad_window_or_hop(scene_dir, tmp_path, capsys, localizer, flag, value,
                                        message):

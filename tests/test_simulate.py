@@ -91,6 +91,22 @@ def test_snr_calibration():
     assert measured == pytest.approx(20.0, abs=1.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("snr_db", math.nan), ("snr_db", -math.inf), ("duration", math.nan),
+    ("duration", math.inf), ("duration", -1.0), ("duration", 0.0)])
+def test_scene_rejects_a_nan_snr_or_a_bad_duration(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        replace(_static_scene([2.0, 0.0, 0.0], duration=1.0), **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        task_preset(4, 0, **{field: value})
+
+
+def test_infinite_snr_is_a_noiseless_scene():
+    scene = synthesize(_static_scene([2.0, 0.0, 0.0], duration=1.0, snr_db=math.inf))
+    # the source speaks from 0.1 s, so the first 0.08 s hold no signal
+    assert np.all(scene.audio.samples[:, :int(0.08 * FS)] == 0.0)
+
+
 def test_guard_radius():
     with pytest.raises(ValueError):
         synthesize(_static_scene([0.05, 0.0, 0.0]))

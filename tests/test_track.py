@@ -1,9 +1,12 @@
 import logging
 import math
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import doatrack.track
 from doatrack.evaluate import VapTable, evaluate_submission, ground_truth_doas
@@ -11,12 +14,13 @@ from doatrack.geometry import Doa, wrap_angle
 from doatrack.localize import DoaEstimate
 from doatrack.pipeline import resample_tracks, track_stream
 from doatrack.simulate import task_preset
-from doatrack.track import (FILTERS, PF_PARTICLES, FilterDivergenceError, ParticleSet,
+from doatrack.track import (FILTERS, PF_PARTICLES, ParticleSet,
                             PfParams, TrackerConfig, TrackState, WrappedMixture,
                             kf_predict, kf_update, pf_step, process_noise_cov,
                             systematic_resample, track_lifecycle,
                             wrapped_gaussian_likelihood, wrapped_kf_predict,
                             wrapped_kf_update)
+from track_reference import reference_lifecycle
 
 
 def _state(az=0.0, rate=0.0, var_az=0.01, var_rate=0.1):
@@ -255,14 +259,14 @@ def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
     # the Kalman update diverges after `good_updates` successful calls; the
     # track confirms at its third hit, the second update
     calls = []
+    correct = doatrack.track._kf_correct
 
-    def diverging_update(state, obs, obs_noise_var):
+    def diverging_update(means, covs, obs, obs_noise_var):
         calls.append(obs)
-        if len(calls) > good_updates:
-            raise FilterDivergenceError("covariance is not positive-definite")
-        return kf_update(state, obs, obs_noise_var)
+        means, covs = correct(means, covs, obs, obs_noise_var)
+        return means, -covs if len(calls) > good_updates else covs
 
-    monkeypatch.setattr(doatrack.track, "kf_update", diverging_update)
+    monkeypatch.setattr(doatrack.track, "_kf_correct", diverging_update)
     times = [(0.1 * k, [0.5]) for k in range(6)]
     with caplog.at_level(logging.WARNING, logger="doatrack.track"):
         track_lifecycle(_stream(times), TrackerConfig(), "kalman")
@@ -392,6 +396,10 @@ def _uncached_circular_mean(ps):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cached_tracker_steps_are_exact(seed, monkeypatch):
+    # the filter bank against the one-track-at-a-time reference lifecycle
+    # running uncached steps: a multivariate_normal draw per predict, a
+    # complex-exponential circular mean per set, np.mod wraps and a fresh
+    # model per step
     stream, _ = _two_source_stream(seed, 6.0)
     got = {tracker: track_lifecycle(stream, TrackerConfig(), tracker, seed=seed)
            for tracker in FILTERS}
@@ -402,7 +410,114 @@ def test_cached_tracker_steps_are_exact(seed, monkeypatch):
     monkeypatch.setattr(doatrack.track, "_model", lambda dt, intensity: (
         np.array([[1.0, dt], [0.0, 1.0]]), process_noise_cov(dt, intensity)))
     for tracker in FILTERS:
-        assert track_lifecycle(stream, TrackerConfig(), tracker, seed=seed) == got[tracker]
+        assert reference_lifecycle(stream, TrackerConfig(), tracker, seed=seed) == got[tracker]
+
+
+def _dense_stream(seed, duration=3.0, n_sources=6):
+    """`n_sources` static talkers spread round the circle, all speaking, with
+    3 degrees of noise, 10 % misses and Poisson clutter at the block rate."""
+    rng = np.random.default_rng(seed)
+    azimuths = np.linspace(-math.pi, math.pi, n_sources, endpoint=False) + rng.uniform(0, 0.3)
+    block_rate, noise = 48000.0 / 4096, math.radians(3.0)
+    stream = []
+    for t in np.arange(0.5 / block_rate, duration, 1.0 / block_rate):
+        for az in azimuths:
+            if rng.random() >= 0.1:
+                stream.append(DoaEstimate(float(t), Doa(wrap_angle(az + noise * rng.standard_normal()))))
+        for _ in range(rng.poisson(0.2)):
+            stream.append(DoaEstimate(float(t), Doa(float(rng.uniform(-math.pi, math.pi)))))
+    return stream
+
+
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_filter_bank_matches_the_per_track_lifecycle(tracker):
+    for seed in (1, 2, 3, 4):
+        stream, _ = _two_source_stream(seed, 6.0)
+        assert track_lifecycle(stream, TrackerConfig(), tracker, seed=seed) == \
+            reference_lifecycle(stream, TrackerConfig(), tracker, seed=seed), seed
+    stream = _dense_stream(5)
+    tracks = track_lifecycle(stream, TrackerConfig(), tracker, seed=5)
+    assert tracks == reference_lifecycle(stream, TrackerConfig(), tracker, seed=5)
+    alive = {}
+    for series in tracks.values():
+        for t, _ in series:
+            alive[t] = alive.get(t, 0) + 1
+    assert max(alive.values()) >= 5  # the bank held at least five tracks at once
+
+
+def test_a_diverging_track_is_flagged_while_the_other_keeps_updating(monkeypatch, caplog):
+    # two Kalman tracks updated in one bank call per step; from the sixth
+    # update on, the track near 0.8 rad gets a non-PD covariance every time
+    times = [(0.1 * k, [0.8, -1.5]) for k in range(20)]
+    reference = track_lifecycle(_stream(times), TrackerConfig(), "kalman")
+    assert sorted(reference) == [1, 2]
+    calls = []
+    correct = doatrack.track._kf_correct
+
+    def diverging_update(means, covs, obs, obs_noise_var):
+        calls.append(obs)
+        means, covs = correct(means, covs, obs, obs_noise_var)
+        if len(calls) > 5:
+            covs = np.where((obs > 0)[:, None, None], -covs, covs)
+        return means, covs
+
+    monkeypatch.setattr(doatrack.track, "_kf_correct", diverging_update)
+    with caplog.at_level(logging.WARNING, logger="doatrack.track"):
+        tracks = track_lifecycle(_stream(times), TrackerConfig(), "kalman")
+    messages = [record.getMessage() for record in caplog.records]
+    # track 1 keeps its predicted state and misses until t_miss ends it; the
+    # tentative tracks its source starts afterwards diverge too
+    assert messages[:6] == [f"track 1 flagged at t={0.1 * k:.3f} s: non-PD covariance"
+                            for k in range(6, 12)]
+    assert all(m.startswith("tentative track flagged") for m in messages[6:])
+    assert sorted(tracks) == [1, 2]
+    assert tracks[1][:4] == reference[1][:4]
+    assert tracks[1][-1][0] == pytest.approx(1.0)
+    assert tracks[2] == reference[2]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+def test_wrap_angle_leaves_its_own_output_unchanged(angles):
+    # the particle bank does not wrap azimuths a second time after an update
+    # or a resample, as a new ParticleSet would: wrap_angle's output w is
+    # fl(y - pi) for some y in [0, 2 pi], so w + pi is exact and gives w back
+    wrapped = wrap_angle(np.array(angles))
+    assert np.array_equal(wrap_angle(wrapped), wrapped)
+    assert [wrap_angle(w) for w in wrapped.tolist()] == wrapped.tolist()
+
+
+_PD_ENTRIES = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_PD_ENTRIES, _PD_ENTRIES, _PD_ENTRIES)
+def test_closed_form_positive_definite_check_agrees_with_cholesky(a, b, d):
+    cov = np.array([[a, b], [b, d]])
+    if any(map(math.isnan, (a, b, d))) or (a == math.inf and math.isinf(b)):
+        # reference dpotrf meets a NaN pivot here (b / sqrt(a) is inf / inf
+        # for the second case) and fails. OpenBLAS's potrf tests a pivot with
+        # `<= 0` only and scales by 1 / sqrt(a), which is 0 for a = inf, so
+        # it passes some of these
+        assert not doatrack.track._is_positive_definite(cov)
+        assert doatrack.track._positive_definite_rows(cov[None]).tolist() == [False]
+        return
+    if all(map(math.isfinite, (a, b, d))) and a > 0:
+        # the closed form takes b / sqrt(a) and LAPACK b * (1 / sqrt(a)), so
+        # their pivots d - b^2 / a may differ in the last bits: leave out the
+        # matrices whose exact pivot lies within 4 ulp of d of zero
+        pivot = Fraction(d) - Fraction(b) ** 2 / Fraction(a)
+        assume(abs(pivot) > 4 * Fraction(math.ulp(d)))
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        expected = False
+    else:
+        # a NaN pivot that OpenBLAS passed on into the factor is a failure
+        expected = not np.isnan(factor).any()
+    assert doatrack.track._is_positive_definite(cov) == expected
+    assert doatrack.track._positive_definite_rows(cov[None]).tolist() == [expected]
 
 
 def test_wrapped_mixture_circular_mean_is_computed_once_per_mixture(monkeypatch):
