@@ -9,7 +9,7 @@ no localizer holds the STFT of a whole recording.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,14 +96,19 @@ class CrossSpectrum:
 
 
 def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_LENGTH,
-                 hop: int = DEFAULT_HOP, window: str = "hann") -> Stft:
+                 hop: int = DEFAULT_HOP, window: str = "hann", out=None) -> Stft:
     """Slice the signal into tapered frames and transform each to the frequency domain.
 
     Frame k covers samples [k*hop, k*hop + window_length). A signal shorter
-    than one window yields an Stft with no frames.
+    than one window yields an Stft with no frames. The spectra are written
+    to `out`, a complex array of shape (frames, channels, window_length // 2
+    + 1), when one is given, and the Stft holds it as its `bins`.
     """
     n_frames = _frame_count(audio, window_length, hop)
-    bins = np.empty((n_frames, audio.channel_count, window_length // 2 + 1), dtype=complex)
+    shape = (n_frames, audio.channel_count, window_length // 2 + 1)
+    bins = np.empty(shape, dtype=complex) if out is None else out
+    if bins.shape != shape:
+        raise ValueError(f"out has shape {bins.shape}, the frames need {shape}")
     times = (np.arange(n_frames) * hop + window_length / 2) / audio.sample_rate_hz
     if n_frames == 0:
         return Stft(bins, times, window_length, hop)
@@ -113,7 +118,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     segments = segments.transpose(1, 0, 2)
     step = max(1, CHUNK_ELEMENTS // (audio.channel_count * window_length))
     for start in range(0, n_frames, step):
-        bins[start:start + step] = np.fft.rfft(segments[start:start + step] * taper, axis=-1)
+        np.fft.rfft(segments[start:start + step] * taper, axis=-1, out=bins[start:start + step])
     return Stft(bins, times, window_length, hop)
 
 
@@ -142,26 +147,46 @@ def _taper(window: str, window_length: int) -> np.ndarray:
 def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_LENGTH,
                    hop: int = DEFAULT_HOP, window: str = "hann") -> np.ndarray:
     """Mean of |X|^2 over the channels and one-sided bins of every `frame_signal`
-    frame, without the transform.
+    frame, read from the samples without a transform or a tapered copy.
 
-    By Parseval's theorem a real frame s of length N has
-    sum_k |X_k|^2 = (N sum_n s_n^2 + X_0^2 + X_{N/2}^2) / 2 over the one-sided
-    bins, with X_0 = sum_n s_n and X_{N/2} = sum_n (-1)^n s_n (N even only).
-    Agrees with the transform's energies to rounding.
+    By Parseval's theorem a real frame s of length N with taper w has
+    sum_k |X_k|^2 = (N sum_n w_n^2 s_n^2 + X_0^2 + X_{N/2}^2) / 2 over the
+    one-sided bins, with X_0 = sum_n w_n s_n and X_{N/2} = sum_n (-1)^n w_n s_n
+    (N even only). Frames start on multiples of g = gcd(N, hop), so a frame
+    is N / g whole pieces of g samples, and piece p of every frame is a
+    strided view of the samples cut into pieces. Each sum is then N / g
+    matrix products, piece p of the samples (or of their power summed over
+    the channels) times piece p of the taper terms. Agrees with the
+    transform's energies to rounding.
     """
     n_frames = _frame_count(audio, window_length, hop)
     energies = np.empty(n_frames)
+    piece = math.gcd(window_length, hop)
+    per_frame, per_hop = window_length // piece, hop // piece
     taper = _taper(window, window_length)
-    # columns: sum of s, and sum of (-1)^n s for an even length
-    edges = np.ones((window_length, 1 + (window_length % 2 == 0)))
-    edges[1::2, 1:] = -1.0
-    segments = sliding_window_view(audio.samples, window_length, axis=1)[:, ::hop]
-    step = max(1, CHUNK_ELEMENTS // (audio.channel_count * window_length))
+    squared = (taper * taper).reshape(per_frame, piece)
+    # columns: w, and (-1)^n w for an even length; (pieces, samples of a piece, columns)
+    edges = np.repeat(taper[:, None], 1 + (window_length % 2 == 0), axis=1)
+    edges[1::2, 1:] *= -1.0
+    edges = edges.reshape(per_frame, piece, -1)
+    channels = audio.channel_count
+    # frames per chunk: a chunk's power holds about CHUNK_ELEMENTS samples
+    step = max(1, CHUNK_ELEMENTS // max(window_length, hop))
     for start in range(0, n_frames, step):
-        s = segments[:, start:start + step] * taper  # (channels, frames, window_length)
-        power = (window_length * np.einsum("mfn,mfn->f", s, s)
-                 + np.sum((s @ edges) ** 2, axis=(0, 2)))
-        energies[start:start + step] = power / (2 * audio.channel_count * (window_length // 2 + 1))
+        count = min(step, n_frames - start)
+        n_pieces = (count - 1) * per_hop + per_frame
+        s = audio.samples[:, start * hop:start * hop + n_pieces * piece]
+        power = np.einsum("mn,mn->n", s, s).reshape(n_pieces, piece)
+        s = s.reshape(channels, n_pieces, piece)
+        tapered = np.zeros(count)
+        sums = np.zeros((channels, count, edges.shape[2]))
+        for p in range(per_frame):
+            rows = slice(p, p + (count - 1) * per_hop + 1, per_hop)  # piece p of each frame
+            tapered += power[rows] @ squared[p]
+            sums += s[:, rows] @ edges[p]
+        energies[start:start + count] = ((window_length * tapered
+                                          + np.einsum("mfc,mfc->f", sums, sums))
+                                         / (2 * channels * (window_length // 2 + 1)))
     return energies
 
 
@@ -219,15 +244,24 @@ class Blocks:
         return 0.5 * (self.frame_times(self.starts)
                       + self.frame_times(self.starts + self.length - 1))
 
-    def frames(self, first: int, stop: int) -> Stft:
-        """The STFT frames first..stop-1."""
+    def frames(self, first: int, stop: int, known=None) -> Stft:
+        """The STFT frames first..stop-1. `known`, if given, holds the
+        spectra of the first len(known) of them, which are copied, not
+        transformed again."""
         if isinstance(self.source, Stft):
             return self.source[first:stop]
         audio = self.source
-        span = audio.samples[:, first * self.hop:(stop - 1) * self.hop + self.window_length]
-        frames = frame_signal(MultichannelAudio(span, audio.sample_rate_hz),
-                              self.window_length, self.hop)
-        return replace(frames, times=self.frame_times(np.arange(first, stop)))
+        bins = np.empty((stop - first, audio.channel_count, self.window_length // 2 + 1),
+                        dtype=complex)
+        shared = 0
+        if known is not None:
+            shared = len(known)
+            bins[:shared] = known
+        span = audio.samples[:, (first + shared) * self.hop:(stop - 1) * self.hop
+                             + self.window_length]
+        frame_signal(MultichannelAudio(span, audio.sample_rate_hz), self.window_length,
+                     self.hop, "hann", bins[shared:])
+        return Stft(bins, self.frame_times(np.arange(first, stop)), self.window_length, self.hop)
 
     def groups(self, frame_elements: int):
         """Split the blocks into groups of consecutive blocks whose frames
@@ -235,15 +269,21 @@ class Blocks:
         `frame_elements` frames (one block at least).
 
         Yields (slice of these blocks, the group as Blocks over an Stft of
-        just the frames it spans).
+        just the frames it spans). A group copies the frames it shares with
+        the group before, so each frame is transformed once.
         """
         max_frames = max(self.length, BLOCK_GROUP_ELEMENTS // max(1, frame_elements))
         starts = self.starts
         first = 0
+        frames, end = None, 0  # the last group's frames, and the frame after them
         for i in range(1, len(starts) + 1):
             if (i == len(starts) or starts[i] > starts[i - 1] + self.length
                     or starts[i] + self.length - starts[first] > max_frames):
-                frames = self.frames(starts[first], starts[i - 1] + self.length)
+                shared = end - starts[first]
+                end = starts[i - 1] + self.length
+                # a view of the last group's frames would keep them alive, so none is kept
+                frames = self.frames(starts[first], end,
+                                     frames.bins[len(frames) - shared:] if shared > 0 else None)
                 yield slice(first, i), Blocks(frames, starts[first:i] - starts[first],
                                               self.length, self.window_length, self.hop)
                 first = i
@@ -278,8 +318,9 @@ def pair_cross_spectra(blocks: Blocks, pairs, bins=None) -> np.ndarray:
     # (sub-blocks, frames of the sub-block, channels, bins)
     spectra = frames.bins[:n_sub * sub].reshape((n_sub, sub) + frames.bins.shape[1:])
     bins = np.arange(frames.bin_count) if bins is None else np.asarray(bins)
-    # block b is sub-blocks pos[b]..pos[b] + per_block - 1; in ascending order
-    # each sum lands on the block's first sub-block, which no later block reads
+    # a run of consecutive bins is read through slices
+    run = len(bins) > 0 and np.array_equal(bins, bins[0] + np.arange(len(bins)))
+    # block b is sub-blocks pos[b]..pos[b] + per_block - 1, summed in that order
     pos = (starts - starts[0]) // sub
     per_block = blocks.length // sub
     # numpy's complex g /= n multiplies both parts by 1.0 / n (its one other
@@ -288,15 +329,17 @@ def pair_cross_spectra(blocks: Blocks, pairs, bins=None) -> np.ndarray:
     out = np.empty((len(bins), len(starts), len(flat)), dtype=complex)
     step = max(1, PAIR_CHUNK_ELEMENTS // (n_sub * channels * channels))
     for first in range(0, len(bins), step):
-        chunk = bins[first:first + step]
+        chunk = (slice(bins[0] + first, bins[0] + min(first + step, len(bins))) if run
+                 else bins[first:first + step])
         # (sub-blocks, chunk bins, channels, frames of the sub-block)
         x = np.ascontiguousarray(spectra[..., chunk].transpose(0, 3, 2, 1))
         sums = x @ np.conj(x.transpose(0, 1, 3, 2))
-        sums = np.take(sums.reshape(n_sub, len(chunk), -1), flat, axis=2)
-        for b, p in enumerate(pos):
-            for j in range(1, per_block):
-                sums[p] += sums[p + j]
-            np.multiply(sums[p].view(float), scale, out=out[first:first + step, b].view(float))
+        sums = np.take(sums.reshape(n_sub, x.shape[1], -1), flat, axis=2)
+        block_sums = sums[pos]  # (blocks, chunk bins, pairs)
+        for j in range(1, per_block):
+            block_sums += sums[pos + j]
+        np.multiply(block_sums.view(float), scale,
+                    out=out[first:first + step].transpose(1, 0, 2).view(float))
     return out
 
 

@@ -86,6 +86,18 @@ def test_run_rejects_bad_window_or_hop(scene_dir, tmp_path, capsys, localizer, f
     assert not (tmp_path / "s.txt").exists()
 
 
+@pytest.mark.parametrize("localizer,frames", [("srp-phat", 8), ("music", 12)])
+def test_run_rejects_a_window_longer_than_the_recording(scene_dir, tmp_path, capsys, localizer,
+                                                        frames):
+    # the 4 s scene has 192000 samples per channel, fewer than one window
+    code = _run("run", "--input", str(scene_dir), "--localizer", localizer,
+                "--window", "200000", "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert (f"recording has 192000 samples per channel, fewer than one {localizer} block of "
+            f"{200000 + (frames - 1) * 1024}") in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_run_unsupported_localizer_geometry(tmp_path):
     out = tmp_path / "dicit"
     assert _run("simulate", "--task", "1", "--seed", "0", "--duration", "1",

@@ -410,6 +410,46 @@ def test_short_clip_is_one_block_group(monkeypatch, array, localizer, seconds):
     assert len(steerings) == (localizer == "srp-phat")
 
 
+@pytest.mark.parametrize("localizer", ["gcc-phat", "music"])
+def test_block_groups_transform_each_frame_once(monkeypatch, localizer):
+    # eigenmike's GCC-PHAT and MUSIC groups hold one block each, so the
+    # groups overlap; a silent stretch gates some blocks and leaves a gap
+    import doatrack.sigproc
+    from doatrack.pipeline import localize_stream
+
+    geom = get_array_preset("eigenmike")
+    audio = plane_wave_audio(geom, math.radians(30.0), n=int(FS * 1.5), snr_db=20)
+    audio.samples[:, 30000:40000] = 0.0
+    hop = 1024
+    base = audio.samples.ctypes.data
+    transformed, group_count, spanned = [], [], set()
+    frame_signal = doatrack.sigproc.frame_signal
+    groups = doatrack.sigproc.Blocks.groups
+
+    def counting_frames(span, *args):
+        # the first frame of a span, from where its samples lie in the recording
+        frames = frame_signal(span, *args)
+        offset, rest = divmod(span.samples.ctypes.data - base, span.samples.itemsize)
+        first, off_grid = divmod(offset, hop)
+        assert rest == off_grid == 0
+        transformed.extend(range(first, first + len(frames)))
+        return frames
+
+    def counting_groups(self, *args):
+        spanned.update(f for start in self.starts for f in range(start, start + self.length))
+        for group in groups(self, *args):
+            group_count.append(1)
+            yield group
+
+    monkeypatch.setattr(doatrack.sigproc, "frame_signal", counting_frames)
+    monkeypatch.setattr(doatrack.sigproc.Blocks, "groups", counting_groups)
+    assert localize_stream(audio, geom, localizer, FS)
+    assert len(group_count) >= 3
+    assert sorted(transformed) == sorted(spanned)
+    # the frames of the silent stretch belong to no gated block
+    assert len(spanned) < (audio.length - 2048) // hop + 1
+
+
 def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):
     from doatrack.pipeline import localize_stream
 
@@ -444,3 +484,36 @@ def test_stream_memory_does_not_grow_with_recording_length(array, localizer):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+class _Gated(Exception):
+    """Stops localize_stream once its energy gate has chosen the blocks."""
+
+
+@pytest.mark.parametrize("array", ["robot_head", "eigenmike", "dicit", "dicit_32cm",
+                                   "hearing_aids"])
+def test_energy_gate_passes_the_blocks_the_transform_energies_pass(monkeypatch, array):
+    import doatrack.pipeline
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from doatrack.simulate import synthesize, task_preset
+
+    def stop_at_blocks(audio, starts, *args):
+        raise _Gated(starts)
+
+    monkeypatch.setattr(doatrack.pipeline, "Blocks", stop_at_blocks)
+    geom = get_array_preset(array)
+    gated = 0
+    for task in (1, 4):
+        for seed in (1, 2):
+            audio = synthesize(task_preset(task, seed, duration=2.0, array=array)).audio
+            with pytest.raises(_Gated) as passed:
+                doatrack.pipeline.localize_stream(audio, geom, "srp-phat", FS)
+            # the gate of localize_stream, on energies taken from the transform
+            frames = frame_signal(audio, 2048, 1024)
+            energies = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
+            energies = sliding_window_view(energies, 8)[::4].mean(axis=1)
+            active = ~(energies < 0.05 * np.percentile(energies, 90))
+            assert np.array_equal(passed.value.args[0], np.flatnonzero(active) * 4)
+            gated += int(np.count_nonzero(~active))
+    assert gated > 0

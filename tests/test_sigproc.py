@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -60,6 +61,35 @@ def test_frame_energies_match_the_transform():
         expected = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
         assert np.allclose(frame_energies(audio, window_length, 700), expected,
                            rtol=1e-12, atol=0)
+
+
+@st.composite
+def energy_cases(draw):
+    window_length = draw(st.integers(1, 300))
+    # hops below, equal to, coprime with and above the window
+    hop = draw(st.one_of(st.integers(1, window_length), st.just(window_length),
+                         st.integers(1, 2 * window_length + 5).filter(
+                             lambda h: math.gcd(h, window_length) == 1),
+                         st.integers(window_length + 1, 3 * window_length + 5)))
+    channels = draw(st.integers(1, 4))
+    # from shorter than one window to a few dozen frames
+    length = draw(st.integers(0, window_length + 30 * hop))
+    window = draw(st.sampled_from(["hann", "rect", "hamming"]))
+    return window_length, hop, channels, length, window, draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=energy_cases())
+def test_frame_energies_are_the_mean_power_of_the_transform(case):
+    window_length, hop, channels, length, window, seed = case
+    rng = np.random.default_rng(seed)
+    audio = MultichannelAudio(rng.standard_normal((channels, length)), 48000)
+    frames = frame_signal(audio, window_length, hop, window)
+    expected = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
+    got = frame_energies(audio, window_length, hop, window)
+    assert got.shape == expected.shape == ((length - window_length) // hop + 1
+                                           if length >= window_length else 0,)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("starts", [[0, 4, 4, 8], [8, 4, 0], [-4, 0], [[0, 4]]])
