@@ -34,7 +34,9 @@ from .simulate import synthesize, task_preset
 # to the command). A key becomes a flag (`n_sources` is --n-sources) whose
 # type is its default's; a boolean default becomes a switch.
 OPTION_HELP = {"task": "scenario 1..6", "duration": "seconds", "snr": "dB", "gate": "degrees",
-               "ospa_p": "comma list, e.g. 1,5", "ospa_c": "cutoff, degrees"}
+               "ospa_p": "comma list, e.g. 1,5", "ospa_c": "cutoff, degrees",
+               "band_low": "Hz; gcc-phat reads every bin and ignores it",
+               "band_high": "Hz; gcc-phat reads every bin and ignores it"}
 OPTION_CHOICES = {"localizer": LOCALIZERS, "tracker": TRACKERS}
 
 

@@ -42,11 +42,29 @@ def _split_row(line: str):
 
 
 def _read_table(path: Path, n_columns: int):
-    """Parse a delimited numeric table, reporting the first bad line.
+    """Parse a delimited numeric table: rows of n_columns fields split by
+    commas and whitespace, skipping blank lines and lines starting with #.
 
-    Returns the (rows, n_columns) table and each row's line number."""
+    Returns the (rows, n_columns) table and each row's line number. The
+    rows go through one numpy conversion, which parses each field as
+    float() does; a table it rejects, or text that does not decode, is
+    parsed again by `_read_table_lines`, which reports the first bad line."""
     if not path.is_file():
         raise FileNotFoundError(f"missing required file: {path}")
+    try:
+        lines = path.read_text().split("\n")
+        linenos = [lineno for lineno, line in enumerate(lines, start=1)
+                   if line.strip() and not line.lstrip().startswith("#")]
+        table = np.array([lines[lineno - 1].replace(",", " ").split() for lineno in linenos],
+                         dtype=float).reshape(len(linenos), n_columns)
+    except ValueError:  # UnicodeDecodeError included
+        return _read_table_lines(path, n_columns)
+    return table, linenos
+
+
+def _read_table_lines(path: Path, n_columns: int):
+    """`_read_table` one line at a time, raising CorpusFormatError at the
+    first line with a wrong column count or a non-numeric field."""
     rows = []
     linenos = []
     with open(path) as fh:
@@ -125,12 +143,11 @@ def read_recording(path) -> RecordingBundle:
                     DEFAULT_SAMPLE_RATE)
     if samples.ndim == 1:
         samples = samples[:, None]
+    # one channel-major float64 copy, scaled in place
+    channels = np.ascontiguousarray(samples.T, dtype=np.float64)
     if np.issubdtype(samples.dtype, np.integer):
-        scale = float(2 ** (8 * samples.dtype.itemsize - 1))
-        samples = samples.astype(np.float64) / scale
-    else:
-        samples = samples.astype(np.float64)
-    audio = MultichannelAudio(samples=samples.T.copy(), sample_rate_hz=float(rate))
+        channels /= float(2 ** (8 * samples.dtype.itemsize - 1))
+    audio = MultichannelAudio(samples=channels, sample_rate_hz=float(rate))
 
     n_pos_cols = len(fmt["position_columns"])
     array_path = path / fmt["array_position_file"]
@@ -166,8 +183,10 @@ def write_recording(bundle: RecordingBundle, path) -> None:
                   np.ascontiguousarray(bundle.audio.samples.T))
 
     def dump_table(name: str, table: np.ndarray, columns) -> None:
-        header = "# " + " ".join(columns)
-        np.savetxt(path / name, table, fmt="%.17g", header=header, comments="")
+        # the bytes np.savetxt(fmt="%.17g") writes, formatted as one string
+        row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+        body = (row * len(table)) % tuple(table.ravel().tolist())
+        (path / name).write_text("# " + " ".join(columns) + "\n" + body)
 
     dump_table(fmt["array_position_file"],
                _trajectory_to_table(bundle.array_trajectory), fmt["position_columns"])

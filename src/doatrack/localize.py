@@ -274,9 +274,13 @@ def _lag_basis(max_lags, window_length: int):
     chunks = []
     for first in range(0, int(max_shift[0]) + 1, step):
         stop = min(first + step, int(max_shift[0]) + 1)
-        # (k tau) mod nfft indexes the tables exactly
+        # (k tau) mod nfft indexes the tables exactly; for a power-of-two
+        # nfft the non-negative k tau reduce by a mask, a cheaper ufunc
         phase = np.multiply.outer(np.arange(first, stop), np.arange(bin_count))
-        phase %= nfft
+        if nfft & (nfft - 1):
+            phase %= nfft
+        else:
+            phase &= nfft - 1
         chunks.append((first, stop, cos_table[phase], sin_table[phase]))
     return max_shift, chunks
 

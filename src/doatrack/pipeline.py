@@ -43,9 +43,10 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     blocks a localizer finds silent or, for MUSIC, ill-conditioned. Audio
     shorter than one block raises CorpusFormatError. `n_sources` must be at
     least 1; MUSIC finds at most one fewer than the microphone count, and
-    GCC-PHAT and pseudo-intensity find one. A block size or stride below 1,
-    or a band whose low edge is not below its high edge, raises ValueError
-    before any audio work.
+    GCC-PHAT and pseudo-intensity find one. `band_hz` limits the bins
+    SRP-PHAT, MUSIC and pseudo-intensity read; GCC-PHAT reads every bin and
+    ignores it. A block size or stride below 1, or a band whose low edge is
+    not below its high edge, raises ValueError before any audio work.
     """
     if localizer not in LOCALIZERS:
         raise UsageError(f"unknown localizer {localizer!r}")

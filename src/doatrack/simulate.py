@@ -3,8 +3,9 @@
 Propagation is direct-path only: per-sample fractional delay (windowed-sinc
 interpolation) plus 1/r spreading, with a 0.1 m guard radius. Sources are
 silent outside their voice-activity periods, with raised-cosine ramps at the
-period boundaries. Everything is a pure function of the configuration,
-including its seed.
+period boundaries; the ramps and the speech surrogate's amplitude modulation
+are evaluated only on the samples inside a period. Everything is a pure
+function of the configuration, including its seed.
 
 The fractional delay is the 32-tap (W = 16) Hann-windowed sinc
 ``h(x) = sinc(x) * 0.5 * (1 + cos(pi x / W))`` at ``x = o - f``, with tap
@@ -146,15 +147,24 @@ class Scene:
     config: SceneConfig
 
 
-def _vap_envelope(n_samples: int, fs: float, vaps) -> np.ndarray:
-    """Soft activity gate: 1 inside VAPs, 0 outside, raised-cosine edges of VAP_RAMP."""
-    t = np.arange(n_samples) / fs
-    env = np.zeros(n_samples)
-    for a, b in vaps:
+def _vap_slices(times: np.ndarray, vaps, side: str = "right") -> list:
+    """Per VAP [a, b], the slice of the ascending sample `times` with
+    a <= t <= b, or with a <= t < b for side "left"."""
+    return [slice(int(np.searchsorted(times, a)), int(np.searchsorted(times, b, side)))
+            for a, b in vaps]
+
+
+def _vap_envelope(times: np.ndarray, vaps) -> np.ndarray:
+    """Soft activity gate at the ascending sample `times`: 1 inside VAPs, 0
+    outside, raised-cosine edges of VAP_RAMP. Each VAP's ramps are evaluated
+    only on its own samples; every other sample of the gate is exactly 0."""
+    env = np.zeros(len(times))
+    for (a, b), span in zip(vaps, _vap_slices(times, vaps)):
+        t = times[span]
         rise = np.clip((t - a) / VAP_RAMP, 0.0, 1.0)
         fall = np.clip((b - t) / VAP_RAMP, 0.0, 1.0)
         seg = 0.5 * (1 - np.cos(np.pi * rise)) * 0.5 * (1 - np.cos(np.pi * fall))
-        env = np.maximum(env, np.where((t >= a) & (t <= b), seg, 0.0))
+        np.maximum(env[span], seg, out=env[span])
     return env
 
 
@@ -166,25 +176,33 @@ def _speech_band(fs: float):
     return b, a
 
 
-def _speech_like(n_samples: int, fs: float, rng: np.random.Generator) -> np.ndarray:
-    """Speech surrogate: band-limited noise with slow amplitude modulation."""
-    noise = rng.standard_normal(n_samples)
-    b, a = _speech_band(fs)
-    shaped = lfilter(b, a, noise)
-    t = np.arange(n_samples) / fs
-    lfo = 0.0
-    for f_mod, phase in ((2.3, 0.0), (4.7, 1.3), (7.1, 2.6)):
-        lfo = lfo + np.sin(2 * np.pi * f_mod * t + phase)
-    envelope = 0.65 + 0.35 * lfo / 3.0
-    return shaped * envelope
+def _emitted_signal(source: SourceConfig, times: np.ndarray, fs: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """A source's emitted signal at the ascending sample `times`: white noise
+    or a speech surrogate (band-limited noise with slow amplitude
+    modulation), gated by `_vap_envelope`.
 
-
-def _source_signal(kind: str, n_samples: int, fs: float, rng: np.random.Generator):
-    if kind == "white":
-        return rng.standard_normal(n_samples)
-    if kind == "speech":
-        return _speech_like(n_samples, fs, rng)
-    raise ValueError(f"unknown signal kind {kind!r}")
+    The gate is exactly 0 outside the VAPs, so the modulation is evaluated
+    only on VAP samples. A sample outside them is noise * 0.0, the same +-0
+    that modulating it first would give, as the modulation is positive.
+    """
+    env = _vap_envelope(times, source.vaps)
+    if source.signal == "white":
+        emitted = rng.standard_normal(len(times))
+    elif source.signal == "speech":
+        b, a = _speech_band(fs)
+        emitted = lfilter(b, a, rng.standard_normal(len(times)))
+        # VAPs do not overlap; two that touch can share one sample, at t = b
+        # of the first, where the gate is 0 and a second modulation changes nothing
+        for span in _vap_slices(times, source.vaps):
+            lfo = 0.0
+            for f_mod, phase in ((2.3, 0.0), (4.7, 1.3), (7.1, 2.6)):
+                lfo = lfo + np.sin(2 * np.pi * f_mod * times[span] + phase)
+            emitted[span] *= 0.65 + 0.35 * lfo / 3.0
+    else:
+        raise ValueError(f"unknown signal kind {source.signal!r}")
+    emitted *= env
+    return emitted
 
 
 def _farrow_bank(padded: np.ndarray) -> np.ndarray:
@@ -319,8 +337,7 @@ def synthesize(config: SceneConfig) -> Scene:
 
     for s_idx, source in enumerate(config.sources):
         rng = np.random.default_rng(source_seeds[s_idx])
-        emitted = _source_signal(source.signal, n_samples, fs, rng)
-        emitted *= _vap_envelope(n_samples, fs, source.vaps)
+        emitted = _emitted_signal(source, sample_times, fs, rng)
         src_pos, _ = _sample_until_end(source.trajectory, gt_times)
 
         dist_gt = np.linalg.norm(src_pos[None] - mic_pos, axis=2)  # (mics, T)
@@ -330,11 +347,9 @@ def synthesize(config: SceneConfig) -> Scene:
             raise ValueError(f"source {s_idx} passes within {GUARD_RADIUS} m of "
                              f"microphone {too_close[0]}")
 
-        # scale the source so its in-VAP power at the reference mic hits snr_db
-        in_vap = np.zeros(n_samples, dtype=bool)
-        for a, b in source.vaps:
-            in_vap |= (sample_times >= a) & (sample_times < b)
-        vap_mask_any |= in_vap
+        # scale the source so its in-VAP power (a <= t < b) at the reference mic hits snr_db
+        for span in _vap_slices(sample_times, source.vaps, "left"):
+            vap_mask_any[span] = True
 
         # np.interp keeps every per-sample delay within the ground-truth range
         spans = _audible_spans(source.vaps, fs, fs * closest.min() / SPEED_OF_SOUND,
@@ -410,7 +425,7 @@ def _smooth_walk_trajectory(duration: float, rng: np.random.Generator,
     kicks = rng.normal(0, 0.08, size=(n, 3)) * np.array([1, 1, 0.1])
     for i in range(n):
         v = 0.995 * v + kicks[i]
-        speed = np.linalg.norm(v)
+        speed = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-D float
         if speed > max_speed:
             v = v * (max_speed / speed)
         vel[i] = v

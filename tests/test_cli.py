@@ -120,6 +120,17 @@ def test_run_writes_submission_and_manifest(scene_dir, tmp_path):
     assert "config_sha256" in manifest
 
 
+def test_gcc_phat_submission_ignores_the_band(scene_dir, tmp_path):
+    # gcc-phat reads every bin, so a band that SRP-PHAT would narrow changes nothing
+    subs = []
+    for name, band in (("default", ()), ("narrow", ("--band-low", "1000", "--band-high", "1500"))):
+        path = tmp_path / name / "sub.txt"
+        assert _run("run", "--input", str(scene_dir), "--localizer", "gcc-phat",
+                    *band, "--out", str(path)) == 0
+        subs.append(path.read_bytes())
+    assert subs[0] == subs[1] and len(subs[0].splitlines()) > 1
+
+
 def test_evaluate_self_and_reports(scene_dir, tmp_path):
     sub_path = tmp_path / "sub.txt"
     assert _run("run", "--input", str(scene_dir), "--localizer", "srp-phat",

@@ -1,8 +1,13 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from doatrack import corpus_io
 from doatrack.corpus_io import (CorpusFormatError, RecordingBundle,
                                 bundle_from_scene, read_recording,
                                 read_submission, write_recording,
@@ -147,6 +152,91 @@ def test_read_trajectories_are_the_per_pose_build(tmp_path):
                                    for row in table))
         for column in ("timestamps", "translations", "rotations"):
             assert getattr(traj, column).tobytes() == getattr(by_pose, column).tobytes()
+
+
+def test_written_tables_are_the_savetxt_bytes(tmp_path):
+    rng = np.random.default_rng(10)
+    bundle = _random_bundle(rng, n_sources=2)
+    timestamps = bundle.array_trajectory.timestamps
+    translations = rng.choice([0.0, -0.0, 5e-324, -1e-300, 1e300, 1 / 3], (len(timestamps), 3))
+    bundle = replace(
+        bundle,
+        array_trajectory=Trajectory.from_arrays(timestamps, translations,
+                                                bundle.array_trajectory.rotations),
+        vaps=VapTable({"src1": ((-math.inf, -0.0), (0.1, 1e300), (1e300, math.inf)),
+                       "src2": ()}))
+    write_recording(bundle, tmp_path / "rec")
+    trajectories = {"array": bundle.array_trajectory, **bundle.source_trajectories}
+    for name, traj in trajectories.items():
+        file = "position_array.txt" if name == "array" else f"position_source_{name}.txt"
+        np.savetxt(tmp_path / "expected.txt", corpus_io._trajectory_to_table(traj), fmt="%.17g",
+                   header="# timestamp x y z r11 r12 r13 r21 r22 r23 r31 r32 r33", comments="")
+        assert (tmp_path / "rec" / file).read_bytes() == (tmp_path / "expected.txt").read_bytes()
+    for name, spans in bundle.vaps.intervals.items():
+        np.savetxt(tmp_path / "expected.txt", np.array(spans, dtype=float).reshape(-1, 2),
+                   fmt="%.17g", header="# start end", comments="")
+        assert ((tmp_path / "rec" / f"vap_source_{name}.txt").read_bytes()
+                == (tmp_path / "expected.txt").read_bytes())
+    back = read_recording(tmp_path / "rec")
+    assert back.array_trajectory.translations.tobytes() == translations.tobytes()
+    assert back.vaps.intervals == bundle.vaps.intervals
+
+
+# table text: fields (numbers, nan and inf spellings, exponents, digit
+# separators and junk) split by runs of spaces, tabs, commas and other
+# whitespace, among comment and blank lines; \r ends a line as \n does
+_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.floats(width=32).map(lambda x: f"{x:.3e}"),
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "+inf", "1E-3", ".5", "5.", "-0",
+                     "1_0", "0x10", "1e", "abc", "#", "--1", "\u0661"]))
+_SEPARATOR = st.text(" \t,\x0b\x0c\x1c\xa0\u2003", min_size=1, max_size=3)
+_BLANK_OR_COMMENT = st.sampled_from(["", "  ", "# comment", "  # indented comment", "#", "\t"])
+
+
+@st.composite
+def _tables(draw):
+    """(lines, n_columns): rows mostly of n_columns fields, some of another count."""
+    n_columns = draw(st.integers(1, 4))
+    fields = st.one_of(st.lists(_FIELD, min_size=n_columns, max_size=n_columns),
+                       st.lists(_FIELD, min_size=1, max_size=5))
+    row = st.builds(lambda fields, sep, lead, trail: lead + sep.join(fields) + trail,
+                    fields, _SEPARATOR, st.sampled_from(["", " ", ",", "\t "]),
+                    st.sampled_from(["", " ", ",", "\r"]))
+    return draw(st.lists(st.one_of(row, row, _BLANK_OR_COMMENT), max_size=6)), n_columns
+
+
+def _parse_outcome(read, path, n_columns):
+    try:
+        table, linenos = read(path, n_columns)
+    except CorpusFormatError as exc:
+        return str(exc)
+    return table.shape, table.tobytes(), linenos
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.booleans())
+@example((["# t a b", "1 2 3", "", "4,5,\t6"], 3), True)
+@example((["1 2 3", "4 5"], 3), True)
+@example((["1 nan -inf", "# x", "1e400, -0, 1_0"], 3), False)
+@example((["1 2\r3 4", "5 6"], 2), True)
+def test_bulk_table_read_is_the_line_parser(tmp_path_factory, table, final_newline):
+    lines, n_columns = table
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    expected = _parse_outcome(corpus_io._read_table_lines, path, n_columns)
+    line_parser = mock.Mock(wraps=corpus_io._read_table_lines)
+    with mock.patch.object(corpus_io, "_read_table_lines", line_parser):
+        assert _parse_outcome(corpus_io._read_table, path, n_columns) == expected
+    # the line parser runs only to report a bad line
+    assert line_parser.called == isinstance(expected, str)
+
+
+def test_bad_line_is_reported_before_text_that_does_not_decode(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"# a b\n1 2 3\n" + b"1 2\n" * 20000 + b"\xff\xfe\n")
+    with pytest.raises(CorpusFormatError, match=r"table.txt:2: expected 2 columns, got 3"):
+        corpus_io._read_table(path, 2)
 
 
 def test_integer_pcm_normalized(tmp_path):

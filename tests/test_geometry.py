@@ -80,7 +80,10 @@ def test_wrap_angle_maps_the_float_below_minus_pi_to_minus_pi():
 @example(math.nextafter(-math.pi, -math.inf))
 @example(math.pi)
 @example(-math.pi)
+@example(0.0)
 @example(-0.0)
+@example(2 * math.pi)
+@example(-2 * math.pi)
 @example(5e-324)
 @example(-2.2250738585072014e-308)
 @example(math.nextafter(math.pi, 0.0))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.signal import butter
+from scipy.signal import butter, lfilter
 
 from doatrack.geometry import (Pose, Trajectory, get_array_preset, identity_pose,
                                sample_trajectory, static_trajectory)
@@ -157,6 +157,94 @@ def test_skipping_silent_reads_is_exact(case, monkeypatch):
     monkeypatch.setattr(simulate, "_audible_spans",
                         lambda vaps, fs, lag_min, lag_max, n_samples: [(0, n_samples)])
     assert np.array_equal(got, synthesize(config).audio.samples)
+
+
+def _full_length_envelope(times, vaps):
+    """The VAP gate evaluated at every sample: the reference for `_vap_envelope`."""
+    env = np.zeros(len(times))
+    for a, b in vaps:
+        rise = np.clip((times - a) / simulate.VAP_RAMP, 0.0, 1.0)
+        fall = np.clip((b - times) / simulate.VAP_RAMP, 0.0, 1.0)
+        seg = 0.5 * (1 - np.cos(np.pi * rise)) * 0.5 * (1 - np.cos(np.pi * fall))
+        env = np.maximum(env, np.where((times >= a) & (times <= b), seg, 0.0))
+    return env
+
+
+def _full_length_emitted(source, times, fs, rng):
+    """`_emitted_signal` with the speech modulation and the gate evaluated at
+    every sample."""
+    noise = rng.standard_normal(len(times))
+    if source.signal == "white":
+        return noise * _full_length_envelope(times, source.vaps)
+    b, a = simulate._speech_band(fs)
+    lfo = 0.0
+    for f_mod, phase in ((2.3, 0.0), (4.7, 1.3), (7.1, 2.6)):
+        lfo = lfo + np.sin(2 * np.pi * f_mod * times + phase)
+    emitted = lfilter(b, a, noise) * (0.65 + 0.35 * lfo / 3.0)
+    emitted *= _full_length_envelope(times, source.vaps)
+    return emitted
+
+
+# (sample rate, duration, VAPs); 0.1 s and 0.2 s fall on 48 kHz sample times
+VAP_EDGE_CASES = [
+    (FS, 0.5, ((0.1, 0.2),)),
+    (FS, 0.5, ((math.nextafter(0.1, 1.0), math.nextafter(0.2, 0.0)),)),
+    (FS, 0.5, ((math.nextafter(0.1, 0.0), math.nextafter(0.2, 1.0)),)),
+    (FS, 0.5, ((0.1, 0.2), (0.2, 0.3))),  # touching: both hold the sample at 0.2 s
+    (FS, 0.5, ((0.1, 0.25), (0.2, 0.3), (0.22, 0.24))),  # overlapping and nested
+    (FS, 0.5, ((-5e-10, 0.05), (0.45, 0.5 + 5e-10))),  # at 0 and at the duration
+    (FS, 0.5, ((0.0, 0.5),)),
+    (FS, 0.5, ((0.100001, 0.100002), (0.3, 0.30001))),  # between two samples, one sample
+    (44100.0, 0.3, ((0.0123, 0.1), (0.1, 0.2999))),
+    (16000.0, 0.3, ((0.1 / 3, 0.2 / 3),)),
+]
+
+
+@pytest.mark.parametrize("fs,duration,vaps", VAP_EDGE_CASES)
+def test_vap_gate_is_the_full_length_formula(fs, duration, vaps):
+    times = np.arange(int(round(duration * fs))) / fs
+    got = simulate._vap_envelope(times, vaps)
+    assert got.tobytes() == _full_length_envelope(times, vaps).tobytes()
+    for side, inside in (("right", lambda a, b: (times >= a) & (times <= b)),
+                         ("left", lambda a, b: (times >= a) & (times < b))):
+        for (a, b), span in zip(vaps, simulate._vap_slices(times, vaps, side)):
+            assert np.array_equal(np.arange(len(times))[span], np.flatnonzero(inside(a, b)))
+
+
+SPAN_REFERENCE_CASES = {
+    **EXACTNESS_CASES,
+    "touching speech VAPs": _two_source_scene((), ((0.1, 0.4), (0.4, 0.7))),
+    "three sources": task_preset(2, seed=1, duration=3.0),
+}
+
+
+@pytest.mark.parametrize("case", list(SPAN_REFERENCE_CASES))
+def test_vap_spans_only_synthesis_is_exact(case, monkeypatch):
+    config = SPAN_REFERENCE_CASES[case]
+    got = synthesize(config).audio.samples
+    monkeypatch.setattr(simulate, "_emitted_signal", _full_length_emitted)
+    assert got.tobytes() == synthesize(config).audio.samples.tobytes()
+
+
+def test_noise_floor_is_set_on_half_open_vaps():
+    # 0.4 s and 0.7 s fall on sample times, where the rendered signal is not 0
+    config = EXACTNESS_CASES["merged spans"]
+    clean = synthesize(replace(config, snr_db=math.inf)).audio.samples
+    n_mics, n_samples = clean.shape
+    times = np.arange(n_samples) / config.sample_rate_hz
+    in_vap = np.zeros(n_samples, dtype=bool)
+    for source in config.sources:
+        for a, b in source.vaps:
+            in_vap |= (times >= a) & (times < b)
+    reference_mic = int(np.argmin(np.linalg.norm(
+        config.array.mic_positions - config.array.centroid, axis=1)))
+    noise_rms = np.sqrt(np.mean(clean[reference_mic][in_vap] ** 2)
+                        * 10.0 ** (-config.snr_db / 10.0))
+    seeds = np.random.SeedSequence(config.seed).spawn(len(config.sources) + 1)
+    noise = np.random.default_rng(seeds[-1]).standard_normal((n_mics, n_samples))
+    noise /= np.sqrt(np.mean(noise**2))
+    noise *= noise_rms
+    assert np.array_equal(synthesize(config).audio.samples, clean + noise)
 
 
 @pytest.mark.parametrize("config,banks", [
