@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -148,20 +149,37 @@ EVALUATE_DEFAULTS = {
 }
 
 
+def _scoring_options(opts: dict):
+    """The gate (degrees) and the OSPA parameters of the evaluate options;
+    a value that cannot score is a usage error."""
+    gate, cutoff = float(opts["gate"]), float(opts["ospa_c"])
+    if not (math.isfinite(gate) and gate > 0):
+        raise UsageError(f"gate must be a finite number of degrees > 0, got {opts['gate']}")
+    try:
+        p_values = [float(p) for p in opts["ospa_p"].split(",") if p]
+        if not all(math.isfinite(p) and p >= 1 for p in p_values):
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"ospa_p must be a comma list of finite orders >= 1, "
+                         f"got {opts['ospa_p']!r}") from None
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise UsageError(f"ospa_c must be a finite cutoff > 0, got {opts['ospa_c']}")
+    return gate, tuple(OspaParams(p, cutoff) for p in p_values)
+
+
 def cmd_evaluate(args) -> int:
     opts = _merge_options(EVALUATE_DEFAULTS, args)
+    gate, ospa_params = _scoring_options(opts)
     bundle = read_recording(args.input)
     if bundle.source_trajectories is None or bundle.vaps is None:
         raise CorpusFormatError(
             f"{args.input}: recording has no ground truth (evaluation split?)")
     submission = read_submission(args.submission)
     clock = bundle.array_trajectory.timestamps
-    p_values = [float(p) for p in opts["ospa_p"].split(",") if p]
-    ospa_params = tuple(OspaParams(p, float(opts["ospa_c"])) for p in p_values)
     report = evaluate_submission(
         bundle.source_trajectories, bundle.array_trajectory, bundle.vaps,
         submission, clock, recording_duration=bundle.audio.duration,
-        gate_deg=float(opts["gate"]), ospa_params=ospa_params,
+        gate_deg=gate, ospa_params=ospa_params,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -134,6 +134,12 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def upper_pairs(count: int) -> np.ndarray:
+    """The microphone index pairs (m, l), m < l, in row-major order, as a
+    (pairs, 2) array: the pair order of every pairwise quantity."""
+    return np.stack(np.triu_indices(count, 1), axis=1)
+
+
 def global_to_local_doas(points, translations, rotations):
     """(azimuths, elevations) of each global-frame point (N, 3) seen from the
     array pose of its row, as `Doa` holds them."""
@@ -179,9 +185,8 @@ class ArrayGeometry:
         return self.mic_positions.mean(axis=0)
 
     def pairs(self):
-        """All unordered microphone index pairs (m < l)."""
-        m = self.mic_count
-        return [(i, j) for i in range(m) for j in range(i + 1, m)]
+        """All unordered microphone index pairs (m < l), as `upper_pairs` orders them."""
+        return list(map(tuple, upper_pairs(self.mic_count).tolist()))
 
 
 class TrajectoryError(ValueError):

@@ -38,6 +38,7 @@ from .geometry import (
     Doa,
     doa_to_unit_vector,
     unit_vector_to_doa,
+    upper_pairs,
     wrap_angle,
 )
 from .sigproc import (CHUNK_ELEMENTS, Blocks, CrossSpectrum, Stft, block_cross_spectra,
@@ -190,11 +191,6 @@ def _frame_elements(blocks: Blocks, used_bins: int, pairs: int) -> int:
             + -(-used_bins * pairs // blocks.sub_block))
 
 
-def _upper_pairs(channels: int) -> np.ndarray:
-    """The (m, l) pairs m < l, in row-major order, as a (pairs, 2) array."""
-    return np.stack(np.triu_indices(channels, 1), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # TDoA / GCC-PHAT
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def gcc_phat(cs: CrossSpectrum | Blocks, max_lag):
 
 
 def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:
-    pairs = _upper_pairs(blocks.channel_count)
+    pairs = upper_pairs(blocks.channel_count)
     order = np.argsort(-max_lags, kind="stable")
     basis = _lag_basis(max_lags[order], blocks.window_length)
     bin_count = blocks.window_length // 2 + 1
@@ -506,7 +502,7 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
     (blocks,) mask of blocks with an in-band cross spectrum that is not zero."""
     channels = blocks.channel_count
     window_length = blocks.window_length
-    pairs = _upper_pairs(channels)
+    pairs = upper_pairs(channels)
     flat = pairs[:, 0] * channels + pairs[:, 1]  # index of (m, l) in a flattened channel matrix
     # self terms contribute a direction-independent offset of channels * len(bins)
     values = np.full((len(blocks), len(grid)), float(channels * len(bins)))

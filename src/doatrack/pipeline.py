@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus_io import CorpusFormatError
 from .evaluate import Submission
-from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, wrap_angle
+from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, row_norms, upper_pairs, wrap_angle
 from .localize import (DEFAULT_BAND_HZ, DoaEstimate, azimuth_grid, circular_peaks, gcc_phat,
                        music_spectrum, pseudo_intensity, srp_phat, tdoa_to_azimuth)
 from .sigproc import (BLOCK_FRAMES, BLOCK_STRIDE, DEFAULT_HOP, DEFAULT_WINDOW_LENGTH,
@@ -75,9 +75,8 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
                     window_length, hop)
     # the directions of each block; none for a block the localizer skipped
     if localizer == "gcc-phat":
-        mics = geometry.mic_positions
-        max_lags = [f_s / SPEED_OF_SOUND * float(np.linalg.norm(mics[l] - mics[m])) + 1.0
-                    for m, l in geometry.pairs()]
+        mics, pairs = geometry.mic_positions, upper_pairs(geometry.mic_count)
+        max_lags = f_s / SPEED_OF_SOUND * row_norms(mics[pairs[:, 1]] - mics[pairs[:, 0]]) + 1.0
         doas = [[doa] if doa is not None else []
                 for doa in tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry, f_s)]
     elif localizer == "pseudo-intensity":

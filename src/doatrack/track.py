@@ -2,22 +2,26 @@
 
 State is azimuth plus azimuth rate under a constant-velocity model with
 white-acceleration process noise. Three filters are provided: a linear
-Kalman filter with wrapped innovations, a wrapped Kalman filter that keeps a
-Gaussian mixture over wrapping hypotheses, and a bootstrap particle filter
-with systematic resampling. `track_lifecycle` runs any of them under one
-multi-target M-of-N lifecycle.
+Kalman filter with wrapped innovations, the wrapped Kalman filter of Traa and
+Smaragdis (IEEE SPL 2013), which corrects with the likelihood-weighted mean
+of the innovations to the observation's images obs + 2 pi k, k in
+{-1, 0, 1}, and a bootstrap particle filter with systematic resampling.
+`track_lifecycle` runs any of them under one multi-target M-of-N lifecycle.
 
 The lifecycle keeps the state of every live track in one filter bank and
 steps the bank once per timestamp: one predict for all tracks, one read of
 their azimuths and gate variances, one update of the matched tracks, one
 start for the unmatched observations and one compaction when tracks end.
-The Kalman bank stacks means (n, 2) and covariances (n, 2, 2), the particle
-bank particles (n, I, 2) and weights (n, I); the wrapped-Kalman bank keeps
-one `WrappedMixture` per track and steps them in turn, since its greedy
-component merge is sequential. The per-track functions (`kf_predict`,
-`kf_update`, `wrapped_kf_predict`, `wrapped_kf_update`, `pf_predict`,
-`pf_step`) run the same kernels on one state, so each filter equation is
-written once and a bank row holds the bits the per-track function gives.
+The two Kalman banks stack means (n, 2) and covariances (n, 2, 2), one
+Gaussian per track, and differ only in the correction; the particle bank
+stacks particles (n, I, 2) and weights (n, I). The per-track functions
+(`kf_predict`, `kf_update`, `wrapped_kf_predict`, `wrapped_kf_update`,
+`pf_predict`, `pf_step`) run the same kernels on one state, so each filter
+equation is written once and a bank row holds the bits the per-track
+function gives. `wrapped_kf_update` steps every component of a
+`WrappedMixture` at once and scales each weight by the component's
+evidence, so a mixture never gains components, and a mixture of one steps
+as a bank row does.
 
 The particle bank draws from one generator in the order that stepping the
 tracks one by one would: the predict noise of every track in track order,
@@ -61,8 +65,6 @@ logger = logging.getLogger(__name__)
 FILTERS = ("kalman", "wrapped-kalman", "particle")
 PF_PARTICLES = 500  # particles per track of the `particle` filter
 PF_RESAMPLE_THRESHOLD = 0.5  # resample when the effective sample size drops below this share
-WKF_COMPONENTS = 8  # most mixture components a wrapped-KF track keeps
-WKF_PRUNE_WEIGHT = 1e-4  # posterior components lighter than this are dropped
 _MODEL_CACHE_SIZE = 256  # distinct (dt, intensity) pairs kept by `_model` and `_noise_factor`
 
 
@@ -168,6 +170,33 @@ def _kf_correct(means, covs, obs, obs_noise_var: float):
     return means + gain * np.asarray(innovation)[..., None], covs
 
 
+def _wkf_correct(means, covs, obs, obs_noise_var: float):
+    """Wrapped measurement update (Traa and Smaragdis, IEEE SPL 2013): the
+    innovation is the mean of the innovations to the images wrap(obs) + 2 pi k,
+    k in {-1, 0, 1}, weighted by their likelihoods. Also returns the summed
+    likelihood, the evidence; a state of zero evidence keeps its mean."""
+    obs = wrap_angle(obs)
+    s = covs[..., 0, 0] + obs_noise_var
+    norm = np.sqrt(2 * np.pi * s)
+    evidence = weighted = 0.0
+    for shift in (-2 * np.pi, 0.0, 2 * np.pi):
+        innovation = (obs + shift) - means[..., 0]
+        likelihood = np.exp(-0.5 * innovation**2 / s) / norm
+        evidence = evidence + likelihood
+        weighted = weighted + likelihood * innovation
+    innovation = weighted / np.where(evidence > 0.0, evidence, 1.0)
+    gain, covs = _kf_gain(covs, obs_noise_var)
+    return means + gain * innovation[..., None], covs, evidence
+
+
+def _normalized(means, covs):
+    """Azimuths wrapped, covariances symmetrized, and which rows are
+    positive-definite."""
+    means[:, 0] = wrap_angle(means[:, 0])
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    return means, covs, _positive_definite_rows(covs)
+
+
 def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState:
     if dt < 0:
         raise ValueError("dt must be non-negative")
@@ -193,7 +222,8 @@ def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState
 
 @dataclass(frozen=True)
 class WrappedMixture:
-    """Gaussian mixture over the azimuth state, one component per wrap hypothesis."""
+    """Gaussian mixture over the azimuth state; `wrapped_kf_update` keeps its
+    component count."""
 
     components: tuple  # of (weight, mean, covariance)
 
@@ -220,12 +250,19 @@ class WrappedMixture:
     def from_state(cls, state: TrackState) -> "WrappedMixture":
         return cls(((1.0, state.mean, state.covariance),))
 
+    def _stacked(self):
+        """Weights (c,), means (c, 2) and covariances (c, 2, 2) of the components."""
+        weights, means, covs = zip(*self.components)
+        return np.array(weights), np.array(means), np.array(covs)
+
     def circular_mean(self) -> float:
         """Weighted circular mean of the component azimuths, computed once per mixture."""
         return self._circular_mean
 
     @cached_property
     def _circular_mean(self) -> float:
+        if len(self.components) == 1:  # its own azimuth, bit for bit as a bank row reads it
+            return wrap_angle(self.components[0][1][0])
         z = sum(w * np.exp(1j * mean[0]) for w, mean, _ in self.components)
         return float(np.arctan2(z.imag, z.real))  # np.angle(z)
 
@@ -241,71 +278,33 @@ def wrapped_kf_predict(mix: WrappedMixture, dt: float, process_noise: float) -> 
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return mix
-    return WrappedMixture(tuple(
-        (w, *_kf_propagate(mean, cov, dt, process_noise)) for w, mean, cov in mix.components
-    ))
+    weights, means, covs = mix._stacked()
+    means, covs, _ = _normalized(*_kf_propagate(means, covs, dt, process_noise))
+    return WrappedMixture(tuple(zip(weights, means, covs)))
 
 
-def _merge_components(comps):
-    """Greedy weight-ordered merge of components within Mahalanobis distance
-    0.5 of each other, then the WKF_COMPONENTS heaviest kept."""
-    comps = sorted(comps, key=lambda c: -c[0])
-    merged = []
-    for w, mean, cov in comps:
-        absorbed = False
-        for i, (wi, mi, ci) in enumerate(merged):
-            diff = mean - mi
-            diff[0] = wrap_angle(diff[0])
-            maha = float(diff @ np.linalg.solve(ci, diff))
-            if maha < 0.5:
-                wt = wi + w
-                new_mean = mi + (w / wt) * diff
-                new_mean[0] = wrap_angle(new_mean[0])
-                spread = np.outer(diff, diff)
-                new_cov = (wi * ci + w * cov + (wi * w / wt) * spread) / wt
-                merged[i] = (wt, new_mean, new_cov)
-                absorbed = True
-                break
-        if not absorbed:
-            merged.append((w, mean.copy(), cov.copy()))
-    merged = sorted(merged, key=lambda c: -c[0])[:WKF_COMPONENTS]
-    total = sum(w for w, _, _ in merged)
-    return tuple((w / total, m, c) for w, m, c in merged)
+def _log_rejection(where: str, obs) -> None:
+    logger.warning("%swrapped KF update rejected observation %.3f (zero likelihood)",
+                   f"{where}: " if where else "", wrap_angle(obs))
 
 
 def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
                       where: str = "") -> WrappedMixture:
-    """Update each component against the wrapping hypotheses obs + {-2pi, 0, 2pi}.
+    """`_wkf_correct` of every component, each weight times the component's
+    evidence; the component count is kept.
 
-    Hypothesis weights are the prior weights times the innovation likelihood;
-    the posterior mixture is pruned and merged back to the component cap.
+    An observation of zero evidence under every component is rejected: the
+    prior is returned and a warning names `where`, the track and time.
     """
-    obs = wrap_angle(obs)
-    hypotheses = (obs - 2 * np.pi, obs, obs + 2 * np.pi)
-    candidates = []
-    for w, mean, cov in mix.components:
-        s = float(cov[0, 0] + obs_noise_var)
-        norm = np.sqrt(2 * np.pi * s)
-        gain, post_cov = _kf_gain(cov, obs_noise_var)
-        post_cov = 0.5 * (post_cov + post_cov.T)
-        for hyp in hypotheses:
-            innovation = hyp - mean[0]
-            weight = w * (np.exp(-0.5 * innovation**2 / s) / norm)
-            if weight <= 0.0:
-                continue
-            post_mean = mean + gain * innovation
-            post_mean[0] = wrap_angle(post_mean[0])
-            candidates.append((weight, post_mean, post_cov))
-    total = sum(c[0] for c in candidates)
-    if total <= 0.0:
-        # observation is incompatible with every hypothesis: keep the prior
-        logger.warning("%swrapped KF update rejected observation %.3f (zero likelihood)",
-                       f"{where}: " if where else "", obs)
+    weights, means, covs = mix._stacked()
+    means, covs, evidence = _wkf_correct(means, covs, obs, obs_noise_var)
+    weights = weights * evidence
+    total = weights.sum()
+    if not total > 0.0:
+        _log_rejection(where, obs)
         return mix
-    candidates = [(w / total, m, c) for w, m, c in candidates if w / total >= WKF_PRUNE_WEIGHT]
-    if not candidates:
-        return mix
-    return WrappedMixture(_merge_components(candidates))
+    means, covs, _ = _normalized(means, covs)
+    return WrappedMixture(tuple(zip(weights / total, means, covs)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +500,9 @@ class _KalmanBank:
         self.prior = 0.5 * (prior + prior.T)  # every start covariance, as `TrackState` holds it
         self.means, self.covs = np.empty((0, 2)), np.empty((0, 2, 2))
 
-    @staticmethod
-    def _normalized(means, covs):
-        """Azimuths wrapped, covariances symmetrized, and which rows are
-        positive-definite."""
-        means[:, 0] = wrap_angle(means[:, 0])
-        covs = 0.5 * (covs + covs.swapaxes(1, 2))
-        return means, covs, _positive_definite_rows(covs)
-
     def predict(self, dt: float) -> None:
         if dt > 0 and len(self.means):
-            means, covs, ok = self._normalized(
+            means, covs, ok = _normalized(
                 *_kf_propagate(self.means, self.covs, dt, self.intensity))
             if not ok.all():
                 raise FilterDivergenceError("covariance is not positive-definite")
@@ -525,7 +516,7 @@ class _KalmanBank:
 
     def update(self, rows, obs, wheres):
         means, covs = _kf_correct(self.means[rows], self.covs[rows], obs, self.obs_var)
-        means, covs, ok = self._normalized(means, covs)
+        means, covs, ok = _normalized(means, covs)
         if not ok.all():
             rows, means, covs = rows[ok], means[ok], covs[ok]
         self.means[rows], self.covs[rows] = means, covs
@@ -541,41 +532,20 @@ class _KalmanBank:
         self.means, self.covs = self.means[rows], self.covs[rows]
 
 
-class _WrappedBank:
-    """One `WrappedMixture` per track, stepped in turn."""
-
-    def __init__(self, config: TrackerConfig, seed: int):
-        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_std**2
-        self.prior = np.diag([self.obs_var, config.initial_rate_var])
-        self.mixtures: list[WrappedMixture] = []
-
-    def predict(self, dt: float) -> None:
-        self.mixtures = [wrapped_kf_predict(mix, dt, self.intensity) for mix in self.mixtures]
-
-    def azimuths(self):
-        return np.array([mix.circular_mean() for mix in self.mixtures])
-
-    def variances(self, azimuths):
-        return np.array([mix.azimuth_variance() for mix in self.mixtures])
+class _WrappedBank(_KalmanBank):
+    """The Kalman bank corrected by `_wkf_correct`. A row whose observation
+    has zero evidence keeps its predicted state and still counts as a hit."""
 
     def update(self, rows, obs, wheres):
-        ok = []
-        for i, z, where in zip(rows, obs, wheres):
-            try:
-                self.mixtures[i] = wrapped_kf_update(self.mixtures[i], z, self.obs_var, where)
-            except FilterDivergenceError:
-                ok.append(False)
-            else:
-                ok.append(True)
-        return ok
-
-    def start(self, obs) -> None:
-        self.mixtures += [
-            WrappedMixture.from_state(TrackState(mean=np.array([z, 0.0]), covariance=self.prior))
-            for z in obs]
-
-    def keep(self, rows) -> None:
-        self.mixtures = [self.mixtures[i] for i in rows]
+        means, covs, evidence = _wkf_correct(self.means[rows], self.covs[rows], obs,
+                                             self.obs_var)
+        means, covs, ok = _normalized(means, covs)
+        rejected = ~(evidence > 0.0)
+        for k in np.flatnonzero(rejected):
+            _log_rejection(wheres[k], obs[k])
+        taken = ok & ~rejected
+        self.means[rows[taken]], self.covs[rows[taken]] = means[taken], covs[taken]
+        return ok | rejected
 
 
 class _ParticleBank:

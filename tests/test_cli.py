@@ -206,6 +206,23 @@ def test_evaluate_two_rows_of_one_id_at_one_tick(scene_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--ospa-p", "abc", "ospa_p must be"), ("--ospa-p", "0.5", "ospa_p must be"),
+    ("--ospa-p", "1,nan", "ospa_p must be"), ("--ospa-c", "0", "ospa_c must be"),
+    ("--ospa-c", "nan", "ospa_c must be"), ("--gate", "-5", "gate must be"),
+    ("--gate", "0", "gate must be"), ("--gate", "nan", "gate must be"),
+    ("--gate", "inf", "gate must be")])
+def test_evaluate_rejects_a_bad_option_before_reading_any_file(tmp_path, capsys, flag, value,
+                                                               message):
+    # neither file exists, so reading one first would give a data error (2)
+    code = _run("evaluate", "--input", str(tmp_path / "missing"),
+                "--submission", str(tmp_path / "missing.txt"), f"{flag}={value}",
+                "--out", str(tmp_path / "rep"))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"task": 2, "duration": 1.0}))

@@ -1,7 +1,6 @@
 import logging
 import math
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -125,8 +124,66 @@ def test_wrapped_mixture_component_cap():
     for _ in range(20):
         mix = wrapped_kf_predict(mix, 0.1, 0.5)
         mix = wrapped_kf_update(mix, 0.1, 0.01)
-    assert len(mix.components) <= 8
+    assert len(mix.components) == 1  # an update never adds a component
     assert sum(w for w, _, _ in mix.components) == pytest.approx(1.0)
+
+
+def _traa_update(mean, cov, obs, r):
+    """One wrapped Kalman update of a single Gaussian as Traa and Smaragdis
+    (IEEE SPL 2013) write it: x + K sum_l eta_l (z + 2 pi l - x_az), eta the
+    normalized likelihoods of the images, and P - K H P. Also returns the
+    evidence, the likelihoods' sum."""
+    s = cov[0, 0] + r
+    k = cov[:, 0] / s
+    images = [obs + 2 * math.pi * l - mean[0] for l in (-1, 0, 1)]
+    eta = [math.exp(-v * v / (2 * s)) for v in images]
+    innovation = sum(e * v for e, v in zip(eta, images)) / sum(eta)
+    return mean + k * innovation, cov - np.outer(k, cov[0]), sum(eta) / math.sqrt(2 * math.pi * s)
+
+
+def test_wrapped_kf_update_is_the_traa_smaragdis_filter():
+    # priors wide enough (azimuth variance >= 2 rad^2) that the images
+    # obs +- 2 pi carry weight: every component follows the single-Gaussian
+    # wrapped KF, its weight scales with its evidence, and the update departs
+    # from the linear KF's nearest-image innovation
+    rng = np.random.default_rng(10)
+    r = 0.3**2
+    for _ in range(20):
+        weights = rng.dirichlet([1.0, 1.0])
+        priors = []
+        for _ in weights:
+            b = rng.uniform(-0.3, 0.3)
+            priors.append((np.array([rng.uniform(-math.pi, math.pi), rng.normal()]),
+                           np.array([[rng.uniform(2.0, 4.0), b], [b, 0.5]])))
+        # the observation at least 1 rad from the first component, either side
+        obs = wrap_angle(priors[0][0][0] + rng.choice([-1, 1]) * rng.uniform(1.0, 3.0))
+        mix = wrapped_kf_update(WrappedMixture(tuple(
+            (w, mean, cov) for w, (mean, cov) in zip(weights, priors))), obs, r)
+        assert len(mix.components) == 2
+        refs = [_traa_update(mean, cov, obs, r) for mean, cov in priors]
+        evidence = [w * ref[2] for w, ref in zip(weights, refs)]
+        for (w, mean, cov), (ref_mean, ref_cov, _), e in zip(mix.components, refs, evidence):
+            assert w == pytest.approx(e / sum(evidence), rel=1e-12)
+            assert abs(wrap_angle(mean[0] - ref_mean[0])) < 1e-12
+            assert mean[1] == pytest.approx(ref_mean[1], abs=1e-12)
+            assert np.allclose(cov, ref_cov, rtol=0, atol=1e-12)
+        kf = kf_update(TrackState(*priors[0]), obs, r)
+        assert abs(wrap_angle(mix.components[0][1][0] - kf.azimuth)) > 1e-3
+
+
+def test_wrapped_mixture_keeps_its_components_over_many_steps():
+    rng = np.random.default_rng(11)
+    mix = WrappedMixture(((0.7, np.array([3.0, 0.5]), np.diag([2.5, 0.5])),
+                          (0.3, np.array([-1.0, 0.0]), np.diag([2.0, 0.3]))))
+    for k in range(50):
+        mix = wrapped_kf_predict(mix, 0.05, 0.5)
+        mix = wrapped_kf_update(mix, wrap_angle(3.0 + 0.025 * k + rng.normal(0, 0.3)), 0.3**2)
+        assert len(mix.components) == 2
+        assert sum(w for w, _, _ in mix.components) == pytest.approx(1.0)
+    assert abs(wrap_angle(mix.circular_mean() - (3.0 + 0.025 * 49))) < 0.3
+    for _, mean, _ in mix.components:  # read-only, as the cached circular mean needs
+        with pytest.raises(ValueError, match="read-only"):
+            mean[0] = 1.0
 
 
 def test_azimuth_variance_is_taken_across_the_wrap():
@@ -282,17 +339,17 @@ def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
 ])
 def test_wrapped_kf_divergence_flags_the_track_and_the_run_goes_on(monkeypatch, caplog,
                                                                  good_updates, first_warning):
-    # after `good_updates` successful calls the update builds a mixture with a
-    # non-PD component, which must flag the track rather than abort the run
+    # after `good_updates` successful calls the wrapped correction gives a
+    # non-PD covariance, which must flag the track rather than abort the run
     calls = []
+    correct = doatrack.track._wkf_correct
 
-    def diverging_update(mix, obs, obs_noise_var, where=""):
+    def diverging_correct(means, covs, obs, obs_noise_var):
         calls.append(obs)
-        if len(calls) > good_updates:
-            return WrappedMixture(((1.0, mix.components[0][1], -np.eye(2)),))
-        return wrapped_kf_update(mix, obs, obs_noise_var, where)
+        means, covs, evidence = correct(means, covs, obs, obs_noise_var)
+        return means, -covs if len(calls) > good_updates else covs, evidence
 
-    monkeypatch.setattr(doatrack.track, "wrapped_kf_update", diverging_update)
+    monkeypatch.setattr(doatrack.track, "_wkf_correct", diverging_correct)
     times = [(0.1 * k, [0.5]) for k in range(6)]
     with caplog.at_level(logging.WARNING, logger="doatrack.track"):
         track_lifecycle(_stream(times), TrackerConfig(), "wrapped-kalman")
@@ -518,29 +575,6 @@ def test_closed_form_positive_definite_check_agrees_with_cholesky(a, b, d):
         expected = not np.isnan(factor).any()
     assert doatrack.track._is_positive_definite(cov) == expected
     assert doatrack.track._positive_definite_rows(cov[None]).tolist() == [expected]
-
-
-def test_wrapped_mixture_circular_mean_is_computed_once_per_mixture(monkeypatch):
-    stream, _ = _two_source_stream(1, 6.0)
-    uncached = WrappedMixture._circular_mean.func
-    reference = track_lifecycle(stream, TrackerConfig(), "wrapped-kalman")
-    mixtures = []
-
-    def counting(mix):
-        mixtures.append(mix)  # holding each mixture keeps its id unique
-        return uncached(mix)
-
-    counted = cached_property(counting)
-    counted.__set_name__(WrappedMixture, "_circular_mean")
-    monkeypatch.setattr(WrappedMixture, "_circular_mean", counted)
-    assert track_lifecycle(stream, TrackerConfig(), "wrapped-kalman") == reference
-    # computed once per mixture, however often the gate and the rows read it
-    assert mixtures and len({id(mix) for mix in mixtures}) == len(mixtures)
-    monkeypatch.setattr(WrappedMixture, "circular_mean", uncached)
-    assert track_lifecycle(stream, TrackerConfig(), "wrapped-kalman") == reference
-    for _, mean, _ in mixtures[0].components:
-        with pytest.raises(ValueError, match="read-only"):
-            mean[0] = 1.0
 
 
 @pytest.mark.parametrize("dt", [1e-3, 4096 / 48000, 0.5, 3.0])
