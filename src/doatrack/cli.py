@@ -12,14 +12,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus_io import (CorpusFormatError, bundle_from_scene, read_recording,
                         read_submission, write_recording, write_submission)
-from .evaluate import DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, evaluate_submission
+from .evaluate import (DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, evaluate_submission,
+                       gate_and_associate)
 from .localize import DEFAULT_BAND_HZ, UnsupportedGeometryError
 # perfbench reads and traces the stages under these names on this module
 from .pipeline import (LOCALIZERS, TRACKERS, UsageError, localize_stream, resample_tracks,
@@ -150,21 +152,20 @@ EVALUATE_DEFAULTS = {
 
 
 def _scoring_options(opts: dict):
-    """The gate (degrees) and the OSPA parameters of the evaluate options;
-    a value that cannot score is a usage error."""
-    gate, cutoff = float(opts["gate"]), float(opts["ospa_c"])
-    if not (math.isfinite(gate) and gate > 0):
-        raise UsageError(f"gate must be a finite number of degrees > 0, got {opts['gate']}")
+    """The gate (degrees) and the OSPA parameters of the evaluate options,
+    checked by the library's own rules before any file is read: a value they
+    reject is a usage error."""
+    key = "gate"
     try:
-        p_values = [float(p) for p in opts["ospa_p"].split(",") if p]
-        if not all(math.isfinite(p) and p >= 1 for p in p_values):
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"ospa_p must be a comma list of finite orders >= 1, "
-                         f"got {opts['ospa_p']!r}") from None
-    if not (math.isfinite(cutoff) and cutoff > 0):
-        raise UsageError(f"ospa_c must be a finite cutoff > 0, got {opts['ospa_c']}")
-    return gate, tuple(OspaParams(p, cutoff) for p in p_values)
+        gate = float(opts[key])
+        # associating nothing runs only the check of the gate
+        gate_and_associate(np.zeros((0, 0)), np.zeros((0, 0), bool), np.zeros(0, int), gate)
+        key = "ospa_c"
+        cutoff = OspaParams(cutoff_deg=float(opts[key])).cutoff_deg
+        key = "ospa_p"
+        return gate, tuple(OspaParams(float(p), cutoff) for p in opts[key].split(",") if p)
+    except ValueError as exc:
+        raise UsageError(f"{key} must be valid: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:

@@ -200,8 +200,11 @@ def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) 
     and `ticks` (R,) each row's tick, non-decreasing. At each tick the active
     sources and the tick's rows are paired at minimum total cost, and pairs
     costing more than `gate_deg` are inadmissible. Returns the (S, T)
-    assigned row, -1 where a source has none.
+    assigned row, -1 where a source has none. A ValueError unless `gate_deg`
+    is finite and > 0.
     """
+    if not (math.isfinite(gate_deg) and gate_deg > 0):
+        raise ValueError(f"gate must be a finite number of degrees > 0, got {gate_deg}")
     assigned = np.full(active.shape, -1)
     for at, sources, rows in _shape_groups(active, ticks):
         s, r = sources.shape[1], rows.shape[1]
@@ -249,10 +252,10 @@ class OspaParams:
     cutoff_deg: float = DEFAULT_OSPA_CUTOFF_DEG
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("order p must be >= 1")
-        if self.cutoff_deg <= 0:
-            raise ValueError("cutoff must be positive")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"OSPA order p must be a finite number >= 1, got {self.p}")
+        if not (math.isfinite(self.cutoff_deg) and self.cutoff_deg > 0):
+            raise ValueError(f"OSPA cutoff must be a finite number > 0, got {self.cutoff_deg}")
 
 
 def _ospa(pair_cost, params: OspaParams) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -30,14 +30,27 @@ class DegenerateGeometryError(ValueError):
     """Raised when a geometric quantity is undefined (coincident points etc.)."""
 
 
+_FLOAT_WRAP_MAX_SIZE = 16  # arrays up to this size are wrapped one float at a time
+
+
 def wrap_angle(angle):
     """Wrap an angle (radians) into [-pi, pi). Accepts scalars or arrays.
 
-    A float (np.float64 included) is wrapped in Python float arithmetic,
-    whose % is fmod with the same sign fix as np.mod, so both paths give
-    the same bits. When angle + pi is a tiny negative number, that sign fix
-    adds 2 pi and rounds to 2 pi, which would wrap to +pi; both paths return
-    -pi there, as wrapping +pi does.
+    Three paths give the same bits. A float (np.float64 included), or a
+    0-d array, is wrapped in Python float arithmetic, whose % is fmod with
+    a sign fix: add the divisor to a negative remainder. An array of at
+    most `_FLOAT_WRAP_MAX_SIZE` (16) elements is wrapped one element at a
+    time on that float path. A larger array takes np.fmod and the same
+    sign fix, which is how np.mod computes its remainder; only the sign of
+    a zero remainder can differ, and subtracting pi removes it. When
+    angle + pi is a tiny negative number, the sign fix adds 2 pi and rounds
+    to 2 pi, which would wrap to +pi; every path returns -pi there, as
+    wrapping +pi does.
+
+    The limit of 16 comes from timing 8 to 40 elements on one Xeon core
+    (numpy 2.4): the float loop costs about 1.2 us plus 0.17 us an element,
+    against 4.5 us for np.mod and 6 us for the np.fmod path, so it stops
+    winning at 18-20 and at 30 elements.
     """
     if isinstance(angle, float):
         if not math.isfinite(angle):
@@ -47,10 +60,13 @@ def wrap_angle(angle):
     angle = np.asarray(angle, dtype=float)
     if angle.ndim == 0:
         return wrap_angle(float(angle))
+    if angle.size <= _FLOAT_WRAP_MAX_SIZE:
+        return np.array([wrap_angle(a) for a in angle.ravel().tolist()]).reshape(angle.shape)
     if not np.isfinite(angle).all():
         raise ValueError("angle must be finite")
     wrapped = angle + np.pi
-    np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+    np.fmod(wrapped, 2.0 * np.pi, out=wrapped)
+    np.add(wrapped, 2.0 * np.pi, out=wrapped, where=wrapped < 0)
     wrapped -= np.pi
     np.copyto(wrapped, -np.pi, where=wrapped == np.pi)
     return wrapped
@@ -161,13 +177,14 @@ def global_to_local(source_pos, array_pose: Pose) -> Doa:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Named microphone layout; positions are meters in the array's local frame."""
+    """Named microphone layout; read-only positions in meters in the array's local frame."""
 
     name: str
     mic_positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.mic_positions, dtype=float))
+        pos = np.array(self.mic_positions, dtype=float, ndmin=2)
+        pos.flags.writeable = False
         if pos.shape[0] < 2 or pos.shape[1] != 3:
             raise ValueError("need at least two microphones with 3D positions")
         dists = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
@@ -447,7 +464,9 @@ ARRAY_PRESETS = {
 }
 
 
+@cache
 def get_array_preset(name: str) -> ArrayGeometry:
+    """The named preset, built once: every call returns the same geometry."""
     try:
         return ARRAY_PRESETS[name]()
     except KeyError:

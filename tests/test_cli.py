@@ -211,7 +211,10 @@ def test_evaluate_two_rows_of_one_id_at_one_tick(scene_dir, tmp_path):
     ("--ospa-p", "1,nan", "ospa_p must be"), ("--ospa-c", "0", "ospa_c must be"),
     ("--ospa-c", "nan", "ospa_c must be"), ("--gate", "-5", "gate must be"),
     ("--gate", "0", "gate must be"), ("--gate", "nan", "gate must be"),
-    ("--gate", "inf", "gate must be")])
+    ("--gate", "inf", "gate must be"), ("--ospa-p", "-5", "ospa_p must be"),
+    ("--ospa-p", "0", "ospa_p must be"), ("--ospa-p", "nan", "ospa_p must be"),
+    ("--ospa-p", "inf", "ospa_p must be"), ("--ospa-c", "-5", "ospa_c must be"),
+    ("--ospa-c", "inf", "ospa_c must be")])
 def test_evaluate_rejects_a_bad_option_before_reading_any_file(tmp_path, capsys, flag, value,
                                                                message):
     # neither file exists, so reading one first would give a data error (2)

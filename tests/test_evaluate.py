@@ -287,6 +287,37 @@ def test_evaluate_submission_self_evaluation_exact():
         assert np.all(series.values == 0.0)
 
 
+# an order must be finite and >= 1, a cutoff and a gate finite and > 0
+UNSCORABLE = [-5.0, 0.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("value", UNSCORABLE)
+def test_ospa_params_reject_an_order_or_cutoff_that_cannot_score(value):
+    with pytest.raises(ValueError, match="OSPA order p must be"):
+        OspaParams(value, 30.0)
+    with pytest.raises(ValueError, match="OSPA cutoff must be"):
+        OspaParams(1.0, value)
+
+
+@pytest.mark.parametrize("gate", UNSCORABLE)
+def test_a_gate_that_cannot_associate_is_rejected(gate):
+    with pytest.raises(ValueError, match="gate must be"):
+        gate_and_associate(np.zeros((1, 1)), np.ones((1, 1), bool), np.zeros(1, int), gate)
+    # a ground-truth submission, which would score p_d 0 at such a gate
+    duration = 2.0
+    arr = static_trajectory(identity_pose(), duration)
+    src = static_trajectory(Pose(np.array([2.0, 1.0, 0.0]), np.eye(3)), duration)
+    clock = arr.timestamps
+    vaps = VapTable({"s1": ((clock[24], clock[120]),)})
+    truth_at = ground_truth_doas({"s1": src}, arr)
+    sub = Submission({float(t): ((1, truth_at(t)["s1"]),) for t in clock[24:121]})
+    assert evaluate_submission({"s1": src}, arr, vaps, sub, clock, duration,
+                               align=False).p_d == 1.0
+    with pytest.raises(ValueError, match="gate must be"):
+        evaluate_submission({"s1": src}, arr, vaps, sub, clock, duration, gate_deg=gate,
+                            align=False)
+
+
 def test_evaluate_submission_samples_each_trajectory_once_per_call(monkeypatch):
     from doatrack import evaluate
     original = evaluate.sample_trajectory

@@ -282,7 +282,9 @@ def recordings(draw):
             costs += [abs(math.degrees(ref_angular_errors(doa, d)[0])) for doa in truth.values()]
         if rows:
             frames[float(t)] = tuple(rows)
-    # a gate equal to one of the costs puts that pair exactly on it
+    # a gate equal to one of the costs puts that pair exactly on it; a gate
+    # must be > 0, so a zero cost is not one
+    costs = [c for c in costs if c > 0]
     gate = draw(st.sampled_from(costs)) if costs and draw(st.booleans()) else 30.0
     p = draw(st.sampled_from([1.0, 2.0, 5.0]))
     return dict(source_trajectories=sources, array_trajectory=array,

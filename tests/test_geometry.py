@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from doatrack.geometry import (ARRAY_PRESETS, Doa, DegenerateGeometryError, Pose,
+from doatrack import geometry
+from doatrack.geometry import (ARRAY_PRESETS, ArrayGeometry, Doa, DegenerateGeometryError, Pose,
                                Trajectory, TrajectoryError, doa_to_unit_vector, get_array_preset,
                                global_to_local, identity_pose, interpolate_pose,
                                sample_trajectory, static_trajectory, unit_vector_to_doa,
@@ -14,12 +15,14 @@ from doatrack.geometry import (ARRAY_PRESETS, Doa, DegenerateGeometryError, Pose
 
 def test_wrap_angle_range_and_fixed_points():
     assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(math.pi) == pytest.approx(-math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(-math.pi)
-    assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
-    assert wrap_angle(math.radians(190)) == pytest.approx(math.radians(-170))
+    assert wrap_angle(math.pi) == -math.pi
+    assert wrap_angle(-math.pi) == -math.pi
+    assert wrap_angle(3 * math.pi) == -math.pi
+    assert wrap_angle(math.radians(190)) == math.radians(-170)
     rng = np.random.default_rng(7)
-    for a in rng.uniform(-50, 50, size=500):
+    angles = rng.uniform(-50, 50, size=500)
+    assert wrap_angle(angles).tolist() == [wrap_angle(a) for a in angles]
+    for a in angles:
         w = wrap_angle(a)
         assert -math.pi <= w < math.pi
         # wrapping preserves the angle modulo 2*pi
@@ -64,6 +67,56 @@ def test_wrap_angle_lands_in_range_and_is_idempotent(angle):
         assert -math.pi <= wrapped < math.pi
         assert wrap_angle(float(wrapped)) == wrapped
         assert wrap_angle(np.array([wrapped]))[0] == wrapped
+
+
+# floats within three ulps of 0 (either sign) and of odd multiples of pi,
+# where x + pi lands within rounding of a multiple of 2 pi
+EDGE_ANGLES = st.builds(
+    _nudged,
+    st.one_of(st.sampled_from([0.0, -0.0]),
+              st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+              .map(lambda k: (2 * k + 1) * math.pi)),
+    st.integers(-3, 3))
+LIMIT = geometry._FLOAT_WRAP_MAX_SIZE
+WRAP_SHAPES = [(1,), (LIMIT,), (LIMIT + 1,), (1000,), (4, 4), (3, 7), (2, 500)]
+
+
+def _float_path(angles):
+    return np.array([wrap_angle(float(a)) for a in angles.ravel()]).reshape(angles.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WRAP_SHAPES),
+       st.lists(st.one_of(FINITE_ANGLES, EDGE_ANGLES), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1))
+# the one float whose remainder rounds up to 2 pi, on both sides of the limit
+@example((LIMIT,), [math.nextafter(-math.pi, -math.inf)], 0)
+@example((LIMIT + 1,), [math.nextafter(-math.pi, -math.inf)], 0)
+@example((2, 500), [math.nextafter(-math.pi, -math.inf), -0.0, math.pi], 1)
+def test_array_wrap_angle_is_bitwise_the_float_path(shape, specials, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-50.0, 50.0, shape)
+    flat = angles.reshape(-1)
+    at = rng.choice(flat.size, min(len(specials), flat.size), replace=False)
+    flat[at] = specials[:len(at)]
+    # the arrays themselves, their transposes and the azimuth column of a
+    # particle-bank-like (n, size, 2) array, a strided view
+    particles = np.stack([angles, -angles], axis=-1)
+    for view in (angles, angles.T, particles[..., 0]):
+        got = wrap_angle(view)
+        assert got.shape == view.shape
+        assert np.array_equal(got.view(np.int64), _float_path(view).view(np.int64))
+
+
+@pytest.mark.parametrize("size", [1, LIMIT, LIMIT + 1, 1000])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_wrap_angle_rejects_a_non_finite_element_on_both_sides_of_the_size_limit(size, bad):
+    for at in {0, size - 1}:
+        angles = np.zeros((2, size, 2))
+        angles[1, at, 0] = bad
+        for value in (angles[1, :, 0], angles[..., 0]):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                wrap_angle(value)
 
 
 def test_wrap_angle_maps_the_float_below_minus_pi_to_minus_pi():
@@ -324,6 +377,23 @@ def test_dicit_presets():
 def test_hearing_aids_preset():
     geom = get_array_preset("hearing_aids")
     assert geom.mic_count == 4
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_PRESETS))
+def test_each_preset_is_built_once_and_read_only(name):
+    geom = get_array_preset(name)
+    assert get_array_preset(name) is geom
+    assert np.array_equal(geom.mic_positions, ARRAY_PRESETS[name]().mic_positions)
+    with pytest.raises(ValueError, match="read-only"):
+        geom.mic_positions[0, 0] = 1.0
+
+
+def test_array_geometry_keeps_a_read_only_copy_of_its_positions():
+    positions = np.eye(3)
+    geom = ArrayGeometry("three", positions)
+    positions[0, 0] = 5.0
+    assert geom.mic_positions[0, 0] == 1.0
+    assert positions.flags.writeable and not geom.mic_positions.flags.writeable
 
 
 def test_unknown_preset():

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import doatrack.evaluate
+import doatrack.geometry
+import doatrack.pipeline
 import doatrack.track
 from doatrack.evaluate import VapTable, evaluate_submission, ground_truth_doas
 from doatrack.geometry import Doa, wrap_angle
@@ -445,6 +448,51 @@ def _numpy_wrap_angle(angle):
         raise ValueError("angle must be finite")
     wrapped = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
     return float(wrapped) if wrapped.ndim == 0 else wrapped
+
+
+def _np_mod_wrap_angle(angle):
+    """`wrap_angle` as it was before its small-array and np.fmod paths:
+    floats in Python arithmetic, every array through np.mod."""
+    if isinstance(angle, float):
+        if not math.isfinite(angle):
+            raise ValueError("angle must be finite")
+        wrapped = (float(angle) + math.pi) % (2.0 * math.pi) - math.pi
+        return -math.pi if wrapped == math.pi else wrapped
+    angle = np.asarray(angle, dtype=float)
+    if angle.ndim == 0:
+        return _np_mod_wrap_angle(float(angle))
+    if not np.isfinite(angle).all():
+        raise ValueError("angle must be finite")
+    wrapped = angle + np.pi
+    np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+    wrapped -= np.pi
+    np.copyto(wrapped, -np.pi, where=wrapped == np.pi)
+    return wrapped
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tracks_and_scores_equal_those_of_the_np_mod_wrap(seed, monkeypatch):
+    duration = 6.0
+    stream, (sources, array_traj, vaps, clock) = _two_source_stream(seed, duration)
+
+    def tracks_and_reports():
+        tracks = {tracker: track_lifecycle(stream, TrackerConfig(), tracker, seed=seed)
+                  for tracker in FILTERS}
+        return tracks, {tracker: evaluate_submission(
+            sources, array_traj, vaps, resample_tracks(tracks[tracker], clock), clock,
+            duration).to_dict() for tracker in FILTERS}
+
+    tracks, reports = tracks_and_reports()
+    assert all(tracks.values())
+    for module in (doatrack.geometry, doatrack.track, doatrack.evaluate, doatrack.pipeline):
+        monkeypatch.setattr(module, "wrap_angle", _np_mod_wrap_angle)
+    old_tracks, old_reports = tracks_and_reports()
+    assert tracks == old_tracks
+    for tracker in FILTERS:
+        assert reports[tracker].keys() == old_reports[tracker].keys()
+        for key, value in reports[tracker].items():
+            old = old_reports[tracker][key]
+            assert value == old or (math.isnan(value) and math.isnan(old)), (tracker, key)
 
 
 def _uncached_circular_mean(ps):
