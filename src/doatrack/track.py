@@ -18,10 +18,9 @@ stacks particles (n, I, 2) and weights (n, I). The per-track functions
 (`kf_predict`, `kf_update`, `wrapped_kf_predict`, `wrapped_kf_update`,
 `pf_predict`, `pf_step`) run the same kernels on one state, so each filter
 equation is written once and a bank row holds the bits the per-track
-function gives. `wrapped_kf_update` steps every component of a
-`WrappedMixture` at once and scales each weight by the component's
-evidence, so a mixture never gains components, and a mixture of one steps
-as a bank row does.
+function gives. The wrapped filter's per-track state, `WrappedMixture`, is
+one Gaussian held as `TrackState` holds it, and `wrapped_kf_predict` is
+`kf_predict`.
 
 The particle bank draws from one generator in the order that stepping the
 tracks one by one would: the predict noise of every track in track order,
@@ -36,7 +35,7 @@ A covariance is accepted when it is positive-definite, checked in closed
 form with the arithmetic of the 2 x 2 Cholesky factorisation: a > 0 and
 d - (b / sqrt(a))**2 > 0 for the lower triangle [[a, .], [b, d]]. A NaN
 fails either test. The check is vectorized over the rows of a bank and
-scalar in `TrackState` and `WrappedMixture`; no LAPACK call is made.
+scalar in `TrackState`; no LAPACK call is made.
 
 Work that depends only on the step length is done once per (dt, process
 noise intensity): the transition matrix and process-noise covariance
@@ -206,12 +205,16 @@ def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState
     return replace(state, mean=mean, covariance=cov)
 
 
-def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState:
-    """Kalman measurement update with the innovation wrapped into [-pi, pi)."""
+def _check_observation(obs: float, obs_noise_var: float) -> None:
     if not np.isfinite(obs):
         raise ValueError("observation must be finite")
-    if obs_noise_var <= 0:
-        raise ValueError("obs_noise_var must be positive")
+    if not 0 < obs_noise_var < math.inf:
+        raise ValueError("obs_noise_var must be positive and finite")
+
+
+def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState:
+    """Kalman measurement update with the innovation wrapped into [-pi, pi)."""
+    _check_observation(obs, obs_noise_var)
     mean, cov = _kf_correct(state.mean, state.covariance, obs, obs_noise_var)
     return replace(state, mean=mean, covariance=cov)
 
@@ -220,67 +223,22 @@ def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState
 # Wrapped Kalman filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WrappedMixture:
-    """Gaussian mixture over the azimuth state; `wrapped_kf_update` keeps its
-    component count."""
-
-    components: tuple  # of (weight, mean, covariance)
-
-    def __post_init__(self):
-        comps = []
-        total = 0.0
-        for w, mean, cov in self.components:
-            mean = np.asarray(mean, dtype=float).reshape(-1).copy()
-            # read-only, so the cached circular mean always matches the means
-            mean.flags.writeable = False
-            cov = np.asarray(cov, dtype=float)
-            if not _is_positive_definite(cov):
-                raise FilterDivergenceError("mixture component covariance is not "
-                                            "positive-definite")
-            comps.append((float(w), mean, cov))
-            total += w
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        object.__setattr__(self, "components", tuple(comps))
+class WrappedMixture(TrackState):
+    """The wrapped Kalman filter's state: one Gaussian, held as `TrackState`
+    holds it."""
 
     @classmethod
     def from_state(cls, state: TrackState) -> "WrappedMixture":
-        return cls(((1.0, state.mean, state.covariance),))
-
-    def _stacked(self):
-        """Weights (c,), means (c, 2) and covariances (c, 2, 2) of the components."""
-        weights, means, covs = zip(*self.components)
-        return np.array(weights), np.array(means), np.array(covs)
+        return cls(state.mean, state.covariance)
 
     def circular_mean(self) -> float:
-        """Weighted circular mean of the component azimuths, computed once per mixture."""
-        return self._circular_mean
-
-    @cached_property
-    def _circular_mean(self) -> float:
-        if len(self.components) == 1:  # its own azimuth, bit for bit as a bank row reads it
-            return wrap_angle(self.components[0][1][0])
-        z = sum(w * np.exp(1j * mean[0]) for w, mean, _ in self.components)
-        return float(np.arctan2(z.imag, z.real))  # np.angle(z)
+        return self.azimuth
 
     def azimuth_variance(self) -> float:
-        """Azimuth variance about the circular mean, component spread included."""
-        mu = self.circular_mean()
-        return float(sum(w * (cov[0, 0] + wrap_angle(mean[0] - mu) ** 2)
-                         for w, mean, cov in self.components))
+        return float(self.covariance[0, 0])
 
 
-def wrapped_kf_predict(mix: WrappedMixture, dt: float, process_noise: float) -> WrappedMixture:
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if dt == 0:
-        return mix
-    weights, means, covs = mix._stacked()
-    means, covs, _ = _normalized(*_kf_propagate(means, covs, dt, process_noise))
-    return WrappedMixture(tuple(zip(weights, means, covs)))
+wrapped_kf_predict = kf_predict
 
 
 def _log_rejection(where: str, obs) -> None:
@@ -288,23 +246,19 @@ def _log_rejection(where: str, obs) -> None:
                    f"{where}: " if where else "", wrap_angle(obs))
 
 
-def wrapped_kf_update(mix: WrappedMixture, obs: float, obs_noise_var: float,
+def wrapped_kf_update(state: WrappedMixture, obs: float, obs_noise_var: float,
                       where: str = "") -> WrappedMixture:
-    """`_wkf_correct` of every component, each weight times the component's
-    evidence; the component count is kept.
+    """`_wkf_correct` of the state.
 
-    An observation of zero evidence under every component is rejected: the
-    prior is returned and a warning names `where`, the track and time.
+    An observation of zero evidence is rejected: the prior is returned and a
+    warning names `where`, the track and time.
     """
-    weights, means, covs = mix._stacked()
-    means, covs, evidence = _wkf_correct(means, covs, obs, obs_noise_var)
-    weights = weights * evidence
-    total = weights.sum()
-    if not total > 0.0:
+    _check_observation(obs, obs_noise_var)
+    mean, cov, evidence = _wkf_correct(state.mean, state.covariance, obs, obs_noise_var)
+    if not evidence > 0.0:
         _log_rejection(where, obs)
-        return mix
-    means, covs, _ = _normalized(means, covs)
-    return WrappedMixture(tuple(zip(weights / total, means, covs)))
+        return state
+    return replace(state, mean=mean, covariance=cov)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +307,12 @@ class ParticleSet:
 class PfParams:
     process_intensity: float
     obs_noise_var: float
+
+    def __post_init__(self):
+        if not 0 <= self.process_intensity < math.inf:
+            raise ValueError("process_intensity must be finite and >= 0")
+        if not 0 < self.obs_noise_var < math.inf:
+            raise ValueError("obs_noise_var must be positive and finite")
 
 
 def wrapped_gaussian_likelihood(innovation, variance):
@@ -476,6 +436,19 @@ class TrackerConfig:
     obs_noise_std: float = np.radians(3.0)
     process_intensity: float = 0.5
     initial_rate_var: float = 1.0  # (rad/s)^2 prior on the azimuth rate
+
+    def __post_init__(self):
+        if not self.init_window >= 1:
+            raise ValueError(f"init_window must be >= 1, got {self.init_window}")
+        if not 1 <= self.init_hits <= self.init_window:
+            raise ValueError(f"init_hits must be in [1, init_window={self.init_window}], "
+                             f"got {self.init_hits}")
+        for name in ("t_miss", "gate_sigma", "gate_max", "obs_noise_std", "initial_rate_var"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.process_intensity < math.inf:
+            raise ValueError("process_intensity must be finite and >= 0, "
+                             f"got {self.process_intensity}")
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +676,8 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
                     cand.confirmed_id = next_id
                     next_id += 1
                     results[cand.confirmed_id] = cand.emitted
-                elif (len(cand.history) >= config.init_window
-                        and sum(cand.history) + config.init_window - len(cand.history)
-                        < config.init_hits):
-                    continue  # cannot reach M of N any more
+                elif len(cand.history) >= config.init_window:
+                    continue  # the window is full and short of M hits
                 elif t - cand.last_hit_time > config.t_miss:
                     continue
             if cand.confirmed_id and t - cand.last_hit_time > config.t_miss:

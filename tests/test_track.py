@@ -121,16 +121,6 @@ def test_wrapped_kf_tracks_through_wrap():
         prev = cur
 
 
-def test_wrapped_mixture_component_cap():
-    s = _state()
-    mix = WrappedMixture.from_state(s)
-    for _ in range(20):
-        mix = wrapped_kf_predict(mix, 0.1, 0.5)
-        mix = wrapped_kf_update(mix, 0.1, 0.01)
-    assert len(mix.components) == 1  # an update never adds a component
-    assert sum(w for w, _, _ in mix.components) == pytest.approx(1.0)
-
-
 def _traa_update(mean, cov, obs, r):
     """One wrapped Kalman update of a single Gaussian as Traa and Smaragdis
     (IEEE SPL 2013) write it: x + K sum_l eta_l (z + 2 pi l - x_az), eta the
@@ -146,56 +136,52 @@ def _traa_update(mean, cov, obs, r):
 
 def test_wrapped_kf_update_is_the_traa_smaragdis_filter():
     # priors wide enough (azimuth variance >= 2 rad^2) that the images
-    # obs +- 2 pi carry weight: every component follows the single-Gaussian
-    # wrapped KF, its weight scales with its evidence, and the update departs
-    # from the linear KF's nearest-image innovation
+    # obs +- 2 pi carry weight: the update follows the single-Gaussian wrapped
+    # KF and departs from the linear KF's nearest-image innovation
     rng = np.random.default_rng(10)
     r = 0.3**2
-    for _ in range(20):
-        weights = rng.dirichlet([1.0, 1.0])
-        priors = []
-        for _ in weights:
-            b = rng.uniform(-0.3, 0.3)
-            priors.append((np.array([rng.uniform(-math.pi, math.pi), rng.normal()]),
-                           np.array([[rng.uniform(2.0, 4.0), b], [b, 0.5]])))
-        # the observation at least 1 rad from the first component, either side
-        obs = wrap_angle(priors[0][0][0] + rng.choice([-1, 1]) * rng.uniform(1.0, 3.0))
-        mix = wrapped_kf_update(WrappedMixture(tuple(
-            (w, mean, cov) for w, (mean, cov) in zip(weights, priors))), obs, r)
-        assert len(mix.components) == 2
-        refs = [_traa_update(mean, cov, obs, r) for mean, cov in priors]
-        evidence = [w * ref[2] for w, ref in zip(weights, refs)]
-        for (w, mean, cov), (ref_mean, ref_cov, _), e in zip(mix.components, refs, evidence):
-            assert w == pytest.approx(e / sum(evidence), rel=1e-12)
-            assert abs(wrap_angle(mean[0] - ref_mean[0])) < 1e-12
-            assert mean[1] == pytest.approx(ref_mean[1], abs=1e-12)
-            assert np.allclose(cov, ref_cov, rtol=0, atol=1e-12)
-        kf = kf_update(TrackState(*priors[0]), obs, r)
-        assert abs(wrap_angle(mix.components[0][1][0] - kf.azimuth)) > 1e-3
+    for _ in range(40):
+        b = rng.uniform(-0.3, 0.3)
+        prior = TrackState(np.array([rng.uniform(-math.pi, math.pi), rng.normal()]),
+                           np.array([[rng.uniform(2.0, 4.0), b], [b, 0.5]]))
+        # the observation at least 1 rad from the prior, either side
+        obs = wrap_angle(prior.azimuth + rng.choice([-1, 1]) * rng.uniform(1.0, 3.0))
+        mix = wrapped_kf_update(WrappedMixture.from_state(prior), obs, r)
+        ref_mean, ref_cov, _ = _traa_update(prior.mean, prior.covariance, obs, r)
+        assert abs(wrap_angle(mix.mean[0] - ref_mean[0])) < 1e-12
+        assert mix.mean[1] == pytest.approx(ref_mean[1], abs=1e-12)
+        assert np.allclose(mix.covariance, ref_cov, rtol=0, atol=1e-12)
+        kf = kf_update(prior, obs, r)
+        assert abs(wrap_angle(mix.mean[0] - kf.azimuth)) > 1e-3
 
 
-def test_wrapped_mixture_keeps_its_components_over_many_steps():
-    rng = np.random.default_rng(11)
-    mix = WrappedMixture(((0.7, np.array([3.0, 0.5]), np.diag([2.5, 0.5])),
-                          (0.3, np.array([-1.0, 0.0]), np.diag([2.0, 0.3]))))
-    for k in range(50):
-        mix = wrapped_kf_predict(mix, 0.05, 0.5)
-        mix = wrapped_kf_update(mix, wrap_angle(3.0 + 0.025 * k + rng.normal(0, 0.3)), 0.3**2)
-        assert len(mix.components) == 2
-        assert sum(w for w, _, _ in mix.components) == pytest.approx(1.0)
-    assert abs(wrap_angle(mix.circular_mean() - (3.0 + 0.025 * 49))) < 0.3
-    for _, mean, _ in mix.components:  # read-only, as the cached circular mean needs
-        with pytest.raises(ValueError, match="read-only"):
-            mean[0] = 1.0
+@pytest.mark.parametrize("r", [0.0, -0.01, math.nan, math.inf])
+@pytest.mark.parametrize("update", [
+    kf_update, lambda state, obs, r: wrapped_kf_update(WrappedMixture.from_state(state), obs, r)],
+    ids=["kalman", "wrapped-kalman"])
+def test_kalman_updates_reject_a_bad_noise_variance_or_observation(update, r):
+    with pytest.raises(ValueError, match="obs_noise_var must be positive"):
+        update(_state(), 0.1, r)
+    for obs in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="observation must be finite"):
+            update(_state(), obs, 0.01)
+
+
+@pytest.mark.parametrize("intensity, r, name", [
+    (0.1, 0.0, "obs_noise_var"), (0.1, -0.01, "obs_noise_var"),
+    (0.1, math.nan, "obs_noise_var"), (0.1, math.inf, "obs_noise_var"),
+    (-0.1, 0.01, "process_intensity"), (math.nan, 0.01, "process_intensity"),
+    (math.inf, 0.01, "process_intensity"),
+])
+def test_pf_params_reject_a_bad_noise_setting(intensity, r, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        PfParams(process_intensity=intensity, obs_noise_var=r)
+    PfParams(process_intensity=0.0, obs_noise_var=0.01)  # no process noise is allowed
 
 
 def test_azimuth_variance_is_taken_across_the_wrap():
-    # two equal hypotheses 0.1 rad either side of +-pi: the spread is 0.1 rad,
+    # two equal particles 0.1 rad either side of +-pi: the spread is 0.1 rad,
     # not the 2 pi - 0.2 rad a linear variance would see
-    cov = np.diag([0.02, 0.1])
-    mix = WrappedMixture(((0.5, np.array([math.pi - 0.1, 0.0]), cov),
-                          (0.5, np.array([-math.pi + 0.1, 0.0]), cov)))
-    assert mix.azimuth_variance() == pytest.approx(0.02 + 0.1**2)
     ps = ParticleSet(np.array([[math.pi - 0.1, 0.0], [-math.pi + 0.1, 0.0]]),
                      np.array([0.5, 0.5]))
     assert ps.azimuth_variance() == pytest.approx(0.1**2)
@@ -248,6 +234,23 @@ def _stream(azimuths_by_time):
         for az in az_list:
             out.append(DoaEstimate(t, Doa(az)))
     return out
+
+
+@pytest.mark.parametrize("name, value", [
+    ("init_hits", 6), ("init_hits", 0), ("init_window", 0),
+    ("t_miss", -1.0), ("t_miss", 0.0), ("gate_sigma", -1.0), ("gate_sigma", math.nan),
+    ("gate_max", 0.0), ("gate_max", math.inf), ("obs_noise_std", 0.0),
+    ("obs_noise_std", math.nan), ("initial_rate_var", -1.0), ("initial_rate_var", math.inf),
+    ("process_intensity", -0.1), ("process_intensity", math.inf),
+])
+def test_tracker_config_rejects_values_no_lifecycle_can_run_with(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        TrackerConfig(**{name: value})
+
+
+def test_tracker_config_accepts_the_limits():
+    TrackerConfig(init_hits=1, init_window=1, process_intensity=0.0)
+    TrackerConfig(init_hits=5, init_window=5)
 
 
 @pytest.mark.parametrize("tracker", FILTERS)
