@@ -296,17 +296,17 @@ class OspaSeries:
     std: float
 
 
-def ospa_series(truth_azimuths, active, azimuths, ticks,
+def ospa_series(errors_deg, active, ticks,
                 params: OspaParams = OspaParams()) -> OspaSeries:
     """OSPA at each evaluation tick plus its mean and standard deviation.
 
-    `truth_azimuths` (S, T) and `active` (S, T) hold the sources' azimuths and
-    activity at each tick, `azimuths` (R,) and `ticks` (R,) the submission
-    rows' azimuths and ticks (non-decreasing). The ticks of one shape are
-    solved together.
+    `errors_deg` (S, R) holds the absolute azimuth error, in degrees, between
+    every source at a row's tick and every submission row (the association
+    cost), `active` (S, T) the sources' activity at each tick and `ticks` (R,)
+    the rows' ticks (non-decreasing). The ticks of one shape are solved
+    together.
     """
-    errors = np.abs(np.degrees(wrap_angle(truth_azimuths[:, ticks] - azimuths)))
-    pair_cost = np.minimum(params.cutoff_deg, errors) ** params.p
+    pair_cost = np.minimum(params.cutoff_deg, errors_deg) ** params.p
     values = np.empty(active.shape[1])
     for at, sources, rows in _shape_groups(active, ticks):
         values[at] = _ospa(pair_cost[sources[:, :, None], rows[:, None, :]], params)
@@ -471,6 +471,5 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
     report = compute_metrics(ids, vap_index, false_counts, errors, aligned, clock,
                              recording_duration)
     for params in ospa_params:
-        report.ospa[(params.p, params.cutoff_deg)] = ospa_series(
-            truth_az, active, submission.azimuths, ticks, params)
+        report.ospa[(params.p, params.cutoff_deg)] = ospa_series(cost, active, ticks, params)
     return report

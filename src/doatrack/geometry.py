@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 SPEED_OF_SOUND = 343.0  # m/s, in simulation, steering and VAP alignment alike
 GROUND_TRUTH_RATE_HZ = 120.0  # pose samples and evaluation clock
@@ -307,10 +308,13 @@ def static_trajectory(pose: Pose, duration: float) -> Trajectory:
 def sample_trajectory(traj: Trajectory, times):
     """Poses at many times: (translations (T, 3), rotations (T, 3, 3)).
 
-    Translation is linear between the two neighbouring samples, rotation
-    follows their geodesic (axis-angle). A time within 1e-12 of a sample
-    gets that sample's pose exactly. No extrapolation: every time must lie
-    within the trajectory's time span.
+    Translation is linear between the two neighbouring samples. A turning
+    step follows the geodesic between its two rotations through scipy's
+    `Rotation`: the earlier rotation is turned by the elapsed fraction of the
+    step's rotation vector. A step whose two rotations are equal keeps that
+    rotation exactly, and a time within 1e-12 of a sample gets that sample's
+    pose exactly. No extrapolation: every time must lie within the
+    trajectory's time span.
     """
     stamps = traj.timestamps
     t = np.asarray(times, dtype=float).reshape(-1)
@@ -331,39 +335,13 @@ def sample_trajectory(traj: Trajectory, times):
     rotations[on_sample] = traj.rotations[nearest[on_sample]]
     turn = ~on_sample & traj._turns[idx]
     if turn.any():
-        rotations[turn] = _geodesic(rotations[turn], traj.rotations[idx[turn] + 1], alpha[turn])
+        r0 = rotations[turn]
+        # every rotation is orthonormal within 1e-9 (`Trajectory` checks), so
+        # scipy's determinant check and SVD projection are skipped
+        step = Rotation.from_matrix(np.swapaxes(r0, 1, 2) @ traj.rotations[idx[turn] + 1],
+                                    assume_valid=True)
+        rotations[turn] = r0 @ Rotation.from_rotvec(alpha[turn] * step.as_rotvec()).as_matrix()
     return translations, rotations
-
-
-def _geodesic(r0, r1, alpha):
-    """Row by row, r0 turned by the fraction alpha (N, 1) of its rotation to r1."""
-    rel = np.swapaxes(r0, 1, 2) @ r1
-    # the vector of rel's antisymmetric part, (r21 - r12, r02 - r20, r10 - r01),
-    # is 2 sin(angle) a for the unit axis a; atan2 keeps the angle well
-    # conditioned at 0 and at 180 deg, where arccos of the trace is not
-    spin = (rel - np.swapaxes(rel, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
-    cos_angle = (rel.trace(axis1=1, axis2=2) - 1.0) / 2.0
-    angle = np.arctan2(row_norms(spin) / 2.0, cos_angle)
-    # past 90 deg sin(angle) shrinks, and (rel + rel^T) / 2 - cos(angle) I is
-    # (1 - cos(angle)) a a^T: its row with the largest diagonal entry is a times
-    # a nonzero factor, whose sign the spin gives
-    axis = spin
-    wide = cos_angle < 0.0
-    if wide.any():
-        m = (rel[wide] + np.swapaxes(rel[wide], 1, 2)) / 2.0
-        m -= cos_angle[wide, None, None] * np.eye(3)
-        row = m[np.arange(len(m)), np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)]
-        axis[wide] = np.where((np.sum(row * spin[wide], axis=1) < 0.0)[:, None], -row, row)
-    # no turn below 1e-12 rad (a zero spin below 90 deg reads exactly 0):
-    # k = 0 leaves r0 as it is
-    norms = row_norms(axis)[:, None]
-    turn = angle >= 1e-12
-    k = np.zeros((len(rel), 3, 3))  # the cross-product matrix [a]_x of the unit axis
-    k[:, [2, 0, 1], [1, 2, 0]] = np.divide(axis, norms, out=np.zeros_like(axis),
-                                           where=turn[:, None])
-    k -= np.swapaxes(k, 1, 2)
-    theta = (alpha[:, 0] * angle)[:, None, None]
-    return r0 @ (np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k))
 
 
 def interpolate_pose(traj: Trajectory, t: float) -> Pose:

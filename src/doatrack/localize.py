@@ -599,13 +599,11 @@ def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid
         r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
         load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=2, axis2=3)) / channels
         r += load[..., None, None] * np.eye(channels)
-        eigvals, eigvecs = np.linalg.eigh(r)
+        _, eigvecs = np.linalg.eigh(r)
         del r
-        # 2-norm condition number of a Hermitian matrix; an all-zero bin gives nan
-        magnitude = np.abs(eigvals)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = magnitude.max(axis=2) / magnitude.min(axis=2)
-        bad = ~(cond <= 1e12)  # (blocks, bins)
+        # a positive load bounds the condition number by about channels / loading;
+        # a zero trace or an underflowed load is ill-conditioned
+        bad = ~(load > 0)  # (blocks, bins)
         ok = ~bad.any(axis=1)
         for b in np.flatnonzero(~ok):
             results[group_slice.start + b] = IllConditionedError(

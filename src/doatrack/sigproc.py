@@ -136,10 +136,7 @@ def _frame_count(audio: MultichannelAudio, window_length: int, hop: int) -> int:
 @lru_cache(maxsize=8)
 def _taper(window: str, window_length: int) -> np.ndarray:
     """Read-only periodic `window` of `window_length` samples."""
-    if window in ("rect", "rectangular", "boxcar"):
-        taper = np.ones(window_length)
-    else:
-        taper = get_window(window, window_length, fftbins=True)
+    taper = get_window(window, window_length, fftbins=True)
     taper.flags.writeable = False
     return taper
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -438,6 +439,9 @@ class TrackerConfig:
     initial_rate_var: float = 1.0  # (rad/s)^2 prior on the azimuth rate
 
     def __post_init__(self):
+        for name in ("init_window", "init_hits"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.init_window >= 1:
             raise ValueError(f"init_window must be >= 1, got {self.init_window}")
         if not 1 <= self.init_hits <= self.init_window:

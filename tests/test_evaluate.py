@@ -442,15 +442,15 @@ def test_batched_ticks_match_per_tick_solvers(case, p):
         azimuths = wrap_angle(azimuths)
         cost, assigned, values = _per_tick(truth, active, azimuths, ticks, 30.0, params)
         assert np.array_equal(gate_and_associate(cost, active, ticks, 30.0), assigned)
-        series = ospa_series(truth, active, azimuths, ticks, params)
+        series = ospa_series(cost, active, ticks, params)
         np.testing.assert_allclose(series.values, values, rtol=0, atol=1e-12)
 
 
 def test_ospa_series_cardinality_gap():
     clock = static_trajectory(identity_pose(), 1.0).timestamps
     vaps = VapTable({"s1": ((0.0, 1.0),)})
-    series = ospa_series(np.zeros((1, len(clock))), vaps.vap_index(clock) >= 0, np.zeros(0),
-                         np.zeros(0, int), OspaParams(1.0, 30.0))
+    series = ospa_series(np.zeros((1, 0)), vaps.vap_index(clock) >= 0, np.zeros(0, int),
+                         OspaParams(1.0, 30.0))
     assert np.all(series.values == 30.0)
     assert series.mean == pytest.approx(30.0)
 

@@ -150,6 +150,43 @@ def test_sampler_near_half_turn_step():
             np.testing.assert_allclose(rotations, geodesic.as_matrix(), rtol=0, atol=ATOL)
 
 
+JITTER = 1e-9  # the orthonormality and determinant slack that `Trajectory` accepts
+JITTER_ATOL = 1e-8  # a jittered step's sampled rotation against Slerp of the projected poses
+
+
+def _jittered(rotations, rng):
+    """Each rotation plus a uniform entry error, scaled down where needed so that
+    the row's orthonormality and determinant errors stay within 0.9 JITTER."""
+    error = rng.uniform(-JITTER, JITTER, rotations.shape)
+    jittered = rotations + error
+    gram = np.swapaxes(jittered, 1, 2) @ jittered
+    drift = np.maximum(np.abs(gram - np.eye(3)).max(axis=(1, 2)),
+                       np.abs(np.linalg.det(jittered) - 1.0))
+    return rotations + np.minimum(1.0, 0.9 * JITTER / drift)[:, None, None] * error
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+def test_sampler_on_jittered_rotations(seed, n):
+    # every step turns by at most pi - 1e-3 rad: a step within 1e-9 of a half
+    # turn may be carried across it by the jitter, where any geodesic flips
+    rng = np.random.default_rng(seed)
+    steps = Rotation.from_rotvec(rng.uniform(0.0, np.pi - 1e-3, (n - 1, 1))
+                                 * Rotation.random(n - 1, random_state=rng).apply([1.0, 0.0, 0.0]))
+    exact = [Rotation.random(random_state=rng)]
+    for step in steps:
+        exact.append(exact[-1] * step)
+    rotations = _jittered(Rotation.concatenate(exact).as_matrix(), rng)
+    stamps = np.cumsum(rng.uniform(0.01, 0.5, n))
+    traj = Trajectory.from_arrays(stamps, rng.uniform(-3.0, 3.0, (n, 3)), rotations)
+    times = rng.uniform(stamps[0], stamps[-1], 40)
+    _, sampled = sample_trajectory(traj, times)
+    gram = np.swapaxes(sampled, 1, 2) @ sampled
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(3), gram.shape), rtol=0, atol=1e-8)
+    geodesic = Slerp(stamps, Rotation.from_matrix(rotations))(times).as_matrix()
+    np.testing.assert_allclose(sampled, geodesic, rtol=0, atol=JITTER_ATOL)
+
+
 def test_sampler_one_pose_trajectory():
     pose = Pose(np.array([1.0, 2.0, 3.0]), Rotation.from_rotvec([0.1, 0.2, 0.3]).as_matrix(),
                 0.5)

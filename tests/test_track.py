@@ -238,6 +238,7 @@ def _stream(azimuths_by_time):
 
 @pytest.mark.parametrize("name, value", [
     ("init_hits", 6), ("init_hits", 0), ("init_window", 0),
+    ("init_hits", 2.0), ("init_hits", 2.5), ("init_window", 5.0), ("init_window", 2.5),
     ("t_miss", -1.0), ("t_miss", 0.0), ("gate_sigma", -1.0), ("gate_sigma", math.nan),
     ("gate_max", 0.0), ("gate_max", math.inf), ("obs_noise_std", 0.0),
     ("obs_noise_std", math.nan), ("initial_rate_var", -1.0), ("initial_rate_var", math.inf),
@@ -251,6 +252,7 @@ def test_tracker_config_rejects_values_no_lifecycle_can_run_with(name, value):
 def test_tracker_config_accepts_the_limits():
     TrackerConfig(init_hits=1, init_window=1, process_intensity=0.0)
     TrackerConfig(init_hits=5, init_window=5)
+    TrackerConfig(init_hits=np.int64(2), init_window=np.int32(4))
 
 
 @pytest.mark.parametrize("tracker", FILTERS)
