@@ -1,49 +1,68 @@
 """On-disk corpus and submission formats.
 
 A recording is a directory holding one multichannel WAV plus plaintext
-position, activity, and metadata tables; see FORMATS.md for the field
-layouts. The layouts themselves live in formats.json so a schema revision
-is a data edit, not a code change. Angles are degrees on disk and radians
-in memory; audio is decoded to float64 in [-1, 1].
+position, activity and metadata tables, and a submission is one plaintext
+table of direction estimates; FORMATS.md describes the fields. The
+constants below are the one definition of the file names and column
+layouts. Every table line is read by one scanner (`_scan`) and every table
+is written by one writer (`_write_table`). Angles are degrees on disk and
+radians in memory; audio is decoded to float64 in [-1, 1].
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
-import re
+import operator
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
 
-from .evaluate import Submission, VapTable
+from .evaluate import Submission, VapTable, vap_spans
 from .geometry import Trajectory, TrajectoryError, wrap_angle
 from .sigproc import DEFAULT_SAMPLE_RATE, MultichannelAudio
 
-import logging
-
 log = logging.getLogger(__name__)
+
+AUDIO_FILE = "audio_array.wav"
+METADATA_FILE = "metadata.json"
+ARRAY_POSITION_FILE = "position_array.txt"
+SOURCE_POSITION_FILE = "position_source_{name}.txt"
+VAP_FILE = "vap_source_{name}.txt"
+POSITION_COLUMNS = ("timestamp", "x", "y", "z",
+                    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33")
+VAP_COLUMNS = ("start", "end")
+SUBMISSION_COLUMNS = ("timestamp", "source_id", "azimuth_deg", "elevation_deg")
+ANGLE_DECIMALS = 6
+# seconds, id, then degrees; position and VAP fields are all "%.17g", which reads back bit-exact
+_SUBMISSION_FIELDS = ("%.6f", "%d", f"%.{ANGLE_DECIMALS}f", f"%.{ANGLE_DECIMALS}f")
 
 
 class CorpusFormatError(Exception):
     """Malformed corpus or submission content; message carries file and line."""
 
 
-def _formats() -> dict:
-    text = resources.files("doatrack").joinpath("formats.json").read_text()
-    return json.loads(text)
+def _scan(lines):
+    """Yield (line number, fields) for each of `lines` that is not blank or a
+    `#` comment, its fields split by commas and whitespace."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped.replace(",", " ").split()
 
 
-def _split_row(line: str):
-    return [tok for tok in re.split(r"[,\s]+", line.strip()) if tok]
+def _write_table(path: Path, header: str, fields, table: np.ndarray) -> None:
+    """Write a header line, then each row of `table` through the per-column
+    formats `fields`, as one % string (with "%.17g", the np.savetxt bytes)."""
+    row = " ".join(fields) + "\n"
+    path.write_text(header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _read_table(path: Path, n_columns: int):
-    """Parse a delimited numeric table: rows of n_columns fields split by
-    commas and whitespace, skipping blank lines and lines starting with #.
+    """Parse a delimited numeric table: rows of n_columns fields per `_scan`.
 
     Returns the (rows, n_columns) table and each row's line number. The
     rows go through one numpy conversion, which parses each field as
@@ -52,27 +71,19 @@ def _read_table(path: Path, n_columns: int):
     if not path.is_file():
         raise FileNotFoundError(f"missing required file: {path}")
     try:
-        lines = path.read_text().split("\n")
-        linenos = [lineno for lineno, line in enumerate(lines, start=1)
-                   if line.strip() and not line.lstrip().startswith("#")]
-        table = np.array([lines[lineno - 1].replace(",", " ").split() for lineno in linenos],
-                         dtype=float).reshape(len(linenos), n_columns)
+        rows = list(_scan(path.read_text().split("\n")))
+        table = np.array([fields for _, fields in rows], dtype=float).reshape(len(rows), n_columns)
     except ValueError:  # UnicodeDecodeError included
         return _read_table_lines(path, n_columns)
-    return table, linenos
+    return table, [lineno for lineno, _ in rows]
 
 
 def _read_table_lines(path: Path, n_columns: int):
     """`_read_table` one line at a time, raising CorpusFormatError at the
     first line with a wrong column count or a non-numeric field."""
-    rows = []
-    linenos = []
+    rows, linenos = [], []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = _split_row(stripped)
+        for lineno, tokens in _scan(fh):
             if len(tokens) != n_columns:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected {n_columns} columns, got {len(tokens)}")
@@ -84,8 +95,8 @@ def _read_table_lines(path: Path, n_columns: int):
     return np.array(rows, dtype=float).reshape(len(rows), n_columns), linenos
 
 
-def _read_trajectory(path: Path, n_columns: int) -> Trajectory:
-    table, linenos = _read_table(path, n_columns)
+def _read_trajectory(path: Path) -> Trajectory:
+    table, linenos = _read_table(path, len(POSITION_COLUMNS))
     if len(table) == 0:
         raise CorpusFormatError(f"{path}: empty position table")
     try:
@@ -120,13 +131,12 @@ class RecordingBundle:
 
 
 def read_recording(path) -> RecordingBundle:
-    """Load a recording directory per the shipped schema description."""
+    """Load a recording directory laid out as the module constants name it."""
     path = Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"missing recording directory: {path}")
-    fmt = _formats()
 
-    meta_path = path / fmt["metadata_file"]
+    meta_path = path / METADATA_FILE
     if not meta_path.is_file():
         raise FileNotFoundError(f"missing required file: {meta_path}")
     try:
@@ -134,7 +144,7 @@ def read_recording(path) -> RecordingBundle:
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{meta_path}:{exc.lineno}: invalid JSON") from None
 
-    audio_path = path / fmt["audio_file"]
+    audio_path = path / AUDIO_FILE
     if not audio_path.is_file():
         raise FileNotFoundError(f"missing required file: {audio_path}")
     rate, samples = wavfile.read(audio_path)
@@ -149,9 +159,7 @@ def read_recording(path) -> RecordingBundle:
         channels /= float(2 ** (8 * samples.dtype.itemsize - 1))
     audio = MultichannelAudio(samples=channels, sample_rate_hz=float(rate))
 
-    n_pos_cols = len(fmt["position_columns"])
-    array_path = path / fmt["array_position_file"]
-    array_traj = _read_trajectory(array_path, n_pos_cols)
+    array_traj = _read_trajectory(path / ARRAY_POSITION_FILE)
 
     source_names = metadata.get("sources", [])
     source_trajs = None
@@ -160,11 +168,13 @@ def read_recording(path) -> RecordingBundle:
         source_trajs = {}
         intervals = {}
         for name in source_names:
-            pos_path = path / fmt["source_position_pattern"].format(name=name)
-            source_trajs[name] = _read_trajectory(pos_path, n_pos_cols)
-            vap_path = path / fmt["vap_pattern"].format(name=name)
-            table, _ = _read_table(vap_path, len(fmt["vap_columns"]))
-            intervals[name] = tuple((row[0], row[1]) for row in table)
+            source_trajs[name] = _read_trajectory(path / SOURCE_POSITION_FILE.format(name=name))
+            vap_path = path / VAP_FILE.format(name=name)
+            table, _ = _read_table(vap_path, len(VAP_COLUMNS))
+            try:
+                intervals[name] = vap_spans(table.tolist())
+            except ValueError as exc:
+                raise CorpusFormatError(f"{vap_path}: {exc}") from None
         vaps = VapTable(intervals)
     return RecordingBundle(audio=audio, array_trajectory=array_traj,
                            source_trajectories=source_trajs, vaps=vaps,
@@ -175,34 +185,28 @@ def write_recording(bundle: RecordingBundle, path) -> None:
     """Write a bundle as a recording directory; inverse of read_recording."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    fmt = _formats()
 
     # float64 WAV keeps simulated audio bit-exact through a round trip
-    wavfile.write(path / fmt["audio_file"],
+    wavfile.write(path / AUDIO_FILE,
                   int(bundle.audio.sample_rate_hz),
                   np.ascontiguousarray(bundle.audio.samples.T))
 
-    def dump_table(name: str, table: np.ndarray, columns) -> None:
-        # the bytes np.savetxt(fmt="%.17g") writes, formatted as one string
-        row = " ".join(["%.17g"] * table.shape[1]) + "\n"
-        body = (row * len(table)) % tuple(table.ravel().tolist())
-        (path / name).write_text("# " + " ".join(columns) + "\n" + body)
-
-    dump_table(fmt["array_position_file"],
-               _trajectory_to_table(bundle.array_trajectory), fmt["position_columns"])
+    tables = [(ARRAY_POSITION_FILE, POSITION_COLUMNS,
+               _trajectory_to_table(bundle.array_trajectory))]
     metadata = dict(bundle.metadata)
     if bundle.source_trajectories is not None:
         names = sorted(bundle.source_trajectories)
         metadata.setdefault("sources", names)
         metadata.setdefault("split", "dev")
         for name in names:
-            dump_table(fmt["source_position_pattern"].format(name=name),
-                       _trajectory_to_table(bundle.source_trajectories[name]),
-                       fmt["position_columns"])
             spans = bundle.vaps.intervals[name] if bundle.vaps else ()
-            dump_table(fmt["vap_pattern"].format(name=name),
-                       np.array(spans, dtype=float).reshape(-1, 2), fmt["vap_columns"])
-    (path / fmt["metadata_file"]).write_text(json.dumps(metadata, indent=2, sort_keys=True))
+            tables += [(SOURCE_POSITION_FILE.format(name=name), POSITION_COLUMNS,
+                        _trajectory_to_table(bundle.source_trajectories[name])),
+                       (VAP_FILE.format(name=name), VAP_COLUMNS,
+                        np.array(spans, dtype=float).reshape(-1, 2))]
+    for file_name, columns, table in tables:
+        _write_table(path / file_name, "# " + " ".join(columns), ["%.17g"] * len(columns), table)
+    (path / METADATA_FILE).write_text(json.dumps(metadata, indent=2, sort_keys=True))
 
 
 def bundle_from_scene(scene, recording_id: str = "sim") -> RecordingBundle:
@@ -222,37 +226,36 @@ def bundle_from_scene(scene, recording_id: str = "sim") -> RecordingBundle:
                            source_trajectories=trajs, vaps=vaps, metadata=metadata)
 
 
-ANGLE_DECIMALS = 6
-
-
 def write_submission(estimates, path) -> None:
     """Write time-ordered direction estimates as a plaintext submission table.
 
-    Accepts either a Submission or an iterable of DoaEstimate. Angles go to
-    disk in degrees at 6-decimal precision.
+    Accepts a Submission or an iterable of DoaEstimate; angles go to disk in
+    degrees at ANGLE_DECIMALS decimals. Rows are checked before the file is
+    opened: a non-finite field, a time before the previous one, or two rows of
+    one id whose times print alike raise ValueError; a non-integer id, TypeError.
     """
-    fmt = _formats()
     if isinstance(estimates, Submission):
         rows = zip(estimates.times.tolist(), estimates.ids.tolist(),
                    estimates.azimuths.tolist(), estimates.elevations.tolist())
     else:
         rows = [(est.timestamp, est.source_id, est.doa.azimuth, est.doa.elevation)
                 for est in estimates]
+    table, seen, last_t = [], set(), -math.inf  # seen: (timestamp as read back, id)
+    for t, k, az, el in rows:
+        if not (math.isfinite(t) and math.isfinite(az) and math.isfinite(el)):
+            raise ValueError(f"non-finite field in row ({t}, {k})")
+        if t < last_t:
+            raise ValueError("estimates must be time-ordered")
+        last_t = t
+        key = (float(_SUBMISSION_FIELDS[0] % t), k)
+        if key in seen:
+            raise ValueError(f"duplicate (timestamp, id) row: ({t}, {k})")
+        seen.add(key)
+        table.append((t, operator.index(k), math.degrees(wrap_angle(az)), math.degrees(el)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(" ".join(fmt["submission_columns"]) + "\n")
-        last_t = -math.inf
-        seen = set()
-        for t, k, az, el in rows:
-            if t < last_t:
-                raise ValueError("estimates must be time-ordered")
-            last_t = t
-            if (t, k) in seen:
-                raise ValueError(f"duplicate (timestamp, id) row: ({t}, {k})")
-            seen.add((t, k))
-            fh.write(f"{t:.6f} {k} {math.degrees(wrap_angle(az)):.{ANGLE_DECIMALS}f} "
-                     f"{math.degrees(el):.{ANGLE_DECIMALS}f}\n")
+    _write_table(path, " ".join(SUBMISSION_COLUMNS), _SUBMISSION_FIELDS,
+                 np.array(table, dtype=object).reshape(-1, 4))  # object: each id an exact int
 
 
 def read_submission(path) -> Submission:
@@ -260,15 +263,9 @@ def read_submission(path) -> Submission:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing submission file: {path}")
-    rows = []
-    seen = set()
-    last_t = -math.inf
+    rows, seen, last_t = [], set(), -math.inf
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = _split_row(stripped)
+        for lineno, tokens in _scan(fh):
             if lineno == 1 and any(not _is_number(tok) for tok in tokens):
                 continue  # header row
             if len(tokens) not in (3, 4):
@@ -289,6 +286,8 @@ def read_submission(path) -> Submission:
             if (t, k) in seen:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate (timestamp, id)")
             seen.add((t, k))
+            if not (math.isfinite(t) and math.isfinite(az_deg) and math.isfinite(el_deg)):
+                raise CorpusFormatError(f"{path}:{lineno}: non-finite field")
             rows.append((t, k, az_deg, el_deg))
     times, ids, az_deg, el_deg = zip(*rows) if rows else ([], [], [], [])
     return Submission.from_rows(times, ids, np.radians(az_deg), np.radians(el_deg))

@@ -45,6 +45,23 @@ def angular_errors(truth_azimuths, truth_elevations, azimuths, elevations):
             np.subtract(truth_elevations, elevations))
 
 
+def vap_spans(spans, source=None) -> tuple:
+    """Voice-activity periods as a tuple of (start, end) floats. Raises
+    ValueError, naming `source` if given, for a NaN bound, an end not after
+    its start, or a start before the previous end; a bound may be infinite."""
+    where = "" if source is None else f"source {source}: "
+    spans = tuple((float(a), float(b)) for a, b in spans)
+    for a, b in spans:
+        if math.isnan(a) or math.isnan(b):
+            raise ValueError(f"{where}VAP bound is NaN")
+        if b <= a:
+            raise ValueError(f"{where}VAP end must exceed start")
+    for (_, b), (a2, _) in zip(spans, spans[1:]):
+        if a2 < b:
+            raise ValueError(f"{where}VAPs overlap or are unordered")
+    return spans
+
+
 @dataclass(frozen=True)
 class VapTable:
     """Per-source voice-activity intervals: {source: ((start, end), ...)}."""
@@ -52,17 +69,8 @@ class VapTable:
     intervals: dict
 
     def __post_init__(self):
-        clean = {}
-        for n, spans in self.intervals.items():
-            spans = tuple((float(a), float(b)) for a, b in spans)
-            for a, b in spans:
-                if b <= a:
-                    raise ValueError(f"source {n}: VAP end must exceed start")
-            for (_, b), (a2, _) in zip(spans, spans[1:]):
-                if a2 < b:
-                    raise ValueError(f"source {n}: VAPs overlap or are unordered")
-            clean[n] = spans
-        object.__setattr__(self, "intervals", clean)
+        object.__setattr__(self, "intervals", {n: vap_spans(spans, n)
+                                               for n, spans in self.intervals.items()})
 
     @property
     def sources(self):

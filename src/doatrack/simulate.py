@@ -43,6 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev
 from scipy.signal import butter, lfilter
 
+from .evaluate import vap_spans
 from .geometry import (
     GROUND_TRUTH_RATE_HZ,
     SPEED_OF_SOUND,
@@ -92,14 +93,7 @@ class SourceConfig:
     signal: str = "speech"  # "speech" | "white"
 
     def __post_init__(self):
-        vaps = tuple((float(a), float(b)) for a, b in self.vaps)
-        for a, b in vaps:
-            if b <= a:
-                raise ValueError("VAP end must exceed start")
-        for (_, b), (a2, _) in zip(vaps, vaps[1:]):
-            if a2 < b:
-                raise ValueError("VAPs must be non-overlapping and ordered")
-        object.__setattr__(self, "vaps", vaps)
+        object.__setattr__(self, "vaps", vap_spans(self.vaps))
 
 
 def _check_duration_and_snr(duration: float, snr_db: float) -> None:

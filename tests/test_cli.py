@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -204,6 +205,19 @@ def test_evaluate_two_rows_of_one_id_at_one_tick(scene_dir, tmp_path):
     code = _run("evaluate", "--input", str(scene_dir), "--submission", str(bad),
                 "--out", str(tmp_path / "rep"))
     assert code == 2
+
+
+def test_evaluate_rejects_a_nan_vap_bound(scene_dir, tmp_path, capsys):
+    # a NaN bound used to pass and score p_d, FAR and TFR as NaN with exit 0
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    (scene / "vap_source_src1.txt").write_text("# start end\nnan 1.5\n")
+    sub = tmp_path / "sub.txt"
+    sub.write_text("timestamp source_id azimuth_deg\n0.000000 1 10.0\n")
+    code = _run("evaluate", "--input", str(scene), "--submission", str(sub),
+                "--out", str(tmp_path / "rep"))
+    assert code == 2
+    assert "vap_source_src1.txt: VAP bound is NaN" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value,message", [

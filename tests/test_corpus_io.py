@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from doatrack.corpus_io import (CorpusFormatError, RecordingBundle,
                                 write_submission)
 from doatrack.evaluate import Submission, VapTable
 from doatrack.geometry import (Doa, Pose, Trajectory, identity_pose,
-                               static_trajectory)
+                               static_trajectory, wrap_angle)
 from doatrack.localize import DoaEstimate
 from doatrack.sigproc import MultichannelAudio
 
@@ -341,3 +343,108 @@ def test_submission_round_trip_randomized(tmp_path):
             assert t1 == pytest.approx(t2, abs=1e-6)
             assert k1 == k2
             assert d1.azimuth == pytest.approx(d2.azimuth, abs=math.radians(1e-6) * 1.5)
+
+
+def _per_row_submission_bytes(rows) -> bytes:
+    """The submission text written one f-string row at a time."""
+    lines = ["timestamp source_id azimuth_deg elevation_deg"]
+    lines += [f"{t:.6f} {k} {math.degrees(wrap_angle(az)):.6f} {math.degrees(el):.6f}"
+              for t, k, az, el in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_written_submission_is_the_per_row_text(tmp_path):
+    rng = np.random.default_rng(11)
+    near_half_turn = math.radians(2.5e-7)  # within 5e-7 deg of +-180
+    times = np.concatenate([[-0.0, 0.0], np.sort(rng.uniform(0.0, 5.0, 40))])
+    ids = rng.integers(1, 4, len(times))
+    ids[:2] = [1, 2]
+    azimuths = rng.uniform(-math.pi, math.pi, len(times))
+    azimuths[2:8] = [math.pi - near_half_turn, -math.pi, -math.pi + near_half_turn,
+                     -0.0, 0.0, math.pi - 1e-300]
+    elevations = rng.uniform(0.0, math.pi, len(times))
+    elevations[2:6] = [0.0, math.pi, -0.0, math.pi]
+    sub = Submission.from_rows(times, ids, azimuths, elevations)
+    rows = list(zip(sub.times.tolist(), sub.ids.tolist(), sub.azimuths.tolist(),
+                    sub.elevations.tolist()))
+    write_submission(sub, tmp_path / "sub.txt")
+    write_submission([DoaEstimate(t, Doa(az, el), k) for t, k, az, el in rows],
+                     tmp_path / "estimates.txt")
+    expected = _per_row_submission_bytes(rows)
+    assert (tmp_path / "sub.txt").read_bytes() == expected
+    assert (tmp_path / "estimates.txt").read_bytes() == expected
+
+
+@pytest.mark.parametrize("estimates,message", [
+    ([DoaEstimate(1e-7, Doa(0.1), 1), DoaEstimate(2e-7, Doa(0.2), 1)], "duplicate"),
+    (Submission.from_rows([0.0083331, 0.0083334], [1, 1], [0.1, 0.2]), "duplicate"),
+    ([DoaEstimate(-1e-7, Doa(0.1), 2), DoaEstimate(1e-7, Doa(0.2), 2)], "duplicate"),
+    ([DoaEstimate(0.0, Doa(0.1)), DoaEstimate(1.0, Doa(0.1)), DoaEstimate(0.5, Doa(0.2))],
+     "time-ordered"),
+    ([DoaEstimate(0.0, Doa(0.1)), DoaEstimate(math.nan, Doa(0.2))], "non-finite"),
+    ([DoaEstimate(0.0, Doa(0.1)), DoaEstimate(math.inf, Doa(0.2))], "non-finite"),
+    ([DoaEstimate(0.0, Doa(0.1, math.nan))], "non-finite"),
+    (Submission.from_rows([0.0, 1.0], [1, 1], [0.1, 0.2], [1.0, math.nan]), "non-finite"),
+    ([DoaEstimate(0.0, Doa(0.1)), DoaEstimate(1.0, Doa(0.1), 1.5)], "integer"),
+])
+def test_write_submission_checks_every_row_before_it_opens_the_file(tmp_path, estimates,
+                                                                     message):
+    new, old = tmp_path / "new" / "sub.txt", tmp_path / "old.txt"
+    old.write_text("timestamp source_id azimuth_deg\n0.000000 1 10.000000\n")
+    for path in (new, old):
+        with pytest.raises((ValueError, TypeError), match=message):
+            write_submission(estimates, path)
+    assert not new.parent.exists()
+    assert old.read_text() == "timestamp source_id azimuth_deg\n0.000000 1 10.000000\n"
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_ANY_FLOAT, st.sampled_from([0.0083331, 0.0083334, -1e-7])),
+                          st.integers(1, 2 ** 62), st.floats(-10.0, 10.0),
+                          st.one_of(_ANY_FLOAT, st.floats(0.0, math.pi))), max_size=8),
+       st.booleans())
+def test_what_write_submission_accepts_read_submission_reads_back(tmp_path_factory, rows,
+                                                                   as_submission):
+    if as_submission:
+        estimates = Submission.from_rows(*zip(*rows)) if rows else Submission()
+        rows = list(zip(estimates.times.tolist(), estimates.ids.tolist(),
+                        estimates.azimuths.tolist(), estimates.elevations.tolist()))
+    else:
+        estimates = [DoaEstimate(t, Doa(az, el), k) for t, k, az, el in rows]
+        rows = [(e.timestamp, e.source_id, e.doa.azimuth, e.doa.elevation) for e in estimates]
+    path = tmp_path_factory.getbasetemp() / "sub.txt"
+    try:
+        write_submission(estimates, path)
+    except ValueError:
+        return
+    back = read_submission(path)
+    assert back.times.tolist() == [float(f"{t:.6f}") for t, _, _, _ in rows]
+    assert back.ids.tolist() == [k for _, k, _, _ in rows]
+    az_error = np.degrees(wrap_angle(back.azimuths - np.array([az for _, _, az, _ in rows])))
+    el_error = np.degrees(back.elevations - np.array([el for _, _, _, el in rows]))
+    assert np.all(np.abs(az_error) <= 0.51e-6) and np.all(np.abs(el_error) <= 0.51e-6)
+
+
+@pytest.mark.parametrize("column", [0, 2, 3])  # timestamp, azimuth, elevation
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_submission_rejects_a_non_finite_field(tmp_path, column, value):
+    row = ["0.008333", "1", "10.0", "80.0"]
+    row[column] = value
+    path = tmp_path / "sub.txt"
+    path.write_text("timestamp source_id azimuth_deg elevation_deg\n" + " ".join(row) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"sub.txt:2: non-finite field"):
+        read_submission(path)
+
+
+def test_formats_doc_names_the_layout_constants():
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text()
+    files = re.findall(r"^\| `([^`]+)` \|", text, flags=re.MULTILINE)
+    assert [f.replace("<name>", "{name}") for f in files] == [
+        corpus_io.AUDIO_FILE, corpus_io.METADATA_FILE, corpus_io.ARRAY_POSITION_FILE,
+        corpus_io.SOURCE_POSITION_FILE, corpus_io.VAP_FILE]
+    blocks = re.findall(r"^```\n(.*?)\n```$", text, flags=re.MULTILINE | re.DOTALL)
+    assert [tuple(block.split()) for block in blocks] == [
+        corpus_io.POSITION_COLUMNS, corpus_io.VAP_COLUMNS, corpus_io.SUBMISSION_COLUMNS]

@@ -13,6 +13,7 @@ from doatrack.evaluate import (OspaParams, Submission, VapTable, align_vaps,
                                ground_truth_doas, ospa, ospa_series)
 from doatrack.geometry import (Doa, Pose, identity_pose, static_trajectory,
                                wrap_angle)
+from doatrack.simulate import SourceConfig
 
 D = math.radians
 
@@ -146,6 +147,17 @@ def test_vap_table_validation():
     assert table.active_sources(1.5) == []
     assert table.vap_index([2.5]).tolist() == [[1]]
     assert table.total_duration() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("spans", [((math.nan, 1.0),), ((0.0, math.nan),),
+                                   ((0.0, 1.0), (math.nan, 2.0))])
+def test_vap_checks_reject_a_nan_bound(spans):
+    with pytest.raises(ValueError, match="source 1: VAP bound is NaN"):
+        VapTable({1: spans})
+    with pytest.raises(ValueError, match="VAP bound is NaN"):
+        SourceConfig(static_trajectory(identity_pose(), 1.0), spans)
+    # infinite bounds stay legal
+    assert VapTable({1: ((-math.inf, 0.0), (1.0, math.inf))}).intervals[1][1] == (1.0, math.inf)
 
 
 def test_align_vaps_shifts_by_propagation():
