@@ -211,9 +211,10 @@ def write_recording(bundle: RecordingBundle, path) -> None:
 
 def bundle_from_scene(scene, recording_id: str = "sim") -> RecordingBundle:
     """Package a synthesized scene for the on-disk recording layout."""
-    names = [f"src{i + 1}" for i in range(len(scene.source_trajectories))]
-    trajs = dict(zip(names, scene.source_trajectories))
-    vaps = VapTable(dict(zip(names, scene.source_vaps)))
+    sources = scene.config.sources
+    names = [f"src{i + 1}" for i in range(len(sources))]
+    trajs = dict(zip(names, (s.trajectory for s in sources)))
+    vaps = VapTable(dict(zip(names, (s.vaps for s in sources))))
     metadata = {
         "recording_id": recording_id,
         "task": scene.config.task,
@@ -222,7 +223,7 @@ def bundle_from_scene(scene, recording_id: str = "sim") -> RecordingBundle:
         "sources": names,
         "seed": scene.config.seed,
     }
-    return RecordingBundle(audio=scene.audio, array_trajectory=scene.array_trajectory,
+    return RecordingBundle(audio=scene.audio, array_trajectory=scene.config.array_trajectory,
                            source_trajectories=trajs, vaps=vaps, metadata=metadata)
 
 
@@ -265,9 +266,10 @@ def read_submission(path) -> Submission:
         raise FileNotFoundError(f"missing submission file: {path}")
     rows, seen, last_t = [], set(), -math.inf
     with open(path) as fh:
-        for lineno, tokens in _scan(fh):
-            if lineno == 1 and any(not _is_number(tok) for tok in tokens):
-                continue  # header row
+        for n, (lineno, tokens) in enumerate(_scan(fh)):
+            if n == 0 and (tuple(tokens) in (SUBMISSION_COLUMNS, SUBMISSION_COLUMNS[:3]) or
+                           lineno == 1 and not all(map(_is_number, tokens))):
+                continue  # header row; after a comment, only the column names
             if len(tokens) not in (3, 4):
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 3 or 4 columns, got {len(tokens)}")

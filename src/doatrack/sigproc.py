@@ -291,15 +291,16 @@ def pair_cross_spectra(blocks: Blocks, pairs, bins=None) -> np.ndarray:
     G[k, b, p] = mean over the frames f of block b of S_m(f, k) conj(S_l(f, k)),
     with (m, l) = pairs[p].
 
-    Returns an array of shape (bin_count, blocks, pairs), over every bin or
-    over the bin indices given, so that the pairs of one bin and block lie
-    side by side in memory. Each frame's outer products are formed once:
-    blocks are sums of sub-blocks (see `Blocks.sub_block`), so overlapping
-    blocks share the sub-blocks they have in common. The sub-block products
-    are full channel x channel matrices, formed PAIR_CHUNK_ELEMENTS at a
-    time over a chunk of bins; the requested pairs are gathered, summed into
-    blocks and scaled by 1 / length while the chunk is still in cache. Meant
-    for the blocks of one `Blocks.groups` group, whose frames are all in use.
+    Returns an array of shape (bin_count, blocks, pairs), so that the pairs of
+    one bin and block lie side by side in memory, over every bin or over
+    `bins`, one increasing run of consecutive bin indices; any other `bins`
+    raises ValueError. Each frame's outer products are formed once: blocks are
+    sums of sub-blocks (see `Blocks.sub_block`), so overlapping blocks share
+    the sub-blocks they have in common. The sub-block products are full
+    channel x channel matrices, formed PAIR_CHUNK_ELEMENTS at a time over a
+    chunk of bins; the requested pairs are gathered, summed into blocks and
+    scaled by 1 / length while the chunk is still in cache. Meant for the
+    blocks of one `Blocks.groups` group, whose frames are all in use.
     """
     if not blocks.length:
         raise ValueError("empty frame block")
@@ -315,8 +316,9 @@ def pair_cross_spectra(blocks: Blocks, pairs, bins=None) -> np.ndarray:
     # (sub-blocks, frames of the sub-block, channels, bins)
     spectra = frames.bins[:n_sub * sub].reshape((n_sub, sub) + frames.bins.shape[1:])
     bins = np.arange(frames.bin_count) if bins is None else np.asarray(bins)
-    # a run of consecutive bins is read through slices
-    run = len(bins) > 0 and np.array_equal(bins, bins[0] + np.arange(len(bins)))
+    if len(bins) and not (np.array_equal(bins, bins[0] + np.arange(len(bins)))
+                          and 0 <= bins[0] and bins[-1] < frames.bin_count):
+        raise ValueError("bins must be one increasing run of consecutive bins in range")
     # block b is sub-blocks pos[b]..pos[b] + per_block - 1, summed in that order
     pos = (starts - starts[0]) // sub
     per_block = blocks.length // sub
@@ -326,8 +328,7 @@ def pair_cross_spectra(blocks: Blocks, pairs, bins=None) -> np.ndarray:
     out = np.empty((len(bins), len(starts), len(flat)), dtype=complex)
     step = max(1, PAIR_CHUNK_ELEMENTS // (n_sub * channels * channels))
     for first in range(0, len(bins), step):
-        chunk = (slice(bins[0] + first, bins[0] + min(first + step, len(bins))) if run
-                 else bins[first:first + step])
+        chunk = slice(bins[0] + first, bins[0] + min(first + step, len(bins)))
         # (sub-blocks, chunk bins, channels, frames of the sub-block)
         x = np.ascontiguousarray(spectra[..., chunk].transpose(0, 3, 2, 1))
         sums = x @ np.conj(x.transpose(0, 1, 3, 2))
@@ -345,7 +346,7 @@ def block_cross_spectra(blocks: Blocks, bins=None) -> np.ndarray:
     block b of S_m(f, k) conj(S_l(f, k)), every pair of `pair_cross_spectra`.
 
     Returns a view of shape (blocks, bin_count, channels, channels), over
-    every bin or over the bin indices given.
+    every bin or over one run of consecutive bin indices.
     """
     channels = blocks.channel_count
     pairs = np.stack(np.divmod(np.arange(channels * channels), channels), axis=1)

@@ -135,10 +135,7 @@ class SceneConfig:
 @dataclass(frozen=True)
 class Scene:
     audio: MultichannelAudio
-    source_trajectories: tuple  # Trajectory per source
-    source_vaps: tuple  # (start, end) tuples per source
-    array_trajectory: Trajectory
-    config: SceneConfig
+    config: SceneConfig  # trajectories and VAPs of the sources and the array
 
 
 def _vap_slices(times: np.ndarray, vaps, side: str = "right") -> list:
@@ -248,12 +245,6 @@ def _delay_reader(signal: np.ndarray):
         return out
 
     return read
-
-
-def _fractional_delay_read(signal: np.ndarray, read_index: np.ndarray) -> np.ndarray:
-    """Windowed-sinc interpolation of `signal` at fractional sample positions:
-    one `_delay_reader` bank, then one read."""
-    return _delay_reader(signal)(read_index)
 
 
 def _audible_spans(vaps, fs: float, lag_min: float, lag_max: float, n_samples: int):
@@ -373,15 +364,7 @@ def synthesize(config: SceneConfig) -> Scene:
     noise *= noise_rms
     audio += noise
 
-    source_trajectories = tuple(s.trajectory for s in config.sources)
-    source_vaps = tuple(s.vaps for s in config.sources)
-    return Scene(
-        audio=MultichannelAudio(audio, fs),
-        source_trajectories=source_trajectories,
-        source_vaps=source_vaps,
-        array_trajectory=config.array_trajectory,
-        config=config,
-    )
+    return Scene(audio=MultichannelAudio(audio, fs), config=config)
 
 
 # ---------------------------------------------------------------------------

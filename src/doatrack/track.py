@@ -11,16 +11,17 @@ of the innovations to the observation's images obs + 2 pi k, k in
 The lifecycle keeps the state of every live track in one filter bank and
 steps the bank once per timestamp: one predict for all tracks, one read of
 their azimuths and gate variances, one update of the matched tracks, one
-start for the unmatched observations and one compaction when tracks end.
-The two Kalman banks stack means (n, 2) and covariances (n, 2, 2), one
-Gaussian per track, and differ only in the correction; the particle bank
-stacks particles (n, I, 2) and weights (n, I). The per-track functions
-(`kf_predict`, `kf_update`, `wrapped_kf_predict`, `wrapped_kf_update`,
-`pf_predict`, `pf_step`) run the same kernels on one state, so each filter
-equation is written once and a bank row holds the bits the per-track
-function gives. The wrapped filter's per-track state, `WrappedMixture`, is
-one Gaussian held as `TrackState` holds it, and `wrapped_kf_predict` is
-`kf_predict`.
+start for the unmatched observations and one compaction when tracks end. A
+bank only filters and reports each row's outcome; the lifecycle alone counts
+hits and misses, confirms and ends tracks, and logs. The two Kalman banks
+stack means (n, 2) and covariances (n, 2, 2), one Gaussian per track, and
+differ only in the correction; the particle bank stacks particles (n, I, 2)
+and weights (n, I). The per-track functions (`kf_predict`, `kf_update`,
+`wrapped_kf_predict`, `wrapped_kf_update`, `pf_predict`, `pf_step`) run the
+same kernels on one state, so each filter equation is written once and a
+bank row holds the bits the per-track function gives. The wrapped filter's
+per-track state, `WrappedMixture`, is one Gaussian held as `TrackState`
+holds it, and `wrapped_kf_predict` is `kf_predict`.
 
 The particle bank draws from one generator in the order that stepping the
 tracks one by one would: the predict noise of every track in track order,
@@ -34,8 +35,9 @@ start. It does not wrap them again after an update or a resample, as a new
 A covariance is accepted when it is positive-definite, checked in closed
 form with the arithmetic of the 2 x 2 Cholesky factorisation: a > 0 and
 d - (b / sqrt(a))**2 > 0 for the lower triangle [[a, .], [b, d]]. A NaN
-fails either test. The check is vectorized over the rows of a bank and
-scalar in `TrackState`; no LAPACK call is made.
+fails either test. One check, `_positive_definite_rows`, runs over the rows
+of a bank and over the one matrix of a `TrackState`; no LAPACK call is made.
+A start covariance needs none, as `TrackerConfig` keeps its entries positive.
 
 Work that depends only on the step length is done once per (dt, process
 noise intensity): the transition matrix and process-noise covariance
@@ -51,6 +53,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -72,18 +75,9 @@ class FilterDivergenceError(ArithmeticError):
     """Covariance lost positive definiteness; the track should be flagged."""
 
 
-def _is_positive_definite(cov) -> bool:
-    """Whether the 2 x 2 matrix `cov`, read from its lower triangle as
-    Cholesky reads it, is positive-definite: a > 0 and d - (b / sqrt(a))**2 > 0."""
-    (a, _), (b, d) = cov.tolist()
-    if not a > 0:
-        return False
-    low = b / math.sqrt(a)
-    return d - low * low > 0
-
-
 def _positive_definite_rows(covs: np.ndarray) -> np.ndarray:
-    """`_is_positive_definite` of each (2, 2) matrix of a stack."""
+    """Whether each (2, 2) matrix of a stack, read from its lower triangle as
+    Cholesky reads it, is positive-definite: a > 0 and d - (b / sqrt(a))**2 > 0."""
     a, b, d = covs[:, 0, 0], covs[:, 1, 0], covs[:, 1, 1]
     with np.errstate(all="ignore"):
         low = b / np.sqrt(a)
@@ -100,7 +94,7 @@ class TrackState:
         cov = np.asarray(self.covariance, dtype=float)
         mean[0] = wrap_angle(mean[0])
         cov = 0.5 * (cov + cov.T)
-        if not _is_positive_definite(cov):
+        if not _positive_definite_rows(cov[None])[0]:
             raise FilterDivergenceError("covariance is not positive-definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -450,6 +444,9 @@ class TrackerConfig:
         for name in ("t_miss", "gate_sigma", "gate_max", "obs_noise_std", "initial_rate_var"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        std = float(self.obs_noise_std)  # numpy would warn, and a float's ** raise, on overflow
+        if not 0 < std * std < math.inf:  # the banks' obs_noise_std**2, which squares alike
+            raise ValueError(f"obs_noise_std must be finite and > 0 when squared, got {std}")
         if not 0 <= self.process_intensity < math.inf:
             raise ValueError("process_intensity must be finite and >= 0, "
                              f"got {self.process_intensity}")
@@ -457,13 +454,13 @@ class TrackerConfig:
 
 # ---------------------------------------------------------------------------
 # Filter banks: the states of every live track of one lifecycle, row i
-# holding track i. Each bank has the same methods:
+# holding track i. A bank filters and logs nothing. Each has the methods:
 #   predict(dt)                 every row
 #   azimuths(), variances(az)   every row's azimuth and the gate's azimuth
 #                               variance; the arrays may change at the update
-#   update(rows, obs, wheres)   whether each row took its observation; a row
-#                               that did not keeps its predicted state.
-#                               `wheres` name the track and time in warnings
+#   update(rows, obs)           (took, flagged): whether each row took its
+#                               observation, else kept its predicted state, and
+#                               which rows `warning(where, obs)` reports, or None
 #   start(obs)                  one new row per observation
 #   keep(rows)                  drop every other row
 # ---------------------------------------------------------------------------
@@ -491,17 +488,15 @@ class _KalmanBank:
     def variances(self, azimuths):
         return self.covs[:, 0, 0]
 
-    def update(self, rows, obs, wheres):
+    def update(self, rows, obs):
         means, covs = _kf_correct(self.means[rows], self.covs[rows], obs, self.obs_var)
         means, covs, ok = _normalized(means, covs)
         if not ok.all():
             rows, means, covs = rows[ok], means[ok], covs[ok]
         self.means[rows], self.covs[rows] = means, covs
-        return ok
+        return ok, None
 
     def start(self, obs) -> None:
-        if not _is_positive_definite(self.prior):
-            raise FilterDivergenceError("covariance is not positive-definite")
         self.means = np.concatenate([self.means, [[wrap_angle(z), 0.0] for z in obs]])
         self.covs = np.concatenate([self.covs, np.broadcast_to(self.prior, (len(obs), 2, 2))])
 
@@ -511,24 +506,26 @@ class _KalmanBank:
 
 class _WrappedBank(_KalmanBank):
     """The Kalman bank corrected by `_wkf_correct`. A row whose observation
-    has zero evidence keeps its predicted state and still counts as a hit."""
+    has zero evidence keeps its predicted state, counts a hit and is flagged."""
 
-    def update(self, rows, obs, wheres):
-        means, covs, evidence = _wkf_correct(self.means[rows], self.covs[rows], obs,
-                                             self.obs_var)
+    warning = staticmethod(_log_rejection)
+
+    def update(self, rows, obs):
+        means, covs, evidence = _wkf_correct(self.means[rows], self.covs[rows], obs, self.obs_var)
         means, covs, ok = _normalized(means, covs)
         rejected = ~(evidence > 0.0)
-        for k in np.flatnonzero(rejected):
-            _log_rejection(wheres[k], obs[k])
         taken = ok & ~rejected
         self.means[rows[taken]], self.covs[rows[taken]] = means[taken], covs[taken]
-        return ok | rejected
+        return ok | rejected, rejected
 
 
 class _ParticleBank:
     """Particles (n, I, 2) and weights (n, I) of every track, drawn from one
     generator. The circular mean of a row is computed once per state, from
-    phasors of the azimuths kept until they move."""
+    phasors of the azimuths kept until they move. Every row takes its
+    observation; a row whose weights all died is flagged."""
+
+    warning = staticmethod(_log_weight_collapse)
 
     def __init__(self, config: TrackerConfig, seed: int):
         self.rng = np.random.default_rng(seed)
@@ -559,12 +556,9 @@ class _ParticleBank:
     def variances(self, azimuths):
         return _pf_azimuth_variance(self.particles, self.weights, azimuths)
 
-    def update(self, rows, obs, wheres):
+    def update(self, rows, obs):
         weights, dead = _pf_reweight(self.particles[rows, :, 0], self.weights[rows], obs,
                                      self.obs_var)
-        if dead.any():
-            for k in np.flatnonzero(dead):
-                _log_weight_collapse(wheres[k], obs[k])
         resampled = np.flatnonzero(_pf_effective_sample_size(weights)
                                    < PF_RESAMPLE_THRESHOLD * PF_PARTICLES)
         for k, offset in zip(resampled, self.rng.random(len(resampled))):
@@ -575,7 +569,7 @@ class _ParticleBank:
         weights[resampled] = 1.0 / PF_PARTICLES
         self.weights[rows] = weights
         self.means[rows] = np.nan
-        return np.ones(len(rows), dtype=bool)
+        return np.ones(len(rows), dtype=bool), dead
 
     def start(self, obs) -> None:
         draws = self.rng.standard_normal((len(obs), 2, PF_PARTICLES))
@@ -602,8 +596,8 @@ _BANKS = {"kalman": _KalmanBank, "wrapped-kalman": _WrappedBank, "particle": _Pa
 
 @dataclass
 class _Candidate:
-    history: list = field(default_factory=list)  # recent hit/miss booleans
-    last_hit_time: float = 0.0
+    history: deque  # hit/miss booleans of the last init_window steps
+    last_hit_time: float
     confirmed_id: int = 0
     emitted: list = field(default_factory=list)
 
@@ -620,8 +614,8 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
     run the filter named `tracker` in one filter bank, row i holding
     candidate i, and all particle filter tracks draw from one generator
     seeded with `seed`. Returns {track_id: [(t, azimuth), ...]}, one azimuth
-    in [-pi, pi) per timestamp from confirmation to termination; ids follow
-    confirmation order, never reused.
+    in [-pi, pi) per timestamp from confirmation to termination; ids count
+    up from 1 in confirmation order, never reused.
     """
     if tracker not in _BANKS:
         raise ValueError(f"unknown filter {tracker!r}; available: {FILTERS}")
@@ -630,7 +624,6 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
     for est in estimates:
         by_time.setdefault(round(est.timestamp, 9), []).append(est.doa.azimuth)
 
-    obs_var = config.obs_noise_std**2
     candidates: list[_Candidate] = []
     results: dict[int, list] = {}
     next_id = 1
@@ -638,56 +631,49 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
 
     for t in sorted(by_time):
         observations = np.array(by_time[t])
-        dt = 0.0 if prev_t is None else t - prev_t
+        bank.predict(0.0 if prev_t is None else t - prev_t)
         prev_t = t
-        bank.predict(dt)
 
         # gated assignment on wrapped innovation cost
         if candidates:
             predicted = bank.azimuths()
-            gates = np.minimum(config.gate_sigma * np.sqrt(bank.variances(predicted) + obs_var),
-                               config.gate_max)
+            variances = bank.variances(predicted) + bank.obs_var
+            gates = np.minimum(config.gate_sigma * np.sqrt(variances), config.gate_max)
             cost = np.abs(wrap_angle(observations[None, :] - predicted[:, None]))
             blocked = np.where(cost <= gates[:, None], cost, np.pi + 1.0)
             pairs = gated_assignment(blocked, np.pi)
         else:
             pairs = []
 
-        hit = [False] * len(candidates)
         matched_obs = set()
         if pairs:
             rows, cols = np.array(pairs).T
-            labels = [candidates[i].label for i in rows]
-            took = bank.update(rows, observations[cols],
-                               [f"{label} at t={t:.3f} s" for label in labels])
-            for (i, j), label, ok in zip(pairs, labels, took):
-                if not ok:
-                    logger.warning("%s flagged at t=%.3f s: non-PD covariance", label, t)
-                    continue
-                cand = candidates[i]
-                cand.last_hit_time = t
-                cand.history.append(True)
-                hit[i] = True
-                matched_obs.add(j)
+            took, flagged = bank.update(rows, observations[cols])
+            if flagged is not None and flagged.any():
+                for i, z in zip(rows[flagged].tolist(), observations[cols[flagged]]):
+                    bank.warning(f"{candidates[i].label} at t={t:.3f} s", z)
+            for i, j, ok in zip(rows.tolist(), cols.tolist(), took.tolist()):
+                if ok:
+                    candidates[i].last_hit_time = t
+                    matched_obs.add(j)
+                else:
+                    logger.warning("%s flagged at t=%.3f s: non-PD covariance",
+                                   candidates[i].label, t)
 
         kept, emitting = [], []
         for i, cand in enumerate(candidates):
-            if not hit[i]:
-                cand.history.append(False)
-            cand.history = cand.history[-config.init_window:]
-            if cand.confirmed_id == 0:
-                if sum(cand.history) >= config.init_hits:
-                    cand.confirmed_id = next_id
-                    next_id += 1
-                    results[cand.confirmed_id] = cand.emitted
-                elif len(cand.history) >= config.init_window:
-                    continue  # the window is full and short of M hits
-                elif t - cand.last_hit_time > config.t_miss:
-                    continue
-            if cand.confirmed_id and t - cand.last_hit_time > config.t_miss:
-                continue  # terminated
-            if cand.confirmed_id:
-                emitting.append(i)
+            cand.history.append(cand.last_hit_time == t)  # a hit at this step
+            if t - cand.last_hit_time > config.t_miss:
+                continue  # terminated, or lapsed before confirmation
+            if not cand.confirmed_id:
+                if sum(cand.history) < config.init_hits:
+                    if len(cand.history) < config.init_window:
+                        kept.append(i)
+                    continue  # still tentative, or the window is full and short of M hits
+                cand.confirmed_id = next_id
+                next_id += 1
+                results[cand.confirmed_id] = cand.emitted
+            emitting.append(i)
             kept.append(i)
         if emitting:
             for i, az in zip(emitting, bank.azimuths()[emitting].tolist()):
@@ -699,6 +685,6 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
         new = [obs for j, obs in enumerate(by_time[t]) if j not in matched_obs]
         if new:
             bank.start(new)
-            candidates += [_Candidate(history=[True], last_hit_time=t) for _ in new]
+            candidates += [_Candidate(deque([True], int(config.init_window)), t) for _ in new]
 
-    return {tid: series for tid, series in results.items() if series}
+    return results

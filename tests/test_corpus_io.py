@@ -262,7 +262,7 @@ def test_bundle_from_scene_round_trip(tmp_path):
     back = read_recording(tmp_path / "scene")
     assert np.array_equal(back.audio.samples, scene.audio.samples)
     assert back.metadata["array"] == "robot_head"
-    _assert_trajectories_close(back.array_trajectory, scene.array_trajectory)
+    _assert_trajectories_close(back.array_trajectory, scene.config.array_trajectory)
 
 
 def test_submission_round_trip_exact_precision(tmp_path):
@@ -286,6 +286,23 @@ def test_empty_submission(tmp_path):
     write_submission([], path)
     back = read_submission(path)
     assert back.timestamps == []
+
+
+def test_submission_header_may_follow_a_comment(tmp_path):
+    path = tmp_path / "sub.txt"
+    path.write_text("# made by hand\n\ntimestamp source_id azimuth_deg\n0.000000 1 10.0\n")
+    back = read_submission(path)
+    assert back.times.tolist() == [0.0] and back.ids.tolist() == [1]
+    assert back.azimuths.tolist() == pytest.approx([math.radians(10.0)])
+    # after a comment a header must be the column names: a mistyped first row
+    # is an error, not a dropped row
+    path.write_text("# note\n0.000000 1 1O.0\n0.100000 1 10.0\n")
+    with pytest.raises(CorpusFormatError, match=":2: non-numeric field"):
+        read_submission(path)
+    # only the first such line may be a header
+    path.write_text("# made by hand\n0.000000 1 10.0\ntimestamp source_id azimuth_deg\n")
+    with pytest.raises(CorpusFormatError, match=":3: non-numeric field"):
+        read_submission(path)
 
 
 def test_submission_rejects_id_zero(tmp_path):

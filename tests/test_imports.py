@@ -1,4 +1,5 @@
-"""No library module imports a name it never uses (read with the stdlib `ast`)."""
+"""No library module imports a name it never uses, and no module-level private
+helper goes unreferenced in the package (read with the stdlib `ast`)."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,32 @@ def test_unused_imports_finds_plain_from_and_aliased_names():
 def test_module_uses_every_name_it_imports(path):
     unused = set(unused_imports(path.read_text())) - BOUND_FOR_OTHERS.get(path.stem, set())
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def private_helpers(source: str) -> set:
+    """Names of the module-level functions and classes that start with one `_`."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def referenced_names(source: str) -> set:
+    """Every name read as a variable or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+
+def test_private_helpers_and_references_are_read_from_the_source():
+    source = ("def _used(): pass\ndef _unused(): pass\nclass _Kept: pass\n"
+              "def __dunder__(): pass\ndef public(): return _used(), m._Kept\n")
+    assert private_helpers(source) == {"_used", "_unused", "_Kept"}
+    assert private_helpers(source) - referenced_names(source) == {"_unused"}
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    used = set().union(*map(referenced_names, sources.values()))
+    unused = [f"{module}.{name}" for module, source in sources.items()
+              for name in sorted(private_helpers(source) - used)]
+    assert not unused, f"private helpers nothing in the package references: {unused}"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doatrack import simulate
-from doatrack.simulate import SINC_HALF_WIDTH, _fractional_delay_read, synthesize, task_preset
+from doatrack.simulate import SINC_HALF_WIDTH, _delay_reader, synthesize, task_preset
 
 KERNEL_ATOL_REL = 1e-11
 SCENE_ATOL_REL = 1e-10
@@ -66,7 +66,7 @@ def test_kernel_matches_sinc_reference(kind):
     else:
         signal = 3e4 * rng.standard_normal(n)
     positions = _read_positions(n, rng)
-    got = _fractional_delay_read(signal, positions)
+    got = _delay_reader(signal)(positions)
     ref = ref_fractional_delay_read(signal, positions)
     assert np.max(np.abs(got - ref)) <= KERNEL_ATOL_REL * np.max(np.abs(signal))
 
@@ -75,12 +75,12 @@ def test_kernel_integer_positions_read_the_sample():
     rng = np.random.default_rng(3)
     signal = rng.standard_normal(500)
     positions = np.arange(-40, 540).astype(float)
-    got = _fractional_delay_read(signal, positions)
+    got = _delay_reader(signal)(positions)
     inside = (positions >= 0) & (positions < 500)
     assert np.array_equal(got[inside], signal[positions[inside].astype(int)])
     assert np.all(got[~inside] == 0.0)
     # tiny negative positions, where idx - floor(idx) rounds to 1, read sample 0
-    assert np.array_equal(_fractional_delay_read(signal, np.array([-1e-17, -5e-324])),
+    assert np.array_equal(_delay_reader(signal)(np.array([-1e-17, -5e-324])),
                           signal[[0, 0]])
 
 
@@ -93,7 +93,7 @@ def test_kernel_far_outside_reads_exact_zero():
         n - 1 + SINC_HALF_WIDTH + rng.uniform(0.0, 1e6, 500),
         [-1e6, n + 1e6],
     ])
-    got = _fractional_delay_read(signal, positions)
+    got = _delay_reader(signal)(positions)
     assert np.all(got == 0.0)
     assert np.all(ref_fractional_delay_read(signal, positions) == 0.0)
 
@@ -145,7 +145,7 @@ def test_one_bank_serves_every_read():
     read = simulate._delay_reader(signal)
     shared = [read(positions) for positions in reads]
     for positions, got in zip(reads, shared):
-        assert np.array_equal(_bits(got), _bits(_fractional_delay_read(signal, positions)))
+        assert np.array_equal(_bits(got), _bits(_delay_reader(signal)(positions)))
     # a read's bits do not depend on the positions read with it
     assert np.array_equal(_bits(read(np.concatenate(reads))), _bits(np.concatenate(shared)))
     assert np.all(shared[1] == 0.0) and np.all(shared[4] == 0.0)
@@ -159,7 +159,7 @@ def _signal(seed, n):
 @given(n=st.integers(1, 300), delay=st.integers(-400, 400), seed=st.integers(0, 2**16))
 def test_integer_delay_is_exact_shift(n, delay, seed):
     signal = _signal(seed, n)
-    got = _fractional_delay_read(signal, np.arange(n) - float(delay))
+    got = _delay_reader(signal)(np.arange(n) - float(delay))
     expected = np.zeros(n)
     if delay >= 0:
         expected[delay:] = signal[:max(n - delay, 0)]
@@ -175,9 +175,9 @@ def test_kernel_is_linear_in_the_signal(n, seed, a, b, data):
     s1, s2 = _signal(seed, n), _signal(seed + 1, n)
     positions = np.array(data.draw(st.lists(st.floats(-40.0, n + 40.0), min_size=1,
                                             max_size=64)))
-    left = _fractional_delay_read(a * s1 + b * s2, positions)
-    r1 = a * _fractional_delay_read(s1, positions)
-    r2 = b * _fractional_delay_read(s2, positions)
+    left = _delay_reader(a * s1 + b * s2)(positions)
+    r1 = a * _delay_reader(s1)(positions)
+    r2 = b * _delay_reader(s2)(positions)
     # relative to the input magnitude: the two reads can cancel
     scale = abs(a) * np.max(np.abs(s1)) + abs(b) * np.max(np.abs(s2))
     assert np.max(np.abs(left - (r1 + r2))) <= LINEARITY_RTOL * scale
