@@ -267,9 +267,8 @@ def read_submission(path) -> Submission:
     rows, seen, last_t = [], set(), -math.inf
     with open(path) as fh:
         for n, (lineno, tokens) in enumerate(_scan(fh)):
-            if n == 0 and (tuple(tokens) in (SUBMISSION_COLUMNS, SUBMISSION_COLUMNS[:3]) or
-                           lineno == 1 and not all(map(_is_number, tokens))):
-                continue  # header row; after a comment, only the column names
+            if n == 0 and tuple(tokens) in (SUBMISSION_COLUMNS, SUBMISSION_COLUMNS[:3]):
+                continue  # header row: the column names, nothing else
             if len(tokens) not in (3, 4):
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 3 or 4 columns, got {len(tokens)}")
@@ -293,11 +292,3 @@ def read_submission(path) -> Submission:
             rows.append((t, k, az_deg, el_deg))
     times, ids, az_deg, el_deg = zip(*rows) if rows else ([], [], [], [])
     return Submission.from_rows(times, ids, np.radians(az_deg), np.radians(el_deg))
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False

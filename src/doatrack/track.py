@@ -13,39 +13,36 @@ steps the bank once per timestamp: one predict for all tracks, one read of
 their azimuths and gate variances, one update of the matched tracks, one
 start for the unmatched observations and one compaction when tracks end. A
 bank only filters and reports each row's outcome; the lifecycle alone counts
-hits and misses, confirms and ends tracks, and logs. The two Kalman banks
-stack means (n, 2) and covariances (n, 2, 2), one Gaussian per track, and
-differ only in the correction; the particle bank stacks particles (n, I, 2)
-and weights (n, I). The per-track functions (`kf_predict`, `kf_update`,
-`wrapped_kf_predict`, `wrapped_kf_update`, `pf_predict`, `pf_step`) run the
-same kernels on one state, so each filter equation is written once and a
-bank row holds the bits the per-track function gives. The wrapped filter's
-per-track state, `WrappedMixture`, is one Gaussian held as `TrackState`
-holds it, and `wrapped_kf_predict` is `kf_predict`.
+hits and misses, confirms and ends tracks, and logs. The per-track functions
+(`kf_predict`, `kf_update`, `wrapped_kf_update`, `pf_predict`, `pf_step`)
+run the banks' kernels on one state, so each filter equation is written once
+and a bank row holds the bits the per-track function gives.
 
-The particle bank draws from one generator in the order that stepping the
-tracks one by one would: the predict noise of every track in track order,
-then one resampling offset per resampled track in assignment-row order, then
-the start particles of each new track in observation order. It wraps the
-azimuths that a per-track `ParticleSet` wraps after the predict and at the
-start. It does not wrap them again after an update or a resample, as a new
-`ParticleSet` does, since those azimuths are `wrap_angle` output, which
-`wrap_angle` returns unchanged bit for bit.
+The Kalman banks differ only in the correction and hold each track as a row
+of five Python floats, (azimuth, rate, P00, P01, P11), that one scalar kernel
+per filter equation steps. Rows beat numpy's (n, 2, 2) stacks, whose
+per-call cost is paid at any n, up to about 40 tracks; a bank seldom holds
+6. Settings and observations are cast to float once. The kernels square with
+`x * x`, as a float's `**` raises `OverflowError` where numpy warned, and
+give `sqrt` and division only positive numbers. `_positive_definite` checks
+every bank row and `TrackState` in closed form, with the 2 x 2 Cholesky
+arithmetic and no LAPACK call; a start covariance needs no check, as
+`TrackerConfig` keeps its entries positive.
 
-A covariance is accepted when it is positive-definite, checked in closed
-form with the arithmetic of the 2 x 2 Cholesky factorisation: a > 0 and
-d - (b / sqrt(a))**2 > 0 for the lower triangle [[a, .], [b, d]]. A NaN
-fails either test. One check, `_positive_definite_rows`, runs over the rows
-of a bank and over the one matrix of a `TrackState`; no LAPACK call is made.
-A start covariance needs none, as `TrackerConfig` keeps its entries positive.
-
-Work that depends only on the step length is done once per (dt, process
-noise intensity): the transition matrix and process-noise covariance
-(`_model`), and the particle filter's noise factor (`_noise_factor`). Both
-caches are bounded LRU caches of read-only arrays. The particle filter
-draws its process noise as a standard normal (..., 2) block times that
-factor, which is `Generator.multivariate_normal`'s SVD draw from the same
-stream, without the per-call factorisation and PSD check.
+The particle bank stacks particles (n, I, 2) and weights (n, I) and draws
+from one generator in the order that stepping the tracks one by one would:
+the predict noise of every track in track order, then one resampling offset
+per resampled track in assignment-row order, then the start particles of
+each new track in observation order. It wraps the azimuths that a per-track
+`ParticleSet` wraps after the predict and at the start, not again after an
+update or a resample, as a new `ParticleSet` does, since those azimuths are
+`wrap_angle` output, which `wrap_angle` returns unchanged bit for bit. Its
+step model is cached per (dt, process noise intensity): the transition
+matrix and process-noise covariance (`_model`) and the noise factor
+(`_noise_factor`), in bounded LRU caches of read-only arrays. Its process
+noise is a standard normal (..., 2) block times that factor, which is
+`Generator.multivariate_normal`'s SVD draw from the same stream, without the
+per-call factorisation and PSD check.
 """
 
 from __future__ import annotations
@@ -75,15 +72,6 @@ class FilterDivergenceError(ArithmeticError):
     """Covariance lost positive definiteness; the track should be flagged."""
 
 
-def _positive_definite_rows(covs: np.ndarray) -> np.ndarray:
-    """Whether each (2, 2) matrix of a stack, read from its lower triangle as
-    Cholesky reads it, is positive-definite: a > 0 and d - (b / sqrt(a))**2 > 0."""
-    a, b, d = covs[:, 0, 0], covs[:, 1, 0], covs[:, 1, 1]
-    with np.errstate(all="ignore"):
-        low = b / np.sqrt(a)
-        return (a > 0) & (d - low * low > 0)
-
-
 @dataclass(frozen=True)
 class TrackState:
     mean: np.ndarray  # [azimuth (rad), azimuth rate (rad/s)]
@@ -94,7 +82,8 @@ class TrackState:
         cov = np.asarray(self.covariance, dtype=float)
         mean[0] = wrap_angle(mean[0])
         cov = 0.5 * (cov + cov.T)
-        if not _positive_definite_rows(cov[None])[0]:
+        (a, _), (b, d) = cov.tolist()
+        if not _positive_definite(a, b, d):
             raise FilterDivergenceError("covariance is not positive-definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -135,60 +124,70 @@ def _noise_factor(dt: float, intensity: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kalman kernels: means (..., 2), covariances (..., 2, 2)
+# Kalman kernels: one track's row (azimuth, rate, P00, P01, P11) of floats
 # ---------------------------------------------------------------------------
 
-_H = np.array([[1.0, 0.0]])
-_EYE = np.eye(2)
+def _positive_definite(a: float, b: float, d: float) -> bool:
+    """Whether [[a, b], [b, d]], read from its lower triangle as Cholesky
+    reads it, is positive-definite: a > 0 and d - (b / sqrt(a))**2 > 0."""
+    low = b / math.sqrt(a) if a > 0.0 else math.nan  # NaN fails; sqrt sees no a <= 0
+    return d - low * low > 0.0
 
 
-def _kf_propagate(means, covs, dt: float, intensity: float):
-    """x <- F x and P <- F P F' + Q."""
-    f, q = _model(dt, intensity)
-    return (f @ means[..., None])[..., 0], f @ covs @ f.T + q
+def _kf_propagate(row, dt: float, intensity: float):
+    """x <- F x and P <- F P F' + Q (`process_noise_cov`), the azimuth wrapped."""
+    az, rate, p00, p01, p11 = row
+    cross = p01 + dt * p11  # (F P)[0, 1]
+    return (wrap_angle(az + dt * rate), rate,
+            p00 + dt * p01 + dt * cross + intensity * (dt * dt * dt / 3.0),
+            cross + intensity * (dt * dt / 2.0),
+            p11 + intensity * dt)
 
 
-def _kf_gain(covs, obs_noise_var: float):
-    """Gain P H' / (H P H' + r) and the Joseph-form posterior covariance
-    (I - K H) P (I - K H)' + K r K', which stays symmetric positive-definite."""
-    gain = covs[..., :, 0] / (covs[..., :1, 0] + obs_noise_var)
-    column = gain[..., :, None]
-    ikh = _EYE - column * _H
-    return gain, ikh @ covs @ ikh.swapaxes(-1, -2) + column * gain[..., None, :] * obs_noise_var
+def _joseph_correct(row, innovation: float, obs_noise_var: float):
+    """The row moved by the innovation times the gain K = P H' / (H P H' + r),
+    P by the Joseph form (I - K H) P (I - K H)' + K r K'; the azimuth wrapped."""
+    az, rate, p00, p01, p11 = row
+    s = p00 + obs_noise_var  # > 0: p00 > 0 in a checked row, r > 0
+    k0, k1 = p00 / s, p01 / s
+    u = 1.0 - k0
+    v, w = p01 - k1 * p00, p11 - k1 * p01  # row 1 of (I - K H) P
+    return (wrap_angle(az + k0 * innovation), rate + k1 * innovation,
+            u * p00 * u + k0 * k0 * obs_noise_var,
+            v * u + k1 * k0 * obs_noise_var,
+            w - v * k1 + k1 * k1 * obs_noise_var)
 
 
-def _kf_correct(means, covs, obs, obs_noise_var: float):
+def _kf_correct(row, obs: float, obs_noise_var: float):
     """Measurement update with the innovation wrapped into [-pi, pi)."""
-    innovation = wrap_angle(obs - means[..., 0])
-    gain, covs = _kf_gain(covs, obs_noise_var)
-    return means + gain * np.asarray(innovation)[..., None], covs
+    return _joseph_correct(row, wrap_angle(obs - row[0]), obs_noise_var)
 
 
-def _wkf_correct(means, covs, obs, obs_noise_var: float):
+def _wkf_correct(row, obs: float, obs_noise_var: float):
     """Wrapped measurement update (Traa and Smaragdis, IEEE SPL 2013): the
     innovation is the mean of the innovations to the images wrap(obs) + 2 pi k,
     k in {-1, 0, 1}, weighted by their likelihoods. Also returns the summed
     likelihood, the evidence; a state of zero evidence keeps its mean."""
-    obs = wrap_angle(obs)
-    s = covs[..., 0, 0] + obs_noise_var
-    norm = np.sqrt(2 * np.pi * s)
+    obs, az, s = wrap_angle(obs), row[0], row[2] + obs_noise_var
+    norm = math.sqrt(2 * math.pi * s)
     evidence = weighted = 0.0
-    for shift in (-2 * np.pi, 0.0, 2 * np.pi):
-        innovation = (obs + shift) - means[..., 0]
-        likelihood = np.exp(-0.5 * innovation**2 / s) / norm
-        evidence = evidence + likelihood
-        weighted = weighted + likelihood * innovation
-    innovation = weighted / np.where(evidence > 0.0, evidence, 1.0)
-    gain, covs = _kf_gain(covs, obs_noise_var)
-    return means + gain * innovation[..., None], covs, evidence
+    for shift in (-2 * math.pi, 0.0, 2 * math.pi):
+        innovation = (obs + shift) - az
+        likelihood = math.exp(-0.5 * innovation * innovation / s) / norm  # exponent <= 0
+        evidence += likelihood
+        weighted += likelihood * innovation
+    innovation = weighted / evidence if evidence > 0.0 else 0.0
+    return _joseph_correct(row, innovation, obs_noise_var), evidence
 
 
-def _normalized(means, covs):
-    """Azimuths wrapped, covariances symmetrized, and which rows are
-    positive-definite."""
-    means[:, 0] = wrap_angle(means[:, 0])
-    covs = 0.5 * (covs + covs.swapaxes(1, 2))
-    return means, covs, _positive_definite_rows(covs)
+def _row(state: TrackState):  # the Kalman kernels' (azimuth, rate, P00, P01, P11)
+    (az, rate), ((p00, _), (p01, p11)) = state.mean.tolist(), state.covariance.tolist()
+    return az, rate, p00, p01, p11
+
+
+def _with_row(state: TrackState, row) -> TrackState:
+    az, rate, p00, p01, p11 = row
+    return replace(state, mean=[az, rate], covariance=[[p00, p01], [p01, p11]])
 
 
 def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState:
@@ -196,31 +195,25 @@ def kf_predict(state: TrackState, dt: float, process_noise: float) -> TrackState
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return state
-    mean, cov = _kf_propagate(state.mean, state.covariance, dt, process_noise)
-    return replace(state, mean=mean, covariance=cov)
+    return _with_row(state, _kf_propagate(_row(state), float(dt), float(process_noise)))
 
 
-def _check_observation(obs: float, obs_noise_var: float) -> None:
-    if not np.isfinite(obs):
+def _check_observation(obs: float, obs_noise_var: float):
+    obs, obs_noise_var = float(obs), float(obs_noise_var)
+    if not math.isfinite(obs):
         raise ValueError("observation must be finite")
     if not 0 < obs_noise_var < math.inf:
         raise ValueError("obs_noise_var must be positive and finite")
+    return obs, obs_noise_var
 
 
 def kf_update(state: TrackState, obs: float, obs_noise_var: float) -> TrackState:
     """Kalman measurement update with the innovation wrapped into [-pi, pi)."""
-    _check_observation(obs, obs_noise_var)
-    mean, cov = _kf_correct(state.mean, state.covariance, obs, obs_noise_var)
-    return replace(state, mean=mean, covariance=cov)
+    return _with_row(state, _kf_correct(_row(state), *_check_observation(obs, obs_noise_var)))
 
-
-# ---------------------------------------------------------------------------
-# Wrapped Kalman filter
-# ---------------------------------------------------------------------------
 
 class WrappedMixture(TrackState):
-    """The wrapped Kalman filter's state: one Gaussian, held as `TrackState`
-    holds it."""
+    """The wrapped Kalman filter's state: one Gaussian, as `TrackState` holds it."""
 
     @classmethod
     def from_state(cls, state: TrackState) -> "WrappedMixture":
@@ -248,12 +241,12 @@ def wrapped_kf_update(state: WrappedMixture, obs: float, obs_noise_var: float,
     An observation of zero evidence is rejected: the prior is returned and a
     warning names `where`, the track and time.
     """
-    _check_observation(obs, obs_noise_var)
-    mean, cov, evidence = _wkf_correct(state.mean, state.covariance, obs, obs_noise_var)
+    obs, obs_noise_var = _check_observation(obs, obs_noise_var)
+    row, evidence = _wkf_correct(_row(state), obs, obs_noise_var)
     if not evidence > 0.0:
         _log_rejection(where, obs)
         return state
-    return replace(state, mean=mean, covariance=cov)
+    return _with_row(state, row)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +437,17 @@ class TrackerConfig:
         for name in ("t_miss", "gate_sigma", "gate_max", "obs_noise_std", "initial_rate_var"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        std = float(self.obs_noise_std)  # numpy would warn, and a float's ** raise, on overflow
-        if not 0 < std * std < math.inf:  # the banks' obs_noise_std**2, which squares alike
-            raise ValueError(f"obs_noise_std must be finite and > 0 when squared, got {std}")
+        if not 0 < self.obs_noise_var < math.inf:
+            raise ValueError("obs_noise_std must be finite and > 0 when squared, "
+                             f"got {self.obs_noise_std}")
         if not 0 <= self.process_intensity < math.inf:
             raise ValueError("process_intensity must be finite and >= 0, "
                              f"got {self.process_intensity}")
+
+    @property
+    def obs_noise_var(self) -> float:
+        """obs_noise_std squared with `*`: a float's `**` raises on overflow."""
+        return float(self.obs_noise_std) * float(self.obs_noise_std)
 
 
 # ---------------------------------------------------------------------------
@@ -466,42 +464,42 @@ class TrackerConfig:
 # ---------------------------------------------------------------------------
 
 class _KalmanBank:
-    """Means (n, 2) and covariances (n, 2, 2), held as `TrackState` holds them."""
+    """One row (azimuth, rate, P00, P01, P11) of Python floats per track, the
+    Gaussian a `TrackState` holds, its symmetric covariance stored once."""
 
     def __init__(self, config: TrackerConfig, seed: int):
-        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_std**2
-        prior = np.diag([self.obs_var, config.initial_rate_var])
-        self.prior = 0.5 * (prior + prior.T)  # every start covariance, as `TrackState` holds it
-        self.means, self.covs = np.empty((0, 2)), np.empty((0, 2, 2))
+        self.intensity, self.obs_var = float(config.process_intensity), config.obs_noise_var
+        self.rate_var = float(config.initial_rate_var)
+        self.rows = []
 
     def predict(self, dt: float) -> None:
-        if dt > 0 and len(self.means):
-            means, covs, ok = _normalized(
-                *_kf_propagate(self.means, self.covs, dt, self.intensity))
-            if not ok.all():
+        if dt > 0 and self.rows:
+            dt = float(dt)
+            rows = [_kf_propagate(row, dt, self.intensity) for row in self.rows]
+            if not all([_positive_definite(a, b, d) for _, _, a, b, d in rows]):
                 raise FilterDivergenceError("covariance is not positive-definite")
-            self.means, self.covs = means, covs
+            self.rows = rows
 
     def azimuths(self):
-        return self.means[:, 0]
+        return np.array([row[0] for row in self.rows])
 
     def variances(self, azimuths):
-        return self.covs[:, 0, 0]
+        return np.array([row[2] for row in self.rows])
 
     def update(self, rows, obs):
-        means, covs = _kf_correct(self.means[rows], self.covs[rows], obs, self.obs_var)
-        means, covs, ok = _normalized(means, covs)
-        if not ok.all():
-            rows, means, covs = rows[ok], means[ok], covs[ok]
-        self.means[rows], self.covs[rows] = means, covs
-        return ok, None
+        took = []
+        for i, z in zip(rows.tolist(), obs.tolist()):
+            row = _kf_correct(self.rows[i], z, self.obs_var)
+            took.append(_positive_definite(*row[2:]))
+            if took[-1]:
+                self.rows[i] = row
+        return np.array(took), None
 
     def start(self, obs) -> None:
-        self.means = np.concatenate([self.means, [[wrap_angle(z), 0.0] for z in obs]])
-        self.covs = np.concatenate([self.covs, np.broadcast_to(self.prior, (len(obs), 2, 2))])
+        self.rows += [(wrap_angle(float(z)), 0.0, self.obs_var, 0.0, self.rate_var) for z in obs]
 
     def keep(self, rows) -> None:
-        self.means, self.covs = self.means[rows], self.covs[rows]
+        self.rows = [self.rows[i] for i in rows]
 
 
 class _WrappedBank(_KalmanBank):
@@ -511,12 +509,14 @@ class _WrappedBank(_KalmanBank):
     warning = staticmethod(_log_rejection)
 
     def update(self, rows, obs):
-        means, covs, evidence = _wkf_correct(self.means[rows], self.covs[rows], obs, self.obs_var)
-        means, covs, ok = _normalized(means, covs)
-        rejected = ~(evidence > 0.0)
-        taken = ok & ~rejected
-        self.means[rows[taken]], self.covs[rows[taken]] = means[taken], covs[taken]
-        return ok | rejected, rejected
+        took, rejected = [], []
+        for i, z in zip(rows.tolist(), obs.tolist()):
+            row, evidence = _wkf_correct(self.rows[i], z, self.obs_var)
+            rejected.append(not evidence > 0.0)
+            took.append(rejected[-1] or _positive_definite(*row[2:]))
+            if took[-1] and not rejected[-1]:
+                self.rows[i] = row
+        return np.array(took), np.array(rejected)
 
 
 class _ParticleBank:
@@ -529,7 +529,7 @@ class _ParticleBank:
 
     def __init__(self, config: TrackerConfig, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_std**2
+        self.intensity, self.obs_var = config.process_intensity, config.obs_noise_var
         self.rate_std = np.sqrt(config.initial_rate_var)
         self.particles = np.empty((0, PF_PARTICLES, 2))
         self.weights = np.empty((0, PF_PARTICLES))

@@ -299,6 +299,10 @@ def test_submission_header_may_follow_a_comment(tmp_path):
     path.write_text("# note\n0.000000 1 1O.0\n0.100000 1 10.0\n")
     with pytest.raises(CorpusFormatError, match=":2: non-numeric field"):
         read_submission(path)
+    # so must a header on line 1: a mistyped first row is not skipped
+    path.write_text("0.000000 1 1O.0\n0.100000 1 10.0\n")
+    with pytest.raises(CorpusFormatError, match=":1: non-numeric field"):
+        read_submission(path)
     # only the first such line may be a header
     path.write_text("# made by hand\n0.000000 1 10.0\ntimestamp source_id azimuth_deg\n")
     with pytest.raises(CorpusFormatError, match=":3: non-numeric field"):

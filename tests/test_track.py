@@ -37,6 +37,17 @@ def test_process_noise_cov_formula():
     assert np.allclose(cov, ref)
 
 
+def _distinct_rows(rng, n):
+    """n Kalman bank rows (azimuth, rate, P00, P01, P11), each its own,
+    positive-definite and at least 2 rad from the wrap."""
+    return [(rng.uniform(-1, 1), rng.normal(), rng.uniform(0.01, 0.1), rng.uniform(-0.005, 0.005),
+             rng.uniform(0.01, 0.5)) for _ in range(n)]
+
+
+def _banks(config):
+    return doatrack.track._KalmanBank(config, 0), doatrack.track._WrappedBank(config, 0)
+
+
 def test_kf_predict_matches_manual():
     s = _state(0.3, 0.5, 0.02, 0.3)
     dt, q = 0.1, 0.4
@@ -45,6 +56,15 @@ def test_kf_predict_matches_manual():
     assert np.allclose(out.mean, f @ s.mean)
     assert np.allclose(out.covariance,
                        f @ s.covariance @ f.T + process_noise_cov(dt, q))
+    # every row of a multi-row bank, against its own prior
+    rows = _distinct_rows(np.random.default_rng(1), 4)
+    for bank in _banks(TrackerConfig(process_intensity=q)):
+        bank.rows = list(rows)
+        bank.predict(dt)
+        for (az, rate, a, b, d), got in zip(rows, bank.rows, strict=True):
+            cov = f @ np.array([[a, b], [b, d]]) @ f.T + process_noise_cov(dt, q)
+            assert np.allclose(got, [*(f @ [az, rate]), cov[0, 0], cov[1, 0], cov[1, 1]],
+                               rtol=0, atol=1e-12)
 
 
 def test_kf_update_matches_manual():
@@ -70,6 +90,27 @@ def test_kf_update_matches_manual():
         assert np.allclose(out.mean, mean_ref, atol=1e-12)
         assert np.allclose(out.covariance, cov_ref, atol=1e-10)
         assert np.allclose(out.covariance, out.covariance.T)
+    # rows 3, 0 and 1 of a multi-row bank updated in one call, row 2 left
+    # alone; the wrapped bank's images obs +- 2 pi weigh nothing this far
+    # from the wrap. The oracle's covariance is the Joseph form
+    rows = _distinct_rows(rng, 4)
+    picked = [3, 0, 1]
+    for bank in _banks(TrackerConfig(obs_noise_std=0.1)):
+        bank.rows = list(rows)
+        obs = [rows[i][0] + rng.normal(0, 0.1) for i in picked]
+        took, _ = bank.update(np.array(picked), np.array(obs))
+        assert took.tolist() == [True] * 3
+        assert bank.rows[2] == rows[2]
+        r = bank.obs_var
+        for i, z in zip(picked, obs):
+            az, rate, a, b, d = rows[i]
+            p = np.array([[a, b], [b, d]])
+            k = p @ h / (h @ p @ h + r)
+            ikh = np.eye(2) - np.outer(k, h)
+            cov_ref = ikh @ p @ ikh.T + np.outer(k, k) * r
+            mean_ref = np.array([az, rate]) + k * (z - az)
+            assert np.allclose(bank.rows[i], [*mean_ref, cov_ref[0, 0], cov_ref[1, 0],
+                                              cov_ref[1, 1]], rtol=0, atol=1e-12), i
 
 
 def test_kf_update_wrapped_innovation():
@@ -265,6 +306,12 @@ def test_numpy_integer_limits_run_as_python_integers(tracker):
     assert tracks == track_lifecycle(_stream(times), TrackerConfig(init_hits=2, init_window=4),
                                      tracker)
     assert list(tracks) == [1]
+    # numpy floats in the settings give the tracks Python floats give
+    floats = dict(obs_noise_std=0.04, process_intensity=0.3, initial_rate_var=0.8)
+    numpy_config = TrackerConfig(**{name: np.float64(value) for name, value in floats.items()})
+    tracks = track_lifecycle(_stream(times), numpy_config, tracker)
+    assert tracks == track_lifecycle(_stream(times), TrackerConfig(**floats), tracker)
+    assert list(tracks) == [1]
 
 
 @pytest.mark.parametrize("tracker", FILTERS)
@@ -350,10 +397,10 @@ def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
     calls = []
     correct = doatrack.track._kf_correct
 
-    def diverging_update(means, covs, obs, obs_noise_var):
+    def diverging_update(row, obs, obs_noise_var):
         calls.append(obs)
-        means, covs = correct(means, covs, obs, obs_noise_var)
-        return means, -covs if len(calls) > good_updates else covs
+        az, rate, *cov = correct(row, obs, obs_noise_var)
+        return az, rate, *(-c if len(calls) > good_updates else c for c in cov)
 
     monkeypatch.setattr(doatrack.track, "_kf_correct", diverging_update)
     times = [(0.1 * k, [0.5]) for k in range(6)]
@@ -376,10 +423,10 @@ def test_wrapped_kf_divergence_flags_the_track_and_the_run_goes_on(monkeypatch, 
     calls = []
     correct = doatrack.track._wkf_correct
 
-    def diverging_correct(means, covs, obs, obs_noise_var):
+    def diverging_correct(row, obs, obs_noise_var):
         calls.append(obs)
-        means, covs, evidence = correct(means, covs, obs, obs_noise_var)
-        return means, -covs if len(calls) > good_updates else covs, evidence
+        (az, rate, *cov), evidence = correct(row, obs, obs_noise_var)
+        return (az, rate, *(-c if len(calls) > good_updates else c for c in cov)), evidence
 
     monkeypatch.setattr(doatrack.track, "_wkf_correct", diverging_correct)
     times = [(0.1 * k, [0.5]) for k in range(6)]
@@ -565,18 +612,25 @@ def _dense_stream(seed, duration=3.0, n_sources=6):
 
 @pytest.mark.parametrize("tracker", FILTERS)
 def test_filter_bank_matches_the_per_track_lifecycle(tracker):
-    for seed in (1, 2, 3, 4):
-        stream, _ = _two_source_stream(seed, 6.0)
-        assert track_lifecycle(stream, TrackerConfig(), tracker, seed=seed) == \
-            reference_lifecycle(stream, TrackerConfig(), tracker, seed=seed), seed
-    stream = _dense_stream(5)
-    tracks = track_lifecycle(stream, TrackerConfig(), tracker, seed=5)
-    assert tracks == reference_lifecycle(stream, TrackerConfig(), tracker, seed=5)
-    alive = {}
-    for series in tracks.values():
-        for t, _ in series:
-            alive[t] = alive.get(t, 0) + 1
-    assert max(alive.values()) >= 5  # the bank held at least five tracks at once
+    # at the default config and at M = 1, where a tentative track can lapse
+    # with its start hit still in the window
+    for config in (TrackerConfig(), TrackerConfig(init_hits=1, init_window=2)):
+        for seed in (1, 2, 3, 4):
+            stream, _ = _two_source_stream(seed, 6.0)
+            assert track_lifecycle(stream, config, tracker, seed=seed) == \
+                reference_lifecycle(stream, config, tracker, seed=seed), (config, seed)
+        # the tentative track started at 0.0 s lapses before its next step
+        stream = _stream([(0.0, [0.5])] + [(t, [-1.0]) for t in (1.0, 1.1, 1.2)])
+        assert track_lifecycle(stream, config, tracker, seed=5) == \
+            reference_lifecycle(stream, config, tracker, seed=5), config
+        stream = _dense_stream(5)
+        tracks = track_lifecycle(stream, config, tracker, seed=5)
+        assert tracks == reference_lifecycle(stream, config, tracker, seed=5), config
+        alive = {}
+        for series in tracks.values():
+            for t, _ in series:
+                alive[t] = alive.get(t, 0) + 1
+        assert max(alive.values()) >= 5  # the bank held at least five tracks at once
 
 
 def test_a_diverging_track_is_flagged_while_the_other_keeps_updating(monkeypatch, caplog):
@@ -588,12 +642,13 @@ def test_a_diverging_track_is_flagged_while_the_other_keeps_updating(monkeypatch
     calls = []
     correct = doatrack.track._kf_correct
 
-    def diverging_update(means, covs, obs, obs_noise_var):
-        calls.append(obs)
-        means, covs = correct(means, covs, obs, obs_noise_var)
-        if len(calls) > 5:
-            covs = np.where((obs > 0)[:, None, None], -covs, covs)
-        return means, covs
+    def diverging_update(row, obs, obs_noise_var):
+        az, rate, *cov = correct(row, obs, obs_noise_var)
+        if obs > 0:  # one update of that track per step
+            calls.append(obs)
+            if len(calls) > 5:
+                cov = [-c for c in cov]
+        return az, rate, *cov
 
     monkeypatch.setattr(doatrack.track, "_kf_correct", diverging_update)
     with caplog.at_level(logging.WARNING, logger="doatrack.track"):
@@ -634,7 +689,7 @@ def test_closed_form_positive_definite_check_agrees_with_cholesky(a, b, d):
         # for the second case) and fails. OpenBLAS's potrf tests a pivot with
         # `<= 0` only and scales by 1 / sqrt(a), which is 0 for a = inf, so
         # it passes some of these
-        assert doatrack.track._positive_definite_rows(cov[None]).tolist() == [False]
+        assert doatrack.track._positive_definite(a, b, d) is False
         return
     if all(map(math.isfinite, (a, b, d))) and a > 0:
         # the closed form takes b / sqrt(a) and LAPACK b * (1 / sqrt(a)), so
@@ -649,7 +704,7 @@ def test_closed_form_positive_definite_check_agrees_with_cholesky(a, b, d):
     else:
         # a NaN pivot that OpenBLAS passed on into the factor is a failure
         expected = not np.isnan(factor).any()
-    assert doatrack.track._positive_definite_rows(cov[None]).tolist() == [expected]
+    assert doatrack.track._positive_definite(a, b, d) is expected
 
 
 @pytest.mark.parametrize("dt", [1e-3, 4096 / 48000, 0.5, 3.0])

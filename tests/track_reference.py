@@ -19,7 +19,7 @@ def reference_filter(name: str, config, seed: int):
     """start(obs), predict(state, dt), update(state, obs, where), azimuth(state)
     and variance(state), the azimuth variance for the gate, of one of
     `FILTERS`; `where` names the track and time in the filter's warnings."""
-    obs_var = config.obs_noise_std**2
+    obs_var = config.obs_noise_var
     q = config.process_intensity
 
     def kf_start(obs):
@@ -75,7 +75,7 @@ def reference_lifecycle(estimates, config=track.TrackerConfig(), tracker: str = 
     for est in estimates:
         by_time.setdefault(round(est.timestamp, 9), []).append(est)
 
-    obs_var = config.obs_noise_std**2
+    obs_var = config.obs_noise_var
     candidates: list[_Candidate] = []
     results: dict[int, list] = {}
     next_id = 1
@@ -121,6 +121,8 @@ def reference_lifecycle(estimates, config=track.TrackerConfig(), tracker: str = 
             if i not in matched_tracks:
                 cand.history.append(False)
             cand.history = cand.history[-config.init_window:]
+            if t - cand.last_hit_time > config.t_miss:
+                continue  # terminated, or lapsed before confirmation
             if cand.confirmed_id == 0:
                 if sum(cand.history) >= config.init_hits:
                     cand.confirmed_id = next_id
@@ -130,10 +132,6 @@ def reference_lifecycle(estimates, config=track.TrackerConfig(), tracker: str = 
                         and sum(cand.history) + config.init_window - len(cand.history)
                         < config.init_hits):
                     continue  # cannot reach M of N any more
-                elif t - cand.last_hit_time > config.t_miss:
-                    continue
-            if cand.confirmed_id and t - cand.last_hit_time > config.t_miss:
-                continue  # terminated
             if cand.confirmed_id:
                 cand.emitted.append((t, track.wrap_angle(azimuth(cand.state))))
             survivors.append(cand)
@@ -144,4 +142,4 @@ def reference_lifecycle(estimates, config=track.TrackerConfig(), tracker: str = 
                 candidates.append(_Candidate(state=start(obs), history=[True],
                                              last_hit_time=t))
 
-    return {tid: series for tid, series in results.items() if series}
+    return results
