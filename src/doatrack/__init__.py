@@ -1,9 +1,9 @@
 """Sound-source localization and tracking toolkit.
 
 Microphone-array DOA estimation (GCC-PHAT, SRP-PHAT, MUSIC,
-pseudo-intensity), azimuth tracking (Kalman, wrapped Kalman, particle
-filter), a free-field scene simulator, and an evaluation harness with
-gated association, detection/latency/fragmentation measures, and OSPA.
+pseudo-intensity), azimuth tracking (Kalman and particle filter; wrapped
+Kalman per track), a free-field scene simulator, and an evaluation harness
+with gated association, detection/latency/fragmentation measures, and OSPA.
 """
 
 __version__ = "0.1.0"

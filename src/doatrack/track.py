@@ -1,12 +1,24 @@
 """Sequential Bayesian smoothing of per-frame DoA estimates.
 
 State is azimuth plus azimuth rate under a constant-velocity model with
-white-acceleration process noise. Three filters are provided: a linear
-Kalman filter with wrapped innovations, the wrapped Kalman filter of Traa and
-Smaragdis (IEEE SPL 2013), which corrects with the likelihood-weighted mean
-of the innovations to the observation's images obs + 2 pi k, k in
-{-1, 0, 1}, and a bootstrap particle filter with systematic resampling.
-`track_lifecycle` runs any of them under one multi-target M-of-N lifecycle.
+white-acceleration process noise. Two filter banks are provided: a linear
+Kalman filter with wrapped innovations and a bootstrap particle filter with
+systematic resampling. `track_lifecycle` runs either under one multi-target
+M-of-N lifecycle.
+
+The wrapped Kalman filter of Traa and Smaragdis (IEEE SPL 2013) corrects
+with the likelihood-weighted mean of the innovations to the observation's
+images obs + 2 pi k, k in {-1, 0, 1}. It is kept as the per-track
+`wrapped_kf_update`; under the lifecycle, `wrapped-kalman` names the Kalman
+bank. Let g <= 30 degrees be the gate (`TrackerConfig` caps `gate_max`) and
+s = P00 + r the innovation variance. A gated innovation v has |v| <= g, so
+each other image lies at least 2 pi - g away, and weighs at most
+exp(-(4 pi^2 - 4 pi g) / (2 s)) = exp(-16.45 / s) relative to v's. That is
+below 2**-53 for s < 0.45 rad^2, and a track reaches that s only across a
+gap of more than about 1.2 s in the whole estimate stream; even then the
+images move the azimuth by at most 4 pi times that weight. (A `gate_sigma`
+above about 38 admits observations whose own likelihood underflows, which
+the wrapped filter rejects and the Kalman filter takes.)
 
 The lifecycle keeps the state of every live track in one filter bank and
 steps the bank once per timestamp: one predict for all tracks, one read of
@@ -14,20 +26,20 @@ their azimuths and gate variances, one update of the matched tracks, one
 start for the unmatched observations and one compaction when tracks end. A
 bank only filters and reports each row's outcome; the lifecycle alone counts
 hits and misses, confirms and ends tracks, and logs. The per-track functions
-(`kf_predict`, `kf_update`, `wrapped_kf_update`, `pf_predict`, `pf_step`)
-run the banks' kernels on one state, so each filter equation is written once
-and a bank row holds the bits the per-track function gives.
+(`kf_predict`, `kf_update`, `pf_predict`, `pf_step`) run the banks' kernels
+on one state, so each filter equation is written once and a bank row holds
+the bits the per-track function gives.
 
-The Kalman banks differ only in the correction and hold each track as a row
-of five Python floats, (azimuth, rate, P00, P01, P11), that one scalar kernel
-per filter equation steps. Rows beat numpy's (n, 2, 2) stacks, whose
-per-call cost is paid at any n, up to about 40 tracks; a bank seldom holds
-6. Settings and observations are cast to float once. The kernels square with
-`x * x`, as a float's `**` raises `OverflowError` where numpy warned, and
-give `sqrt` and division only positive numbers. `_positive_definite` checks
-every bank row and `TrackState` in closed form, with the 2 x 2 Cholesky
-arithmetic and no LAPACK call; a start covariance needs no check, as
-`TrackerConfig` keeps its entries positive.
+The Kalman bank holds each track as a row of five Python floats, (azimuth,
+rate, P00, P01, P11), that one scalar kernel per filter equation steps. Rows
+beat numpy's (n, 2, 2) stacks, whose per-call cost is paid at any n, up to
+about 40 tracks; a bank seldom holds 6. Settings and observations are cast
+to float once. The kernels square with `x * x`, as a float's `**` raises
+`OverflowError` where numpy warned, and give `sqrt` and division only
+positive numbers. `_positive_definite` checks every bank row and
+`TrackState` in closed form, with the 2 x 2 Cholesky arithmetic and no
+LAPACK call; a start covariance needs no check, as `TrackerConfig` keeps its
+entries positive.
 
 The particle bank stacks particles (n, I, 2) and weights (n, I) and draws
 from one generator in the order that stepping the tracks one by one would:
@@ -222,29 +234,18 @@ class WrappedMixture(TrackState):
     def circular_mean(self) -> float:
         return self.azimuth
 
-    def azimuth_variance(self) -> float:
-        return float(self.covariance[0, 0])
-
 
 wrapped_kf_predict = kf_predict
 
 
-def _log_rejection(where: str, obs) -> None:
-    logger.warning("%swrapped KF update rejected observation %.3f (zero likelihood)",
-                   f"{where}: " if where else "", wrap_angle(obs))
-
-
-def wrapped_kf_update(state: WrappedMixture, obs: float, obs_noise_var: float,
-                      where: str = "") -> WrappedMixture:
-    """`_wkf_correct` of the state.
-
-    An observation of zero evidence is rejected: the prior is returned and a
-    warning names `where`, the track and time.
-    """
+def wrapped_kf_update(state: WrappedMixture, obs: float, obs_noise_var: float) -> WrappedMixture:
+    """`_wkf_correct` of the state; an observation of zero evidence is
+    rejected with a warning, and the prior returned."""
     obs, obs_noise_var = _check_observation(obs, obs_noise_var)
     row, evidence = _wkf_correct(_row(state), obs, obs_noise_var)
     if not evidence > 0.0:
-        _log_rejection(where, obs)
+        logger.warning("wrapped KF update rejected observation %.3f (zero likelihood)",
+                       wrap_angle(obs))
         return state
     return _with_row(state, row)
 
@@ -437,6 +438,9 @@ class TrackerConfig:
         for name in ("t_miss", "gate_sigma", "gate_max", "obs_noise_std", "initial_rate_var"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.gate_max > np.radians(DEFAULT_GATE_DEG):
+            raise ValueError(f"gate_max must be at most the {DEFAULT_GATE_DEG:g}-degree "
+                             f"evaluation gate, got {self.gate_max} rad")
         if not 0 < self.obs_noise_var < math.inf:
             raise ValueError("obs_noise_std must be finite and > 0 when squared, "
                              f"got {self.obs_noise_std}")
@@ -500,23 +504,6 @@ class _KalmanBank:
 
     def keep(self, rows) -> None:
         self.rows = [self.rows[i] for i in rows]
-
-
-class _WrappedBank(_KalmanBank):
-    """The Kalman bank corrected by `_wkf_correct`. A row whose observation
-    has zero evidence keeps its predicted state, counts a hit and is flagged."""
-
-    warning = staticmethod(_log_rejection)
-
-    def update(self, rows, obs):
-        took, rejected = [], []
-        for i, z in zip(rows.tolist(), obs.tolist()):
-            row, evidence = _wkf_correct(self.rows[i], z, self.obs_var)
-            rejected.append(not evidence > 0.0)
-            took.append(rejected[-1] or _positive_definite(*row[2:]))
-            if took[-1] and not rejected[-1]:
-                self.rows[i] = row
-        return np.array(took), np.array(rejected)
 
 
 class _ParticleBank:
@@ -587,7 +574,9 @@ class _ParticleBank:
         self.means, self.phasors = self.means[rows], None
 
 
-_BANKS = {"kalman": _KalmanBank, "wrapped-kalman": _WrappedBank, "particle": _ParticleBank}
+# `wrapped-kalman` is an alias of the Kalman bank, whose correction the
+# wrapped one matches within the bound of the module docstring
+_BANKS = {"kalman": _KalmanBank, "wrapped-kalman": _KalmanBank, "particle": _ParticleBank}
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,13 @@ def test_cli_binds_the_pipeline_stages():
         assert getattr(cli, name) is getattr(pipeline, name), name
 
 
+def test_tracker_names_are_the_benchmark_mix():
+    # perfbench's track_eval runs one op per name here, so a renamed or
+    # dropped tracker would change that workload
+    from doatrack import cli
+    assert cli.TRACKERS == ("kalman", "wrapped-kalman", "particle", "none")
+
+
 def test_music_two_source_ids(tmp_path):
     out = tmp_path / "task2"
     assert _run("simulate", "--task", "2", "--seed", "12", "--duration", "4",

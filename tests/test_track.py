@@ -44,10 +44,6 @@ def _distinct_rows(rng, n):
              rng.uniform(0.01, 0.5)) for _ in range(n)]
 
 
-def _banks(config):
-    return doatrack.track._KalmanBank(config, 0), doatrack.track._WrappedBank(config, 0)
-
-
 def test_kf_predict_matches_manual():
     s = _state(0.3, 0.5, 0.02, 0.3)
     dt, q = 0.1, 0.4
@@ -58,13 +54,13 @@ def test_kf_predict_matches_manual():
                        f @ s.covariance @ f.T + process_noise_cov(dt, q))
     # every row of a multi-row bank, against its own prior
     rows = _distinct_rows(np.random.default_rng(1), 4)
-    for bank in _banks(TrackerConfig(process_intensity=q)):
-        bank.rows = list(rows)
-        bank.predict(dt)
-        for (az, rate, a, b, d), got in zip(rows, bank.rows, strict=True):
-            cov = f @ np.array([[a, b], [b, d]]) @ f.T + process_noise_cov(dt, q)
-            assert np.allclose(got, [*(f @ [az, rate]), cov[0, 0], cov[1, 0], cov[1, 1]],
-                               rtol=0, atol=1e-12)
+    bank = doatrack.track._KalmanBank(TrackerConfig(process_intensity=q), 0)
+    bank.rows = list(rows)
+    bank.predict(dt)
+    for (az, rate, a, b, d), got in zip(rows, bank.rows, strict=True):
+        cov = f @ np.array([[a, b], [b, d]]) @ f.T + process_noise_cov(dt, q)
+        assert np.allclose(got, [*(f @ [az, rate]), cov[0, 0], cov[1, 0], cov[1, 1]],
+                           rtol=0, atol=1e-12)
 
 
 def test_kf_update_matches_manual():
@@ -91,26 +87,25 @@ def test_kf_update_matches_manual():
         assert np.allclose(out.covariance, cov_ref, atol=1e-10)
         assert np.allclose(out.covariance, out.covariance.T)
     # rows 3, 0 and 1 of a multi-row bank updated in one call, row 2 left
-    # alone; the wrapped bank's images obs +- 2 pi weigh nothing this far
-    # from the wrap. The oracle's covariance is the Joseph form
+    # alone. The oracle's covariance is the Joseph form
     rows = _distinct_rows(rng, 4)
     picked = [3, 0, 1]
-    for bank in _banks(TrackerConfig(obs_noise_std=0.1)):
-        bank.rows = list(rows)
-        obs = [rows[i][0] + rng.normal(0, 0.1) for i in picked]
-        took, _ = bank.update(np.array(picked), np.array(obs))
-        assert took.tolist() == [True] * 3
-        assert bank.rows[2] == rows[2]
-        r = bank.obs_var
-        for i, z in zip(picked, obs):
-            az, rate, a, b, d = rows[i]
-            p = np.array([[a, b], [b, d]])
-            k = p @ h / (h @ p @ h + r)
-            ikh = np.eye(2) - np.outer(k, h)
-            cov_ref = ikh @ p @ ikh.T + np.outer(k, k) * r
-            mean_ref = np.array([az, rate]) + k * (z - az)
-            assert np.allclose(bank.rows[i], [*mean_ref, cov_ref[0, 0], cov_ref[1, 0],
-                                              cov_ref[1, 1]], rtol=0, atol=1e-12), i
+    bank = doatrack.track._KalmanBank(TrackerConfig(obs_noise_std=0.1), 0)
+    bank.rows = list(rows)
+    obs = [rows[i][0] + rng.normal(0, 0.1) for i in picked]
+    took, _ = bank.update(np.array(picked), np.array(obs))
+    assert took.tolist() == [True] * 3
+    assert bank.rows[2] == rows[2]
+    r = bank.obs_var
+    for i, z in zip(picked, obs):
+        az, rate, a, b, d = rows[i]
+        p = np.array([[a, b], [b, d]])
+        k = p @ h / (h @ p @ h + r)
+        ikh = np.eye(2) - np.outer(k, h)
+        cov_ref = ikh @ p @ ikh.T + np.outer(k, k) * r
+        mean_ref = np.array([az, rate]) + k * (z - az)
+        assert np.allclose(bank.rows[i], [*mean_ref, cov_ref[0, 0], cov_ref[1, 0],
+                                          cov_ref[1, 1]], rtol=0, atol=1e-12), i
 
 
 def test_kf_update_wrapped_innovation():
@@ -194,6 +189,39 @@ def test_wrapped_kf_update_is_the_traa_smaragdis_filter():
         assert np.allclose(mix.covariance, ref_cov, rtol=0, atol=1e-12)
         kf = kf_update(prior, obs, r)
         assert abs(wrap_angle(mix.mean[0] - kf.azimuth)) > 1e-3
+
+
+_GATE = math.radians(30.0)  # the largest gate_max TrackerConfig accepts
+
+
+@settings(max_examples=1000, deadline=None)
+@given(az=st.one_of(st.floats(-math.pi, math.pi, exclude_max=True),
+                    st.floats(-2 * _GATE, 2 * _GATE).map(lambda d: wrap_angle(math.pi + d))),
+       frac=st.floats(-1.0, 1.0), log_s=st.floats(-4.0, 1.0),
+       share=st.floats(0.01, 0.99), rate=st.floats(-5.0, 5.0),
+       p11=st.floats(1e-3, 10.0), corr=st.floats(-0.99, 0.99))
+def test_wrapped_correction_is_the_kalman_one_within_the_image_bound(az, frac, log_s, share,
+                                                                    rate, p11, corr):
+    # why `wrapped-kalman` runs the Kalman bank: for an observation within
+    # the gate g of the azimuth, each other image weighs at most
+    # exp(-(4 pi^2 - 4 pi g) / (2 s)) relative to the nearest, s = P00 + r,
+    # so the azimuths differ by at most 4 pi times that. The observation
+    # lies within the lifecycle's gate min(gate_sigma sqrt(s), g) for a
+    # gate_sigma up to 30, so its own likelihood is a normal float (past
+    # about 38.6 sigma it underflows, and the wrapped filter rejects it).
+    # The Joseph-form covariance does not read the innovation: the same bits
+    s = 10.0 ** log_s
+    r, p00 = share * s, (1.0 - share) * s
+    row = (az, rate, p00, corr * math.sqrt(p00 * p11), p11)
+    assert doatrack.track._positive_definite(*row[2:])
+    # rows near +-pi see observations across the wrap
+    obs = wrap_angle(az + frac * min(_GATE, 30.0 * math.sqrt(s)))
+    kalman = doatrack.track._kf_correct(row, obs, r)
+    wrapped, _ = doatrack.track._wkf_correct(row, obs, r)
+    assert [x.hex() for x in wrapped[2:]] == [x.hex() for x in kalman[2:]]
+    s = p00 + r
+    bound = 4 * math.pi * math.exp(-(4 * math.pi**2 - 4 * math.pi * _GATE) / (2 * s))
+    assert abs(wrap_angle(wrapped[0] - kalman[0])) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("r", [0.0, -0.01, math.nan, math.inf])
@@ -281,7 +309,8 @@ def _stream(azimuths_by_time):
     ("init_hits", 6), ("init_hits", 0), ("init_window", 0),
     ("init_hits", 2.0), ("init_hits", 2.5), ("init_window", 5.0), ("init_window", 2.5),
     ("t_miss", -1.0), ("t_miss", 0.0), ("gate_sigma", -1.0), ("gate_sigma", math.nan),
-    ("gate_max", 0.0), ("gate_max", math.inf), ("obs_noise_std", 0.0),
+    ("gate_max", 0.0), ("gate_max", math.inf), ("gate_max", math.pi),
+    ("gate_max", math.nextafter(math.radians(30.0), math.inf)), ("obs_noise_std", 0.0),
     ("obs_noise_std", math.nan), ("obs_noise_std", 1e-200), ("obs_noise_std", 1e200),
     ("obs_noise_std", np.float64(1e-200)), ("obs_noise_std", np.float64(1e200)),
     ("initial_rate_var", -1.0), ("initial_rate_var", math.inf),
@@ -296,6 +325,7 @@ def test_tracker_config_accepts_the_limits():
     TrackerConfig(init_hits=1, init_window=1, process_intensity=0.0)
     TrackerConfig(init_hits=5, init_window=5)
     TrackerConfig(init_hits=np.int64(2), init_window=np.int32(4))
+    TrackerConfig(gate_max=math.radians(30.0))  # the evaluation gate itself
 
 
 @pytest.mark.parametrize("tracker", FILTERS)
@@ -412,43 +442,14 @@ def test_divergence_warning_names_the_track_and_the_time(monkeypatch, caplog,
                for m in messages)
 
 
-@pytest.mark.parametrize("good_updates, first_warning", [
-    (0, "tentative track flagged at t=0.100 s: non-PD covariance"),
-    (2, "track 1 flagged at t=0.300 s: non-PD covariance"),
-])
-def test_wrapped_kf_divergence_flags_the_track_and_the_run_goes_on(monkeypatch, caplog,
-                                                                 good_updates, first_warning):
-    # after `good_updates` successful calls the wrapped correction gives a
-    # non-PD covariance, which must flag the track rather than abort the run
-    calls = []
-    correct = doatrack.track._wkf_correct
-
-    def diverging_correct(row, obs, obs_noise_var):
-        calls.append(obs)
-        (az, rate, *cov), evidence = correct(row, obs, obs_noise_var)
-        return (az, rate, *(-c if len(calls) > good_updates else c for c in cov)), evidence
-
-    monkeypatch.setattr(doatrack.track, "_wkf_correct", diverging_correct)
-    times = [(0.1 * k, [0.5]) for k in range(6)]
+def test_wrapped_kf_update_rejects_an_observation_of_zero_likelihood(caplog):
+    # 2 rad off a tight prior, every image of the observation has a
+    # likelihood that underflows to zero
+    prior = WrappedMixture.from_state(_state(az=0.5, var_az=1e-6))
     with caplog.at_level(logging.WARNING, logger="doatrack.track"):
-        track_lifecycle(_stream(times), TrackerConfig(), "wrapped-kalman")
-    messages = [record.getMessage() for record in caplog.records]
-    assert messages and messages[0] == first_warning
-    assert all("non-PD covariance" in m and " at t=" in m and "track 0" not in m
-               for m in messages)
-
-
-def test_wrapped_kf_rejection_warning_names_the_track_and_the_time(caplog):
-    # a tight observation noise and an open gate let an observation 2 rad off
-    # the confirmed track reach the update, where every hypothesis has zero
-    # likelihood
-    config = TrackerConfig(obs_noise_std=1e-3, gate_sigma=1e9, gate_max=math.pi)
-    times = [(0.1 * k, [0.5]) for k in range(4)] + [(0.4, [2.5])]
-    with caplog.at_level(logging.WARNING, logger="doatrack.track"):
-        track_lifecycle(_stream(times), config, "wrapped-kalman")
-    messages = [record.getMessage() for record in caplog.records]
-    assert messages == ["track 1 at t=0.400 s: wrapped KF update rejected observation "
-                        "2.500 (zero likelihood)"]
+        assert wrapped_kf_update(prior, 2.5, 1e-6) is prior
+    assert [record.getMessage() for record in caplog.records] == [
+        "wrapped KF update rejected observation 2.500 (zero likelihood)"]
 
 
 def test_particle_filter_collapse_warning_names_the_track_and_the_time(monkeypatch, caplog):

@@ -1,8 +1,8 @@
 """Reference multi-target lifecycle: every track runs its own per-track
-filter state (`TrackState`, `WrappedMixture` or `ParticleSet`) through the
-per-track functions of `doatrack.track`, one track at a time. It is the
-loop the filter bank of `track.track_lifecycle` replaced, kept as an oracle:
-the bank must give the same tracks, bit for bit.
+filter state (`TrackState` or `ParticleSet`) through the per-track
+functions of `doatrack.track`, one track at a time. It is the loop the
+filter bank of `track.track_lifecycle` replaced, kept as an oracle: the
+bank must give the same tracks, bit for bit.
 
 Every library name is looked up on the `track` module at call time, so a
 test that monkeypatches one of them reaches this loop too.
@@ -26,18 +26,12 @@ def reference_filter(name: str, config, seed: int):
         return track.TrackState(mean=np.array([obs, 0.0]),
                                 covariance=np.diag([obs_var, config.initial_rate_var]))
 
-    if name == "kalman":
+    if name in ("kalman", "wrapped-kalman"):  # the lifecycle runs the alias as `kalman`
         return (kf_start,
                 lambda state, dt: track.kf_predict(state, dt, q),
                 lambda state, obs, where: track.kf_update(state, obs, obs_var),
                 lambda state: state.azimuth,
                 lambda state: state.covariance[0, 0])
-    if name == "wrapped-kalman":
-        return (lambda obs: track.WrappedMixture.from_state(kf_start(obs)),
-                lambda mix, dt: track.wrapped_kf_predict(mix, dt, q),
-                lambda mix, obs, where: track.wrapped_kf_update(mix, obs, obs_var, where),
-                track.WrappedMixture.circular_mean,
-                track.WrappedMixture.azimuth_variance)
     if name == "particle":
         rng = np.random.default_rng(seed)  # shared by every track of the call
         params = track.PfParams(process_intensity=q, obs_noise_var=obs_var)
