@@ -1,9 +1,11 @@
 """Sound-source localization and tracking toolkit.
 
 Microphone-array DOA estimation (GCC-PHAT, SRP-PHAT, MUSIC,
-pseudo-intensity), azimuth tracking (Kalman and particle filter; wrapped
-Kalman per track), a free-field scene simulator, and an evaluation harness
-with gated association, detection/latency/fragmentation measures, and OSPA.
+pseudo-intensity; each takes a recording's `Blocks` and returns one array
+with a row per block, NaN where it skipped a block), azimuth tracking
+(Kalman and particle filter; wrapped Kalman per track), a free-field scene
+simulator, and an evaluation harness with gated association,
+detection/latency/fragmentation measures, and OSPA.
 """
 
 __version__ = "0.1.0"
@@ -15,11 +17,10 @@ from .geometry import (ArrayGeometry, DegenerateGeometryError, Doa, Pose,
                        wrap_angle)
 from .sigproc import (Blocks, CrossSpectrum, MultichannelAudio, Stft, block_cross_spectra,
                       cross_power_spectrum, frame_energies, frame_signal, pair_cross_spectra)
-from .localize import (BlockTdoas, DoaEstimate, DoaGrid, IllConditionedError, NoSignalError,
-                       SpatialSpectrum, TdoaEstimate, UnderdeterminedError,
+from .localize import (BlockTdoas, DoaEstimate, DoaGrid, NoSignalError, TdoaEstimate,
                        UnsupportedGeometryError, azimuth_grid, expected_tdoa,
                        farfield_pair_tdoa, gcc_phat, music_spectrum,
-                       pseudo_intensity, srp_argmax, srp_phat, tdoa_to_azimuth)
+                       pseudo_intensity, srp_phat, tdoa_to_azimuth)
 from .assignment import gated_assignment, min_cost_assignment
 from .track import (FilterDivergenceError, ParticleSet, PfParams, TrackerConfig,
                     TrackState, WrappedMixture, kf_predict, kf_update, pf_step,

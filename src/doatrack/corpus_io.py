@@ -143,6 +143,11 @@ def read_recording(path) -> RecordingBundle:
         metadata = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{meta_path}:{exc.lineno}: invalid JSON") from None
+    if not isinstance(metadata, dict):
+        raise CorpusFormatError(f"{meta_path}: not a JSON object")
+    source_names = metadata.get("sources", [])
+    if not (isinstance(source_names, list) and all(isinstance(n, str) for n in source_names)):
+        raise CorpusFormatError(f"{meta_path}: sources must be a list of source names")
 
     audio_path = path / AUDIO_FILE
     if not audio_path.is_file():
@@ -161,7 +166,6 @@ def read_recording(path) -> RecordingBundle:
 
     array_traj = _read_trajectory(path / ARRAY_POSITION_FILE)
 
-    source_names = metadata.get("sources", [])
     source_trajs = None
     vaps = None
     if metadata.get("split", "dev") == "dev" and source_names:

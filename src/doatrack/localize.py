@@ -7,15 +7,16 @@ Four estimators share one STFT front end:
 * broadband MUSIC,
 * first-order pseudo-intensity for spherical layouts.
 
-Each takes one analysis block (an `Stft`) or all analysis blocks of a
-recording (`Blocks`). The blocks are processed in groups (`Blocks.groups`)
-of bounded memory, and work shared by blocks, such as the steering
-vectors and the per-frame intensities, is done once per group, not once per
-block; the GCC lag basis is built once per call. GCC-PHAT and SRP-PHAT read
-only the cross-spectra of the pairs m < l (`sigproc.pair_cross_spectra`).
-A one-block call returns its result or raises
-NoSignalError or IllConditionedError; a `Blocks` call returns a list with
-one entry per block, None where the one-block call would raise.
+Each takes all analysis blocks of a recording (`Blocks`) and returns one
+array with a row per block: a spatial spectrum (SRP-PHAT, MUSIC) or an
+azimuth (pseudo-intensity, and GCC-PHAT delays triangulated by
+`tdoa_to_azimuth`). NaN marks a block the localizer skipped: silent, or
+for MUSIC ill-conditioned. The blocks are processed in groups
+(`Blocks.groups`) of bounded memory, and work shared by blocks, such as the
+steering vectors and the per-frame intensities, is done once per group, not
+once per block; the GCC lag basis is built once per call. GCC-PHAT and
+SRP-PHAT read only the cross-spectra of the pairs m < l
+(`sigproc.pair_cross_spectra`). `gcc_phat` also takes one `CrossSpectrum`.
 
 Delay convention: ``expected_tdoa(s, m, l)`` and ``gcc_phat`` both measure
 the delay of channel m relative to channel l in samples (positive when m
@@ -37,11 +38,11 @@ from .geometry import (
     DegenerateGeometryError,
     Doa,
     doa_to_unit_vector,
-    unit_vector_to_doa,
+    row_norms,
     upper_pairs,
     wrap_angle,
 )
-from .sigproc import (CHUNK_ELEMENTS, Blocks, CrossSpectrum, Stft, block_cross_spectra,
+from .sigproc import (CHUNK_ELEMENTS, Blocks, CrossSpectrum, block_cross_spectra,
                       pair_cross_spectra)
 
 DEFAULT_BAND_HZ = (300.0, 4000.0)
@@ -65,14 +66,6 @@ class NoSignalError(ValueError):
 
 
 class UnsupportedGeometryError(ValueError):
-    pass
-
-
-class IllConditionedError(ValueError):
-    pass
-
-
-class UnderdeterminedError(ValueError):
     pass
 
 
@@ -133,54 +126,16 @@ def azimuth_grid(resolution_deg: float = GRID_RESOLUTION_DEG) -> DoaGrid:
 
 
 @dataclass(frozen=True)
-class SpatialSpectrum:
-    grid: DoaGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if len(values) != len(self.grid):
-            raise ValueError("spectrum length does not match grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectrum contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class DoaEstimate:
     """A timestamped, labelled direction estimate: the unit of every submission."""
 
     timestamp: float
     doa: Doa
     source_id: int = 1
-    score: float = 0.0
 
     def __post_init__(self):
         if self.source_id < 1:
             raise ValueError("source_id must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# One block or a recording's blocks
-# ---------------------------------------------------------------------------
-
-def _as_blocks(frames: Stft | Blocks) -> Blocks:
-    if isinstance(frames, Blocks):
-        return frames
-    if not frames:
-        raise ValueError("empty frame block")
-    return Blocks.whole(frames)
-
-
-def _one_or_each(frames, results):
-    """A one-block call (an Stft) returns its result or raises its error; a
-    Blocks call gets the list, with None for every block that failed."""
-    if isinstance(frames, Blocks):
-        return [None if isinstance(r, Exception) else r for r in results]
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _frame_elements(blocks: Blocks, used_bins: int, pairs: int) -> int:
@@ -340,33 +295,22 @@ def _lag_window_peaks(g, basis):
     return delay, peak, usable
 
 
-def tdoa_to_azimuth(estimates, geometry: ArrayGeometry, f_s: float):
-    """Least-squares triangulation of pair delays on a far-field azimuth grid.
-
-    `estimates` is one block's TdoaEstimates, which gives a Doa, or a
-    BlockTdoas, which gives a list with one Doa per block (None for a block
-    that is not usable). Ties are broken towards the smallest azimuth
-    wrapped into [0, 2*pi).
+def tdoa_to_azimuth(tdoas: BlockTdoas, geometry: ArrayGeometry, f_s: float) -> np.ndarray:
+    """Least-squares triangulation of each block's pair delays on a far-field
+    azimuth grid: (blocks,) azimuths, NaN for a block that is not usable.
+    Ties are broken towards the smallest azimuth wrapped into [0, 2*pi).
     """
-    if isinstance(estimates, BlockTdoas):
-        pairs, delays, usable = estimates.pairs, estimates.delays, estimates.usable
-    else:
-        estimates = list(estimates)
-        if not estimates:
-            raise UnderdeterminedError("no TDoA estimates to triangulate")
-        pairs = [est.pair for est in estimates]
-        delays, usable = np.array([[est.delay for est in estimates]]), [True]
     grid = azimuth_grid()
-    pairs = np.array(pairs).reshape(-1, 2)
+    pairs = np.array(tdoas.pairs).reshape(-1, 2)
     mics = geometry.mic_positions
     baselines = mics[pairs[:, 1]] - mics[pairs[:, 0]]
     # expected far-field delay of every pair (rows) from every grid direction
     expected = baselines @ (f_s / SPEED_OF_SOUND * grid.unit_vectors).T
-    doas = []
-    for block_delays, ok in zip(delays, usable):
-        cost = np.sum((block_delays[:, None] - expected) ** 2, axis=0)
-        doas.append(grid.directions[peak_index(-cost, grid.azimuths, 1e-9)] if ok else None)
-    return doas if isinstance(estimates, BlockTdoas) else doas[0]
+    azimuths = np.full(len(tdoas.delays), np.nan)
+    for b in np.flatnonzero(tdoas.usable):
+        cost = np.sum((tdoas.delays[b][:, None] - expected) ** 2, axis=0)
+        azimuths[b] = grid.azimuths[peak_index(-cost, grid.azimuths, 1e-9)]
+    return azimuths
 
 
 def peak_index(values, azimuths, tolerance: float) -> int:
@@ -416,17 +360,16 @@ def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int, 
         yield chunk, steer
 
 
-def srp_phat(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
-             band_hz=DEFAULT_BAND_HZ):
+def srp_phat(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
+             band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
     """Steered response power with PHAT pre-whitening over a direction grid.
 
     P(x) = sum over all microphone pairs (self pairs included) of the GCC
     evaluated at the pair's far-field delay for direction x. The pair (m, l)
     term at bin k is conj(A_m) PHAT(G_ml) A_l with per-mic steering A, so
     P(x) = M K + 2 Re sum_k conj(A_k) . (triu(PHAT(G_k), 1) A_k).
-    `frames` is one block (an Stft), giving a SpatialSpectrum, or a
-    recording's Blocks, giving one per block; each steering chunk is built
-    once per group of blocks.
+    Returns the (blocks, directions) spectra of a recording's blocks; each
+    steering chunk is built once per group of blocks.
 
     Band-limited evaluation. On the horizontal circle x = (cos phi, sin phi,
     0) the pair term at bin k is 2 Re(W exp(i z cos(phi - theta))), |W| <= 1,
@@ -456,23 +399,17 @@ def srp_phat(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid, f_s:
     rounding in either evaluation.
 
     A block whose in-band cross-spectra between microphones are all zero,
-    which would leave a flat spectrum, raises NoSignalError.
+    which would leave a flat spectrum, gets a NaN row.
     """
-    if len(grid) == 0:
-        raise ValueError("empty grid")
-    blocks = _as_blocks(frames)
     if blocks.channel_count < 2:
         raise ValueError("need at least 2 channels")
     bins = _band_bins(blocks.window_length, f_s, band_hz)
     coarse = _band_limited_grid(geometry, grid, bins[-1] * f_s / blocks.window_length)
-    values, usable = _steered_power(blocks, geometry, grid if coarse is None else coarse,
-                                    bins, f_s)
+    values = _steered_power(blocks, geometry, grid if coarse is None else coarse, bins, f_s)
     if coarse is not None:
         n = len(grid)
         values = np.fft.irfft(np.fft.rfft(values, axis=1), n, axis=1) * (n / len(coarse))
-    return _one_or_each(frames, [
-        SpatialSpectrum(grid, v) if ok else NoSignalError("all in-band cross spectra are zero")
-        for v, ok in zip(values, usable)])
+    return values
 
 
 def _band_limited_grid(geometry: ArrayGeometry, grid: DoaGrid, f_top: float):
@@ -498,21 +435,21 @@ def _band_limited_grid(geometry: ArrayGeometry, grid: DoaGrid, f_top: float):
 
 
 def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins, f_s: float):
-    """SRP-PHAT values (blocks, directions) of `srp_phat` on `grid`, and the
-    (blocks,) mask of blocks with an in-band cross spectrum that is not zero."""
+    """SRP-PHAT values (blocks, directions) of `srp_phat` on `grid`, NaN in
+    the rows of blocks whose in-band cross spectra are all zero."""
     channels = blocks.channel_count
     window_length = blocks.window_length
     pairs = upper_pairs(channels)
     flat = pairs[:, 0] * channels + pairs[:, 1]  # index of (m, l) in a flattened channel matrix
     # self terms contribute a direction-independent offset of channels * len(bins)
     values = np.full((len(blocks), len(grid)), float(channels * len(bins)))
-    usable = np.zeros(len(blocks), dtype=bool)
     for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins), len(pairs))):
         g = pair_cross_spectra(group, pairs, bins)  # (bins, blocks, pairs)
         mag = np.abs(g)
         peak = mag.max(axis=0)  # per block and pair, over the band
         ok = np.any(peak > 0.0, axis=1)
-        usable[group_slice] = ok
+        group_values = values[group_slice]
+        group_values[~ok] = np.nan
         if not ok.any():
             continue
         # g becomes PHAT(G) of the pairs
@@ -520,7 +457,6 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
         np.divide(g, np.maximum(mag, 1e-300, out=mag), out=g)
         g[floor] = 0.0
         del mag, floor
-        group_values = values[group_slice]
         for chunk, steer in _steering(geometry, grid, bins, window_length, f_s):
             # a block's triu(PHAT(G_k), 1) over the chunk's bins, zero on and
             # below the diagonal
@@ -532,25 +468,15 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
                 # Re(conj(a) w) = a.real w.real + a.imag w.imag, summed over bins and mics
                 group_values[b] += 2.0 * np.einsum("kxj,kxj->x", steer.view(float),
                                                    weighted.view(float))
-    return values, usable
-
-
-def srp_argmax(spectrum: SpatialSpectrum) -> Doa:
-    """Direction of the spectrum maximum.
-
-    Values within PEAK_TIE_REL of the maximum tie; a tie goes to the
-    smallest azimuth wrapped into [0, 2*pi).
-    """
-    values = spectrum.values
-    tolerance = PEAK_TIE_REL * np.abs(values).max()
-    return spectrum.grid.directions[peak_index(values, spectrum.grid.azimuths, tolerance)]
+    return values
 
 
 def circular_peaks(azimuths, values, k: int):
     """Top-k local maxima of a spectrum on a circular azimuth grid.
 
     Peaks are taken greedily, highest first, each at least 10 degrees from
-    those already taken; ties follow `srp_argmax`'s rule.
+    those already taken. Ties (values within PEAK_TIE_REL of the spectrum's
+    largest magnitude) go to the smallest azimuth wrapped into [0, 2*pi).
     """
     tolerance = PEAK_TIE_REL * np.abs(values).max()
     is_peak = (values >= np.roll(values, 1)) & (values > np.roll(values, -1))
@@ -571,19 +497,16 @@ def circular_peaks(azimuths, values, k: int):
 # MUSIC
 # ---------------------------------------------------------------------------
 
-def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid,
-                   n_sources: int, f_s: float, band_hz=DEFAULT_BAND_HZ):
-    """Broadband MUSIC pseudo-spectrum.
+def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
+                   n_sources: int, f_s: float, band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
+    """Broadband MUSIC pseudo-spectra, (blocks, directions).
 
     Each narrowband spatial correlation matrix is eigendecomposed; the
     pseudo-spectrum scores steering-vector orthogonality to the noise
     subspace. Narrowband spectra are max-normalized and averaged over the
-    analysis band. `frames` is one block (an Stft), giving a
-    SpatialSpectrum, or a recording's Blocks, giving one per block; each
-    steering chunk is built once per group of blocks. A block with an
-    ill-conditioned correlation matrix raises IllConditionedError.
+    analysis band. Each steering chunk is built once per group of blocks. A
+    block with an ill-conditioned correlation matrix gets a NaN row.
     """
-    blocks = _as_blocks(frames)
     channels = blocks.channel_count
     if not (1 <= n_sources < channels):
         raise ValueError("need 1 <= n_sources < channel count")
@@ -594,7 +517,6 @@ def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid
     window_length = blocks.window_length
     bins = _band_bins(window_length, f_s, band_hz)
     broadband = np.zeros((len(blocks), len(grid)))
-    results = [None] * len(blocks)
     for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins), channels**2)):
         r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
         load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=2, axis2=3)) / channels
@@ -603,15 +525,12 @@ def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid
         del r
         # a positive load bounds the condition number by about channels / loading;
         # a zero trace or an underflowed load is ill-conditioned
-        bad = ~(load > 0)  # (blocks, bins)
-        ok = ~bad.any(axis=1)
-        for b in np.flatnonzero(~ok):
-            results[group_slice.start + b] = IllConditionedError(
-                f"correlation matrix ill-conditioned at bin {bins[np.argmax(bad[b])]}")
+        ok = np.all(load > 0, axis=1)  # (blocks,)
+        group_broadband = broadband[group_slice]
+        group_broadband[~ok] = np.nan
         if not ok.any():
             continue
         u_s = eigvecs[..., channels - n_sources:]  # signal subspace per block and bin
-        group_broadband = broadband[group_slice]
         for chunk, v in _steering(geometry, grid, bins, window_length, f_s):
             for b in np.flatnonzero(ok):
                 # rows of v are unit-modulus steering vectors, so the squared norm of
@@ -622,8 +541,7 @@ def music_spectrum(frames: Stft | Blocks, geometry: ArrayGeometry, grid: DoaGrid
                 narrow = 1.0 / np.maximum(denom, 1e-30)
                 group_broadband[b] += (narrow / narrow.max(axis=1, keepdims=True)).sum(axis=0)
     broadband /= len(bins)
-    return _one_or_each(frames, [SpatialSpectrum(grid, v) if r is None else r
-                                 for v, r in zip(broadband, results)])
+    return broadband
 
 
 # ---------------------------------------------------------------------------
@@ -644,36 +562,40 @@ def _spherical_mic_directions(geometry: ArrayGeometry) -> np.ndarray:
     return mics / radii[:, None]
 
 
-def pseudo_intensity(frames: Stft | Blocks, geometry: ArrayGeometry, f_s: float,
-                     band_hz=DEFAULT_BAND_HZ):
-    """Per-frame DoA from the first-order intensity vector of a spherical array.
+def pseudo_intensity(blocks: Blocks, geometry: ArrayGeometry, f_s: float,
+                     band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
+    """Block azimuths from the first-order intensity vector of a spherical array.
 
     An omni eigenbeam and three dipole eigenbeams (free-field spherical
     harmonic projection, no rigid-baffle compensation) approximate the
     acoustic intensity; its direction, in quadrature with the omni beam,
-    points towards the arrival direction. `frames` is one block (an Stft),
-    giving its per-frame estimates, or a recording's Blocks, giving each
-    block's; a frame shared by blocks is computed once. A block with a
-    silent frame raises NoSignalError.
+    points towards the arrival direction. A block's azimuth is the circular
+    mean of its frames' arrival azimuths, and a frame shared by blocks is
+    computed once. Returns (blocks,) azimuths, NaN for a block with a
+    silent frame.
     """
     u = _spherical_mic_directions(geometry)
-    blocks = _as_blocks(frames)
     bins = _band_bins(blocks.window_length, f_s, band_hz)
-    results = []
-    for _, group in blocks.groups(_frame_elements(blocks, 0, 0)):
-        stft = group.source
-        s = stft.bins[:, :, bins]  # (frames, channels, bins)
+    mean_sin, mean_cos = np.empty(len(blocks)), np.empty(len(blocks))
+    usable = np.empty(len(blocks), dtype=bool)
+    for group_slice, group in blocks.groups(_frame_elements(blocks, 0, 0)):
+        s = group.source.bins[:, :, bins]  # (frames, channels, bins)
         p0 = s.mean(axis=1)  # (frames, bins)
         dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (frames, 3, bins)
         arrival = np.imag(np.conj(p0)[:, None, :] * dipole).sum(axis=2)  # (frames, 3)
-        norm = np.linalg.norm(arrival, axis=1)
+        norm = row_norms(arrival)
         p0_peak = np.abs(p0).max(axis=1)
         silent = (norm < 1e-12 * np.maximum(p0_peak, 1e-300)) | (p0_peak == 0.0)
-        estimates = [None if quiet else DoaEstimate(float(t), unit_vector_to_doa(a), 1, float(n))
-                     for t, a, n, quiet in zip(stft.times, arrival, norm, silent)]
-        for start in group.starts:
-            quiet = np.flatnonzero(silent[start:start + group.length])
-            results.append(NoSignalError(
-                f"no usable signal in frame at t={stft.times[start + quiet[0]]:.3f}")
-                if quiet.size else estimates[start:start + group.length])
-    return _one_or_each(frames, results)
+        # normalized as unit_vector_to_doa normalizes, since that rounds the
+        # arguments of arctan2; a silent frame is never read and divides by 1
+        unit = arrival / np.where(silent, 1.0, norm)[:, None]
+        azimuth = wrap_angle(np.arctan2(unit[:, 1], unit[:, 0]))
+        frames = group.starts[:, None] + np.arange(group.length)  # (blocks, length)
+        mean_sin[group_slice] = np.mean(np.sin(azimuth[frames]), axis=1)
+        mean_cos[group_slice] = np.mean(np.cos(azimuth[frames]), axis=1)
+        usable[group_slice] = ~silent[frames].any(axis=1)
+    azimuths = np.full(len(blocks), np.nan)
+    # libm's atan2; numpy's SIMD arctan2 can round the last bit differently
+    azimuths[usable] = wrap_angle(np.array(
+        [math.atan2(y, x) for y, x in zip(mean_sin[usable].tolist(), mean_cos[usable].tolist())]))
+    return azimuths

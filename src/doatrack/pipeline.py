@@ -8,14 +8,12 @@ or tracker cannot deliver, raises UsageError before any localization work.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus_io import CorpusFormatError
 from .evaluate import Submission
-from .geometry import SPEED_OF_SOUND, Doa, get_array_preset, row_norms, upper_pairs, wrap_angle
+from .geometry import ARRAY_PRESETS, SPEED_OF_SOUND, Doa, get_array_preset, row_norms, upper_pairs
 from .localize import (DEFAULT_BAND_HZ, DoaEstimate, azimuth_grid, circular_peaks, gcc_phat,
                        music_spectrum, pseudo_intensity, srp_phat, tdoa_to_azimuth)
 from .sigproc import (BLOCK_FRAMES, BLOCK_STRIDE, DEFAULT_HOP, DEFAULT_WINDOW_LENGTH,
@@ -36,18 +34,32 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
                     window_length: int = DEFAULT_WINDOW_LENGTH, hop: int = DEFAULT_HOP,
                     band_hz=DEFAULT_BAND_HZ):
     """Localize every analysis block of a recording with one localizer call
-    and emit time-ordered azimuth estimates.
+    and emit time-ordered azimuth estimates, up to `n_sources` per block.
 
     Blocks whose broadband power sits at the noise floor are skipped so
     pauses between utterances do not feed garbage to the tracker, and so are
     blocks a localizer finds silent or, for MUSIC, ill-conditioned. Audio
-    shorter than one block raises CorpusFormatError. `n_sources` must be at
-    least 1; MUSIC finds at most one fewer than the microphone count, and
-    GCC-PHAT and pseudo-intensity find one. `band_hz` limits the bins
-    SRP-PHAT, MUSIC and pseudo-intensity read; GCC-PHAT reads every bin and
-    ignores it. A block size or stride below 1, or a band whose low edge is
-    not below its high edge, raises ValueError before any audio work.
+    whose channel count differs from the array's microphone count, audio
+    with a sample that is not finite, and audio shorter than one block raise
+    CorpusFormatError; the first two are checked before anything else.
+    `n_sources` must be at least 1; MUSIC finds at most one fewer than the
+    microphone count, and GCC-PHAT and pseudo-intensity find one. `band_hz`
+    limits the bins SRP-PHAT, MUSIC and pseudo-intensity read; GCC-PHAT
+    reads every bin and ignores it. A block size or stride below 1, or a
+    band whose low edge is not below its high edge, raises ValueError before
+    any localization work.
     """
+    if audio.channel_count != geometry.mic_count:
+        raise CorpusFormatError(
+            f"recording has {audio.channel_count} audio channels but array "
+            f"{geometry.name!r} has {geometry.mic_count} microphones")
+    samples = audio.samples
+    # min and max propagate NaN and meet any infinity, and allocate nothing
+    if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        channel, index = np.argwhere(~np.isfinite(samples))[0]
+        raise CorpusFormatError(
+            f"recording has a non-finite sample ({samples[channel, index]}) "
+            f"in channel {channel} at sample {index}")
     if localizer not in LOCALIZERS:
         raise UsageError(f"unknown localizer {localizer!r}")
     if block_frames < 1:
@@ -73,30 +85,25 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     active = ~(energies < 0.05 * np.percentile(energies, 90))
     blocks = Blocks(audio, np.flatnonzero(active) * block_stride, block_frames,
                     window_length, hop)
-    # the directions of each block; none for a block the localizer skipped
+    # up to n_sources azimuths per block, NaN where a block has fewer
+    azimuths = np.full((len(blocks), n_sources), np.nan)
     if localizer == "gcc-phat":
         mics, pairs = geometry.mic_positions, upper_pairs(geometry.mic_count)
         max_lags = f_s / SPEED_OF_SOUND * row_norms(mics[pairs[:, 1]] - mics[pairs[:, 0]]) + 1.0
-        doas = [[doa] if doa is not None else []
-                for doa in tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry, f_s)]
+        azimuths[:, 0] = tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry, f_s)
     elif localizer == "pseudo-intensity":
-        doas = [[_mean_direction(per_frame)] if per_frame is not None else []
-                for per_frame in pseudo_intensity(blocks, geometry, f_s, band_hz)]
+        azimuths[:, 0] = pseudo_intensity(blocks, geometry, f_s, band_hz)
     else:
         grid = azimuth_grid()
         spectra = (srp_phat(blocks, geometry, grid, f_s, band_hz)
                    if localizer == "srp-phat" else
                    music_spectrum(blocks, geometry, grid, n_sources, f_s, band_hz))
-        doas = [[Doa(az) for az in circular_peaks(grid.azimuths, spec.values, n_sources)]
-                if spec is not None else [] for spec in spectra]
-    return [DoaEstimate(float(t), doa)
-            for t, block_doas in zip(blocks.times, doas) for doa in block_doas]
-
-
-def _mean_direction(estimates) -> Doa:
-    """Circular mean of the azimuths of per-frame estimates."""
-    az = [e.doa.azimuth for e in estimates]
-    return Doa(wrap_angle(math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))))
+        for row, spectrum in zip(azimuths, spectra):
+            if not np.isnan(spectrum[0]):
+                peaks = circular_peaks(grid.azimuths, spectrum, n_sources)
+                row[:len(peaks)] = peaks
+    return [DoaEstimate(float(t), Doa(az))
+            for t, row in zip(blocks.times, azimuths) for az in row if not np.isnan(az)]
 
 
 def track_stream(estimates, tracker: str, seed: int = 0):
@@ -134,26 +141,20 @@ def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
 
     The `none` tracker keeps one series per source id, and every localizer
     estimate carries id 1, so it takes one source. Raises CorpusFormatError
-    when the audio's channel count differs from the array preset's
-    microphone count, any sample is not finite, or the audio is shorter
-    than one analysis block of the localizer.
+    when the metadata names no array preset, and wherever `localize_stream`
+    does: audio that does not fit the array or is shorter than one
+    analysis block of the localizer.
     """
     if tracker == "none" and n_sources > 1:
         raise UsageError(f"tracker 'none' takes one source, got n_sources {n_sources}")
-    geometry = get_array_preset(bundle.metadata["array"])
+    array = bundle.metadata.get("array")
+    if not isinstance(array, str) or array not in ARRAY_PRESETS:
+        given = "no array" if array is None else f"array {array!r}"
+        raise CorpusFormatError(f"recording metadata names {given}; the array presets are "
+                                f"{', '.join(sorted(ARRAY_PRESETS))}")
+    geometry = get_array_preset(array)
     audio = bundle.audio
-    if audio.channel_count != geometry.mic_count:
-        raise CorpusFormatError(
-            f"recording has {audio.channel_count} audio channels but array "
-            f"{geometry.name!r} has {geometry.mic_count} microphones")
-    finite = np.isfinite(audio.samples)
-    if not finite.all():
-        channel, index = np.argwhere(~finite)[0]
-        raise CorpusFormatError(
-            f"recording has a non-finite sample ({audio.samples[channel, index]}) "
-            f"in channel {channel} at sample {index}")
-    f_s = audio.sample_rate_hz
-    estimates = localize_stream(audio, geometry, localizer, f_s,
+    estimates = localize_stream(audio, geometry, localizer, audio.sample_rate_hz,
                                 n_sources=n_sources, **localizer_kwargs)
     tracks = track_stream(estimates, tracker, seed=seed)
     return resample_tracks(tracks, bundle.array_trajectory.timestamps)

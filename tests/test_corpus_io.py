@@ -104,6 +104,20 @@ def test_missing_mandatory_file_named(tmp_path):
         read_recording(tmp_path / "rec")
 
 
+@pytest.mark.parametrize("metadata,reason", [
+    ("[1, 2]", "not a JSON object"),
+    ('"dev"', "not a JSON object"),
+    ('{"sources": "src1"}', "sources must be a list of source names"),
+    ('{"sources": ["src1", 2]}', "sources must be a list of source names"),
+])
+def test_bad_metadata_is_a_format_error_that_names_the_file(tmp_path, metadata, reason):
+    write_recording(_random_bundle(np.random.default_rng(3)), tmp_path / "rec")
+    (tmp_path / "rec" / "metadata.json").write_text(metadata)
+    with pytest.raises(CorpusFormatError, match=reason) as err:
+        read_recording(tmp_path / "rec")
+    assert "metadata.json" in str(err.value)
+
+
 def test_malformed_row_reports_line(tmp_path):
     rng = np.random.default_rng(3)
     write_recording(_random_bundle(rng), tmp_path / "rec")

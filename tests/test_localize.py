@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from doatrack.geometry import (ArrayGeometry, Doa, doa_to_unit_vector, get_array_preset,
                                wrap_angle)
-from doatrack.localize import (DoaGrid, IllConditionedError, NoSignalError, SpatialSpectrum,
-                               TdoaEstimate, UnderdeterminedError,
-                               UnsupportedGeometryError, azimuth_grid, circular_peaks,
-                               expected_tdoa,
+from doatrack.localize import (BlockTdoas, DoaGrid, NoSignalError, UnsupportedGeometryError,
+                               azimuth_grid, circular_peaks, expected_tdoa,
                                farfield_pair_tdoa, gcc_phat, music_spectrum,
-                               pseudo_intensity, srp_argmax, srp_phat,
-                               tdoa_to_azimuth)
+                               pseudo_intensity, srp_phat, tdoa_to_azimuth)
 from doatrack.sigproc import Blocks, MultichannelAudio, cross_power_spectrum, frame_signal
 
 from synthutil import plane_wave_audio
 
 FS = 48000.0
 C = 343.0
+
+
+def _peak_deg(values, grid):
+    """The direction of a one-block spectrum's highest peak, degrees."""
+    return math.degrees(circular_peaks(grid.azimuths, values, 1)[0])
 
 
 def test_expected_tdoa_matches_direct_arithmetic():
@@ -93,21 +95,15 @@ def test_gcc_phat_rejects_silence():
 
 def test_tdoa_to_azimuth_from_exact_delays():
     geom = get_array_preset("dicit_32cm")
+    pairs = geom.pairs()
     for az_deg in (10.0, 45.0, 80.0):
         u = doa_to_unit_vector(Doa(math.radians(az_deg)))
-        ests = []
-        for m, l in geom.pairs():
-            tau = float(farfield_pair_tdoa(u, geom.mic_positions[m],
-                                           geom.mic_positions[l], FS)[0])
-            ests.append(TdoaEstimate((m, l), tau, 1.0))
-        doa = tdoa_to_azimuth(ests, geom, FS)
-        assert math.degrees(doa.azimuth) == pytest.approx(az_deg, abs=1.0)
-
-
-def test_tdoa_to_azimuth_needs_estimates():
-    geom = get_array_preset("dicit_32cm")
-    with pytest.raises(UnderdeterminedError):
-        tdoa_to_azimuth([], geom, FS)
+        delays = [float(farfield_pair_tdoa(u, geom.mic_positions[m], geom.mic_positions[l],
+                                           FS)[0]) for m, l in pairs]
+        tdoas = BlockTdoas(tuple(pairs), np.array([delays]), np.ones((1, len(pairs))),
+                           np.array([True]))
+        (azimuth,) = tdoa_to_azimuth(tdoas, geom, FS)
+        assert math.degrees(azimuth) == pytest.approx(az_deg, abs=1.0)
 
 
 def test_azimuth_grid_resolution():
@@ -129,9 +125,9 @@ def test_srp_phat_plane_wave(az_deg):
     geom = get_array_preset("robot_head")
     audio = plane_wave_audio(geom, math.radians(az_deg), n=16384)
     frames = frame_signal(audio, 2048, 1024)[:8]
-    spec = srp_phat(frames, geom, azimuth_grid(1.0), FS)
-    doa = srp_argmax(spec)
-    err = abs(math.degrees(doa.azimuth) - az_deg)
+    grid = azimuth_grid(1.0)
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS)
+    err = abs(_peak_deg(spec, grid) - az_deg)
     assert min(err, 360 - err) <= 1.0
 
 
@@ -149,7 +145,9 @@ def test_srp_phat_turns_with_the_array(az_deg, yaw_deg, seed):
     estimates = []
     for g, az in ((geom, math.radians(az_deg)), (turned, math.radians(az_deg) + yaw)):
         frames = frame_signal(plane_wave_audio(g, az, n=16384, seed=seed), 2048, 1024)[:8]
-        estimates.append(srp_argmax(srp_phat(frames, g, azimuth_grid(1.0), FS)).azimuth)
+        grid = azimuth_grid(1.0)
+        (spec,) = srp_phat(Blocks.whole(frames), g, grid, FS)
+        estimates += circular_peaks(grid.azimuths, spec, 1)
     assert abs(math.degrees(wrap_angle(estimates[1] - estimates[0] - yaw))) <= 1.0 + 1e-9
 
 
@@ -157,15 +155,15 @@ def test_srp_phat_noisy_plane_wave():
     geom = get_array_preset("robot_head")
     audio = plane_wave_audio(geom, math.radians(72.0), n=16384, snr_db=10)
     frames = frame_signal(audio, 2048, 1024)[:8]
-    doa = srp_argmax(srp_phat(frames, geom, azimuth_grid(1.0), FS))
-    assert abs(math.degrees(doa.azimuth) - 72.0) <= 2.0
+    grid = azimuth_grid(1.0)
+    assert abs(_peak_deg(srp_phat(Blocks.whole(frames), geom, grid, FS)[0], grid) - 72.0) <= 2.0
 
 
 def test_srp_phat_rejects_silence():
     geom = get_array_preset("robot_head")
     frames = frame_signal(MultichannelAudio(np.zeros((12, 16384)), FS), 2048, 1024)[:8]
-    with pytest.raises(NoSignalError):
-        srp_phat(frames, geom, azimuth_grid(1.0), FS)
+    spectra = srp_phat(Blocks.whole(frames), geom, azimuth_grid(1.0), FS)
+    assert spectra.shape == (1, 360) and np.isnan(spectra).all()
 
 
 def test_srp_phat_localizes_with_one_dead_channel():
@@ -173,8 +171,8 @@ def test_srp_phat_localizes_with_one_dead_channel():
     samples = plane_wave_audio(geom, math.radians(40.0), n=16384).samples.copy()
     samples[3] = 0.0
     frames = frame_signal(MultichannelAudio(samples, FS), 2048, 1024)[:8]
-    doa = srp_argmax(srp_phat(frames, geom, azimuth_grid(1.0), FS))
-    assert abs(math.degrees(doa.azimuth) - 40.0) <= 1.0
+    grid = azimuth_grid(1.0)
+    assert abs(_peak_deg(srp_phat(Blocks.whole(frames), geom, grid, FS)[0], grid) - 40.0) <= 1.0
 
 
 def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
@@ -184,15 +182,14 @@ def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
     audio = plane_wave_audio(geom, math.radians(49.0), n=16384)
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    spec = srp_phat(frames, geom, grid, FS)
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS)
     deg = np.degrees(grid.azimuths)
     front, back = int(np.argmin(np.abs(deg - 49.0))), int(np.argmin(np.abs(deg - 131.0)))
-    assert spec.values[back] == pytest.approx(spec.values[front], rel=1e-12)
+    assert spec[back] == pytest.approx(spec[front], rel=1e-12)
     for favoured in (front, back):
-        values = spec.values.copy()
+        values = spec.copy()
         values[favoured] *= 1.0 + 1e-13
-        doa = srp_argmax(SpatialSpectrum(grid, values))
-        assert math.degrees(doa.azimuth) == pytest.approx(49.0)
+        assert np.degrees(circular_peaks(grid.azimuths, values, 1)) == pytest.approx([49.0])
         peaks = circular_peaks(grid.azimuths, values, 2)
         assert np.degrees(peaks) == pytest.approx([49.0, 131.0])
 
@@ -215,8 +212,7 @@ def _steered_sizes(monkeypatch, geom, grid):
 
     monkeypatch.setattr(doatrack.localize, "_steering", recording)
     frames = frame_signal(plane_wave_audio(geom, math.radians(40.0), n=9216), 2048, 1024)
-    spec = srp_phat(frames, geom, grid, FS)
-    assert len(spec.values) == len(grid)
+    assert srp_phat(Blocks.whole(frames), geom, grid, FS).shape == (1, len(grid))
     return set(sizes)
 
 
@@ -261,10 +257,10 @@ def test_band_limited_srp_matches_direct_evaluation(array, az_deg, el_deg, seed,
     bins = localize._band_bins(2048, FS, localize.DEFAULT_BAND_HZ)
     coarse = localize._band_limited_grid(geom, grid, bins[-1] * FS / 2048)
     assert len(coarse) == BAND_LIMITED_SIZES[array]
-    spec = srp_phat(frames, geom, grid, FS)
-    direct = localize._steered_power(Blocks.whole(frames), geom, grid, bins, FS)[0][0]
-    assert np.max(np.abs(spec.values - direct)) <= 1e-13 * np.max(np.abs(direct))
-    assert srp_argmax(spec) == srp_argmax(SpatialSpectrum(grid, direct))
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS)
+    (direct,) = localize._steered_power(Blocks.whole(frames), geom, grid, bins, FS)
+    assert np.max(np.abs(spec - direct)) <= 1e-13 * np.max(np.abs(direct))
+    assert _peak_deg(spec, grid) == _peak_deg(direct, grid)
 
 
 @pytest.mark.parametrize("az_deg", [-120.0, 0.0, 40.0])
@@ -272,8 +268,9 @@ def test_music_plane_wave(az_deg):
     geom = get_array_preset("robot_head")
     audio = plane_wave_audio(geom, math.radians(az_deg), n=32768, snr_db=20)
     frames = frame_signal(audio, 2048, 1024)[:16]
-    spec = music_spectrum(frames, geom, azimuth_grid(1.0), 1, FS)
-    best = math.degrees(spec.grid.azimuths[int(np.argmax(spec.values))])
+    grid = azimuth_grid(1.0)
+    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, 1, FS)
+    best = math.degrees(grid.azimuths[int(np.argmax(spec))])
     err = abs(best - az_deg)
     assert min(err, 360 - err) <= 1.0
 
@@ -284,10 +281,11 @@ def test_music_two_sources():
     b = plane_wave_audio(geom, math.radians(-90.0), n=32768, seed=2)
     audio = MultichannelAudio(a.samples + b.samples, FS)
     frames = frame_signal(audio, 2048, 1024)[:16]
-    spec = music_spectrum(frames, geom, azimuth_grid(1.0), 2, FS)
-    az = np.degrees(spec.grid.azimuths)
+    grid = azimuth_grid(1.0)
+    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, 2, FS)
+    az = np.degrees(grid.azimuths)
     # both true directions must be within 2 deg of a local peak of comparable height
-    values = spec.values / spec.values.max()
+    values = spec / spec.max()
     for target in (30.0, -90.0):
         near = np.abs((az - target + 180) % 360 - 180) <= 2.0
         assert values[near].max() > 0.5
@@ -298,17 +296,17 @@ def test_music_frame_count_guard():
     audio = plane_wave_audio(geom, 0.5, n=16384)
     frames = frame_signal(audio, 2048, 1024)[:4]
     with pytest.raises(ValueError):
-        music_spectrum(frames, geom, azimuth_grid(5.0), 1, FS)
+        music_spectrum(Blocks.whole(frames), geom, azimuth_grid(5.0), 1, FS)
 
 
 def test_music_n_sources_bounds():
     geom = get_array_preset("robot_head")
     audio = plane_wave_audio(geom, 0.5, n=32768)
-    frames = frame_signal(audio, 2048, 1024)[:16]
+    blocks = Blocks.whole(frame_signal(audio, 2048, 1024)[:16])
     with pytest.raises(ValueError):
-        music_spectrum(frames, geom, azimuth_grid(5.0), 0, FS)
+        music_spectrum(blocks, geom, azimuth_grid(5.0), 0, FS)
     with pytest.raises(ValueError):
-        music_spectrum(frames, geom, azimuth_grid(5.0), 12, FS)
+        music_spectrum(blocks, geom, azimuth_grid(5.0), 12, FS)
 
 
 @pytest.mark.parametrize("az_deg", [-135.0, 20.0, 100.0])
@@ -316,10 +314,11 @@ def test_pseudo_intensity_plane_wave(az_deg):
     geom = get_array_preset("eigenmike")
     audio = plane_wave_audio(geom, math.radians(az_deg), n=16384)
     frames = frame_signal(audio, 2048, 1024)[:8]
-    ests = pseudo_intensity(frames, geom, FS)
-    assert len(ests) == 8
-    for est in ests:
-        err = abs(math.degrees(est.doa.azimuth) - az_deg)
+    # one-frame blocks, so every frame's own azimuth is checked
+    azimuths = pseudo_intensity(Blocks(frames, np.arange(8), 1, 2048, 1024), geom, FS)
+    assert len(azimuths) == 8
+    for azimuth in azimuths:
+        err = abs(math.degrees(azimuth) - az_deg)
         assert min(err, 360 - err) <= 3.0
 
 
@@ -328,15 +327,14 @@ def test_pseudo_intensity_rejects_linear_array():
     audio = MultichannelAudio(np.random.default_rng(0).standard_normal((15, 8192)), FS)
     frames = frame_signal(audio, 2048, 1024)
     with pytest.raises(UnsupportedGeometryError):
-        pseudo_intensity(frames, geom, FS)
+        pseudo_intensity(Blocks.whole(frames), geom, FS)
 
 
 def test_pseudo_intensity_rejects_silence():
     geom = get_array_preset("eigenmike")
     audio = MultichannelAudio(np.zeros((32, 8192)), FS)
     frames = frame_signal(audio, 2048, 1024)
-    with pytest.raises(NoSignalError):
-        pseudo_intensity(frames, geom, FS)
+    assert np.isnan(pseudo_intensity(Blocks.whole(frames), geom, FS)).all()
 
 
 # ---------------------------------------------------------------------------

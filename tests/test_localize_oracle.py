@@ -2,7 +2,8 @@
 
 The reference functions below are the per-frame STFT, per-pair SRP-PHAT and
 GCC-PHAT, per-bin MUSIC and per-frame pseudo-intensity implementations, run
-block by block on the same frames. The batched code sums in a different
+block by block on the same frames; they raise SkippedBlock where the batched
+code gives a block a NaN row. The batched code sums in a different
 order, so spectra and delays are compared within RTOL of their largest
 magnitude. The stream path (one localizer call for all blocks of a
 recording) is compared with them on recordings whose blocks are gated,
@@ -18,11 +19,9 @@ from hypothesis import strategies as st
 from scipy.signal import get_window
 
 from doatrack.geometry import ArrayGeometry, Doa, get_array_preset, unit_vector_to_doa, wrap_angle
-from doatrack.localize import (PHAT_FLOOR_REL, DoaEstimate, IllConditionedError,
-                               NoSignalError, SpatialSpectrum, TdoaEstimate, _band_bins,
+from doatrack.localize import (PEAK_TIE_REL, PHAT_FLOOR_REL, TdoaEstimate, _band_bins,
                                azimuth_grid, circular_peaks, farfield_pair_tdoa, gcc_phat,
-                               music_spectrum, pseudo_intensity, srp_argmax, srp_phat,
-                               tdoa_to_azimuth)
+                               music_spectrum, pseudo_intensity, srp_phat, tdoa_to_azimuth)
 from doatrack.pipeline import localize_stream
 from doatrack.sigproc import Blocks, MultichannelAudio, frame_signal
 
@@ -37,6 +36,10 @@ RTOL = 1e-12
 # ---------------------------------------------------------------------------
 # Reference implementations
 # ---------------------------------------------------------------------------
+
+class SkippedBlock(Exception):
+    """A reference localizer finds a block silent or ill-conditioned."""
+
 
 def ref_frame_bins(audio, window_length=2048, hop=1024):
     taper = get_window("hann", window_length, fftbins=True)
@@ -74,7 +77,7 @@ def ref_srp_phat(stack, geometry, grid, window_length=2048):
             steer = np.exp(1j * np.outer(tau, omega))
             values += 2.0 * np.real(steer @ phat)
     if silent:
-        raise NoSignalError("all in-band cross spectra are zero")
+        raise SkippedBlock("all in-band cross spectra are zero")
     return values
 
 
@@ -90,7 +93,7 @@ def ref_music_spectrum(stack, geometry, grid, n_sources, window_length=2048,
         r = (snap.conj().T @ snap / snap.shape[0]).T
         r = r + diagonal_loading * np.real(np.trace(r)) / channels * np.eye(channels)
         if np.linalg.cond(r) > 1e12:
-            raise IllConditionedError(f"correlation matrix ill-conditioned at bin {k}")
+            raise SkippedBlock(f"correlation matrix ill-conditioned at bin {k}")
         _, eigvecs = np.linalg.eigh(r)
         u_s = eigvecs[:, channels - n_sources:]
         v = np.exp(-1j * (2.0 * np.pi * k / window_length) * tau)
@@ -104,7 +107,7 @@ def ref_music_spectrum(stack, geometry, grid, n_sources, window_length=2048,
 def ref_gcc_phat(g, pair, max_lag, window_length=2048, interpolation=4):
     mag = np.abs(g)
     if mag.max() <= 0.0:
-        raise NoSignalError("all-zero cross spectrum")
+        raise SkippedBlock("all-zero cross spectrum")
     weights = np.where(mag > PHAT_FLOOR_REL * mag.max(), 1.0 / np.maximum(mag, 1e-300), 0.0)
     nfft = window_length * interpolation
     cc = np.fft.irfft(g * weights, n=nfft)
@@ -138,7 +141,7 @@ def ref_pseudo_intensity(stack, times, geometry, window_length=2048):
     mics = geometry.mic_positions - geometry.centroid
     u = mics / np.linalg.norm(mics, axis=1)[:, None]
     bins = _band_bins(window_length, FS, BAND)
-    estimates = []
+    doas = []
     for frame, t in zip(stack, times):
         s = frame[:, bins]
         p0 = s.mean(axis=0)
@@ -146,18 +149,31 @@ def ref_pseudo_intensity(stack, times, geometry, window_length=2048):
         arrival = np.imag(np.conj(p0)[None, :] * dipole).sum(axis=1)
         norm = np.linalg.norm(arrival)
         if norm < 1e-12 * max(np.abs(p0).max(), 1e-300) or np.abs(p0).max() == 0.0:
-            raise NoSignalError(f"no usable signal in frame at t={t:.3f}")
-        estimates.append(DoaEstimate(float(t), unit_vector_to_doa(arrival), 1, float(norm)))
-    return estimates
+            raise SkippedBlock(f"no usable signal in frame at t={t:.3f}")
+        doas.append(unit_vector_to_doa(arrival))
+    return doas
+
+
+def ref_circular_mean(azimuths):
+    return Doa(wrap_angle(math.atan2(np.mean(np.sin(azimuths)), np.mean(np.cos(azimuths)))))
+
+
+def ref_argmax(values, grid):
+    """The grid azimuth of a spectrum's global maximum. Values within
+    PEAK_TIE_REL of its largest magnitude tie with the maximum, and a tie
+    goes to the smallest azimuth wrapped into [0, 2*pi)."""
+    tied = np.flatnonzero(values >= values.max() - PEAK_TIE_REL * np.abs(values).max())
+    return grid.azimuths[tied[np.argmin(np.mod(grid.azimuths[tied], 2.0 * np.pi))]]
 
 
 def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
                         block_stride=4):
     """localize_stream's gating and blocking around the reference localizers.
 
-    A one-source SRP or MUSIC spectrum is read with `srp_argmax`; several
-    sources are picked with the batched code's `circular_peaks`, so for them
-    only the spectra come from the reference code.
+    A one-source SRP or MUSIC spectrum is read at its global maximum
+    (`ref_argmax`); several sources are picked with the batched code's
+    `circular_peaks`, so for them only the spectra come from the reference
+    code.
     """
     frames = frame_signal(audio, 2048, 1024)
     stack = ref_frame_bins(audio)
@@ -180,7 +196,7 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
                 values = (ref_srp_phat(block, geometry, grid) if localizer == "srp-phat" else
                           ref_music_spectrum(block, geometry, grid, n_sources))
                 if n_sources == 1:
-                    estimates.append((t, srp_argmax(SpatialSpectrum(grid, values)).azimuth))
+                    estimates.append((t, ref_argmax(values, grid)))
                 else:
                     estimates += [(t, Doa(az).azimuth)
                                   for az in circular_peaks(grid.azimuths, values, n_sources)]
@@ -189,10 +205,9 @@ def ref_localize_stream(audio, geometry, localizer, n_sources=1, block_frames=8,
                          for (m, l), lag in zip(geometry.pairs(), max_lags(geometry))]
                 estimates.append((t, ref_tdoa_to_azimuth(tdoas, geometry).azimuth))
             else:
-                az = [e.doa.azimuth for e in ref_pseudo_intensity(block, times, geometry)]
-                mean_az = math.atan2(np.mean(np.sin(az)), np.mean(np.cos(az)))
-                estimates.append((t, Doa(wrap_angle(mean_az)).azimuth))
-        except (NoSignalError, IllConditionedError):
+                az = [d.azimuth for d in ref_pseudo_intensity(block, times, geometry)]
+                estimates.append((t, ref_circular_mean(az).azimuth))
+        except SkippedBlock:
             continue
     return estimates
 
@@ -244,8 +259,8 @@ def test_srp_phat_matches_per_pair_reference(array):
     geom, audio = SCENES[array]
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    spec = srp_phat(frames, geom, grid, FS, BAND)
-    _assert_close(spec.values, ref_srp_phat(frames.bins, geom, grid))
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS, BAND)
+    _assert_close(spec, ref_srp_phat(frames.bins, geom, grid))
 
 
 @pytest.mark.parametrize("array", sorted(SCENES))
@@ -255,8 +270,8 @@ def test_music_matches_per_bin_reference(array, n_sources):
     frames = frame_signal(audio, 2048, 1024)
     frames = frames[:max(8, geom.mic_count)]
     grid = azimuth_grid(1.0)
-    spec = music_spectrum(frames, geom, grid, n_sources, FS, BAND)
-    _assert_close(spec.values, ref_music_spectrum(frames.bins, geom, grid, n_sources))
+    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, n_sources, FS, BAND)
+    _assert_close(spec, ref_music_spectrum(frames.bins, geom, grid, n_sources))
 
 
 @pytest.mark.parametrize("array", sorted(SCENES))
@@ -271,19 +286,21 @@ def test_gcc_phat_batch_matches_per_pair_reference(array):
     assert list(batch.pairs) == pairs and batch.usable.tolist() == [True]
     _assert_close(batch.delays[0], [e.delay for e in ref])
     _assert_close(batch.confidence[0], [e.confidence for e in ref])
-    assert tdoa_to_azimuth(batch, geom, FS) == [ref_tdoa_to_azimuth(ref, geom)]
+    assert tdoa_to_azimuth(batch, geom, FS).tolist() == [ref_tdoa_to_azimuth(ref, geom).azimuth]
 
 
 def test_pseudo_intensity_matches_per_frame_reference():
+    # each block's azimuth is the circular mean of the reference's frame azimuths
     geom, audio = SCENES["eigenmike"]
-    frames = frame_signal(audio, 2048, 1024)[:8]
-    new = pseudo_intensity(frames, geom, FS, BAND)
-    ref = ref_pseudo_intensity(frames.bins, frames.times, geom)
-    assert [e.timestamp for e in new] == [e.timestamp for e in ref]
-    for a, b in zip(new, ref):
-        assert abs(wrap_angle(a.doa.azimuth - b.doa.azimuth)) <= RTOL
-        assert abs(a.doa.elevation - b.doa.elevation) <= RTOL
-        assert a.score == pytest.approx(b.score, rel=RTOL)
+    frames = frame_signal(audio, 2048, 1024)
+    blocks = Blocks(frames, np.arange(0, len(frames) - 7, 4), 8, 2048, 1024)
+    new = pseudo_intensity(blocks, geom, FS, BAND)
+    assert len(new) == len(blocks) > 1
+    for azimuth, start in zip(new, blocks.starts):
+        block = slice(start, start + 8)
+        ref = ref_pseudo_intensity(frames.bins[block], frames.times[block], geom)
+        mean = ref_circular_mean([d.azimuth for d in ref])
+        assert abs(wrap_angle(azimuth - mean.azimuth)) <= RTOL
 
 
 STREAMS = [
@@ -348,18 +365,19 @@ def _all_blocks(audio, block_frames=8, block_stride=4):
 
 
 def _per_block(reference, blocks, stack):
-    """reference(block stack) of every block, None where it raises."""
+    """reference(block stack) of every block, None where it skips the block."""
     out = []
     for start in blocks.starts:
         try:
             out.append(reference(stack[start:start + blocks.length]))
-        except (NoSignalError, IllConditionedError):
+        except SkippedBlock:
             out.append(None)
     return out
 
 
 def _assert_blocks_close(new, ref, rtol=RTOL):
-    assert [n is None for n in new] == [r is None for r in ref]
+    """The rows of `new` match `ref`, and its NaN rows fall on the Nones of `ref`."""
+    assert [bool(np.isnan(n).all()) for n in new] == [r is None for r in ref]
     for n, r in zip(new, ref):
         if r is not None:
             _assert_close(n, r, rtol)
@@ -371,12 +389,11 @@ def test_stream_srp_and_music_match_per_block_reference(scene):
     stack = ref_frame_bins(audio)
     grid = azimuth_grid(1.0)
     blocks = _all_blocks(audio)
-    new = [None if s is None else s.values for s in srp_phat(blocks, geom, grid, FS, BAND)]
+    new = srp_phat(blocks, geom, grid, FS, BAND)
     _assert_blocks_close(new, _per_block(lambda b: ref_srp_phat(b, geom, grid), blocks, stack),
                          1e-12)
     blocks = _all_blocks(audio, geom.mic_count)
-    new = [None if s is None else s.values
-           for s in music_spectrum(blocks, geom, grid, 1, FS, BAND)]
+    new = music_spectrum(blocks, geom, grid, 1, FS, BAND)
     ref = _per_block(lambda b: ref_music_spectrum(b, geom, grid, 1), blocks, stack)
     _assert_blocks_close(new, ref)
     if scene == "bursts_robot_head":  # ill-conditioned blocks between usable ones
@@ -397,10 +414,11 @@ def test_stream_gcc_phat_matches_per_block_reference(scene):
                 for (m, l), lag in zip(geom.pairs(), lags)]
 
     ref = _per_block(reference, blocks, stack)
-    new = [d if ok else None for d, ok in zip(tdoas.delays, tdoas.usable)]
+    new = np.where(tdoas.usable[:, None], tdoas.delays, np.nan)
     _assert_blocks_close(new, [None if r is None else [e.delay for e in r] for r in ref], 1e-12)
-    assert tdoa_to_azimuth(tdoas, geom, FS) == [
-        None if r is None else ref_tdoa_to_azimuth(r, geom) for r in ref]
+    assert np.array_equal(tdoa_to_azimuth(tdoas, geom, FS), [
+        np.nan if r is None else ref_tdoa_to_azimuth(r, geom).azimuth for r in ref],
+        equal_nan=True)
     if scene == "gapped_robot_head":
         assert ref[10] is None  # heard by one microphone only
 
@@ -440,7 +458,8 @@ def test_spectra_invariant_to_channel_permutation(array, azimuth_deg, seed, data
     frames = frame_signal(audio, 2048, 1024)
     permuted_frames = frame_signal(permuted, 2048, 1024)
     grid = azimuth_grid(2.0)
-    _assert_close(srp_phat(permuted_frames, permuted_geom, grid, FS).values,
-                  srp_phat(frames, geom, grid, FS).values)
-    _assert_close(music_spectrum(permuted_frames, permuted_geom, grid, 1, FS).values,
-                  music_spectrum(frames, geom, grid, 1, FS).values)
+    blocks, permuted_blocks = Blocks.whole(frames), Blocks.whole(permuted_frames)
+    _assert_close(srp_phat(permuted_blocks, permuted_geom, grid, FS),
+                  srp_phat(blocks, geom, grid, FS))
+    _assert_close(music_spectrum(permuted_blocks, permuted_geom, grid, 1, FS),
+                  music_spectrum(blocks, geom, grid, 1, FS))
