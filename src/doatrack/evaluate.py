@@ -5,12 +5,13 @@ submission row mapped once to its tick, and one (S, R) array of angular
 errors between every source and every row.
 
 Association and OSPA are exact minimum-cost assignments at every tick. The
-ticks are grouped by their number of active sources and of rows, and each
-group is solved at once by `assignment.batched_assignment`. An association
-whose optimum is not unique by a safe margin (a near tie), or whose shape
-has more than `assignment.MAX_MAPS` maps, is solved tick by tick with
-`gated_assignment` instead, so that scipy's tie-break decides as it always
-has; OSPA needs only the least total, which a tie does not change.
+ticks are grouped by their number of active sources and of rows, once per
+`evaluate_submission` call for association and every OSPA parameter set,
+and each group is solved at once by `assignment.batched_assignment`. An
+association whose optimum is not unique by a safe margin (a near tie), or
+whose shape has more than `assignment.MAX_MAPS` maps, is solved tick by
+tick with `gated_assignment` instead, so that scipy's tie-break decides as
+it always has; OSPA needs only the least total, which a tie does not change.
 
 Association uses azimuth error only (in degrees) against a 30 degree gate;
 elevation errors are reported for valid pairs but never drive assignment.
@@ -184,20 +185,22 @@ class Submission:
         return nearest
 
 
-def _shape_groups(active, ticks):
+def _shape_groups(active, ticks) -> list:
     """The ticks of a recording grouped by their number of active sources and
-    of rows. Yields (tick indices (T,), each tick's active sources in order
-    (T, S), each tick's rows (T, R)) per (S, R) shape, `ticks` (R,) being
-    non-decreasing."""
+    of rows: a list of (tick indices (T,), each tick's active sources in
+    order (T, S), each tick's rows (T, R)), one per (S, R) shape, `ticks`
+    (R,) being non-decreasing."""
     n_sources = active.sum(axis=0)
     n_rows = np.bincount(ticks, minlength=active.shape[1])
     first_row = np.cumsum(n_rows) - n_rows
     shape = n_sources * (n_rows.max(initial=0) + 1) + n_rows
+    groups = []
     for key in np.unique(shape):
         at = np.flatnonzero(shape == key)
         s, r = n_sources[at[0]], n_rows[at[0]]
-        yield (at, np.nonzero(active[:, at].T)[1].reshape(len(at), s),
-               first_row[at, None] + np.arange(r))
+        groups.append((at, np.nonzero(active[:, at].T)[1].reshape(len(at), s),
+                       first_row[at, None] + np.arange(r)))
+    return groups
 
 
 def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) -> np.ndarray:
@@ -211,10 +214,15 @@ def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) 
     assigned row, -1 where a source has none. A ValueError unless `gate_deg`
     is finite and > 0.
     """
+    return _associate(cost, active.shape, _shape_groups(active, ticks), gate_deg)
+
+
+def _associate(cost, shape, groups, gate_deg: float) -> np.ndarray:
+    """`gate_and_associate` on the `_shape_groups` of its ticks; `shape` is (S, T)."""
     if not (math.isfinite(gate_deg) and gate_deg > 0):
         raise ValueError(f"gate must be a finite number of degrees > 0, got {gate_deg}")
-    assigned = np.full(active.shape, -1)
-    for at, sources, rows in _shape_groups(active, ticks):
+    assigned = np.full(shape, -1)
+    for at, sources, rows in groups:
         s, r = sources.shape[1], rows.shape[1]
         if not (s and r):
             continue
@@ -314,9 +322,14 @@ def ospa_series(errors_deg, active, ticks,
     the rows' ticks (non-decreasing). The ticks of one shape are solved
     together.
     """
+    return _ospa_series(errors_deg, active.shape[1], _shape_groups(active, ticks), params)
+
+
+def _ospa_series(errors_deg, n_ticks: int, groups, params: OspaParams) -> OspaSeries:
+    """`ospa_series` on the `_shape_groups` of its `n_ticks` ticks."""
     pair_cost = np.minimum(params.cutoff_deg, errors_deg) ** params.p
-    values = np.empty(active.shape[1])
-    for at, sources, rows in _shape_groups(active, ticks):
+    values = np.empty(n_ticks)
+    for at, sources, rows in groups:
         values[at] = _ospa(pair_cost[sources[:, :, None], rows[:, None, :]], params)
     mean = float(values.mean()) if len(values) else 0.0
     std = float(values.std()) if len(values) else 0.0
@@ -469,7 +482,8 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
     d_az, d_el = angular_errors(truth_az[:, ticks], truth_el[:, ticks],
                                 submission.azimuths, submission.elevations)
     cost = np.abs(np.degrees(d_az))
-    assigned = gate_and_associate(cost, active, ticks, gate_deg)
+    groups = _shape_groups(active, ticks)
+    assigned = _associate(cost, active.shape, groups, gate_deg)
     paired = assigned >= 0
     ids = np.append(submission.ids, 0)[assigned]  # 0 where unassigned
     tick_of, source_of = np.nonzero(paired.T)  # tick by tick, sources in order
@@ -479,5 +493,6 @@ def evaluate_submission(source_trajectories: dict, array_trajectory: Trajectory,
     report = compute_metrics(ids, vap_index, false_counts, errors, aligned, clock,
                              recording_duration)
     for params in ospa_params:
-        report.ospa[(params.p, params.cutoff_deg)] = ospa_series(cost, active, ticks, params)
+        report.ospa[(params.p, params.cutoff_deg)] = _ospa_series(cost, active.shape[1], groups,
+                                                                 params)
     return report

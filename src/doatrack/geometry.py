@@ -313,8 +313,9 @@ def sample_trajectory(traj: Trajectory, times):
     `Rotation`: the earlier rotation is turned by the elapsed fraction of the
     step's rotation vector. A step whose two rotations are equal keeps that
     rotation exactly, and a time within 1e-12 of a sample gets that sample's
-    pose exactly. No extrapolation: every time must lie within the
-    trajectory's time span.
+    pose exactly; when every time does, the samples are copied out and
+    nothing is interpolated. No extrapolation: every time must lie within
+    the trajectory's time span.
     """
     stamps = traj.timestamps
     t = np.asarray(times, dtype=float).reshape(-1)
@@ -327,10 +328,12 @@ def sample_trajectory(traj: Trajectory, times):
     t = np.minimum(np.maximum(t, stamps[0]), stamps[-1])
     idx = np.minimum(np.searchsorted(stamps, t, side="right") - 1, len(stamps) - 2)
     alpha = ((t - stamps[idx]) / (stamps[idx + 1] - stamps[idx]))[:, None]
-    translations = (1 - alpha) * traj.translations[idx] + alpha * traj.translations[idx + 1]
-    rotations = traj.rotations[idx]
     nearest = np.where(alpha[:, 0] <= 0.5, idx, idx + 1)
     on_sample = np.abs(t - stamps[nearest]) < 1e-12
+    if on_sample.all():
+        return traj.translations[nearest], traj.rotations[nearest]
+    translations = (1 - alpha) * traj.translations[idx] + alpha * traj.translations[idx + 1]
+    rotations = traj.rotations[idx]
     translations[on_sample] = traj.translations[nearest[on_sample]]
     rotations[on_sample] = traj.rotations[nearest[on_sample]]
     turn = ~on_sample & traj._turns[idx]

@@ -106,10 +106,14 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
             for t, row in zip(blocks.times, azimuths) for az in row if not np.isnan(az)]
 
 
-def track_stream(estimates, tracker: str, seed: int = 0):
-    """Turn raw estimates into labelled track series {id: [(t, azimuth), ...]}."""
+def _check_tracker(tracker: str) -> None:
     if tracker not in TRACKERS:
         raise UsageError(f"unknown tracker {tracker!r}")
+
+
+def track_stream(estimates, tracker: str, seed: int = 0):
+    """Turn raw estimates into labelled track series {id: [(t, azimuth), ...]}."""
+    _check_tracker(tracker)
     if tracker == "none":
         tracks: dict = {}
         for est in estimates:
@@ -140,11 +144,13 @@ def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
     localizer, tracker, resample.
 
     The `none` tracker keeps one series per source id, and every localizer
-    estimate carries id 1, so it takes one source. Raises CorpusFormatError
-    when the metadata names no array preset, and wherever `localize_stream`
+    estimate carries id 1, so it takes one source. An unknown tracker name
+    raises UsageError before anything else. Raises CorpusFormatError when
+    the metadata names no array preset, and wherever `localize_stream`
     does: audio that does not fit the array or is shorter than one
     analysis block of the localizer.
     """
+    _check_tracker(tracker)
     if tracker == "none" and n_sources > 1:
         raise UsageError(f"tracker 'none' takes one source, got n_sources {n_sources}")
     array = bundle.metadata.get("array")

@@ -25,7 +25,10 @@ steps the bank once per timestamp: one predict for all tracks, one read of
 their azimuths and gate variances, one update of the matched tracks, one
 start for the unmatched observations and one compaction when tracks end. A
 bank only filters and reports each row's outcome; the lifecycle alone counts
-hits and misses, confirms and ends tracks, and logs. The per-track functions
+hits and misses, confirms and ends tracks, and logs. It gates on Python
+floats (`_gated_pairs`): a step on which no track and no observation holds
+two within-gate pairs is paired without a solver, and only a step with such
+a conflict calls `gated_assignment`. The per-track functions
 (`kf_predict`, `kf_update`, `pf_predict`, `pf_step`) run the banks' kernels
 on one state, so each filter equation is written once and a bank row holds
 the bits the per-track function gives.
@@ -34,7 +37,7 @@ The Kalman bank holds each track as a row of five Python floats, (azimuth,
 rate, P00, P01, P11), that one scalar kernel per filter equation steps. Rows
 beat numpy's (n, 2, 2) stacks, whose per-call cost is paid at any n, up to
 about 40 tracks; a bank seldom holds 6. Settings and observations are cast
-to float once. The kernels square with `x * x`, as a float's `**` raises
+to float once, the observations by the lifecycle. The kernels square with `x * x`, as a float's `**` raises
 `OverflowError` where numpy warned, and give `sqrt` and division only
 positive numbers. `_positive_definite` checks every bank row and
 `TrackState` in closed form, with the 2 x 2 Cholesky arithmetic and no
@@ -458,11 +461,12 @@ class TrackerConfig:
 # Filter banks: the states of every live track of one lifecycle, row i
 # holding track i. A bank filters and logs nothing. Each has the methods:
 #   predict(dt)                 every row
-#   azimuths(), variances(az)   every row's azimuth and the gate's azimuth
-#                               variance; the arrays may change at the update
-#   update(rows, obs)           (took, flagged): whether each row took its
-#                               observation, else kept its predicted state, and
-#                               which rows `warning(where, obs)` reports, or None
+#   azimuths(), variances()     every row's azimuth and the gate's azimuth
+#                               variance, as lists of floats
+#   update(rows, obs)           (took, flagged) for row lists and observation
+#                               floats: whether each row took its observation,
+#                               else kept its predicted state, and which rows
+#                               `warning(where, obs)` reports, or None
 #   start(obs)                  one new row per observation
 #   keep(rows)                  drop every other row
 # ---------------------------------------------------------------------------
@@ -485,22 +489,22 @@ class _KalmanBank:
             self.rows = rows
 
     def azimuths(self):
-        return np.array([row[0] for row in self.rows])
+        return [row[0] for row in self.rows]
 
-    def variances(self, azimuths):
-        return np.array([row[2] for row in self.rows])
+    def variances(self):
+        return [row[2] for row in self.rows]
 
     def update(self, rows, obs):
         took = []
-        for i, z in zip(rows.tolist(), obs.tolist()):
+        for i, z in zip(rows, obs):
             row = _kf_correct(self.rows[i], z, self.obs_var)
             took.append(_positive_definite(*row[2:]))
             if took[-1]:
                 self.rows[i] = row
-        return np.array(took), None
+        return took, None
 
     def start(self, obs) -> None:
-        self.rows += [(wrap_angle(float(z)), 0.0, self.obs_var, 0.0, self.rate_var) for z in obs]
+        self.rows += [(wrap_angle(z), 0.0, self.obs_var, 0.0, self.rate_var) for z in obs]
 
     def keep(self, rows) -> None:
         self.rows = [self.rows[i] for i in rows]
@@ -529,7 +533,7 @@ class _ParticleBank:
             self.particles[..., 0] = wrap_angle(self.particles[..., 0])
             self.means[:], self.phasors = np.nan, None
 
-    def azimuths(self):
+    def _circular_means(self):
         stale = np.isnan(self.means)
         if stale.any():
             if self.phasors is None:
@@ -540,8 +544,11 @@ class _ParticleBank:
                 self.means[stale] = _pf_circular_mean(self.phasors[stale], self.weights[stale])
         return self.means
 
-    def variances(self, azimuths):
-        return _pf_azimuth_variance(self.particles, self.weights, azimuths)
+    def azimuths(self):
+        return self._circular_means().tolist()
+
+    def variances(self):
+        return _pf_azimuth_variance(self.particles, self.weights, self._circular_means()).tolist()
 
     def update(self, rows, obs):
         weights, dead = _pf_reweight(self.particles[rows, :, 0], self.weights[rows], obs,
@@ -556,7 +563,7 @@ class _ParticleBank:
         weights[resampled] = 1.0 / PF_PARTICLES
         self.weights[rows] = weights
         self.means[rows] = np.nan
-        return np.ones(len(rows), dtype=bool), dead
+        return [True] * len(rows), dead.tolist()
 
     def start(self, obs) -> None:
         draws = self.rng.standard_normal((len(obs), 2, PF_PARTICLES))
@@ -595,6 +602,32 @@ class _Candidate:
         return f"track {self.confirmed_id}" if self.confirmed_id else "tentative track"
 
 
+_BLOCKED = math.pi + 1.0  # cost of a pair outside its track's gate, above the pi gate
+
+
+def _gated_pairs(bank, observations, gate_sigma: float, gate_max: float):
+    """(row, observation) pairs of one step, sorted by row: the minimum-cost
+    assignment on the wrapped innovation cost, a pair outside its track's
+    gate inadmissible.
+
+    Each cost is `abs(wrap_angle(z - az))` of two floats, the float path that
+    `wrap_angle` takes for small arrays, with the bits of its np.fmod path.
+    When no track and no observation holds two within-gate pairs, those
+    pairs are the optimum `gated_assignment` returns without its solver; any
+    other step builds the blocked matrix and calls it, so scipy's tie-break
+    decides as it always has.
+    """
+    pairs, blocked = [], []
+    for i, (az, var) in enumerate(zip(bank.azimuths(), bank.variances())):
+        gate = min(gate_sigma * math.sqrt(var + bank.obs_var), gate_max)
+        costs = [abs(wrap_angle(z - az)) for z in observations]
+        pairs += [(i, j) for j, c in enumerate(costs) if c <= gate]
+        blocked.append([c if c <= gate else _BLOCKED for c in costs])
+    if len({i for i, _ in pairs}) < len(pairs) or len({j for _, j in pairs}) < len(pairs):
+        return gated_assignment(np.array(blocked), math.pi)
+    return pairs
+
+
 def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
                     tracker: str = "kalman", seed: int = 0):
     """Initiate, gate, update, and terminate azimuth tracks over an estimate stream.
@@ -609,9 +642,10 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
     if tracker not in _BANKS:
         raise ValueError(f"unknown filter {tracker!r}; available: {FILTERS}")
     bank = _BANKS[tracker](config, seed)
+    gate_sigma, gate_max = float(config.gate_sigma), float(config.gate_max)
     by_time: dict = {}
     for est in estimates:
-        by_time.setdefault(round(est.timestamp, 9), []).append(est.doa.azimuth)
+        by_time.setdefault(round(est.timestamp, 9), []).append(float(est.doa.azimuth))
 
     candidates: list[_Candidate] = []
     results: dict[int, list] = {}
@@ -619,29 +653,20 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
     prev_t = None
 
     for t in sorted(by_time):
-        observations = np.array(by_time[t])
+        observations = by_time[t]
         bank.predict(0.0 if prev_t is None else t - prev_t)
         prev_t = t
 
-        # gated assignment on wrapped innovation cost
-        if candidates:
-            predicted = bank.azimuths()
-            variances = bank.variances(predicted) + bank.obs_var
-            gates = np.minimum(config.gate_sigma * np.sqrt(variances), config.gate_max)
-            cost = np.abs(wrap_angle(observations[None, :] - predicted[:, None]))
-            blocked = np.where(cost <= gates[:, None], cost, np.pi + 1.0)
-            pairs = gated_assignment(blocked, np.pi)
-        else:
-            pairs = []
-
+        pairs = _gated_pairs(bank, observations, gate_sigma, gate_max) if candidates else []
         matched_obs = set()
         if pairs:
-            rows, cols = np.array(pairs).T
-            took, flagged = bank.update(rows, observations[cols])
-            if flagged is not None and flagged.any():
-                for i, z in zip(rows[flagged].tolist(), observations[cols[flagged]]):
+            rows = [i for i, _ in pairs]
+            obs = [observations[j] for _, j in pairs]
+            took, flagged = bank.update(rows, obs)
+            for i, z, bad in zip(rows, obs, flagged or ()):
+                if bad:
                     bank.warning(f"{candidates[i].label} at t={t:.3f} s", z)
-            for i, j, ok in zip(rows.tolist(), cols.tolist(), took.tolist()):
+            for (i, j), ok in zip(pairs, took):
                 if ok:
                     candidates[i].last_hit_time = t
                     matched_obs.add(j)
@@ -665,13 +690,14 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
             emitting.append(i)
             kept.append(i)
         if emitting:
-            for i, az in zip(emitting, bank.azimuths()[emitting].tolist()):
-                candidates[i].emitted.append((t, wrap_angle(az)))
+            azimuths = bank.azimuths()
+            for i in emitting:
+                candidates[i].emitted.append((t, wrap_angle(azimuths[i])))
         if len(kept) < len(candidates):
             bank.keep(kept)
             candidates = [candidates[i] for i in kept]
 
-        new = [obs for j, obs in enumerate(by_time[t]) if j not in matched_obs]
+        new = [z for j, z in enumerate(observations) if j not in matched_obs]
         if new:
             bank.start(new)
             candidates += [_Candidate(deque([True], int(config.init_window)), t) for _ in new]

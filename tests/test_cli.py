@@ -318,6 +318,24 @@ def test_run_rejects_a_source_count_the_stages_cannot_give(scene_dir, tmp_path, 
     assert not (tmp_path / "s.txt").exists()
 
 
+def test_an_unknown_tracker_is_rejected_before_any_localization(scene_dir, monkeypatch):
+    from doatrack import pipeline
+    calls = []
+    original = pipeline.srp_phat
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "srp_phat", counting)
+    bundle = read_recording(scene_dir)
+    with pytest.raises(pipeline.UsageError, match="^unknown tracker 'bogus'$"):
+        pipeline.run_pipeline(bundle, "srp-phat", "bogus")
+    assert calls == []
+    pipeline.run_pipeline(bundle, "srp-phat", "none")
+    assert len(calls) == 1  # the counter sees the localizer a valid tracker runs
+
+
 def test_cli_binds_the_pipeline_stages():
     # perfbench calls and traces the stages through these names on the CLI module
     from doatrack import cli, pipeline

@@ -352,6 +352,36 @@ def test_evaluate_submission_samples_each_trajectory_once_per_call(monkeypatch):
     assert counts == [4, 4]
 
 
+def test_evaluate_submission_builds_its_tick_groups_once_per_call(monkeypatch):
+    # association and every OSPA parameter set read the same groups
+    from doatrack import evaluate
+    original = evaluate._shape_groups
+    calls = []
+
+    def counting(active, ticks):
+        calls.append(len(ticks))
+        return original(active, ticks)
+
+    monkeypatch.setattr(evaluate, "_shape_groups", counting)
+    duration = 2.0
+    arr = static_trajectory(identity_pose(), duration)
+    sources = {"s1": static_trajectory(Pose(np.array([2.0, 1.0, 0.0]), np.eye(3)), duration),
+               "s2": static_trajectory(Pose(np.array([-1.0, 2.0, 0.0]), np.eye(3)), duration)}
+    clock = arr.timestamps
+    vaps = VapTable({"s1": ((0.2, 1.5),), "s2": ((0.6, 1.8),)})
+    truth_at = ground_truth_doas(sources, arr)
+    # one, two or three rows a tick: the truth, then a clutter row every third tick
+    sub = Submission({float(t): ((1, truth_at(t)["s1"]),) + ((2, Doa(D(-100))),) * (k % 3 == 0)
+                      for k, t in enumerate(clock[12:200])})
+    for ospa_params in ((), (OspaParams(1.0),), (OspaParams(1.0), OspaParams(2.0, 20.0),
+                                                  OspaParams(5.0))):
+        calls.clear()
+        report = evaluate_submission(sources, arr, vaps, sub, clock, duration,
+                                     ospa_params=ospa_params)
+        assert calls == [len(sub.times)], ospa_params
+        assert len(report.ospa) == len(ospa_params)
+
+
 def test_evaluate_submission_calls_no_scipy_solver_without_near_ties(monkeypatch):
     from doatrack import assignment
     calls = []

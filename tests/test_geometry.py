@@ -254,6 +254,40 @@ def test_sample_trajectory_keeps_a_constant_rotation_exactly():
     assert np.array_equal(rotations, np.broadcast_to(rot, rotations.shape))
 
 
+@pytest.mark.parametrize("kind", ["static preset", "rotating array", "source walk"])
+def test_sample_trajectory_reads_on_sample_times_exactly(kind):
+    # at its own timestamps, moved by up to 5e-13 s, a trajectory gives its
+    # samples; with one mid-step time added the call interpolates, and the
+    # on-sample rows keep the same bits
+    from doatrack.simulate import task_preset
+    scene = task_preset(6, 3, duration=2.0)
+    traj = {"static preset": task_preset(1, 3, duration=2.0).sources[0].trajectory,
+            "rotating array": scene.array_trajectory,
+            "source walk": scene.sources[0].trajectory}[kind]
+    stamps = traj.timestamps
+    n = len(stamps)
+    nudge = np.where(np.arange(n) % 2, 5e-13, -5e-13)
+    mid = (stamps[3] + stamps[4]) / 2
+    results = [sample_trajectory(traj, times) for times in
+               (stamps, stamps + nudge, stamps - nudge, np.append(stamps, mid))]
+    for translations, rotations in results:
+        assert translations[:n].tobytes() == traj.translations.tobytes()
+        assert rotations[:n].tobytes() == traj.rotations.tobytes()
+    translations, rotations = results[-1]
+    assert translations.shape == (n + 1, 3) and rotations.shape == (n + 1, 3, 3)
+    if kind != "static preset":  # the mid-step pose lies between its neighbours
+        assert not np.array_equal(translations[n], traj.translations[3])
+    # the arrays are the caller's own
+    before = traj.translations.copy(), traj.rotations.copy()
+    translations, rotations = sample_trajectory(traj, stamps)
+    translations[:] = 7.0
+    rotations[:] = 7.0
+    assert np.array_equal(traj.translations, before[0])
+    assert np.array_equal(traj.rotations, before[1])
+    empty = sample_trajectory(traj, [])
+    assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3)
+
+
 def test_trajectory_rejects_unordered():
     with pytest.raises(ValueError):
         Trajectory((identity_pose(1.0), identity_pose(0.5)))

@@ -21,7 +21,7 @@ from doatrack.track import (FILTERS, PF_PARTICLES, ParticleSet,
                             systematic_resample, track_lifecycle,
                             wrapped_gaussian_likelihood, wrapped_kf_predict,
                             wrapped_kf_update)
-from track_reference import reference_lifecycle
+from track_reference import reference_filter, reference_lifecycle
 
 
 def _state(az=0.0, rate=0.0, var_az=0.01, var_rate=0.1):
@@ -92,8 +92,8 @@ def test_kf_update_matches_manual():
     bank = doatrack.track._KalmanBank(TrackerConfig(obs_noise_std=0.1), 0)
     bank.rows = list(rows)
     obs = [rows[i][0] + rng.normal(0, 0.1) for i in picked]
-    took, _ = bank.update(np.array(picked), np.array(obs))
-    assert took.tolist() == [True] * 3
+    took, _ = bank.update(picked, [float(z) for z in obs])
+    assert took == [True] * 3
     assert bank.rows[2] == rows[2]
     r = bank.obs_var
     for i, z in zip(picked, obs):
@@ -610,11 +610,79 @@ def _dense_stream(seed, duration=3.0, n_sources=6):
     return stream
 
 
+def _next_azimuth(z, toward):
+    """The nearest azimuth past `z` toward `toward` that a `Doa` holds,
+    `wrap_angle`'s output being a fixed point of it."""
+    z = math.nextafter(z, toward)
+    while wrap_angle(z) != z:
+        z = math.nextafter(z, toward)
+    return z
+
+
+def _gate_edge_streams(tracker, config, seed):
+    """Streams whose steps test the gate and the assignment at their edges.
+
+    A track hit at 0.5 rad at 0.0, 0.1 and 0.2 s, its state stepped by the
+    reference filter, then at 0.3 s an observation either side of its gate:
+    the last azimuth whose cost is within the gate and the next one a `Doa`
+    holds. Two tracks at one azimuth, then one observation at equal cost
+    from both, where the assignment's tie-break decides. Tracks and
+    observations either side of +-pi. Five tracks seen at every step, 25
+    (track, observation) pairs, more than the 16 that `wrap_angle` wraps one
+    float at a time, two of them within each other's gates.
+    """
+    start, predict, update, azimuth, variance = reference_filter(tracker, config, seed)
+    state = start(0.5)
+    for prev, t in ((0.0, 0.1), (0.1, 0.2)):  # the lifecycle's steps, dt included
+        state = update(predict(state, t - prev), 0.5, "")
+    state = predict(state, 0.3 - 0.2)
+    az = azimuth(state)
+    gate = min(config.gate_sigma * np.sqrt(variance(state) + config.obs_noise_var),
+               config.gate_max)
+
+    def cost(z):
+        return abs(wrap_angle(z - az))
+
+    inside = wrap_angle(az + gate)
+    while cost(inside) > gate:
+        inside = _next_azimuth(inside, -math.inf)
+    while cost(_next_azimuth(inside, math.inf)) <= gate:
+        inside = _next_azimuth(inside, math.inf)
+    outside = _next_azimuth(inside, math.inf)
+    assert cost(inside) <= gate < cost(outside)
+    hits = [(0.0, [0.5]), (0.1, [0.5]), (0.2, [0.5])]
+    after = [(0.4, [0.5]), (0.5, [0.5]), (0.6, [0.5])]
+    edge = [_stream(hits + [(0.3, [z])] + after) for z in (inside, outside)]
+
+    tie = _stream([(t, [0.5, 0.5]) for t in (0.0, 0.1, 0.2)] + [(0.3, [0.52])]
+                  + [(t, [0.5, 0.5]) for t in (0.4, 0.5, 0.6)])
+    across = _stream([(0.1 * k, [wrap_angle(math.pi - 0.02 + 0.03 * (-1) ** k),
+                                 wrap_angle(-math.pi + 0.06 - 0.025 * (-1) ** k)])
+                      for k in range(12)])
+    rng = np.random.default_rng(seed)
+    crowded = _stream([(0.1 * k, [wrap_angle(az + 0.01 * rng.standard_normal())
+                                  for az in (-3.1, -1.5, 0.0, 1.5, 3.1)])
+                       for k in range(12)])
+    return edge, tie, across, crowded
+
+
 @pytest.mark.parametrize("tracker", FILTERS)
 def test_filter_bank_matches_the_per_track_lifecycle(tracker):
-    # at the default config and at M = 1, where a tentative track can lapse
-    # with its start hit still in the window
-    for config in (TrackerConfig(), TrackerConfig(init_hits=1, init_window=2)):
+    # at the default config, at M = 1, where a tentative track can lapse
+    # with its start hit still in the window, and at a gate capped at 0.25
+    # rad, a cost the wrap can give, so that the edge stream's inside
+    # observation costs exactly the gate
+    for config in (TrackerConfig(), TrackerConfig(init_hits=1, init_window=2),
+                   TrackerConfig(gate_sigma=50.0, gate_max=0.25)):
+        edge, tie, across, crowded = _gate_edge_streams(tracker, config, seed=5)
+        inside, outside = (track_lifecycle(stream, config, tracker, seed=5) for stream in edge)
+        assert inside != outside  # the observation at 0.3 s is taken only inside the gate
+        assert [inside, outside] == [reference_lifecycle(stream, config, tracker, seed=5)
+                                     for stream in edge], config
+        for stream in (tie, across, crowded):
+            assert track_lifecycle(stream, config, tracker, seed=5) == \
+                reference_lifecycle(stream, config, tracker, seed=5), config
+        assert len(track_lifecycle(crowded, config, tracker, seed=5)) >= 5
         for seed in (1, 2, 3, 4):
             stream, _ = _two_source_stream(seed, 6.0)
             assert track_lifecycle(stream, config, tracker, seed=seed) == \
@@ -631,6 +699,27 @@ def test_filter_bank_matches_the_per_track_lifecycle(tracker):
             for t, _ in series:
                 alive[t] = alive.get(t, 0) + 1
         assert max(alive.values()) >= 5  # the bank held at least five tracks at once
+
+
+@pytest.mark.parametrize("tracker", FILTERS)
+def test_only_a_gate_conflict_calls_the_assignment_solver(tracker, monkeypatch):
+    # two sources far apart: every track and every observation holds at
+    # most one within-gate pair, so the lifecycle pairs them itself
+    calls = []
+    original = doatrack.track.gated_assignment
+
+    def counting(cost, gate):
+        calls.append(cost.shape)
+        return original(cost, gate)
+
+    monkeypatch.setattr(doatrack.track, "gated_assignment", counting)
+    apart = _stream([(0.1 * k, [0.8, -1.5]) for k in range(20)])
+    assert sorted(track_lifecycle(apart, TrackerConfig(), tracker)) == [1, 2]
+    assert calls == []
+    # two observations within the gate of one track from 0.1 s on
+    close = _stream([(0.1 * k, [0.8, 0.85]) for k in range(5)])
+    track_lifecycle(close, TrackerConfig(), tracker)
+    assert calls and set(calls) == {(2, 2)}
 
 
 def test_a_diverging_track_is_flagged_while_the_other_keeps_updating(monkeypatch, caplog):
