@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .geometry import (ArrayGeometry, DegenerateGeometryError, Doa, Pose,
                        Trajectory, TrajectoryError, doa_to_unit_vector, get_array_preset,
-                       global_to_local, identity_pose, interpolate_pose,
-                       sample_trajectory, static_trajectory, unit_vector_to_doa,
-                       wrap_angle)
+                       identity_pose, interpolate_pose, sample_trajectory,
+                       static_trajectory, unit_vector_to_doa, wrap_angle)
 from .sigproc import (Blocks, CrossSpectrum, MultichannelAudio, Stft, block_cross_spectra,
                       cross_power_spectrum, frame_energies, frame_signal, pair_cross_spectra)
 from .localize import (BlockTdoas, DoaEstimate, DoaGrid, NoSignalError, TdoaEstimate,

@@ -1,10 +1,12 @@
 """Minimum-cost bipartite assignment (Munkres), shared by association and OSPA.
 
 `min_cost_assignment` and `gated_assignment` solve one matrix with scipy's
-Jonker-Volgenant solver; tests pin it against exhaustive permutation
-enumeration. `batched_assignment` solves a stack of small matrices of one
-shape at once by that enumeration, and marks the matrices whose best
-assignment is not unique by a safe margin, where a tie-break decides.
+Jonker-Volgenant solver on every call (a tracker step the gate decides is
+paired by `track._gated_pairs` without one); tests pin it against
+exhaustive permutation enumeration. `batched_assignment` solves a stack of
+small matrices of one shape at once by that enumeration, and marks the
+matrices whose best assignment is not unique by a safe margin, where a
+tie-break decides.
 """
 
 from __future__ import annotations
@@ -39,23 +41,15 @@ def min_cost_assignment(cost: np.ndarray):
 def gated_assignment(cost: np.ndarray, gate: float):
     """Assignment where pairs costing more than `gate` are inadmissible.
 
-    Rectangular matrices are padded with sentinel costs just above the gate;
-    pairs landing on a sentinel or above the gate are dropped. When each row
-    and each column holds at most one cost in [-gate, gate] and every other
-    cost is at least the (finite) sentinel, the solver's optimum pairs
-    exactly those entries, so they are returned, sorted by row, without it.
+    The matrix is padded to a square with sentinel costs just above the
+    gate, and every cost above the sentinel is clipped to it; pairs landing
+    on a sentinel or above the gate are dropped from the solver's optimum.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     n_rows, n_cols = cost.shape
     if n_rows == 0 or n_cols == 0:
         return []
     sentinel = gate + 1.0
-    # entries in [-gate, gate]: within the gate, and never -inf, which the solver rejects
-    rows, cols = np.nonzero(np.abs(cost) <= gate)
-    if math.isfinite(sentinel) and len(rows) + np.count_nonzero(cost >= sentinel) == cost.size:
-        rows, cols = rows.tolist(), cols.tolist()
-        if len(set(rows)) == len(rows) == len(set(cols)):
-            return list(zip(rows, cols))
     size = max(n_rows, n_cols)
     padded = np.full((size, size), sentinel)
     padded[:n_rows, :n_cols] = np.minimum(cost, sentinel)

@@ -22,6 +22,7 @@ from .corpus_io import (CorpusFormatError, bundle_from_scene, read_recording,
                         read_submission, write_recording, write_submission)
 from .evaluate import (DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, evaluate_submission,
                        gate_and_associate)
+from .geometry import ARRAY_PRESETS
 from .localize import DEFAULT_BAND_HZ, UnsupportedGeometryError
 # perfbench reads and traces the stages under these names on this module
 from .pipeline import (LOCALIZERS, TRACKERS, UsageError, localize_stream, resample_tracks,
@@ -40,7 +41,8 @@ OPTION_HELP = {"task": "scenario 1..6", "duration": "seconds", "snr": "dB", "gat
                "ospa_p": "comma list, e.g. 1,5", "ospa_c": "cutoff, degrees",
                "band_low": "Hz; gcc-phat reads every bin and ignores it",
                "band_high": "Hz; gcc-phat reads every bin and ignores it"}
-OPTION_CHOICES = {"localizer": LOCALIZERS, "tracker": TRACKERS}
+OPTION_CHOICES = {"localizer": LOCALIZERS, "tracker": TRACKERS,
+                  "array": tuple(sorted(ARRAY_PRESETS)), "task": tuple(range(1, 7))}
 
 
 def _merge_options(defaults: dict, args: argparse.Namespace) -> dict:
@@ -107,8 +109,6 @@ SIMULATE_DEFAULTS = {
 
 def cmd_simulate(args) -> int:
     opts = _merge_options(SIMULATE_DEFAULTS, args)
-    if not 1 <= opts["task"] <= 6:
-        raise UsageError(f"task must be 1..6, got {opts['task']}")
     config = task_preset(opts["task"], opts["seed"], duration=float(opts["duration"]),
                          array=opts["array"], snr_db=float(opts["snr"]))
     scene = synthesize(config)

@@ -168,14 +168,6 @@ def global_to_local_doas(points, translations, rotations):
     return wrap_angle(np.arctan2(y, x)), np.arccos(np.clip(z, -1.0, 1.0))
 
 
-def global_to_local(source_pos, array_pose: Pose) -> Doa:
-    """DoA of a global-frame point seen from an array with the given pose."""
-    azimuths, elevations = global_to_local_doas(np.reshape(source_pos, (1, 3)),
-                                                array_pose.translation[None],
-                                                array_pose.rotation[None])
-    return Doa(azimuths[0], elevations[0])
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Named microphone layout; read-only positions in meters in the array's local frame."""
@@ -201,10 +193,6 @@ class ArrayGeometry:
     @property
     def centroid(self) -> np.ndarray:
         return self.mic_positions.mean(axis=0)
-
-    def pairs(self):
-        """All unordered microphone index pairs (m < l), as `upper_pairs` orders them."""
-        return list(map(tuple, upper_pairs(self.mic_count).tolist()))
 
 
 class TrajectoryError(ValueError):

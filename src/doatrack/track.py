@@ -51,13 +51,14 @@ per resampled track in assignment-row order, then the start particles of
 each new track in observation order. It wraps the azimuths that a per-track
 `ParticleSet` wraps after the predict and at the start, not again after an
 update or a resample, as a new `ParticleSet` does, since those azimuths are
-`wrap_angle` output, which `wrap_angle` returns unchanged bit for bit. Its
-step model is cached per (dt, process noise intensity): the transition
-matrix and process-noise covariance (`_model`) and the noise factor
-(`_noise_factor`), in bounded LRU caches of read-only arrays. Its process
-noise is a standard normal (..., 2) block times that factor, which is
-`Generator.multivariate_normal`'s SVD draw from the same stream, without the
-per-call factorisation and PSD check.
+`wrap_angle` output, which `wrap_angle` returns unchanged bit for bit. It
+keeps each row's circular mean current, recomputed by every step that
+moves the row. Its step model is cached per (dt, process noise intensity):
+the transition matrix and process-noise covariance (`_model`) and the noise
+factor (`_noise_factor`), in bounded LRU caches of read-only arrays. Its
+process noise is a standard normal (..., 2) block times that factor, which
+is `Generator.multivariate_normal`'s SVD draw from the same stream, without
+the per-call factorisation and PSD check.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .geometry import wrap_angle
 
 logger = logging.getLogger(__name__)
 
-FILTERS = ("kalman", "wrapped-kalman", "particle")
 PF_PARTICLES = 500  # particles per track of the `particle` filter
 PF_RESAMPLE_THRESHOLD = 0.5  # resample when the effective sample size drops below this share
 _MODEL_CACHE_SIZE = 256  # distinct (dt, intensity) pairs kept by `_model` and `_noise_factor`
@@ -512,9 +512,11 @@ class _KalmanBank:
 
 class _ParticleBank:
     """Particles (n, I, 2) and weights (n, I) of every track, drawn from one
-    generator. The circular mean of a row is computed once per state, from
-    phasors of the azimuths kept until they move. Every row takes its
-    observation; a row whose weights all died is flagged."""
+    generator, and each row's `_pf_phasors` and circular mean: a predict
+    recomputes both for every row, an update carries a resampled row's
+    phasors with its particles and recomputes the updated rows' means, and a
+    start computes the new rows'. Every row takes its observation; a row
+    whose weights all died is flagged."""
 
     warning = staticmethod(_log_weight_collapse)
 
@@ -524,31 +526,21 @@ class _ParticleBank:
         self.rate_std = np.sqrt(config.initial_rate_var)
         self.particles = np.empty((0, PF_PARTICLES, 2))
         self.weights = np.empty((0, PF_PARTICLES))
-        self.means = np.empty(0)  # circular mean of each row, NaN until computed
-        self.phasors = None  # `_pf_phasors` of every row's azimuths, or None until computed
+        self.phasors = np.empty((0, PF_PARTICLES, 2))
+        self.means = np.empty(0)
 
     def predict(self, dt: float) -> None:
         if dt > 0 and len(self.particles):
             self.particles = _pf_propagate(self.particles, dt, self.intensity, self.rng)
             self.particles[..., 0] = wrap_angle(self.particles[..., 0])
-            self.means[:], self.phasors = np.nan, None
-
-    def _circular_means(self):
-        stale = np.isnan(self.means)
-        if stale.any():
-            if self.phasors is None:
-                self.phasors = _pf_phasors(self.particles[..., 0])
-            if stale.all():
-                self.means = _pf_circular_mean(self.phasors, self.weights)
-            else:
-                self.means[stale] = _pf_circular_mean(self.phasors[stale], self.weights[stale])
-        return self.means
+            self.phasors = _pf_phasors(self.particles[..., 0])
+            self.means = _pf_circular_mean(self.phasors, self.weights)
 
     def azimuths(self):
-        return self._circular_means().tolist()
+        return self.means.tolist()
 
     def variances(self):
-        return _pf_azimuth_variance(self.particles, self.weights, self._circular_means()).tolist()
+        return _pf_azimuth_variance(self.particles, self.weights, self.means).tolist()
 
     def update(self, rows, obs):
         weights, dead = _pf_reweight(self.particles[rows, :, 0], self.weights[rows], obs,
@@ -558,11 +550,10 @@ class _ParticleBank:
         for k, offset in zip(resampled, self.rng.random(len(resampled))):
             row, indices = rows[k], _systematic_indices(weights[k], offset)
             self.particles[row] = self.particles[row][indices]
-            if self.phasors is not None:
-                self.phasors[row] = self.phasors[row][indices]
+            self.phasors[row] = self.phasors[row][indices]
         weights[resampled] = 1.0 / PF_PARTICLES
         self.weights[rows] = weights
-        self.means[rows] = np.nan
+        self.means[rows] = _pf_circular_mean(self.phasors[rows], weights)
         return [True] * len(rows), dead.tolist()
 
     def start(self, obs) -> None:
@@ -570,20 +561,22 @@ class _ParticleBank:
         particles = np.empty((len(obs), PF_PARTICLES, 2))
         particles[..., 0] = wrap_angle(np.array(obs)[:, None] + np.sqrt(self.obs_var) * draws[:, 0])
         particles[..., 1] = self.rate_std * draws[:, 1]
+        weights = np.full((len(obs), PF_PARTICLES), 1.0 / PF_PARTICLES)
+        phasors = _pf_phasors(particles[..., 0])
         self.particles = np.concatenate([self.particles, particles])
-        self.weights = np.concatenate(
-            [self.weights, np.full((len(obs), PF_PARTICLES), 1.0 / PF_PARTICLES)])
-        self.means = np.concatenate([self.means, np.full(len(obs), np.nan)])
-        self.phasors = None
+        self.weights = np.concatenate([self.weights, weights])
+        self.phasors = np.concatenate([self.phasors, phasors])
+        self.means = np.concatenate([self.means, _pf_circular_mean(phasors, weights)])
 
     def keep(self, rows) -> None:
         self.particles, self.weights = self.particles[rows], self.weights[rows]
-        self.means, self.phasors = self.means[rows], None
+        self.phasors, self.means = self.phasors[rows], self.means[rows]
 
 
 # `wrapped-kalman` is an alias of the Kalman bank, whose correction the
 # wrapped one matches within the bound of the module docstring
 _BANKS = {"kalman": _KalmanBank, "wrapped-kalman": _KalmanBank, "particle": _ParticleBank}
+FILTERS = tuple(_BANKS)
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +605,11 @@ def _gated_pairs(bank, observations, gate_sigma: float, gate_max: float):
 
     Each cost is `abs(wrap_angle(z - az))` of two floats, the float path that
     `wrap_angle` takes for small arrays, with the bits of its np.fmod path.
-    When no track and no observation holds two within-gate pairs, those
-    pairs are the optimum `gated_assignment` returns without its solver; any
-    other step builds the blocked matrix and calls it, so scipy's tie-break
-    decides as it always has.
+    When no track and no observation holds two within-gate pairs, the gate
+    decides: those pairs are the optimum of the padded solve, so they are
+    returned without it. This is the one place that rule lives; any other
+    step builds the blocked matrix and calls `gated_assignment`, so scipy's
+    tie-break decides as it always has.
     """
     pairs, blocked = [], []
     for i, (az, var) in enumerate(zip(bank.azimuths(), bank.variances())):

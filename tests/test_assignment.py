@@ -94,19 +94,16 @@ def test_gated_assignment_equals_the_padded_solve(n_rows, n_cols, data):
     assert isinstance(got, str) or all(type(i) is int and type(j) is int for i, j in got)
 
 
-def test_gated_assignment_skips_the_solver_only_when_the_gate_decides(monkeypatch):
-    from doatrack import assignment
-    calls = []
-    monkeypatch.setattr(assignment, "min_cost_assignment",
-                        lambda c: calls.append(c) or min_cost_assignment(c))
+def test_gated_assignment_pairs_the_entries_the_gate_leaves():
     blocked = np.array([[0.3, 2.0, 2.0], [2.0, 2.0, 0.9]])
     assert gated_assignment(blocked, 1.0) == [(0, 0), (1, 2)]
-    assert not calls
+
+
+def test_gated_assignment_drops_the_solvers_pairs_over_the_gate():
     # two entries just over the gate beat one within it plus a sentinel:
     # 1.25 + 1.25 < 0.75 + 2, so the solver pairs across and the gate drops both
     near = np.array([[0.75, 1.25], [1.25, 2.0]])
     assert gated_assignment(near, 1.0) == []
-    assert len(calls) == 1
 
 
 def test_empty_inputs():

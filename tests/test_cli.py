@@ -47,6 +47,23 @@ def test_simulate_invalid_task(tmp_path):
     assert _run("simulate", "--task", "9", "--out", str(tmp_path / "x")) == 1
 
 
+def test_simulate_rejects_an_unknown_array_flag(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert _run("simulate", "--array", "nosuch", "--out", str(out)) == 1
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"array": "nosuch"}, {"task": 7}])
+def test_simulate_rejects_an_unknown_array_or_task_in_a_config_file(tmp_path, capsys, config):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x"
+    cfg.write_text(json.dumps(config))
+    assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 1
+    (key,) = config
+    assert f"option {key!r} must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--snr", "nan", "snr_db"), ("--snr", "-inf", "snr_db"),
     ("--duration", "nan", "duration"), ("--duration", "inf", "duration"),

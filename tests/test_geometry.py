@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from doatrack import geometry
 from doatrack.geometry import (ARRAY_PRESETS, ArrayGeometry, Doa, DegenerateGeometryError, Pose,
                                Trajectory, TrajectoryError, doa_to_unit_vector, get_array_preset,
-                               global_to_local, identity_pose, interpolate_pose,
+                               global_to_local_doas, identity_pose, interpolate_pose,
                                sample_trajectory, static_trajectory, unit_vector_to_doa,
                                wrap_angle)
 
@@ -169,27 +169,28 @@ def test_doa_axes():
     assert np.allclose(doa_to_unit_vector(Doa(0.0, 0.0)), [0, 0, 1], atol=1e-12)
 
 
-def test_global_to_local_identity_pose():
-    d = global_to_local([1.0, 1.0, 0.0], identity_pose())
-    assert d.azimuth == pytest.approx(math.pi / 4)
-    assert d.elevation == pytest.approx(math.pi / 2)
+def test_global_to_local_doas_identity_pose():
+    az, el = global_to_local_doas(np.array([[1.0, 1.0, 0.0]]), np.zeros((1, 3)), np.eye(3)[None])
+    assert az[0] == pytest.approx(math.pi / 4)
+    assert el[0] == pytest.approx(math.pi / 2)
 
 
-def test_global_to_local_rotated_array():
+def test_global_to_local_doas_rotated_array():
     # array yawed +90 deg: a source on global +y sits on the local +x axis
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    d = global_to_local([0.0, 2.0, 0.0], Pose(np.zeros(3), rot))
-    assert d.azimuth == pytest.approx(0.0, abs=1e-12)
+    az, _ = global_to_local_doas(np.array([[0.0, 2.0, 0.0]]), np.zeros((1, 3)), rot[None])
+    assert az[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_global_to_local_translation():
-    d = global_to_local([3.0, 1.0, 0.0], Pose(np.array([3.0, 0.0, 0.0]), np.eye(3)))
-    assert d.azimuth == pytest.approx(math.pi / 2)
+def test_global_to_local_doas_translation():
+    az, _ = global_to_local_doas(np.array([[3.0, 1.0, 0.0]]), np.array([[3.0, 0.0, 0.0]]),
+                                 np.eye(3)[None])
+    assert az[0] == pytest.approx(math.pi / 2)
 
 
-def test_global_to_local_degenerate():
+def test_global_to_local_doas_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        global_to_local([1e-9, 0.0, 0.0], identity_pose())
+        global_to_local_doas(np.array([[1e-9, 0.0, 0.0]]), np.zeros((1, 3)), np.eye(3)[None])
 
 
 def test_pose_rejects_non_rotation():

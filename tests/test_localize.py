@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doatrack.geometry import (ArrayGeometry, Doa, doa_to_unit_vector, get_array_preset,
-                               wrap_angle)
+                               upper_pairs, wrap_angle)
 from doatrack.localize import (BlockTdoas, DoaGrid, NoSignalError, UnsupportedGeometryError,
                                azimuth_grid, circular_peaks, expected_tdoa,
                                farfield_pair_tdoa, gcc_phat, music_spectrum,
@@ -95,12 +95,12 @@ def test_gcc_phat_rejects_silence():
 
 def test_tdoa_to_azimuth_from_exact_delays():
     geom = get_array_preset("dicit_32cm")
-    pairs = geom.pairs()
+    pairs = upper_pairs(geom.mic_count).tolist()
     for az_deg in (10.0, 45.0, 80.0):
         u = doa_to_unit_vector(Doa(math.radians(az_deg)))
         delays = [float(farfield_pair_tdoa(u, geom.mic_positions[m], geom.mic_positions[l],
                                            FS)[0]) for m, l in pairs]
-        tdoas = BlockTdoas(tuple(pairs), np.array([delays]), np.ones((1, len(pairs))),
+        tdoas = BlockTdoas(tuple(map(tuple, pairs)), np.array([delays]), np.ones((1, len(pairs))),
                            np.array([True]))
         (azimuth,) = tdoa_to_azimuth(tdoas, geom, FS)
         assert math.degrees(azimuth) == pytest.approx(az_deg, abs=1.0)

@@ -722,6 +722,40 @@ def test_only_a_gate_conflict_calls_the_assignment_solver(tracker, monkeypatch):
     assert calls and set(calls) == {(2, 2)}
 
 
+def test_particle_bank_keeps_every_rows_circular_mean_current():
+    # each step that moves a row recomputes its mean: the bank reads every
+    # row as a `ParticleSet` of that row's particles and weights does
+    bank = doatrack.track._ParticleBank(TrackerConfig(), seed=3)
+
+    def assert_rows_read_as_particle_sets():
+        sets = [ParticleSet(p, w) for p, w in zip(bank.particles, bank.weights)]
+        assert bank.azimuths() == [s.circular_mean() for s in sets]
+        assert bank.variances() == [s.azimuth_variance() for s in sets]
+
+    def uniform(row):
+        return bool(np.all(bank.weights[row] == 1.0 / PF_PARTICLES))
+
+    bank.start([0.5, -1.0, 3.1])
+    assert_rows_read_as_particle_sets()
+    bank.predict(0.1)
+    assert_rows_read_as_particle_sets()
+    # an observation in row 0's tail collapses its effective sample size, so
+    # that row alone is resampled; row 2's observation sits at its mean
+    bank.update([0, 2], [0.7, bank.azimuths()[2]])
+    assert uniform(0) and not uniform(2)
+    assert_rows_read_as_particle_sets()
+    bank.keep([0, 2])
+    assert_rows_read_as_particle_sets()
+    bank.update([1], [3.12])  # the row that was row 2 before the keep
+    assert_rows_read_as_particle_sets()
+    bank.start([-2.0])
+    bank.update([0, 2], [0.75, -2.2])
+    assert uniform(2)
+    assert_rows_read_as_particle_sets()
+    bank.predict(0.05)
+    assert_rows_read_as_particle_sets()
+
+
 def test_a_diverging_track_is_flagged_while_the_other_keeps_updating(monkeypatch, caplog):
     # two Kalman tracks updated in one bank call per step; from the sixth
     # update on, the track near 0.8 rad gets a non-PD covariance every time
