@@ -220,8 +220,16 @@ def cmd_report(args) -> int:
         p = Path(path)
         if not p.is_file():
             raise FileNotFoundError(f"missing metrics file: {p}")
+        try:
+            flat = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{p}:{exc.lineno}: invalid JSON") from None
+        if not isinstance(flat, dict):
+            raise CorpusFormatError(f"{p}: expected a JSON object of metrics")
+        if not flat:
+            raise CorpusFormatError(f"{p}: holds no metrics")
         print(f"== {p} ==")
-        _print_summary(json.loads(p.read_text()))
+        _print_summary(flat)
     return 0
 
 

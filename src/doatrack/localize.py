@@ -14,8 +14,8 @@ azimuth (pseudo-intensity, and GCC-PHAT delays triangulated by
 for MUSIC ill-conditioned. The blocks are processed in groups
 (`Blocks.groups`) of bounded memory, and work shared by blocks, such as the
 steering vectors and the per-frame intensities, is done once per group, not
-once per block; the GCC lag basis is built once per call. GCC-PHAT and
-SRP-PHAT read only the cross-spectra of the pairs m < l
+once per block; the GCC lag basis, where one is used, is built once per
+call. GCC-PHAT and SRP-PHAT read only the cross-spectra of the pairs m < l
 (`sigproc.pair_cross_spectra`). `gcc_phat` also takes one `CrossSpectrum`.
 
 Delay convention: ``expected_tdoa(s, m, l)`` and ``gcc_phat`` both measure
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import zheevr
 
 from .geometry import (
     SPEED_OF_SOUND,
@@ -49,6 +50,8 @@ DEFAULT_BAND_HZ = (300.0, 4000.0)
 GRID_RESOLUTION_DEG = 1.0  # azimuth step of the grid searches
 GCC_INTERPOLATION = 4  # GCC lag axis oversampling
 MUSIC_DIAGONAL_LOADING = 1e-6  # of the mean eigenvalue, added to every bin's correlation
+# microphones from which MUSIC solves only its signal subspace (see _signal_subspace)
+MUSIC_PARTIAL_EIGEN_CHANNELS = 8
 PHAT_FLOOR_REL = 1e-12  # bins below this fraction of max |G| get zero weight
 # spectrum values within this fraction of the peak tie with it; on a linear
 # array a direction and its mirror image differ only by rounding
@@ -185,8 +188,8 @@ def gcc_phat(cs: CrossSpectrum | Blocks, max_lag):
             raise ValueError(f"need one max_lag per microphone pair, {n_pairs} in all")
         return _gcc_phat_blocks(cs, max_lags)
     g = np.asarray(cs.values, dtype=complex)[:, None, None]
-    basis = _lag_basis(np.array([float(max_lag)]), cs.window_length)
-    delays, peaks, usable = _lag_window_peaks(g, basis)
+    lag_axis = _lag_axis(np.array([float(max_lag)]), cs.window_length)
+    delays, peaks, usable = _lag_window_peaks(g, lag_axis)
     if not usable[0]:
         raise NoSignalError("all-zero cross spectrum")
     return TdoaEstimate(cs.pair, float(delays[0, 0]), float(peaks[0, 0]))
@@ -194,93 +197,102 @@ def gcc_phat(cs: CrossSpectrum | Blocks, max_lag):
 
 def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:
     pairs = upper_pairs(blocks.channel_count)
-    order = np.argsort(-max_lags, kind="stable")
-    basis = _lag_basis(max_lags[order], blocks.window_length)
+    lag_axis = _lag_axis(max_lags, blocks.window_length)
     bin_count = blocks.window_length // 2 + 1
     delays = np.zeros((len(blocks), len(pairs)))
     peaks = np.zeros((len(blocks), len(pairs)))
     usable = np.zeros(len(blocks), dtype=bool)
     for group_slice, group in blocks.groups(_frame_elements(blocks, bin_count, len(pairs))):
-        delays[group_slice, order], peaks[group_slice, order], usable[group_slice] = (
-            _lag_window_peaks(pair_cross_spectra(group, pairs[order]), basis))
+        delays[group_slice], peaks[group_slice], usable[group_slice] = _lag_window_peaks(
+            pair_cross_spectra(group, pairs), lag_axis)
     return BlockTdoas(tuple(map(tuple, pairs.tolist())), delays, peaks, usable)
 
 
-def _lag_basis(max_lags, window_length: int):
-    """The GCC half-basis of `_lag_window_peaks` for pairs with the given
-    `max_lags`, in descending order: each pair's window max_shift on the
-    GCC_INTERPOLATION-times oversampled lag axis, and the rows
-    cos, sin(2 pi k tau / nfft) / nfft over the window's bins k and the lags
-    tau = 0..max_shift[0], as a list of (first lag, stop lag, cos chunk, sin
-    chunk) with chunks of shape (lags, bins). Built once per `gcc_phat` call.
+def _lag_axis(max_lags, window_length: int):
+    """The lag axis of `_lag_window_peaks`: each pair's window max_shift on
+    the GCC_INTERPOLATION-times oversampled axis of nfft =
+    GCC_INTERPOLATION * window_length lags, nfft, and the GCC half-basis for
+    the widest window. The basis is the rows c_k cos, sin(2 pi k tau / nfft)
+    / nfft over the bins k and the lags tau = 0..max(max_shift), as a (cos,
+    sin) pair of (lags, bins) arrays, or None where it would not fit one
+    chunk of CHUNK_ELEMENTS (more than 255 lags at 1025 bins). Built once
+    per `gcc_phat` call.
     """
     nfft = window_length * GCC_INTERPOLATION
     max_shift = np.minimum(np.floor(max_lags * GCC_INTERPOLATION).astype(int), nfft // 2 - 1)
     if max_shift.min() < 1:
         raise ValueError("max_lag too small for the lag axis")
     bin_count = window_length // 2 + 1
+    lags = int(max_shift.max()) + 1
+    if lags > CHUNK_ELEMENTS // bin_count:
+        return max_shift, nfft, None
     angle = (2.0 * np.pi / nfft) * np.arange(nfft)
-    cos_table, sin_table = np.cos(angle) / nfft, np.sin(angle) / nfft
-    step = max(1, CHUNK_ELEMENTS // bin_count)
-    chunks = []
-    for first in range(0, int(max_shift[0]) + 1, step):
-        stop = min(first + step, int(max_shift[0]) + 1)
-        # (k tau) mod nfft indexes the tables exactly; for a power-of-two
-        # nfft the non-negative k tau reduce by a mask, a cheaper ufunc
-        phase = np.multiply.outer(np.arange(first, stop), np.arange(bin_count))
-        if nfft & (nfft - 1):
-            phase %= nfft
-        else:
-            phase &= nfft - 1
-        chunks.append((first, stop, cos_table[phase], sin_table[phase]))
-    return max_shift, chunks
+    # c_0 = 1 and c_k = 2 otherwise: bins 1.. stand for their mirror images too
+    cos_table, sin_table = np.cos(angle) / nfft * 2.0, np.sin(angle) / nfft * 2.0
+    # (k tau) mod nfft indexes the tables exactly; for a power-of-two nfft the
+    # non-negative k tau reduce by a mask, a cheaper ufunc
+    phase = np.multiply.outer(np.arange(lags), np.arange(bin_count))
+    if nfft & (nfft - 1):
+        phase %= nfft
+    else:
+        phase &= nfft - 1
+    cos_basis, sin_basis = cos_table[phase], sin_table[phase]
+    cos_basis[:, 0] *= 0.5
+    return max_shift, nfft, (cos_basis, sin_basis)
 
 
-def _lag_window_peaks(g, basis):
+def _lag_window_peaks(g, lag_axis):
     """Peak lag of the PHAT-weighted GCC of every block and pair.
 
-    `g` holds cross spectra of shape (bins, blocks, pairs), pairs ordered by
-    max lag descending as in `basis` (see `_lag_basis`). With W = PHAT(G)
-    and nfft = GCC_INTERPOLATION * window_length, the GCC at lag tau is
+    `g` holds cross spectra of shape (bins, blocks, pairs), and `lag_axis`
+    comes from `_lag_axis`. With W = PHAT(G) and nfft =
+    GCC_INTERPOLATION * window_length, the GCC at lag tau is
     cc[tau] = sum_k c_k Re(W_k exp(i 2 pi k tau / nfft)) / nfft, c_0 = 1 and
-    c_k = 2 otherwise (the irfft of W zero-padded to nfft), evaluated only
-    within each pair's window: cos is even and sin is odd, so lags +-tau come
-    from one matmul against a (lags, bins) chunk of the half-basis, in which
-    only the pairs whose window reaches the chunk take part.
+    c_k = 2 otherwise: the irfft of W zero-padded to nfft, which counts bin 0
+    once and every other bin twice. With a basis, cos is even and sin is odd,
+    so lags +-tau come from one matmul of each against the (bins, blocks x
+    pairs) weights. Without one, each column's window is cut from irfft(W,
+    nfft), CHUNK_ELEMENTS // nfft columns at a time. Lags beyond a pair's
+    own window take no part.
     Returns delays and peak values, both (blocks, pairs), and a (blocks,)
     mask, False where a pair's cross spectrum is all zero.
     """
-    max_shift, chunks = basis
+    max_shift, nfft, basis = lag_axis
     bin_count, n_blocks, n_pairs = g.shape
     mag = np.abs(g)
     peak_mag = mag.max(axis=0)  # (blocks, pairs)
     usable = np.all(peak_mag > 0.0, axis=1)
-    # c_k PHAT weights: c_k / |G| above the floor, 0 below it
+    # PHAT weights: 1 / |G| above the floor, 0 below it
     keep = mag > PHAT_FLOOR_REL * peak_mag
-    weights = np.divide(2.0, np.maximum(mag, 1e-300, out=mag), out=mag)
-    weights[0] *= 0.5
+    weights = np.divide(1.0, np.maximum(mag, 1e-300, out=mag), out=mag)
     weights[~keep] = 0.0
     del keep
-    # (bins, blocks, pairs), so that a chunk of pairs of all blocks is one matmul
-    w_re = np.multiply(g.real, weights)
-    w_im = np.multiply(g.imag, weights, out=weights)
-    del g, weights
-    shift = int(max_shift[0])
-    cc = np.full((2 * shift + 1, n_blocks, n_pairs), -np.inf)
-    for first, stop, cos_basis, sin_basis in chunks:
-        n = int(np.count_nonzero(max_shift >= first))  # pairs whose window reaches `first`
-        even = cos_basis @ w_re[:, :, :n].reshape(bin_count, -1)
-        odd = sin_basis @ w_im[:, :, :n].reshape(bin_count, -1)
-        cc[shift + first:shift + stop, :, :n] = (even - odd).reshape(stop - first, n_blocks, n)
-        cc[shift - stop + 1:shift - first + 1, :, :n] = (
-            (even + odd).reshape(stop - first, n_blocks, n)[::-1])
+    shift = int(max_shift.max())
+    columns = n_blocks * n_pairs
+    cc = np.empty((columns, 2 * shift + 1))  # a row of lags -shift..shift per block and pair
+    if basis is not None:
+        cos_basis, sin_basis = basis
+        w_re = np.multiply(g.real, weights).reshape(bin_count, columns)
+        w_im = np.multiply(g.imag, weights, out=weights).reshape(bin_count, columns)
+        even, odd = cos_basis @ w_re, sin_basis @ w_im
+        cc[:, shift:] = (even - odd).T
+        cc[:, shift::-1] = (even + odd).T
+    else:
+        w = np.multiply(g, weights).reshape(bin_count, columns)
+        del weights
+        step = max(1, CHUNK_ELEMENTS // nfft)
+        for first in range(0, columns, step):
+            # a transform along contiguous rows is the faster one
+            full = np.fft.irfft(np.ascontiguousarray(w[:, first:first + step].T), nfft)
+            cc[first:first + step, :shift] = full[:, nfft - shift:]
+            cc[first:first + step, shift:] = full[:, :shift + 1]
+    cc = cc.reshape(n_blocks, n_pairs, 2 * shift + 1)
     offset_idx = np.arange(-shift, shift + 1)
-    # lags beyond a pair's own window take no part
-    cc.transpose(0, 2, 1)[np.abs(offset_idx)[:, None] > max_shift] = -np.inf
-    idx = np.argmax(cc, axis=0)  # (blocks, pairs)
+    cc[:, np.abs(offset_idx) > max_shift[:, None]] = -np.inf
+    idx = np.argmax(cc, axis=2)  # (blocks, pairs)
 
     def at(lag_index):
-        return np.take_along_axis(cc, lag_index[None], axis=0)[0]
+        return np.take_along_axis(cc, lag_index[..., None], axis=2)[..., 0]
 
     peak = at(idx)
     delay = offset_idx[idx] / GCC_INTERPOLATION
@@ -501,11 +513,12 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
                    n_sources: int, f_s: float, band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
     """Broadband MUSIC pseudo-spectra, (blocks, directions).
 
-    Each narrowband spatial correlation matrix is eigendecomposed; the
-    pseudo-spectrum scores steering-vector orthogonality to the noise
-    subspace. Narrowband spectra are max-normalized and averaged over the
-    analysis band. Each steering chunk is built once per group of blocks. A
-    block with an ill-conditioned correlation matrix gets a NaN row.
+    The signal subspace of each narrowband spatial correlation matrix is
+    found (`_signal_subspace`); the pseudo-spectrum scores steering-vector
+    orthogonality to the noise subspace, its complement. Narrowband spectra
+    are max-normalized and averaged over the analysis band. Each steering
+    chunk is built once per group of blocks. A block with an ill-conditioned
+    correlation matrix gets a NaN row.
     """
     channels = blocks.channel_count
     if not (1 <= n_sources < channels):
@@ -521,7 +534,7 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
         r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
         load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=2, axis2=3)) / channels
         r += load[..., None, None] * np.eye(channels)
-        _, eigvecs = np.linalg.eigh(r)
+        u_s = _signal_subspace(r, n_sources)  # per block and bin
         del r
         # a positive load bounds the condition number by about channels / loading;
         # a zero trace or an underflowed load is ill-conditioned
@@ -530,7 +543,6 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
         group_broadband[~ok] = np.nan
         if not ok.any():
             continue
-        u_s = eigvecs[..., channels - n_sources:]  # signal subspace per block and bin
         for chunk, v in _steering(geometry, grid, bins, window_length, f_s):
             for b in np.flatnonzero(ok):
                 # rows of v are unit-modulus steering vectors, so the squared norm of
@@ -542,6 +554,26 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
                 group_broadband[b] += (narrow / narrow.max(axis=1, keepdims=True)).sum(axis=0)
     broadband /= len(bins)
     return broadband
+
+
+def _signal_subspace(r, n_sources: int) -> np.ndarray:
+    """Eigenvectors of the `n_sources` largest eigenvalues of each Hermitian
+    matrix in `r` (..., M, M), in ascending order of eigenvalue: (..., M,
+    n_sources).
+
+    From MUSIC_PARTIAL_EIGEN_CHANNELS microphones on, LAPACK's zheevr is
+    asked for only those eigenvectors, one matrix at a time; below, numpy's
+    batched eigh of the whole matrix is faster. Both read the lower triangle.
+    """
+    channels = r.shape[-1]
+    if channels < MUSIC_PARTIAL_EIGEN_CHANNELS:
+        return np.linalg.eigh(r)[1][..., channels - n_sources:]
+    flat = r.reshape(-1, channels, channels)
+    u_s = np.empty((len(flat), channels, n_sources), dtype=complex)
+    for i, matrix in enumerate(flat):
+        u_s[i] = zheevr(matrix, compute_v=1, range="I", lower=1,
+                        il=channels - n_sources + 1, iu=channels)[1]
+    return u_s.reshape(r.shape[:-1] + (n_sources,))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ sample (tests/test_simulate.py).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,6 +106,12 @@ def _check_duration_and_snr(duration: float, snr_db: float) -> None:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that numpy's SeedSequence would refuse, naming it."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     duration: float
@@ -119,6 +126,7 @@ class SceneConfig:
 
     def __post_init__(self):
         _check_duration_and_snr(self.duration, self.snr_db)
+        _check_seed(self.seed)
         sources = tuple(self.sources)
         for src in sources:
             if src.trajectory.start_time > 0 or src.trajectory.end_time < self.duration - 1e-9:
@@ -449,6 +457,7 @@ def task_preset(task: int, seed: int, duration: float = 10.0,
     if task not in range(1, 7):
         raise ValueError(f"task must be 1..6, got {task}")
     _check_duration_and_snr(duration, snr_db)
+    _check_seed(seed)
     geometry = get_array_preset(array)
     rng = np.random.default_rng(np.random.SeedSequence((seed, task)))
 

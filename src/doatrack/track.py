@@ -635,6 +635,9 @@ def track_lifecycle(estimates, config: TrackerConfig = TrackerConfig(),
     """
     if tracker not in _BANKS:
         raise ValueError(f"unknown filter {tracker!r}; available: {FILTERS}")
+    # checked for every filter, not only where a generator takes the seed
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     bank = _BANKS[tracker](config, seed)
     gate_sigma, gate_max = float(config.gate_sigma), float(config.gate_max)
     by_time: dict = {}

@@ -116,6 +116,22 @@ def test_run_rejects_a_window_longer_than_the_recording(scene_dir, tmp_path, cap
     assert not (tmp_path / "s.txt").exists()
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert _run("simulate", "--seed", "-1", "--duration", "1", "--out", str(out)) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tracker", ["kalman", "particle"])
+def test_run_rejects_a_negative_seed(scene_dir, tmp_path, capsys, tracker):
+    code = _run("run", "--input", str(scene_dir), "--tracker", tracker, "--seed", "-1",
+                "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_run_unsupported_localizer_geometry(tmp_path):
     out = tmp_path / "dicit"
     assert _run("simulate", "--task", "1", "--seed", "0", "--duration", "1",
@@ -166,6 +182,19 @@ def test_evaluate_self_and_reports(scene_dir, tmp_path):
     series = (out_dir / "ospa_series.csv").read_text().splitlines()
     assert series[0].startswith("timestamp,")
     assert _run("report", str(out_dir / "metrics.json")) == 0
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{\n  \"p_d\": 0.9,\n}", "metrics.json:3: invalid JSON"),
+    ("[1, 2]", "metrics.json: expected a JSON object of metrics"),
+    ("{}", "metrics.json: holds no metrics")], ids=["invalid", "list", "empty"])
+def test_report_rejects_a_metrics_file_that_is_not_an_object_of_metrics(tmp_path, capsys, text,
+                                                                         message):
+    path = tmp_path / "metrics.json"
+    path.write_text(text)
+    assert _run("report", str(path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
 
 
 def test_default_manifests_keep_their_config_hash(scene_dir, tmp_path):

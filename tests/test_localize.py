@@ -448,6 +448,80 @@ def test_block_groups_transform_each_frame_once(monkeypatch, localizer):
     assert len(spanned) < (audio.length - 2048) // hop + 1
 
 
+# the eigensolver MUSIC uses on each preset: LAPACK's zheevr for the signal
+# subspace alone from 8 microphones on, numpy's eigh of the whole matrix below
+MUSIC_SOLVERS = {"robot_head": "zheevr", "eigenmike": "zheevr", "dicit": "zheevr",
+                 "dicit_32cm": "eigh"}
+
+
+@pytest.mark.parametrize("array", sorted(MUSIC_SOLVERS))
+@pytest.mark.parametrize("n_sources", [1, 2])
+def test_music_solver_follows_the_microphone_count(monkeypatch, array, n_sources):
+    import doatrack.localize
+
+    calls = {"eigh": 0, "zheevr": 0}
+
+    def counting(name, solver):
+        def solve(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(doatrack.localize, "zheevr", counting("zheevr", doatrack.localize.zheevr))
+    geom = get_array_preset(array)
+    frames = max(8, geom.mic_count)
+    audio = plane_wave_audio(geom, math.radians(40.0), n=2048 + 1024 * (frames - 1), snr_db=20)
+    blocks = Blocks.whole(frame_signal(audio, 2048, 1024))
+    spectrum = music_spectrum(blocks, geom, azimuth_grid(1.0), n_sources, FS)
+    assert np.isfinite(spectrum).all()
+    used = {name for name, count in calls.items() if count}
+    assert used == {MUSIC_SOLVERS[array]}
+    if used == {"zheevr"}:  # one call per in-band bin
+        assert calls["zheevr"] == len(doatrack.localize._band_bins(2048, FS, (300.0, 4000.0)))
+
+
+# how GCC-PHAT evaluates each preset's lag windows: a basis matmul while the
+# widest window fits one basis chunk (255 lags at 1025 bins), else irfft
+GCC_FORMULATIONS = {"robot_head": "basis", "eigenmike": "basis", "dicit_32cm": "irfft",
+                    "dicit": "irfft"}
+
+
+@pytest.mark.parametrize("array", sorted(GCC_FORMULATIONS))
+def test_gcc_phat_formulation_follows_the_widest_lag_window(monkeypatch, array):
+    import doatrack.localize
+
+    bases, transforms = [], []
+    lag_axis, irfft = doatrack.localize._lag_axis, np.fft.irfft
+
+    def recording_axis(*args):
+        axis = lag_axis(*args)
+        bases.append(axis[2] is not None)
+        return axis
+
+    def counting_irfft(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return irfft(*args, **kwargs)
+
+    geom = get_array_preset(array)
+    mics = geom.mic_positions
+    pairs = upper_pairs(geom.mic_count)
+    max_lags = FS / C * np.linalg.norm(mics[pairs[:, 1]] - mics[pairs[:, 0]], axis=1) + 1.0
+    audio = plane_wave_audio(geom, math.radians(40.0), n=2048 + 1024 * 11, snr_db=20)
+    blocks = Blocks.whole(frame_signal(audio, 2048, 1024))
+    monkeypatch.setattr(doatrack.localize, "_lag_axis", recording_axis)
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    tdoas = gcc_phat(blocks, max_lags)
+    assert tdoas.usable.tolist() == [True]
+    assert bases == [GCC_FORMULATIONS[array] == "basis"]
+    if GCC_FORMULATIONS[array] == "basis":
+        assert not transforms
+    else:  # CHUNK_ELEMENTS // nfft = 32 columns of 8192 lags at a time
+        assert sum(rows for rows, _ in transforms) == len(pairs)
+        assert {bins for _, bins in transforms} == {1025}
+        assert max(rows for rows, _ in transforms) <= 32
+
+
 def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):
     from doatrack.pipeline import localize_stream
 

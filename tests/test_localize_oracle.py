@@ -24,7 +24,7 @@ from doatrack.localize import (PEAK_TIE_REL, PHAT_FLOOR_REL, TdoaEstimate, _band
                                azimuth_grid, circular_peaks, farfield_pair_tdoa, gcc_phat,
                                music_spectrum, pseudo_intensity, srp_phat, tdoa_to_azimuth)
 from doatrack.pipeline import localize_stream
-from doatrack.sigproc import Blocks, MultichannelAudio, frame_signal
+from doatrack.sigproc import Blocks, MultichannelAudio, cross_power_spectrum, frame_signal
 
 from synthutil import plane_wave_audio
 
@@ -290,6 +290,23 @@ def test_gcc_phat_batch_matches_per_pair_reference(array):
     _assert_close(batch.delays[0], [e.delay for e in ref])
     _assert_close(batch.confidence[0], [e.confidence for e in ref])
     assert tdoa_to_azimuth(batch, geom, FS).tolist() == [ref_tdoa_to_azimuth(ref, geom).azimuth]
+
+
+def test_gcc_phat_of_one_cross_spectrum_matches_reference_past_one_basis_chunk():
+    # the end pair of dicit_32cm: its half-window of 721 lags (0..720) is more
+    # than one basis chunk holds (255), so the inverse FFT evaluates it
+    geom, audio = SCENES["dicit_32cm"]
+    frames = frame_signal(audio, 2048, 1024)[:8]
+    pairs = upper_pairs(geom.mic_count).tolist()
+    lags = max_lags(geom)
+    end = int(np.argmax(lags))
+    (m, l), lag = pairs[end], lags[end]
+    assert (m, l) == (0, geom.mic_count - 1) and math.floor(lag * 4) == 720
+    new = gcc_phat(cross_power_spectrum(frames, (m, l)), lag)
+    ref = ref_gcc_phat(ref_cross_spectrum(frames.bins, m, l), (m, l), lag)
+    assert new.pair == ref.pair
+    _assert_close(new.delay, ref.delay)
+    _assert_close(new.confidence, ref.confidence)
 
 
 def test_pseudo_intensity_matches_per_frame_reference():

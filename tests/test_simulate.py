@@ -101,6 +101,15 @@ def test_scene_rejects_a_nan_snr_or_a_bad_duration(field, value):
         task_preset(4, 0, **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_scene_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    message = f"seed must be a non-negative integer, got {seed}"
+    with pytest.raises(ValueError, match=message):
+        replace(_static_scene([2.0, 0.0, 0.0], duration=1.0), seed=seed)
+    with pytest.raises(ValueError, match=message):
+        task_preset(4, seed)
+
+
 def test_infinite_snr_is_a_noiseless_scene():
     scene = synthesize(_static_scene([2.0, 0.0, 0.0], duration=1.0, snr_db=math.inf))
     # the source speaks from 0.1 s, so the first 0.08 s hold no signal

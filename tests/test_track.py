@@ -356,6 +356,13 @@ def test_lifecycle_confirms_after_m_of_n(tracker):
 
 
 @pytest.mark.parametrize("tracker", FILTERS)
+def test_lifecycle_rejects_a_negative_seed_for_every_filter(tracker):
+    # the Kalman banks draw no random numbers, yet take the particle filter's rule
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        track_lifecycle(_stream([(0.0, [0.5])]), TrackerConfig(), tracker, seed=-1)
+
+
+@pytest.mark.parametrize("tracker", FILTERS)
 def test_a_lapsed_tentative_track_takes_no_id(tracker):
     # with M = 1 the first track still holds its start hit in the window when
     # its next step comes after t_miss: it ends unconfirmed, without an id,
