@@ -15,13 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .corpus_io import (CorpusFormatError, bundle_from_scene, read_recording,
+from .corpus_io import (CorpusFormatError, bundle_from_scene, read_json, read_recording,
                         read_submission, write_recording, write_submission)
-from .evaluate import (DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, evaluate_submission,
-                       gate_and_associate)
+from .evaluate import (DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, check_gate,
+                       evaluate_submission)
 from .geometry import ARRAY_PRESETS
 from .localize import DEFAULT_BAND_HZ, UnsupportedGeometryError
 # perfbench reads and traces the stages under these names on this module
@@ -55,12 +53,10 @@ def _merge_options(defaults: dict, args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         path = Path(config_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"missing config file: {path}")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON at line {exc.lineno}") from None
+            loaded = read_json(path)
+        except CorpusFormatError as exc:  # text that does not decode or is not JSON
+            raise UsageError(str(exc)) from None
         if not isinstance(loaded, dict):
             raise UsageError(f"{path}: expected a JSON object of options")
         unknown = set(loaded) - set(defaults)
@@ -157,9 +153,7 @@ def _scoring_options(opts: dict):
     reject is a usage error."""
     key = "gate"
     try:
-        gate = float(opts[key])
-        # associating nothing runs only the check of the gate
-        gate_and_associate(np.zeros((0, 0)), np.zeros((0, 0), bool), np.zeros(0, int), gate)
+        gate = check_gate(float(opts[key]))
         key = "ospa_c"
         cutoff = OspaParams(cutoff_deg=float(opts[key])).cutoff_deg
         key = "ospa_p"
@@ -218,12 +212,7 @@ def _print_summary(flat: dict) -> None:
 def cmd_report(args) -> int:
     for path in args.metrics:
         p = Path(path)
-        if not p.is_file():
-            raise FileNotFoundError(f"missing metrics file: {p}")
-        try:
-            flat = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{p}:{exc.lineno}: invalid JSON") from None
+        flat = read_json(p)
         if not isinstance(flat, dict):
             raise CorpusFormatError(f"{p}: expected a JSON object of metrics")
         if not flat:

@@ -4,9 +4,10 @@ A recording is a directory holding one multichannel WAV plus plaintext
 position, activity and metadata tables, and a submission is one plaintext
 table of direction estimates; FORMATS.md describes the fields. The
 constants below are the one definition of the file names and column
-layouts. Every table line is read by one scanner (`_scan`) and every table
-is written by one writer (`_write_table`). Angles are degrees on disk and
-radians in memory; audio is decoded to float64 in [-1, 1].
+layouts. Every text file is decoded by one reader (`_read_lines`), every
+table line split by one scanner (`_scan`) and every table written by one
+writer (`_write_table`). Angles are degrees on disk and radians in memory;
+audio is decoded to float64 in [-1, 1].
 """
 
 from __future__ import annotations
@@ -45,6 +46,37 @@ class CorpusFormatError(Exception):
     """Malformed corpus or submission content; message carries file and line."""
 
 
+def _read_lines(path: Path):
+    """(lines, None): the lines of the UTF-8 file `path`, ended by LF, CR LF or
+    CR as open() reads text; for text that does not decode, the lines before
+    the first bad one and the CorpusFormatError that names it, which a table
+    reader raises after those lines, so a bad row above is reported first.
+    A `path` that is not a file raises FileNotFoundError."""
+    if not path.is_file():
+        raise FileNotFoundError(f"missing required file: {path}")
+    data = path.read_bytes()
+    try:
+        text, undecodable = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # the bytes before the first bad one decode
+        text, undecodable = data[:exc.start].decode("utf-8"), exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if undecodable is None:
+        return lines, None
+    return lines[:-1], CorpusFormatError(f"{path}:{len(lines)}: not UTF-8 text")
+
+
+def read_json(path: Path):
+    """The JSON value of the UTF-8 file `path`; text that does not decode or
+    is not JSON raises CorpusFormatError."""
+    lines, undecodable = _read_lines(path)
+    if undecodable is not None:
+        raise undecodable
+    try:
+        return json.loads("\n".join(lines))
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path}:{exc.lineno}: invalid JSON") from None
+
+
 def _scan(lines):
     """Yield (line number, fields) for each of `lines` that is not blank or a
     `#` comment, its fields split by commas and whitespace."""
@@ -66,33 +98,27 @@ def _read_table(path: Path, n_columns: int):
 
     Returns the (rows, n_columns) table and each row's line number. The
     rows go through one numpy conversion, which parses each field as
-    float() does; a table it rejects, or text that does not decode, is
-    parsed again by `_read_table_lines`, which reports the first bad line."""
-    if not path.is_file():
-        raise FileNotFoundError(f"missing required file: {path}")
+    float() does. Rows it rejects go through float() one by one, which reads
+    what numpy does not (digit separators) or raises CorpusFormatError at
+    the first line with a wrong column count or a non-numeric field."""
+    lines, undecodable = _read_lines(path)
+    rows = list(_scan(lines))
     try:
-        rows = list(_scan(path.read_text().split("\n")))
         table = np.array([fields for _, fields in rows], dtype=float).reshape(len(rows), n_columns)
-    except ValueError:  # UnicodeDecodeError included
-        return _read_table_lines(path, n_columns)
-    return table, [lineno for lineno, _ in rows]
-
-
-def _read_table_lines(path: Path, n_columns: int):
-    """`_read_table` one line at a time, raising CorpusFormatError at the
-    first line with a wrong column count or a non-numeric field."""
-    rows, linenos = [], []
-    with open(path) as fh:
-        for lineno, tokens in _scan(fh):
-            if len(tokens) != n_columns:
+    except ValueError:
+        values = []
+        for lineno, fields in rows:
+            if len(fields) != n_columns:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: expected {n_columns} columns, got {len(tokens)}")
+                    f"{path}:{lineno}: expected {n_columns} columns, got {len(fields)}") from None
             try:
-                rows.append([float(tok) for tok in tokens])
+                values.append([float(field) for field in fields])
             except ValueError:
                 raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
-            linenos.append(lineno)
-    return np.array(rows, dtype=float).reshape(len(rows), n_columns), linenos
+        table = np.array(values, dtype=float).reshape(len(rows), n_columns)
+    if undecodable is not None:
+        raise undecodable
+    return table, [lineno for lineno, _ in rows]
 
 
 def _read_trajectory(path: Path) -> Trajectory:
@@ -137,12 +163,7 @@ def read_recording(path) -> RecordingBundle:
         raise FileNotFoundError(f"missing recording directory: {path}")
 
     meta_path = path / METADATA_FILE
-    if not meta_path.is_file():
-        raise FileNotFoundError(f"missing required file: {meta_path}")
-    try:
-        metadata = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{meta_path}:{exc.lineno}: invalid JSON") from None
+    metadata = read_json(meta_path)
     if not isinstance(metadata, dict):
         raise CorpusFormatError(f"{meta_path}: not a JSON object")
     source_names = metadata.get("sources", [])
@@ -266,33 +287,33 @@ def write_submission(estimates, path) -> None:
 def read_submission(path) -> Submission:
     """Parse a submission table back into radians-in-memory estimates."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing submission file: {path}")
+    lines, undecodable = _read_lines(path)
     rows, seen, last_t = [], set(), -math.inf
-    with open(path) as fh:
-        for n, (lineno, tokens) in enumerate(_scan(fh)):
-            if n == 0 and tuple(tokens) in (SUBMISSION_COLUMNS, SUBMISSION_COLUMNS[:3]):
-                continue  # header row: the column names, nothing else
-            if len(tokens) not in (3, 4):
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 3 or 4 columns, got {len(tokens)}")
-            try:
-                t = float(tokens[0])
-                k = int(tokens[1])
-                az_deg = float(tokens[2])
-                el_deg = float(tokens[3]) if len(tokens) == 4 else 90.0
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
-            if k < 1:
-                raise CorpusFormatError(f"{path}:{lineno}: source id must be >= 1")
-            if t < last_t:
-                raise CorpusFormatError(f"{path}:{lineno}: timestamps not monotone")
-            last_t = t
-            if (t, k) in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate (timestamp, id)")
-            seen.add((t, k))
-            if not (math.isfinite(t) and math.isfinite(az_deg) and math.isfinite(el_deg)):
-                raise CorpusFormatError(f"{path}:{lineno}: non-finite field")
-            rows.append((t, k, az_deg, el_deg))
+    for n, (lineno, tokens) in enumerate(_scan(lines)):
+        if n == 0 and tuple(tokens) in (SUBMISSION_COLUMNS, SUBMISSION_COLUMNS[:3]):
+            continue  # header row: the column names, nothing else
+        if len(tokens) not in (3, 4):
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected 3 or 4 columns, got {len(tokens)}")
+        try:
+            t = float(tokens[0])
+            k = int(tokens[1])
+            az_deg = float(tokens[2])
+            el_deg = float(tokens[3]) if len(tokens) == 4 else 90.0
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
+        if k < 1:
+            raise CorpusFormatError(f"{path}:{lineno}: source id must be >= 1")
+        if t < last_t:
+            raise CorpusFormatError(f"{path}:{lineno}: timestamps not monotone")
+        last_t = t
+        if (t, k) in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate (timestamp, id)")
+        seen.add((t, k))
+        if not (math.isfinite(t) and math.isfinite(az_deg) and math.isfinite(el_deg)):
+            raise CorpusFormatError(f"{path}:{lineno}: non-finite field")
+        rows.append((t, k, az_deg, el_deg))
+    if undecodable is not None:
+        raise undecodable
     times, ids, az_deg, el_deg = zip(*rows) if rows else ([], [], [], [])
     return Submission.from_rows(times, ids, np.radians(az_deg), np.radians(el_deg))

@@ -217,10 +217,16 @@ def gate_and_associate(cost, active, ticks, gate_deg: float = DEFAULT_GATE_DEG) 
     return _associate(cost, active.shape, _shape_groups(active, ticks), gate_deg)
 
 
-def _associate(cost, shape, groups, gate_deg: float) -> np.ndarray:
-    """`gate_and_associate` on the `_shape_groups` of its ticks; `shape` is (S, T)."""
+def check_gate(gate_deg: float) -> float:
+    """`gate_deg`, a gate of `gate_and_associate`, if finite and > 0; else ValueError."""
     if not (math.isfinite(gate_deg) and gate_deg > 0):
         raise ValueError(f"gate must be a finite number of degrees > 0, got {gate_deg}")
+    return gate_deg
+
+
+def _associate(cost, shape, groups, gate_deg: float) -> np.ndarray:
+    """`gate_and_associate` on the `_shape_groups` of its ticks; `shape` is (S, T)."""
+    check_gate(gate_deg)
     assigned = np.full(shape, -1)
     for at, sources, rows in groups:
         s, r = sources.shape[1], rows.shape[1]

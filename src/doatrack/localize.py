@@ -141,14 +141,6 @@ class DoaEstimate:
             raise ValueError("source_id must be >= 1")
 
 
-def _frame_elements(blocks: Blocks, used_bins: int, pairs: int) -> int:
-    """Complex elements a group of blocks holds per frame: the frame's STFT
-    and its share of the sub-block cross-spectra of `pairs` microphone pairs
-    over `used_bins` bins."""
-    return (blocks.channel_count * (blocks.window_length // 2 + 1)
-            + -(-used_bins * pairs // blocks.sub_block))
-
-
 # ---------------------------------------------------------------------------
 # TDoA / GCC-PHAT
 # ---------------------------------------------------------------------------
@@ -198,11 +190,10 @@ def gcc_phat(cs: CrossSpectrum | Blocks, max_lag):
 def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:
     pairs = upper_pairs(blocks.channel_count)
     lag_axis = _lag_axis(max_lags, blocks.window_length)
-    bin_count = blocks.window_length // 2 + 1
     delays = np.zeros((len(blocks), len(pairs)))
     peaks = np.zeros((len(blocks), len(pairs)))
     usable = np.zeros(len(blocks), dtype=bool)
-    for group_slice, group in blocks.groups(_frame_elements(blocks, bin_count, len(pairs))):
+    for group_slice, group in blocks.groups(blocks.window_length // 2 + 1, len(pairs)):
         delays[group_slice], peaks[group_slice], usable[group_slice] = _lag_window_peaks(
             pair_cross_spectra(group, pairs), lag_axis)
     return BlockTdoas(tuple(map(tuple, pairs.tolist())), delays, peaks, usable)
@@ -455,7 +446,7 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
     flat = pairs[:, 0] * channels + pairs[:, 1]  # index of (m, l) in a flattened channel matrix
     # self terms contribute a direction-independent offset of channels * len(bins)
     values = np.full((len(blocks), len(grid)), float(channels * len(bins)))
-    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins), len(pairs))):
+    for group_slice, group in blocks.groups(len(bins), len(pairs)):
         g = pair_cross_spectra(group, pairs, bins)  # (bins, blocks, pairs)
         mag = np.abs(g)
         peak = mag.max(axis=0)  # per block and pair, over the band
@@ -530,7 +521,7 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
     window_length = blocks.window_length
     bins = _band_bins(window_length, f_s, band_hz)
     broadband = np.zeros((len(blocks), len(grid)))
-    for group_slice, group in blocks.groups(_frame_elements(blocks, len(bins), channels**2)):
+    for group_slice, group in blocks.groups(len(bins), channels**2):
         r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
         load = MUSIC_DIAGONAL_LOADING * np.real(np.trace(r, axis1=2, axis2=3)) / channels
         r += load[..., None, None] * np.eye(channels)
@@ -610,7 +601,7 @@ def pseudo_intensity(blocks: Blocks, geometry: ArrayGeometry, f_s: float,
     bins = _band_bins(blocks.window_length, f_s, band_hz)
     mean_sin, mean_cos = np.empty(len(blocks)), np.empty(len(blocks))
     usable = np.empty(len(blocks), dtype=bool)
-    for group_slice, group in blocks.groups(_frame_elements(blocks, 0, 0)):
+    for group_slice, group in blocks.groups():
         s = group.source.bins[:, :, bins]  # (frames, channels, bins)
         p0 = s.mean(axis=1)  # (frames, bins)
         dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (frames, 3, bins)

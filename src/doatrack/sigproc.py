@@ -3,7 +3,8 @@
 Shared STFT front end for all localizers. Spectra are one-sided (real
 input); bin k corresponds to normalized frequency ``2*pi*k/window_length``.
 A recording's analysis blocks (`Blocks`) are transformed group by group, so
-no localizer holds the STFT of a whole recording.
+no localizer holds the STFT of a whole recording; `Blocks.groups` sizes the
+groups, and Blocks over an `Stft` take its window length and hop.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     bins = np.empty(shape, dtype=complex) if out is None else out
     if bins.shape != shape:
         raise ValueError(f"out has shape {bins.shape}, the frames need {shape}")
-    times = (np.arange(n_frames) * hop + window_length / 2) / audio.sample_rate_hz
+    times = _centre_times(np.arange(n_frames), window_length, hop, audio.sample_rate_hz)
     if n_frames == 0:
         return Stft(bins, times, window_length, hop)
     taper = _taper(window, window_length)
@@ -120,6 +121,11 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     for start in range(0, n_frames, step):
         np.fft.rfft(segments[start:start + step] * taper, axis=-1, out=bins[start:start + step])
     return Stft(bins, times, window_length, hop)
+
+
+def _centre_times(index, window_length: int, hop: int, sample_rate_hz: float) -> np.ndarray:
+    """Centre times, s, of the `frame_signal` frames `index`."""
+    return (np.asarray(index) * hop + window_length / 2) / sample_rate_hz
 
 
 def _frame_count(audio: MultichannelAudio, window_length: int, hop: int) -> int:
@@ -194,14 +200,16 @@ class Blocks:
     strictly increasing.
 
     `source` is the recording (frames are transformed group by group, see
-    `groups`) or an `Stft` that holds the frames already.
+    `groups`) or an `Stft` that holds the frames already, whose
+    `window_length` and `hop` the blocks take (ValueError if given others);
+    over a recording they default to DEFAULT_WINDOW_LENGTH and DEFAULT_HOP.
     """
 
     source: MultichannelAudio | Stft
     starts: np.ndarray
     length: int
-    window_length: int = DEFAULT_WINDOW_LENGTH
-    hop: int = DEFAULT_HOP
+    window_length: int | None = None
+    hop: int | None = None
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=int)
@@ -209,12 +217,17 @@ class Blocks:
         if starts.ndim != 1 or np.any(starts < 0) or np.any(np.diff(starts) <= 0):
             raise ValueError("block starts must be non-negative and strictly increasing")
         object.__setattr__(self, "starts", starts)
+        stft = isinstance(self.source, Stft)
+        for name, default in (("window_length", DEFAULT_WINDOW_LENGTH), ("hop", DEFAULT_HOP)):
+            given, layout = getattr(self, name), getattr(self.source, name, default)
+            if stft and given not in (None, layout):
+                raise ValueError(f"{name} {given} differs from the Stft's {layout}")
+            object.__setattr__(self, name, layout if stft or given is None else given)
 
     @classmethod
     def whole(cls, frames: Stft) -> "Blocks":
         """All frames of `frames` as one block."""
-        return cls(frames, np.zeros(1, dtype=int), len(frames), frames.window_length,
-                   frames.hop)
+        return cls(frames, np.zeros(1, dtype=int), len(frames))
 
     def __len__(self):
         return len(self.starts)
@@ -233,7 +246,7 @@ class Blocks:
         """Centre times of frames `index`, s."""
         if isinstance(self.source, Stft):
             return self.source.times[index]
-        return (np.asarray(index) * self.hop + self.window_length / 2) / self.source.sample_rate_hz
+        return _centre_times(index, self.window_length, self.hop, self.source.sample_rate_hz)
 
     @property
     def times(self) -> np.ndarray:
@@ -260,15 +273,18 @@ class Blocks:
                      self.hop, "hann", bins[shared:])
         return Stft(bins, self.frame_times(np.arange(first, stop)), self.window_length, self.hop)
 
-    def groups(self, frame_elements: int):
+    def groups(self, bins: int = 0, pairs: int = 0):
         """Split the blocks into groups of consecutive blocks whose frames
-        overlap or touch, each spanning at most BLOCK_GROUP_ELEMENTS //
-        `frame_elements` frames (one block at least).
+        overlap or touch, each of at most BLOCK_GROUP_ELEMENTS complex values
+        (one block at least): each frame's STFT and share of the sub-block
+        cross-spectra (`pair_cross_spectra`) of the `pairs` and `bins` read.
 
         Yields (slice of these blocks, the group as Blocks over an Stft of
         just the frames it spans). A group copies the frames it shares with
         the group before, so each frame is transformed once.
         """
+        frame_elements = (self.channel_count * (self.window_length // 2 + 1)
+                          + -(-bins * pairs // self.sub_block))
         max_frames = max(self.length, BLOCK_GROUP_ELEMENTS // max(1, frame_elements))
         starts = self.starts
         first = 0
@@ -281,8 +297,7 @@ class Blocks:
                 # a view of the last group's frames would keep them alive, so none is kept
                 frames = self.frames(starts[first], end,
                                      frames.bins[len(frames) - shared:] if shared > 0 else None)
-                yield slice(first, i), Blocks(frames, starts[first:i] - starts[first],
-                                              self.length, self.window_length, self.hop)
+                yield slice(first, i), Blocks(frames, starts[first:i] - starts[first], self.length)
                 first = i
 
 

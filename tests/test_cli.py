@@ -197,6 +197,13 @@ def test_report_rejects_a_metrics_file_that_is_not_an_object_of_metrics(tmp_path
     assert message in err and str(path) in err
 
 
+def test_report_names_a_metrics_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    path.write_bytes(b'{\n  "p_d": 0.9,\n  "note": "\xff"\n}\n')
+    assert _run("report", str(path)) == 2
+    assert f"{path}:3: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_default_manifests_keep_their_config_hash(scene_dir, tmp_path):
     # the hash covers each option's JSON form: window 2048 stays an int, band_low
     # 300.0 and gate 30.0 stay floats
@@ -304,6 +311,14 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"task": 2,\n "array": "robot\xe9head"}')
+    assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert f"{cfg}:2: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("content", ["5", "[1]", '"task"'])

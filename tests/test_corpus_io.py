@@ -2,7 +2,6 @@ import math
 import re
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -222,6 +221,27 @@ def _tables(draw):
     return draw(st.lists(st.one_of(row, row, _BLANK_OR_COMMENT), max_size=6)), n_columns
 
 
+def _line_parser(path, n_columns):
+    """Reference `_read_table`: open() reads the file line by line, each line
+    split as `_scan` splits it and parsed field by field with float()."""
+    rows, linenos = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.replace(",", " ").split()
+            if len(tokens) != n_columns:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected {n_columns} columns, got {len(tokens)}")
+            try:
+                rows.append([float(tok) for tok in tokens])
+            except ValueError:
+                raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
+            linenos.append(lineno)
+    return np.array(rows, dtype=float).reshape(len(rows), n_columns), linenos
+
+
 def _parse_outcome(read, path, n_columns):
     try:
         table, linenos = read(path, n_columns)
@@ -240,12 +260,8 @@ def test_bulk_table_read_is_the_line_parser(tmp_path_factory, table, final_newli
     lines, n_columns = table
     path = tmp_path_factory.getbasetemp() / "table.txt"
     path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
-    expected = _parse_outcome(corpus_io._read_table_lines, path, n_columns)
-    line_parser = mock.Mock(wraps=corpus_io._read_table_lines)
-    with mock.patch.object(corpus_io, "_read_table_lines", line_parser):
-        assert _parse_outcome(corpus_io._read_table, path, n_columns) == expected
-    # the line parser runs only to report a bad line
-    assert line_parser.called == isinstance(expected, str)
+    expected = _parse_outcome(_line_parser, path, n_columns)
+    assert _parse_outcome(corpus_io._read_table, path, n_columns) == expected
 
 
 def test_bad_line_is_reported_before_text_that_does_not_decode(tmp_path):
@@ -253,6 +269,27 @@ def test_bad_line_is_reported_before_text_that_does_not_decode(tmp_path):
     path.write_bytes(b"# a b\n1 2 3\n" + b"1 2\n" * 20000 + b"\xff\xfe\n")
     with pytest.raises(CorpusFormatError, match=r"table.txt:2: expected 2 columns, got 3"):
         corpus_io._read_table(path, 2)
+
+
+@pytest.mark.parametrize("name", ["position_array.txt", "vap_source_src1.txt", "metadata.json"])
+def test_recording_file_that_is_not_utf8_is_named(tmp_path, name):
+    write_recording(_random_bundle(np.random.default_rng(7)), tmp_path / "rec")
+    path = tmp_path / "rec" / name
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:]))
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:3: not UTF-8 text")):
+        read_recording(tmp_path / "rec")
+
+
+def test_submission_that_is_not_utf8_is_named_after_its_bad_lines(tmp_path):
+    path = tmp_path / "sub.txt"
+    path.write_bytes(b"timestamp source_id azimuth_deg\n0.0 1 10.0\n# caf\xe9\n")
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:3: not UTF-8 text")):
+        read_submission(path)
+    # a bad line above the bytes that do not decode is reported first
+    path.write_bytes(b"0.0 1\n\xff\n")
+    with pytest.raises(CorpusFormatError, match=":1: expected 3 or 4 columns"):
+        read_submission(path)
 
 
 def test_integer_pcm_normalized(tmp_path):

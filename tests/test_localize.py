@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -340,6 +341,50 @@ def test_pseudo_intensity_rejects_silence():
 # ---------------------------------------------------------------------------
 # Stream structure and memory
 # ---------------------------------------------------------------------------
+
+# frames of each block group, in order, that every localizer forms on a 4 s
+# task-4 scene (seed 1): a group holds as many frames as their STFT and the
+# sub-block cross-spectra the localizer reads fit in BLOCK_GROUP_ELEMENTS
+GROUP_FRAMES = {
+    ("robot_head", "srp-phat"): [68, 68, 56],
+    ("robot_head", "music"): [56, 56, 56, 40],
+    ("robot_head", "gcc-phat"): [32] * 6 + [16],
+    ("robot_head", "pseudo-intensity"): [84, 84, 24],
+    ("eigenmike", "srp-phat"): [20] * 11 + [8],
+    ("eigenmike", "music"): [32] * 39,
+    ("eigenmike", "gcc-phat"): [8] * 45,
+    ("eigenmike", "pseudo-intensity"): [28] * 7 + [16],
+    ("dicit_32cm", "srp-phat"): [184],
+    ("dicit_32cm", "music"): [168, 20],
+    ("dicit_32cm", "gcc-phat"): [136, 52],
+}
+
+
+@lru_cache(maxsize=None)
+def _task4_audio(array):
+    from doatrack.simulate import synthesize, task_preset
+    audio = synthesize(task_preset(4, 1, duration=4.0, array=array)).audio
+    audio.samples.flags.writeable = False  # shared by the tests of one array
+    return audio
+
+
+@pytest.mark.parametrize("array,localizer", sorted(GROUP_FRAMES))
+def test_block_groups_keep_their_frame_counts(monkeypatch, array, localizer):
+    import doatrack.sigproc
+    from doatrack.pipeline import localize_stream
+
+    counts = []
+    groups = doatrack.sigproc.Blocks.groups
+
+    def counting_groups(self, *args):
+        for group_slice, group in groups(self, *args):
+            counts.append(len(group.source))
+            yield group_slice, group
+
+    monkeypatch.setattr(doatrack.sigproc.Blocks, "groups", counting_groups)
+    assert localize_stream(_task4_audio(array), get_array_preset(array), localizer, FS)
+    assert counts == GROUP_FRAMES[array, localizer]
+
 
 @pytest.mark.parametrize("seconds", [2.0, 6.0])
 def test_steering_is_built_once_per_block_group(monkeypatch, seconds):

@@ -99,6 +99,27 @@ def test_blocks_reject_starts_not_strictly_increasing(starts):
         Blocks(audio, np.array(starts), 8)
 
 
+def test_blocks_over_an_stft_read_its_frame_layout():
+    audio = MultichannelAudio(np.random.default_rng(0).standard_normal((2, 8192)), 48000)
+    frames = frame_signal(audio, 1024, 512)
+    for blocks in (Blocks(frames, np.array([0, 4]), 8), Blocks.whole(frames),
+                   Blocks(frames, np.array([0]), 8, 1024, 512)):
+        assert (blocks.window_length, blocks.hop) == (1024, 512)
+        assert np.array_equal(blocks.frame_times(np.arange(3)), frames.times[:3])
+    # blocks over a recording keep the default layout
+    recording = Blocks(audio, np.array([0]), 2)
+    assert (recording.window_length, recording.hop) == (2048, 1024)
+
+
+@pytest.mark.parametrize("layout", [{"window_length": 2048}, {"hop": 1024},
+                                    {"window_length": 1024, "hop": 256}])
+def test_blocks_over_an_stft_reject_another_frame_layout(layout):
+    audio = MultichannelAudio(np.zeros((2, 8192)), 48000)
+    frames = frame_signal(audio, 1024, 512)
+    with pytest.raises(ValueError, match="differs from the Stft's"):
+        Blocks(frames, np.array([0]), 8, **layout)
+
+
 def test_rect_window_tone_lands_on_its_bin():
     # bin-aligned tone with a rectangular window: all energy in one bin
     fs, n = 48000, 2048
@@ -210,22 +231,26 @@ def pair_cases(draw):
     bins = draw(st.none() | st.integers(0, bin_count - 1).flatmap(
         lambda lo: st.integers(lo + 1, bin_count).map(lambda hi: np.arange(lo, hi))))
     chunk = draw(st.sampled_from([1, 300, 5000, sigproc.PAIR_CHUNK_ELEMENTS]))
-    # frame_elements for groups of at most 1 to 40 frames
-    budget = sigproc.BLOCK_GROUP_ELEMENTS // draw(st.integers(1, 40))
-    return channels, length, starts, pairs, bin_count, bins, chunk, budget, draw(st.integers(0, 99))
+    # groups of at most 1 to 40 frames
+    group_frames = draw(st.integers(1, 40))
+    return (channels, length, starts, pairs, bin_count, bins, chunk, group_frames,
+            draw(st.integers(0, 99)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=pair_cases())
 def test_pair_cross_spectra_are_the_cross_spectra_entries_bit_for_bit(case):
-    channels, length, starts, pairs, bin_count, bins, chunk, budget, seed = case
+    channels, length, starts, pairs, bin_count, bins, chunk, group_frames, seed = case
     rng = np.random.default_rng(seed)
     n_frames = int(starts[-1]) + length + int(rng.integers(0, 3))
     spectra = rng.standard_normal((n_frames, channels, 2 * bin_count)).view(complex)
     frames = Stft(spectra, np.arange(n_frames) / 10.0, 2 * (bin_count - 1), 1)
     m, l = np.array(pairs).T
-    with mock.patch.object(sigproc, "PAIR_CHUNK_ELEMENTS", chunk):
-        for _, group in Blocks(frames, starts, length).groups(budget):
+    # groups() with no pairs holds only the frames' STFT: bin_count per channel
+    budget = group_frames * channels * bin_count
+    with (mock.patch.object(sigproc, "PAIR_CHUNK_ELEMENTS", chunk),
+          mock.patch.object(sigproc, "BLOCK_GROUP_ELEMENTS", budget)):
+        for _, group in Blocks(frames, starts, length).groups():
             got = pair_cross_spectra(group, pairs, bins)
             full = block_cross_spectra(group, bins)
             reference = _whole_band_cross_spectra(group, bins)
