@@ -47,32 +47,27 @@ class CorpusFormatError(Exception):
 
 
 def _read_lines(path: Path):
-    """(lines, None): the lines of the UTF-8 file `path`, ended by LF, CR LF or
-    CR as open() reads text; for text that does not decode, the lines before
-    the first bad one and the CorpusFormatError that names it, which a table
-    reader raises after those lines, so a bad row above is reported first.
-    A `path` that is not a file raises FileNotFoundError."""
+    """Yield the lines of the UTF-8 file `path`, ended by LF, CR LF or CR as
+    open() reads text, then, if bytes do not decode, raise CorpusFormatError
+    naming their line. A `path` that is not a file raises FileNotFoundError."""
     if not path.is_file():
         raise FileNotFoundError(f"missing required file: {path}")
     data = path.read_bytes()
     try:
-        text, undecodable = data.decode("utf-8"), None
+        text, bad = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:  # the bytes before the first bad one decode
-        text, undecodable = data[:exc.start].decode("utf-8"), exc
+        text, bad = data[:exc.start].decode("utf-8"), True
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if undecodable is None:
-        return lines, None
-    return lines[:-1], CorpusFormatError(f"{path}:{len(lines)}: not UTF-8 text")
+    yield from lines[:-1] if bad else lines
+    if bad:
+        raise CorpusFormatError(f"{path}:{len(lines)}: not UTF-8 text")
 
 
 def read_json(path: Path):
     """The JSON value of the UTF-8 file `path`; text that does not decode or
     is not JSON raises CorpusFormatError."""
-    lines, undecodable = _read_lines(path)
-    if undecodable is not None:
-        raise undecodable
     try:
-        return json.loads("\n".join(lines))
+        return json.loads("\n".join(_read_lines(path)))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{path}:{exc.lineno}: invalid JSON") from None
 
@@ -97,28 +92,31 @@ def _read_table(path: Path, n_columns: int):
     """Parse a delimited numeric table: rows of n_columns fields per `_scan`.
 
     Returns the (rows, n_columns) table and each row's line number. The
-    rows go through one numpy conversion, which parses each field as
-    float() does. Rows it rejects go through float() one by one, which reads
-    what numpy does not (digit separators) or raises CorpusFormatError at
-    the first line with a wrong column count or a non-numeric field."""
-    lines, undecodable = _read_lines(path)
-    rows = list(_scan(lines))
+    rows go through one numpy conversion, which reads a field as float()
+    does. If it fails, or bytes further on do not decode, `_check_rows`
+    reports the first bad row scanned; a row above bytes that do not
+    decode is reported before them."""
+    rows = []
     try:
+        rows.extend(_scan(_read_lines(path)))  # keeps the rows scanned before an error
         table = np.array([fields for _, fields in rows], dtype=float).reshape(len(rows), n_columns)
-    except ValueError:
-        values = []
-        for lineno, fields in rows:
-            if len(fields) != n_columns:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected {n_columns} columns, got {len(fields)}") from None
-            try:
-                values.append([float(field) for field in fields])
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
-        table = np.array(values, dtype=float).reshape(len(rows), n_columns)
-    if undecodable is not None:
-        raise undecodable
+    except (CorpusFormatError, ValueError):
+        _check_rows(path, rows, n_columns)
+        raise
     return table, [lineno for lineno, _ in rows]
+
+
+def _check_rows(path: Path, rows, n_columns: int) -> None:
+    """Raise CorpusFormatError at the first of the `_scan` rows `rows` that
+    has other than n_columns fields or a field float() does not read."""
+    for lineno, fields in rows:
+        if len(fields) != n_columns:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected {n_columns} columns, got {len(fields)}") from None
+        try:
+            list(map(float, fields))
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
 
 
 def _read_trajectory(path: Path) -> Trajectory:
@@ -287,9 +285,8 @@ def write_submission(estimates, path) -> None:
 def read_submission(path) -> Submission:
     """Parse a submission table back into radians-in-memory estimates."""
     path = Path(path)
-    lines, undecodable = _read_lines(path)
     rows, seen, last_t = [], set(), -math.inf
-    for n, (lineno, tokens) in enumerate(_scan(lines)):
+    for n, (lineno, tokens) in enumerate(_scan(_read_lines(path))):
         if n == 0 and tuple(tokens) in (SUBMISSION_COLUMNS, SUBMISSION_COLUMNS[:3]):
             continue  # header row: the column names, nothing else
         if len(tokens) not in (3, 4):
@@ -313,7 +310,5 @@ def read_submission(path) -> Submission:
         if not (math.isfinite(t) and math.isfinite(az_deg) and math.isfinite(el_deg)):
             raise CorpusFormatError(f"{path}:{lineno}: non-finite field")
         rows.append((t, k, az_deg, el_deg))
-    if undecodable is not None:
-        raise undecodable
     times, ids, az_deg, el_deg = zip(*rows) if rows else ([], [], [], [])
     return Submission.from_rows(times, ids, np.radians(az_deg), np.radians(el_deg))

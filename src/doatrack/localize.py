@@ -441,7 +441,6 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
     """SRP-PHAT values (blocks, directions) of `srp_phat` on `grid`, NaN in
     the rows of blocks whose in-band cross spectra are all zero."""
     channels = blocks.channel_count
-    window_length = blocks.window_length
     pairs = upper_pairs(channels)
     flat = pairs[:, 0] * channels + pairs[:, 1]  # index of (m, l) in a flattened channel matrix
     # self terms contribute a direction-independent offset of channels * len(bins)
@@ -460,7 +459,7 @@ def _steered_power(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, bins,
         np.divide(g, np.maximum(mag, 1e-300, out=mag), out=g)
         g[floor] = 0.0
         del mag, floor
-        for chunk, steer in _steering(geometry, grid, bins, window_length, f_s):
+        for chunk, steer in _steering(geometry, grid, bins, blocks.window_length, f_s):
             # a block's triu(PHAT(G_k), 1) over the chunk's bins, zero on and
             # below the diagonal
             triu = np.zeros((len(steer), channels * channels), dtype=complex)
@@ -518,8 +517,7 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
         raise ValueError(
             f"correlation estimate needs >= {channels} frames, got {blocks.length}"
         )
-    window_length = blocks.window_length
-    bins = _band_bins(window_length, f_s, band_hz)
+    bins = _band_bins(blocks.window_length, f_s, band_hz)
     broadband = np.zeros((len(blocks), len(grid)))
     for group_slice, group in blocks.groups(len(bins), channels**2):
         r = block_cross_spectra(group, bins)  # E[x x^H] per bin, x the channel vector
@@ -534,7 +532,7 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
         group_broadband[~ok] = np.nan
         if not ok.any():
             continue
-        for chunk, v in _steering(geometry, grid, bins, window_length, f_s):
+        for chunk, v in _steering(geometry, grid, bins, blocks.window_length, f_s):
             for b in np.flatnonzero(ok):
                 # rows of v are unit-modulus steering vectors, so the squared norm of
                 # their noise-subspace part is channels minus that of their
@@ -601,7 +599,7 @@ def pseudo_intensity(blocks: Blocks, geometry: ArrayGeometry, f_s: float,
     bins = _band_bins(blocks.window_length, f_s, band_hz)
     mean_sin, mean_cos = np.empty(len(blocks)), np.empty(len(blocks))
     usable = np.empty(len(blocks), dtype=bool)
-    for group_slice, group in blocks.groups():
+    for group_slice, group in blocks.groups(0, 0):
         s = group.source.bins[:, :, bins]  # (frames, channels, bins)
         p0 = s.mean(axis=1)  # (frames, bins)
         dipole = (u.T @ s) * (3.0 / geometry.mic_count)  # (frames, 3, bins)

@@ -217,12 +217,11 @@ class Blocks:
         if starts.ndim != 1 or np.any(starts < 0) or np.any(np.diff(starts) <= 0):
             raise ValueError("block starts must be non-negative and strictly increasing")
         object.__setattr__(self, "starts", starts)
-        stft = isinstance(self.source, Stft)
         for name, default in (("window_length", DEFAULT_WINDOW_LENGTH), ("hop", DEFAULT_HOP)):
             given, layout = getattr(self, name), getattr(self.source, name, default)
-            if stft and given not in (None, layout):
+            if isinstance(self.source, Stft) and given not in (None, layout):
                 raise ValueError(f"{name} {given} differs from the Stft's {layout}")
-            object.__setattr__(self, name, layout if stft or given is None else given)
+            object.__setattr__(self, name, layout if given is None else given)
 
     @classmethod
     def whole(cls, frames: Stft) -> "Blocks":
@@ -273,7 +272,7 @@ class Blocks:
                      self.hop, "hann", bins[shared:])
         return Stft(bins, self.frame_times(np.arange(first, stop)), self.window_length, self.hop)
 
-    def groups(self, bins: int = 0, pairs: int = 0):
+    def groups(self, bins: int, pairs: int):
         """Split the blocks into groups of consecutive blocks whose frames
         overlap or touch, each of at most BLOCK_GROUP_ELEMENTS complex values
         (one block at least): each frame's STFT and share of the sub-block

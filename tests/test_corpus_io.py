@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,7 +262,11 @@ def test_bulk_table_read_is_the_line_parser(tmp_path_factory, table, final_newli
     path = tmp_path_factory.getbasetemp() / "table.txt"
     path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
     expected = _parse_outcome(_line_parser, path, n_columns)
-    assert _parse_outcome(corpus_io._read_table, path, n_columns) == expected
+    check_rows = mock.Mock(wraps=corpus_io._check_rows)
+    with mock.patch.object(corpus_io, "_check_rows", check_rows):
+        assert _parse_outcome(corpus_io._read_table, path, n_columns) == expected
+    # the rows are parsed one at a time only to report a bad line
+    assert check_rows.called == isinstance(expected, str)
 
 
 def test_bad_line_is_reported_before_text_that_does_not_decode(tmp_path):

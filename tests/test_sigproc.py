@@ -246,11 +246,11 @@ def test_pair_cross_spectra_are_the_cross_spectra_entries_bit_for_bit(case):
     spectra = rng.standard_normal((n_frames, channels, 2 * bin_count)).view(complex)
     frames = Stft(spectra, np.arange(n_frames) / 10.0, 2 * (bin_count - 1), 1)
     m, l = np.array(pairs).T
-    # groups() with no pairs holds only the frames' STFT: bin_count per channel
+    # groups(0, 0) holds only the frames' STFT: bin_count per channel
     budget = group_frames * channels * bin_count
     with (mock.patch.object(sigproc, "PAIR_CHUNK_ELEMENTS", chunk),
           mock.patch.object(sigproc, "BLOCK_GROUP_ELEMENTS", budget)):
-        for _, group in Blocks(frames, starts, length).groups():
+        for _, group in Blocks(frames, starts, length).groups(0, 0):
             got = pair_cross_spectra(group, pairs, bins)
             full = block_cross_spectra(group, bins)
             reference = _whole_band_cross_spectra(group, bins)
