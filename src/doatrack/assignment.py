@@ -2,7 +2,8 @@
 
 `min_cost_assignment` and `gated_assignment` solve one matrix with scipy's
 Jonker-Volgenant solver on every call (a tracker step the gate decides is
-paired by `track._gated_pairs` without one); tests pin it against
+paired by `track._gated_pairs` without one), loading scipy.optimize on the
+first solve; tests pin it against
 exhaustive permutation enumeration. `batched_assignment` solves a stack of
 small matrices of one shape at once by that enumeration, and marks the
 matrices whose best assignment is not unique by a safe margin, where a
@@ -16,12 +17,18 @@ import math
 from functools import cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .sigproc import CHUNK_ELEMENTS
 
 MAX_MAPS = 720  # injective maps one batched shape may enumerate: 6!, as for a 6 x 6 matrix
 NEAR_TIE = 1e-9  # totals this close to the best, relative to max(1, best), tie with it
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy's `linear_sum_assignment`, with scipy.optimize loaded on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def min_cost_assignment(cost: np.ndarray):

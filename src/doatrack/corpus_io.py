@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .evaluate import Submission, VapTable, vap_spans
 from .geometry import Trajectory, TrajectoryError, wrap_angle
@@ -47,16 +46,18 @@ class CorpusFormatError(Exception):
 
 
 def _read_lines(path: Path):
-    """Yield the lines of the UTF-8 file `path`, ended by LF, CR LF or CR as
-    open() reads text, then, if bytes do not decode, raise CorpusFormatError
-    naming their line. A `path` that is not a file raises FileNotFoundError."""
+    """Yield the lines of the UTF-8 file `path`, without a leading byte-order
+    mark and ended by LF, CR LF or CR as open() reads text, then, if bytes do
+    not decode, raise CorpusFormatError naming their line. A `path` that is
+    not a file raises FileNotFoundError."""
     if not path.is_file():
         raise FileNotFoundError(f"missing required file: {path}")
     data = path.read_bytes()
     try:
-        text, bad = data.decode("utf-8"), False
-    except UnicodeDecodeError as exc:  # the bytes before the first bad one decode
-        text, bad = data[:exc.start].decode("utf-8"), True
+        text, bad = data.decode("utf-8-sig"), False
+    except UnicodeDecodeError as exc:
+        # the bytes after the mark and before the first bad one decode
+        text, bad = exc.object[:exc.start].decode("utf-8"), True
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     yield from lines[:-1] if bad else lines
     if bad:
@@ -171,6 +172,8 @@ def read_recording(path) -> RecordingBundle:
     audio_path = path / AUDIO_FILE
     if not audio_path.is_file():
         raise FileNotFoundError(f"missing required file: {audio_path}")
+    from scipy.io import wavfile
+
     rate, samples = wavfile.read(audio_path)
     if rate != DEFAULT_SAMPLE_RATE:
         log.warning("%s: sample rate %d Hz, expected %d", audio_path, rate,
@@ -208,6 +211,8 @@ def write_recording(bundle: RecordingBundle, path) -> None:
     """Write a bundle as a recording directory; inverse of read_recording."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+
+    from scipy.io import wavfile
 
     # float64 WAV keeps simulated audio bit-exact through a round trip
     wavfile.write(path / AUDIO_FILE,

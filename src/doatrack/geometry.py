@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 SPEED_OF_SOUND = 343.0  # m/s, in simulation, steering and VAP alignment alike
 GROUND_TRUTH_RATE_HZ = 120.0  # pose samples and evaluation clock
@@ -326,6 +325,8 @@ def sample_trajectory(traj: Trajectory, times):
     rotations[on_sample] = traj.rotations[nearest[on_sample]]
     turn = ~on_sample & traj._turns[idx]
     if turn.any():
+        from scipy.spatial.transform import Rotation
+
         r0 = rotations[turn]
         # every rotation is orthonormal within 1e-9 (`Trajectory` checks), so
         # scipy's determinant check and SVD projection are skipped

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+# at the top, unlike the other stages' scipy imports: MUSIC calls it once per bin
 from scipy.linalg.lapack import zheevr
 
 from .geometry import (

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 DEFAULT_SAMPLE_RATE = 48000
 DEFAULT_WINDOW_LENGTH = 2048
@@ -142,6 +141,8 @@ def _frame_count(audio: MultichannelAudio, window_length: int, hop: int) -> int:
 @lru_cache(maxsize=8)
 def _taper(window: str, window_length: int) -> np.ndarray:
     """Read-only periodic `window` of `window_length` samples."""
+    from scipy.signal import get_window
+
     taper = get_window(window, window_length, fftbins=True)
     taper.flags.writeable = False
     return taper

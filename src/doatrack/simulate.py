@@ -42,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev
-from scipy.signal import butter, lfilter
 
 from .evaluate import vap_spans
 from .geometry import (
@@ -170,6 +169,8 @@ def _vap_envelope(times: np.ndarray, vaps) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _speech_band(fs: float):
     """Read-only (b, a) of the 100-4000 Hz 4th-order Butterworth band-pass at `fs`."""
+    from scipy.signal import butter
+
     b, a = butter(4, [100.0 / (fs / 2), 4000.0 / (fs / 2)], btype="band")
     b.flags.writeable = a.flags.writeable = False
     return b, a
@@ -189,6 +190,8 @@ def _emitted_signal(source: SourceConfig, times: np.ndarray, fs: float,
     if source.signal == "white":
         emitted = rng.standard_normal(len(times))
     elif source.signal == "speech":
+        from scipy.signal import lfilter
+
         b, a = _speech_band(fs)
         emitted = lfilter(b, a, rng.standard_normal(len(times)))
         # VAPs do not overlap; two that touch can share one sample, at t = b

@@ -297,6 +297,45 @@ def test_submission_that_is_not_utf8_is_named_after_its_bad_lines(tmp_path):
         read_submission(path)
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+@pytest.mark.parametrize("name", ["position_array.txt", "metadata.json"])
+def test_recording_file_with_a_byte_order_mark_reads_as_without(tmp_path, name):
+    write_recording(_random_bundle(np.random.default_rng(7)), tmp_path / "rec")
+    plain = read_recording(tmp_path / "rec")
+    path = tmp_path / "rec" / name
+    assert path.read_bytes()[:1] in (b"#", b"{")  # the mark goes before a "#" header
+    path.write_bytes(BOM + path.read_bytes())
+    marked = read_recording(tmp_path / "rec")
+    assert marked.metadata == plain.metadata
+    for a, b in [(marked.array_trajectory, plain.array_trajectory),
+                 *((marked.source_trajectories[n], plain.source_trajectories[n])
+                   for n in plain.source_trajectories)]:
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.array_equal(a.translations, b.translations)
+        assert np.array_equal(a.rotations, b.rotations)
+    assert marked.vaps.intervals == plain.vaps.intervals
+
+
+@pytest.mark.parametrize("text", ["# made by hand\ntimestamp source_id azimuth_deg\n0.0 1 10.0\n",
+                                  "timestamp source_id azimuth_deg\n0.0 1 10.0\n0.1 2 -5.0\n",
+                                  "0.0 1 10.0\n"])
+def test_submission_with_a_byte_order_mark_reads_as_without(tmp_path, text):
+    path = tmp_path / "sub.txt"
+    path.write_bytes(text.encode())
+    plain = read_submission(path)
+    path.write_bytes(BOM + text.encode())
+    marked = read_submission(path)
+    for column in ("times", "ids", "azimuths", "elevations"):
+        assert np.array_equal(getattr(marked, column), getattr(plain, column))
+    # the line of a bad byte after the mark is still named
+    path.write_bytes(BOM + text.encode() + b"\xff\n")
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:{text.count(chr(10)) + 1}: "
+                                                          "not UTF-8 text")):
+        read_submission(path)
+
+
 def test_integer_pcm_normalized(tmp_path):
     from scipy.io import wavfile
     rng = np.random.default_rng(4)

@@ -1,7 +1,14 @@
 """No library module imports a name it never uses, and no module-level private
-helper goes unreferenced in the package (read with the stdlib `ast`)."""
+helper goes unreferenced in the package (read with the stdlib `ast`). Importing
+the package, tracking and scoring load no scipy subpackage they never call (read
+from `sys.modules` of a fresh interpreter)."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,3 +74,56 @@ def test_every_private_helper_is_referenced_in_the_package():
     unused = [f"{module}.{name}" for module, source in sources.items()
               for name in sorted(private_helpers(source) - used)]
     assert not unused, f"private helpers nothing in the package references: {unused}"
+
+
+PRINT_SCIPY_SUBPACKAGES = """
+import json, sys
+loaded = {".".join(m.split(".")[:2]) for m in sys.modules if m.startswith("scipy.")}
+print(json.dumps(sorted(loaded)))
+"""
+
+
+def scipy_loaded_after(script: str) -> set:
+    """The scipy subpackages (`scipy.signal`, ...) loaded once `script` has run
+    in a fresh interpreter that imports the package from the source tree."""
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script) + PRINT_SCIPY_SUBPACKAGES],
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_and_its_cli_loads_no_stage_scipy():
+    loaded = scipy_loaded_after("import doatrack, doatrack.cli")
+    stage_only = {"scipy.signal", "scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.io"}
+    assert not loaded & stage_only, sorted(loaded & stage_only)
+
+
+def test_tracking_and_scoring_load_no_scipy_signal_or_io():
+    loaded = scipy_loaded_after("""
+        import math
+        import numpy as np
+        from doatrack import (Doa, DoaEstimate, VapTable, evaluate_submission, task_preset,
+                              track_lifecycle)
+        from doatrack.evaluate import ground_truth_doas
+        from doatrack.pipeline import resample_tracks
+
+        config = task_preset(1, seed=1, duration=3.0)
+        sources = {f"src{i + 1}": s.trajectory for i, s in enumerate(config.sources)}
+        vaps = VapTable({f"src{i + 1}": s.vaps for i, s in enumerate(config.sources)})
+        doas_at = ground_truth_doas(sources, config.array_trajectory)
+        rng = np.random.default_rng(1)
+        estimates = []
+        for t in np.arange(0.05, 3.0, 0.085):
+            for name in vaps.active_sources(float(t)):
+                az = doas_at(float(t))[name].azimuth + math.radians(3.0) * rng.standard_normal()
+                estimates.append(DoaEstimate(float(t), Doa(az)))
+            estimates.append(DoaEstimate(float(t), Doa(float(rng.uniform(-math.pi, math.pi)))))
+        tracks = track_lifecycle(estimates)
+        clock = config.array_trajectory.timestamps
+        report = evaluate_submission(sources, config.array_trajectory, vaps,
+                                     resample_tracks(tracks, clock), clock, 3.0)
+        assert np.ptp(config.array_trajectory.translations, axis=0).max() == 0.0 and tracks
+        assert report.valid_count > 0
+    """)
+    assert not loaded & {"scipy.signal", "scipy.io"}, sorted(loaded)
