@@ -111,7 +111,7 @@ def align_vaps(vaps: VapTable, source_trajectories: dict,
 class Submission:
     """Direction estimates on the evaluation clock, one row per (time, id).
 
-    The rows are four read-only arrays: `times` (s), `ids` (>= 1),
+    The rows are four read-only arrays: `times` (s), `ids` (whole, >= 1),
     `azimuths` (rad, wrapped into [-pi, pi)) and `elevations` (rad, clipped
     to [0, pi]), sorted by time and in their given order within a time.
     `Submission({t: ((id, Doa), ...)})` builds one from the per-time form and
@@ -132,15 +132,16 @@ class Submission:
         return sub
 
     def _store(self, times, ids, azimuths, elevations):
-        times = np.asarray(times, dtype=float)
-        columns = (np.asarray(ids, dtype=np.int64),
+        times, ids = np.asarray(times, dtype=float), np.asarray(ids, dtype=float)
+        bad = ids[~((ids >= 1) & (ids == np.floor(ids)) & (ids < 2.0**63))]  # NaN fails all three
+        if len(bad):
+            raise ValueError(f"source id {bad[0]:g} is not a whole number >= 1")
+        columns = (ids.astype(np.int64),
                    wrap_angle(np.asarray(azimuths, dtype=float)),
                    np.clip(np.broadcast_to(np.asarray(elevations, dtype=float), times.shape),
                            0.0, np.pi))
         if any(column.shape != times.shape for column in columns) or times.ndim != 1:
             raise ValueError("times, ids, azimuths and elevations must be 1-D of one length")
-        if np.any(columns[0] < 1):
-            raise ValueError("source ids must be >= 1")
         order = np.argsort(times, kind="stable")
         for name, column in zip(("times", "ids", "azimuths", "elevations"), (times,) + columns):
             column = column[order]

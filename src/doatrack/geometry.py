@@ -24,6 +24,7 @@ import numpy as np
 
 SPEED_OF_SOUND = 343.0  # m/s, in simulation, steering and VAP alignment alike
 GROUND_TRUTH_RATE_HZ = 120.0  # pose samples and evaluation clock
+POSE_TIME_TOLERANCE_S = 1e-9  # by which a trajectory or the pose grid may miss a duration
 
 
 class DegenerateGeometryError(ValueError):
@@ -273,12 +274,12 @@ class Trajectory:
 def ground_truth_sample_count(duration: float) -> int:
     """Samples at the ground-truth rate, from 0, that reach `duration`.
 
-    A duration within 1e-9 s of the 120 Hz grid ends on its grid point;
+    A duration within POSE_TIME_TOLERANCE_S of the 120 Hz grid ends on its grid point;
     any other ends on the first grid point past it.
     """
     ticks = duration * GROUND_TRUTH_RATE_HZ
     on_grid = round(ticks)
-    if abs(duration - on_grid / GROUND_TRUTH_RATE_HZ) <= 1e-9:
+    if abs(duration - on_grid / GROUND_TRUTH_RATE_HZ) <= POSE_TIME_TOLERANCE_S:
         return int(on_grid) + 1
     return math.ceil(ticks) + 1
 

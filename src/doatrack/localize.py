@@ -88,6 +88,7 @@ class BlockTdoas:
     delays: np.ndarray  # (blocks, pairs), samples, fractional
     confidence: np.ndarray  # (blocks, pairs)
     usable: np.ndarray  # (blocks,) False where a pair's cross spectrum is all zero
+    sample_rate_hz: float  # of the recording, whose samples the delays count
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,8 @@ def _gcc_phat_blocks(blocks: Blocks, max_lags) -> BlockTdoas:
     for group_slice, group in blocks.groups(blocks.window_length // 2 + 1, len(pairs)):
         delays[group_slice], peaks[group_slice], usable[group_slice] = _lag_window_peaks(
             pair_cross_spectra(group, pairs), lag_axis)
-    return BlockTdoas(tuple(map(tuple, pairs.tolist())), delays, peaks, usable)
+    return BlockTdoas(tuple(map(tuple, pairs.tolist())), delays, peaks, usable,
+                      blocks.source.sample_rate_hz)
 
 
 def _lag_axis(max_lags, window_length: int):
@@ -299,17 +301,21 @@ def _lag_window_peaks(g, lag_axis):
     return delay, peak, usable
 
 
-def tdoa_to_azimuth(tdoas: BlockTdoas, geometry: ArrayGeometry, f_s: float) -> np.ndarray:
+def tdoa_to_azimuth(tdoas: BlockTdoas, geometry: ArrayGeometry) -> np.ndarray:
     """Least-squares triangulation of each block's pair delays on a far-field
     azimuth grid: (blocks,) azimuths, NaN for a block that is not usable.
     Ties are broken towards the smallest azimuth wrapped into [0, 2*pi).
+    Delays of another pair count than `geometry`'s raise ValueError.
     """
     grid = azimuth_grid()
     pairs = np.array(tdoas.pairs).reshape(-1, 2)
+    if len(pairs) != len(upper_pairs(geometry.mic_count)):
+        raise ValueError(f"delays of {len(pairs)} microphone pairs, but array "
+                         f"{geometry.name!r} has {len(upper_pairs(geometry.mic_count))}")
     mics = geometry.mic_positions
     baselines = mics[pairs[:, 1]] - mics[pairs[:, 0]]
     # expected far-field delay of every pair (rows) from every grid direction
-    expected = baselines @ (f_s / SPEED_OF_SOUND * grid.unit_vectors).T
+    expected = baselines @ (tdoas.sample_rate_hz / SPEED_OF_SOUND * grid.unit_vectors).T
     azimuths = np.full(len(tdoas.delays), np.nan)
     for b in np.flatnonzero(tdoas.usable):
         cost = np.sum((tdoas.delays[b][:, None] - expected) ** 2, axis=0)
@@ -364,7 +370,7 @@ def _steering(geometry: ArrayGeometry, grid: DoaGrid, bins, window_length: int, 
         yield chunk, steer
 
 
-def srp_phat(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
+def srp_phat(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
              band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
     """Steered response power with PHAT pre-whitening over a direction grid.
 
@@ -407,6 +413,7 @@ def srp_phat(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid, f_s: float,
     """
     if blocks.channel_count < 2:
         raise ValueError("need at least 2 channels")
+    f_s = blocks.source.sample_rate_hz
     bins = _band_bins(blocks.window_length, f_s, band_hz)
     coarse = _band_limited_grid(geometry, grid, bins[-1] * f_s / blocks.window_length)
     values = _steered_power(blocks, geometry, grid if coarse is None else coarse, bins, f_s)
@@ -501,7 +508,7 @@ def circular_peaks(azimuths, values, k: int):
 # ---------------------------------------------------------------------------
 
 def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
-                   n_sources: int, f_s: float, band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
+                   n_sources: int, band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
     """Broadband MUSIC pseudo-spectra, (blocks, directions).
 
     The signal subspace of each narrowband spatial correlation matrix is
@@ -518,6 +525,7 @@ def music_spectrum(blocks: Blocks, geometry: ArrayGeometry, grid: DoaGrid,
         raise ValueError(
             f"correlation estimate needs >= {channels} frames, got {blocks.length}"
         )
+    f_s = blocks.source.sample_rate_hz
     bins = _band_bins(blocks.window_length, f_s, band_hz)
     broadband = np.zeros((len(blocks), len(grid)))
     for group_slice, group in blocks.groups(len(bins), channels**2):
@@ -584,7 +592,7 @@ def _spherical_mic_directions(geometry: ArrayGeometry) -> np.ndarray:
     return mics / radii[:, None]
 
 
-def pseudo_intensity(blocks: Blocks, geometry: ArrayGeometry, f_s: float,
+def pseudo_intensity(blocks: Blocks, geometry: ArrayGeometry,
                      band_hz=DEFAULT_BAND_HZ) -> np.ndarray:
     """Block azimuths from the first-order intensity vector of a spherical array.
 
@@ -597,7 +605,7 @@ def pseudo_intensity(blocks: Blocks, geometry: ArrayGeometry, f_s: float,
     silent frame.
     """
     u = _spherical_mic_directions(geometry)
-    bins = _band_bins(blocks.window_length, f_s, band_hz)
+    bins = _band_bins(blocks.window_length, blocks.source.sample_rate_hz, band_hz)
     mean_sin, mean_cos = np.empty(len(blocks)), np.empty(len(blocks))
     usable = np.empty(len(blocks), dtype=bool)
     for group_slice, group in blocks.groups(0, 0):

@@ -28,7 +28,7 @@ class UsageError(Exception):
     pass
 
 
-def localize_stream(audio, geometry, localizer: str, f_s: float,
+def localize_stream(audio, geometry, localizer: str,
                     n_sources: int = 1, block_frames: int = BLOCK_FRAMES,
                     block_stride: int = BLOCK_STRIDE,
                     window_length: int = DEFAULT_WINDOW_LENGTH, hop: int = DEFAULT_HOP,
@@ -89,15 +89,16 @@ def localize_stream(audio, geometry, localizer: str, f_s: float,
     azimuths = np.full((len(blocks), n_sources), np.nan)
     if localizer == "gcc-phat":
         mics, pairs = geometry.mic_positions, upper_pairs(geometry.mic_count)
-        max_lags = f_s / SPEED_OF_SOUND * row_norms(mics[pairs[:, 1]] - mics[pairs[:, 0]]) + 1.0
-        azimuths[:, 0] = tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry, f_s)
+        lengths = row_norms(mics[pairs[:, 1]] - mics[pairs[:, 0]])
+        max_lags = audio.sample_rate_hz / SPEED_OF_SOUND * lengths + 1.0
+        azimuths[:, 0] = tdoa_to_azimuth(gcc_phat(blocks, max_lags), geometry)
     elif localizer == "pseudo-intensity":
-        azimuths[:, 0] = pseudo_intensity(blocks, geometry, f_s, band_hz)
+        azimuths[:, 0] = pseudo_intensity(blocks, geometry, band_hz)
     else:
         grid = azimuth_grid()
-        spectra = (srp_phat(blocks, geometry, grid, f_s, band_hz)
+        spectra = (srp_phat(blocks, geometry, grid, band_hz)
                    if localizer == "srp-phat" else
-                   music_spectrum(blocks, geometry, grid, n_sources, f_s, band_hz))
+                   music_spectrum(blocks, geometry, grid, n_sources, band_hz))
         for row, spectrum in zip(azimuths, spectra):
             if not np.isnan(spectrum[0]):
                 peaks = circular_peaks(grid.azimuths, spectrum, n_sources)
@@ -159,8 +160,7 @@ def run_pipeline(bundle, localizer: str, tracker: str, n_sources: int = 1,
         raise CorpusFormatError(f"recording metadata names {given}; the array presets are "
                                 f"{', '.join(sorted(ARRAY_PRESETS))}")
     geometry = get_array_preset(array)
-    audio = bundle.audio
-    estimates = localize_stream(audio, geometry, localizer, audio.sample_rate_hz,
-                                n_sources=n_sources, **localizer_kwargs)
+    estimates = localize_stream(bundle.audio, geometry, localizer, n_sources=n_sources,
+                                **localizer_kwargs)
     tracks = track_stream(estimates, tracker, seed=seed)
     return resample_tracks(tracks, bundle.array_trajectory.timestamps)

@@ -10,7 +10,7 @@ groups, and Blocks over an `Stft` take its window length and hop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +68,7 @@ class Stft:
     times: np.ndarray  # (frames,) frame centre times, s
     window_length: int
     hop: int
+    sample_rate_hz: float  # Hz, of the recording the frames were cut from
 
     def __len__(self):
         return self.bins.shape[0]
@@ -75,7 +76,7 @@ class Stft:
     def __getitem__(self, index):
         if not isinstance(index, slice):
             raise TypeError("an Stft is indexed by frame slices only")
-        return Stft(self.bins[index], self.times[index], self.window_length, self.hop)
+        return replace(self, bins=self.bins[index], times=self.times[index])
 
     @property
     def bin_count(self) -> int:
@@ -111,7 +112,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
         raise ValueError(f"out has shape {bins.shape}, the frames need {shape}")
     times = _centre_times(np.arange(n_frames), window_length, hop, audio.sample_rate_hz)
     if n_frames == 0:
-        return Stft(bins, times, window_length, hop)
+        return Stft(bins, times, window_length, hop, audio.sample_rate_hz)
     taper = _taper(window, window_length)
     # (frames, channels, window_length) view of the samples, no copy
     segments = sliding_window_view(audio.samples, window_length, axis=1)[:, ::hop]
@@ -119,7 +120,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     step = max(1, CHUNK_ELEMENTS // (audio.channel_count * window_length))
     for start in range(0, n_frames, step):
         np.fft.rfft(segments[start:start + step] * taper, axis=-1, out=bins[start:start + step])
-    return Stft(bins, times, window_length, hop)
+    return Stft(bins, times, window_length, hop, audio.sample_rate_hz)
 
 
 def _centre_times(index, window_length: int, hop: int, sample_rate_hz: float) -> np.ndarray:
@@ -269,9 +270,9 @@ class Blocks:
             bins[:shared] = known
         span = audio.samples[:, (first + shared) * self.hop:(stop - 1) * self.hop
                              + self.window_length]
-        frame_signal(MultichannelAudio(span, audio.sample_rate_hz), self.window_length,
-                     self.hop, "hann", bins[shared:])
-        return Stft(bins, self.frame_times(np.arange(first, stop)), self.window_length, self.hop)
+        fresh = frame_signal(MultichannelAudio(span, audio.sample_rate_hz), self.window_length,
+                             self.hop, "hann", bins[shared:])
+        return replace(fresh, bins=bins, times=self.frame_times(np.arange(first, stop)))
 
     def groups(self, bins: int, pairs: int):
         """Split the blocks into groups of consecutive blocks whose frames

@@ -46,6 +46,7 @@ from numpy.polynomial import chebyshev
 from .evaluate import vap_spans
 from .geometry import (
     GROUND_TRUTH_RATE_HZ,
+    POSE_TIME_TOLERANCE_S,
     SPEED_OF_SOUND,
     ArrayGeometry,
     Pose,
@@ -127,14 +128,14 @@ class SceneConfig:
         _check_duration_and_snr(self.duration, self.snr_db)
         _check_seed(self.seed)
         sources = tuple(self.sources)
+        end = self.duration - POSE_TIME_TOLERANCE_S  # the earliest a trajectory may end
         for src in sources:
-            if src.trajectory.start_time > 0 or src.trajectory.end_time < self.duration - 1e-9:
+            if src.trajectory.start_time > 0 or src.trajectory.end_time < end:
                 raise ValueError("source trajectory must cover [0, duration]")
             for a, b in src.vaps:
-                if a < -1e-9 or b > self.duration + 1e-9:
+                if a < -POSE_TIME_TOLERANCE_S or b > self.duration + POSE_TIME_TOLERANCE_S:
                     raise ValueError("VAP outside [0, duration]")
-        if (self.array_trajectory.start_time > 0
-                or self.array_trajectory.end_time < self.duration - 1e-9):
+        if self.array_trajectory.start_time > 0 or self.array_trajectory.end_time < end:
             raise ValueError("array trajectory must cover [0, duration]")
         object.__setattr__(self, "sources", sources)
 
@@ -287,18 +288,18 @@ def _audible_spans(vaps, fs: float, lag_min: float, lag_max: float, n_samples: i
 def _geometry_clock(duration: float) -> np.ndarray:
     """Times at which `synthesize` samples the geometry: the 120 Hz grid
     clipped to [0, duration]. Where the grid falls short of `duration` by more
-    than 1e-9 s (the tolerance of `ground_truth_sample_count`), the clock
+    than POSE_TIME_TOLERANCE_S (as in `ground_truth_sample_count`), the clock
     also takes `duration` itself, so no distance is held constant at the end."""
     clock = np.clip(np.arange(0.0, duration + 0.5 / GROUND_TRUTH_RATE_HZ,
                               1.0 / GROUND_TRUTH_RATE_HZ), 0.0, duration)
-    if clock[-1] < duration - 1e-9:
+    if clock[-1] < duration - POSE_TIME_TOLERANCE_S:
         clock = np.append(clock, duration)
     return clock
 
 
 def _sample_until_end(trajectory: Trajectory, times: np.ndarray):
     """`sample_trajectory` holding the last pose of a trajectory that ends
-    before `times` do, by up to the 1e-9 s SceneConfig allows."""
+    before `times` do, by up to the POSE_TIME_TOLERANCE_S SceneConfig allows."""
     return sample_trajectory(trajectory, np.minimum(times, trajectory.end_time))
 
 

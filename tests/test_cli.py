@@ -437,7 +437,7 @@ def test_srp_phat_gives_one_estimate_per_source():
     a = plane_wave_audio(geom, math.radians(49.0), n=48000, seed=0, snr_db=15)
     b = plane_wave_audio(geom, math.radians(-100.0), n=48000, seed=1)
     audio = MultichannelAudio(a.samples + b.samples, fs)
-    estimates = localize_stream(audio, geom, "srp-phat", fs, n_sources=2)
+    estimates = localize_stream(audio, geom, "srp-phat", n_sources=2)
     by_block = {}
     for est in estimates:
         by_block.setdefault(est.timestamp, []).append(math.degrees(est.doa.azimuth))
@@ -462,8 +462,8 @@ def test_music_skips_ill_conditioned_blocks():
     samples[:, 4096:-8192] = 0.0
     audio = MultichannelAudio(samples, fs)
     silent = frame_signal(audio, 2048, 1024)[40:52]
-    assert np.isnan(music_spectrum(Blocks.whole(silent), geom, azimuth_grid(1.0), 1, fs)).all()
-    estimates = localize_stream(audio, geom, "music", fs)
+    assert np.isnan(music_spectrum(Blocks.whole(silent), geom, azimuth_grid(1.0), 1)).all()
+    estimates = localize_stream(audio, geom, "music")
     times = [e.timestamp for e in estimates]
     assert min(times) < 0.3 and max(times) > 3.6
     for est in estimates:
@@ -535,8 +535,7 @@ def test_localize_stream_rejects_audio_that_does_not_fit_the_array(scene_dir, lo
     alter, message = AUDIO_FAULTS[fault]
     altered = MultichannelAudio(alter(audio.samples), audio.sample_rate_hz)
     with pytest.raises(CorpusFormatError) as err:
-        localize_stream(altered, get_array_preset("robot_head"), localizer,
-                        audio.sample_rate_hz)
+        localize_stream(altered, get_array_preset("robot_head"), localizer)
     assert message in str(err.value)
 
 

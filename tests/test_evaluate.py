@@ -513,6 +513,16 @@ def test_submission_rows_sorted_by_time_and_stable_within_a_tick():
         Submission.from_rows([0.0], [0], [0.0])
 
 
+@pytest.mark.parametrize("bad_id", [1.7, 3.9999, 0.5, math.nan, math.inf])
+def test_submission_rejects_an_id_that_is_not_a_whole_number(bad_id):
+    # a truncated id would merge the rows of two tracks under one id
+    with pytest.raises(ValueError, match=f"source id {bad_id:g} is not a whole number"):
+        Submission.from_rows([0.0, 0.1], [1, bad_id], [0.1, 0.2])
+    with pytest.raises(ValueError, match="not a whole number"):
+        Submission({0.0: ((bad_id, Doa(0.1)),)})
+    assert Submission.from_rows([0.0, 0.1], [2.0, 3], [0.1, 0.2]).ids.tolist() == [2, 3]
+
+
 def test_submission_rows_map_to_the_nearest_clock_tick():
     clock = np.arange(5) / 120.0
     sub = Submission.from_rows([0.008333, 2 / 120 + 9e-7, 0.033334], [1, 1, 2], [0.0] * 3)

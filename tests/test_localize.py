@@ -102,8 +102,8 @@ def test_tdoa_to_azimuth_from_exact_delays():
         delays = [float(farfield_pair_tdoa(u, geom.mic_positions[m], geom.mic_positions[l],
                                            FS)[0]) for m, l in pairs]
         tdoas = BlockTdoas(tuple(map(tuple, pairs)), np.array([delays]), np.ones((1, len(pairs))),
-                           np.array([True]))
-        (azimuth,) = tdoa_to_azimuth(tdoas, geom, FS)
+                           np.array([True]), FS)
+        (azimuth,) = tdoa_to_azimuth(tdoas, geom)
         assert math.degrees(azimuth) == pytest.approx(az_deg, abs=1.0)
 
 
@@ -127,7 +127,7 @@ def test_srp_phat_plane_wave(az_deg):
     audio = plane_wave_audio(geom, math.radians(az_deg), n=16384)
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS)
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid)
     err = abs(_peak_deg(spec, grid) - az_deg)
     assert min(err, 360 - err) <= 1.0
 
@@ -147,7 +147,7 @@ def test_srp_phat_turns_with_the_array(az_deg, yaw_deg, seed):
     for g, az in ((geom, math.radians(az_deg)), (turned, math.radians(az_deg) + yaw)):
         frames = frame_signal(plane_wave_audio(g, az, n=16384, seed=seed), 2048, 1024)[:8]
         grid = azimuth_grid(1.0)
-        (spec,) = srp_phat(Blocks.whole(frames), g, grid, FS)
+        (spec,) = srp_phat(Blocks.whole(frames), g, grid)
         estimates += circular_peaks(grid.azimuths, spec, 1)
     assert abs(math.degrees(wrap_angle(estimates[1] - estimates[0] - yaw))) <= 1.0 + 1e-9
 
@@ -157,13 +157,13 @@ def test_srp_phat_noisy_plane_wave():
     audio = plane_wave_audio(geom, math.radians(72.0), n=16384, snr_db=10)
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    assert abs(_peak_deg(srp_phat(Blocks.whole(frames), geom, grid, FS)[0], grid) - 72.0) <= 2.0
+    assert abs(_peak_deg(srp_phat(Blocks.whole(frames), geom, grid)[0], grid) - 72.0) <= 2.0
 
 
 def test_srp_phat_rejects_silence():
     geom = get_array_preset("robot_head")
     frames = frame_signal(MultichannelAudio(np.zeros((12, 16384)), FS), 2048, 1024)[:8]
-    spectra = srp_phat(Blocks.whole(frames), geom, azimuth_grid(1.0), FS)
+    spectra = srp_phat(Blocks.whole(frames), geom, azimuth_grid(1.0))
     assert spectra.shape == (1, 360) and np.isnan(spectra).all()
 
 
@@ -173,7 +173,7 @@ def test_srp_phat_localizes_with_one_dead_channel():
     samples[3] = 0.0
     frames = frame_signal(MultichannelAudio(samples, FS), 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    assert abs(_peak_deg(srp_phat(Blocks.whole(frames), geom, grid, FS)[0], grid) - 40.0) <= 1.0
+    assert abs(_peak_deg(srp_phat(Blocks.whole(frames), geom, grid)[0], grid) - 40.0) <= 1.0
 
 
 def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
@@ -183,7 +183,7 @@ def test_mirror_tie_on_linear_array_goes_to_smallest_azimuth():
     audio = plane_wave_audio(geom, math.radians(49.0), n=16384)
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS)
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid)
     deg = np.degrees(grid.azimuths)
     front, back = int(np.argmin(np.abs(deg - 49.0))), int(np.argmin(np.abs(deg - 131.0)))
     assert spec[back] == pytest.approx(spec[front], rel=1e-12)
@@ -213,7 +213,7 @@ def _steered_sizes(monkeypatch, geom, grid):
 
     monkeypatch.setattr(doatrack.localize, "_steering", recording)
     frames = frame_signal(plane_wave_audio(geom, math.radians(40.0), n=9216), 2048, 1024)
-    assert srp_phat(Blocks.whole(frames), geom, grid, FS).shape == (1, len(grid))
+    assert srp_phat(Blocks.whole(frames), geom, grid).shape == (1, len(grid))
     return set(sizes)
 
 
@@ -258,7 +258,7 @@ def test_band_limited_srp_matches_direct_evaluation(array, az_deg, el_deg, seed,
     bins = localize._band_bins(2048, FS, localize.DEFAULT_BAND_HZ)
     coarse = localize._band_limited_grid(geom, grid, bins[-1] * FS / 2048)
     assert len(coarse) == BAND_LIMITED_SIZES[array]
-    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS)
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid)
     (direct,) = localize._steered_power(Blocks.whole(frames), geom, grid, bins, FS)
     assert np.max(np.abs(spec - direct)) <= 1e-13 * np.max(np.abs(direct))
     assert _peak_deg(spec, grid) == _peak_deg(direct, grid)
@@ -270,7 +270,7 @@ def test_music_plane_wave(az_deg):
     audio = plane_wave_audio(geom, math.radians(az_deg), n=32768, snr_db=20)
     frames = frame_signal(audio, 2048, 1024)[:16]
     grid = azimuth_grid(1.0)
-    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, 1, FS)
+    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, 1)
     best = math.degrees(grid.azimuths[int(np.argmax(spec))])
     err = abs(best - az_deg)
     assert min(err, 360 - err) <= 1.0
@@ -283,7 +283,7 @@ def test_music_two_sources():
     audio = MultichannelAudio(a.samples + b.samples, FS)
     frames = frame_signal(audio, 2048, 1024)[:16]
     grid = azimuth_grid(1.0)
-    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, 2, FS)
+    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, 2)
     az = np.degrees(grid.azimuths)
     # both true directions must be within 2 deg of a local peak of comparable height
     values = spec / spec.max()
@@ -297,7 +297,7 @@ def test_music_frame_count_guard():
     audio = plane_wave_audio(geom, 0.5, n=16384)
     frames = frame_signal(audio, 2048, 1024)[:4]
     with pytest.raises(ValueError):
-        music_spectrum(Blocks.whole(frames), geom, azimuth_grid(5.0), 1, FS)
+        music_spectrum(Blocks.whole(frames), geom, azimuth_grid(5.0), 1)
 
 
 def test_music_n_sources_bounds():
@@ -305,9 +305,9 @@ def test_music_n_sources_bounds():
     audio = plane_wave_audio(geom, 0.5, n=32768)
     blocks = Blocks.whole(frame_signal(audio, 2048, 1024)[:16])
     with pytest.raises(ValueError):
-        music_spectrum(blocks, geom, azimuth_grid(5.0), 0, FS)
+        music_spectrum(blocks, geom, azimuth_grid(5.0), 0)
     with pytest.raises(ValueError):
-        music_spectrum(blocks, geom, azimuth_grid(5.0), 12, FS)
+        music_spectrum(blocks, geom, azimuth_grid(5.0), 12)
 
 
 @pytest.mark.parametrize("az_deg", [-135.0, 20.0, 100.0])
@@ -316,7 +316,7 @@ def test_pseudo_intensity_plane_wave(az_deg):
     audio = plane_wave_audio(geom, math.radians(az_deg), n=16384)
     frames = frame_signal(audio, 2048, 1024)[:8]
     # one-frame blocks, so every frame's own azimuth is checked
-    azimuths = pseudo_intensity(Blocks(frames, np.arange(8), 1, 2048, 1024), geom, FS)
+    azimuths = pseudo_intensity(Blocks(frames, np.arange(8), 1, 2048, 1024), geom)
     assert len(azimuths) == 8
     for azimuth in azimuths:
         err = abs(math.degrees(azimuth) - az_deg)
@@ -328,14 +328,14 @@ def test_pseudo_intensity_rejects_linear_array():
     audio = MultichannelAudio(np.random.default_rng(0).standard_normal((15, 8192)), FS)
     frames = frame_signal(audio, 2048, 1024)
     with pytest.raises(UnsupportedGeometryError):
-        pseudo_intensity(Blocks.whole(frames), geom, FS)
+        pseudo_intensity(Blocks.whole(frames), geom)
 
 
 def test_pseudo_intensity_rejects_silence():
     geom = get_array_preset("eigenmike")
     audio = MultichannelAudio(np.zeros((32, 8192)), FS)
     frames = frame_signal(audio, 2048, 1024)
-    assert np.isnan(pseudo_intensity(Blocks.whole(frames), geom, FS)).all()
+    assert np.isnan(pseudo_intensity(Blocks.whole(frames), geom)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_block_groups_keep_their_frame_counts(monkeypatch, array, localizer):
             yield group_slice, group
 
     monkeypatch.setattr(doatrack.sigproc.Blocks, "groups", counting_groups)
-    assert localize_stream(_task4_audio(array), get_array_preset(array), localizer, FS)
+    assert localize_stream(_task4_audio(array), get_array_preset(array), localizer)
     assert counts == GROUP_FRAMES[array, localizer]
 
 
@@ -404,7 +404,7 @@ def test_steering_is_built_once_per_block_group(monkeypatch, seconds):
             yield chunk
 
     monkeypatch.setattr(doatrack.localize, "_steering", counting)
-    estimates = localize_stream(audio, geom, "srp-phat", FS)
+    estimates = localize_stream(audio, geom, "srp-phat")
     # noise-free of pauses, so every block passes the energy gate
     n_frames = (audio.length - 2048) // 1024 + 1
     n_blocks = (n_frames - 8) // 4 + 1
@@ -446,7 +446,7 @@ def test_short_clip_is_one_block_group(monkeypatch, array, localizer, seconds):
 
     monkeypatch.setattr(doatrack.sigproc, "frame_signal", counting_frames)
     monkeypatch.setattr(doatrack.localize, "_steering", counting_steering)
-    estimates = localize_stream(audio, geom, localizer, FS)
+    estimates = localize_stream(audio, geom, localizer)
     n_frames = (audio.length - 2048) // 1024 + 1
     assert len(estimates) == (n_frames - 8) // 4 + 1 > 1
     assert len(transforms) == 1
@@ -486,7 +486,7 @@ def test_block_groups_transform_each_frame_once(monkeypatch, localizer):
 
     monkeypatch.setattr(doatrack.sigproc, "frame_signal", counting_frames)
     monkeypatch.setattr(doatrack.sigproc.Blocks, "groups", counting_groups)
-    assert localize_stream(audio, geom, localizer, FS)
+    assert localize_stream(audio, geom, localizer)
     assert len(group_count) >= 3
     assert sorted(transformed) == sorted(spanned)
     # the frames of the silent stretch belong to no gated block
@@ -518,7 +518,7 @@ def test_music_solver_follows_the_microphone_count(monkeypatch, array, n_sources
     frames = max(8, geom.mic_count)
     audio = plane_wave_audio(geom, math.radians(40.0), n=2048 + 1024 * (frames - 1), snr_db=20)
     blocks = Blocks.whole(frame_signal(audio, 2048, 1024))
-    spectrum = music_spectrum(blocks, geom, azimuth_grid(1.0), n_sources, FS)
+    spectrum = music_spectrum(blocks, geom, azimuth_grid(1.0), n_sources)
     assert np.isfinite(spectrum).all()
     used = {name for name, count in calls.items() if count}
     assert used == {MUSIC_SOLVERS[array]}
@@ -576,7 +576,7 @@ def test_gcc_phat_stream_runs_no_inverse_fft(monkeypatch):
     geom = get_array_preset("robot_head")
     audio = plane_wave_audio(geom, math.radians(-60.0), n=int(FS), snr_db=20)
     monkeypatch.setattr(np.fft, "irfft", no_irfft)
-    estimates = localize_stream(audio, geom, "gcc-phat", FS)
+    estimates = localize_stream(audio, geom, "gcc-phat")
     assert estimates
     for est in estimates:
         assert abs(math.degrees(wrap_angle(est.doa.azimuth - math.radians(-60.0)))) <= 2.0
@@ -596,7 +596,7 @@ def test_stream_memory_does_not_grow_with_recording_length(array, localizer):
         audio = plane_wave_audio(geom, math.radians(40.0), n=int(FS * seconds), snr_db=20)
         tracemalloc.start()
         try:
-            assert localize_stream(audio, geom, localizer, FS)
+            assert localize_stream(audio, geom, localizer)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -625,7 +625,7 @@ def test_energy_gate_passes_the_blocks_the_transform_energies_pass(monkeypatch, 
         for seed in (1, 2):
             audio = synthesize(task_preset(task, seed, duration=2.0, array=array)).audio
             with pytest.raises(_Gated) as passed:
-                doatrack.pipeline.localize_stream(audio, geom, "srp-phat", FS)
+                doatrack.pipeline.localize_stream(audio, geom, "srp-phat")
             # the gate of localize_stream, on energies taken from the transform
             frames = frame_signal(audio, 2048, 1024)
             energies = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
@@ -634,3 +634,71 @@ def test_energy_gate_passes_the_blocks_the_transform_energies_pass(monkeypatch, 
             assert np.array_equal(passed.value.args[0], np.flatnonzero(active) * 4)
             gated += int(np.count_nonzero(~active))
     assert gated > 0
+
+
+# The sample rate comes from the recording: a 16 kHz recording is analysed
+# over its own 300-4000 Hz bins without a rate argument.
+
+def test_the_localizers_take_no_sample_rate():
+    import inspect
+
+    from doatrack.pipeline import localize_stream
+
+    for function in (localize_stream, srp_phat, music_spectrum, pseudo_intensity,
+                     tdoa_to_azimuth):
+        assert "f_s" not in inspect.signature(function).parameters, function.__name__
+
+
+@pytest.mark.parametrize("localizer", ["srp-phat", "music", "gcc-phat", "pseudo-intensity"])
+def test_localize_stream_reads_the_rate_of_a_16_khz_recording(localizer):
+    from doatrack.pipeline import localize_stream
+
+    geom = get_array_preset("robot_head")
+    audio = plane_wave_audio(geom, math.radians(40.0), fs=16000.0, n=32000)
+    estimates = localize_stream(audio, geom, localizer)
+    assert estimates
+    for est in estimates:
+        assert abs(math.degrees(est.doa.azimuth) - 40.0) <= 0.5
+
+
+@pytest.fixture(scope="module")
+def scene_16khz():
+    import dataclasses
+
+    from doatrack.corpus_io import bundle_from_scene
+    from doatrack.simulate import synthesize, task_preset
+
+    config = dataclasses.replace(task_preset(1, seed=1, duration=4.0), sample_rate_hz=16000.0)
+    return bundle_from_scene(synthesize(config))
+
+
+# (localizer, mean azimuth error bound, p_d bound): the 16 kHz scene scores
+# 0.28, 0.28, 0.27 and 1.54 degrees and p_d 0.768, 0.680, 0.768 and 0.473
+@pytest.mark.parametrize("localizer,max_error_deg,min_p_d", [
+    ("srp-phat", 0.4, 0.74), ("music", 0.4, 0.65), ("gcc-phat", 0.4, 0.74),
+    ("pseudo-intensity", 2.0, 0.0)])
+def test_pipeline_scores_a_16_khz_scene(scene_16khz, localizer, max_error_deg, min_p_d):
+    from doatrack.evaluate import evaluate_submission
+    from doatrack.pipeline import run_pipeline
+
+    bundle = scene_16khz
+    assert bundle.audio.sample_rate_hz == 16000.0
+    report = evaluate_submission(bundle.source_trajectories, bundle.array_trajectory,
+                                 bundle.vaps, run_pipeline(bundle, localizer, "kalman"),
+                                 bundle.array_trajectory.timestamps, bundle.audio.duration)
+    assert report.mean_azimuth_error_deg <= max_error_deg
+    assert report.p_d >= min_p_d
+
+
+def test_tdoa_to_azimuth_rejects_delays_of_another_array():
+    dicit, robot_head = get_array_preset("dicit_32cm"), get_array_preset("robot_head")
+    pairs = upper_pairs(dicit.mic_count)
+    mics = dicit.mic_positions
+    max_lags = FS / C * np.linalg.norm(mics[pairs[:, 1]] - mics[pairs[:, 0]], axis=1) + 1.0
+    audio = plane_wave_audio(dicit, math.radians(30.0), n=2048 + 1024 * 7)
+    tdoas = gcc_phat(Blocks.whole(frame_signal(audio, 2048, 1024)), max_lags)
+    assert tdoas.sample_rate_hz == FS
+    (azimuth,) = tdoa_to_azimuth(tdoas, dicit)
+    assert math.degrees(azimuth) == pytest.approx(30.0, abs=1.0)
+    with pytest.raises(ValueError, match="10 microphone pairs.*'robot_head' has 66"):
+        tdoa_to_azimuth(tdoas, robot_head)

@@ -262,7 +262,7 @@ def test_srp_phat_matches_per_pair_reference(array):
     geom, audio = SCENES[array]
     frames = frame_signal(audio, 2048, 1024)[:8]
     grid = azimuth_grid(1.0)
-    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, FS, BAND)
+    (spec,) = srp_phat(Blocks.whole(frames), geom, grid, BAND)
     _assert_close(spec, ref_srp_phat(frames.bins, geom, grid))
 
 
@@ -273,7 +273,7 @@ def test_music_matches_per_bin_reference(array, n_sources):
     frames = frame_signal(audio, 2048, 1024)
     frames = frames[:max(8, geom.mic_count)]
     grid = azimuth_grid(1.0)
-    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, n_sources, FS, BAND)
+    (spec,) = music_spectrum(Blocks.whole(frames), geom, grid, n_sources, BAND)
     _assert_close(spec, ref_music_spectrum(frames.bins, geom, grid, n_sources))
 
 
@@ -289,7 +289,7 @@ def test_gcc_phat_batch_matches_per_pair_reference(array):
     assert batch.pairs == tuple(map(tuple, pairs)) and batch.usable.tolist() == [True]
     _assert_close(batch.delays[0], [e.delay for e in ref])
     _assert_close(batch.confidence[0], [e.confidence for e in ref])
-    assert tdoa_to_azimuth(batch, geom, FS).tolist() == [ref_tdoa_to_azimuth(ref, geom).azimuth]
+    assert tdoa_to_azimuth(batch, geom).tolist() == [ref_tdoa_to_azimuth(ref, geom).azimuth]
 
 
 def test_gcc_phat_of_one_cross_spectrum_matches_reference_past_one_basis_chunk():
@@ -314,7 +314,7 @@ def test_pseudo_intensity_matches_per_frame_reference():
     geom, audio = SCENES["eigenmike"]
     frames = frame_signal(audio, 2048, 1024)
     blocks = Blocks(frames, np.arange(0, len(frames) - 7, 4), 8, 2048, 1024)
-    new = pseudo_intensity(blocks, geom, FS, BAND)
+    new = pseudo_intensity(blocks, geom, BAND)
     assert len(new) == len(blocks) > 1
     for azimuth, start in zip(new, blocks.starts):
         block = slice(start, start + 8)
@@ -337,7 +337,7 @@ def test_localize_stream_estimates_match_reference(array, localizer, n_sources):
     geom, audio = SCENES[array]
     if array == "eigenmike":  # two blocks: the reference SRP costs ~1 s per block here
         audio = MultichannelAudio(audio.samples[:, :2048 + 1024 * 11], FS)
-    new = localize_stream(audio, geom, localizer, FS, n_sources=n_sources)
+    new = localize_stream(audio, geom, localizer, n_sources=n_sources)
     ref = ref_localize_stream(audio, geom, localizer, n_sources)
     assert new
     assert [(e.timestamp, e.doa.azimuth) for e in new] == ref
@@ -409,11 +409,11 @@ def test_stream_srp_and_music_match_per_block_reference(scene):
     stack = ref_frame_bins(audio)
     grid = azimuth_grid(1.0)
     blocks = _all_blocks(audio)
-    new = srp_phat(blocks, geom, grid, FS, BAND)
+    new = srp_phat(blocks, geom, grid, BAND)
     _assert_blocks_close(new, _per_block(lambda b: ref_srp_phat(b, geom, grid), blocks, stack),
                          1e-12)
     blocks = _all_blocks(audio, geom.mic_count)
-    new = music_spectrum(blocks, geom, grid, 1, FS, BAND)
+    new = music_spectrum(blocks, geom, grid, 1, BAND)
     ref = _per_block(lambda b: ref_music_spectrum(b, geom, grid, 1), blocks, stack)
     _assert_blocks_close(new, ref)
     if scene == "bursts_robot_head":  # ill-conditioned blocks between usable ones
@@ -436,7 +436,7 @@ def test_stream_gcc_phat_matches_per_block_reference(scene):
     ref = _per_block(reference, blocks, stack)
     new = np.where(tdoas.usable[:, None], tdoas.delays, np.nan)
     _assert_blocks_close(new, [None if r is None else [e.delay for e in r] for r in ref], 1e-12)
-    assert np.array_equal(tdoa_to_azimuth(tdoas, geom, FS), [
+    assert np.array_equal(tdoa_to_azimuth(tdoas, geom), [
         np.nan if r is None else ref_tdoa_to_azimuth(r, geom).azimuth for r in ref],
         equal_nan=True)
     if scene == "gapped_robot_head":
@@ -453,7 +453,7 @@ STREAM_CASES = [
 @pytest.mark.parametrize("scene,localizer", STREAM_CASES)
 def test_localize_stream_matches_reference_on_gated_and_skipped_blocks(scene, localizer):
     geom, audio = STREAM_SCENES[scene]
-    new = localize_stream(audio, geom, localizer, FS)
+    new = localize_stream(audio, geom, localizer)
     ref = ref_localize_stream(audio, geom, localizer)
     assert new
     assert [(e.timestamp, e.doa.azimuth) for e in new] == ref
@@ -479,7 +479,7 @@ def test_spectra_invariant_to_channel_permutation(array, azimuth_deg, seed, data
     permuted_frames = frame_signal(permuted, 2048, 1024)
     grid = azimuth_grid(2.0)
     blocks, permuted_blocks = Blocks.whole(frames), Blocks.whole(permuted_frames)
-    _assert_close(srp_phat(permuted_blocks, permuted_geom, grid, FS),
-                  srp_phat(blocks, geom, grid, FS))
-    _assert_close(music_spectrum(permuted_blocks, permuted_geom, grid, 1, FS),
-                  music_spectrum(blocks, geom, grid, 1, FS))
+    _assert_close(srp_phat(permuted_blocks, permuted_geom, grid),
+                  srp_phat(blocks, geom, grid))
+    _assert_close(music_spectrum(permuted_blocks, permuted_geom, grid, 1),
+                  music_spectrum(blocks, geom, grid, 1))

@@ -178,6 +178,19 @@ def test_frame_block_slice_shape():
     assert block.bins.shape == (4, 3, 1025)
 
 
+def test_stft_slices_and_block_frames_keep_the_sample_rate():
+    audio = MultichannelAudio(np.random.default_rng(0).standard_normal((3, 8192)), 16000.0)
+    frames = frame_signal(audio, 1024, 512)
+    assert frames.sample_rate_hz == 16000.0
+    assert frames[2:5].sample_rate_hz == 16000.0
+    for source in (audio, frames):
+        blocks = Blocks(source, np.array([0, 4]), 8, 1024, 512)
+        part = blocks.frames(1, 6)
+        assert part.sample_rate_hz == 16000.0
+        assert np.array_equal(part.bins, frames.bins[1:6])
+        assert np.array_equal(part.times, frames.times[1:6])
+
+
 def test_multichannel_audio_single_channel_promotion():
     audio = MultichannelAudio(np.zeros(1000), 48000)
     assert audio.channel_count == 1
@@ -244,7 +257,7 @@ def test_pair_cross_spectra_are_the_cross_spectra_entries_bit_for_bit(case):
     rng = np.random.default_rng(seed)
     n_frames = int(starts[-1]) + length + int(rng.integers(0, 3))
     spectra = rng.standard_normal((n_frames, channels, 2 * bin_count)).view(complex)
-    frames = Stft(spectra, np.arange(n_frames) / 10.0, 2 * (bin_count - 1), 1)
+    frames = Stft(spectra, np.arange(n_frames) / 10.0, 2 * (bin_count - 1), 1, 10.0)
     m, l = np.array(pairs).T
     # groups(0, 0) holds only the frames' STFT: bin_count per channel
     budget = group_frames * channels * bin_count
@@ -269,7 +282,7 @@ def test_pair_cross_spectra_reject_bins_that_are_not_one_run(bins):
     # some other band
     rng = np.random.default_rng(0)
     spectra = rng.standard_normal((4, 3, 2 * 17)).view(complex)
-    frames = Stft(spectra, np.arange(4) / 10.0, 32, 1)
+    frames = Stft(spectra, np.arange(4) / 10.0, 32, 1, 10.0)
     with pytest.raises(ValueError, match="one increasing run"):
         pair_cross_spectra(Blocks.whole(frames), [(0, 1)], np.array(bins))
     assert pair_cross_spectra(Blocks.whole(frames), [(0, 1)], np.arange(2, 5)).shape == (3, 1, 1)
