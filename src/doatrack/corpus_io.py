@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import Submission, VapTable, vap_spans
-from .geometry import Trajectory, TrajectoryError, wrap_angle
-from .sigproc import DEFAULT_SAMPLE_RATE, MultichannelAudio
+from .evaluate import Submission, VapTable, is_source_id, vap_spans
+from .geometry import CORPUS_SAMPLE_RATE_HZ, Trajectory, TrajectoryError, wrap_angle
+from .sigproc import MultichannelAudio
 
 log = logging.getLogger(__name__)
 
@@ -175,9 +175,8 @@ def read_recording(path) -> RecordingBundle:
     from scipy.io import wavfile
 
     rate, samples = wavfile.read(audio_path)
-    if rate != DEFAULT_SAMPLE_RATE:
-        log.warning("%s: sample rate %d Hz, expected %d", audio_path, rate,
-                    DEFAULT_SAMPLE_RATE)
+    if rate != CORPUS_SAMPLE_RATE_HZ:
+        log.warning("%s: sample rate %d Hz, expected %d", audio_path, rate, CORPUS_SAMPLE_RATE_HZ)
     if samples.ndim == 1:
         samples = samples[:, None]
     # one channel-major float64 copy, scaled in place
@@ -299,13 +298,16 @@ def read_submission(path) -> Submission:
                 f"{path}:{lineno}: expected 3 or 4 columns, got {len(tokens)}")
         try:
             t = float(tokens[0])
-            k = int(tokens[1])
+            # an integer id is parsed as one, so that ids above 2^53 stay exact
+            k = int(tokens[1]) if tokens[1].lstrip("+-").isdigit() else float(tokens[1])
             az_deg = float(tokens[2])
             el_deg = float(tokens[3]) if len(tokens) == 4 else 90.0
         except ValueError:
             raise CorpusFormatError(f"{path}:{lineno}: non-numeric field") from None
-        if k < 1:
-            raise CorpusFormatError(f"{path}:{lineno}: source id must be >= 1")
+        if not is_source_id(k):
+            raise CorpusFormatError(
+                f"{path}:{lineno}: source id {tokens[1]} is not a whole number in [1, 2^63)")
+        k = int(k)
         if t < last_t:
             raise CorpusFormatError(f"{path}:{lineno}: timestamps not monotone")
         last_t = t

@@ -108,6 +108,12 @@ def align_vaps(vaps: VapTable, source_trajectories: dict,
     return VapTable(shifted)
 
 
+def is_source_id(k):
+    """Whether `k`, a number or an array, is a whole number in [1, 2^63); an
+    integer is tested on its exact value."""
+    return (k >= 1) & (k < 2**63) & (k == np.floor(k))  # NaN fails all three
+
+
 class Submission:
     """Direction estimates on the evaluation clock, one row per (time, id).
 
@@ -132,10 +138,12 @@ class Submission:
         return sub
 
     def _store(self, times, ids, azimuths, elevations):
-        times, ids = np.asarray(times, dtype=float), np.asarray(ids, dtype=float)
-        bad = ids[~((ids >= 1) & (ids == np.floor(ids)) & (ids < 2.0**63))]  # NaN fails all three
+        times, ids = np.asarray(times, dtype=float), np.asarray(ids)
+        if ids.dtype.kind not in "iu":  # integers are checked on their exact value
+            ids = ids.astype(float)
+        bad = ids[~is_source_id(ids)]
         if len(bad):
-            raise ValueError(f"source id {bad[0]:g} is not a whole number >= 1")
+            raise ValueError(f"source id {bad[0]} is not a whole number in [1, 2^63)")
         columns = (ids.astype(np.int64),
                    wrap_angle(np.asarray(azimuths, dtype=float)),
                    np.clip(np.broadcast_to(np.asarray(elevations, dtype=float), times.shape),

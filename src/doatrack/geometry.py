@@ -24,6 +24,7 @@ import numpy as np
 
 SPEED_OF_SOUND = 343.0  # m/s, in simulation, steering and VAP alignment alike
 GROUND_TRUTH_RATE_HZ = 120.0  # pose samples and evaluation clock
+CORPUS_SAMPLE_RATE_HZ = 48000  # of LOCATA recordings, and of simulated scenes by default
 POSE_TIME_TOLERANCE_S = 1e-9  # by which a trajectory or the pose grid may miss a duration
 
 

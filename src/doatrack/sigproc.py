@@ -1,4 +1,4 @@
-"""Multichannel buffers, framing, analysis blocks and cross-power spectra.
+"""Multichannel buffers, Hann-tapered framing, analysis blocks and cross-power spectra.
 
 Shared STFT front end for all localizers. Spectra are one-sided (real
 input); bin k corresponds to normalized frequency ``2*pi*k/window_length``.
@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-DEFAULT_SAMPLE_RATE = 48000
 DEFAULT_WINDOW_LENGTH = 2048
 DEFAULT_HOP = 1024
 BLOCK_FRAMES = 8  # STFT frames per localizer block
@@ -33,10 +32,10 @@ PAIR_CHUNK_ELEMENTS = 1 << 15
 
 @dataclass(frozen=True)
 class MultichannelAudio:
-    """Channel-major audio: samples[channel][n], all channels equal length."""
+    """Channel-major audio: samples[channel][n], all channels equal length; no rate is assumed."""
 
     samples: np.ndarray
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE
+    sample_rate_hz: float
 
     def __post_init__(self):
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -97,8 +96,8 @@ class CrossSpectrum:
 
 
 def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_LENGTH,
-                 hop: int = DEFAULT_HOP, window: str = "hann", out=None) -> Stft:
-    """Slice the signal into tapered frames and transform each to the frequency domain.
+                 hop: int = DEFAULT_HOP, out=None) -> Stft:
+    """Slice the signal into Hann-tapered frames and transform each to the frequency domain.
 
     Frame k covers samples [k*hop, k*hop + window_length). A signal shorter
     than one window yields an Stft with no frames. The spectra are written
@@ -113,7 +112,7 @@ def frame_signal(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_L
     times = _centre_times(np.arange(n_frames), window_length, hop, audio.sample_rate_hz)
     if n_frames == 0:
         return Stft(bins, times, window_length, hop, audio.sample_rate_hz)
-    taper = _taper(window, window_length)
+    taper = _taper(window_length)
     # (frames, channels, window_length) view of the samples, no copy
     segments = sliding_window_view(audio.samples, window_length, axis=1)[:, ::hop]
     segments = segments.transpose(1, 0, 2)
@@ -140,17 +139,16 @@ def _frame_count(audio: MultichannelAudio, window_length: int, hop: int) -> int:
 
 # every frame_signal and frame_energies call of a run asks for the same taper
 @lru_cache(maxsize=8)
-def _taper(window: str, window_length: int) -> np.ndarray:
-    """Read-only periodic `window` of `window_length` samples."""
-    from scipy.signal import get_window
-
-    taper = get_window(window, window_length, fftbins=True)
+def _taper(window_length: int) -> np.ndarray:
+    """Read-only periodic (DFT-even) Hann window of Harris (Proc. IEEE 1978), `window_length` long."""
+    phase = np.linspace(-np.pi, np.pi, window_length + 1)[:window_length]
+    taper = 0.5 + 0.5 * np.cos(phase) if window_length > 1 else np.ones(1)
     taper.flags.writeable = False
     return taper
 
 
 def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW_LENGTH,
-                   hop: int = DEFAULT_HOP, window: str = "hann") -> np.ndarray:
+                   hop: int = DEFAULT_HOP) -> np.ndarray:
     """Mean of |X|^2 over the channels and one-sided bins of every `frame_signal`
     frame, read from the samples without a transform or a tapered copy.
 
@@ -168,7 +166,7 @@ def frame_energies(audio: MultichannelAudio, window_length: int = DEFAULT_WINDOW
     energies = np.empty(n_frames)
     piece = math.gcd(window_length, hop)
     per_frame, per_hop = window_length // piece, hop // piece
-    taper = _taper(window, window_length)
+    taper = _taper(window_length)
     squared = (taper * taper).reshape(per_frame, piece)
     # columns: w, and (-1)^n w for an even length; (pieces, samples of a piece, columns)
     edges = np.repeat(taper[:, None], 1 + (window_length % 2 == 0), axis=1)
@@ -271,7 +269,7 @@ class Blocks:
         span = audio.samples[:, (first + shared) * self.hop:(stop - 1) * self.hop
                              + self.window_length]
         fresh = frame_signal(MultichannelAudio(span, audio.sample_rate_hz), self.window_length,
-                             self.hop, "hann", bins[shared:])
+                             self.hop, bins[shared:])
         return replace(fresh, bins=bins, times=self.frame_times(np.arange(first, stop)))
 
     def groups(self, bins: int, pairs: int):

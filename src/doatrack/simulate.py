@@ -45,6 +45,7 @@ from numpy.polynomial import chebyshev
 
 from .evaluate import vap_spans
 from .geometry import (
+    CORPUS_SAMPLE_RATE_HZ,
     GROUND_TRUTH_RATE_HZ,
     POSE_TIME_TOLERANCE_S,
     SPEED_OF_SOUND,
@@ -57,7 +58,7 @@ from .geometry import (
     sample_trajectory,
     static_trajectory,
 )
-from .sigproc import CHUNK_ELEMENTS, DEFAULT_SAMPLE_RATE, MultichannelAudio
+from .sigproc import CHUNK_ELEMENTS, MultichannelAudio
 
 GUARD_RADIUS = 0.1  # m
 SINC_HALF_WIDTH = 16  # 32-tap windowed-sinc interpolation
@@ -121,7 +122,7 @@ class SceneConfig:
     snr_db: float = 20.0
     noise_rms: float = 0.01
     seed: int = 0
-    sample_rate_hz: float = float(DEFAULT_SAMPLE_RATE)
+    sample_rate_hz: float = float(CORPUS_SAMPLE_RATE_HZ)
     task: int = 0
 
     def __post_init__(self):

@@ -411,6 +411,30 @@ def test_submission_rejects_id_zero(tmp_path):
         read_submission(path)
 
 
+def test_submission_reads_a_whole_float_id_as_submission_accepts_it(tmp_path):
+    path = tmp_path / "sub.txt"
+    path.write_text("timestamp source_id azimuth_deg elevation_deg\n0.0 2.0 10 90\n")
+    accepted = Submission.from_rows([0.0], [2.0], [0.1])
+    assert read_submission(path).ids.tolist() == accepted.ids.tolist() == [2]
+
+
+def test_submission_reads_an_integer_id_above_2_to_the_53_exactly(tmp_path):
+    path = tmp_path / "sub.txt"
+    path.write_text(f"0.0 {2 ** 53 + 1} 10\n0.1 {2 ** 63 - 1} 10\n")
+    assert read_submission(path).ids.tolist() == [2 ** 53 + 1, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("token", ["9223372036854775808", "0", "-3", "2.5", "nan", "inf",
+                                   "1e19", "0.0"])
+def test_submission_rejects_an_id_at_its_line_and_names_it(tmp_path, token):
+    # 2^63 passes int() but no int64 holds it; the others are no whole number >= 1
+    path = tmp_path / "sub.txt"
+    path.write_text(f"timestamp source_id azimuth_deg\n0.0 1 10\n0.1 {token} 10\n")
+    with pytest.raises(CorpusFormatError,
+                       match=rf"sub.txt:3: source id {re.escape(token)} is not a whole number"):
+        read_submission(path)
+
+
 def test_submission_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("0.0 1 10.0\n0.0 1 12.0\n")
@@ -517,15 +541,22 @@ def test_write_submission_checks_every_row_before_it_opens_the_file(tmp_path, es
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
+# ids above 2^53 have no exact float64, so they must never pass through one
+_LARGE_IDS = [(0.0, 2 ** 53 + 1, 0.1, 1.0), (0.1, 2 ** 62 + 1, 0.2, 1.0)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.one_of(_ANY_FLOAT, st.sampled_from([0.0083331, 0.0083334, -1e-7])),
                           st.integers(1, 2 ** 62), st.floats(-10.0, 10.0),
                           st.one_of(_ANY_FLOAT, st.floats(0.0, math.pi))), max_size=8),
        st.booleans())
+@example(rows=_LARGE_IDS, as_submission=True)
+@example(rows=_LARGE_IDS, as_submission=False)
 def test_what_write_submission_accepts_read_submission_reads_back(tmp_path_factory, rows,
                                                                    as_submission):
     if as_submission:
         estimates = Submission.from_rows(*zip(*rows)) if rows else Submission()
+        assert sorted(estimates.ids.tolist()) == sorted(k for _, k, _, _ in rows)
         rows = list(zip(estimates.times.tolist(), estimates.ids.tolist(),
                         estimates.azimuths.tolist(), estimates.elevations.tolist()))
     else:

@@ -523,6 +523,16 @@ def test_submission_rejects_an_id_that_is_not_a_whole_number(bad_id):
     assert Submission.from_rows([0.0, 0.1], [2.0, 3], [0.1, 0.2]).ids.tolist() == [2, 3]
 
 
+def test_submission_keeps_integer_ids_exact():
+    # a float64 cast would read 2^53 + 1 as 2^53 and 2^62 + 1 as 2^62
+    big = [2 ** 53 + 1, 2 ** 62 + 1, 2 ** 63 - 1]
+    assert Submission.from_rows([0.0] * 3, big, [0.1] * 3).ids.tolist() == big
+    assert Submission({0.0: tuple((k, Doa(0.1)) for k in big)}).ids.tolist() == big
+    for too_big in (2 ** 63, np.uint64(2 ** 63), 2 ** 64):
+        with pytest.raises(ValueError, match="not a whole number in"):
+            Submission.from_rows([0.0], [too_big], [0.1])
+
+
 def test_submission_rows_map_to_the_nearest_clock_tick():
     clock = np.arange(5) / 120.0
     sub = Submission.from_rows([0.008333, 2 / 120 + 9e-7, 0.033334], [1, 1, 2], [0.0] * 3)

@@ -1,7 +1,8 @@
 """No library module imports a name it never uses, and no module-level private
 helper goes unreferenced in the package (read with the stdlib `ast`). Importing
-the package, tracking and scoring load no scipy subpackage they never call (read
-from `sys.modules` of a fresh interpreter)."""
+the package, reading and localizing a recording, tracking and scoring load no
+scipy subpackage they never call (read from `sys.modules` of a fresh
+interpreter)."""
 
 import ast
 import json
@@ -127,3 +128,20 @@ def test_tracking_and_scoring_load_no_scipy_signal_or_io():
         assert report.valid_count > 0
     """)
     assert not loaded & {"scipy.signal", "scipy.io"}, sorted(loaded)
+
+
+def test_reading_and_localizing_a_recording_load_no_scipy_signal_or_stats(tmp_path):
+    # the STFT taper is built with numpy: only synthesis filters with scipy.signal.
+    # The scene is written here, so the fresh interpreter never synthesizes
+    from doatrack import bundle_from_scene, synthesize, task_preset, write_recording
+
+    write_recording(bundle_from_scene(synthesize(task_preset(1, seed=1, duration=2.0))), tmp_path)
+    loaded = scipy_loaded_after(f"""
+        from doatrack.corpus_io import read_recording
+        from doatrack.pipeline import LOCALIZERS, run_pipeline
+
+        bundle = read_recording({str(tmp_path)!r})
+        for localizer in LOCALIZERS:  # the robot_head array takes all four
+            assert len(run_pipeline(bundle, localizer, "kalman").ids) > 0, localizer
+    """)
+    assert not loaded & {"scipy.signal", "scipy.stats"}, sorted(loaded)

@@ -74,19 +74,18 @@ def energy_cases(draw):
     channels = draw(st.integers(1, 4))
     # from shorter than one window to a few dozen frames
     length = draw(st.integers(0, window_length + 30 * hop))
-    window = draw(st.sampled_from(["hann", "rect", "hamming"]))
-    return window_length, hop, channels, length, window, draw(st.integers(0, 99))
+    return window_length, hop, channels, length, draw(st.integers(0, 99))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=energy_cases())
 def test_frame_energies_are_the_mean_power_of_the_transform(case):
-    window_length, hop, channels, length, window, seed = case
+    window_length, hop, channels, length, seed = case
     rng = np.random.default_rng(seed)
     audio = MultichannelAudio(rng.standard_normal((channels, length)), 48000)
-    frames = frame_signal(audio, window_length, hop, window)
+    frames = frame_signal(audio, window_length, hop)
     expected = np.mean(np.abs(frames.bins) ** 2, axis=(1, 2))
-    got = frame_energies(audio, window_length, hop, window)
+    got = frame_energies(audio, window_length, hop)
     assert got.shape == expected.shape == ((length - window_length) // hop + 1
                                            if length >= window_length else 0,)
     assert np.allclose(got, expected, rtol=1e-12, atol=0)
@@ -120,27 +119,31 @@ def test_blocks_over_an_stft_reject_another_frame_layout(layout):
         Blocks(frames, np.array([0]), 8, **layout)
 
 
-def test_rect_window_tone_lands_on_its_bin():
-    # bin-aligned tone with a rectangular window: all energy in one bin
+def test_hann_tone_lands_on_its_bin_and_half_on_each_neighbour():
+    # the periodic Hann window's DFT is N/2 at bin 0, -N/4 at bins +-1 and 0
+    # elsewhere, so a bin-aligned tone fills its bin and half of each neighbour
     fs, n = 48000, 2048
     k = 100
     audio = MultichannelAudio(_tone(k * fs / n, fs, n)[None, :], fs)
-    frames = frame_signal(audio, n, n, window="rect")
-    mags = np.abs(frames.bins[0, 0])
+    mags = np.abs(frame_signal(audio, n, n).bins[0, 0])
     assert np.argmax(mags) == k
-    others = np.delete(mags, k)
+    assert mags[[k - 1, k + 1]] == pytest.approx([mags[k] / 2] * 2, rel=1e-9)
+    others = np.delete(mags, [k - 1, k, k + 1])
     assert others.max() < 1e-6 * mags[k]
 
 
 def test_cross_spectrum_phase_encodes_delay():
-    # channel 1 delayed (circularly) by d samples: G_{0,1} has phase +omega*d
+    # channel 1 delayed (circularly) by d samples: G_{0,1} has phase +omega*d.
+    # Tones three bins apart: the Hann taper spreads each over its bin and
+    # the two beside it only, so a tone's own bin holds its delayed phase
     fs, n, d = 48000, 2048, 5
     rng = np.random.default_rng(0)
-    base = rng.standard_normal(n)
+    k = np.arange(30, 200, 3)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[k] = np.exp(2j * np.pi * rng.uniform(size=len(k)))
+    base = np.fft.irfft(spectrum, n)
     audio = MultichannelAudio(np.stack([base, np.roll(base, d)]), fs)
-    frames = frame_signal(audio, n, n, window="rect")
-    cs = cross_power_spectrum(frames, (0, 1))
-    k = np.arange(30, 200)
+    cs = cross_power_spectrum(frame_signal(audio, n, n), (0, 1))
     phase = np.angle(cs.values[k])
     expected = np.angle(np.exp(1j * 2 * np.pi * k * d / n))
     assert np.allclose(phase, expected, atol=1e-6)
@@ -198,15 +201,24 @@ def test_multichannel_audio_single_channel_promotion():
     assert audio.duration == pytest.approx(1000 / 48000)
 
 
-def test_taper_is_built_once_per_window_and_length():
+def test_multichannel_audio_requires_its_sample_rate():
+    # a default rate would localize 16 kHz audio over the band of another rate
+    with pytest.raises(TypeError, match="sample_rate_hz"):
+        MultichannelAudio(np.zeros((2, 1000)))
+
+
+def test_taper_is_scipys_periodic_hann_window_bit_for_bit():
     from scipy.signal import get_window
 
-    from doatrack import sigproc
+    for n in range(1, 4097):
+        taper, reference = sigproc._taper(n), get_window("hann", n, fftbins=True)
+        assert taper.dtype == reference.dtype and taper.tobytes() == reference.tobytes(), n
 
-    taper = sigproc._taper("hann", 2048)
-    assert np.array_equal(taper, get_window("hann", 2048, fftbins=True))
-    assert sigproc._taper("hann", 2048) is taper and not taper.flags.writeable
-    assert np.array_equal(sigproc._taper("rect", 16), np.ones(16))
+
+def test_taper_is_built_once_per_length():
+    taper = sigproc._taper(2048)
+    assert sigproc._taper(2048) is taper and not taper.flags.writeable
+    assert sigproc._taper(1).tolist() == [1.0]
 
 
 def _whole_band_cross_spectra(blocks, bins=None):
