@@ -31,5 +31,5 @@ from .evaluate import (MetricsReport, OspaParams, Submission, VapTable,
                        detect_fragmentation, evaluate_submission,
                        gate_and_associate, ospa, ospa_series)
 from .corpus_io import (CorpusFormatError, RecordingBundle, bundle_from_scene,
-                        read_recording, read_submission, write_recording,
+                        read_ground_truth, read_recording, read_submission, write_recording,
                         write_submission)

@@ -1,9 +1,9 @@
 """Minimum-cost bipartite assignment (Munkres), shared by association and OSPA.
 
-`min_cost_assignment` and `gated_assignment` solve one matrix with scipy's
-Jonker-Volgenant solver on every call (a tracker step the gate decides is
-paired by `track._gated_pairs` without one), loading scipy.optimize on the
-first solve; tests pin it against
+`min_cost_assignment` and `gated_assignment` solve one matrix on every call
+(a tracker step the gate decides is paired by `track._gated_pairs` without
+one) with `linear_sum_assignment`, scipy's solver ported to Python floats,
+whose pairs are scipy's, ties included; tests pin it against scipy and
 exhaustive permutation enumeration. `batched_assignment` solves a stack of
 small matrices of one shape at once by that enumeration, and marks the
 matrices whose best assignment is not unique by a safe margin, where a
@@ -24,11 +24,60 @@ MAX_MAPS = 720  # injective maps one batched shape may enumerate: 6!, as for a 6
 NEAR_TIE = 1e-9  # totals this close to the best, relative to max(1, best), tie with it
 
 
-def linear_sum_assignment(cost: np.ndarray):
-    """scipy's `linear_sum_assignment`, with scipy.optimize loaded on the first call."""
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment, the shortest augmenting path
+    solver of Crouse (IEEE TAES 2016), of a list of equal-length rows of
+    floats: (rows, cols) lists, rows ascending. It keeps scipy's dual updates,
+    column order and tie rule (an unassigned column wins a tie), and scipy's
+    ValueErrors for a NaN or -inf entry and for an infeasible matrix."""
+    n_rows, n_cols = len(cost), len(cost[0]) if cost else 0
+    if not (n_rows and n_cols):
+        return [], []
+    total = sum(map(sum, cost))  # NaN or -inf if an entry is, or if the sum overflows
+    if not -math.inf < total and not all(-math.inf < c for row in cost for c in row):
+        raise ValueError("matrix contains invalid numeric entries")
+    transpose = n_cols < n_rows
+    if transpose:
+        cost, n_rows, n_cols = list(zip(*cost)), n_cols, n_rows
+    u, v = [0.0] * n_rows, [0.0] * n_cols  # dual variables
+    col4row, row4col, path = [-1] * n_rows, [-1] * n_cols, [-1] * n_cols
+    order, unreached = list(range(n_cols - 1, -1, -1)), [math.inf] * n_cols
+    for current in range(n_rows):
+        shortest, remaining = unreached[:], order[:]
+        tree, i, min_val = [], current, 0.0  # tree: the columns reached, in order
+        while True:  # grow the shortest path tree until it reaches a free column
+            row, u_i, lowest, index, k = cost[i], u[i], math.inf, -1, 0
+            for j in remaining:  # k counts, faster than enumerate
+                r, s = min_val + row[j] - u_i - v[j], shortest[j]
+                if r < s:
+                    path[j], shortest[j], s = i, r, r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, k
+                k += 1
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            remaining[index], remaining[-1] = remaining[-1], remaining[index]
+            j = remaining.pop()
+            tree.append(j)
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[current] += min_val
+        for k in tree:  # the rows reached are those of every column but the free one, j
+            if k != j:
+                u[row4col[k]] += min_val - shortest[k]
+            v[k] -= min_val - shortest[k]
+        while True:  # augment along the path back from the free column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    if transpose:
+        cols = sorted(range(n_rows), key=col4row.__getitem__)
+        return [col4row[j] for j in cols], cols
+    return list(range(n_rows)), col4row
 
 
 def min_cost_assignment(cost: np.ndarray):
@@ -40,31 +89,30 @@ def min_cost_assignment(cost: np.ndarray):
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if cost.size == 0:
         return [], 0.0
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(cost.tolist())
     total = float(cost[rows, cols].sum())
-    return list(zip(rows.tolist(), cols.tolist())), total
+    return list(zip(rows, cols)), total
 
 
-def gated_assignment(cost: np.ndarray, gate: float):
+def gated_assignment(cost, gate: float):
     """Assignment where pairs costing more than `gate` are inadmissible.
 
-    The matrix is padded to a square with sentinel costs just above the
-    gate, and every cost above the sentinel is clipped to it; pairs landing
-    on a sentinel or above the gate are dropped from the solver's optimum.
+    `cost`, a 2-D array or a list of rows of floats, is padded to a square with
+    sentinel costs just above the gate, every cost above the sentinel clipped to
+    it; pairs landing on a sentinel or above the gate leave the solver's optimum.
     """
-    cost = np.atleast_2d(np.asarray(cost, dtype=float))
-    n_rows, n_cols = cost.shape
+    if not isinstance(cost, list):
+        cost = np.atleast_2d(np.asarray(cost, dtype=float)).tolist()
+    n_rows, n_cols = len(cost), len(cost[0]) if cost else 0
     if n_rows == 0 or n_cols == 0:
         return []
     sentinel = gate + 1.0
     size = max(n_rows, n_cols)
-    padded = np.full((size, size), sentinel)
-    padded[:n_rows, :n_cols] = np.minimum(cost, sentinel)
-    pairs, _ = min_cost_assignment(padded)
-    return [
-        (r, c) for r, c in pairs
-        if r < n_rows and c < n_cols and cost[r, c] <= gate
-    ]
+    padded = [[sentinel if c > sentinel else c for c in row] + [sentinel] * (size - n_cols)
+              for row in cost]
+    rows, cols = linear_sum_assignment(padded + [[sentinel] * size] * (size - n_rows))
+    return [(r, c) for r, c in zip(rows, cols)
+            if r < n_rows and c < n_cols and cost[r][c] <= gate]
 
 
 def map_count(n_rows: int, n_cols: int) -> int:

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus_io import (CorpusFormatError, bundle_from_scene, read_json, read_recording,
-                        read_submission, write_recording, write_submission)
+from .corpus_io import (CorpusFormatError, bundle_from_scene, read_ground_truth, read_json,
+                        read_recording, read_submission, write_recording, write_submission)
 from .evaluate import (DEFAULT_GATE_DEG, DEFAULT_OSPA_CUTOFF_DEG, OspaParams, check_gate,
                        evaluate_submission)
 from .geometry import ARRAY_PRESETS
@@ -165,15 +165,15 @@ def _scoring_options(opts: dict):
 def cmd_evaluate(args) -> int:
     opts = _merge_options(EVALUATE_DEFAULTS, args)
     gate, ospa_params = _scoring_options(opts)
-    bundle = read_recording(args.input)
-    if bundle.source_trajectories is None or bundle.vaps is None:
+    duration, array_trajectory, source_trajectories, vaps = read_ground_truth(args.input)
+    if source_trajectories is None or vaps is None:
         raise CorpusFormatError(
             f"{args.input}: recording has no ground truth (evaluation split?)")
     submission = read_submission(args.submission)
-    clock = bundle.array_trajectory.timestamps
+    clock = array_trajectory.timestamps
     report = evaluate_submission(
-        bundle.source_trajectories, bundle.array_trajectory, bundle.vaps,
-        submission, clock, recording_duration=bundle.audio.duration,
+        source_trajectories, array_trajectory, vaps,
+        submission, clock, recording_duration=duration,
         gate_deg=gate, ospa_params=ospa_params,
     )
     out_dir = Path(args.out)

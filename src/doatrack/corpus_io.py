@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,8 +155,9 @@ class RecordingBundle:
             raise ValueError("positional coverage must span a positive interval")
 
 
-def read_recording(path) -> RecordingBundle:
-    """Load a recording directory laid out as the module constants name it."""
+def _read_truth(path):
+    """(audio path, array trajectory, source trajectories, VAPs, metadata) of a
+    recording directory, audio unread; sources and VAPs are None off the dev split."""
     path = Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"missing recording directory: {path}")
@@ -172,6 +173,24 @@ def read_recording(path) -> RecordingBundle:
     audio_path = path / AUDIO_FILE
     if not audio_path.is_file():
         raise FileNotFoundError(f"missing required file: {audio_path}")
+    array_traj = _read_trajectory(path / ARRAY_POSITION_FILE)
+    if metadata.get("split", "dev") != "dev" or not source_names:
+        return audio_path, array_traj, None, None, metadata
+    source_trajs, intervals = {}, {}
+    for name in source_names:
+        source_trajs[name] = _read_trajectory(path / SOURCE_POSITION_FILE.format(name=name))
+        vap_path = path / VAP_FILE.format(name=name)
+        table, _ = _read_table(vap_path, len(VAP_COLUMNS))
+        try:
+            intervals[name] = vap_spans(table.tolist())
+        except ValueError as exc:
+            raise CorpusFormatError(f"{vap_path}: {exc}") from None
+    return audio_path, array_traj, source_trajs, VapTable(intervals), metadata
+
+
+def read_recording(path) -> RecordingBundle:
+    """Load a recording directory laid out as the module constants name it."""
+    audio_path, *truth = _read_truth(path)
     from scipy.io import wavfile
 
     rate, samples = wavfile.read(audio_path)
@@ -183,27 +202,30 @@ def read_recording(path) -> RecordingBundle:
     channels = np.ascontiguousarray(samples.T, dtype=np.float64)
     if np.issubdtype(samples.dtype, np.integer):
         channels /= float(2 ** (8 * samples.dtype.itemsize - 1))
-    audio = MultichannelAudio(samples=channels, sample_rate_hz=float(rate))
+    return RecordingBundle(MultichannelAudio(samples=channels, sample_rate_hz=float(rate)), *truth)
 
-    array_traj = _read_trajectory(path / ARRAY_POSITION_FILE)
 
-    source_trajs = None
-    vaps = None
-    if metadata.get("split", "dev") == "dev" and source_names:
-        source_trajs = {}
-        intervals = {}
-        for name in source_names:
-            source_trajs[name] = _read_trajectory(path / SOURCE_POSITION_FILE.format(name=name))
-            vap_path = path / VAP_FILE.format(name=name)
-            table, _ = _read_table(vap_path, len(VAP_COLUMNS))
-            try:
-                intervals[name] = vap_spans(table.tolist())
-            except ValueError as exc:
-                raise CorpusFormatError(f"{vap_path}: {exc}") from None
-        vaps = VapTable(intervals)
-    return RecordingBundle(audio=audio, array_trajectory=array_traj,
-                           source_trajectories=source_trajs, vaps=vaps,
-                           metadata=metadata)
+def read_ground_truth(path):
+    """(duration s, array trajectory, source trajectories, VAPs) of a recording
+    directory, what scoring reads, with no audio decoded: the duration is frames /
+    float(rate), as `MultichannelAudio.duration` gives, from the WAV chunk headers."""
+    audio_path, *truth = _read_truth(path)
+    with open(audio_path, "rb") as fh:
+        try:
+            riff, _, wave = struct.unpack("<4sI4s", fh.read(12))
+            order = {b"RIFF": "<", b"RIFX": ">"}.get(riff) if wave == b"WAVE" else None
+            rate = block_align = None
+            while order and (header := fh.read(8)):
+                chunk, size = struct.unpack(order + "4sI", header)
+                if chunk == b"data" and rate:
+                    return (size // block_align / float(rate), *truth[:3])
+                if chunk == b"fmt ":
+                    _, _, rate, _, block_align = struct.unpack(order + "HHIIH", fh.read(14))
+                    size -= 14
+                fh.seek(size + size % 2, 1)  # a chunk is padded to an even size
+        except (struct.error, ZeroDivisionError):
+            pass
+    raise CorpusFormatError(f"{audio_path}: no WAV fmt and data chunk headers")
 
 
 def write_recording(bundle: RecordingBundle, path) -> None:
@@ -259,8 +281,10 @@ def write_submission(estimates, path) -> None:
 
     Accepts a Submission or an iterable of DoaEstimate; angles go to disk in
     degrees at ANGLE_DECIMALS decimals. Rows are checked before the file is
-    opened: a non-finite field, a time before the previous one, or two rows of
-    one id whose times print alike raise ValueError; a non-integer id, TypeError.
+    opened: a non-finite field, a time before the previous one, two rows of
+    one id whose times print alike, or an id that is not a whole number in
+    [1, 2^63) (`is_source_id`, the rule `read_submission` applies) raise
+    ValueError.
     """
     if isinstance(estimates, Submission):
         rows = zip(estimates.times.tolist(), estimates.ids.tolist(),
@@ -272,6 +296,8 @@ def write_submission(estimates, path) -> None:
     for t, k, az, el in rows:
         if not (math.isfinite(t) and math.isfinite(az) and math.isfinite(el)):
             raise ValueError(f"non-finite field in row ({t}, {k})")
+        if not is_source_id(k):
+            raise ValueError(f"source id {k} is not an integer in [1, 2^63)")
         if t < last_t:
             raise ValueError("estimates must be time-ordered")
         last_t = t
@@ -279,7 +305,7 @@ def write_submission(estimates, path) -> None:
         if key in seen:
             raise ValueError(f"duplicate (timestamp, id) row: ({t}, {k})")
         seen.add(key)
-        table.append((t, operator.index(k), math.degrees(wrap_angle(az)), math.degrees(el)))
+        table.append((t, int(k), math.degrees(wrap_angle(az)), math.degrees(el)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_table(path, " ".join(SUBMISSION_COLUMNS), _SUBMISSION_FIELDS,

@@ -10,8 +10,9 @@ ticks are grouped by their number of active sources and of rows, once per
 and each group is solved at once by `assignment.batched_assignment`. An
 association whose optimum is not unique by a safe margin (a near tie), or
 whose shape has more than `assignment.MAX_MAPS` maps, is solved tick by
-tick with `gated_assignment` instead, so that scipy's tie-break decides as
-it always has; OSPA needs only the least total, which a tie does not change.
+tick with `gated_assignment` instead, so that its solver's tie rule, the
+one of scipy's solver, decides as it always has; OSPA needs only the least
+total, which a tie does not change.
 
 Association uses azimuth error only (in degrees) against a 30 degree gate;
 elevation errors are reported for valid pairs but never drive assignment.
@@ -29,7 +30,8 @@ import numpy as np
 from .assignment import (MAX_MAPS, batched_assignment, gated_assignment, map_count,
                          min_cost_assignment)
 from .geometry import (GROUND_TRUTH_RATE_HZ, SPEED_OF_SOUND, Doa, Trajectory,
-                       global_to_local_doas, row_norms, sample_trajectory, wrap_angle)
+                       _sample_translations, global_to_local_doas, row_norms,
+                       sample_trajectory, wrap_angle)
 
 DEFAULT_GATE_DEG = 30.0
 DEFAULT_OSPA_CUTOFF_DEG = 30.0
@@ -98,12 +100,12 @@ class VapTable:
 
 def align_vaps(vaps: VapTable, source_trajectories: dict,
                array_trajectory: Trajectory) -> VapTable:
-    """Shift emission-side VAP boundaries by the source-to-array propagation delay."""
+    """Shift emission-side VAP boundaries by the source-to-array delay (no rotation is sampled)."""
     shifted = {}
     for n, spans in vaps.intervals.items():
         bounds = np.reshape(spans, -1)  # start, end, start, end, ...
-        src, _ = sample_trajectory(source_trajectories[n], bounds)
-        arr, _ = sample_trajectory(array_trajectory, bounds)
+        src = _sample_translations(source_trajectories[n], bounds)[0]
+        arr = _sample_translations(array_trajectory, bounds)[0]
         shifted[n] = (bounds + row_norms(src - arr) / SPEED_OF_SOUND).reshape(-1, 2).tolist()
     return VapTable(shifted)
 
@@ -461,7 +463,7 @@ def ground_truth_arrays(source_trajectories: dict, array_trajectory: Trajectory,
     """(S, T) azimuths and (S, T) elevations of `sources` in the array's
     local frame at each of `times`, as one (2, S, T) array."""
     translations, rotations = sample_trajectory(array_trajectory, times)
-    doas = [global_to_local_doas(sample_trajectory(source_trajectories[n], times)[0],
+    doas = [global_to_local_doas(_sample_translations(source_trajectories[n], times)[0],
                                  translations, rotations) for n in sources]
     return np.reshape(doas, (len(doas), 2, len(translations))).swapaxes(0, 1)
 

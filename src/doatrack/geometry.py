@@ -294,18 +294,41 @@ def static_trajectory(pose: Pose, duration: float) -> Trajectory:
                                   np.broadcast_to(pose.rotation, (n, 3, 3)))
 
 
-def sample_trajectory(traj: Trajectory, times):
-    """Poses at many times: (translations (T, 3), rotations (T, 3, 3)).
+def _turned(step, alpha: float) -> list:
+    """`alpha` of the turn `step` (3 lists of 3 floats) as a rotation matrix:
+    scipy's `Rotation.from_rotvec(alpha * Rotation.from_matrix(step,
+    assume_valid=True).as_rotvec()).as_matrix()` bit for bit, on libm's `math`
+    (the chain of scipy/spatial/transform/_rotation_xp.py)."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step
+    trace = m00 + m11 + m22
+    choice = max(range(4), key=(m00, m11, m22, trace).__getitem__)  # the first, as np.argmax
+    q = [[1 - trace + 2 * m00, m10 + m01, m20 + m02, m21 - m12],
+         [m10 + m01, 1 - trace + 2 * m11, m21 + m12, m02 - m20],
+         [m20 + m02, m21 + m12, 1 - trace + 2 * m22, m10 - m01],
+         [m21 - m12, m02 - m20, m10 - m01, 1 + trace]][choice]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0 or (w == 0 and (x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))))):
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    a2 = angle * angle
+    scale = 2 + a2 / 12 + 7 * a2 * a2 / 2880 if angle <= 1e-3 else angle / math.sin(angle / 2)
+    x, y, z = alpha * (scale * x), alpha * (scale * y), alpha * (scale * z)
+    angle = math.sqrt(x * x + y * y + z * z)
+    a2 = angle * angle
+    scale = 0.5 - a2 / 48 + a2 * a2 / 3840 if angle <= 1e-3 else math.sin(angle / 2) / angle
+    x, y, z, w = scale * x, scale * y, scale * z, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return [[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]]
 
-    Translation is linear between the two neighbouring samples. A turning
-    step follows the geodesic between its two rotations through scipy's
-    `Rotation`: the earlier rotation is turned by the elapsed fraction of the
-    step's rotation vector. A step whose two rotations are equal keeps that
-    rotation exactly, and a time within 1e-12 of a sample gets that sample's
-    pose exactly; when every time does, the samples are copied out and
-    nothing is interpolated. No extrapolation: every time must lie within
-    the trajectory's time span.
-    """
+
+def _sample_translations(traj: Trajectory, times):
+    """`sample_trajectory`'s translations, each time's nearest sample, and
+    None when every time is on a sample, else the (idx, alpha, on_sample) of
+    each time's step: what `sample_trajectory` needs for the rotations."""
     stamps = traj.timestamps
     t = np.asarray(times, dtype=float).reshape(-1)
     outside = (t < stamps[0] - 1e-12) | (t > stamps[-1] + 1e-12)
@@ -313,28 +336,44 @@ def sample_trajectory(traj: Trajectory, times):
         raise ValueError(f"time {t[outside][0]} outside trajectory range "
                          f"[{stamps[0]}, {stamps[-1]}]")
     if len(stamps) == 1:
-        return np.repeat(traj.translations, len(t), 0), np.repeat(traj.rotations, len(t), 0)
+        nearest = np.zeros(len(t), dtype=np.intp)
+        return traj.translations[nearest], nearest, None
     t = np.minimum(np.maximum(t, stamps[0]), stamps[-1])
     idx = np.minimum(np.searchsorted(stamps, t, side="right") - 1, len(stamps) - 2)
     alpha = ((t - stamps[idx]) / (stamps[idx + 1] - stamps[idx]))[:, None]
     nearest = np.where(alpha[:, 0] <= 0.5, idx, idx + 1)
     on_sample = np.abs(t - stamps[nearest]) < 1e-12
     if on_sample.all():
-        return traj.translations[nearest], traj.rotations[nearest]
+        return traj.translations[nearest], nearest, None
     translations = (1 - alpha) * traj.translations[idx] + alpha * traj.translations[idx + 1]
-    rotations = traj.rotations[idx]
     translations[on_sample] = traj.translations[nearest[on_sample]]
+    return translations, nearest, (idx, alpha, on_sample)
+
+
+def sample_trajectory(traj: Trajectory, times):
+    """Poses at many times: (translations (T, 3), rotations (T, 3, 3)).
+
+    Translation is linear between the two neighbouring samples. A turning
+    step follows the geodesic between its two rotations: the earlier
+    rotation is turned by the elapsed fraction of the step's rotation
+    vector, with the bits scipy's `Rotation` gives (`_turned`). A step whose
+    two rotations are equal keeps that rotation exactly, and a time within
+    1e-12 of a sample gets that sample's pose exactly; when every time does,
+    the samples are copied out and nothing is interpolated. No
+    extrapolation: every time must lie within the trajectory's time span.
+    """
+    translations, nearest, between = _sample_translations(traj, times)
+    if between is None:
+        return translations, traj.rotations[nearest]
+    idx, alpha, on_sample = between
+    rotations = traj.rotations[idx]
     rotations[on_sample] = traj.rotations[nearest[on_sample]]
     turn = ~on_sample & traj._turns[idx]
     if turn.any():
-        from scipy.spatial.transform import Rotation
-
         r0 = rotations[turn]
-        # every rotation is orthonormal within 1e-9 (`Trajectory` checks), so
-        # scipy's determinant check and SVD projection are skipped
-        step = Rotation.from_matrix(np.swapaxes(r0, 1, 2) @ traj.rotations[idx[turn] + 1],
-                                    assume_valid=True)
-        rotations[turn] = r0 @ Rotation.from_rotvec(alpha[turn] * step.as_rotvec()).as_matrix()
+        steps = np.swapaxes(r0, 1, 2) @ traj.rotations[idx[turn] + 1]
+        rotations[turn] = r0 @ np.array([_turned(step, a) for step, a in
+                                         zip(steps.tolist(), alpha[turn, 0].tolist())])
     return translations, rotations
 
 

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-# at the top, unlike the other stages' scipy imports: MUSIC calls it once per bin
-from scipy.linalg.lapack import zheevr
 
 from .geometry import (
     SPEED_OF_SOUND,
@@ -562,10 +560,13 @@ def _signal_subspace(r, n_sources: int) -> np.ndarray:
     From MUSIC_PARTIAL_EIGEN_CHANNELS microphones on, LAPACK's zheevr is
     asked for only those eigenvectors, one matrix at a time; below, numpy's
     batched eigh of the whole matrix is faster. Both read the lower triangle.
+    zheevr is imported on each call, so that only MUSIC loads scipy.linalg.
     """
     channels = r.shape[-1]
     if channels < MUSIC_PARTIAL_EIGEN_CHANNELS:
         return np.linalg.eigh(r)[1][..., channels - n_sources:]
+    from scipy.linalg.lapack import zheevr
+
     flat = r.reshape(-1, channels, channels)
     u_s = np.empty((len(flat), channels, n_sources), dtype=complex)
     for i, matrix in enumerate(flat):

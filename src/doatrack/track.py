@@ -608,8 +608,8 @@ def _gated_pairs(bank, observations, gate_sigma: float, gate_max: float):
     When no track and no observation holds two within-gate pairs, the gate
     decides: those pairs are the optimum of the padded solve, so they are
     returned without it. This is the one place that rule lives; any other
-    step builds the blocked matrix and calls `gated_assignment`, so scipy's
-    tie-break decides as it always has.
+    step hands its rows of blocked costs to `gated_assignment` as lists, and
+    the solver's tie rule, scipy's, decides.
     """
     pairs, blocked = [], []
     for i, (az, var) in enumerate(zip(bank.azimuths(), bank.variances())):
@@ -618,7 +618,7 @@ def _gated_pairs(bank, observations, gate_sigma: float, gate_max: float):
         pairs += [(i, j) for j, c in enumerate(costs) if c <= gate]
         blocked.append([c if c <= gate else _BLOCKED for c in costs])
     if len({i for i, _ in pairs}) < len(pairs) or len({j for _, j in pairs}) < len(pairs):
-        return gated_assignment(np.array(blocked), math.pi)
+        return gated_assignment(blocked, math.pi)
     return pairs
 
 

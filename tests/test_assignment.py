@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_solver
 
-from doatrack.assignment import batched_assignment, gated_assignment, min_cost_assignment
+from doatrack.assignment import (batched_assignment, gated_assignment, linear_sum_assignment,
+                                 min_cost_assignment)
 
 
 def brute_force_min_cost(cost):
@@ -140,3 +142,64 @@ def test_batched_assignment_flags_ties_and_refuses_large_shapes():
     assert batched_assignment(np.ones((1, 6, 6)))[2].tolist() == [True]
     with pytest.raises(ValueError, match="exceed"):
         batched_assignment(np.zeros((1, 4, 7)))
+
+
+# The solver is scipy's ported to Python floats; scipy stays only as this
+# reference. Small integers make many optima tie, so that the solver's tie
+# rule, not the cost, decides which pairs come back.
+SOLVER_COSTS = {
+    "ties": st.integers(0, 3).map(float),
+    "floats": st.floats(-1e3, 1e3),
+    "blocked": st.one_of(st.floats(0.0, 3.0), st.just(np.inf)),  # may leave no full assignment
+    "invalid": st.one_of(st.integers(0, 3).map(float), st.sampled_from([np.nan, -np.inf])),
+}
+
+
+def _solved(solve, cost):
+    """Rows and columns as lists, or the ValueError's message."""
+    try:
+        rows, cols = solve(cost)
+    except ValueError as exc:
+        return str(exc)
+    return np.asarray(rows).tolist(), np.asarray(cols).tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(sorted(SOLVER_COSTS)), st.data())
+@example(2, 2, "ties", None).via("every pairing of a constant matrix ties")
+def test_linear_sum_assignment_returns_scipys_rows_and_columns(n_rows, n_cols, kind, data):
+    if data is None:
+        cost = np.ones((n_rows, n_cols))
+    else:
+        cost = np.array(data.draw(st.lists(SOLVER_COSTS[kind], min_size=n_rows * n_cols,
+                                           max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+    for matrix in (cost, cost.T):
+        assert _solved(linear_sum_assignment, matrix.tolist()) == _solved(scipy_solver, matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_gated_sentinel_padding_solves_as_scipy_does(n_rows, n_cols, data):
+    # the square `gated_assignment` solves: drawn costs clipped to the
+    # sentinel gate + 1, padded with sentinels
+    gate = 1.0
+    cost = np.array(data.draw(st.lists(st.one_of(st.integers(0, 4).map(lambda k: k / 2),
+                                                 st.floats(0.0, 3.0)),
+                                       min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    size = max(n_rows, n_cols)
+    padded = np.full((size, size), gate + 1.0)
+    padded[:n_rows, :n_cols] = np.minimum(cost.reshape(n_rows, n_cols), gate + 1.0)
+    assert _solved(linear_sum_assignment, padded.tolist()) == _solved(scipy_solver, padded)
+
+
+def test_linear_sum_assignment_rejects_what_scipy_rejects():
+    for cost in ([[1.0, np.nan]], [[1.0, -np.inf]], [[np.inf, np.inf], [1.0, 2.0]]):
+        with pytest.raises(ValueError) as ours:
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError) as theirs:
+            scipy_solver(np.array(cost))
+        assert str(ours.value) == str(theirs.value)
+    # finite entries whose sum overflows to -inf are valid
+    assert linear_sum_assignment([[-1e308, -1e308], [-1e308, 0.0]]) == ([0, 1], [1, 0])
+    assert linear_sum_assignment([]) == ([], [])
+    assert linear_sum_assignment([[], [], []]) == ([], [])

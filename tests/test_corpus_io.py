@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from doatrack import corpus_io
 from doatrack.corpus_io import (CorpusFormatError, RecordingBundle,
-                                bundle_from_scene, read_recording,
+                                bundle_from_scene, read_ground_truth, read_recording,
                                 read_submission, write_recording,
                                 write_submission)
 from doatrack.evaluate import Submission, VapTable
@@ -349,6 +349,42 @@ def test_integer_pcm_normalized(tmp_path):
     assert np.allclose(back.audio.samples, clipped, atol=1e-3)
 
 
+@pytest.mark.parametrize("dtype,rate,channels,extra_chunk", [
+    (np.float64, 48000, 4, False), (np.int16, 48000, 4, False),
+    (np.int16, 44100, 1, True), (np.float64, 16000, 3, True)])
+def test_ground_truth_takes_the_duration_from_the_wav_header(tmp_path, dtype, rate, channels,
+                                                             extra_chunk):
+    # frames / float(rate), bit for bit the duration of the decoded audio; an
+    # odd-sized chunk before `fmt ` is skipped with its pad byte
+    from scipy.io import wavfile
+    rng = np.random.default_rng(6)
+    bundle = _random_bundle(rng, n_sources=2)
+    write_recording(bundle, tmp_path / "rec")
+    samples = np.clip(bundle.audio.samples[:channels].T, -1.0, 1.0)
+    wav = tmp_path / "rec" / "audio_array.wav"
+    wavfile.write(wav, rate, samples if dtype is np.float64 else (samples * 32767).astype(dtype))
+    if extra_chunk:
+        data = wav.read_bytes()
+        data = data[:12] + b"LIST\x03\x00\x00\x00abc\x00" + data[12:]
+        wav.write_bytes(data[:4] + (len(data) - 8).to_bytes(4, "little") + data[8:])
+    back = read_recording(tmp_path / "rec")
+    duration, array_traj, source_trajs, vaps = read_ground_truth(tmp_path / "rec")
+    assert back.audio.channel_count == channels
+    assert duration == back.audio.duration
+    assert np.array_equal(array_traj.rotations, back.array_trajectory.rotations)
+    assert source_trajs.keys() == back.source_trajectories.keys()
+    assert vaps == back.vaps
+
+
+def test_ground_truth_rejects_a_wav_without_its_headers(tmp_path):
+    bundle = _random_bundle(np.random.default_rng(7))
+    write_recording(bundle, tmp_path / "rec")
+    wav = tmp_path / "rec" / "audio_array.wav"
+    wav.write_bytes(wav.read_bytes()[:30])  # cut inside the fmt chunk
+    with pytest.raises(CorpusFormatError, match="audio_array.wav: no WAV fmt and data"):
+        read_ground_truth(tmp_path / "rec")
+
+
 def test_bundle_from_scene_round_trip(tmp_path):
     from doatrack.simulate import synthesize, task_preset
     scene = synthesize(task_preset(1, seed=0, duration=1.0))
@@ -552,6 +588,9 @@ _LARGE_IDS = [(0.0, 2 ** 53 + 1, 0.1, 1.0), (0.1, 2 ** 62 + 1, 0.2, 1.0)]
        st.booleans())
 @example(rows=_LARGE_IDS, as_submission=True)
 @example(rows=_LARGE_IDS, as_submission=False)
+# read_submission rejects 2^63 and reads 2.0 as id 2, as `Submission` does
+@example(rows=[(0.0, 2 ** 63, 0.1, 1.0)], as_submission=False)
+@example(rows=[(0.0, 2.0, 0.1, 1.0)], as_submission=False)
 def test_what_write_submission_accepts_read_submission_reads_back(tmp_path_factory, rows,
                                                                    as_submission):
     if as_submission:

@@ -169,6 +169,32 @@ def test_align_vaps_shifts_by_propagation():
     assert shifted.intervals[1][0][1] == pytest.approx(2.01)
 
 
+def test_align_vaps_on_a_turning_array_interpolates_no_rotation(monkeypatch):
+    # task 6: the VAP bounds fall between the poses of an array that turns;
+    # the shifts are those of the sampled positions, bit for bit
+    from doatrack import geometry
+    from doatrack.geometry import SPEED_OF_SOUND, row_norms, sample_trajectory
+    from doatrack.simulate import task_preset
+
+    config = task_preset(6, seed=2, duration=3.0)
+    sources = {f"s{i}": s.trajectory for i, s in enumerate(config.sources)}
+    vaps = VapTable({f"s{i}": s.vaps for i, s in enumerate(config.sources)})
+    turned = []
+    turn = geometry._turned
+    monkeypatch.setattr(geometry, "_turned", lambda step, alpha: turned.append(alpha)
+                        or turn(step, alpha))
+    expected = {}
+    for n, spans in vaps.intervals.items():
+        bounds = np.reshape(spans, -1)
+        gap = sample_trajectory(sources[n], bounds)[0] - sample_trajectory(
+            config.array_trajectory, bounds)[0]
+        expected[n] = (bounds + row_norms(gap) / SPEED_OF_SOUND).reshape(-1, 2).tolist()
+    assert turned  # sampling the array's poses at the bounds turns
+    turned.clear()
+    assert align_vaps(vaps, sources, config.array_trajectory) == VapTable(expected)
+    assert turned == []
+
+
 def test_vap_index_is_inclusive_and_first_vap_wins_where_two_touch():
     table = VapTable({"b": ((0.0, 0.1), (0.2, 0.3)), "a": ((0.1, 0.2), (0.2, 0.4))})
     clock = np.array([0.0, 0.1, 0.15, 0.2, 0.3, 0.35, 0.5])
@@ -332,14 +358,18 @@ def test_a_gate_that_cannot_associate_is_rejected(gate):
 
 def test_evaluate_submission_samples_each_trajectory_once_per_call(monkeypatch):
     from doatrack import evaluate
-    original = evaluate.sample_trajectory
     calls = []
 
-    def counting(traj, times):
-        calls.append(traj)
-        return original(traj, times)
+    def counting(sample):
+        def sample_counted(traj, times):
+            calls.append(traj)
+            return sample(traj, times)
+        return sample_counted
 
-    monkeypatch.setattr(evaluate, "sample_trajectory", counting)
+    # where only positions are read (the VAP bounds, the sources on the clock),
+    # through the sampler's translation half
+    for name in ("sample_trajectory", "_sample_translations"):
+        monkeypatch.setattr(evaluate, name, counting(getattr(evaluate, name)))
     counts = []
     for duration in (1.0, 4.0):
         arr = static_trajectory(identity_pose(), duration)
@@ -387,7 +417,7 @@ def test_evaluate_submission_calls_no_scipy_solver_without_near_ties(monkeypatch
     calls = []
 
     def counting(cost):
-        calls.append(cost.shape)
+        calls.append(np.shape(cost))
         return original(cost)
 
     original = assignment.linear_sum_assignment
@@ -423,7 +453,7 @@ def test_tie_with_no_admissible_pair_calls_no_scipy_solver(monkeypatch):
     calls = []
 
     def counting(c):
-        calls.append(c.copy())
+        calls.append(np.array(c))
         return original(c)
 
     original = assignment.linear_sum_assignment

@@ -8,14 +8,16 @@ between samples agrees with the reference within ATOL. The reference takes
 a step's angle from arccos of the trace, which loses digits near 0 and 180
 degrees (1.7e-10 at 2e-6 rad short of a half turn) and near a half turn
 also takes its axis' sign from the axis itself; a step turning within
-SLERP_BAND of either end is checked against scipy's `Slerp` instead.
+SLERP_BAND of either end is checked against scipy's `Slerp` instead. A
+turning step is also held bit for bit to scipy's `Rotation` chain, which
+the sampler ports to Python floats; scipy is only this test's reference.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation, Slerp
 
@@ -148,6 +150,50 @@ def test_sampler_near_half_turn_step():
             _, rotations = sample_trajectory(traj, times)
             geodesic = Slerp([0.0, 1.0], Rotation.from_matrix(traj.rotations))(times)
             np.testing.assert_allclose(rotations, geodesic.as_matrix(), rtol=0, atol=ATOL)
+
+
+def scipy_turn(r0, r1, alpha):
+    """Each (3, 3) rotation of `r0` turned by `alpha` of its step to `r1`, as
+    scipy's `Rotation` turns it."""
+    step = Rotation.from_matrix(np.swapaxes(r0, 1, 2) @ r1, assume_valid=True)
+    return r0 @ Rotation.from_rotvec(alpha[:, None] * step.as_rotvec()).as_matrix()
+
+
+def _half_turn(axis):
+    """A half turn about `axis`: a symmetric matrix, so its quaternion's w is 0."""
+    a = np.asarray(axis, dtype=float)
+    return 2.0 * np.outer(a, a) / (a @ a) - np.eye(3)
+
+
+# steps turning within the as_rotvec Taylor branch (and near its 1e-3 rad
+# edge, where its last term moves the last bits), beyond it, and up to a half
+# turn; fractions small enough for the from_rotvec Taylor branch
+STEP_ANGLES = st.one_of(st.floats(0.0, 1e-3), st.floats(4e-4, 1e-3), st.floats(1e-3, 3.0),
+                        st.floats(np.pi - 1e-6, np.pi), st.sampled_from([1e-3, np.pi / 2, np.pi]))
+FRACTIONS = st.lists(st.one_of(st.floats(1e-11, 1.0 - 1e-11), st.floats(1e-11, 1e-4)),
+                     min_size=1, max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), angle=STEP_ANGLES,
+       axis=st.tuples(*[st.integers(-2, 2)] * 3).filter(any), start=st.sampled_from(
+           ["identity", "random", "half turn"]), fractions=FRACTIONS)
+@example(seed=0, angle=9e-4, axis=(1, 2, 0), start="identity", fractions=[0.999, 0.6])
+def test_turning_step_has_the_bits_of_scipys_rotation(seed, angle, axis, start, fractions):
+    # from the identity the sampled rotation is the turned step itself, every
+    # bit of it; an exact half turn canonicalises a quaternion with w = 0
+    if start == "half turn":
+        r0, r1 = np.eye(3), _half_turn(axis)
+    else:
+        r0 = (np.eye(3) if start == "identity" else
+              Rotation.random(random_state=np.random.default_rng(seed)).as_matrix())
+        r1 = r0 @ Rotation.from_rotvec(angle * np.array(axis) / np.linalg.norm(axis)).as_matrix()
+    traj = Trajectory.from_arrays([0.0, 1.0], np.zeros((2, 3)), [r0, r1])
+    times = np.array(fractions)
+    _, rotations = sample_trajectory(traj, times)
+    n = len(times)
+    assert np.array_equal(rotations, scipy_turn(np.repeat(r0[None], n, 0),
+                                                np.repeat(r1[None], n, 0), times))
 
 
 JITTER = 1e-9  # the orthonormality and determinant slack that `Trajectory` accepts

@@ -1,8 +1,8 @@
 """No library module imports a name it never uses, and no module-level private
 helper goes unreferenced in the package (read with the stdlib `ast`). Importing
 the package, reading and localizing a recording, tracking and scoring load no
-scipy subpackage they never call (read from `sys.modules` of a fresh
-interpreter)."""
+scipy subpackage they never call, and tracking, scoring and `doatrack evaluate`
+load none at all (read from `sys.modules` of a fresh interpreter)."""
 
 import ast
 import json
@@ -12,6 +12,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "doatrack"
@@ -96,20 +97,27 @@ def scipy_loaded_after(script: str) -> set:
 
 def test_importing_the_package_and_its_cli_loads_no_stage_scipy():
     loaded = scipy_loaded_after("import doatrack, doatrack.cli")
-    stage_only = {"scipy.signal", "scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.io"}
+    stage_only = {"scipy.signal", "scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.io",
+                  "scipy.linalg"}
     assert not loaded & stage_only, sorted(loaded & stage_only)
 
 
-def test_tracking_and_scoring_load_no_scipy_signal_or_io():
+def test_tracking_and_scoring_a_turning_array_load_no_scipy():
+    # task 6: the array turns, so the truth and the VAP alignment sample
+    # rotations between poses, and two talkers and clutter bring gate conflicts
     loaded = scipy_loaded_after("""
         import math
         import numpy as np
+        import doatrack.track
         from doatrack import (Doa, DoaEstimate, VapTable, evaluate_submission, task_preset,
                               track_lifecycle)
         from doatrack.evaluate import ground_truth_doas
         from doatrack.pipeline import resample_tracks
 
-        config = task_preset(1, seed=1, duration=3.0)
+        solve, conflicts = doatrack.track.gated_assignment, []
+        doatrack.track.gated_assignment = lambda cost, gate: (conflicts.append(gate)
+                                                              or solve(cost, gate))
+        config = task_preset(6, seed=1, duration=3.0)
         sources = {f"src{i + 1}": s.trajectory for i, s in enumerate(config.sources)}
         vaps = VapTable({f"src{i + 1}": s.vaps for i, s in enumerate(config.sources)})
         doas_at = ground_truth_doas(sources, config.array_trajectory)
@@ -124,10 +132,50 @@ def test_tracking_and_scoring_load_no_scipy_signal_or_io():
         clock = config.array_trajectory.timestamps
         report = evaluate_submission(sources, config.array_trajectory, vaps,
                                      resample_tracks(tracks, clock), clock, 3.0)
-        assert np.ptp(config.array_trajectory.translations, axis=0).max() == 0.0 and tracks
+        assert config.array_trajectory._turns.any() and conflicts and tracks
         assert report.valid_count > 0
     """)
-    assert not loaded & {"scipy.signal", "scipy.io"}, sorted(loaded)
+    assert not loaded, sorted(loaded)
+
+
+def test_evaluate_command_loads_no_scipy(tmp_path):
+    # the recording's duration comes from its WAV header, not from decoded audio
+    from doatrack import (Submission, bundle_from_scene, synthesize, task_preset,
+                          write_recording, write_submission)
+    from doatrack.evaluate import ground_truth_arrays
+
+    bundle = bundle_from_scene(synthesize(task_preset(6, seed=1, duration=1.0)))
+    write_recording(bundle, tmp_path / "scene")
+    clock = bundle.array_trajectory.timestamps
+    azimuths, _ = ground_truth_arrays(bundle.source_trajectories, bundle.array_trajectory,
+                                      ["src1"], clock)
+    write_submission(Submission.from_rows(clock, np.ones(len(clock), dtype=int), azimuths[0]),
+                     tmp_path / "submission.txt")
+    loaded = scipy_loaded_after(f"""
+        from doatrack.cli import main
+
+        assert main(["evaluate", "--input", {str(tmp_path / "scene")!r}, "--submission",
+                     {str(tmp_path / "submission.txt")!r}, "--out", {str(tmp_path / "report")!r},
+                     "--ospa-series"]) == 0
+    """)
+    assert not loaded, sorted(loaded)
+    assert (tmp_path / "report" / "ospa_series.csv").is_file()
+
+
+def test_music_loads_scipy_linalg_on_its_first_call():
+    loaded = scipy_loaded_after("""
+        import sys
+        import numpy as np
+        from doatrack import (Blocks, MultichannelAudio, azimuth_grid, frame_signal,
+                              get_array_preset, music_spectrum)
+
+        # robot_head's 12 microphones take LAPACK's zheevr, not numpy's eigh
+        noise = np.random.default_rng(1).standard_normal((12, 2048 + 1024 * 11))
+        blocks = Blocks.whole(frame_signal(MultichannelAudio(noise, 48000.0), 2048, 1024))
+        assert "scipy.linalg" not in sys.modules
+        music_spectrum(blocks, get_array_preset("robot_head"), azimuth_grid(1.0), 1)
+    """)
+    assert "scipy.linalg" in loaded
 
 
 def test_reading_and_localizing_a_recording_load_no_scipy_signal_or_stats(tmp_path):

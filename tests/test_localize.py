@@ -502,6 +502,8 @@ MUSIC_SOLVERS = {"robot_head": "zheevr", "eigenmike": "zheevr", "dicit": "zheevr
 @pytest.mark.parametrize("array", sorted(MUSIC_SOLVERS))
 @pytest.mark.parametrize("n_sources", [1, 2])
 def test_music_solver_follows_the_microphone_count(monkeypatch, array, n_sources):
+    import scipy.linalg.lapack
+
     import doatrack.localize
 
     calls = {"eigh": 0, "zheevr": 0}
@@ -513,7 +515,9 @@ def test_music_solver_follows_the_microphone_count(monkeypatch, array, n_sources
         return solve
 
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(doatrack.localize, "zheevr", counting("zheevr", doatrack.localize.zheevr))
+    # `_signal_subspace` imports zheevr from scipy.linalg.lapack on each call
+    monkeypatch.setattr(scipy.linalg.lapack, "zheevr",
+                        counting("zheevr", scipy.linalg.lapack.zheevr))
     geom = get_array_preset(array)
     frames = max(8, geom.mic_count)
     audio = plane_wave_audio(geom, math.radians(40.0), n=2048 + 1024 * (frames - 1), snr_db=20)

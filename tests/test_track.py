@@ -716,7 +716,7 @@ def test_only_a_gate_conflict_calls_the_assignment_solver(tracker, monkeypatch):
     original = doatrack.track.gated_assignment
 
     def counting(cost, gate):
-        calls.append(cost.shape)
+        calls.append(np.shape(cost))
         return original(cost, gate)
 
     monkeypatch.setattr(doatrack.track, "gated_assignment", counting)
