@@ -97,22 +97,18 @@ def min_cost_assignment(cost: np.ndarray):
 def gated_assignment(cost, gate: float):
     """Assignment where pairs costing more than `gate` are inadmissible.
 
-    `cost`, a 2-D array or a list of rows of floats, is padded to a square with
-    sentinel costs just above the gate, every cost above the sentinel clipped to
-    it; pairs landing on a sentinel or above the gate leave the solver's optimum.
+    `cost`, a 2-D array or a list of rows of floats, is solved as given,
+    every cost above the gate priced at one sentinel, gate + 1: an
+    inadmissible pair then costs what leaving its row or column unpaired
+    would, however far past the gate it lies, and the solver's pairs above
+    the gate are dropped. A NaN or -inf entry raises the solver's ValueError.
     """
     if not isinstance(cost, list):
         cost = np.atleast_2d(np.asarray(cost, dtype=float)).tolist()
-    n_rows, n_cols = len(cost), len(cost[0]) if cost else 0
-    if n_rows == 0 or n_cols == 0:
-        return []
     sentinel = gate + 1.0
-    size = max(n_rows, n_cols)
-    padded = [[sentinel if c > sentinel else c for c in row] + [sentinel] * (size - n_cols)
-              for row in cost]
-    rows, cols = linear_sum_assignment(padded + [[sentinel] * size] * (size - n_rows))
-    return [(r, c) for r, c in zip(rows, cols)
-            if r < n_rows and c < n_cols and cost[r][c] <= gate]
+    rows, cols = linear_sum_assignment([[sentinel if c > gate else c for c in row]
+                                        for row in cost])
+    return [(r, c) for r, c in zip(rows, cols) if cost[r][c] <= gate]
 
 
 def map_count(n_rows: int, n_cols: int) -> int:

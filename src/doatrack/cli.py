@@ -186,12 +186,11 @@ def cmd_evaluate(args) -> int:
         fh.write(",".join(str(flat[k]) for k in keys) + "\n")
     if opts["ospa_series"]:
         with open(out_dir / "ospa_series.csv", "w") as fh:
-            fh.write("timestamp," + ",".join(
-                f"ospa_p{p:g}_c{c:g}" for (p, c) in report.ospa) + "\n")
+            fh.write(",".join(["timestamp"] + [f"ospa_p{p:g}_c{c:g}"
+                                               for (p, c) in report.ospa]) + "\n")
             series = list(report.ospa.values())
             for i, t in enumerate(clock):
-                fh.write(f"{t:.6f}," + ",".join(
-                    f"{s.values[i]:.6f}" for s in series) + "\n")
+                fh.write(",".join([f"{t:.6f}"] + [f"{s.values[i]:.6f}" for s in series]) + "\n")
     _write_manifest(out_dir, "evaluate", opts)
     _print_summary(flat)
     return 0

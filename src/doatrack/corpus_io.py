@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import Submission, VapTable, is_source_id, vap_spans
-from .geometry import CORPUS_SAMPLE_RATE_HZ, Trajectory, TrajectoryError, wrap_angle
+from .geometry import CORPUS_SAMPLE_RATE_HZ, Trajectory, TrajectoryError
 from .sigproc import MultichannelAudio
 
 log = logging.getLogger(__name__)
@@ -279,12 +279,12 @@ def bundle_from_scene(scene, recording_id: str = "sim") -> RecordingBundle:
 def write_submission(estimates, path) -> None:
     """Write time-ordered direction estimates as a plaintext submission table.
 
-    Accepts a Submission or an iterable of DoaEstimate; angles go to disk in
-    degrees at ANGLE_DECIMALS decimals. Rows are checked before the file is
-    opened: a non-finite field, a time before the previous one, two rows of
-    one id whose times print alike, or an id that is not a whole number in
-    [1, 2^63) (`is_source_id`, the rule `read_submission` applies) raise
-    ValueError.
+    Accepts a Submission or an iterable of DoaEstimate, both of which wrap
+    their azimuths; angles go to disk in degrees at ANGLE_DECIMALS decimals.
+    Rows are checked before the file is opened: a non-finite field, a time
+    before the previous one, two rows of one id whose times print alike, or
+    an id that is not a whole number in [1, 2^63) (`is_source_id`, the rule
+    `read_submission` applies) raise ValueError.
     """
     if isinstance(estimates, Submission):
         rows = zip(estimates.times.tolist(), estimates.ids.tolist(),
@@ -305,7 +305,7 @@ def write_submission(estimates, path) -> None:
         if key in seen:
             raise ValueError(f"duplicate (timestamp, id) row: ({t}, {k})")
         seen.add(key)
-        table.append((t, int(k), math.degrees(wrap_angle(az)), math.degrees(el)))
+        table.append((t, int(k), math.degrees(az), math.degrees(el)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_table(path, " ".join(SUBMISSION_COLUMNS), _SUBMISSION_FIELDS,

@@ -14,7 +14,8 @@ tick with `gated_assignment` instead, so that its solver's tie rule, the
 one of scipy's solver, decides as it always has; OSPA needs only the least
 total, which a tie does not change.
 
-Association uses azimuth error only (in degrees) against a 30 degree gate;
+Association uses azimuth error only (in degrees) against a 30 degree gate,
+every error above it priced at `gated_assignment`'s one sentinel, gate + 1;
 elevation errors are reported for valid pairs but never drive assignment.
 All azimuth/elevation values are radians in memory; reported errors and the
 OSPA cutoff are degrees.
@@ -245,9 +246,9 @@ def _associate(cost, shape, groups, gate_deg: float) -> np.ndarray:
             continue
         per_tick = np.ones(len(at), dtype=bool)
         if map_count(s, r) <= MAX_MAPS:
-            # `gated_assignment` pads to a square of sentinel costs gate + 1, so
-            # a pair costing more is no better than leaving both sides unpaired
-            stack = np.minimum(cost[sources[:, :, None], rows[:, None, :]], gate_deg + 1.0)
+            # every cost above the gate at the sentinel, as `gated_assignment` prices it
+            stack = cost[sources[:, :, None], rows[:, None, :]]
+            stack = np.where(stack <= gate_deg, stack, gate_deg + 1.0)
             _, image, per_tick = batched_assignment(stack)
             src, row = ((sources, np.take_along_axis(rows, image, axis=1)) if s <= r else
                         (np.take_along_axis(sources, image, axis=1), rows))

@@ -32,27 +32,18 @@ class DegenerateGeometryError(ValueError):
     """Raised when a geometric quantity is undefined (coincident points etc.)."""
 
 
-_FLOAT_WRAP_MAX_SIZE = 16  # arrays up to this size are wrapped one float at a time
-
-
 def wrap_angle(angle):
     """Wrap an angle (radians) into [-pi, pi). Accepts scalars or arrays.
 
-    Three paths give the same bits. A float (np.float64 included), or a
-    0-d array, is wrapped in Python float arithmetic, whose % is fmod with
-    a sign fix: add the divisor to a negative remainder. An array of at
-    most `_FLOAT_WRAP_MAX_SIZE` (16) elements is wrapped one element at a
-    time on that float path. A larger array takes np.fmod and the same
-    sign fix, which is how np.mod computes its remainder; only the sign of
-    a zero remainder can differ, and subtracting pi removes it. When
-    angle + pi is a tiny negative number, the sign fix adds 2 pi and rounds
-    to 2 pi, which would wrap to +pi; every path returns -pi there, as
-    wrapping +pi does.
-
-    The limit of 16 comes from timing 8 to 40 elements on one Xeon core
-    (numpy 2.4): the float loop costs about 1.2 us plus 0.17 us an element,
-    against 4.5 us for np.mod and 6 us for the np.fmod path, so it stops
-    winning at 18-20 and at 30 elements.
+    Two paths give the same bits. A float (np.float64 included), or a 0-d
+    array, is wrapped in Python float arithmetic, whose % is fmod with a
+    sign fix: add the divisor to a negative remainder. An array takes
+    np.fmod and the same sign fix, which is how np.mod computes its
+    remainder; only the sign of a zero remainder can differ, and
+    subtracting pi removes it (np.mod made the particle tracker, which wraps
+    strided (n, 500) azimuth columns, about 5 % slower). When angle + pi is
+    a tiny negative number, the sign fix adds 2 pi and rounds to 2 pi, which
+    would wrap to +pi; both paths return -pi there, as wrapping +pi does.
     """
     if isinstance(angle, float):
         if not math.isfinite(angle):
@@ -62,8 +53,6 @@ def wrap_angle(angle):
     angle = np.asarray(angle, dtype=float)
     if angle.ndim == 0:
         return wrap_angle(float(angle))
-    if angle.size <= _FLOAT_WRAP_MAX_SIZE:
-        return np.array([wrap_angle(a) for a in angle.ravel().tolist()]).reshape(angle.shape)
     if not np.isfinite(angle).all():
         raise ValueError("angle must be finite")
     wrapped = angle + np.pi

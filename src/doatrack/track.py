@@ -595,7 +595,7 @@ class _Candidate:
         return f"track {self.confirmed_id}" if self.confirmed_id else "tentative track"
 
 
-_BLOCKED = math.pi + 1.0  # cost of a pair outside its track's gate, above the pi gate
+_BLOCKED = math.inf  # cost of a pair outside its track's gate, above the pi gate
 
 
 def _gated_pairs(bank, observations, gate_sigma: float, gate_max: float):
@@ -603,13 +603,13 @@ def _gated_pairs(bank, observations, gate_sigma: float, gate_max: float):
     assignment on the wrapped innovation cost, a pair outside its track's
     gate inadmissible.
 
-    Each cost is `abs(wrap_angle(z - az))` of two floats, the float path that
-    `wrap_angle` takes for small arrays, with the bits of its np.fmod path.
-    When no track and no observation holds two within-gate pairs, the gate
-    decides: those pairs are the optimum of the padded solve, so they are
-    returned without it. This is the one place that rule lives; any other
-    step hands its rows of blocked costs to `gated_assignment` as lists, and
-    the solver's tie rule, scipy's, decides.
+    Each cost is `abs(wrap_angle(z - az))` of two floats. When no track and
+    no observation holds two within-gate pairs, the gate decides: those
+    pairs are the optimum of `gated_assignment`, whose sentinel prices every
+    blocked pair alike, so they are returned without it. This is the one
+    place that rule lives; any other step hands its rows of costs, blocked
+    ones infinite, to `gated_assignment` as lists with the gate pi, above
+    every wrapped cost, and the solver's tie rule, scipy's, decides.
     """
     pairs, blocked = [], []
     for i, (az, var) in enumerate(zip(bank.azimuths(), bank.variances())):

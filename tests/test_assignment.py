@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -60,14 +61,23 @@ def test_gated_assignment_rectangular_leaves_extras():
 
 
 def padded_gated_assignment(cost, gate):
-    """Reference: every matrix padded to a square of sentinels and solved."""
+    """Reference: every matrix padded to a square of sentinels and solved,
+    each cost above the gate priced at the sentinel."""
     n_rows, n_cols = cost.shape
     size = max(n_rows, n_cols)
     sentinel = gate + 1.0
     padded = np.full((size, size), sentinel)
-    padded[:n_rows, :n_cols] = np.minimum(cost, sentinel)
+    padded[:n_rows, :n_cols] = np.where(cost <= gate, cost, sentinel)
     pairs, _ = min_cost_assignment(padded)
     return [(r, c) for r, c in pairs if r < n_rows and c < n_cols and cost[r, c] <= gate]
+
+
+def priced_total(cost, gate, pairs):
+    """Total of admissible `pairs`, each line of the smaller side of `cost`
+    that they leave unpaired charged the sentinel gate + 1."""
+    assert all(cost[r, c] <= gate for r, c in pairs)
+    assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+    return sum(cost[r, c] for r, c in pairs) + (gate + 1.0) * (min(cost.shape) - len(pairs))
 
 
 # entries within the gate of 1, just above it, at the sentinel 2 and beyond,
@@ -87,13 +97,51 @@ def _outcome(solve, cost, gate):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_gated_assignment_equals_the_padded_solve(n_rows, n_cols, data):
+    # the plain matrix and its square padded with sentinels have the same
+    # optimal admissible pairs; where optima tie, each solve may pick another
     sparse = data.draw(st.booleans())  # mostly sentinels: at most one admissible per line
     values = st.one_of(st.just(2.0), st.floats(0.0, 1.0)) if sparse else GATED_COSTS
     cost = np.array(data.draw(st.lists(values, min_size=n_rows * n_cols,
                                        max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
     got = _outcome(gated_assignment, cost, 1.0)
-    assert got == _outcome(padded_gated_assignment, cost, 1.0)
-    assert isinstance(got, str) or all(type(i) is int and type(j) is int for i, j in got)
+    padded = _outcome(padded_gated_assignment, cost, 1.0)
+    assert isinstance(got, str) == isinstance(padded, str)
+    if isinstance(got, str):
+        assert got == padded
+    else:
+        assert all(type(i) is int and type(j) is int for i, j in got)
+        assert priced_total(cost, 1.0, got) == pytest.approx(priced_total(cost, 1.0, padded),
+                                                             rel=0, abs=1e-12)
+
+
+def _least_priced_total(cost, gate):
+    """Brute force: the least total over every injective map of the smaller
+    side into the larger, each cost above the gate priced at gate + 1."""
+    priced = np.where(cost <= gate, cost, gate + 1.0)
+    narrow = priced if cost.shape[0] <= cost.shape[1] else priced.T
+    return min(sum(narrow[i, j] for i, j in enumerate(image))
+               for image in itertools.permutations(range(narrow.shape[1]), narrow.shape[0]))
+
+
+# within the gate of 1, just above it (where a pair priced by its own cost
+# would undercut one within the gate) and far beyond it
+NEAR_GATE_COSTS = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1.5, exclude_min=True),
+                            st.sampled_from([1.0, math.nextafter(1.0, 2.0), 2.0]),
+                            st.floats(2.0, 50.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@example(2, 2, [0.75, 1.25, 1.25, 2.0])
+def test_gated_assignment_reaches_the_least_sentinel_priced_total(n_rows, n_cols, data):
+    if isinstance(data, list):
+        cost = np.array(data).reshape(n_rows, n_cols)
+    else:
+        cost = np.array(data.draw(st.lists(NEAR_GATE_COSTS, min_size=n_rows * n_cols,
+                                           max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+    pairs = gated_assignment(cost, 1.0)
+    assert priced_total(cost, 1.0, pairs) == pytest.approx(_least_priced_total(cost, 1.0),
+                                                           rel=0, abs=1e-12)
 
 
 def test_gated_assignment_pairs_the_entries_the_gate_leaves():
@@ -102,10 +150,11 @@ def test_gated_assignment_pairs_the_entries_the_gate_leaves():
 
 
 def test_gated_assignment_drops_the_solvers_pairs_over_the_gate():
-    # two entries just over the gate beat one within it plus a sentinel:
-    # 1.25 + 1.25 < 0.75 + 2, so the solver pairs across and the gate drops both
+    # priced by their own costs, two entries just over the gate would beat one
+    # within it plus a sentinel (1.25 + 1.25 < 0.75 + 2); priced at the
+    # sentinel, they do not, and the gate drops the solver's pair (1, 1)
     near = np.array([[0.75, 1.25], [1.25, 2.0]])
-    assert gated_assignment(near, 1.0) == []
+    assert gated_assignment(near, 1.0) == [(0, 0)]
 
 
 def test_empty_inputs():
@@ -180,8 +229,8 @@ def test_linear_sum_assignment_returns_scipys_rows_and_columns(n_rows, n_cols, k
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
 def test_gated_sentinel_padding_solves_as_scipy_does(n_rows, n_cols, data):
-    # the square `gated_assignment` solves: drawn costs clipped to the
-    # sentinel gate + 1, padded with sentinels
+    # drawn costs clipped to a sentinel gate + 1 and padded with sentinels
+    # to a square, whose many tied optima leave the choice to the tie rule
     gate = 1.0
     cost = np.array(data.draw(st.lists(st.one_of(st.integers(0, 4).map(lambda k: k / 2),
                                                  st.floats(0.0, 3.0)),

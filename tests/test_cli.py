@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from doatrack.cli import main
-from doatrack.corpus_io import read_recording, read_submission, write_recording
+from doatrack.corpus_io import read_recording, read_submission, write_recording, write_submission
+from doatrack.geometry import Doa
+from doatrack.localize import DoaEstimate
 from doatrack.sigproc import MultichannelAudio
 
 
@@ -182,6 +184,17 @@ def test_evaluate_self_and_reports(scene_dir, tmp_path):
     series = (out_dir / "ospa_series.csv").read_text().splitlines()
     assert series[0].startswith("timestamp,")
     assert _run("report", str(out_dir / "metrics.json")) == 0
+
+
+def test_ospa_series_without_orders_holds_one_column(scene_dir, tmp_path):
+    clock = read_recording(scene_dir).array_trajectory.timestamps
+    sub_path = tmp_path / "sub.txt"
+    write_submission([DoaEstimate(float(t), Doa(0.5)) for t in clock[::12]], sub_path)
+    out_dir = tmp_path / "report"
+    assert _run("evaluate", "--input", str(scene_dir), "--submission", str(sub_path),
+                "--ospa-p", "", "--ospa-series", "--out", str(out_dir)) == 0
+    series = (out_dir / "ospa_series.csv").read_text().splitlines()
+    assert series == ["timestamp"] + [f"{t:.6f}" for t in clock]
 
 
 @pytest.mark.parametrize("text,message", [

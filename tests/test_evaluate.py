@@ -137,6 +137,15 @@ def test_gate_and_associate_pairs_every_tick_of_a_recording():
     assert assigned.tolist() == [[-1, -1, 3], [0, -1, -1]]
 
 
+def test_pairs_just_past_the_gate_do_not_undercut_an_admissible_pair():
+    # priced by their own costs, the two pairs 0.01 deg past the gate would
+    # total 60.02 < 30.0 + 31.5 and leave both sources unpaired; every pair
+    # past the gate is priced at one sentinel, so source 0 keeps row 0
+    cost = np.array([[30.0, 30.01], [30.01, 31.5]])
+    assigned = gate_and_associate(cost, np.ones((2, 1), bool), np.zeros(2, int), 30.0)
+    assert assigned[:, 0].tolist() == [0, -1]
+
+
 def test_vap_table_validation():
     with pytest.raises(ValueError):
         VapTable({1: ((1.0, 0.5),)})
@@ -495,6 +504,20 @@ def _recording(case, rng):
         offsets = np.repeat(np.radians(rng.uniform(-10.0, 10.0, n_ticks)), 3)
         offsets[2::3] = np.radians(25.0)
         return truth, active, truth[0, ticks] + offsets, ticks
+    if case == "just beyond the gate":
+        # source 1 lies 30-31 deg from row 1, and source 0 lies nearer row 1
+        # than row 0: priced at its own cost, not at the sentinel, the pair of
+        # source 1 and row 1 would pull source 0 to row 0
+        theta = rng.uniform(-np.pi, np.pi, n_ticks)
+        side = rng.choice([-1.0, 1.0], n_ticks)
+        beyond = rng.uniform(30.05, 30.95, n_ticks)
+        gap = rng.uniform(3.0, 8.0, n_ticks)
+        near = gap / 2 - rng.uniform(0.0, 0.25, n_ticks)
+        truth = theta + np.radians(side * np.stack([beyond + near, np.zeros(n_ticks)]))
+        active = rng.random(truth.shape) < 0.9
+        ticks = np.repeat(np.arange(n_ticks), 2)
+        rows = np.stack([beyond + gap, beyond], axis=1).ravel()
+        return truth, active, theta[ticks] + np.radians(side[ticks] * rows), ticks
     # more sources than rows: 5 sources, 0 to 3 rows a tick
     truth = rng.uniform(-np.pi, np.pi, (5, n_ticks))
     active = rng.random(truth.shape) < 0.9
@@ -504,7 +527,7 @@ def _recording(case, rng):
 
 
 @pytest.mark.parametrize("case", ["more maps than the batched cap", "exact ties",
-                                  "more sources than rows"])
+                                  "just beyond the gate", "more sources than rows"])
 @pytest.mark.parametrize("p", [1.0, 5.0])
 def test_batched_ticks_match_per_tick_solvers(case, p):
     rng = np.random.default_rng(11)

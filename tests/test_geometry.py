@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from doatrack import geometry
 from doatrack.geometry import (ARRAY_PRESETS, ArrayGeometry, Doa, DegenerateGeometryError, Pose,
                                Trajectory, TrajectoryError, doa_to_unit_vector, get_array_preset,
                                global_to_local_doas, identity_pose, interpolate_pose,
@@ -77,7 +76,7 @@ EDGE_ANGLES = st.builds(
               st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
               .map(lambda k: (2 * k + 1) * math.pi)),
     st.integers(-3, 3))
-LIMIT = geometry._FLOAT_WRAP_MAX_SIZE
+LIMIT = 16  # arrays up to this size were once wrapped one float at a time
 WRAP_SHAPES = [(1,), (LIMIT,), (LIMIT + 1,), (1000,), (4, 4), (3, 7), (2, 500)]
 
 
